@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT_CONFIG_TEXT, RunConfig, parse_config
 from .dynamics import SequenceSpec, run_sequence
-from .ensemble import ensemble_average
+from .ensemble import ensemble_average, ensemble_final_state
 from .errors import ConfigurationError, FitFailureError, ValidationError
 from .qstate import DensityMatrix3, GroundQubitState, fidelity
 from .readout import beat_amplitude, synthesize_beat
@@ -141,8 +141,8 @@ def _cmd_qst(cfg: RunConfig, outdir: Path) -> None:
     rows = ["case,x,y,z,fidelity_pure_target,fidelity_vs_ideal"]
     results = {}
     for name, case_cfg, seq in _qst_cases(cfg):
-        avg = ensemble_average(seq, cfg.physics, cfg.ensemble, n_threads=cfg.threads)
-        ground = GroundQubitState(avg.final_state.matrix[:2, :2])
+        final = ensemble_final_state(seq, cfg.physics, cfg.ensemble, n_threads=cfg.threads)
+        ground = GroundQubitState(final.matrix[:2, :2])
         x, y, z = projection_measurements(ground, cfg.noise_rms, rng)
         rec = reconstruct(x, y, z)
         offset = case_cfg.init_phase_offset

@@ -1,11 +1,13 @@
 """Time propagation of a single ensemble member through pulses and waits.
 
-Integration is classical fixed-step RK4 on the master equation.  Within one
-segment the drive is constant (rectangular pulses), so the equation of motion
-is a constant linear map on the flattened density matrix; the propagator
-precomputes that 9x9 map once per segment and RK4-steps the flattened state.
-Fixed stepping keeps runs deterministic and makes the halving convergence test
-meaningful.
+Within one segment the drive is constant (rectangular pulses), so the master
+equation is a constant linear map on the flattened density matrix and the
+segment is solved exactly by its propagator expm(h * L), computed by scaling
+and squaring.  Paths that need only the final state apply one map per segment
+(h = duration); sampled trajectories apply the map for one grid step
+repeatedly, so the step grid only sets how densely the output is sampled.  A
+requested grid must still meet the hard step-size precondition, and fixed
+grids keep runs deterministic.
 """
 
 from __future__ import annotations
@@ -14,18 +16,19 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import ConfigurationError, ValidationError
 from .lambda_system import LambdaParams, liouvillian
 from .qstate import DensityMatrix3
 from .units import float_repr
 
-# Hard preconditions on the step size (never silently coarse-stepped).
+# Hard preconditions on a requested sampling step (never silently coarsened).
 MAX_STEPS_FRACTION = 1.0 / 20.0   # dt <= duration / 20
 MAX_PHASE_PER_STEP = 0.05         # dt * max(rabi, |detuning|, rate) <= 0.05
 
-# Default step chooser runs well inside the precondition so the final state
-# stays positive to 1e-9 even for pure inputs riding the edge of the cone.
+# Default sampling grid, well inside the precondition: fine enough that the
+# sampled coherences resolve every drive, detuning and decay time scale.
 DEFAULT_STEPS_FRACTION = 1.0 / 50.0
 DEFAULT_PHASE_PER_STEP = 0.01
 
@@ -207,28 +210,38 @@ def default_step(p: LambdaParams, segment: Segment) -> float:
     return dt
 
 
+def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
+    """Exact 9x9 propagator over time h of the constant generator of `p`."""
+    return expm(h * liouvillian(p))
+
+
 def _integrate_segment(rho_flat: np.ndarray, p: LambdaParams, duration: float,
                        dt_target: float) -> tuple[np.ndarray, float]:
-    """RK4 on the flattened state; returns (states after each step, step size).
+    """Sample one segment on a uniform grid; returns (states after each step, step size).
 
-    The generator is constant within a segment, so one RK4 step is exactly the
-    degree-4 Taylor polynomial of the step map; it is assembled once and each
-    step is a single matrix-vector product.
+    The step map is the exact propagator over one grid step, computed once;
+    each step is a single matrix-vector product, so the grid sets only where
+    the state is sampled, not how accurately it is propagated.
     """
     n_steps = max(1, int(np.ceil(duration / dt_target - 1e-12)))
     dt = duration / n_steps
-    d = dt * liouvillian(p)
-    step = np.eye(9, dtype=complex)
-    term = np.eye(9, dtype=complex)
-    for order in range(1, 5):
-        term = term @ d / order
-        step = step + term
+    step = _segment_map(p, dt)
     out = np.empty((n_steps, 9), dtype=complex)
     v = rho_flat
     for i in range(n_steps):
         v = step @ v
         out[i] = v
     return out, dt
+
+
+def _check_physical(final: np.ndarray) -> None:
+    """Guard against drift: the final state must still be a physical state."""
+    herm_err = np.max(np.abs(final - final.conj().T))
+    if herm_err > 1e-9:
+        raise ConfigurationError([f"propagation lost Hermiticity by {herm_err:g}"])
+    eigs = np.linalg.eigvalsh(0.5 * (final + final.conj().T))
+    if eigs.min() < -1e-9:
+        raise ConfigurationError([f"propagation produced eigenvalue {eigs.min():g}"])
 
 
 def propagate(rho0: DensityMatrix3, p: LambdaParams, pulse: Segment,
@@ -285,15 +298,23 @@ def run_sequence(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         t0 += seg.duration
 
     arr = np.array(states)
-    # guard against drift: the final state must still be a physical state
-    final = arr[-1]
-    herm_err = np.max(np.abs(final - final.conj().T))
-    if herm_err > 1e-9:
-        raise ConfigurationError([f"integration lost Hermiticity by {herm_err:g}"])
-    eigs = np.linalg.eigvalsh(0.5 * (final + final.conj().T))
-    if eigs.min() < -1e-9:
-        raise ConfigurationError([f"integration produced eigenvalue {eigs.min():g}"])
+    _check_physical(arr[-1])
     return Trajectory(times=np.array(times), states=arr, segment_starts=segment_starts)
+
+
+def sequence_endpoint(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
+                      zeeman_offset: float = 0.0) -> np.ndarray:
+    """Final 3x3 state of :func:`run_sequence` without sampling the trajectory.
+
+    Applies one exact map per segment, so the cost does not depend on the
+    durations or rates, and no intermediate state is stored.
+    """
+    v = np.asarray(rho0.matrix, dtype=complex).reshape(9)
+    for seg in seq.segments:
+        v = _segment_map(_segment_params(p, seg, zeeman_offset), seg.duration) @ v
+    final = v.reshape(3, 3)
+    _check_physical(final)
+    return final
 
 
 def bandwidth(pulse: PulseSpec) -> float:

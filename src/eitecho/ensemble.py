@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SequenceSpec, Trajectory, Wait, _segment_params, default_step, run_sequence
+from .dynamics import (SequenceSpec, Trajectory, _segment_params, default_step, run_sequence,
+                       sequence_endpoint)
 from .errors import ValidationError
 from .lambda_system import LambdaParams
 from .qstate import DensityMatrix3
@@ -30,6 +31,8 @@ from .units import float_repr
 TWO_PI = 2.0 * math.pi
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 GRID_HALF_WIDTH_SIGMAS = 3.0
+# Every member starts from the incoherent ground-state mixture.
+MIXED_GROUND = DensityMatrix3(np.diag([0.5, 0.5, 0.0]).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -178,29 +181,30 @@ def _member_params(base: LambdaParams, m: EnsembleMember) -> LambdaParams:
                         delta_spin=base.delta_spin + m.delta_spin)
 
 
+def _map_members(simulate, members: list[EnsembleMember], n_threads: int) -> list:
+    """Per-member results in grid order; threads only schedule the calls."""
+    if n_threads > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(simulate, members))
+    return [simulate(m) for m in members]
+
+
 def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
-                     rho0: DensityMatrix3 | None = None,
                      n_threads: int = 1) -> AveragedObservables:
     """Run the sequence for every grid member and weight-sum the observables.
 
-    The reduction runs in fixed grid order regardless of `n_threads`, so
+    Every member starts from the mixed ground state.  The reduction runs in fixed grid order regardless of `n_threads`, so
     single- and multi-threaded runs are bitwise identical.
     """
-    if rho0 is None:
-        rho0 = DensityMatrix3(np.diag([0.5, 0.5, 0.0]).astype(complex))
     members = member_grid(spec)
     dt_overrides = _shared_steps(seq, base, members)
 
     def simulate(m: EnsembleMember) -> Trajectory:
-        return run_sequence(rho0, _member_params(base, m), seq,
+        return run_sequence(MIXED_GROUND, _member_params(base, m), seq,
                             zeeman_offset=m.zeeman_offset,
                             dt_overrides=dt_overrides)
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            trajectories = list(pool.map(simulate, members))
-    else:
-        trajectories = [simulate(m) for m in members]
+    trajectories = _map_members(simulate, members, n_threads)
 
     first = trajectories[0]
     times = first.times
@@ -227,3 +231,23 @@ def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
         final_state=DensityMatrix3(final),
         segment_starts=first.segment_starts,
     )
+
+
+def ensemble_final_state(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
+                         n_threads: int = 1) -> DensityMatrix3:
+    """Weighted average of every member's final state, without trajectories.
+
+    Every member starts from the mixed ground state and applies one exact map
+    per segment; the reduction runs in fixed grid order, so the result does
+    not depend on `n_threads`.
+    """
+    members = member_grid(spec)
+
+    def simulate(m: EnsembleMember) -> np.ndarray:
+        return sequence_endpoint(MIXED_GROUND, _member_params(base, m), seq,
+                                 zeeman_offset=m.zeeman_offset)
+
+    final = np.zeros((3, 3), dtype=complex)
+    for m, state in zip(members, _map_members(simulate, members, n_threads)):
+        final += m.weight * state
+    return DensityMatrix3(final)

@@ -195,15 +195,25 @@ def lindblad_rhs(rho: np.ndarray, p: LambdaParams) -> np.ndarray:
     return drho
 
 
+def _superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of X -> a X b acting on the row-major flattened X."""
+    return np.einsum("ik,lj->ijkl", a, b).reshape(9, 9)
+
+
 def liouvillian(p: LambdaParams) -> np.ndarray:
     """The master equation as a 9x9 linear map on the flattened density matrix.
 
-    Built by applying :func:`lindblad_rhs` to the nine matrix units, so it is
-    the same map by construction; used by the propagator for speed.
+    Closed form in the spre/spost idiom: the anticommutator terms fold into
+    the effective Hamiltonian H_eff = H - (i/2) sum gamma C^dag C, leaving
+    L = -i (S(H_eff, 1) - S(1, H_eff^dag)) + sum gamma S(C, C^dag) with
+    S(a, b) the map X -> a X b.  It is the same map as :func:`lindblad_rhs`.
     """
-    sup = np.zeros((9, 9), dtype=complex)
-    for j in range(9):
-        basis = np.zeros((3, 3), dtype=complex)
-        basis.flat[j] = 1.0
-        sup[:, j] = lindblad_rhs(basis, p).reshape(9)
+    jumps = _jump_operators(p)
+    h_eff = hamiltonian(p)
+    for gamma, c in jumps:
+        h_eff -= 0.5j * gamma * (c.conj().T @ c)
+    eye = np.eye(3)
+    sup = -1j * (_superop(h_eff, eye) - _superop(eye, h_eff.conj().T))
+    for gamma, c in jumps:
+        sup += gamma * _superop(c, c.conj().T)
     return sup

@@ -22,7 +22,7 @@ from scipy import stats
 from scipy.interpolate import CubicSpline
 
 from .dynamics import Trajectory
-from .ensemble import AveragedObservables, EnsembleSpec, ensemble_average
+from .ensemble import AveragedObservables, EnsembleSpec, ensemble_average, ensemble_final_state
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .sequences import EchoConfig, make_echo_sequence
@@ -188,8 +188,8 @@ def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,
     cfg_tau = replace(cfg, tau=tau)
     if mode == "proxy":
         seq = make_echo_sequence(cfg_tau, include_readout=False)
-        avg = ensemble_average(seq, params, spec, n_threads=n_threads)
-        return abs(complex(avg.coherence01[-1]))
+        final = ensemble_final_state(seq, params, spec, n_threads=n_threads)
+        return abs(complex(final.matrix[0, 1]))
     if mode != "beat":
         raise ValidationError(f"echo_amplitude: unknown mode {mode!r}")
     seq = make_echo_sequence(cfg_tau, include_readout=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import EnsembleSpec, ensemble_average
+from .ensemble import EnsembleSpec, ensemble_final_state
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .qstate import GroundQubitState, fidelity
@@ -232,13 +232,13 @@ def scaling_study(t2_opt_values, sm: ScalingModel, cfg: EchoConfig,
                           t_readout=t_pi)
         member = params.replace(gamma_opt_deph=1.0 / t2_opt)
         seq = make_echo_sequence(run_cfg, include_readout=False)
-        avg = ensemble_average(seq, member, spec, n_threads=n_threads)
-        ground = GroundQubitState(avg.final_state.matrix[:2, :2])
+        final = ensemble_final_state(seq, member, spec, n_threads=n_threads)
+        ground = GroundQubitState(final.matrix[:2, :2])
         points.append(ScalingPoint(
             t2_opt=t2_opt,
             t_pi=t_pi,
             end_fidelity=fidelity(ground, dark),
-            coherence=abs(complex(avg.coherence01[-1])),
+            coherence=abs(complex(final.matrix[0, 1])),
         ))
     return points
 

@@ -77,8 +77,3 @@ def parse_ratio(value: str, num_dimension: str, den_dimension: str) -> float:
 def float_repr(value) -> str:
     """Shortest-round-trip decimal form of a (possibly numpy) float."""
     return repr(float(value))
-
-
-def format_si(value: float, dimension: str) -> str:
-    base = _DIMENSIONS.get(dimension, "")
-    return f"{float_repr(value)}{base}"
