@@ -3,8 +3,8 @@
 Every subcommand takes --config/--out/--seed/--threads, validates the whole
 config before any simulation starts, writes plot-ready CSV files plus a JSON
 run manifest sufficient to re-run the study, and is bitwise reproducible for
-a fixed config, seed and thread count.  Exit codes: 0 success, 1 invalid
-configuration, 2 numerical failure.
+a fixed config and seed; --threads is recorded but never changes results.
+Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="seed for simulated measurement noise")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for ensemble sweeps")
+                       help="accepted and recorded in the run manifest; "
+                            "never changes results")
     return parser
 
 

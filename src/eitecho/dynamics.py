@@ -1,13 +1,15 @@
-"""Time propagation of a single ensemble member through pulses and waits.
+"""Time propagation of a stack of ensemble members through pulses and waits.
 
 Within one segment the drive is constant (rectangular pulses), so the master
 equation is a constant linear map on the flattened density matrix and the
 segment is solved exactly by its propagator expm(h * L), computed by scaling
-and squaring.  Paths that need only the final state apply one map per segment
-(h = duration); sampled trajectories apply the map for one grid step
-repeatedly, so the step grid only sets how densely the output is sampled.  A
-requested grid must still meet the hard step-size precondition, and fixed
-grids keep runs deterministic.
+and squaring.  Members differ only in their detunings, which enter L as a
+diagonal shift, so one Liouvillian per segment serves the whole stack.
+Segments that need only their endpoint apply one map each (h = duration);
+sampled segments raise the map of one grid step to successive powers and
+produce a block of samples per batched product, so the step grid only sets
+how densely the output is sampled.  A requested grid must still meet the
+hard step-size precondition, and fixed grids keep runs deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigurationError, ValidationError
-from .lambda_system import LambdaParams, liouvillian
+from .lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian
 from .qstate import DensityMatrix3
 from .units import float_repr
 
@@ -31,6 +33,10 @@ MAX_PHASE_PER_STEP = 0.05         # dt * max(rabi, |detuning|, rate) <= 0.05
 # sampled coherences resolve every drive, detuning and decay time scale.
 DEFAULT_STEPS_FRACTION = 1.0 / 50.0
 DEFAULT_PHASE_PER_STEP = 0.01
+
+# Samples per batched product: a sampled segment builds the powers
+# S^1 ... S^SAMPLE_BLOCK of its step map S once and applies them to the stack.
+SAMPLE_BLOCK = 64
 
 PULSE_LABELS = ("init_pi_half", "rephase_pi", "readout", "custom")
 
@@ -210,38 +216,129 @@ def default_step(p: LambdaParams, segment: Segment) -> float:
     return dt
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """expm of a generator or a stack of them, with subnormal parts flushed to zero.
+
+    For triangular input, scipy's squaring step divides by differences of the
+    diagonal entries, which overflows to nan when a difference is subnormal
+    (scipy issue 11839); flushing moves the map by less than 1e-300.
+    """
+    a = np.array(a, dtype=complex)
+    parts = a.view(float)
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    return expm(a)
+
+
 def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
     """Exact 9x9 propagator over time h of the constant generator of `p`."""
-    return expm(h * liouvillian(p))
+    return _expm(h * liouvillian(p))
 
 
-def _integrate_segment(rho_flat: np.ndarray, p: LambdaParams, duration: float,
-                       dt_target: float) -> tuple[np.ndarray, float]:
-    """Sample one segment on a uniform grid; returns (states after each step, step size).
+def _step_powers(step: np.ndarray, count: int) -> np.ndarray:
+    """Powers step^1 ... step^count of an (M, 9, 9) stack, built by doubling.
 
-    The step map is the exact propagator over one grid step, computed once;
-    each step is a single matrix-vector product, so the grid sets only where
-    the state is sampled, not how accurately it is propagated.
+    Laid out as (M, 9, count, 9) with [m, l, j, i] = (step_m^(j+1))[i, l], so
+    that one vector-matrix product with the flattened (M, 9) member states
+    gives the weight-summed samples of a whole block.
     """
-    n_steps = max(1, int(np.ceil(duration / dt_target - 1e-12)))
-    dt = duration / n_steps
-    step = _segment_map(p, dt)
-    out = np.empty((n_steps, 9), dtype=complex)
-    v = rho_flat
-    for i in range(n_steps):
-        v = step @ v
-        out[i] = v
-    return out, dt
+    powers = np.empty((step.shape[0], 9, count, 9), dtype=complex)
+    powers[:, :, 0] = step.transpose(0, 2, 1)
+    done = 1
+    while done < count:
+        k = min(done, count - done)
+        # (step^(j+1) step^done)^T = (step^done)^T (step^(j+1))^T
+        block = powers[:, :, done - 1] @ powers[:, :, :k].reshape(-1, 9, 9 * k)
+        powers[:, :, done:done + k] = block.reshape(-1, 9, k, 9)
+        done += k
+    return powers
 
 
-def _check_physical(final: np.ndarray) -> None:
-    """Guard against drift: the final state must still be a physical state."""
-    herm_err = np.max(np.abs(final - final.conj().T))
-    if herm_err > 1e-9:
-        raise ConfigurationError([f"propagation lost Hermiticity by {herm_err:g}"])
-    eigs = np.linalg.eigvalsh(0.5 * (final + final.conj().T))
-    if eigs.min() < -1e-9:
-        raise ConfigurationError([f"propagation produced eigenvalue {eigs.min():g}"])
+def _check_physical(finals: np.ndarray, offsets: np.ndarray) -> None:
+    """Guard against drift: every member's final (3, 3) state must be physical.
+
+    On failure the error names the first failing member, its offsets and the
+    offending value.
+    """
+    adjoint = finals.conj().swapaxes(1, 2)
+    herm_err = np.max(np.abs(finals - adjoint), axis=(1, 2))
+    herm = herm_err <= 1e-9           # False for a non-finite member too
+    min_eig = np.zeros(len(finals))
+    min_eig[herm] = np.linalg.eigvalsh(0.5 * (finals + adjoint)[herm]).min(axis=1)
+    bad = ~herm | (min_eig < -1e-9)
+    if not bad.any():
+        return
+    m = int(np.argmax(bad))
+    what = (f"produced eigenvalue {min_eig[m]:g}" if herm[m]
+            else f"lost Hermiticity by {herm_err[m]:g}")
+    a, b, z = offsets[m]
+    raise ConfigurationError(
+        [f"propagation {what} in member {m} with offsets (delta_opt, delta_spin, "
+         f"zeeman_offset) = ({a:g}, {b:g}, {z:g}) rad/s"])
+
+
+def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
+                      offsets: np.ndarray, weights: np.ndarray, first_sampled: int,
+                      dt_targets: list | None = None) -> Trajectory:
+    """Weight-summed trajectory of a stack of members that all start in `rho0`.
+
+    Member m is `p` with offsets[m, 0] added to the optical detuning and
+    offsets[m, 1] to the spin detuning; its Zeeman offset offsets[m, 2] is
+    added to the spin detuning with each segment's ``zeeman_sign``.  Segments
+    before `first_sampled` apply one exact map each.  From `first_sampled` on,
+    segment k is sampled on a uniform grid no coarser than dt_targets[k] or
+    ``seq.sample_dt``, in blocks of powers of the step map.  The trajectory
+    starts at the start of segment `first_sampled`; with
+    ``first_sampled == len(seq.segments)`` it holds only the final state.
+    Each block of samples is summed over the weighted member states by one
+    product in fixed member order; only the weighted sum is stored.
+    """
+    offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
+    weights = np.asarray(weights, dtype=float)
+    n_members = weights.size
+    v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (n_members, 1))
+    # diagonal of each member's generator shift; the Zeeman part flips per segment
+    static = (np.multiply.outer(offsets[:, 0], DETUNING_OPT)
+              + np.multiply.outer(offsets[:, 1], DETUNING_SPIN))
+    zeeman = np.multiply.outer(offsets[:, 2], DETUNING_SPIN)
+    times, states, segment_starts = [], [], []
+    n_samples = 0
+    t0 = 0.0
+
+    for k, seg in enumerate(seq.segments):
+        if k == first_sampled:
+            times.append(np.array([t0]))
+            states.append((weights @ v)[None])
+            n_samples = 1
+        gen = np.repeat(liouvillian(_segment_params(p, seg, 0.0))[None], n_members, axis=0)
+        gen.reshape(n_members, 81)[:, ::10] += static + seg.zeeman_sign * zeeman
+        if k < first_sampled:
+            v = (_expm(seg.duration * gen) @ v[:, :, None])[:, :, 0]
+            t0 += seg.duration
+            continue
+
+        segment_starts.append((n_samples - 1, seg))
+        dt_target = dt_targets[k]
+        if seq.sample_dt is not None:
+            dt_target = min(dt_target, seq.sample_dt)
+        n_steps = max(1, int(np.ceil(seg.duration / dt_target - 1e-12)))
+        dt = seg.duration / n_steps
+        powers = _step_powers(_expm(dt * gen), min(SAMPLE_BLOCK, n_steps))
+        for done in range(0, n_steps, SAMPLE_BLOCK):
+            b = min(SAMPLE_BLOCK, n_steps - done)
+            weighted = (weights[:, None] * v).reshape(9 * n_members)
+            states.append((weighted @ powers[:, :, :b].reshape(9 * n_members, 9 * b))
+                          .reshape(b, 9))
+            v = (v[:, None, :] @ powers[:, :, b - 1])[:, 0]
+        times.append(t0 + dt * np.arange(1, n_steps + 1))
+        n_samples += n_steps
+        t0 += seg.duration
+
+    _check_physical(v.reshape(-1, 3, 3), offsets)
+    if first_sampled >= len(seq.segments):
+        times, states = [np.array([t0])], [(weights @ v)[None]]
+    return Trajectory(times=np.concatenate(times),
+                      states=np.concatenate(states).reshape(-1, 3, 3),
+                      segment_starts=segment_starts)
 
 
 def propagate(rho0: DensityMatrix3, p: LambdaParams, pulse: Segment,
@@ -269,37 +366,19 @@ def run_sequence(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         raise ConfigurationError(
             [f"dt_overrides has {len(dt_overrides)} entries for {len(seq.segments)} segments"])
 
-    times = [0.0]
-    states = [np.asarray(rho0.matrix, dtype=complex)]
-    segment_starts = []
-    t0 = 0.0
-    v = states[0].reshape(9).copy()
-
+    dt_targets = []
     for k, seg in enumerate(seq.segments):
         pseg = _segment_params(p, seg, zeeman_offset)
+        if dt_overrides is None:
+            dt_targets.append(default_step(pseg, seg))
+            continue
         limit = max_step(pseg, seg.duration)
-        if dt_overrides is not None:
-            dt_target = dt_overrides[k]
-            if dt_target > limit * (1.0 + 1e-12):
-                raise ConfigurationError(
-                    [f"segment {k}: requested dt {dt_target:g} s exceeds the precondition "
-                     f"limit {limit:g} s (duration/20 and {MAX_PHASE_PER_STEP}/max-frequency)"])
-        else:
-            dt_target = default_step(pseg, seg)
-        if seq.sample_dt is not None:
-            dt_target = min(dt_target, seq.sample_dt)
-
-        segment_starts.append((len(times) - 1, seg))
-        seg_states, dt = _integrate_segment(v, pseg, seg.duration, dt_target)
-        n = seg_states.shape[0]
-        times.extend(t0 + dt * np.arange(1, n + 1))
-        states.extend(seg_states.reshape(n, 3, 3))
-        v = seg_states[-1].copy()
-        t0 += seg.duration
-
-    arr = np.array(states)
-    _check_physical(arr[-1])
-    return Trajectory(times=np.array(times), states=arr, segment_starts=segment_starts)
+        if dt_overrides[k] > limit * (1.0 + 1e-12):
+            raise ConfigurationError(
+                [f"segment {k}: requested dt {dt_overrides[k]:g} s exceeds the precondition "
+                 f"limit {limit:g} s (duration/20 and {MAX_PHASE_PER_STEP}/max-frequency)"])
+        dt_targets.append(dt_overrides[k])
+    return propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0], 0, dt_targets)
 
 
 def sequence_endpoint(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
@@ -309,12 +388,8 @@ def sequence_endpoint(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     Applies one exact map per segment, so the cost does not depend on the
     durations or rates, and no intermediate state is stored.
     """
-    v = np.asarray(rho0.matrix, dtype=complex).reshape(9)
-    for seg in seq.segments:
-        v = _segment_map(_segment_params(p, seg, zeeman_offset), seg.duration) @ v
-    final = v.reshape(3, 3)
-    _check_physical(final)
-    return final
+    return propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0],
+                             len(seq.segments)).states[-1]
 
 
 def bandwidth(pulse: PulseSpec) -> float:

@@ -2,9 +2,8 @@
 
 The ensemble is a deterministic tensor grid: Gaussian midpoint-rule nodes over
 +/- 3 sigma on each detuning axis, optionally multiplied by discrete Zeeman
-branches.  Averages are weighted sums in a fixed grid order, so results do not
-depend on how the member simulations were scheduled; the optional thread pool
-only parallelizes the member propagations.
+branches.  All members are propagated together as one stack, and averages are
+weighted sums in the fixed grid order, so results are bitwise reproducible.
 
 Zeeman branch offsets are kept separate from the static spin detunings: a
 static member detuning is refocused by the echo, while a branch offset flips
@@ -16,13 +15,11 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SequenceSpec, Trajectory, _segment_params, default_step, run_sequence,
-                       sequence_endpoint)
+from .dynamics import SequenceSpec, _segment_params, default_step, propagate_members
 from .errors import ValidationError
 from .lambda_system import LambdaParams
 from .qstate import DensityMatrix3
@@ -157,17 +154,15 @@ class AveragedObservables:
         return buf.getvalue()
 
 
-def _envelope_params(base: LambdaParams, members: list[EnsembleMember]) -> LambdaParams:
+def _envelope_params(base: LambdaParams, offsets: np.ndarray) -> LambdaParams:
     """Parameters whose frequencies bound every member, for a shared time grid."""
-    max_opt = max(abs(base.delta_opt + m.delta_opt) for m in members)
-    max_spin = max(abs(base.delta_spin) + abs(m.delta_spin) + abs(m.zeeman_offset)
-                   for m in members)
-    return base.replace(delta_opt=max_opt, delta_spin=max_spin)
+    max_opt = np.max(np.abs(base.delta_opt + offsets[:, 0]))
+    max_spin = np.max(abs(base.delta_spin) + np.abs(offsets[:, 1]) + np.abs(offsets[:, 2]))
+    return base.replace(delta_opt=float(max_opt), delta_spin=float(max_spin))
 
 
-def _shared_steps(seq: SequenceSpec, base: LambdaParams,
-                  members: list[EnsembleMember]) -> list[float]:
-    env = _envelope_params(base, members)
+def _shared_steps(seq: SequenceSpec, base: LambdaParams, offsets: np.ndarray) -> list[float]:
+    env = _envelope_params(base, offsets)
     steps = []
     for seg in seq.segments:
         # member offsets are already folded into the envelope's delta_spin
@@ -176,60 +171,34 @@ def _shared_steps(seq: SequenceSpec, base: LambdaParams,
     return steps
 
 
-def _member_params(base: LambdaParams, m: EnsembleMember) -> LambdaParams:
-    return base.replace(delta_opt=base.delta_opt + m.delta_opt,
-                        delta_spin=base.delta_spin + m.delta_spin)
-
-
-def _map_members(simulate, members: list[EnsembleMember], n_threads: int) -> list:
-    """Per-member results in grid order; threads only schedule the calls."""
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(simulate, members))
-    return [simulate(m) for m in members]
+def _member_stack(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(delta_opt, delta_spin, zeeman_offset) rows and weights of the grid members."""
+    members = member_grid(spec)
+    offsets = np.array([(m.delta_opt, m.delta_spin, m.zeeman_offset) for m in members])
+    return offsets, np.array([m.weight for m in members])
 
 
 def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
-                     n_threads: int = 1) -> AveragedObservables:
-    """Run the sequence for every grid member and weight-sum the observables.
+                     n_threads: int = 1, first_sampled: int = 0) -> AveragedObservables:
+    """Propagate every grid member and weight-sum the sampled states.
 
-    Every member starts from the mixed ground state.  The reduction runs in fixed grid order regardless of `n_threads`, so
-    single- and multi-threaded runs are bitwise identical.
+    Every member starts from the mixed ground state, and all members share
+    one time grid.  Segments before `first_sampled` are applied as endpoint
+    maps, and the observables start at the start of segment `first_sampled`.
+    The members are propagated as one stack and reduced in fixed grid order;
+    `n_threads` is accepted for compatibility and never changes the result.
     """
-    members = member_grid(spec)
-    dt_overrides = _shared_steps(seq, base, members)
-
-    def simulate(m: EnsembleMember) -> Trajectory:
-        return run_sequence(MIXED_GROUND, _member_params(base, m), seq,
-                            zeeman_offset=m.zeeman_offset,
-                            dt_overrides=dt_overrides)
-
-    trajectories = _map_members(simulate, members, n_threads)
-
-    first = trajectories[0]
-    times = first.times
-    pops = np.zeros((len(times), 3))
-    c01 = np.zeros(len(times), dtype=complex)
-    c0e = np.zeros(len(times), dtype=complex)
-    c1e = np.zeros(len(times), dtype=complex)
-    final = np.zeros((3, 3), dtype=complex)
-    for m, traj in zip(members, trajectories):
-        if traj.times.shape != times.shape:
-            raise ValidationError("ensemble members produced mismatched time grids")
-        pops += m.weight * traj.populations()
-        c01 += m.weight * traj.coherence01()
-        c0e += m.weight * traj.coherence0e()
-        c1e += m.weight * traj.coherence1e()
-        final += m.weight * traj.states[-1]
-
+    offsets, weights = _member_stack(spec)
+    traj = propagate_members(MIXED_GROUND, base, seq, offsets, weights, first_sampled,
+                             _shared_steps(seq, base, offsets))
     return AveragedObservables(
-        times=times,
-        populations=pops,
-        coherence01=c01,
-        coherence0e=c0e,
-        coherence1e=c1e,
-        final_state=DensityMatrix3(final),
-        segment_starts=first.segment_starts,
+        times=traj.times,
+        populations=traj.populations(),
+        coherence01=traj.coherence01(),
+        coherence0e=traj.coherence0e(),
+        coherence1e=traj.coherence1e(),
+        final_state=DensityMatrix3(traj.states[-1]),
+        segment_starts=traj.segment_starts,
     )
 
 
@@ -238,16 +207,9 @@ def ensemble_final_state(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSp
     """Weighted average of every member's final state, without trajectories.
 
     Every member starts from the mixed ground state and applies one exact map
-    per segment; the reduction runs in fixed grid order, so the result does
-    not depend on `n_threads`.
+    per segment; the reduction runs in fixed grid order, and `n_threads` never
+    changes the result.
     """
-    members = member_grid(spec)
-
-    def simulate(m: EnsembleMember) -> np.ndarray:
-        return sequence_endpoint(MIXED_GROUND, _member_params(base, m), seq,
-                                 zeeman_offset=m.zeeman_offset)
-
-    final = np.zeros((3, 3), dtype=complex)
-    for m, state in zip(members, _map_members(simulate, members, n_threads)):
-        final += m.weight * state
-    return DensityMatrix3(final)
+    offsets, weights = _member_stack(spec)
+    traj = propagate_members(MIXED_GROUND, base, seq, offsets, weights, len(seq.segments))
+    return DensityMatrix3(traj.states[-1])

@@ -195,6 +195,18 @@ def lindblad_rhs(rho: np.ndarray, p: LambdaParams) -> np.ndarray:
     return drho
 
 
+def _commutator_diagonal(levels: np.ndarray) -> np.ndarray:
+    """Diagonal of X -> -i [diag(levels), X] on the row-major flattened X."""
+    return -1j * np.subtract.outer(levels, levels).reshape(9)
+
+
+# The detuning terms of H are diagonal, so they enter L only on its diagonal:
+# liouvillian(p with delta_opt + a, delta_spin + b)
+#     == liouvillian(p) + diag(a * DETUNING_OPT + b * DETUNING_SPIN).
+DETUNING_OPT = _commutator_diagonal(np.array([0.0, 0.0, 1.0]))
+DETUNING_SPIN = _commutator_diagonal(np.array([0.5, -0.5, 0.0]))
+
+
 def _superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of X -> a X b acting on the row-major flattened X."""
     return np.einsum("ik,lj->ijkl", a, b).reshape(9, 9)

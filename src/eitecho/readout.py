@@ -179,11 +179,11 @@ def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,
                    tau: float, mode: str = "beat", n_threads: int = 1) -> float:
     """One echo simulation reduced to a single amplitude.
 
-    mode 'beat' runs the readout pulse and extracts the Fourier amplitude of
-    the synthesized beat; mode 'proxy' skips the readout entirely and reports
-    |<coh01>| at the moment the readout would start (fast path for sweeps;
-    proportional to the beat amplitude because the readout map is linear in
-    the stored coherence).
+    mode 'beat' runs the readout pulse, samples only its window and extracts
+    the Fourier amplitude of the synthesized beat; mode 'proxy' skips the
+    readout entirely and reports |<coh01>| at the moment the readout would
+    start (fast path for sweeps; proportional to the beat amplitude because
+    the readout map is linear in the stored coherence).
     """
     cfg_tau = replace(cfg, tau=tau)
     if mode == "proxy":
@@ -193,7 +193,9 @@ def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,
     if mode != "beat":
         raise ValidationError(f"echo_amplitude: unknown mode {mode!r}")
     seq = make_echo_sequence(cfg_tau, include_readout=True)
-    avg = ensemble_average(seq, params, spec, n_threads=n_threads)
+    # the beat reads only the readout window, which is the last segment
+    avg = ensemble_average(seq, params, spec, n_threads=n_threads,
+                           first_sampled=len(seq.segments) - 1)
     trace = synthesize_beat(avg, beat_frequency=cfg.splitting)
     return beat_amplitude(trace)
 

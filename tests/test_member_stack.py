@@ -1,0 +1,207 @@
+"""The batched member propagator against per-member references.
+
+The reference is the per-member algorithm written out in Python: every member
+gets its own parameters and its own exact maps, sampled segments apply the
+one-step map once per grid point, and the weighted sum is taken at the end.
+The stacked propagator must agree with it, and with the full-grid beat
+readout, to rounding; a non-physical member must be named in the error, and a
+subnormal detuning must not turn a segment map into nan.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from eitecho.dynamics import (SequenceSpec, _check_physical, _segment_map, _segment_params,
+                              sequence_endpoint)
+from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, _member_stack, _shared_steps,
+                              ensemble_average, ensemble_final_state, member_grid)
+from eitecho.errors import ConfigurationError
+from eitecho.lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian
+from eitecho.readout import beat_amplitude, echo_amplitude, synthesize_beat
+from eitecho.sequences import EchoConfig, make_echo_sequence
+
+from test_propagators import W, lambda_params, unit
+
+TWO_PI = 2.0 * np.pi
+
+
+def reference_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
+                      first_sampled: int):
+    """Per-member loop of `_segment_map(member params, dt) @ v`, then the weighted sum."""
+    members = member_grid(spec)
+    steps = _shared_steps(seq, base, _member_stack(spec)[0])
+    total = 0.0
+    for m in members:
+        p = base.replace(delta_opt=base.delta_opt + m.delta_opt,
+                         delta_spin=base.delta_spin + m.delta_spin)
+        v = MIXED_GROUND.matrix.reshape(9)
+        times, rows, starts = [], [], []
+        t0 = 0.0
+        for k, seg in enumerate(seq.segments):
+            pseg = _segment_params(p, seg, m.zeeman_offset)
+            if k < first_sampled:
+                v = _segment_map(pseg, seg.duration) @ v
+                t0 += seg.duration
+                continue
+            if k == first_sampled:
+                times.append(t0)
+                rows.append(v)
+            starts.append((len(times) - 1, seg))
+            dt_target = steps[k] if seq.sample_dt is None else min(steps[k], seq.sample_dt)
+            n_steps = max(1, int(np.ceil(seg.duration / dt_target - 1e-12)))
+            dt = seg.duration / n_steps
+            step = _segment_map(pseg, dt)
+            for i in range(n_steps):
+                v = step @ v
+                times.append(t0 + dt * (i + 1))
+                rows.append(v)
+            t0 += seg.duration
+        if first_sampled == len(seq.segments):
+            times, rows = [t0], [v]
+        total = total + m.weight * np.array(rows)
+    return np.array(times), total.reshape(-1, 3, 3), starts
+
+
+def averaged_states(avg) -> np.ndarray:
+    """The (n, 3, 3) Hermitian states behind an AveragedObservables."""
+    n = avg.times.size
+    states = np.zeros((n, 3, 3), dtype=complex)
+    states[:, [0, 1, 2], [0, 1, 2]] = avg.populations
+    for (i, j), coh in (((0, 1), avg.coherence01), ((0, 2), avg.coherence0e),
+                        ((1, 2), avg.coherence1e)):
+        states[:, i, j] = coh
+        states[:, j, i] = coh.conj()
+    return states
+
+
+@st.composite
+def ensembles(draw) -> EnsembleSpec:
+    branches = ()
+    if draw(st.booleans()):
+        offset = draw(st.floats(1e3, 50e3))
+        weight = draw(st.floats(0.1, 0.9))
+        branches = ((-offset, weight), (offset, 1.0 - weight))
+    return EnsembleSpec(optical_fwhm=draw(st.sampled_from([0.0, 50e3, 200e3])),
+                        spin_fwhm=draw(st.sampled_from([0.0, 10e3, 50e3])),
+                        n_optical=draw(st.sampled_from([1, 3])),
+                        n_spin=draw(st.sampled_from([1, 3])),
+                        zeeman_branches=branches)
+
+
+rate = st.one_of(st.just(0.0), st.floats(1e2, 1e6))
+
+
+@st.composite
+def base_params(draw) -> LambdaParams:
+    """Nonzero base detunings; every rate may be exactly zero."""
+    return LambdaParams(delta_opt=TWO_PI * draw(st.floats(-100e3, 100e3)),
+                        delta_spin=TWO_PI * draw(st.floats(-20e3, 20e3)),
+                        gamma_opt_decay=draw(rate), gamma_opt_deph=draw(rate),
+                        gamma_spin_deph=draw(rate), branch0=draw(st.floats(0.0, 1.0)))
+
+
+class TestStackedPropagator:
+    @settings(max_examples=15, deadline=None)
+    @given(ensembles(), base_params(), st.floats(4e-6, 8e-6), st.booleans(),
+           st.one_of(st.none(), st.floats(5e-9, 50e-9)), st.integers(0, 5))
+    @example(EnsembleSpec(optical_fwhm=200e3, spin_fwhm=50e3, n_optical=3, n_spin=3,
+                          zeeman_branches=((-20e3, 0.3), (20e3, 0.7))),
+             LambdaParams(delta_opt=TWO_PI * 50e3, delta_spin=TWO_PI * 5e3),
+             6e-6, True, None, 0)
+    def test_matches_per_member_reference(self, spec, base, tau, readout, sample_dt,
+                                          first_sampled):
+        cfg = EchoConfig(tau=tau, t_init=0.5e-6, t_rephase=0.5e-6, t_readout=0.5e-6)
+        seq = make_echo_sequence(cfg, include_readout=readout)
+        seq = SequenceSpec(segments=seq.segments, sample_dt=sample_dt)
+        first_sampled = min(first_sampled, len(seq.segments))
+
+        times, states, starts = reference_average(seq, base, spec, first_sampled)
+        if first_sampled < len(seq.segments):
+            avg = ensemble_average(seq, base, spec, first_sampled=first_sampled)
+            assert np.array_equal(avg.times, times)
+            assert avg.segment_starts == starts
+            assert np.max(np.abs(averaged_states(avg) - states)) <= 1e-10
+
+        _, final, _ = reference_average(seq, base, spec, len(seq.segments))
+        end = ensemble_final_state(seq, base, spec)
+        assert np.max(np.abs(end.matrix - final[-1])) <= 1e-10
+
+
+class TestAffineGenerator:
+    @settings(max_examples=100, deadline=None)
+    @given(lambda_params(), unit, unit)
+    @example(LambdaParams(rabi0=W, rabi1=0.3 * W, delta_opt=0.2 * W, frame_offset=0.7 * W),
+             -1.0, 1.0)
+    def test_detuning_shift_is_diagonal(self, p, a, b):
+        a, b = W * a, W * b
+        shifted = liouvillian(p.replace(delta_opt=p.delta_opt + a,
+                                        delta_spin=p.delta_spin + b))
+        affine = liouvillian(p) + np.diag(a * DETUNING_OPT + b * DETUNING_SPIN)
+        scale = max(np.max(np.abs(shifted)), 1.0)
+        assert np.max(np.abs(affine - shifted)) <= 1e-12 * scale
+
+
+class TestReadoutWindowBeat:
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec(),
+        EnsembleSpec(optical_fwhm=170e3, spin_fwhm=20e3, n_optical=3, n_spin=3),
+        EnsembleSpec(spin_fwhm=20e3, n_spin=3, zeeman_branches=((-8e3, 0.5), (8e3, 0.5))),
+    ], ids=["one-member", "3x3-grid", "two-branches"])
+    def test_matches_full_trajectory_beat(self, spec):
+        cfg = EchoConfig(tau=12e-6)
+        params = LambdaParams(gamma_spin_deph=2e3, gamma_opt_deph=1e5,
+                              gamma_opt_decay=1.0 / 164e-6)
+        full = ensemble_average(make_echo_sequence(cfg, include_readout=True), params, spec)
+        expected = beat_amplitude(synthesize_beat(full, beat_frequency=cfg.splitting))
+        got = echo_amplitude(cfg, params, spec, cfg.tau, mode="beat")
+        assert got == pytest.approx(expected, rel=1e-9)
+
+
+class TestPhysicalityCheck:
+    OFFSETS = np.array([[0.0, 0.0, 0.0], [1.5e5, -2.0e4, 3.0e3], [-1.5e5, 2.0e4, -3.0e3]])
+
+    def stack(self) -> np.ndarray:
+        return np.repeat(MIXED_GROUND.matrix[None], 3, axis=0)
+
+    def test_physical_stack_passes(self):
+        _check_physical(self.stack(), self.OFFSETS)
+
+    def test_negative_eigenvalue_names_member(self):
+        finals = self.stack()
+        finals[1] = np.diag([0.7, 0.4, -0.1])
+        finals[2, 0, 1] = 0.3           # also bad, but not the first
+        with pytest.raises(ConfigurationError,
+                           match=r"eigenvalue -0\.1 in member 1 .*\(150000, -20000, 3000\)"):
+            _check_physical(finals, self.OFFSETS)
+
+    def test_lost_hermiticity_names_member(self):
+        finals = self.stack()
+        finals[2, 0, 1] = 1e-6
+        with pytest.raises(ConfigurationError,
+                           match=r"Hermiticity by 1e-06 in member 2 .*\(-150000, 20000, -3000\)"):
+            _check_physical(finals, self.OFFSETS)
+
+    def test_non_finite_member_fails(self):
+        finals = self.stack()
+        finals[0, 2, 2] = np.nan
+        with pytest.raises(ConfigurationError, match="Hermiticity by nan in member 0"):
+            _check_physical(finals, self.OFFSETS)
+
+
+class TestSubnormalDetuning:
+    # a decay-only wait has a triangular generator; scipy's squaring step for
+    # triangular input divides by differences of its diagonal and returned nan
+    # when a subnormal detuning made one of them subnormal
+
+    def test_segment_map_stays_finite(self):
+        p = LambdaParams(gamma_opt_decay=0.1 * W, delta_spin=5e-324 * W)
+        assert np.isfinite(_segment_map(p, 27e-6)).all()
+
+    def test_echo_endpoint_with_subnormal_zeeman_offset(self):
+        cfg = EchoConfig(tau=20e-6, t_init=1e-6, t_rephase=1e-6, t_readout=1e-6)
+        seq = make_echo_sequence(cfg, include_readout=False)
+        p = LambdaParams(delta_opt=0.3 * W, gamma_opt_decay=0.1 * W)
+        end = sequence_endpoint(MIXED_GROUND, p, seq, zeeman_offset=5e-324 * TWO_PI * 50e3)
+        assert np.max(np.abs(end - sequence_endpoint(MIXED_GROUND, p, seq))) <= 1e-12
