@@ -83,7 +83,7 @@ def _cmd_validate(cfg: RunConfig, outdir: Path) -> None:
 
 def _cmd_simulate(cfg: RunConfig, outdir: Path) -> None:
     seq = make_echo_sequence(cfg.sequence)
-    avg = ensemble_average(seq, cfg.physics, cfg.ensemble, n_threads=cfg.threads)
+    avg = ensemble_average(seq, cfg.physics, cfg.ensemble)
     written: list = []
     _write(outdir, "trajectory.csv", avg.to_csv(), written)
     _write(outdir, "bloch_path.csv", avg.bloch_path_csv(), written)
@@ -141,7 +141,7 @@ def _cmd_qst(cfg: RunConfig, outdir: Path) -> None:
     rows = ["case,x,y,z,fidelity_pure_target,fidelity_vs_ideal"]
     results = {}
     for name, case_cfg, seq in _qst_cases(cfg):
-        final = ensemble_final_state(seq, cfg.physics, cfg.ensemble, n_threads=cfg.threads)
+        final = ensemble_final_state(seq, cfg.physics, cfg.ensemble)
         ground = GroundQubitState(final.matrix[:2, :2])
         x, y, z = projection_measurements(ground, cfg.noise_rms, rng)
         rec = reconstruct(x, y, z)
@@ -164,8 +164,7 @@ def _cmd_qst(cfg: RunConfig, outdir: Path) -> None:
 def _cmd_field_sweep(cfg: RunConfig, outdir: Path) -> None:
     points = field_sweep(cfg.field_sweep.fields, cfg.sequence, cfg.physics,
                          cfg.ensemble, cfg.field_sweep.taus,
-                         model=cfg.field_model, mode=cfg.readout_mode,
-                         n_threads=cfg.threads)
+                         model=cfg.field_model, mode=cfg.readout_mode)
     written: list = []
     _write(outdir, "field_sweep.csv", field_sweep_csv(points), written)
     _write(outdir, "field_fits.csv", field_fits_csv(points), written)
@@ -177,7 +176,7 @@ def _cmd_temp_scan(cfg: RunConfig, outdir: Path) -> None:
     tm = cfg.temperature_model()
     points = temperature_scan(cfg.temp_scan.temperatures, tm, cfg.sequence,
                               cfg.physics, cfg.ensemble, cfg.temp_scan.taus,
-                              mode="proxy", n_threads=cfg.threads)
+                              mode="proxy")
     written: list = []
     _write(outdir, "temp_scan.csv", temperature_scan_csv(points), written)
     _write_manifest(outdir, cfg, "temp-scan", written)
@@ -187,8 +186,7 @@ def _cmd_temp_scan(cfg: RunConfig, outdir: Path) -> None:
 def _cmd_scaling(cfg: RunConfig, outdir: Path) -> None:
     points = scaling_study(cfg.scaling.t2_opt_values, cfg.scaling_model,
                            cfg.sequence, cfg.physics, cfg.ensemble,
-                           tau_in_pulses=cfg.scaling.tau_in_pulses,
-                           n_threads=cfg.threads)
+                           tau_in_pulses=cfg.scaling.tau_in_pulses)
     written: list = []
     _write(outdir, "scaling.csv", scaling_csv(points), written)
     _write_manifest(outdir, cfg, "scaling", written)
@@ -202,7 +200,7 @@ def _cmd_compensate(cfg: RunConfig, outdir: Path) -> None:
                                  cfg.compensation.taus,
                                  search_range=cfg.compensation.search_range,
                                  tol=cfg.compensation.tolerance,
-                                 mode=cfg.readout_mode, n_threads=cfg.threads)
+                                 mode=cfg.readout_mode)
     written: list = []
     _write(outdir, "compensation.json", compensation_json(result), written)
     _write_manifest(outdir, cfg, "compensate", written)

@@ -176,7 +176,7 @@ def beat_amplitude(trace: BeatTrace) -> float:
 
 
 def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,
-                   tau: float, mode: str = "beat", n_threads: int = 1) -> float:
+                   tau: float, mode: str = "beat") -> float:
     """One echo simulation reduced to a single amplitude.
 
     mode 'beat' runs the readout pulse, samples only its window and extracts
@@ -188,27 +188,24 @@ def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,
     cfg_tau = replace(cfg, tau=tau)
     if mode == "proxy":
         seq = make_echo_sequence(cfg_tau, include_readout=False)
-        final = ensemble_final_state(seq, params, spec, n_threads=n_threads)
+        final = ensemble_final_state(seq, params, spec)
         return abs(complex(final.matrix[0, 1]))
     if mode != "beat":
         raise ValidationError(f"echo_amplitude: unknown mode {mode!r}")
     seq = make_echo_sequence(cfg_tau, include_readout=True)
     # the beat reads only the readout window, which is the last segment
-    avg = ensemble_average(seq, params, spec, n_threads=n_threads,
-                           first_sampled=len(seq.segments) - 1)
+    avg = ensemble_average(seq, params, spec, first_sampled=len(seq.segments) - 1)
     trace = synthesize_beat(avg, beat_frequency=cfg.splitting)
     return beat_amplitude(trace)
 
 
 def assemble_decay_curve(cfg: EchoConfig, taus, params: LambdaParams,
-                         spec: EnsembleSpec, mode: str = "beat",
-                         n_threads: int = 1) -> DecayCurve:
+                         spec: EnsembleSpec, mode: str = "beat") -> DecayCurve:
     """One echo simulation plus amplitude extraction per storage time."""
     taus = np.asarray(list(taus), dtype=float)
     if taus.size < 3:
         raise ValidationError("assemble_decay_curve needs at least 3 storage times")
-    amps = [echo_amplitude(cfg, params, spec, tau, mode=mode, n_threads=n_threads)
-            for tau in taus]
+    amps = [echo_amplitude(cfg, params, spec, tau, mode=mode) for tau in taus]
     return DecayCurve(taus=taus, amplitudes=np.array(amps))
 
 

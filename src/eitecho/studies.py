@@ -135,15 +135,14 @@ class FieldSweepPoint:
 
 def field_sweep(fields, cfg: EchoConfig, params: LambdaParams,
                 spec: EnsembleSpec, taus, model: FieldModel | None = None,
-                mode: str = "proxy", n_threads: int = 1) -> list[FieldSweepPoint]:
+                mode: str = "proxy") -> list[FieldSweepPoint]:
     """Echo decay curve, fit, and beat-minimum time for each vertical field value."""
     model = model or FieldModel()
     points = []
     for b in fields:
         splitting = model.g_factor * abs(float(b))
         member_spec = replace(spec, zeeman_branches=branches_for_splitting(splitting))
-        curve = assemble_decay_curve(cfg, taus, params, member_spec,
-                                     mode=mode, n_threads=n_threads)
+        curve = assemble_decay_curve(cfg, taus, params, member_spec, mode=mode)
         try:
             fit = fit_decay(curve)
         except FitFailureError:
@@ -165,7 +164,7 @@ class TemperaturePoint:
 
 def temperature_scan(temperatures, tm: TemperatureModel, cfg: EchoConfig,
                      params: LambdaParams, spec: EnsembleSpec, taus,
-                     mode: str = "proxy", n_threads: int = 1) -> list[TemperaturePoint]:
+                     mode: str = "proxy") -> list[TemperaturePoint]:
     """Echo pipeline per temperature with the optical dephasing rate rescaled.
 
     Amplitudes are the echo amplitude at the shortest requested storage time,
@@ -182,8 +181,7 @@ def temperature_scan(temperatures, tm: TemperatureModel, cfg: EchoConfig,
     reference = None
     for t in temperatures:
         member = params.replace(gamma_opt_deph=tm.gamma_opt_deph(t))
-        curve = assemble_decay_curve(cfg, taus, member, spec,
-                                     mode=mode, n_threads=n_threads)
+        curve = assemble_decay_curve(cfg, taus, member, spec, mode=mode)
         try:
             fit = fit_decay(curve)
             fitted_t2, ci = fit.t2, fit.ci95[1]
@@ -208,8 +206,7 @@ class ScalingPoint:
 
 def scaling_study(t2_opt_values, sm: ScalingModel, cfg: EchoConfig,
                   params: LambdaParams, spec: EnsembleSpec,
-                  tau_in_pulses: float = 8.0,
-                  n_threads: int = 1) -> list[ScalingPoint]:
+                  tau_in_pulses: float = 8.0) -> list[ScalingPoint]:
     """End-of-sequence spin fidelity versus the optical coherence time.
 
     For each optical T2 the pulse durations follow the constant-intensity
@@ -232,7 +229,7 @@ def scaling_study(t2_opt_values, sm: ScalingModel, cfg: EchoConfig,
                           t_readout=t_pi)
         member = params.replace(gamma_opt_deph=1.0 / t2_opt)
         seq = make_echo_sequence(run_cfg, include_readout=False)
-        final = ensemble_final_state(seq, member, spec, n_threads=n_threads)
+        final = ensemble_final_state(seq, member, spec)
         ground = GroundQubitState(final.matrix[:2, :2])
         points.append(ScalingPoint(
             t2_opt=t2_opt,
@@ -275,8 +272,7 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
                         spec: EnsembleSpec, taus,
                         search_range: float = 100e-6, tol: float = 1e-6,
-                        mode: str = "proxy",
-                        n_threads: int = 1) -> CompensationResult:
+                        mode: str = "proxy") -> CompensationResult:
     """Coordinate descent on the three compensation components.
 
     The search minimizes the beat modulation of the simulated decay curve
@@ -296,8 +292,7 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
         trial = replace(m, compensation_vector=tuple(comp))
         splitting = splitting_from_field(trial)
         member_spec = replace(spec, zeeman_branches=branches_for_splitting(splitting))
-        return assemble_decay_curve(cfg, window, params, member_spec,
-                                    mode=mode, n_threads=n_threads)
+        return assemble_decay_curve(cfg, window, params, member_spec, mode=mode)
 
     def modulation(comp: np.ndarray, window: np.ndarray) -> float:
         nonlocal evaluations
