@@ -39,7 +39,7 @@ from .studies import (
     temperature_scan_csv,
 )
 from .tomography import projection_measurements, reconstruct, state_fidelity
-from .units import float_repr
+from .units import csv_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -101,7 +101,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path) -> None:
 
 def _cmd_bloch_path(cfg: RunConfig, outdir: Path) -> None:
     """Paths of the two computational ground components under the EIT pulses."""
-    lines = ["stage,component,time_s,x,y,z,pop_e"]
+    rows = []
     stages = {
         "init": make_echo_sequence(cfg.sequence, include_rephase=False,
                                    include_readout=False),
@@ -111,14 +111,11 @@ def _cmd_bloch_path(cfg: RunConfig, outdir: Path) -> None:
         for comp, ket in (("0", [1, 0, 0]), ("1", [0, 1, 0])):
             rho0 = DensityMatrix3(0.5 * np.outer(ket, np.conj(ket)).astype(complex))
             traj = run_sequence(rho0, cfg.physics, seq)
-            path = traj.bloch_path()
-            pope = traj.populations()[:, 2]
-            for i, t in enumerate(traj.times):
-                cells = ",".join(float_repr(v) for v in
-                                 (t, path[i, 0], path[i, 1], path[i, 2], pope[i]))
-                lines.append(f"{stage},{comp},{cells}")
+            table = np.column_stack([traj.times, traj.bloch_path(), traj.populations[:, 2]])
+            rows.extend([stage, comp, *cells] for cells in table.tolist())
     written: list = []
-    _write(outdir, "bloch_path.csv", "\n".join(lines) + "\n", written)
+    _write(outdir, "bloch_path.csv", csv_text("stage,component,time_s,x,y,z,pop_e", rows),
+           written)
     _write_manifest(outdir, cfg, "bloch-path", written)
     print(f"bloch paths written for {len(stages)} stages")
 
@@ -138,7 +135,7 @@ def _qst_cases(cfg: RunConfig):
 
 def _cmd_qst(cfg: RunConfig, outdir: Path) -> None:
     rng = np.random.default_rng(cfg.seed)
-    rows = ["case,x,y,z,fidelity_pure_target,fidelity_vs_ideal"]
+    rows = []
     results = {}
     for name, case_cfg, seq in _qst_cases(cfg):
         final = ensemble_final_state(seq, cfg.physics, cfg.ensemble)
@@ -150,13 +147,13 @@ def _cmd_qst(cfg: RunConfig, outdir: Path) -> None:
         f_pure = fidelity(rec, dark)
         ideal = reconstruct(-0.5 * math.cos(offset), -0.5 * math.sin(offset), 0.0)
         f_ideal = state_fidelity(rec, ideal)
-        cells = ",".join(float_repr(v) for v in (x, y, z, f_pure, f_ideal))
-        rows.append(f"{name},{cells}")
+        rows.append((name, x, y, z, f_pure, f_ideal))
         results[name] = {"projections": [x, y, z], "fidelity_pure_target": f_pure,
                          "fidelity_vs_ideal": f_ideal}
         print(f"{name}: fidelity vs pure target {f_pure:.4f}, vs ideal run {f_ideal:.4f}")
     written: list = []
-    _write(outdir, "qst.csv", "\n".join(rows) + "\n", written)
+    _write(outdir, "qst.csv",
+           csv_text("case,x,y,z,fidelity_pure_target,fidelity_vs_ideal", rows), written)
     _write(outdir, "qst.json", json.dumps(results, sort_keys=True), written)
     _write_manifest(outdir, cfg, "qst", written)
 

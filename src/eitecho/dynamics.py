@@ -14,7 +14,6 @@ hard step-size precondition, and fixed grids keep runs deterministic.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from scipy.linalg import expm
 from .errors import ConfigurationError, ValidationError
 from .lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian
 from .qstate import DensityMatrix3
-from .units import float_repr
+from .units import csv_text
 
 # Hard preconditions on a requested sampling step (never silently coarsened).
 MAX_STEPS_FRACTION = 1.0 / 20.0   # dt <= duration / 20
@@ -129,16 +128,20 @@ class Trajectory:
     def final_state(self) -> DensityMatrix3:
         return DensityMatrix3(self.states[-1])
 
+    @property
     def populations(self) -> np.ndarray:
         """Real array (n, 3) of level populations."""
         return np.real(np.einsum("nii->ni", self.states))
 
+    @property
     def coherence01(self) -> np.ndarray:
         return self.states[:, 0, 1]
 
+    @property
     def coherence0e(self) -> np.ndarray:
         return self.states[:, 0, 2]
 
+    @property
     def coherence1e(self) -> np.ndarray:
         return self.states[:, 1, 2]
 
@@ -159,23 +162,15 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Trajectory as CSV: time, populations and Re/Im coherences."""
-        buf = io.StringIO()
-        buf.write("time_s,pop0,pop1,pope,re_coh01,im_coh01,re_coh0e,im_coh0e,re_coh1e,im_coh1e\n")
-        pops = self.populations()
-        c01, c0e, c1e = self.coherence01(), self.coherence0e(), self.coherence1e()
-        for i, t in enumerate(self.times):
-            cells = [t, pops[i, 0], pops[i, 1], pops[i, 2],
-                     c01[i].real, c01[i].imag, c0e[i].real, c0e[i].imag,
-                     c1e[i].real, c1e[i].imag]
-            buf.write(",".join(float_repr(v) for v in cells) + "\n")
-        return buf.getvalue()
+        c01, c0e, c1e = self.coherence01, self.coherence0e, self.coherence1e
+        table = np.column_stack([self.times, self.populations, c01.real, c01.imag,
+                                 c0e.real, c0e.imag, c1e.real, c1e.imag])
+        return csv_text("time_s,pop0,pop1,pope,re_coh01,im_coh01,re_coh0e,im_coh0e,"
+                        "re_coh1e,im_coh1e", table.tolist())
 
     def bloch_path_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("time_s,x,y,z\n")
-        for t, (x, y, z) in zip(self.times, self.bloch_path()):
-            buf.write(",".join(float_repr(v) for v in (t, x, y, z)) + "\n")
-        return buf.getvalue()
+        table = np.column_stack([self.times, self.bloch_path()])
+        return csv_text("time_s,x,y,z", table.tolist())
 
 
 def _segment_params(p: LambdaParams, segment: Segment, zeeman_offset: float) -> LambdaParams:

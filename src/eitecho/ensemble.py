@@ -2,8 +2,9 @@
 
 The ensemble is a deterministic tensor grid: Gaussian midpoint-rule nodes over
 +/- 3 sigma on each detuning axis, optionally multiplied by discrete Zeeman
-branches.  All members are propagated together as one stack, and averages are
-weighted sums in the fixed grid order, so results are bitwise reproducible.
+branches.  All members are propagated together as one stack, and the average
+is a Trajectory of the states weight-summed in the fixed grid order, so
+results are bitwise reproducible.
 
 Zeeman branch offsets are kept separate from the static spin detunings: a
 static member detuning is refocused by the echo, while a branch offset flips
@@ -13,17 +14,15 @@ beats instead of refocusing.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SequenceSpec, _segment_params, default_step, propagate_members
+from .dynamics import SequenceSpec, Trajectory, _segment_params, default_step, propagate_members
 from .errors import ValidationError
 from .lambda_system import LambdaParams
 from .qstate import DensityMatrix3
-from .units import float_repr
 
 TWO_PI = 2.0 * math.pi
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -112,48 +111,6 @@ def detuning_grid(spec: EnsembleSpec) -> list[tuple[float, float, float]]:
             for m in member_grid(spec)]
 
 
-@dataclass
-class AveragedObservables:
-    """Weight-summed per-time observables of an ensemble run."""
-
-    times: np.ndarray
-    populations: np.ndarray      # (n, 3) real
-    coherence01: np.ndarray      # (n,) complex
-    coherence0e: np.ndarray
-    coherence1e: np.ndarray
-    final_state: DensityMatrix3
-    segment_starts: list
-
-    def segment_start_index(self, label: str) -> int:
-        for idx, seg in self.segment_starts:
-            if getattr(seg, "label", None) == label:
-                return idx
-        raise ValidationError(f"averaged trajectory has no segment labeled {label!r}")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("time_s,pop0,pop1,pope,re_coh01,im_coh01,re_coh0e,im_coh0e,"
-                  "re_coh1e,im_coh1e\n")
-        for i, t in enumerate(self.times):
-            cells = [t, self.populations[i, 0], self.populations[i, 1],
-                     self.populations[i, 2],
-                     self.coherence01[i].real, self.coherence01[i].imag,
-                     self.coherence0e[i].real, self.coherence0e[i].imag,
-                     self.coherence1e[i].real, self.coherence1e[i].imag]
-            buf.write(",".join(float_repr(v) for v in cells) + "\n")
-        return buf.getvalue()
-
-    def bloch_path_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("time_s,x,y,z\n")
-        x = 2.0 * np.real(self.coherence01)
-        y = -2.0 * np.imag(self.coherence01)
-        z = self.populations[:, 0] - self.populations[:, 1]
-        for i, t in enumerate(self.times):
-            buf.write(",".join(float_repr(v) for v in (t, x[i], y[i], z[i])) + "\n")
-        return buf.getvalue()
-
-
 def _envelope_params(base: LambdaParams, offsets: np.ndarray) -> LambdaParams:
     """Parameters whose frequencies bound every member, for a shared time grid."""
     max_opt = np.max(np.abs(base.delta_opt + offsets[:, 0]))
@@ -179,27 +136,18 @@ def _member_stack(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
-                     n_threads: int = 1, first_sampled: int = 0) -> AveragedObservables:
-    """Propagate every grid member and weight-sum the sampled states.
+                     n_threads: int = 1, first_sampled: int = 0) -> Trajectory:
+    """Trajectory of the weight-summed states of every grid member.
 
     Every member starts from the mixed ground state, and all members share
     one time grid.  Segments before `first_sampled` are applied as endpoint
-    maps, and the observables start at the start of segment `first_sampled`.
+    maps, and the trajectory starts at the start of segment `first_sampled`.
     The members are propagated as one stack and reduced in fixed grid order;
     `n_threads` is accepted for compatibility and never changes the result.
     """
     offsets, weights = _member_stack(spec)
-    traj = propagate_members(MIXED_GROUND, base, seq, offsets, weights, first_sampled,
+    return propagate_members(MIXED_GROUND, base, seq, offsets, weights, first_sampled,
                              _shared_steps(seq, base, offsets))
-    return AveragedObservables(
-        times=traj.times,
-        populations=traj.populations(),
-        coherence01=traj.coherence01(),
-        coherence0e=traj.coherence0e(),
-        coherence1e=traj.coherence1e(),
-        final_state=DensityMatrix3(traj.states[-1]),
-        segment_starts=traj.segment_starts,
-    )
 
 
 def ensemble_final_state(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
@@ -211,5 +159,5 @@ def ensemble_final_state(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSp
     changes the result.
     """
     offsets, weights = _member_stack(spec)
-    traj = propagate_members(MIXED_GROUND, base, seq, offsets, weights, len(seq.segments))
-    return DensityMatrix3(traj.states[-1])
+    return propagate_members(MIXED_GROUND, base, seq, offsets, weights,
+                             len(seq.segments)).final_state

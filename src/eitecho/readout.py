@@ -12,7 +12,6 @@ detector units.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -22,11 +21,11 @@ from scipy import stats
 from scipy.interpolate import CubicSpline
 
 from .dynamics import Trajectory
-from .ensemble import AveragedObservables, EnsembleSpec, ensemble_average, ensemble_final_state
+from .ensemble import EnsembleSpec, ensemble_average, ensemble_final_state
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .sequences import EchoConfig, make_echo_sequence
-from .units import float_repr
+from .units import csv_text
 
 DETECTOR_SCALE = 1.0
 MIN_SAMPLES_PER_PERIOD = 4.0
@@ -63,11 +62,7 @@ class BeatTrace:
         object.__setattr__(self, "signal", s)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("time_s,signal\n")
-        for t, s in zip(self.times, self.signal):
-            buf.write(f"{float_repr(t)},{float_repr(s)}\n")
-        return buf.getvalue()
+        return csv_text("time_s,signal", zip(self.times, self.signal))
 
 
 @dataclass(frozen=True)
@@ -91,11 +86,7 @@ class DecayCurve:
         object.__setattr__(self, "amplitudes", amps)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("tau_s,amplitude\n")
-        for t, a in zip(self.taus, self.amplitudes):
-            buf.write(f"{float_repr(t)},{float_repr(a)}\n")
-        return buf.getvalue()
+        return csv_text("tau_s,amplitude", zip(self.taus, self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -129,25 +120,19 @@ class FitResult:
         }, sort_keys=True)
 
 
-def synthesize_beat(traj, beat_frequency: float, window_label: str = "readout") -> BeatTrace:
+def synthesize_beat(traj: Trajectory, beat_frequency: float,
+                    window_label: str = "readout") -> BeatTrace:
     """Heterodyne beat from the |1> -> |e> coherence over the readout window.
 
-    Accepts a single-member Trajectory or ensemble AveragedObservables; the
-    signal is Re[coh1e(t) * exp(i * 2 pi f t)] times a fixed detector scale,
+    The signal is Re[coh1e(t) * exp(i * 2 pi f t)] times a fixed detector scale,
     with t measured from the start of the readout pulse.  The trace is laid
     on the detector's own clock (8 samples per beat period) by spline
     resampling of the slowly varying rotating-frame coherence, so the
     reported amplitude does not depend on the integrator step.
     """
     start = traj.segment_start_index(window_label)
-    if isinstance(traj, Trajectory):
-        coh = traj.coherence1e()
-    elif isinstance(traj, AveragedObservables):
-        coh = traj.coherence1e
-    else:
-        raise ValidationError(f"synthesize_beat: unsupported trajectory type {type(traj)}")
     times = traj.times[start:]
-    coh = coh[start:]
+    coh = traj.coherence1e[start:]
     if times.size < 4:
         raise ValidationError("synthesize_beat: readout window has too few samples")
     t_rel = times - times[0]

@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -27,7 +26,7 @@ from .lambda_system import LambdaParams
 from .qstate import GroundQubitState, fidelity
 from .readout import DecayCurve, FitResult, assemble_decay_curve, fit_decay
 from .sequences import EchoConfig, make_echo_sequence
-from .units import float_repr
+from .units import csv_text
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,51 +360,29 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
 
 
 def field_sweep_csv(points: list[FieldSweepPoint]) -> str:
-    buf = io.StringIO()
-    buf.write("field_t,tau_s,amplitude\n")
-    for p in points:
-        for t, a in zip(p.curve.taus, p.curve.amplitudes):
-            buf.write(f"{float_repr(p.field)},{float_repr(t)},{float_repr(a)}\n")
-    return buf.getvalue()
+    return csv_text("field_t,tau_s,amplitude",
+                    ((p.field, t, a) for p in points
+                     for t, a in zip(p.curve.taus, p.curve.amplitudes)))
 
 
 def field_fits_csv(points: list[FieldSweepPoint]) -> str:
-    buf = io.StringIO()
-    buf.write("field_t,splitting_hz,fit_amplitude,fit_t2_s,fit_offset,"
-              "t2_ci95_s,beat_minimum_s\n")
+    rows = []
     for p in points:
-        fit = p.fit
-        buf.write(",".join([
-            repr(p.field), repr(p.splitting),
-            repr(fit.amplitude) if fit else "",
-            repr(fit.t2) if fit else "",
-            repr(fit.offset) if fit else "",
-            repr(fit.ci95[1]) if fit else "",
-            repr(p.beat_minimum) if p.beat_minimum is not None else "",
-        ]) + "\n")
-    return buf.getvalue()
+        fit = (p.fit.amplitude, p.fit.t2, p.fit.offset, p.fit.ci95[1]) if p.fit else [None] * 4
+        rows.append((p.field, p.splitting, *fit, p.beat_minimum))
+    return csv_text(
+        "field_t,splitting_hz,fit_amplitude,fit_t2_s,fit_offset,t2_ci95_s,beat_minimum_s", rows)
 
 
 def temperature_scan_csv(points: list[TemperaturePoint]) -> str:
-    buf = io.StringIO()
-    buf.write("temperature_k,t2_opt_s,fitted_t2_s,t2_ci95_s,relative_amplitude\n")
-    for p in points:
-        buf.write(",".join([
-            repr(p.temperature), repr(p.t2_opt),
-            repr(p.fitted_t2) if p.fitted_t2 is not None else "",
-            repr(p.t2_ci95) if p.t2_ci95 is not None else "",
-            repr(p.amplitude),
-        ]) + "\n")
-    return buf.getvalue()
+    return csv_text("temperature_k,t2_opt_s,fitted_t2_s,t2_ci95_s,relative_amplitude",
+                    ((p.temperature, p.t2_opt, p.fitted_t2, p.t2_ci95, p.amplitude)
+                     for p in points))
 
 
 def scaling_csv(points: list[ScalingPoint]) -> str:
-    buf = io.StringIO()
-    buf.write("t2_opt_s,t_pi_s,end_fidelity,coherence\n")
-    for p in points:
-        cells = (p.t2_opt, p.t_pi, p.end_fidelity, p.coherence)
-        buf.write(",".join(float_repr(v) for v in cells) + "\n")
-    return buf.getvalue()
+    return csv_text("t2_opt_s,t_pi_s,end_fidelity,coherence",
+                    ((p.t2_opt, p.t_pi, p.end_fidelity, p.coherence) for p in points))
 
 
 def compensation_json(result: CompensationResult) -> str:

@@ -11,7 +11,6 @@ the populations directly; each projection is a population difference.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentDataError, ValidationError
-from .units import float_repr
 from .qstate import (
     PAULI_X,
     PAULI_Y,
@@ -28,6 +26,7 @@ from .qstate import (
     GroundQubitState,
     fidelity,
 )
+from .units import csv_text
 
 # |(x,y,z)| may exceed 1 by at most this much before the data are declared
 # inconsistent rather than clamped.
@@ -56,14 +55,10 @@ class TomographyResult:
         }, sort_keys=True)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,y,z,re_r00,re_r01,im_r01,re_r11,fidelity_vs_target\n")
         m = self.reconstructed.matrix
-        x, y, z = self.projections
-        cells = [x, y, z, m[0, 0].real, m[0, 1].real, m[0, 1].imag,
-                 m[1, 1].real, self.fidelity_vs_target]
-        buf.write(",".join(float_repr(v) for v in cells) + "\n")
-        return buf.getvalue()
+        row = [*self.projections, m[0, 0].real, m[0, 1].real, m[0, 1].imag,
+               m[1, 1].real, self.fidelity_vs_target]
+        return csv_text("x,y,z,re_r00,re_r01,im_r01,re_r11,fidelity_vs_target", [row])
 
 
 def measure_populations(rho: DensityMatrix3, noise_rms: float = 0.0,

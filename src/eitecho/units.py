@@ -1,9 +1,13 @@
-"""Parsing of unit-suffixed quantities from config files.
+"""Parsing of unit-suffixed quantities from config files, and the one CSV
+cell format of every output table.
 
 Every dimensioned config value is written with an explicit unit ("2us",
 "170kHz", "50uT", "90deg") and normalized to SI here; bare numbers are only
 accepted for dimensionless keys.  Ratios like the magnetic g-factor may be
 written as "<frequency>/<field>", e.g. "12kHz/100uT".
+
+Every CSV output goes through :func:`csv_text`: numbers are written in their
+shortest round-trip decimal form, missing values as empty cells.
 """
 
 from __future__ import annotations
@@ -74,6 +78,21 @@ def parse_ratio(value: str, num_dimension: str, den_dimension: str) -> float:
     return parse_quantity(num.strip(), num_dimension) / parse_quantity(den.strip(), den_dimension)
 
 
-def float_repr(value) -> str:
-    """Shortest-round-trip decimal form of a (possibly numpy) float."""
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
     return repr(float(value))
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line plus one comma-joined line per row.
+
+    A number is written as repr(float(value)), the shortest decimal that
+    reads back to the same double (also for numpy scalars); None is an
+    empty cell, and a str is written as it is.
+    """
+    lines = [header]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"

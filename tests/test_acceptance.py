@@ -73,8 +73,8 @@ def test_criterion_02_bright_state_enhancement():
                      PulseSpec(duration=2.2e-6, rabi0=rabi, rabi1=rabi))
     t_single = propagate(zero, LambdaParams(),
                          PulseSpec(duration=3.0e-6, rabi0=rabi))
-    peak_bi = _first_peak_time(t_bi.times, t_bi.populations()[:, 2])
-    peak_single = _first_peak_time(t_single.times, t_single.populations()[:, 2])
+    peak_bi = _first_peak_time(t_bi.times, t_bi.populations[:, 2])
+    peak_single = _first_peak_time(t_single.times, t_single.populations[:, 2])
     ratio = peak_single / peak_bi
     assert ratio == pytest.approx(np.sqrt(2.0), rel=1e-3)
     report(2, "bright enhancement", f"frequency ratio {ratio:.6f} vs sqrt(2)")
@@ -234,7 +234,7 @@ def test_criterion_11_numerics():
         i_ro = traj.segment_start_index("readout")
         trace = synthesize_beat(traj, cfg.splitting)
         runs.append(np.array([
-            *traj.populations()[-1],
+            *traj.populations[-1],
             abs(traj.states[i_ro, 0, 1]),
             beat_amplitude(trace),
         ]))

@@ -65,7 +65,7 @@ def reference_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
 
 
 def averaged_states(avg) -> np.ndarray:
-    """The (n, 3, 3) Hermitian states behind an AveragedObservables."""
+    """The (n, 3, 3) Hermitian states behind an averaged Trajectory."""
     n = avg.times.size
     states = np.zeros((n, 3, 3), dtype=complex)
     states[:, [0, 1, 2], [0, 1, 2]] = avg.populations

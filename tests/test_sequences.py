@@ -128,12 +128,12 @@ class TestReadoutPulse:
         dark = np.array([1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
         traj = run_pulses([make_readout_pulse(cfg)],
                           rho0=0.5 * np.outer(dark, dark.conj()))
-        assert np.max(np.abs(traj.coherence1e())) > 1e-3
+        assert np.max(np.abs(traj.coherence1e)) > 1e-3
 
     def test_incoherent_mixture_gives_no_beat_coherence(self):
         cfg = EchoConfig(tau=40e-6)
         traj = run_pulses([make_readout_pulse(cfg)], rho0=MIXED)
-        assert np.max(np.abs(traj.coherence1e())) < 1e-12
+        assert np.max(np.abs(traj.coherence1e)) < 1e-12
 
     def test_bright_state_beats_with_opposite_phase(self):
         cfg = EchoConfig(tau=40e-6)
@@ -143,7 +143,7 @@ class TestReadoutPulse:
                          rho0=0.5 * np.outer(dark, dark.conj()))
         t_b = run_pulses([make_readout_pulse(cfg)],
                          rho0=0.5 * np.outer(bright, bright.conj()))
-        assert np.allclose(t_d.coherence1e(), -t_b.coherence1e(), atol=1e-12)
+        assert np.allclose(t_d.coherence1e, -t_b.coherence1e, atol=1e-12)
 
 
 class TestEchoSequence:
