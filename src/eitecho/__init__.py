@@ -1,5 +1,12 @@
 """All-optical EIT spin-echo simulator for three-level lambda systems."""
 
+# One BLAS thread unless the user sets one, before numpy loads: competing
+# thread pools cost several times the 9x9 products they share.
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .qstate import (
     DensityMatrix3,
     GroundQubitState,

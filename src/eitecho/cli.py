@@ -228,7 +228,8 @@ config file keys (YAML; dimensioned values carry unit suffixes like 2us, 170kHz,
   sequence:   tau (required), t_init, t_rephase, t_readout, readout_rabi,
               splitting, init_phase_offset, init_area_pi, rephase_area_pi,
               calibration (bright|bare)
-  readout:    mode (beat|proxy)
+  readout:    mode (beat|proxy); used by field-sweep and compensate only:
+              simulate always reads the beat, temp-scan always the proxy
   field_model: g_factor (e.g. "12kHz/100uT")
   studies:
     field_sweep:  fields, taus              (lists or {min, max, n[, log]})

@@ -6,10 +6,11 @@ segment is solved exactly by its propagator expm(h * L), computed by scaling
 and squaring.  Members differ only in their detunings, which enter L as a
 diagonal shift, so one Liouvillian per segment serves the whole stack.
 Segments that need only their endpoint apply one map each (h = duration);
-sampled segments raise the map of one grid step to successive powers and
-produce a block of samples per batched product, so the step grid only sets
-how densely the output is sampled.  A requested grid must still meet the
-hard step-size precondition, and fixed grids keep runs deterministic.
+sampled segments raise the map of one grid step, a whole fraction of the
+segment's clock (the readout's detector clock, else the duration), to
+successive powers, one block of samples per batched product.  A requested
+grid must still meet the hard step-size precondition, and fixed grids keep
+runs deterministic.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class PulseSpec:
     """Rectangular bichromatic pulse: constant amplitudes and phases for `duration`.
 
     Either color may be absent (rabi = 0) for single-color pulses.
+    ``clock_dt``, if set, is the clock of the detector reading the pulse.
     ``zeeman_sign`` scales an externally supplied Zeeman spin-detuning offset
     for this segment; echo sequences flip it at the center of the rephasing
     pulse because that pulse routes population through |e> and exchanges the
@@ -59,11 +61,13 @@ class PulseSpec:
     phase1: float = 0.0
     label: str = "custom"
     zeeman_sign: float = 1.0
-    max_dt: float | None = None
+    clock_dt: float | None = None
 
     def __post_init__(self):
         if not (self.duration > 0.0 and np.isfinite(self.duration)):
             raise ValidationError(f"PulseSpec.duration must be > 0, got {self.duration}")
+        if self.clock_dt is not None and not self.clock_dt > 0.0:
+            raise ValidationError(f"PulseSpec.clock_dt must be > 0, got {self.clock_dt}")
         if self.rabi0 < 0.0 or self.rabi1 < 0.0:
             raise ValidationError("PulseSpec rabi values must be >= 0")
         if self.label not in PULSE_LABELS:
@@ -76,7 +80,6 @@ class Wait:
 
     duration: float
     zeeman_sign: float = 1.0
-    max_dt: float | None = None
 
     def __post_init__(self):
         if not (self.duration > 0.0 and np.isfinite(self.duration)):
@@ -201,14 +204,26 @@ def max_step(p: LambdaParams, duration: float) -> float:
 
 
 def default_step(p: LambdaParams, segment: Segment) -> float:
-    """Step chooser used when the caller does not pin dt explicitly."""
+    """Step chooser used when the caller does not pin dt: a pulse's clock if set."""
+    if isinstance(segment, PulseSpec) and segment.clock_dt:
+        return segment.clock_dt
     dt = segment.duration * DEFAULT_STEPS_FRACTION
     f = _max_frequency(p)
     if f > 0.0:
         dt = min(dt, DEFAULT_PHASE_PER_STEP / f)
-    if segment.max_dt is not None:
-        dt = min(dt, segment.max_dt)
     return dt
+
+
+def shared_steps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray,
+                 first_sampled: int) -> list:
+    """Default steps from `first_sampled` on, for frequencies bounding every member."""
+    envelope = p.replace(
+        delta_opt=float(np.max(np.abs(p.delta_opt + offsets[:, 0]))),
+        delta_spin=float(np.max(abs(p.delta_spin) + np.abs(offsets[:, 1])
+                                + np.abs(offsets[:, 2]))))
+    return [None if k < first_sampled
+            else default_step(_segment_params(envelope, seg, 0.0), seg)
+            for k, seg in enumerate(seq.segments)]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -280,9 +295,11 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     offsets[m, 1] to the spin detuning; its Zeeman offset offsets[m, 2] is
     added to the spin detuning with each segment's ``zeeman_sign``.  Segments
     before `first_sampled` apply one exact map each.  From `first_sampled` on,
-    segment k is sampled on a uniform grid no coarser than dt_targets[k] or
-    ``seq.sample_dt``, in blocks of powers of the step map.  The trajectory
-    starts at the start of segment `first_sampled`; with
+    segment k is sampled every clock/n, for the least n whose step is no
+    coarser than dt_targets[k] (default: :func:`shared_steps`) or
+    ``seq.sample_dt``; if the duration is not a whole number of steps, one
+    more exact map adds a sample at the segment's end.  The trajectory starts
+    at the start of segment `first_sampled`; with
     ``first_sampled == len(seq.segments)`` it holds only the final state.
     Each block of samples is summed over the weighted member states by one
     product in fixed member order; only the weighted sum is stored.
@@ -290,6 +307,8 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     weights = np.asarray(weights, dtype=float)
     n_members = weights.size
+    if dt_targets is None:
+        dt_targets = shared_steps(p, seq, offsets, first_sampled)
     v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (n_members, 1))
     # diagonal of each member's generator shift; the Zeeman part flips per segment
     static = (np.multiply.outer(offsets[:, 0], DETUNING_OPT)
@@ -315,9 +334,11 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         dt_target = dt_targets[k]
         if seq.sample_dt is not None:
             dt_target = min(dt_target, seq.sample_dt)
-        n_steps = max(1, int(np.ceil(seg.duration / dt_target - 1e-12)))
-        dt = seg.duration / n_steps
-        powers = _step_powers(_expm(dt * gen), min(SAMPLE_BLOCK, n_steps))
+        clock = seg.clock_dt if isinstance(seg, PulseSpec) and seg.clock_dt else seg.duration
+        dt = clock / max(1, int(np.ceil(clock / dt_target - 1e-12)))
+        n_steps = int(np.floor(seg.duration / dt + 1e-9))
+        if n_steps:
+            powers = _step_powers(_expm(dt * gen), min(SAMPLE_BLOCK, n_steps))
         for done in range(0, n_steps, SAMPLE_BLOCK):
             b = min(SAMPLE_BLOCK, n_steps - done)
             weighted = (weights[:, None] * v).reshape(9 * n_members)
@@ -326,6 +347,12 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
             v = (v[:, None, :] @ powers[:, :, b - 1])[:, 0]
         times.append(t0 + dt * np.arange(1, n_steps + 1))
         n_samples += n_steps
+        rest = seg.duration - n_steps * dt
+        if rest > 1e-9 * dt:
+            v = (_expm(rest * gen) @ v[:, :, None])[:, :, 0]
+            states.append((weights @ v)[None])
+            times.append(np.array([t0 + seg.duration]))
+            n_samples += 1
         t0 += seg.duration
 
     _check_physical(v.reshape(-1, 3, 3), offsets)
@@ -357,23 +384,19 @@ def run_sequence(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     segment's ``zeeman_sign``; sequences that never set signs other than +1
     see a plain constant offset.
     """
-    if dt_overrides is not None and len(dt_overrides) != len(seq.segments):
-        raise ConfigurationError(
-            [f"dt_overrides has {len(dt_overrides)} entries for {len(seq.segments)} segments"])
-
-    dt_targets = []
-    for k, seg in enumerate(seq.segments):
-        pseg = _segment_params(p, seg, zeeman_offset)
-        if dt_overrides is None:
-            dt_targets.append(default_step(pseg, seg))
-            continue
-        limit = max_step(pseg, seg.duration)
-        if dt_overrides[k] > limit * (1.0 + 1e-12):
-            raise ConfigurationError(
-                [f"segment {k}: requested dt {dt_overrides[k]:g} s exceeds the precondition "
-                 f"limit {limit:g} s (duration/20 and {MAX_PHASE_PER_STEP}/max-frequency)"])
-        dt_targets.append(dt_overrides[k])
-    return propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0], 0, dt_targets)
+    if dt_overrides is not None:
+        if len(dt_overrides) != len(seq.segments):
+            raise ConfigurationError([f"dt_overrides has {len(dt_overrides)} entries "
+                                      f"for {len(seq.segments)} segments"])
+        for k, seg in enumerate(seq.segments):
+            limit = max_step(_segment_params(p, seg, zeeman_offset), seg.duration)
+            if dt_overrides[k] > limit * (1.0 + 1e-12):
+                raise ConfigurationError(
+                    [f"segment {k}: requested dt {dt_overrides[k]:g} s exceeds the "
+                     f"precondition limit {limit:g} s (duration/20 and "
+                     f"{MAX_PHASE_PER_STEP}/max-frequency)"])
+    return propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0], 0,
+                             dt_overrides)
 
 
 def sequence_endpoint(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,

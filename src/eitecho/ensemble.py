@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SequenceSpec, Trajectory, _segment_params, default_step, propagate_members
+from .dynamics import SequenceSpec, Trajectory, propagate_members
 from .errors import ValidationError
 from .lambda_system import LambdaParams
 from .qstate import DensityMatrix3
@@ -111,23 +111,6 @@ def detuning_grid(spec: EnsembleSpec) -> list[tuple[float, float, float]]:
             for m in member_grid(spec)]
 
 
-def _envelope_params(base: LambdaParams, offsets: np.ndarray) -> LambdaParams:
-    """Parameters whose frequencies bound every member, for a shared time grid."""
-    max_opt = np.max(np.abs(base.delta_opt + offsets[:, 0]))
-    max_spin = np.max(abs(base.delta_spin) + np.abs(offsets[:, 1]) + np.abs(offsets[:, 2]))
-    return base.replace(delta_opt=float(max_opt), delta_spin=float(max_spin))
-
-
-def _shared_steps(seq: SequenceSpec, base: LambdaParams, offsets: np.ndarray) -> list[float]:
-    env = _envelope_params(base, offsets)
-    steps = []
-    for seg in seq.segments:
-        # member offsets are already folded into the envelope's delta_spin
-        pseg = _segment_params(env, seg, 0.0)
-        steps.append(default_step(pseg, seg))
-    return steps
-
-
 def _member_stack(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
     """(delta_opt, delta_spin, zeeman_offset) rows and weights of the grid members."""
     members = member_grid(spec)
@@ -136,27 +119,24 @@ def _member_stack(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
-                     n_threads: int = 1, first_sampled: int = 0) -> Trajectory:
+                     first_sampled: int = 0) -> Trajectory:
     """Trajectory of the weight-summed states of every grid member.
 
     Every member starts from the mixed ground state, and all members share
     one time grid.  Segments before `first_sampled` are applied as endpoint
     maps, and the trajectory starts at the start of segment `first_sampled`.
-    The members are propagated as one stack and reduced in fixed grid order;
-    `n_threads` is accepted for compatibility and never changes the result.
+    The members are propagated as one stack and reduced in fixed grid order.
     """
     offsets, weights = _member_stack(spec)
-    return propagate_members(MIXED_GROUND, base, seq, offsets, weights, first_sampled,
-                             _shared_steps(seq, base, offsets))
+    return propagate_members(MIXED_GROUND, base, seq, offsets, weights, first_sampled)
 
 
-def ensemble_final_state(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
-                         n_threads: int = 1) -> DensityMatrix3:
+def ensemble_final_state(seq: SequenceSpec, base: LambdaParams,
+                         spec: EnsembleSpec) -> DensityMatrix3:
     """Weighted average of every member's final state, without trajectories.
 
     Every member starts from the mixed ground state and applies one exact map
-    per segment; the reduction runs in fixed grid order, and `n_threads` never
-    changes the result.
+    per segment; the reduction runs in fixed grid order.
     """
     offsets, weights = _member_stack(spec)
     return propagate_members(MIXED_GROUND, base, seq, offsets, weights,

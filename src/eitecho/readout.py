@@ -17,19 +17,17 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
-from scipy.interpolate import CubicSpline
+from scipy.special import stdtrit
 
 from .dynamics import Trajectory
 from .ensemble import EnsembleSpec, ensemble_average, ensemble_final_state
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
-from .sequences import EchoConfig, make_echo_sequence
+from .sequences import SAMPLES_PER_PERIOD, EchoConfig, make_echo_sequence
 from .units import csv_text
 
 DETECTOR_SCALE = 1.0
 MIN_SAMPLES_PER_PERIOD = 4.0
-SAMPLES_PER_PERIOD = 8.0
 MIN_PERIODS = 5.0
 
 # Damped Gauss-Newton schedule for the decay fit.
@@ -120,28 +118,29 @@ class FitResult:
         }, sort_keys=True)
 
 
-def synthesize_beat(traj: Trajectory, beat_frequency: float,
-                    window_label: str = "readout") -> BeatTrace:
+def synthesize_beat(traj: Trajectory, beat_frequency: float) -> BeatTrace:
     """Heterodyne beat from the |1> -> |e> coherence over the readout window.
 
     The signal is Re[coh1e(t) * exp(i * 2 pi f t)] times a fixed detector scale,
-    with t measured from the start of the readout pulse.  The trace is laid
-    on the detector's own clock (8 samples per beat period) by spline
-    resampling of the slowly varying rotating-frame coherence, so the
-    reported amplitude does not depend on the integrator step.
+    with t measured from the start of the readout pulse.  The trace takes the
+    trajectory's own samples at the detector ticks (SAMPLES_PER_PERIOD per
+    beat period), without interpolation, so the readout window must be
+    sampled on a whole fraction of the detector clock, as the readout pulse's
+    clock arranges; otherwise a ValidationError names both steps.
     """
-    start = traj.segment_start_index(window_label)
-    times = traj.times[start:]
-    coh = traj.coherence1e[start:]
-    if times.size < 4:
+    start = traj.segment_start_index("readout")
+    t_rel = traj.times[start:] - traj.times[start]
+    if t_rel.size < 4:
         raise ValidationError("synthesize_beat: readout window has too few samples")
-    t_rel = times - times[0]
-    dt_detector = 1.0 / (SAMPLES_PER_PERIOD * beat_frequency)
-    n = int(np.floor(t_rel[-1] / dt_detector)) + 1
-    grid = dt_detector * np.arange(n)
-    spline = CubicSpline(t_rel, coh)
-    signal = DETECTOR_SCALE * np.real(spline(grid) *
-                                      np.exp(2j * np.pi * beat_frequency * grid))
+    tick = 1.0 / (SAMPLES_PER_PERIOD * beat_frequency)
+    grid = tick * np.arange(int(np.floor(t_rel[-1] / tick + 1e-9)) + 1)
+    ticks = max(1, round(tick / t_rel[1])) * np.arange(grid.size)
+    if ticks[-1] >= t_rel.size or np.max(np.abs(t_rel[ticks] - grid)) > 1e-6 * tick:
+        raise ValidationError(
+            f"synthesize_beat: readout window sampled every {t_rel[1]:g} s, not on a "
+            f"whole fraction of the detector clock {tick:g} s")
+    coh = traj.coherence1e[start:][ticks]
+    signal = DETECTOR_SCALE * np.real(coh * np.exp(2j * np.pi * beat_frequency * grid))
     return BeatTrace(times=grid, signal=signal, beat_frequency=beat_frequency)
 
 
@@ -289,7 +288,7 @@ def fit_decay(curve: DecayCurve) -> FitResult:
     except np.linalg.LinAlgError:
         raise FitFailureError("fit_decay: singular Jacobian at the optimum",
                               diagnostics={"theta": theta.tolist()})
-    tval = float(stats.t.ppf(0.975, dof))
+    tval = float(stdtrit(dof, 0.975))
     ci = tuple(float(tval * math.sqrt(max(cov[i, i], 0.0))) for i in range(3))
     return FitResult(
         amplitude=float(theta[0]),

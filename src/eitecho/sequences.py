@@ -25,7 +25,7 @@ The `calibration` switch selects the bare single-color convention instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .dynamics import PulseSpec, SequenceSpec, Wait
 from .errors import ConfigurationError, ValidationError
@@ -34,6 +34,8 @@ SQRT2 = math.sqrt(2.0)
 
 # Pr hyperfine ground splitting addressed by the bichromatic drive.
 DEFAULT_SPLITTING_HZ = 10.2e6
+# Detector clock: samples per period of the heterodyne beat at the splitting.
+SAMPLES_PER_PERIOD = 8.0
 
 
 @dataclass(frozen=True)
@@ -131,18 +133,16 @@ def make_readout_pulse(cfg: EchoConfig) -> PulseSpec:
 
     Stored ground coherence turns into |1> -> |e> optical coherence during
     this pulse; the heterodyne beat against the transmitted pulse is built in
-    the readout module.  The readout window must resolve that beat, so the
-    integrator step is capped well below the beat period here.
+    the readout module.  The pulse carries the detector clock,
+    SAMPLES_PER_PERIOD samples per beat period, so its window is sampled on
+    the ticks the detector reads.
     """
     rabi = cfg.readout_rabi if cfg.readout_rabi is not None else cfg.init_rabi
     return PulseSpec(
         duration=cfg.t_readout,
         rabi0=rabi,
-        rabi1=0.0,
-        phase0=0.0,
-        phase1=0.0,
         label="readout",
-        max_dt=1.0 / (8.0 * cfg.splitting),
+        clock_dt=1.0 / (SAMPLES_PER_PERIOD * cfg.splitting),
     )
 
 
@@ -156,32 +156,21 @@ def make_echo_sequence(cfg: EchoConfig, include_rephase: bool = True,
     pulse omitted the layout degenerates to a free-induction-decay control and
     the sign never flips.
     """
-    init = make_init_pulse(cfg)
-    segments: list = [init]
+    segments: list = [make_init_pulse(cfg)]
     if include_rephase:
-        reph = make_rephase_pulse(cfg)
         wait1 = cfg.tau / 2.0 - cfg.t_rephase / 2.0 - cfg.t_init
         wait2 = cfg.tau / 2.0 - cfg.t_rephase / 2.0
         if wait1 <= 0.0 or wait2 <= 0.0:
             raise ConfigurationError(
                 [f"tau {cfg.tau} leaves no room for waits around the rephasing pulse"])
-        half = cfg.t_rephase / 2.0
-        segments.append(Wait(duration=wait1))
-        segments.append(PulseSpec(duration=half, rabi0=reph.rabi0, rabi1=reph.rabi1,
-                                  phase0=reph.phase0, phase1=reph.phase1,
-                                  label="rephase_pi", zeeman_sign=1.0))
-        segments.append(PulseSpec(duration=half, rabi0=reph.rabi0, rabi1=reph.rabi1,
-                                  phase0=reph.phase0, phase1=reph.phase1,
-                                  label="rephase_pi", zeeman_sign=-1.0))
-        segments.append(Wait(duration=wait2, zeeman_sign=-1.0))
+        half = replace(make_rephase_pulse(cfg), duration=cfg.t_rephase / 2.0)
+        segments += [Wait(duration=wait1), half, replace(half, zeeman_sign=-1.0),
+                     Wait(duration=wait2, zeeman_sign=-1.0)]
     else:
         if cfg.tau <= cfg.t_init:
             raise ConfigurationError([f"tau {cfg.tau} shorter than the init pulse"])
         segments.append(Wait(duration=cfg.tau - cfg.t_init))
     if include_readout:
-        ro = make_readout_pulse(cfg)
-        sign = -1.0 if include_rephase else 1.0
-        segments.append(PulseSpec(duration=ro.duration, rabi0=ro.rabi0, rabi1=ro.rabi1,
-                                  phase0=ro.phase0, phase1=ro.phase1, label="readout",
-                                  zeeman_sign=sign, max_dt=ro.max_dt))
+        segments.append(replace(make_readout_pulse(cfg),
+                                zeeman_sign=-1.0 if include_rephase else 1.0))
     return SequenceSpec(segments=tuple(segments))

@@ -1,3 +1,10 @@
+import os
+
+# the same one-thread BLAS default as eitecho/__init__.py, set here because
+# this module imports numpy before eitecho
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

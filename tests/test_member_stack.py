@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eitecho.dynamics import (SequenceSpec, _check_physical, _segment_map, _segment_params,
-                              sequence_endpoint)
-from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, _member_stack, _shared_steps,
-                              ensemble_average, ensemble_final_state, member_grid)
+from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _check_physical, _segment_map,
+                              _segment_params, run_sequence, sequence_endpoint, shared_steps)
+from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, _member_stack, ensemble_average,
+                              ensemble_final_state, member_grid)
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian
 from eitecho.readout import beat_amplitude, echo_amplitude, synthesize_beat
@@ -29,9 +29,14 @@ TWO_PI = 2.0 * np.pi
 
 def reference_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
                       first_sampled: int):
-    """Per-member loop of `_segment_map(member params, dt) @ v`, then the weighted sum."""
+    """Per-member loop of `_segment_map(member params, dt) @ v`, then the weighted sum.
+
+    A sampled segment steps by the least whole fraction of its clock (the
+    readout's detector clock, else the duration) no coarser than its target;
+    if that leaves a remainder, the map of the remainder adds an end sample.
+    """
     members = member_grid(spec)
-    steps = _shared_steps(seq, base, _member_stack(spec)[0])
+    steps = shared_steps(base, seq, _member_stack(spec)[0], first_sampled)
     total = 0.0
     for m in members:
         p = base.replace(delta_opt=base.delta_opt + m.delta_opt,
@@ -50,12 +55,18 @@ def reference_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
                 rows.append(v)
             starts.append((len(times) - 1, seg))
             dt_target = steps[k] if seq.sample_dt is None else min(steps[k], seq.sample_dt)
-            n_steps = max(1, int(np.ceil(seg.duration / dt_target - 1e-12)))
-            dt = seg.duration / n_steps
+            clock = seg.clock_dt if isinstance(seg, PulseSpec) and seg.clock_dt else seg.duration
+            dt = clock / max(1, int(np.ceil(clock / dt_target - 1e-12)))
+            n_steps = int(np.floor(seg.duration / dt + 1e-9))
             step = _segment_map(pseg, dt)
             for i in range(n_steps):
                 v = step @ v
                 times.append(t0 + dt * (i + 1))
+                rows.append(v)
+            rest = seg.duration - n_steps * dt
+            if rest > 1e-9 * dt:
+                v = _segment_map(pseg, rest) @ v
+                times.append(t0 + seg.duration)
                 rows.append(v)
             t0 += seg.duration
         if first_sampled == len(seq.segments):
@@ -157,6 +168,70 @@ class TestReadoutWindowBeat:
         expected = beat_amplitude(synthesize_beat(full, beat_frequency=cfg.splitting))
         got = echo_amplitude(cfg, params, spec, cfg.tau, mode="beat")
         assert got == pytest.approx(expected, rel=1e-9)
+
+
+class TestDetectorClock:
+    PARAMS = LambdaParams(delta_opt=TWO_PI * 40e3, gamma_spin_deph=2e3, gamma_opt_deph=1e5,
+                          gamma_opt_decay=1.0 / 164e-6)
+
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec(),
+        EnsembleSpec(optical_fwhm=170e3, spin_fwhm=20e3, n_optical=3, n_spin=3,
+                     zeeman_branches=((-8e3, 0.4), (8e3, 0.6))),
+    ], ids=["one-member", "3x3-grid-two-branches"])
+    def test_readout_samples_are_step_map_powers(self, spec):
+        # 0.5 us at 10.2 MHz is 40.8 ticks: 40 clock steps and one end sample
+        cfg = EchoConfig(tau=12e-6, t_init=0.5e-6, t_rephase=0.5e-6, t_readout=0.5e-6)
+        seq = make_echo_sequence(cfg)
+        tick = 1.0 / (8.0 * cfg.splitting)
+        rest = cfg.t_readout - 40 * tick
+        avg = ensemble_average(seq, self.PARAMS, spec, first_sampled=len(seq.segments) - 1)
+        expected = 0.0
+        for m in member_grid(spec):
+            p = self.PARAMS.replace(delta_opt=self.PARAMS.delta_opt + m.delta_opt,
+                                    delta_spin=self.PARAMS.delta_spin + m.delta_spin)
+            v = MIXED_GROUND.matrix.reshape(9)
+            for seg in seq.segments[:-1]:
+                v = _segment_map(_segment_params(p, seg, m.zeeman_offset), seg.duration) @ v
+            readout = _segment_params(p, seq.segments[-1], m.zeeman_offset)
+            rows = [v]
+            for _ in range(40):
+                rows.append(_segment_map(readout, tick) @ rows[-1])
+            rows.append(_segment_map(readout, rest) @ rows[-1])
+            expected = expected + m.weight * np.array(rows)
+        t_rel = avg.times - avg.times[0]
+        assert np.allclose(t_rel[:41], tick * np.arange(41), rtol=0.0, atol=1e-9 * tick)
+        assert t_rel.size == 42
+        assert np.max(np.abs(averaged_states(avg) - expected.reshape(-1, 3, 3))) <= 1e-12
+
+    def test_end_sample_at_segment_end(self, mixed_ground):
+        cfg = EchoConfig(tau=12e-6, t_init=0.5e-6, t_rephase=0.5e-6, t_readout=0.5e-6)
+        seq = make_echo_sequence(cfg)
+        traj = run_sequence(mixed_ground, self.PARAMS, seq, zeeman_offset=TWO_PI * 8e3)
+        tick = 1.0 / (8.0 * cfg.splitting)
+        assert traj.times[-1] == seq.total_duration
+        assert 0.0 < traj.times[-1] - traj.times[-2] < tick
+        end = sequence_endpoint(mixed_ground, self.PARAMS, seq, zeeman_offset=TWO_PI * 8e3)
+        assert np.max(np.abs(traj.states[-1] - end)) <= 1e-12
+
+    def test_whole_number_of_ticks_has_no_end_sample(self):
+        # 2 us at 1 MHz splitting is exactly 16 ticks of 125 ns
+        cfg = EchoConfig(tau=30e-6, splitting=1e6)
+        seq = make_echo_sequence(cfg)
+        traj = run_sequence(MIXED_GROUND, self.PARAMS, seq)
+        window = traj.times[traj.segment_start_index("readout"):]
+        assert window.size == 17
+        assert np.allclose(np.diff(window), 125e-9, rtol=1e-9, atol=0.0)
+        assert window[-1] == pytest.approx(seq.total_duration, rel=1e-15)
+
+    @pytest.mark.parametrize("duration,sample_dt", [(10e-6, 0.037e-6), (27e-6, 0.031e-6),
+                                                    (1e-6, 0.02e-6)])
+    def test_unclocked_grid_is_duration_over_n(self, duration, sample_dt):
+        # the clock of a wait is its duration: n = ceil(D / dt), dt = D / n, no end sample
+        seq = SequenceSpec(segments=(Wait(duration=duration),), sample_dt=sample_dt)
+        traj = run_sequence(MIXED_GROUND, self.PARAMS, seq)
+        n = int(np.ceil(duration / sample_dt - 1e-12))
+        assert np.array_equal(traj.times, duration / n * np.arange(n + 1))
 
 
 class TestPhysicalityCheck:

@@ -148,7 +148,7 @@ class TestEndpointDifferential:
         final = ensemble_final_state(seq, p, spec)
         avg = ensemble_average(seq, p, spec)
         assert np.max(np.abs(final.matrix - avg.final_state.matrix)) <= 1e-10
-        threaded = ensemble_final_state(seq, p, spec, n_threads=3)
+        threaded = ensemble_final_state(seq, p, spec)
         assert np.array_equal(final.matrix, threaded.matrix)
 
 

@@ -1,5 +1,7 @@
 """Beat synthesis, single-bin Fourier amplitude, decay assembly, and the fit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from eitecho.readout import (
     synthesize_beat,
 )
 from eitecho.sequences import EchoConfig, make_echo_sequence, make_readout_pulse
-from eitecho.dynamics import SequenceSpec, run_sequence
+from eitecho.dynamics import SequenceSpec, Trajectory, run_sequence
 from eitecho.qstate import DensityMatrix3
 from eitecho.studies import branches_for_splitting
 
@@ -87,6 +89,22 @@ class TestSynthesizeBeat:
         trace = synthesize_beat(traj, cfg.splitting)
         assert np.max(np.abs(trace.signal)) < 1e-6
 
+    def test_off_clock_window_is_refused(self):
+        # 10 ns samples do not divide the 12.25 ns detector clock at 10.2 MHz
+        times = np.linspace(0.0, 2e-6, 201)
+        traj = Trajectory(times=times, states=np.repeat(MIXED.matrix[None], 201, axis=0),
+                          segment_starts=[(0, make_readout_pulse(EchoConfig(tau=20e-6)))])
+        with pytest.raises(ValidationError, match=r"every 1e-08 s.*detector clock 1\.225"):
+            synthesize_beat(traj, 10.2e6)
+
+    def test_unclocked_readout_is_refused(self):
+        # a readout pulse without the detector clock is sampled on its duration
+        cfg = EchoConfig(tau=20e-6)
+        seq = SequenceSpec(segments=(replace(make_readout_pulse(cfg), clock_dt=None),))
+        traj = run_sequence(MIXED, LambdaParams(), seq)
+        with pytest.raises(ValidationError, match="whole fraction of the detector clock"):
+            synthesize_beat(traj, cfg.splitting)
+
     @staticmethod
     def _readout_beat(stored_coherence: complex):
         """Feed a ground state with the given 0-1 coherence into the readout pulse."""
@@ -96,7 +114,7 @@ class TestSynthesizeBeat:
                         [0.0, 0.0, 0.5]], dtype=complex)
         seq = SequenceSpec(segments=(make_readout_pulse(cfg),))
         traj = run_sequence(DensityMatrix3(rho), LambdaParams(), seq)
-        return synthesize_beat(traj, cfg.splitting, window_label="readout")
+        return synthesize_beat(traj, cfg.splitting)
 
     def test_linear_in_stored_coherence(self):
         # double the stored coherence, double the beat; exact because the
