@@ -30,7 +30,7 @@ from .sequences import (
     make_readout_pulse,
     make_rephase_pulse,
 )
-from .ensemble import EnsembleSpec, detuning_grid, ensemble_average
+from .ensemble import EnsembleSpec, ensemble_average, member_stack
 from .tomography import (
     TomographyResult,
     measure_populations,
@@ -66,10 +66,10 @@ __all__ = [
     "PulseSpec", "RunConfig", "ScalingModel", "SequenceSpec", "TemperatureModel",
     "TomographyResult", "Trajectory", "Wait", "assemble_decay_curve", "bandwidth",
     "beat_amplitude", "bloch_vector", "bright_dark_basis", "compensation_search",
-    "coupling_strengths", "detuning_grid", "ensemble_average", "fidelity",
-    "field_sweep", "fit_decay", "hamiltonian", "lindblad_rhs", "make_echo_sequence",
+    "coupling_strengths", "ensemble_average", "fidelity", "field_sweep",
+    "fit_decay", "hamiltonian", "lindblad_rhs", "make_echo_sequence",
     "make_init_pulse", "make_readout_pulse", "make_rephase_pulse",
-    "measure_populations", "parse_config", "projection_measurements", "propagate",
-    "reconstruct", "run_sequence", "scaling_study", "splitting_from_field",
+    "measure_populations", "member_stack", "parse_config", "projection_measurements",
+    "propagate", "reconstruct", "run_sequence", "scaling_study", "splitting_from_field",
     "synthesize_beat", "temperature_scan", "trace_distance", "validate_config",
 ]

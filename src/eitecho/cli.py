@@ -23,7 +23,7 @@ from .config import DEFAULT_CONFIG_TEXT, RunConfig, parse_config
 from .dynamics import SequenceSpec, run_sequence
 from .ensemble import ensemble_average, ensemble_final_state
 from .errors import ConfigurationError, FitFailureError, ValidationError
-from .qstate import DensityMatrix3, GroundQubitState, fidelity
+from .qstate import DensityMatrix3, GroundQubitState
 from .readout import beat_amplitude, synthesize_beat
 from .sequences import make_echo_sequence, make_init_pulse
 from .studies import (
@@ -38,7 +38,7 @@ from .studies import (
     temperature_scan,
     temperature_scan_csv,
 )
-from .tomography import projection_measurements, reconstruct, state_fidelity
+from .tomography import reconstruct, state_fidelity, tomography_of
 from .units import csv_text
 
 EXIT_OK = 0
@@ -139,14 +139,13 @@ def _cmd_qst(cfg: RunConfig, outdir: Path) -> None:
     results = {}
     for name, case_cfg, seq in _qst_cases(cfg):
         final = ensemble_final_state(seq, cfg.physics, cfg.ensemble)
-        ground = GroundQubitState(final.matrix[:2, :2])
-        x, y, z = projection_measurements(ground, cfg.noise_rms, rng)
-        rec = reconstruct(x, y, z)
         offset = case_cfg.init_phase_offset
         dark = np.array([1.0, -np.exp(1j * offset)], dtype=complex) / math.sqrt(2.0)
-        f_pure = fidelity(rec, dark)
+        tomo = tomography_of(GroundQubitState(final.matrix[:2, :2]), dark,
+                             cfg.noise_rms, rng)
+        (x, y, z), f_pure = tomo.projections, tomo.fidelity_vs_target
         ideal = reconstruct(-0.5 * math.cos(offset), -0.5 * math.sin(offset), 0.0)
-        f_ideal = state_fidelity(rec, ideal)
+        f_ideal = state_fidelity(tomo.reconstructed, ideal)
         rows.append((name, x, y, z, f_pure, f_ideal))
         results[name] = {"projections": [x, y, z], "fidelity_pure_target": f_pure,
                          "fidelity_vs_ideal": f_ideal}

@@ -8,9 +8,9 @@ diagonal shift, so one Liouvillian per segment serves the whole stack.
 Segments that need only their endpoint apply one map each (h = duration);
 sampled segments raise the map of one grid step, a whole fraction of the
 segment's clock (the readout's detector clock, else the duration), to
-successive powers, one block of samples per batched product.  A requested
-grid must still meet the hard step-size precondition, and fixed grids keep
-runs deterministic.
+successive powers, one block of samples per batched product.  Every sample
+is exact whatever the step, so a step only places samples, and fixed grids
+keep runs deterministic.
 """
 
 from __future__ import annotations
@@ -25,12 +25,8 @@ from .lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillia
 from .qstate import DensityMatrix3
 from .units import csv_text
 
-# Hard preconditions on a requested sampling step (never silently coarsened).
-MAX_STEPS_FRACTION = 1.0 / 20.0   # dt <= duration / 20
-MAX_PHASE_PER_STEP = 0.05         # dt * max(rabi, |detuning|, rate) <= 0.05
-
-# Default sampling grid, well inside the precondition: fine enough that the
-# sampled coherences resolve every drive, detuning and decay time scale.
+# Default sampling grid: fine enough that the sampled coherences resolve
+# every drive, detuning and decay time scale.
 DEFAULT_STEPS_FRACTION = 1.0 / 50.0
 DEFAULT_PHASE_PER_STEP = 0.01
 
@@ -91,10 +87,9 @@ Segment = PulseSpec | Wait
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Ordered pulse/wait segments plus an output sampling cap."""
+    """Ordered pulse/wait segments."""
 
     segments: tuple
-    sample_dt: float | None = None
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -106,8 +101,6 @@ class SequenceSpec:
         readouts = [i for i, s in enumerate(segs) if isinstance(s, PulseSpec) and s.label == "readout"]
         if readouts and readouts[-1] != len(segs) - 1:
             raise ValidationError("readout segment must be last in the sequence")
-        if self.sample_dt is not None and not self.sample_dt > 0.0:
-            raise ValidationError("SequenceSpec.sample_dt must be > 0")
         object.__setattr__(self, "segments", segs)
 
     @property
@@ -187,28 +180,15 @@ def _segment_params(p: LambdaParams, segment: Segment, zeeman_offset: float) -> 
                      delta_spin=delta_spin)
 
 
-def _max_frequency(p: LambdaParams) -> float:
-    # frame_offset is excluded: a uniform diagonal shift cancels exactly in
-    # the commutator and never moves the state
-    return max(p.rabi0, p.rabi1, abs(p.delta_opt), abs(p.delta_spin),
-               p.gamma_opt_decay, p.gamma_opt_deph, p.gamma_spin_deph)
-
-
-def max_step(p: LambdaParams, duration: float) -> float:
-    """Largest step satisfying the integrator precondition for these parameters."""
-    dt = duration * MAX_STEPS_FRACTION
-    f = _max_frequency(p)
-    if f > 0.0:
-        dt = min(dt, MAX_PHASE_PER_STEP / f)
-    return dt
-
-
 def default_step(p: LambdaParams, segment: Segment) -> float:
     """Step chooser used when the caller does not pin dt: a pulse's clock if set."""
     if isinstance(segment, PulseSpec) and segment.clock_dt:
         return segment.clock_dt
     dt = segment.duration * DEFAULT_STEPS_FRACTION
-    f = _max_frequency(p)
+    # frame_offset is excluded: a uniform diagonal shift cancels exactly in
+    # the commutator and never moves the state
+    f = max(p.rabi0, p.rabi1, abs(p.delta_opt), abs(p.delta_spin),
+            p.gamma_opt_decay, p.gamma_opt_deph, p.gamma_spin_deph)
     if f > 0.0:
         dt = min(dt, DEFAULT_PHASE_PER_STEP / f)
     return dt
@@ -296,8 +276,8 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     added to the spin detuning with each segment's ``zeeman_sign``.  Segments
     before `first_sampled` apply one exact map each.  From `first_sampled` on,
     segment k is sampled every clock/n, for the least n whose step is no
-    coarser than dt_targets[k] (default: :func:`shared_steps`) or
-    ``seq.sample_dt``; if the duration is not a whole number of steps, one
+    coarser than dt_targets[k] (default: :func:`shared_steps`), which must
+    be finite and > 0; if the duration is not a whole number of steps, one
     more exact map adds a sample at the segment's end.  The trajectory starts
     at the start of segment `first_sampled`; with
     ``first_sampled == len(seq.segments)`` it holds only the final state.
@@ -332,8 +312,9 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
 
         segment_starts.append((n_samples - 1, seg))
         dt_target = dt_targets[k]
-        if seq.sample_dt is not None:
-            dt_target = min(dt_target, seq.sample_dt)
+        if not 0.0 < dt_target < np.inf:
+            raise ConfigurationError([f"segment {k}: requested dt {dt_target:g} s "
+                                      f"must be finite and > 0"])
         clock = seg.clock_dt if isinstance(seg, PulseSpec) and seg.clock_dt else seg.duration
         dt = clock / max(1, int(np.ceil(clock / dt_target - 1e-12)))
         n_steps = int(np.floor(seg.duration / dt + 1e-9))
@@ -367,9 +348,11 @@ def propagate(rho0: DensityMatrix3, p: LambdaParams, pulse: Segment,
               dt: float | None = None) -> Trajectory:
     """Propagate one state through one pulse or wait segment.
 
-    `dt` is a hard request: if it violates the step-size precondition the call
-    fails rather than coarse-stepping.  With dt omitted a conservative default
-    is chosen from the drive strength, detunings and rates.
+    `dt` places the output samples on the least whole fraction of the
+    segment's clock (its duration unless a detector clock is set) no coarser
+    than `dt`.  Each sample is an exact map, so a coarse `dt` is exact at its
+    sample times.  With dt omitted the default grid resolves the
+    drive strength, detunings and rates.
     """
     return run_sequence(rho0, p, SequenceSpec(segments=(pulse,)),
                         dt_overrides=None if dt is None else [dt])
@@ -382,19 +365,13 @@ def run_sequence(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
 
     ``zeeman_offset`` (rad/s) is added to the spin detuning with each
     segment's ``zeeman_sign``; sequences that never set signs other than +1
-    see a plain constant offset.
+    see a plain constant offset.  ``dt_overrides``, one step per segment,
+    replaces the default sampling grid; it only places samples, each of which
+    is exact.
     """
-    if dt_overrides is not None:
-        if len(dt_overrides) != len(seq.segments):
-            raise ConfigurationError([f"dt_overrides has {len(dt_overrides)} entries "
-                                      f"for {len(seq.segments)} segments"])
-        for k, seg in enumerate(seq.segments):
-            limit = max_step(_segment_params(p, seg, zeeman_offset), seg.duration)
-            if dt_overrides[k] > limit * (1.0 + 1e-12):
-                raise ConfigurationError(
-                    [f"segment {k}: requested dt {dt_overrides[k]:g} s exceeds the "
-                     f"precondition limit {limit:g} s (duration/20 and "
-                     f"{MAX_PHASE_PER_STEP}/max-frequency)"])
+    if dt_overrides is not None and len(dt_overrides) != len(seq.segments):
+        raise ConfigurationError([f"dt_overrides has {len(dt_overrides)} entries "
+                                  f"for {len(seq.segments)} segments"])
     return propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0], 0,
                              dt_overrides)
 

@@ -76,46 +76,23 @@ def _axis_nodes(fwhm_hz: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return centers, w
 
 
-@dataclass(frozen=True)
-class EnsembleMember:
-    delta_opt: float          # rad/s, added to the base optical detuning
-    delta_spin: float         # rad/s, static (refocusable) spin offset
-    zeeman_offset: float      # rad/s, branch offset (sign flips at rephasing)
-    weight: float
+def member_stack(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets (M, 3) in rad/s and weights (M,) of the grid members.
 
-
-def member_grid(spec: EnsembleSpec) -> list[EnsembleMember]:
-    """Deterministic member list; ordering is (optical, spin, branch), row-major."""
+    Row m is (delta_opt, delta_spin, zeeman_offset): the optical offset, the
+    static (refocusable) spin offset and the branch offset whose sign flips at
+    rephasing.  Rows run over (optical, spin, branch) row-major, and each
+    weight is the product of the axis weights, so the weights sum to one.
+    """
     d_opt, w_opt = _axis_nodes(spec.optical_fwhm, spec.n_optical)
     d_spin, w_spin = _axis_nodes(spec.spin_fwhm, spec.n_spin)
     branches = spec.zeeman_branches or ((0.0, 1.0),)
-    members = []
-    for do, wo in zip(d_opt, w_opt):
-        for ds, ws in zip(d_spin, w_spin):
-            for off_hz, wb in branches:
-                members.append(EnsembleMember(
-                    delta_opt=float(do),
-                    delta_spin=float(ds),
-                    zeeman_offset=TWO_PI * off_hz,
-                    weight=float(wo * ws * wb),
-                ))
-    return members
-
-
-def detuning_grid(spec: EnsembleSpec) -> list[tuple[float, float, float]]:
-    """(delta_opt, delta_spin, weight) triples in rad/s, branch offsets folded in.
-
-    Weights sum to one by construction.
-    """
-    return [(m.delta_opt, m.delta_spin + m.zeeman_offset, m.weight)
-            for m in member_grid(spec)]
-
-
-def _member_stack(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(delta_opt, delta_spin, zeeman_offset) rows and weights of the grid members."""
-    members = member_grid(spec)
-    offsets = np.array([(m.delta_opt, m.delta_spin, m.zeeman_offset) for m in members])
-    return offsets, np.array([m.weight for m in members])
+    members = [((do, ds, TWO_PI * off_hz), wo * ws * wb)
+               for do, wo in zip(d_opt, w_opt)
+               for ds, ws in zip(d_spin, w_spin)
+               for off_hz, wb in branches]
+    offsets, weights = zip(*members)
+    return np.array(offsets), np.array(weights)
 
 
 def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
@@ -127,7 +104,7 @@ def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
     maps, and the trajectory starts at the start of segment `first_sampled`.
     The members are propagated as one stack and reduced in fixed grid order.
     """
-    offsets, weights = _member_stack(spec)
+    offsets, weights = member_stack(spec)
     return propagate_members(MIXED_GROUND, base, seq, offsets, weights, first_sampled)
 
 
@@ -138,6 +115,6 @@ def ensemble_final_state(seq: SequenceSpec, base: LambdaParams,
     Every member starts from the mixed ground state and applies one exact map
     per segment; the reduction runs in fixed grid order.
     """
-    offsets, weights = _member_stack(spec)
+    offsets, weights = member_stack(spec)
     return propagate_members(MIXED_GROUND, base, seq, offsets, weights,
                              len(seq.segments)).final_state

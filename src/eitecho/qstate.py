@@ -64,15 +64,6 @@ class DensityMatrix3:
         d = np.real(np.diag(self.matrix))
         return float(d[0]), float(d[1]), float(d[2])
 
-    def ground_block(self) -> "GroundQubitState":
-        """The (|0>, |1>) sub-block; sub-normalized when |e> is occupied."""
-        return GroundQubitState(self.matrix[:2, :2])
-
-    @staticmethod
-    def from_ket(ket) -> "DensityMatrix3":
-        v = np.asarray(ket, dtype=complex).reshape(3)
-        return DensityMatrix3(np.outer(v, v.conj()))
-
 
 @dataclass(frozen=True)
 class GroundQubitState:
@@ -88,11 +79,6 @@ class GroundQubitState:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    @staticmethod
-    def from_ket(ket) -> "GroundQubitState":
-        v = np.asarray(ket, dtype=complex).reshape(2)
-        return GroundQubitState(np.outer(v, v.conj()))
 
 
 # Ground qubit kets used throughout: computational pair and the equal-weight

@@ -35,6 +35,18 @@ output:
   directory: out
 """
 
+SCALING_CONFIG = """\
+physics:
+  t2_spin: 500us
+sequence:
+  tau: 30us
+studies:
+  scaling:
+    t2_opt: [100ps, 10ns, 1us]
+output:
+  directory: out
+"""
+
 
 def write_config(tmp_path: Path, text: str) -> Path:
     path = tmp_path / "config.yaml"
@@ -98,6 +110,20 @@ class TestFieldSweep:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["subcommand"] == "field-sweep"
         assert "field_sweep.csv" in manifest["outputs"]
+
+
+class TestScaling:
+    def test_scaling_csv_and_manifest(self, tmp_path):
+        cfg = write_config(tmp_path, SCALING_CONFIG)
+        out = tmp_path / "o"
+        assert main(["scaling", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "scaling.csv").read_text().strip().splitlines()
+        assert rows[0] == "t2_opt_s,t_pi_s,end_fidelity,coherence"
+        assert len(rows) == 1 + 3
+        assert [float(r.split(",")[0]) for r in rows[1:]] == pytest.approx([100e-12, 10e-9, 1e-6])
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["subcommand"] == "scaling"
+        assert "scaling.csv" in manifest["outputs"]
 
 
 class TestReproducibility:

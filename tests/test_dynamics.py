@@ -8,7 +8,6 @@ from eitecho.dynamics import (
     SequenceSpec,
     Wait,
     bandwidth,
-    max_step,
     propagate,
     run_sequence,
 )
@@ -36,17 +35,19 @@ class TestSpecs:
         with pytest.raises(ValidationError, match="last"):
             SequenceSpec(segments=(ro, Wait(duration=1e-6)))
 
-    def test_step_precondition_is_enforced(self):
-        p = LambdaParams(rabi0=1e6)
-        pulse = PulseSpec(duration=2e-6, rabi0=1e6)
-        rho = dm(np.diag([1.0, 0.0, 0.0]))
-        with pytest.raises(ConfigurationError, match="precondition"):
-            propagate(rho, p, pulse, dt=1e-6)
+    @pytest.mark.parametrize("dt", [0.0, -1e-7, np.nan, np.inf])
+    def test_bad_requested_step_names_segment(self, mixed_ground, dt):
+        seq = SequenceSpec(segments=(PulseSpec(duration=2e-6, rabi0=1e6),
+                                     Wait(duration=10e-6)))
+        with pytest.raises(ConfigurationError,
+                           match=rf"segment 1: requested dt {dt:g} s must be finite and > 0"):
+            run_sequence(mixed_ground, LambdaParams(), seq, dt_overrides=[1e-7, dt])
 
-    def test_max_step_combines_bounds(self):
-        p = LambdaParams(rabi0=1e6)
-        assert max_step(p, 2e-6) == pytest.approx(5e-8)
-        assert max_step(LambdaParams(), 2e-6) == pytest.approx(1e-7)
+    def test_dt_overrides_length_must_match(self, mixed_ground):
+        with pytest.raises(ConfigurationError, match="1 entries for 2 segments"):
+            run_sequence(mixed_ground, LambdaParams(),
+                         SequenceSpec(segments=(Wait(duration=1e-6), Wait(duration=1e-6))),
+                         dt_overrides=[1e-7])
 
 
 class TestPulses:
@@ -144,15 +145,26 @@ class TestSequences:
 
 
 class TestSampling:
-    def test_sample_dt_caps_the_output_grid(self, mixed_ground):
+    def test_requested_step_caps_the_output_grid(self, mixed_ground):
         # a 10 us drive-free wait defaults to duration/50 steps; a finer
-        # sample_dt must tighten the grid
-        seq = SequenceSpec(segments=(Wait(duration=10e-6),), sample_dt=0.05e-6)
-        traj = run_sequence(mixed_ground, LambdaParams(), seq)
+        # requested step must tighten the grid
+        seq = SequenceSpec(segments=(Wait(duration=10e-6),))
+        traj = run_sequence(mixed_ground, LambdaParams(), seq, dt_overrides=[0.05e-6])
         assert np.max(np.diff(traj.times)) <= 0.05e-6 + 1e-18
-        coarse = run_sequence(mixed_ground, LambdaParams(),
-                              SequenceSpec(segments=(Wait(duration=10e-6),)))
+        coarse = run_sequence(mixed_ground, LambdaParams(), seq)
         assert traj.times.size > coarse.times.size
+
+    def test_coarse_step_is_exact_at_its_samples(self):
+        # dt = duration/2 is far coarser than the default grid of a 1 Mrad/s
+        # pulse, yet every sample is an exact map
+        p = LambdaParams(rabi0=1e6)
+        pulse = PulseSpec(duration=2e-6, rabi0=1e6)
+        rho = dm(np.diag([1.0, 0.0, 0.0]))
+        coarse = propagate(rho, p, pulse, dt=1e-6)
+        assert np.array_equal(coarse.times, [0.0, 1e-6, 2e-6])
+        fine = propagate(rho, p, pulse)
+        assert fine.times.size > 3
+        assert np.max(np.abs(coarse.states[-1] - fine.states[-1])) <= 1e-12
 
 
 class TestBandwidth:

@@ -6,9 +6,9 @@ import pytest
 from eitecho.dynamics import run_sequence
 from eitecho.ensemble import (
     EnsembleSpec,
-    detuning_grid,
+    _axis_nodes,
     ensemble_average,
-    member_grid,
+    member_stack,
 )
 from eitecho.errors import ValidationError
 from eitecho.lambda_system import LambdaParams
@@ -32,37 +32,49 @@ class TestSpecValidation:
 
 class TestDetuningGrid:
     def test_single_member(self):
-        grid = detuning_grid(EnsembleSpec())
-        assert grid == [(0.0, 0.0, 1.0)]
+        offsets, weights = member_stack(EnsembleSpec())
+        assert offsets.tolist() == [[0.0, 0.0, 0.0]]
+        assert weights.tolist() == [1.0]
 
     def test_symmetric_weights_sum_to_one(self):
         spec = EnsembleSpec(optical_fwhm=170e3, n_optical=41)
-        grid = detuning_grid(spec)
-        weights = np.array([w for _, _, w in grid])
-        detunings = np.array([d for d, _, _ in grid])
+        offsets, weights = member_stack(spec)
+        detunings = offsets[:, 0]
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(weights, weights[::-1])
         assert np.allclose(detunings, -detunings[::-1])
-        assert detunings[len(grid) // 2] == 0.0
+        assert detunings[weights.size // 2] == 0.0
 
     def test_branches_duplicate_every_point(self):
         spec = EnsembleSpec(spin_fwhm=10e3, n_spin=5,
                             zeeman_branches=((-3e3, 0.5), (3e3, 0.5)))
-        grid = detuning_grid(spec)
-        assert len(grid) == 10
-        spins = sorted(s for _, s, _ in grid)
-        # every static node appears shifted by +-2pi*3kHz
-        base = sorted(s for _, s, _ in detuning_grid(
-            EnsembleSpec(spin_fwhm=10e3, n_spin=5)))
-        expected = sorted([s + sign * TWO_PI * 3e3 for s in base for sign in (-1, 1)])
-        assert np.allclose(spins, expected)
+        offsets, weights = member_stack(spec)
+        assert weights.size == 10
+        # every static node appears once per branch, the branch offset apart
+        base = member_stack(EnsembleSpec(spin_fwhm=10e3, n_spin=5))[0][:, 1]
+        assert np.array_equal(offsets[:, 1], np.repeat(base, 2))
+        assert np.array_equal(offsets[:, 2], np.tile([-TWO_PI * 3e3, TWO_PI * 3e3], 5))
+
+    def test_rows_are_the_axis_nodes_row_major(self):
+        branches = ((-8e3, 0.4), (8e3, 0.6))
+        spec = EnsembleSpec(optical_fwhm=170e3, spin_fwhm=20e3, n_optical=3, n_spin=3,
+                            zeeman_branches=branches)
+        rows, expected_weights = [], []
+        for do, wo in zip(*_axis_nodes(170e3, 3)):
+            for ds, ws in zip(*_axis_nodes(20e3, 3)):
+                for off_hz, wb in branches:
+                    rows.append((do, ds, TWO_PI * off_hz))
+                    expected_weights.append(wo * ws * wb)
+        offsets, weights = member_stack(spec)
+        assert offsets.shape == (18, 3)
+        assert np.array_equal(offsets, np.array(rows))
+        assert np.array_equal(weights, np.array(expected_weights))
 
     def test_gaussian_weighting_matches_pdf(self):
         spec = EnsembleSpec(spin_fwhm=50e3, n_spin=101)
-        members = member_grid(spec)
+        offsets, w = member_stack(spec)
         sigma = TWO_PI * 50e3 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-        d = np.array([m.delta_spin for m in members])
-        w = np.array([m.weight for m in members])
+        d = offsets[:, 1]
         ref = np.exp(-0.5 * (d / sigma) ** 2)
         ref /= ref.sum()
         assert np.allclose(w, ref, atol=1e-15)

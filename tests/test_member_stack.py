@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _check_physical, _segment_map,
-                              _segment_params, run_sequence, sequence_endpoint, shared_steps)
-from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, _member_stack, ensemble_average,
-                              ensemble_final_state, member_grid)
+                              _segment_params, propagate_members, run_sequence,
+                              sequence_endpoint, shared_steps)
+from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, ensemble_average,
+                              ensemble_final_state, member_stack)
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian
 from eitecho.readout import beat_amplitude, echo_amplitude, synthesize_beat
@@ -28,24 +29,23 @@ TWO_PI = 2.0 * np.pi
 
 
 def reference_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
-                      first_sampled: int):
+                      first_sampled: int, steps: list):
     """Per-member loop of `_segment_map(member params, dt) @ v`, then the weighted sum.
 
     A sampled segment steps by the least whole fraction of its clock (the
-    readout's detector clock, else the duration) no coarser than its target;
-    if that leaves a remainder, the map of the remainder adds an end sample.
+    readout's detector clock, else the duration) no coarser than its target
+    in `steps`; if that leaves a remainder, the map of the remainder adds an
+    end sample.
     """
-    members = member_grid(spec)
-    steps = shared_steps(base, seq, _member_stack(spec)[0], first_sampled)
     total = 0.0
-    for m in members:
-        p = base.replace(delta_opt=base.delta_opt + m.delta_opt,
-                         delta_spin=base.delta_spin + m.delta_spin)
+    for (d_opt, d_spin, zeeman), weight in zip(*member_stack(spec)):
+        p = base.replace(delta_opt=base.delta_opt + d_opt,
+                         delta_spin=base.delta_spin + d_spin)
         v = MIXED_GROUND.matrix.reshape(9)
         times, rows, starts = [], [], []
         t0 = 0.0
         for k, seg in enumerate(seq.segments):
-            pseg = _segment_params(p, seg, m.zeeman_offset)
+            pseg = _segment_params(p, seg, zeeman)
             if k < first_sampled:
                 v = _segment_map(pseg, seg.duration) @ v
                 t0 += seg.duration
@@ -54,9 +54,8 @@ def reference_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
                 times.append(t0)
                 rows.append(v)
             starts.append((len(times) - 1, seg))
-            dt_target = steps[k] if seq.sample_dt is None else min(steps[k], seq.sample_dt)
             clock = seg.clock_dt if isinstance(seg, PulseSpec) and seg.clock_dt else seg.duration
-            dt = clock / max(1, int(np.ceil(clock / dt_target - 1e-12)))
+            dt = clock / max(1, int(np.ceil(clock / steps[k] - 1e-12)))
             n_steps = int(np.floor(seg.duration / dt + 1e-9))
             step = _segment_map(pseg, dt)
             for i in range(n_steps):
@@ -71,7 +70,7 @@ def reference_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
             t0 += seg.duration
         if first_sampled == len(seq.segments):
             times, rows = [t0], [v]
-        total = total + m.weight * np.array(rows)
+        total = total + weight * np.array(rows)
     return np.array(times), total.reshape(-1, 3, 3), starts
 
 
@@ -121,21 +120,28 @@ class TestStackedPropagator:
                           zeeman_branches=((-20e3, 0.3), (20e3, 0.7))),
              LambdaParams(delta_opt=TWO_PI * 50e3, delta_spin=TWO_PI * 5e3),
              6e-6, True, None, 0)
-    def test_matches_per_member_reference(self, spec, base, tau, readout, sample_dt,
+    def test_matches_per_member_reference(self, spec, base, tau, readout, dt_cap,
                                           first_sampled):
         cfg = EchoConfig(tau=tau, t_init=0.5e-6, t_rephase=0.5e-6, t_readout=0.5e-6)
         seq = make_echo_sequence(cfg, include_readout=readout)
-        seq = SequenceSpec(segments=seq.segments, sample_dt=sample_dt)
         first_sampled = min(first_sampled, len(seq.segments))
+        offsets, weights = member_stack(spec)
+        steps = shared_steps(base, seq, offsets, first_sampled)
+        if dt_cap is not None:
+            steps = [None if s is None else min(s, dt_cap) for s in steps]
 
-        times, states, starts = reference_average(seq, base, spec, first_sampled)
+        times, states, starts = reference_average(seq, base, spec, first_sampled, steps)
         if first_sampled < len(seq.segments):
-            avg = ensemble_average(seq, base, spec, first_sampled=first_sampled)
+            avg = (ensemble_average(seq, base, spec, first_sampled=first_sampled)
+                   if dt_cap is None else
+                   propagate_members(MIXED_GROUND, base, seq, offsets, weights,
+                                     first_sampled, dt_targets=steps))
             assert np.array_equal(avg.times, times)
             assert avg.segment_starts == starts
             assert np.max(np.abs(averaged_states(avg) - states)) <= 1e-10
 
-        _, final, _ = reference_average(seq, base, spec, len(seq.segments))
+        _, final, _ = reference_average(seq, base, spec, len(seq.segments),
+                                        [None] * len(seq.segments))
         end = ensemble_final_state(seq, base, spec)
         assert np.max(np.abs(end.matrix - final[-1])) <= 1e-10
 
@@ -187,18 +193,18 @@ class TestDetectorClock:
         rest = cfg.t_readout - 40 * tick
         avg = ensemble_average(seq, self.PARAMS, spec, first_sampled=len(seq.segments) - 1)
         expected = 0.0
-        for m in member_grid(spec):
-            p = self.PARAMS.replace(delta_opt=self.PARAMS.delta_opt + m.delta_opt,
-                                    delta_spin=self.PARAMS.delta_spin + m.delta_spin)
+        for (d_opt, d_spin, zeeman), weight in zip(*member_stack(spec)):
+            p = self.PARAMS.replace(delta_opt=self.PARAMS.delta_opt + d_opt,
+                                    delta_spin=self.PARAMS.delta_spin + d_spin)
             v = MIXED_GROUND.matrix.reshape(9)
             for seg in seq.segments[:-1]:
-                v = _segment_map(_segment_params(p, seg, m.zeeman_offset), seg.duration) @ v
-            readout = _segment_params(p, seq.segments[-1], m.zeeman_offset)
+                v = _segment_map(_segment_params(p, seg, zeeman), seg.duration) @ v
+            readout = _segment_params(p, seq.segments[-1], zeeman)
             rows = [v]
             for _ in range(40):
                 rows.append(_segment_map(readout, tick) @ rows[-1])
             rows.append(_segment_map(readout, rest) @ rows[-1])
-            expected = expected + m.weight * np.array(rows)
+            expected = expected + weight * np.array(rows)
         t_rel = avg.times - avg.times[0]
         assert np.allclose(t_rel[:41], tick * np.arange(41), rtol=0.0, atol=1e-9 * tick)
         assert t_rel.size == 42
@@ -224,13 +230,13 @@ class TestDetectorClock:
         assert np.allclose(np.diff(window), 125e-9, rtol=1e-9, atol=0.0)
         assert window[-1] == pytest.approx(seq.total_duration, rel=1e-15)
 
-    @pytest.mark.parametrize("duration,sample_dt", [(10e-6, 0.037e-6), (27e-6, 0.031e-6),
-                                                    (1e-6, 0.02e-6)])
-    def test_unclocked_grid_is_duration_over_n(self, duration, sample_dt):
+    @pytest.mark.parametrize("duration,dt", [(10e-6, 0.037e-6), (27e-6, 0.031e-6),
+                                             (1e-6, 0.02e-6)])
+    def test_unclocked_grid_is_duration_over_n(self, duration, dt):
         # the clock of a wait is its duration: n = ceil(D / dt), dt = D / n, no end sample
-        seq = SequenceSpec(segments=(Wait(duration=duration),), sample_dt=sample_dt)
-        traj = run_sequence(MIXED_GROUND, self.PARAMS, seq)
-        n = int(np.ceil(duration / sample_dt - 1e-12))
+        seq = SequenceSpec(segments=(Wait(duration=duration),))
+        traj = run_sequence(MIXED_GROUND, self.PARAMS, seq, dt_overrides=[dt])
+        n = int(np.ceil(duration / dt - 1e-12))
         assert np.array_equal(traj.times, duration / n * np.arange(n + 1))
 
 
