@@ -22,7 +22,7 @@ from .lambda_system import (
     hamiltonian,
     lindblad_rhs,
 )
-from .dynamics import PulseSpec, SequenceSpec, Trajectory, Wait, bandwidth, propagate, run_sequence
+from .dynamics import PulseSpec, SequenceSpec, Trajectory, Wait, propagate, run_sequence
 from .sequences import (
     EchoConfig,
     make_echo_sequence,
@@ -31,12 +31,7 @@ from .sequences import (
     make_rephase_pulse,
 )
 from .ensemble import EnsembleSpec, ensemble_average, member_stack
-from .tomography import (
-    TomographyResult,
-    measure_populations,
-    projection_measurements,
-    reconstruct,
-)
+from .tomography import TomographyResult, projection_measurements, reconstruct
 from .readout import (
     BeatTrace,
     DecayCurve,
@@ -64,12 +59,12 @@ __all__ = [
     "BeatTrace", "BrightDarkBasis", "DecayCurve", "DensityMatrix3", "EchoConfig",
     "EnsembleSpec", "FieldModel", "FitResult", "GroundQubitState", "LambdaParams",
     "PulseSpec", "RunConfig", "ScalingModel", "SequenceSpec", "TemperatureModel",
-    "TomographyResult", "Trajectory", "Wait", "assemble_decay_curve", "bandwidth",
+    "TomographyResult", "Trajectory", "Wait", "assemble_decay_curve",
     "beat_amplitude", "bloch_vector", "bright_dark_basis", "compensation_search",
     "coupling_strengths", "ensemble_average", "fidelity", "field_sweep",
     "fit_decay", "hamiltonian", "lindblad_rhs", "make_echo_sequence",
     "make_init_pulse", "make_readout_pulse", "make_rephase_pulse",
-    "measure_populations", "member_stack", "parse_config", "projection_measurements",
+    "member_stack", "parse_config", "projection_measurements",
     "propagate", "reconstruct", "run_sequence", "scaling_study", "splitting_from_field",
     "synthesize_beat", "temperature_scan", "trace_distance", "validate_config",
 ]

@@ -1,9 +1,9 @@
 """Command-line front end: config-driven studies with CSV/JSON outputs.
 
-Every subcommand takes --config/--out/--seed/--threads, validates the whole
-config before any simulation starts, writes plot-ready CSV files plus a JSON
-run manifest sufficient to re-run the study, and is bitwise reproducible for
-a fixed config and seed; --threads is recorded but never changes results.
+Every subcommand takes --config/--out/--seed, validates the whole config
+before any simulation starts, writes plot-ready CSV files plus a JSON run
+manifest sufficient to re-run the study, and is bitwise reproducible for a
+fixed config and seed.
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 """
 
@@ -265,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: from config)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for simulated measurement noise")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted and recorded in the run manifest; "
-                            "never changes results")
     return parser
 
 
@@ -288,11 +285,6 @@ def main(argv=None) -> int:
 
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("config error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = dataclasses.replace(cfg, threads=args.threads)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=str(args.out))
 

@@ -11,7 +11,7 @@ frequencies (Hz) and converted to angular units where the physics needs them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -181,6 +181,10 @@ class _Reader:
             if n < 1:
                 self.errors.append(f"{path}.n: must be >= 1")
                 return np.array([])
+            if log and not lo * hi > 0.0:
+                self.errors.append(f"{path}: a log range needs min and max nonzero "
+                                   f"and of one sign, got {lo:g} and {hi:g}")
+                return np.array([])
             return SweepRange(lo, hi, n, log).values()
         self.errors.append(f"{path}: expected a list or a min/max/n mapping")
         return np.array([])
@@ -299,7 +303,9 @@ def _sequence_from(r: _Reader, errors: list) -> EchoConfig:
             calibration=calibration,
         )
     except ConfigurationError as exc:
-        errors.extend(f"sequence: {p}" for p in exc.problems)
+        # EchoConfig.<field> problems name the key they come from
+        errors.extend(f"sequence: {p}".replace("sequence: EchoConfig.", "sequence.")
+                      for p in exc.problems)
         return EchoConfig(tau=1.0)
 
 
@@ -390,13 +396,10 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
 
     root.finish()
 
-    scaling_model_ok = True
     try:
         scaling_model = ScalingModel(t_pi_ref=t_pi_ref, t2_opt_ref=sc_t2_ref)
     except ValidationError as exc:
         errors.append(f"studies.scaling: {exc}")
-        scaling_model = ScalingModel()
-        scaling_model_ok = False
 
     if errors:
         return None, errors
@@ -407,7 +410,7 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
         sequence=sequence,
         readout_mode=readout_mode,
         field_model=field_model,
-        scaling_model=scaling_model if scaling_model_ok else ScalingModel(),
+        scaling_model=scaling_model,
         field_sweep=FieldSweepConfig(fields=fs_fields, taus=fs_taus),
         temp_scan=TempScanConfig(temperatures=ts_temps, taus=ts_taus,
                                  t2_opt_ref=t2_opt_ref, temperature_ref=temperature_ref),

@@ -62,8 +62,9 @@ class PulseSpec:
     def __post_init__(self):
         if not (self.duration > 0.0 and np.isfinite(self.duration)):
             raise ValidationError(f"PulseSpec.duration must be > 0, got {self.duration}")
-        if self.clock_dt is not None and not self.clock_dt > 0.0:
-            raise ValidationError(f"PulseSpec.clock_dt must be > 0, got {self.clock_dt}")
+        if self.clock_dt is not None and not 0.0 < self.clock_dt < np.inf:
+            raise ValidationError(
+                f"PulseSpec.clock_dt must be finite and > 0, got {self.clock_dt}")
         if self.rabi0 < 0.0 or self.rabi1 < 0.0:
             raise ValidationError("PulseSpec rabi values must be >= 0")
         if self.label not in PULSE_LABELS:
@@ -375,18 +376,3 @@ def run_sequence(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     return propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0], 0,
                              dt_overrides)
 
-
-def sequence_endpoint(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
-                      zeeman_offset: float = 0.0) -> np.ndarray:
-    """Final 3x3 state of :func:`run_sequence` without sampling the trajectory.
-
-    Applies one exact map per segment, so the cost does not depend on the
-    durations or rates, and no intermediate state is stored.
-    """
-    return propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0],
-                             len(seq.segments)).states[-1]
-
-
-def bandwidth(pulse: PulseSpec) -> float:
-    """Spectral bandwidth of a rectangular pulse, 1/(pi * duration), in Hz."""
-    return 1.0 / (np.pi * pulse.duration)

@@ -100,10 +100,6 @@ class BrightDarkBasis:
     def dark(self) -> np.ndarray:
         return self.matrix[:, 1]
 
-    def bright3(self) -> np.ndarray:
-        """Bright ket embedded in the three-level space."""
-        return np.array([self.bright[0], self.bright[1], 0.0], dtype=complex)
-
     def dark3(self) -> np.ndarray:
         return np.array([self.dark[0], self.dark[1], 0.0], dtype=complex)
 

@@ -9,7 +9,7 @@ density matrix".  All metrics below are defined to make sense for such blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,11 +81,8 @@ class GroundQubitState:
         return float(np.trace(self.matrix).real)
 
 
-# Ground qubit kets used throughout: computational pair and the equal-weight
-# superpositions that couple maximally / not at all to an equal-phase
-# bichromatic drive.
-KET_0 = np.array([1.0, 0.0], dtype=complex)
-KET_1 = np.array([0.0, 1.0], dtype=complex)
+# Equal-weight ground superpositions that couple maximally / not at all to an
+# equal-phase bichromatic drive.
 KET_BRIGHT = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_DARK = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -134,45 +131,3 @@ def trace_distance(a: GroundQubitState, b: GroundQubitState) -> float:
     diff = a.matrix - b.matrix
     return 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
 
-
-def state_to_text(state) -> str:
-    """Serialize a state matrix row-major as 're+imi' pairs, one row per line."""
-    m = state.matrix if hasattr(state, "matrix") else np.asarray(state, dtype=complex)
-    return "\n".join(_format_row(row) for row in m)
-
-
-def _format_row(row) -> str:
-    parts = []
-    for v in row:
-        re_part, im_part = float(v.real), float(v.imag)
-        sign = "+" if im_part >= 0 else "-"
-        parts.append(f"{re_part!r}{sign}{abs(im_part)!r}i")
-    return " ".join(parts)
-
-
-def state_from_text(text: str):
-    """Parse the plain-text matrix format written by :func:`state_to_text`."""
-    rows = []
-    for line in text.strip().splitlines():
-        row = []
-        for token in line.split():
-            if not token.endswith("i"):
-                raise ValidationError(f"state_from_text: malformed entry {token!r}")
-            body = token[:-1]
-            # split at the sign of the imaginary part (skip a leading sign and
-            # any exponent signs)
-            idx = None
-            for k in range(len(body) - 1, 0, -1):
-                if body[k] in "+-" and body[k - 1] not in "eE":
-                    idx = k
-                    break
-            if idx is None:
-                raise ValidationError(f"state_from_text: malformed entry {token!r}")
-            row.append(complex(float(body[:idx]), float(body[idx:])))
-        rows.append(row)
-    m = np.array(rows, dtype=complex)
-    if m.shape == (3, 3):
-        return DensityMatrix3(m)
-    if m.shape == (2, 2):
-        return GroundQubitState(m)
-    raise ValidationError(f"state_from_text: unsupported matrix shape {m.shape}")

@@ -12,7 +12,6 @@ detector units.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -83,9 +82,6 @@ class DecayCurve:
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "amplitudes", amps)
 
-    def to_csv(self) -> str:
-        return csv_text("tau_s,amplitude", zip(self.taus, self.amplitudes))
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -104,18 +100,6 @@ class FitResult:
             raise ValidationError(f"FitResult.t2 must be > 0, got {self.t2}")
         if any(c < 0.0 for c in self.ci95):
             raise ValidationError("FitResult.ci95 half-widths must be >= 0")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "amplitude": self.amplitude,
-            "t2_s": self.t2,
-            "offset": self.offset,
-            "ci95": {"amplitude": self.ci95[0], "t2_s": self.ci95[1],
-                     "offset": self.ci95[2]},
-            "covariance": [list(map(float, row)) for row in self.covariance],
-            "residual_rms": self.residual_rms,
-            "iterations": self.iterations,
-        }, sort_keys=True)
 
 
 def synthesize_beat(traj: Trajectory, beat_frequency: float) -> BeatTrace:

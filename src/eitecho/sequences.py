@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .dynamics import PulseSpec, SequenceSpec, Wait
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -67,8 +67,12 @@ class EchoConfig:
                 problems.append(f"EchoConfig.{name} must be > 0")
         if self.calibration not in ("bright", "bare"):
             problems.append("EchoConfig.calibration must be 'bright' or 'bare'")
-        if not self.splitting > 0.0:
-            problems.append("EchoConfig.splitting must be > 0")
+        # the readout's detector clock 1/(SAMPLES_PER_PERIOD * splitting)
+        # must be finite and > 0 too, which a subnormal or infinite value breaks
+        if not (self.splitting > 0.0
+                and 0.0 < 1.0 / (SAMPLES_PER_PERIOD * self.splitting) < math.inf):
+            problems.append(f"EchoConfig.splitting must be > 0 with a finite detector "
+                            f"clock, got {self.splitting} Hz")
         if self.init_area <= 0.0 or self.rephase_area <= 0.0:
             problems.append("EchoConfig pulse areas must be > 0")
         if not self.tau > self.t_init + self.t_rephase + self.t_readout:

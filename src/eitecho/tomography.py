@@ -1,5 +1,5 @@
-"""Ground-qubit state tomography: simulated population reads, axis projections,
-and linear-inversion reconstruction.
+"""Ground-qubit state tomography: noisy axis projections and linear-inversion
+reconstruction.
 
 The laboratory reads populations frequency-selectively against auxiliary
 excited levels; here that whole readout chain is abstracted to ideal
@@ -11,22 +11,13 @@ the populations directly; each projection is a population difference.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InconsistentDataError, ValidationError
-from .qstate import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    DensityMatrix3,
-    GroundQubitState,
-    fidelity,
-)
-from .units import csv_text
+from .qstate import PAULI_X, PAULI_Y, PAULI_Z, GroundQubitState, fidelity
 
 # |(x,y,z)| may exceed 1 by at most this much before the data are declared
 # inconsistent rather than clamped.
@@ -44,34 +35,6 @@ class TomographyResult:
     projections: tuple[float, float, float]
     reconstructed: GroundQubitState
     fidelity_vs_target: float
-
-    def to_json(self) -> str:
-        m = self.reconstructed.matrix
-        return json.dumps({
-            "projections": {"x": self.projections[0], "y": self.projections[1],
-                            "z": self.projections[2]},
-            "reconstructed": [[{"re": v.real, "im": v.imag} for v in row] for row in m],
-            "fidelity_vs_target": self.fidelity_vs_target,
-        }, sort_keys=True)
-
-    def to_csv(self) -> str:
-        m = self.reconstructed.matrix
-        row = [*self.projections, m[0, 0].real, m[0, 1].real, m[0, 1].imag,
-               m[1, 1].real, self.fidelity_vs_target]
-        return csv_text("x,y,z,re_r00,re_r01,im_r01,re_r11,fidelity_vs_target", [row])
-
-
-def measure_populations(rho: DensityMatrix3, noise_rms: float = 0.0,
-                        rng: np.random.Generator | None = None):
-    """Level populations with optional additive Gaussian read noise."""
-    if noise_rms < 0.0:
-        raise ValidationError("measure_populations: noise_rms must be >= 0")
-    p = np.array(rho.populations)
-    if noise_rms > 0.0:
-        if rng is None:
-            raise ValidationError("measure_populations: noisy reads need an explicit rng")
-        p = p + rng.normal(0.0, noise_rms, size=3)
-    return float(p[0]), float(p[1]), float(p[2])
 
 
 def _ground_populations(rho_ground: GroundQubitState, noise_rms: float,

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import ConfigurationError
-
 _PREFIXES = {
     "p": 1e-12, "n": 1e-9, "u": 1e-6, "µ": 1e-6, "m": 1e-3,
     "": 1.0, "k": 1e3, "M": 1e6, "G": 1e9,
@@ -54,20 +52,28 @@ def _parse_with_unit(text: str, base_unit: str) -> float:
 
 
 def parse_quantity(value, dimension: str) -> float:
-    """Normalize one config value of the given dimension to SI units."""
+    """Normalize one config value of the given dimension to SI units.
+
+    The result must be finite: a value that overflows (1e400us) or is not a
+    number (.inf, .nan) is rejected here rather than deep inside a run.
+    """
     if dimension == "dimensionless":
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ValueError(f"expected a number, got {value!r}")
-        return float(value)
-    base = _DIMENSIONS.get(dimension)
-    if base is None:
-        raise ValueError(f"unknown dimension {dimension!r}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        raise ValueError(
-            f"{dimension} values need an explicit unit suffix ({base}), got bare {value!r}")
-    if not isinstance(value, str):
-        raise ValueError(f"expected '<number><{base}>', got {value!r}")
-    return _parse_with_unit(value, base)
+        number = float(value)
+    else:
+        base = _DIMENSIONS.get(dimension)
+        if base is None:
+            raise ValueError(f"unknown dimension {dimension!r}")
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            raise ValueError(
+                f"{dimension} values need an explicit unit suffix ({base}), got bare {value!r}")
+        if not isinstance(value, str):
+            raise ValueError(f"expected '<number><{base}>', got {value!r}")
+        number = _parse_with_unit(value, base)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite value, got {value!r}")
+    return number
 
 
 def parse_ratio(value: str, num_dimension: str, den_dimension: str) -> float:

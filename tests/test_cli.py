@@ -70,6 +70,27 @@ class TestValidate:
     def test_unreadable_config_exits_one(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("tau", "1e400us"),          # overflows to inf
+        ("init_area_pi", ".inf"),    # YAML infinity
+        ("splitting", "1e400Hz"),    # overflows to inf
+        ("splitting", "1e-320Hz"),   # subnormal: detector clock 1/(8 splitting) is inf
+    ])
+    def test_non_finite_sequence_value_is_a_config_error(self, tmp_path, capsys, key,
+                                                         value):
+        setting = f"tau: {value}" if key == "tau" else f"tau: 30us\n  {key}: {value}"
+        cfg = write_config(tmp_path, CLOSED_CONFIG.replace("tau: 30us", setting))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: sequence.{key}" in err
+
+    def test_log_range_through_zero_is_a_config_error(self, tmp_path, capsys):
+        text = CLOSED_CONFIG + ("studies:\n  temp_scan:\n"
+                                "    temperatures: {min: 0K, max: 5K, n: 3, log: true}\n")
+        assert main(["validate", "--config", str(write_config(tmp_path, text))]) == 1
+        assert "config error: studies.temp_scan.temperatures: a log range" in \
+            capsys.readouterr().err
+
 
 class TestQst:
     def test_noiseless_closed_system_fidelities(self, tmp_path):
@@ -140,16 +161,16 @@ class TestReproducibility:
         assert (out_a / "config_used.yaml").read_text() == CLOSED_CONFIG
 
     def test_thread_count_does_not_change_outputs(self, tmp_path):
-        text = CLOSED_CONFIG + "\n"
-        cfg = write_config(tmp_path, text.replace("ensemble: {}",
-                          "ensemble: {spin_fwhm: 20kHz, n_spin: 5}"))
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out_a),
-                     "--threads", "1"]) == 0
-        assert main(["simulate", "--config", str(cfg), "--out", str(out_b),
-                     "--threads", "4"]) == 0
-        assert (out_a / "trajectory.csv").read_bytes() == \
-            (out_b / "trajectory.csv").read_bytes()
+        # output.threads is recorded in the manifest and changes nothing else
+        text = CLOSED_CONFIG.replace("ensemble: {}", "ensemble: {spin_fwhm: 20kHz, n_spin: 5}")
+        outputs = []
+        for threads in (1, 4):
+            cfg = write_config(tmp_path, text + f"  threads: {threads}\n")
+            out = tmp_path / f"t{threads}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            assert json.loads((out / "run_manifest.json").read_text())["threads"] == threads
+            outputs.append((out / "trajectory.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_seed_changes_noisy_tomography(self, tmp_path):
         noisy = CLOSED_CONFIG.replace("seed: 7", "seed: 7\n  noise_rms: 0.01")

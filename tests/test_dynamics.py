@@ -7,7 +7,6 @@ from eitecho.dynamics import (
     PulseSpec,
     SequenceSpec,
     Wait,
-    bandwidth,
     propagate,
     run_sequence,
 )
@@ -165,18 +164,6 @@ class TestSampling:
         fine = propagate(rho, p, pulse)
         assert fine.times.size > 3
         assert np.max(np.abs(coarse.states[-1] - fine.states[-1])) <= 1e-12
-
-
-class TestBandwidth:
-    def test_two_microsecond_pulse(self):
-        bw = bandwidth(PulseSpec(duration=2e-6))
-        assert bw == pytest.approx(159.15e3, rel=1e-4)
-
-    def test_one_second_pulse(self):
-        assert bandwidth(PulseSpec(duration=1.0)) == pytest.approx(1.0 / np.pi)
-
-    def test_nanosecond_pulse(self):
-        assert bandwidth(PulseSpec(duration=6.4e-9)) == pytest.approx(49.7e6, rel=1e-3)
 
 
 class TestTrajectoryExports:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _check_physical, _segment_map,
                               _segment_params, propagate_members, run_sequence,
-                              sequence_endpoint, shared_steps)
+                              shared_steps)
 from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, ensemble_average,
                               ensemble_final_state, member_stack)
 from eitecho.errors import ConfigurationError
@@ -217,7 +217,8 @@ class TestDetectorClock:
         tick = 1.0 / (8.0 * cfg.splitting)
         assert traj.times[-1] == seq.total_duration
         assert 0.0 < traj.times[-1] - traj.times[-2] < tick
-        end = sequence_endpoint(mixed_ground, self.PARAMS, seq, zeeman_offset=TWO_PI * 8e3)
+        end = propagate_members(mixed_ground, self.PARAMS, seq, [0.0, 0.0, TWO_PI * 8e3],
+                                [1.0], len(seq.segments)).states[-1]
         assert np.max(np.abs(traj.states[-1] - end)) <= 1e-12
 
     def test_whole_number_of_ticks_has_no_end_sample(self):
@@ -284,5 +285,8 @@ class TestSubnormalDetuning:
         cfg = EchoConfig(tau=20e-6, t_init=1e-6, t_rephase=1e-6, t_readout=1e-6)
         seq = make_echo_sequence(cfg, include_readout=False)
         p = LambdaParams(delta_opt=0.3 * W, gamma_opt_decay=0.1 * W)
-        end = sequence_endpoint(MIXED_GROUND, p, seq, zeeman_offset=5e-324 * TWO_PI * 50e3)
-        assert np.max(np.abs(end - sequence_endpoint(MIXED_GROUND, p, seq))) <= 1e-12
+        end = propagate_members(MIXED_GROUND, p, seq, [0.0, 0.0, 5e-324 * TWO_PI * 50e3],
+                                [1.0], len(seq.segments)).states[-1]
+        plain = propagate_members(MIXED_GROUND, p, seq, [0.0, 0.0, 0.0], [1.0],
+                                  len(seq.segments)).states[-1]
+        assert np.max(np.abs(end - plain)) <= 1e-12

@@ -13,8 +13,6 @@ from eitecho.qstate import (
     GroundQubitState,
     bloch_vector,
     fidelity,
-    state_from_text,
-    state_to_text,
     trace_distance,
 )
 
@@ -132,23 +130,3 @@ def test_construction_preserves_hermiticity_and_positivity(seed, trace):
     assert np.linalg.eigvalsh(m).min() >= -1e-9
     assert np.linalg.norm(bloch_vector(s)) <= s.trace + 1e-9
 
-
-class TestTextSerialization:
-    def test_round_trip_3x3(self):
-        rng = np.random.default_rng(3)
-        from conftest import random_density3
-        m = random_density3(rng, trace=0.8)
-        text = state_to_text(DensityMatrix3(m))
-        back = state_from_text(text)
-        assert isinstance(back, DensityMatrix3)
-        assert np.allclose(back.matrix, m, atol=0.0)
-
-    def test_round_trip_2x2(self):
-        rng = np.random.default_rng(4)
-        m = random_qubit_state(rng, trace=0.4)
-        back = state_from_text(state_to_text(GroundQubitState(m)))
-        assert np.allclose(back.matrix, m, atol=0.0)
-
-    def test_format_is_re_im_pairs(self):
-        text = state_to_text(ket_dm([1.0, 0.0]))
-        assert text.splitlines()[0].split()[0] == "1.0+0.0i"

@@ -1,9 +1,12 @@
-"""Process start-up: which modules the CLI imports and the BLAS thread default."""
+"""Process start-up: which modules the CLI imports, the BLAS thread default and
+the package's exported names."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import eitecho
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -30,3 +33,8 @@ def test_default_start_up_is_lean_and_single_threaded():
 
 def test_user_set_blas_threads_win():
     assert start_cli(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3")[0] == "2,1,3"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in eitecho.__all__ if not hasattr(eitecho, name)]
+    assert missing == []

@@ -1,4 +1,4 @@
-"""Population reads, projection measurements, and linear-inversion reconstruction."""
+"""Noisy projection measurements and linear-inversion reconstruction."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitecho.errors import InconsistentDataError, ValidationError
-from eitecho.qstate import DensityMatrix3, GroundQubitState, KET_DARK, fidelity
+from eitecho.qstate import GroundQubitState, KET_DARK, fidelity
 from eitecho.tomography import (
-    measure_populations,
     projection_measurements,
     reconstruct,
     state_fidelity,
@@ -23,30 +22,21 @@ def ground(mat) -> GroundQubitState:
 
 
 class TestMeasurePopulations:
-    def test_dark_state_populations(self):
-        dark = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        rho = DensityMatrix3(np.outer(dark, dark.conj()))
-        assert measure_populations(rho) == pytest.approx((0.5, 0.5, 0.0))
-
-    def test_half_excited_half_dark(self):
-        dark = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        m = 0.5 * np.outer(dark, dark.conj())
-        m[2, 2] += 0.5
-        assert measure_populations(DensityMatrix3(m)) == pytest.approx(
-            (0.25, 0.25, 0.5))
+    """The noisy population reads behind every projection."""
 
     def test_noise_statistics(self):
+        # z is the difference of two independent noisy population reads
         rng = np.random.default_rng(42)
-        rho = DensityMatrix3(np.diag([0.5, 0.3, 0.2]).astype(complex))
-        reads = np.array([measure_populations(rho, 0.01, rng)[0]
+        rho = ground(np.diag([0.5, 0.3]))
+        reads = np.array([projection_measurements(rho, 0.01, rng)[2]
                           for _ in range(1000)])
-        assert reads.std() == pytest.approx(0.01, rel=0.15)
-        assert reads.mean() == pytest.approx(0.5, abs=0.002)
+        assert reads.std() == pytest.approx(np.sqrt(2.0) * 0.01, rel=0.15)
+        assert reads.mean() == pytest.approx(0.2, abs=0.002)
 
     def test_noise_requires_rng(self):
-        rho = DensityMatrix3(np.diag([1.0, 0.0, 0.0]).astype(complex))
+        rho = ground(np.diag([1.0, 0.0]))
         with pytest.raises(ValidationError, match="rng"):
-            measure_populations(rho, 0.01)
+            projection_measurements(rho, 0.01)
 
 
 class TestProjections:
@@ -122,12 +112,6 @@ class TestResultObject:
         res = tomography_of(ground(m), KET_DARK)
         assert res.fidelity_vs_target == pytest.approx(0.75, abs=1e-12)
         assert res.projections == pytest.approx((-0.5, 0.0, 0.0), abs=1e-12)
-
-    def test_exports(self):
-        m = 0.5 * np.outer(KET_DARK, KET_DARK.conj())
-        res = tomography_of(ground(m), KET_DARK)
-        assert "fidelity_vs_target" in res.to_json()
-        assert res.to_csv().count("\n") == 2
 
     def test_state_fidelity_agrees_with_pure_overlap(self):
         a = ground(np.outer(KET_DARK, KET_DARK.conj()))
