@@ -4,7 +4,7 @@ Every subcommand takes --config/--out/--seed, validates the whole config
 before any simulation starts, writes plot-ready CSV files plus a JSON run
 manifest sufficient to re-run the study, and is bitwise reproducible for a
 fixed config and seed.
-Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
+Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -239,8 +239,16 @@ config file keys (YAML; dimensioned values carry unit suffixes like 2us, 170kHz,
 """
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, a configuration error, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eitecho",
         description="All-optical EIT spin-echo simulator for three-level lambda systems.",
         epilog=CONFIG_KEYS_HELP,

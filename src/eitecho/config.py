@@ -305,6 +305,8 @@ def _sequence_from(r: _Reader, errors: list) -> EchoConfig:
     except ConfigurationError as exc:
         # EchoConfig.<field> problems name the key they come from
         errors.extend(f"sequence: {p}".replace("sequence: EchoConfig.", "sequence.")
+                      .replace("sequence.init_area ", "sequence.init_area_pi ")
+                      .replace("sequence.rephase_area ", "sequence.rephase_area_pi ")
                       for p in exc.problems)
         return EchoConfig(tau=1.0)
 

@@ -5,8 +5,12 @@ equation is a constant linear map on the flattened density matrix and the
 segment is solved exactly by its propagator expm(h * L), computed by scaling
 and squaring.  Members differ only in their detunings, which enter L as a
 diagonal shift, so one Liouvillian per segment serves the whole stack.
-Segments that need only their endpoint apply one map each (h = duration);
-sampled segments raise the map of one grid step, a whole fraction of the
+A wait's generator is diagonal apart from the two |e>-decay entries, so its
+map is written in closed form and needs no expm.  End states of a batch of
+sequences that differ only in their wait durations (a decay curve's storage
+times) are computed together: each segment's generator is built once, each
+pulse map once, and the waits are applied over (sequence x member).
+Sampled segments raise the map of one grid step, a whole fraction of the
 segment's clock (the readout's detector clock, else the duration), to
 successive powers, one block of samples per batched product.  Every sample
 is exact whatever the step, so a step only places samples, and fixed grids
@@ -225,6 +229,96 @@ def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
     return _expm(h * liouvillian(p))
 
 
+def member_generators(p: LambdaParams, segment: Segment, offsets: np.ndarray) -> np.ndarray:
+    """Generators (M, 9, 9) of one segment for the member rows of `offsets`.
+
+    One Liouvillian serves every member: a member's detunings and its Zeeman
+    offset, with the segment's ``zeeman_sign``, only shift the diagonal.
+    """
+    offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
+    shift = (np.multiply.outer(offsets[:, 0], DETUNING_OPT)
+             + np.multiply.outer(offsets[:, 1], DETUNING_SPIN)
+             + segment.zeeman_sign * np.multiply.outer(offsets[:, 2], DETUNING_SPIN))
+    gen = np.repeat(liouvillian(_segment_params(p, segment, 0.0))[None], len(offsets), axis=0)
+    gen.reshape(len(offsets), 81)[:, ::10] += shift
+    return gen
+
+
+def wait_maps(gen: np.ndarray, durations) -> np.ndarray:
+    """Maps (T, M, 9, 9) of drive-free generators (M, 9, 9) over T durations, in closed form.
+
+    Without drive the generator is diagonal apart from the decay of rho_ee
+    (flat index 8) into rho_00 and rho_11 (indices 0 and 4), so the map is
+    exp(t d) on the diagonal d, and its entry [i, 8] is
+    L[i, 8] (e^{d_8 t} - e^{d_i t}) / (d_8 - d_i) = L[i, 8] t e^{d_i t} expm1(x) / x
+    with x = (d_8 - d_i) t, read as L[i, 8] t e^{d_i t} where x = 0.  The
+    population entries d_0, d_4, d_8 are real, and x is kept real: complex
+    division by a subnormal x overflows, real division does not.
+    """
+    t = np.asarray(durations, dtype=float)[:, None]                   # (T, 1)
+    diag = np.einsum("mii->mi", gen)                                  # (M, 9)
+    maps = np.zeros((t.size,) + gen.shape, dtype=complex)
+    idx = np.arange(9)
+    maps[..., idx, idx] = np.exp(t[..., None] * diag)
+    rates = diag.real
+    for i in (0, 4):
+        x = t * (rates[:, 8] - rates[:, i])                           # (T, M)
+        ratio = np.ones_like(x)
+        nonzero = x != 0.0
+        ratio[nonzero] = np.expm1(x[nonzero]) / x[nonzero]
+        maps[..., i, 8] = gen[:, i, 8] * t * np.exp(t * rates[:, i]) * ratio
+    return maps
+
+
+def geometric_sum(step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(step^0 + ... + step^(n-1), step^n) of a stack of square maps, by binary doubling.
+
+    From the leading bit of n down, (sum, power) for m steps becomes the pair
+    for 2m (sum + power @ sum, power @ power) and, where the bit is set, for
+    2m + 1 (sum + power, power @ step).
+    """
+    total = np.zeros_like(step)
+    power = np.broadcast_to(np.eye(step.shape[-1], dtype=step.dtype), step.shape).copy()
+    for bit in bin(n)[2:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            total = total + power
+            power = power @ step
+    return total, power
+
+
+def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,
+                       offsets: np.ndarray) -> np.ndarray:
+    """End states (T, M, 9) of every member row of `offsets` after each of T sequences.
+
+    The sequences share one layout: segment k of each is the same pulse, or
+    a wait with the same Zeeman sign whose duration may differ (the storage
+    times of a decay curve).  Segment k's generator is built once for the
+    member stack (:func:`member_generators`); a pulse applies one exact map
+    to every (sequence, member) state, a wait its closed-form map
+    (:func:`wait_maps`).  The states are returned unchecked: callers apply
+    their remaining maps and then :func:`_check_physical`.
+    """
+    layout = seqs[0].segments
+    if any(len(s.segments) != len(layout) for s in seqs):
+        raise ValidationError("sequence_endpoints: sequences differ in length")
+    offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
+    v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (len(seqs), len(offsets), 1))
+    for k, seg in enumerate(layout):
+        column = [s.segments[k] for s in seqs]
+        gen = member_generators(p, seg, offsets)
+        if all(isinstance(s, Wait) and s.zeeman_sign == seg.zeeman_sign for s in column):
+            maps = wait_maps(gen, [s.duration for s in column])
+        elif all(s == seg for s in column):
+            maps = _expm(seg.duration * gen)
+        else:
+            raise ValidationError(
+                f"sequence_endpoints: segment {k} differs in more than a wait's duration")
+        v = (maps @ v[..., None])[..., 0]
+    return v
+
+
 def _step_powers(step: np.ndarray, count: int) -> np.ndarray:
     """Powers step^1 ... step^count of an (M, 9, 9) stack, built by doubling.
 
@@ -244,12 +338,15 @@ def _step_powers(step: np.ndarray, count: int) -> np.ndarray:
     return powers
 
 
-def _check_physical(finals: np.ndarray, offsets: np.ndarray) -> None:
+def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None) -> None:
     """Guard against drift: every member's final (3, 3) state must be physical.
 
-    On failure the error names the first failing member, its offsets and the
-    offending value.
+    `finals` holds one state, (3, 3) or flattened, per member (M, ...), or
+    per storage time and member (T, M, ...) for the T storage times `taus`.
+    On failure the error names the first failing member, its storage time,
+    its offsets and the offending value.
     """
+    finals = finals.reshape(-1, 3, 3)
     adjoint = finals.conj().swapaxes(1, 2)
     herm_err = np.max(np.abs(finals - adjoint), axis=(1, 2))
     herm = herm_err <= 1e-9           # False for a non-finite member too
@@ -258,12 +355,14 @@ def _check_physical(finals: np.ndarray, offsets: np.ndarray) -> None:
     bad = ~herm | (min_eig < -1e-9)
     if not bad.any():
         return
-    m = int(np.argmax(bad))
-    what = (f"produced eigenvalue {min_eig[m]:g}" if herm[m]
-            else f"lost Hermiticity by {herm_err[m]:g}")
+    i = int(np.argmax(bad))
+    what = (f"produced eigenvalue {min_eig[i]:g}" if herm[i]
+            else f"lost Hermiticity by {herm_err[i]:g}")
+    t, m = divmod(i, len(offsets))
+    when = "" if taus is None else f" at tau {taus[t]:g} s"
     a, b, z = offsets[m]
     raise ConfigurationError(
-        [f"propagation {what} in member {m} with offsets (delta_opt, delta_spin, "
+        [f"propagation {what} in member {m}{when} with offsets (delta_opt, delta_spin, "
          f"zeeman_offset) = ({a:g}, {b:g}, {z:g}) rad/s"])
 
 
@@ -291,10 +390,6 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     if dt_targets is None:
         dt_targets = shared_steps(p, seq, offsets, first_sampled)
     v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (n_members, 1))
-    # diagonal of each member's generator shift; the Zeeman part flips per segment
-    static = (np.multiply.outer(offsets[:, 0], DETUNING_OPT)
-              + np.multiply.outer(offsets[:, 1], DETUNING_SPIN))
-    zeeman = np.multiply.outer(offsets[:, 2], DETUNING_SPIN)
     times, states, segment_starts = [], [], []
     n_samples = 0
     t0 = 0.0
@@ -304,8 +399,7 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
             times.append(np.array([t0]))
             states.append((weights @ v)[None])
             n_samples = 1
-        gen = np.repeat(liouvillian(_segment_params(p, seg, 0.0))[None], n_members, axis=0)
-        gen.reshape(n_members, 81)[:, ::10] += static + seg.zeeman_sign * zeeman
+        gen = member_generators(p, seg, offsets)
         if k < first_sampled:
             v = (_expm(seg.duration * gen) @ v[:, :, None])[:, :, 0]
             t0 += seg.duration
@@ -337,7 +431,7 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
             n_samples += 1
         t0 += seg.duration
 
-    _check_physical(v.reshape(-1, 3, 3), offsets)
+    _check_physical(v, offsets)
     if first_sampled >= len(seq.segments):
         times, states = [np.array([t0])], [(weights @ v)[None]]
     return Trajectory(times=np.concatenate(times),

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SequenceSpec, Trajectory, propagate_members
+from .dynamics import (SequenceSpec, Trajectory, _check_physical, propagate_members,
+                       sequence_endpoints)
 from .errors import ValidationError
 from .lambda_system import LambdaParams
 from .qstate import DensityMatrix3
@@ -95,26 +96,26 @@ def member_stack(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(offsets), np.array(weights)
 
 
-def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
-                     first_sampled: int = 0) -> Trajectory:
+def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec) -> Trajectory:
     """Trajectory of the weight-summed states of every grid member.
 
     Every member starts from the mixed ground state, and all members share
-    one time grid.  Segments before `first_sampled` are applied as endpoint
-    maps, and the trajectory starts at the start of segment `first_sampled`.
-    The members are propagated as one stack and reduced in fixed grid order.
+    one time grid.  The members are propagated as one stack and reduced in
+    fixed grid order.
     """
     offsets, weights = member_stack(spec)
-    return propagate_members(MIXED_GROUND, base, seq, offsets, weights, first_sampled)
+    return propagate_members(MIXED_GROUND, base, seq, offsets, weights, 0)
 
 
 def ensemble_final_state(seq: SequenceSpec, base: LambdaParams,
                          spec: EnsembleSpec) -> DensityMatrix3:
     """Weighted average of every member's final state, without trajectories.
 
-    Every member starts from the mixed ground state and applies one exact map
-    per segment; the reduction runs in fixed grid order.
+    Every member starts from the mixed ground state and applies one map per
+    segment (:func:`eitecho.dynamics.sequence_endpoints` with one sequence);
+    the reduction runs in fixed grid order.
     """
     offsets, weights = member_stack(spec)
-    return propagate_members(MIXED_GROUND, base, seq, offsets, weights,
-                             len(seq.segments)).final_state
+    finals = sequence_endpoints(MIXED_GROUND, base, [seq], offsets)[0]
+    _check_physical(finals, offsets)
+    return DensityMatrix3((weights @ finals).reshape(3, 3))

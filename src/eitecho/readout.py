@@ -8,6 +8,11 @@ shows up as a tone at that splitting whose amplitude tracks the stored spin
 coherence.  Beat amplitudes are extracted by projecting the trace onto the
 known beat frequency (single-bin Fourier sum); all amplitudes are relative
 detector units.
+
+A decay curve needs only that projection, which is linear in each member's
+state at readout start: with S the one-tick readout map, the single-bin sum
+is a pair of geometric sums of S, built once per curve, applied to the
+pre-readout states of every storage time at once.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import stdtrit
 
-from .dynamics import Trajectory
-from .ensemble import EnsembleSpec, ensemble_average, ensemble_final_state
+from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _expm,
+                       geometric_sum, member_generators, sequence_endpoints)
+from .ensemble import MIXED_GROUND, EnsembleSpec, member_stack
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .sequences import SAMPLES_PER_PERIOD, EchoConfig, make_echo_sequence
@@ -114,8 +120,7 @@ def synthesize_beat(traj: Trajectory, beat_frequency: float) -> BeatTrace:
     """
     start = traj.segment_start_index("readout")
     t_rel = traj.times[start:] - traj.times[start]
-    if t_rel.size < 4:
-        raise ValidationError("synthesize_beat: readout window has too few samples")
+    _check_window_samples(t_rel.size)
     tick = 1.0 / (SAMPLES_PER_PERIOD * beat_frequency)
     grid = tick * np.arange(int(np.floor(t_rel[-1] / tick + 1e-9)) + 1)
     ticks = max(1, round(tick / t_rel[1])) * np.arange(grid.size)
@@ -134,47 +139,93 @@ def beat_amplitude(trace: BeatTrace) -> float:
     Normalized by 2/N so a pure cosine of amplitude A over an integer number
     of periods returns A exactly.
     """
-    duration = trace.times[-1] - trace.times[0]
-    if duration * trace.beat_frequency < MIN_PERIODS:
-        raise ValidationError(
-            f"beat_amplitude: window of {duration * trace.beat_frequency:.2f} periods "
-            f"is below the minimum of {MIN_PERIODS}")
+    _check_window_periods((trace.times[-1] - trace.times[0]) * trace.beat_frequency)
     phases = np.exp(-2j * np.pi * trace.beat_frequency * trace.times)
     return float(2.0 / trace.times.size * abs(np.sum(trace.signal * phases)))
+
+
+def _check_window_samples(n_samples: int) -> None:
+    if n_samples < 4:
+        raise ValidationError("synthesize_beat: readout window has too few samples")
+
+
+def _check_window_periods(periods: float) -> None:
+    if periods < MIN_PERIODS:
+        raise ValidationError(f"beat_amplitude: window of {periods:.2f} periods "
+                              f"is below the minimum of {MIN_PERIODS}")
+
+
+def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarray,
+                     weights: np.ndarray, states: np.ndarray, beat_frequency: float,
+                     taus: np.ndarray) -> np.ndarray:
+    """Beat amplitude of each storage time from the pre-readout states (T, M, 9).
+
+    The readout is sampled on the detector clock: with S the one-tick map and
+    n ticks, tick k reads the |1>-|e> coherence c_k = e5^T S^k v, so the
+    single-bin sum of synthesize_beat and beat_amplitude is
+    (2/n) |1/2 e5^T F_a v + 1/2 conj(e5^T F_b v)|, weight-summed over members,
+    with F_a = sum_k S^k and F_b = sum_k (e^{2i w dt} S)^k, k = 0 ... n-1.
+    Every (storage time, member) state is checked after the full readout map.
+    """
+    tick = readout.clock_dt
+    n_steps = int(np.floor(readout.duration / tick + 1e-9))
+    rest = readout.duration - n_steps * tick
+    _check_window_samples(n_steps + 1 + (rest > 1e-9 * tick))
+    _check_window_periods(n_steps * tick * beat_frequency)
+    gen = member_generators(params, readout, offsets)
+    step = _expm(tick * gen)
+    twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * tick)     # e^{2i w dt}
+    sums, powers = geometric_sum(np.stack([step, twist * step]), n_steps)
+    rows = (sums + powers)[:, :, 5, :]            # e5^T F_a and e5^T F_b: (2, M, 9)
+    full = powers[0] if rest <= 1e-9 * tick else _expm(rest * gen) @ powers[0]
+    _check_physical(full @ states[..., None], offsets, taus)
+    a, b = np.einsum("smi,tmi->stm", rows, states) @ weights
+    return DETECTOR_SCALE * 2.0 / (n_steps + 1) * np.abs(0.5 * a + 0.5 * np.conj(b))
+
+
+def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
+                     spec: EnsembleSpec, mode: str) -> np.ndarray:
+    """Echo amplitude at each storage time: every echo of a curve in one pass."""
+    if mode not in ("beat", "proxy"):
+        raise ValidationError(f"echo_amplitude: unknown mode {mode!r}")
+    seqs = [make_echo_sequence(replace(cfg, tau=tau), include_readout=mode == "beat")
+            for tau in taus]
+    offsets, weights = member_stack(spec)
+    if mode == "proxy":
+        states = sequence_endpoints(MIXED_GROUND, params, seqs, offsets)
+        _check_physical(states, offsets, taus)
+        return np.abs(states[..., 1] @ weights)
+    stored = sequence_endpoints(MIXED_GROUND, params,
+                                [SequenceSpec(segments=s.segments[:-1]) for s in seqs], offsets)
+    return _beat_amplitudes(seqs[0].segments[-1], params, offsets, weights, stored,
+                            cfg.splitting, taus)
 
 
 def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,
                    tau: float, mode: str = "beat") -> float:
     """One echo simulation reduced to a single amplitude.
 
-    mode 'beat' runs the readout pulse, samples only its window and extracts
-    the Fourier amplitude of the synthesized beat; mode 'proxy' skips the
+    mode 'beat' runs the readout pulse and returns the Fourier amplitude of
+    the beat the detector would synthesize from it; mode 'proxy' skips the
     readout entirely and reports |<coh01>| at the moment the readout would
     start (fast path for sweeps; proportional to the beat amplitude because
     the readout map is linear in the stored coherence).
     """
-    cfg_tau = replace(cfg, tau=tau)
-    if mode == "proxy":
-        seq = make_echo_sequence(cfg_tau, include_readout=False)
-        final = ensemble_final_state(seq, params, spec)
-        return abs(complex(final.matrix[0, 1]))
-    if mode != "beat":
-        raise ValidationError(f"echo_amplitude: unknown mode {mode!r}")
-    seq = make_echo_sequence(cfg_tau, include_readout=True)
-    # the beat reads only the readout window, which is the last segment
-    avg = ensemble_average(seq, params, spec, first_sampled=len(seq.segments) - 1)
-    trace = synthesize_beat(avg, beat_frequency=cfg.splitting)
-    return beat_amplitude(trace)
+    return float(_echo_amplitudes(cfg, np.array([tau], dtype=float), params, spec, mode)[0])
 
 
 def assemble_decay_curve(cfg: EchoConfig, taus, params: LambdaParams,
                          spec: EnsembleSpec, mode: str = "beat") -> DecayCurve:
-    """One echo simulation plus amplitude extraction per storage time."""
+    """Echo amplitude versus storage time, all storage times in one pass.
+
+    Each segment's generator and each pulse map is built once for the curve;
+    the waits, which alone depend on the storage time, are applied in closed
+    form (see :func:`eitecho.dynamics.sequence_endpoints`).
+    """
     taus = np.asarray(list(taus), dtype=float)
     if taus.size < 3:
         raise ValidationError("assemble_decay_curve needs at least 3 storage times")
-    amps = [echo_amplitude(cfg, params, spec, tau, mode=mode) for tau in taus]
-    return DecayCurve(taus=taus, amplitudes=np.array(amps))
+    return DecayCurve(taus=taus, amplitudes=_echo_amplitudes(cfg, taus, params, spec, mode))
 
 
 def _model(theta: np.ndarray, taus: np.ndarray) -> np.ndarray:

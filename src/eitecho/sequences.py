@@ -75,6 +75,16 @@ class EchoConfig:
                             f"clock, got {self.splitting} Hz")
         if self.init_area <= 0.0 or self.rephase_area <= 0.0:
             problems.append("EchoConfig pulse areas must be > 0")
+        elif self.t_init > 0.0 and self.t_rephase > 0.0:
+            # a finite area over a short pulse can still overflow the drive
+            for name, rabi, duration in (("init_area", self.init_rabi, self.t_init),
+                                         ("rephase_area", self.rephase_rabi, self.t_rephase)):
+                if not math.isfinite(rabi):
+                    problems.append(f"EchoConfig.{name} over a {duration:g} s pulse implies "
+                                    f"a Rabi frequency of {rabi} rad/s, which is not finite")
+        if self.readout_rabi is not None and not 0.0 <= self.readout_rabi < math.inf:
+            problems.append(f"EchoConfig.readout_rabi must be finite and >= 0, "
+                            f"got {self.readout_rabi} rad/s")
         if not self.tau > self.t_init + self.t_rephase + self.t_readout:
             problems.append(
                 f"EchoConfig.tau ({self.tau}) must exceed the summed pulse durations")

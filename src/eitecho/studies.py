@@ -282,16 +282,23 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     and refined by golden section to below the requested tolerance; two
     passes over the axes in a fixed order keep the search deterministic.
     The reported objective is the fitted T2 at the found compensation.
+    Each axis's coarse scan revisits the current point, so curves are kept
+    by the exact bytes of (compensation, storage times) and computed once;
+    ``evaluations`` still counts every objective call.
     """
     taus = np.asarray(list(taus), dtype=float)
 
     evaluations = 0
+    curves: dict = {}
 
     def curve_for(comp: np.ndarray, window: np.ndarray) -> DecayCurve:
-        trial = replace(m, compensation_vector=tuple(comp))
-        splitting = splitting_from_field(trial)
-        member_spec = replace(spec, zeeman_branches=branches_for_splitting(splitting))
-        return assemble_decay_curve(cfg, window, params, member_spec, mode=mode)
+        key = (comp.tobytes(), window.tobytes())
+        if key not in curves:
+            trial = replace(m, compensation_vector=tuple(comp))
+            splitting = splitting_from_field(trial)
+            member_spec = replace(spec, zeeman_branches=branches_for_splitting(splitting))
+            curves[key] = assemble_decay_curve(cfg, window, params, member_spec, mode=mode)
+        return curves[key]
 
     def modulation(comp: np.ndarray, window: np.ndarray) -> float:
         nonlocal evaluations

@@ -1,12 +1,17 @@
 """End-to-end CLI behavior: exit codes, outputs, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eitecho.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 CLOSED_CONFIG = """\
 physics: {}
@@ -75,6 +80,10 @@ class TestValidate:
         ("init_area_pi", ".inf"),    # YAML infinity
         ("splitting", "1e400Hz"),    # overflows to inf
         ("splitting", "1e-320Hz"),   # subnormal: detector clock 1/(8 splitting) is inf
+        # finite values whose Rabi frequency overflows
+        ("init_area_pi", "1e308"),
+        ("rephase_area_pi", "1e308"),
+        ("readout_rabi", "1e308Hz"),
     ])
     def test_non_finite_sequence_value_is_a_config_error(self, tmp_path, capsys, key,
                                                          value):
@@ -90,6 +99,24 @@ class TestValidate:
         assert main(["validate", "--config", str(write_config(tmp_path, text))]) == 1
         assert "config error: studies.temp_scan.temperatures: a log range" in \
             capsys.readouterr().err
+
+
+class TestArgumentErrors:
+    @staticmethod
+    def run_cli(*args) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        return subprocess.run([sys.executable, "-m", "eitecho.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_unknown_argument_exits_one(self):
+        done = self.run_cli("validate", "--bogus")
+        assert done.returncode == 1
+        assert "unrecognized arguments: --bogus" in done.stderr
+
+    def test_help_exits_zero(self):
+        done = self.run_cli("validate", "--help")
+        assert done.returncode == 0
+        assert "--config" in done.stdout
 
 
 class TestQst:

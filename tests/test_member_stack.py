@@ -132,10 +132,9 @@ class TestStackedPropagator:
 
         times, states, starts = reference_average(seq, base, spec, first_sampled, steps)
         if first_sampled < len(seq.segments):
-            avg = (ensemble_average(seq, base, spec, first_sampled=first_sampled)
-                   if dt_cap is None else
-                   propagate_members(MIXED_GROUND, base, seq, offsets, weights,
-                                     first_sampled, dt_targets=steps))
+            avg = propagate_members(MIXED_GROUND, base, seq, offsets, weights,
+                                    first_sampled,
+                                    dt_targets=None if dt_cap is None else steps)
             assert np.array_equal(avg.times, times)
             assert avg.segment_starts == starts
             assert np.max(np.abs(averaged_states(avg) - states)) <= 1e-10
@@ -191,7 +190,8 @@ class TestDetectorClock:
         seq = make_echo_sequence(cfg)
         tick = 1.0 / (8.0 * cfg.splitting)
         rest = cfg.t_readout - 40 * tick
-        avg = ensemble_average(seq, self.PARAMS, spec, first_sampled=len(seq.segments) - 1)
+        avg = propagate_members(MIXED_GROUND, self.PARAMS, seq, *member_stack(spec),
+                                len(seq.segments) - 1)
         expected = 0.0
         for (d_opt, d_spin, zeeman), weight in zip(*member_stack(spec)):
             p = self.PARAMS.replace(delta_opt=self.PARAMS.delta_opt + d_opt,

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import eitecho.studies as studies
 from eitecho.ensemble import EnsembleSpec
 from eitecho.errors import ValidationError
 from eitecho.lambda_system import LambdaParams
+from eitecho.readout import assemble_decay_curve
 from eitecho.sequences import EchoConfig
 from eitecho.studies import (
     FieldModel,
@@ -155,6 +157,26 @@ class TestCompensationSearch:
         assert res.warning is None
         for found, ambient in zip(res.compensation, model.field_vector):
             assert abs(found + ambient) < 1e-6
+
+    def test_repeated_curves_are_computed_once(self, monkeypatch):
+        # criterion 12's search: each axis's coarse scan revisits the current
+        # point, 8 of the 216 curves it asks for
+        computed = []
+
+        def counting(*args, **kwargs):
+            computed.append(args)
+            return assemble_decay_curve(*args, **kwargs)
+
+        monkeypatch.setattr(studies, "assemble_decay_curve", counting)
+        cfg = EchoConfig(tau=30e-6)
+        taus = np.linspace(15e-6, 120e-6, 6)
+        ambient = (20e-6, -10e-6, 45e-6)
+        res = compensation_search(FieldModel(field_vector=ambient), cfg, PARAMS, SINGLE,
+                                  taus, tol=1e-6, mode="proxy")
+        assert res.evaluations == 215
+        assert len(computed) == 208
+        assert all(abs(found + true) < 1e-6 for found, true in zip(res.compensation, ambient))
+        assert res.warning is None
 
     def test_zero_ambient_stays_at_zero(self):
         cfg = EchoConfig(tau=30e-6)
