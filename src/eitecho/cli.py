@@ -3,7 +3,10 @@
 Every subcommand takes --config/--out/--seed, validates the whole config
 before any simulation starts, writes plot-ready CSV files plus a JSON run
 manifest sufficient to re-run the study, and is bitwise reproducible for a
-fixed config and seed.
+fixed config and seed.  A study runs all its numerics before it yields its
+first (file name, text) pair, and `main` is the one writer: it writes each
+output, then the manifest naming them, so a run that fails leaves only
+config_used.yaml.
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical failure.
 """
 
@@ -14,6 +17,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +63,6 @@ def _config_as_dict(obj):
     return obj
 
 
-def _write(outdir: Path, name: str, text: str, written: list) -> None:
-    path = outdir / name
-    path.write_text(text)
-    written.append(name)
-
-
 def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, written: list) -> None:
     manifest = {
         "subcommand": subcommand,
@@ -77,29 +75,23 @@ def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, written: list
     (outdir / "run_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
 
 
-def _cmd_validate(cfg: RunConfig, outdir: Path) -> None:
-    print("config OK")
-
-
-def _cmd_simulate(cfg: RunConfig, outdir: Path) -> None:
+def _cmd_simulate(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     seq = make_echo_sequence(cfg.sequence)
     avg = ensemble_average(seq, cfg.physics, cfg.ensemble)
-    written: list = []
-    _write(outdir, "trajectory.csv", avg.to_csv(), written)
-    _write(outdir, "bloch_path.csv", avg.bloch_path_csv(), written)
     trace = synthesize_beat(avg, beat_frequency=cfg.sequence.splitting)
-    _write(outdir, "beat_trace.csv", trace.to_csv(), written)
     summary = {
         "beat_amplitude": beat_amplitude(trace),
         "stored_coherence_at_readout":
             abs(complex(avg.coherence01[avg.segment_start_index("readout")])),
     }
-    _write(outdir, "echo_summary.json", json.dumps(summary, sort_keys=True), written)
-    _write_manifest(outdir, cfg, "simulate", written)
     print(f"echo simulated: beat amplitude {summary['beat_amplitude']:.6g}")
+    yield "trajectory.csv", avg.to_csv()
+    yield "bloch_path.csv", avg.bloch_path_csv()
+    yield "beat_trace.csv", trace.to_csv()
+    yield "echo_summary.json", json.dumps(summary, sort_keys=True)
 
 
-def _cmd_bloch_path(cfg: RunConfig, outdir: Path) -> None:
+def _cmd_bloch_path(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     """Paths of the two computational ground components under the EIT pulses."""
     rows = []
     stages = {
@@ -113,11 +105,8 @@ def _cmd_bloch_path(cfg: RunConfig, outdir: Path) -> None:
             traj = run_sequence(rho0, cfg.physics, seq)
             table = np.column_stack([traj.times, traj.bloch_path(), traj.populations[:, 2]])
             rows.extend([stage, comp, *cells] for cells in table.tolist())
-    written: list = []
-    _write(outdir, "bloch_path.csv", csv_text("stage,component,time_s,x,y,z,pop_e", rows),
-           written)
-    _write_manifest(outdir, cfg, "bloch-path", written)
     print(f"bloch paths written for {len(stages)} stages")
+    yield "bloch_path.csv", csv_text("stage,component,time_s,x,y,z,pop_e", rows)
 
 
 def _qst_cases(cfg: RunConfig):
@@ -133,7 +122,7 @@ def _qst_cases(cfg: RunConfig):
     ]
 
 
-def _cmd_qst(cfg: RunConfig, outdir: Path) -> None:
+def _cmd_qst(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     rng = np.random.default_rng(cfg.seed)
     rows = []
     results = {}
@@ -150,46 +139,37 @@ def _cmd_qst(cfg: RunConfig, outdir: Path) -> None:
         results[name] = {"projections": [x, y, z], "fidelity_pure_target": f_pure,
                          "fidelity_vs_ideal": f_ideal}
         print(f"{name}: fidelity vs pure target {f_pure:.4f}, vs ideal run {f_ideal:.4f}")
-    written: list = []
-    _write(outdir, "qst.csv",
-           csv_text("case,x,y,z,fidelity_pure_target,fidelity_vs_ideal", rows), written)
-    _write(outdir, "qst.json", json.dumps(results, sort_keys=True), written)
-    _write_manifest(outdir, cfg, "qst", written)
+    yield "qst.csv", csv_text("case,x,y,z,fidelity_pure_target,fidelity_vs_ideal", rows)
+    yield "qst.json", json.dumps(results, sort_keys=True)
 
 
-def _cmd_field_sweep(cfg: RunConfig, outdir: Path) -> None:
+def _cmd_field_sweep(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     points = field_sweep(cfg.field_sweep.fields, cfg.sequence, cfg.physics,
                          cfg.ensemble, cfg.field_sweep.taus,
                          model=cfg.field_model, mode=cfg.readout_mode)
-    written: list = []
-    _write(outdir, "field_sweep.csv", field_sweep_csv(points), written)
-    _write(outdir, "field_fits.csv", field_fits_csv(points), written)
-    _write_manifest(outdir, cfg, "field-sweep", written)
     print(f"field sweep: {len(points)} fields x {cfg.field_sweep.taus.size} storage times")
+    yield "field_sweep.csv", field_sweep_csv(points)
+    yield "field_fits.csv", field_fits_csv(points)
 
 
-def _cmd_temp_scan(cfg: RunConfig, outdir: Path) -> None:
+def _cmd_temp_scan(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     tm = cfg.temperature_model()
     points = temperature_scan(cfg.temp_scan.temperatures, tm, cfg.sequence,
                               cfg.physics, cfg.ensemble, cfg.temp_scan.taus,
                               mode="proxy")
-    written: list = []
-    _write(outdir, "temp_scan.csv", temperature_scan_csv(points), written)
-    _write_manifest(outdir, cfg, "temp-scan", written)
     print(f"temperature scan: {len(points)} points")
+    yield "temp_scan.csv", temperature_scan_csv(points)
 
 
-def _cmd_scaling(cfg: RunConfig, outdir: Path) -> None:
+def _cmd_scaling(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     points = scaling_study(cfg.scaling.t2_opt_values, cfg.scaling_model,
                            cfg.sequence, cfg.physics, cfg.ensemble,
                            tau_in_pulses=cfg.scaling.tau_in_pulses)
-    written: list = []
-    _write(outdir, "scaling.csv", scaling_csv(points), written)
-    _write_manifest(outdir, cfg, "scaling", written)
     print(f"scaling study: {len(points)} optical-T2 points")
+    yield "scaling.csv", scaling_csv(points)
 
 
-def _cmd_compensate(cfg: RunConfig, outdir: Path) -> None:
+def _cmd_compensate(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     model = FieldModel(g_factor=cfg.field_model.g_factor,
                        field_vector=cfg.compensation.ambient_field)
     result = compensation_search(model, cfg.sequence, cfg.physics, cfg.ensemble,
@@ -197,17 +177,14 @@ def _cmd_compensate(cfg: RunConfig, outdir: Path) -> None:
                                  search_range=cfg.compensation.search_range,
                                  tol=cfg.compensation.tolerance,
                                  mode=cfg.readout_mode)
-    written: list = []
-    _write(outdir, "compensation.json", compensation_json(result), written)
-    _write_manifest(outdir, cfg, "compensate", written)
     comp_ut = ", ".join(f"{1e6 * c:.2f}" for c in result.compensation)
     print(f"compensation field: ({comp_ut}) uT in {result.evaluations} evaluations")
     if result.warning:
         print(f"warning: {result.warning}", file=sys.stderr)
+    yield "compensation.json", compensation_json(result)
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
     "simulate": _cmd_simulate,
     "bloch-path": _cmd_bloch_path,
     "qst": _cmd_qst,
@@ -265,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         "scaling": "end-of-sequence fidelity versus optical coherence time",
         "compensate": "search the three-axis compensation field",
     }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=help_text[name])
+    for name, text in help_text.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", type=Path, default=None,
                        help="YAML config file (built-in defaults when omitted)")
         p.add_argument("--out", type=Path, default=None,
@@ -296,14 +273,20 @@ def main(argv=None) -> int:
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=str(args.out))
 
+    if args.command == "validate":
+        print("config OK")
+        return EXIT_OK
     outdir = Path(cfg.output_dir)
-    if args.command != "validate":
-        outdir.mkdir(parents=True, exist_ok=True)
-        # alongside the manifest this makes any run re-runnable from its outputs
-        (outdir / "config_used.yaml").write_text(text)
+    outdir.mkdir(parents=True, exist_ok=True)
+    # alongside the manifest this makes any run re-runnable from its outputs
+    (outdir / "config_used.yaml").write_text(text)
 
+    written = []
     try:
-        _COMMANDS[args.command](cfg, outdir)
+        for name, output in _COMMANDS[args.command](cfg):
+            (outdir / name).write_text(output)
+            written.append(name)
+            del output    # release each output before the next one is built
     except ConfigurationError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -311,6 +294,7 @@ def main(argv=None) -> int:
     except (FitFailureError, ValidationError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    _write_manifest(outdir, cfg, args.command, written)
     return EXIT_OK
 
 

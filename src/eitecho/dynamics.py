@@ -30,7 +30,8 @@ from .qstate import DensityMatrix3
 from .units import csv_text
 
 # Default sampling grid: fine enough that the sampled coherences resolve
-# every drive, detuning and decay time scale.
+# every drive and detuning oscillation.  Every sample is an exact map, so a
+# decay rate leaves nothing to resolve and does not set the grid.
 DEFAULT_STEPS_FRACTION = 1.0 / 50.0
 DEFAULT_PHASE_PER_STEP = 0.01
 
@@ -192,23 +193,19 @@ def default_step(p: LambdaParams, segment: Segment) -> float:
     dt = segment.duration * DEFAULT_STEPS_FRACTION
     # frame_offset is excluded: a uniform diagonal shift cancels exactly in
     # the commutator and never moves the state
-    f = max(p.rabi0, p.rabi1, abs(p.delta_opt), abs(p.delta_spin),
-            p.gamma_opt_decay, p.gamma_opt_deph, p.gamma_spin_deph)
+    f = max(p.rabi0, p.rabi1, abs(p.delta_opt), abs(p.delta_spin))
     if f > 0.0:
         dt = min(dt, DEFAULT_PHASE_PER_STEP / f)
     return dt
 
 
-def shared_steps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray,
-                 first_sampled: int) -> list:
-    """Default steps from `first_sampled` on, for frequencies bounding every member."""
+def shared_steps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) -> list:
+    """Default step of every segment, for frequencies bounding every member."""
     envelope = p.replace(
         delta_opt=float(np.max(np.abs(p.delta_opt + offsets[:, 0]))),
         delta_spin=float(np.max(abs(p.delta_spin) + np.abs(offsets[:, 1])
                                 + np.abs(offsets[:, 2]))))
-    return [None if k < first_sampled
-            else default_step(_segment_params(envelope, seg, 0.0), seg)
-            for k, seg in enumerate(seq.segments)]
+    return [default_step(_segment_params(envelope, seg, 0.0), seg) for seg in seq.segments]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -367,44 +364,35 @@ def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None) -> None:
 
 
 def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
-                      offsets: np.ndarray, weights: np.ndarray, first_sampled: int,
+                      offsets: np.ndarray, weights: np.ndarray,
                       dt_targets: list | None = None) -> Trajectory:
-    """Weight-summed trajectory of a stack of members that all start in `rho0`.
+    """Weight-summed trajectory from t = 0 of a stack of members that all start in `rho0`.
 
     Member m is `p` with offsets[m, 0] added to the optical detuning and
     offsets[m, 1] to the spin detuning; its Zeeman offset offsets[m, 2] is
-    added to the spin detuning with each segment's ``zeeman_sign``.  Segments
-    before `first_sampled` apply one exact map each.  From `first_sampled` on,
-    segment k is sampled every clock/n, for the least n whose step is no
-    coarser than dt_targets[k] (default: :func:`shared_steps`), which must
-    be finite and > 0; if the duration is not a whole number of steps, one
-    more exact map adds a sample at the segment's end.  The trajectory starts
-    at the start of segment `first_sampled`; with
-    ``first_sampled == len(seq.segments)`` it holds only the final state.
-    Each block of samples is summed over the weighted member states by one
-    product in fixed member order; only the weighted sum is stored.
+    added to the spin detuning with each segment's ``zeeman_sign``.  Segment
+    k is sampled every clock/n, for the least n whose step is no coarser
+    than dt_targets[k] (default: :func:`shared_steps`), which must be finite
+    and > 0; if the duration is not a whole number of steps, one more exact
+    map adds a sample at the segment's end.  Each block of samples is summed
+    over the weighted member states by one product in fixed member order;
+    only the weighted sum is stored.
     """
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     weights = np.asarray(weights, dtype=float)
     n_members = weights.size
     if dt_targets is None:
-        dt_targets = shared_steps(p, seq, offsets, first_sampled)
+        dt_targets = shared_steps(p, seq, offsets)
+    elif len(dt_targets) != len(seq.segments):
+        raise ConfigurationError([f"one step per segment: got {len(dt_targets)} entries "
+                                  f"for {len(seq.segments)} segments"])
     v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (n_members, 1))
-    times, states, segment_starts = [], [], []
-    n_samples = 0
+    times, states, segment_starts = [np.array([0.0])], [(weights @ v)[None]], []
+    n_samples = 1
     t0 = 0.0
 
     for k, seg in enumerate(seq.segments):
-        if k == first_sampled:
-            times.append(np.array([t0]))
-            states.append((weights @ v)[None])
-            n_samples = 1
         gen = member_generators(p, seg, offsets)
-        if k < first_sampled:
-            v = (_expm(seg.duration * gen) @ v[:, :, None])[:, :, 0]
-            t0 += seg.duration
-            continue
-
         segment_starts.append((n_samples - 1, seg))
         dt_target = dt_targets[k]
         if not 0.0 < dt_target < np.inf:
@@ -432,8 +420,6 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         t0 += seg.duration
 
     _check_physical(v, offsets)
-    if first_sampled >= len(seq.segments):
-        times, states = [np.array([t0])], [(weights @ v)[None]]
     return Trajectory(times=np.concatenate(times),
                       states=np.concatenate(states).reshape(-1, 3, 3),
                       segment_starts=segment_starts)
@@ -447,7 +433,7 @@ def propagate(rho0: DensityMatrix3, p: LambdaParams, pulse: Segment,
     segment's clock (its duration unless a detector clock is set) no coarser
     than `dt`.  Each sample is an exact map, so a coarse `dt` is exact at its
     sample times.  With dt omitted the default grid resolves the
-    drive strength, detunings and rates.
+    drive strength and detunings.
     """
     return run_sequence(rho0, p, SequenceSpec(segments=(pulse,)),
                         dt_overrides=None if dt is None else [dt])
@@ -464,9 +450,5 @@ def run_sequence(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     replaces the default sampling grid; it only places samples, each of which
     is exact.
     """
-    if dt_overrides is not None and len(dt_overrides) != len(seq.segments):
-        raise ConfigurationError([f"dt_overrides has {len(dt_overrides)} entries "
-                                  f"for {len(seq.segments)} segments"])
-    return propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0], 0,
-                             dt_overrides)
+    return propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0], dt_overrides)
 

@@ -104,7 +104,7 @@ def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec) 
     fixed grid order.
     """
     offsets, weights = member_stack(spec)
-    return propagate_members(MIXED_GROUND, base, seq, offsets, weights, 0)
+    return propagate_members(MIXED_GROUND, base, seq, offsets, weights)
 
 
 def ensemble_final_state(seq: SequenceSpec, base: LambdaParams,

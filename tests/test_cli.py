@@ -146,6 +146,28 @@ class TestNumericalFailureExit:
         assert "numerical failure" in capsys.readouterr().err
 
 
+class TestOneWriter:
+    def test_failed_run_leaves_only_the_config(self, tmp_path, capsys):
+        # a 0.3 us readout holds too few detector ticks for the beat: the run
+        # fails after the trajectory is computed and must write no result file
+        bad = CLOSED_CONFIG.replace("tau: 30us", "tau: 30us\n  t_readout: 0.3us")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(write_config(tmp_path, bad)),
+                     "--out", str(out)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config_used.yaml"]
+
+    def test_manifest_lists_every_file_written(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(write_config(tmp_path, CLOSED_CONFIG)),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["subcommand"] == "simulate"
+        written = {p.name for p in out.iterdir()} - {"config_used.yaml", "run_manifest.json"}
+        assert set(manifest["outputs"]) == written
+        assert len(manifest["outputs"]) == len(written) == 4
+
+
 class TestFieldSweep:
     def test_shape_of_outputs(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_CONFIG)

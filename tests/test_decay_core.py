@@ -2,8 +2,8 @@
 
 The closed-form wait map is checked against `expm` of the same generator, the
 geometric-sum readout against the beat synthesized from explicitly sampled
-detector ticks, and whole decay curves against one sampled `propagate_members`
-run per storage time.  A non-physical (storage time, member) state must be
+detector ticks, and whole decay curves against one full sampled
+`propagate_members` trajectory per storage time.  A non-physical (storage time, member) state must be
 named in the error.
 """
 
@@ -141,17 +141,19 @@ class TestBeatFunctional:
 
 
 def per_tau_reference(cfg, taus, p, spec, mode) -> np.ndarray:
-    """One sampled `propagate_members` run per storage time."""
+    """One full sampled `propagate_members` trajectory per storage time.
+
+    Proxy mode reads the final state, beat mode the beat synthesized from the
+    sampled readout window.
+    """
     offsets, weights = member_stack(spec)
     amps = []
     for tau in taus:
         seq = make_echo_sequence(replace(cfg, tau=tau), include_readout=mode == "beat")
+        traj = propagate_members(MIXED_GROUND, p, seq, offsets, weights)
         if mode == "proxy":
-            end = propagate_members(MIXED_GROUND, p, seq, offsets, weights, len(seq.segments))
-            amps.append(abs(end.states[-1][0, 1]))
+            amps.append(abs(traj.states[-1][0, 1]))
         else:
-            traj = propagate_members(MIXED_GROUND, p, seq, offsets, weights,
-                                     len(seq.segments) - 1)
             amps.append(beat_amplitude(synthesize_beat(traj, cfg.splitting)))
     return np.array(amps)
 
@@ -178,8 +180,7 @@ class TestWholeCurve:
         seq = make_echo_sequence(EchoConfig(tau=20e-6))
         offsets, weights = member_stack(GRID)
         end = sequence_endpoints(MIXED_GROUND, PARAMS, [seq], offsets)[0]
-        ref = propagate_members(MIXED_GROUND, PARAMS, seq, offsets, weights,
-                                len(seq.segments)).states[-1]
+        ref = propagate_members(MIXED_GROUND, PARAMS, seq, offsets, weights).states[-1]
         assert np.max(np.abs((weights @ end).reshape(3, 3) - ref)) <= 1e-12
 
 

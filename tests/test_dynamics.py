@@ -7,7 +7,9 @@ from eitecho.dynamics import (
     PulseSpec,
     SequenceSpec,
     Wait,
+    default_step,
     propagate,
+    propagate_members,
     run_sequence,
 )
 from eitecho.errors import ConfigurationError, ValidationError
@@ -47,6 +49,12 @@ class TestSpecs:
             run_sequence(mixed_ground, LambdaParams(),
                          SequenceSpec(segments=(Wait(duration=1e-6), Wait(duration=1e-6))),
                          dt_overrides=[1e-7])
+
+    def test_dt_targets_length_must_match(self, mixed_ground):
+        seq = make_echo_sequence(EchoConfig(tau=30e-6))
+        with pytest.raises(ConfigurationError, match="1 entries for 6 segments"):
+            propagate_members(mixed_ground, LambdaParams(), seq, [0.0, 0.0, 0.0], [1.0],
+                              dt_targets=[1e-7])
 
 
 class TestPulses:
@@ -152,6 +160,18 @@ class TestSampling:
         assert np.max(np.diff(traj.times)) <= 0.05e-6 + 1e-18
         coarse = run_sequence(mixed_ground, LambdaParams(), seq)
         assert traj.times.size > coarse.times.size
+
+    @pytest.mark.parametrize("segment", [Wait(duration=10e-6),
+                                         PulseSpec(duration=2e-6, rabi0=1e6, rabi1=2e6)],
+                             ids=["wait", "pulse"])
+    @pytest.mark.parametrize("rate", ["gamma_opt_decay", "gamma_opt_deph",
+                                      "gamma_spin_deph"])
+    def test_decay_rates_do_not_set_the_grid(self, segment, rate):
+        # every sample is an exact map, so a fast decay leaves nothing to resolve
+        p = LambdaParams(delta_opt=2e5, delta_spin=-3e4)
+        if isinstance(segment, PulseSpec):
+            p = p.replace(rabi0=segment.rabi0, rabi1=segment.rabi1)
+        assert default_step(p.replace(**{rate: 1e10}), segment) == default_step(p, segment)
 
     def test_coarse_step_is_exact_at_its_samples(self):
         # dt = duration/2 is far coarser than the default grid of a 1 Mrad/s

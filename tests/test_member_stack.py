@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _check_physical, _segment_map,
                               _segment_params, propagate_members, run_sequence,
-                              shared_steps)
+                              sequence_endpoints, shared_steps)
 from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, ensemble_average,
                               ensemble_final_state, member_stack)
 from eitecho.errors import ConfigurationError
@@ -29,7 +29,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def reference_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
-                      first_sampled: int, steps: list):
+                      steps: list):
     """Per-member loop of `_segment_map(member params, dt) @ v`, then the weighted sum.
 
     A sampled segment steps by the least whole fraction of its clock (the
@@ -42,17 +42,10 @@ def reference_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
         p = base.replace(delta_opt=base.delta_opt + d_opt,
                          delta_spin=base.delta_spin + d_spin)
         v = MIXED_GROUND.matrix.reshape(9)
-        times, rows, starts = [], [], []
+        times, rows, starts = [0.0], [v], []
         t0 = 0.0
         for k, seg in enumerate(seq.segments):
             pseg = _segment_params(p, seg, zeeman)
-            if k < first_sampled:
-                v = _segment_map(pseg, seg.duration) @ v
-                t0 += seg.duration
-                continue
-            if k == first_sampled:
-                times.append(t0)
-                rows.append(v)
             starts.append((len(times) - 1, seg))
             clock = seg.clock_dt if isinstance(seg, PulseSpec) and seg.clock_dt else seg.duration
             dt = clock / max(1, int(np.ceil(clock / steps[k] - 1e-12)))
@@ -68,8 +61,6 @@ def reference_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec,
                 times.append(t0 + seg.duration)
                 rows.append(v)
             t0 += seg.duration
-        if first_sampled == len(seq.segments):
-            times, rows = [t0], [v]
         total = total + weight * np.array(rows)
     return np.array(times), total.reshape(-1, 3, 3), starts
 
@@ -115,34 +106,28 @@ def base_params(draw) -> LambdaParams:
 class TestStackedPropagator:
     @settings(max_examples=15, deadline=None)
     @given(ensembles(), base_params(), st.floats(4e-6, 8e-6), st.booleans(),
-           st.one_of(st.none(), st.floats(5e-9, 50e-9)), st.integers(0, 5))
+           st.one_of(st.none(), st.floats(5e-9, 50e-9)))
     @example(EnsembleSpec(optical_fwhm=200e3, spin_fwhm=50e3, n_optical=3, n_spin=3,
                           zeeman_branches=((-20e3, 0.3), (20e3, 0.7))),
              LambdaParams(delta_opt=TWO_PI * 50e3, delta_spin=TWO_PI * 5e3),
-             6e-6, True, None, 0)
-    def test_matches_per_member_reference(self, spec, base, tau, readout, dt_cap,
-                                          first_sampled):
+             6e-6, True, None)
+    def test_matches_per_member_reference(self, spec, base, tau, readout, dt_cap):
         cfg = EchoConfig(tau=tau, t_init=0.5e-6, t_rephase=0.5e-6, t_readout=0.5e-6)
         seq = make_echo_sequence(cfg, include_readout=readout)
-        first_sampled = min(first_sampled, len(seq.segments))
         offsets, weights = member_stack(spec)
-        steps = shared_steps(base, seq, offsets, first_sampled)
+        steps = shared_steps(base, seq, offsets)
         if dt_cap is not None:
-            steps = [None if s is None else min(s, dt_cap) for s in steps]
+            steps = [min(s, dt_cap) for s in steps]
 
-        times, states, starts = reference_average(seq, base, spec, first_sampled, steps)
-        if first_sampled < len(seq.segments):
-            avg = propagate_members(MIXED_GROUND, base, seq, offsets, weights,
-                                    first_sampled,
-                                    dt_targets=None if dt_cap is None else steps)
-            assert np.array_equal(avg.times, times)
-            assert avg.segment_starts == starts
-            assert np.max(np.abs(averaged_states(avg) - states)) <= 1e-10
+        times, states, starts = reference_average(seq, base, spec, steps)
+        avg = propagate_members(MIXED_GROUND, base, seq, offsets, weights,
+                                dt_targets=None if dt_cap is None else steps)
+        assert np.array_equal(avg.times, times)
+        assert avg.segment_starts == starts
+        assert np.max(np.abs(averaged_states(avg) - states)) <= 1e-10
 
-        _, final, _ = reference_average(seq, base, spec, len(seq.segments),
-                                        [None] * len(seq.segments))
         end = ensemble_final_state(seq, base, spec)
-        assert np.max(np.abs(end.matrix - final[-1])) <= 1e-10
+        assert np.max(np.abs(end.matrix - states[-1])) <= 1e-10
 
 
 class TestAffineGenerator:
@@ -190,8 +175,8 @@ class TestDetectorClock:
         seq = make_echo_sequence(cfg)
         tick = 1.0 / (8.0 * cfg.splitting)
         rest = cfg.t_readout - 40 * tick
-        avg = propagate_members(MIXED_GROUND, self.PARAMS, seq, *member_stack(spec),
-                                len(seq.segments) - 1)
+        traj = propagate_members(MIXED_GROUND, self.PARAMS, seq, *member_stack(spec))
+        start = traj.segment_start_index("readout")
         expected = 0.0
         for (d_opt, d_spin, zeeman), weight in zip(*member_stack(spec)):
             p = self.PARAMS.replace(delta_opt=self.PARAMS.delta_opt + d_opt,
@@ -205,10 +190,11 @@ class TestDetectorClock:
                 rows.append(_segment_map(readout, tick) @ rows[-1])
             rows.append(_segment_map(readout, rest) @ rows[-1])
             expected = expected + weight * np.array(rows)
-        t_rel = avg.times - avg.times[0]
+        t_rel = traj.times[start:] - traj.times[start]
         assert np.allclose(t_rel[:41], tick * np.arange(41), rtol=0.0, atol=1e-9 * tick)
         assert t_rel.size == 42
-        assert np.max(np.abs(averaged_states(avg) - expected.reshape(-1, 3, 3))) <= 1e-12
+        got = averaged_states(traj)[start:]
+        assert np.max(np.abs(got - expected.reshape(-1, 3, 3))) <= 1e-12
 
     def test_end_sample_at_segment_end(self, mixed_ground):
         cfg = EchoConfig(tau=12e-6, t_init=0.5e-6, t_rephase=0.5e-6, t_readout=0.5e-6)
@@ -217,8 +203,8 @@ class TestDetectorClock:
         tick = 1.0 / (8.0 * cfg.splitting)
         assert traj.times[-1] == seq.total_duration
         assert 0.0 < traj.times[-1] - traj.times[-2] < tick
-        end = propagate_members(mixed_ground, self.PARAMS, seq, [0.0, 0.0, TWO_PI * 8e3],
-                                [1.0], len(seq.segments)).states[-1]
+        end = sequence_endpoints(mixed_ground, self.PARAMS, [seq],
+                                 [0.0, 0.0, TWO_PI * 8e3])[0, 0].reshape(3, 3)
         assert np.max(np.abs(traj.states[-1] - end)) <= 1e-12
 
     def test_whole_number_of_ticks_has_no_end_sample(self):
@@ -285,8 +271,7 @@ class TestSubnormalDetuning:
         cfg = EchoConfig(tau=20e-6, t_init=1e-6, t_rephase=1e-6, t_readout=1e-6)
         seq = make_echo_sequence(cfg, include_readout=False)
         p = LambdaParams(delta_opt=0.3 * W, gamma_opt_decay=0.1 * W)
-        end = propagate_members(MIXED_GROUND, p, seq, [0.0, 0.0, 5e-324 * TWO_PI * 50e3],
-                                [1.0], len(seq.segments)).states[-1]
-        plain = propagate_members(MIXED_GROUND, p, seq, [0.0, 0.0, 0.0], [1.0],
-                                  len(seq.segments)).states[-1]
+        end, plain = sequence_endpoints(MIXED_GROUND, p, [seq],
+                                        [[0.0, 0.0, 5e-324 * TWO_PI * 50e3],
+                                         [0.0, 0.0, 0.0]])[0]
         assert np.max(np.abs(end - plain)) <= 1e-12

@@ -11,8 +11,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _segment_map, propagate_members,
-                              run_sequence)
+from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _segment_map, run_sequence,
+                              sequence_endpoints)
 from eitecho.ensemble import EnsembleSpec, ensemble_average, ensemble_final_state
 from eitecho.lambda_system import LambdaParams, bright_dark_basis, lindblad_rhs, liouvillian
 from eitecho.qstate import DensityMatrix3
@@ -117,8 +117,8 @@ class TestEndpointDifferential:
     def test_matches_fine_step_rk4(self, p, segs, offset, seed):
         rho0 = random_density3(np.random.default_rng(seed))
         zeeman_offset = 0.2 * W * offset
-        end = propagate_members(DensityMatrix3(rho0), p, SequenceSpec(segments=segs),
-                                [0.0, 0.0, zeeman_offset], [1.0], len(segs)).states[-1]
+        end = sequence_endpoints(DensityMatrix3(rho0), p, [SequenceSpec(segments=segs)],
+                                 [0.0, 0.0, zeeman_offset])[0, 0].reshape(3, 3)
         rho = rho0
         for seg in segs:
             rho = rk4(rho, oracle_segment_params(p, seg, zeeman_offset), seg.duration)
@@ -136,8 +136,7 @@ class TestEndpointDifferential:
                          gamma_opt_decay=0.1 * W * decay, gamma_spin_deph=1e4 * spin)
         rho0 = DensityMatrix3(np.diag([0.5, 0.5, 0.0]).astype(complex))
         zeeman_offset = 2.0 * np.pi * 50e3 * offset
-        end = propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0],
-                                len(seq.segments)).states[-1]
+        end = sequence_endpoints(rho0, p, [seq], [0.0, 0.0, zeeman_offset])[0, 0].reshape(3, 3)
         traj = run_sequence(rho0, p, seq, zeeman_offset=zeeman_offset)
         assert np.max(np.abs(end - traj.states[-1])) <= 1e-10
 
