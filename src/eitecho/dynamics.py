@@ -2,14 +2,17 @@
 
 Within one segment the drive is constant (rectangular pulses), so the master
 equation is a constant linear map on the flattened density matrix and the
-segment is solved exactly by its propagator expm(h * L), computed by scaling
-and squaring.  Members differ only in their detunings, which enter L as a
-diagonal shift, so one Liouvillian per segment serves the whole stack.
-A wait's generator is diagonal apart from the two |e>-decay entries, so its
-map is written in closed form and needs no expm.  End states of a batch of
-sequences that differ only in their wait durations (a decay curve's storage
-times) are computed together: each segment's generator is built once, each
-pulse map once, and the waits are applied over (sequence x member).
+segment is solved exactly by its propagator expm(h * L).  :func:`_expm` is
+scaling and squaring with diagonal Pade approximants (Higham, SIAM J. Matrix
+Anal. Appl. 26, 1179 (2005)) in numpy, batched over a stack of generators.
+Members differ only in their detunings, which enter L as a diagonal shift,
+so one Liouvillian per segment serves the whole stack.  A wait's generator
+is diagonal apart from the two |e>-decay entries, so its map is written in
+closed form and needs no expm.  End states of a batch of sequences that
+differ only in their wait durations (a decay curve's storage times) are
+computed together: each segment's generator is built once, the maps of all
+pulses come from one expm call over (pulse x member), and the waits are
+applied over (sequence x member).
 Sampled segments raise the map of one grid step, a whole fraction of the
 segment's clock (the readout's detector clock, else the duration), to
 successive powers, one block of samples per batched product.  Every sample
@@ -19,10 +22,10 @@ keep runs deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigurationError, ValidationError
 from .lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian
@@ -40,6 +43,17 @@ DEFAULT_PHASE_PER_STEP = 0.01
 SAMPLE_BLOCK = 64
 
 PULSE_LABELS = ("init_pi_half", "rephase_pi", "readout", "custom")
+
+# Degrees m of the [m/m] Pade approximant of exp and the largest 1-norm
+# theta_m at which each meets double precision (Higham 2005, Table 2.3).
+PADE_THETAS = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+# Numerator coefficients b_0 ... b_m of each approximant, scaled to b_m = 1.
+PADE_COEFFICIENTS = {m: [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
+                         for j in range(m + 1)] for m in PADE_THETAS}
+# Squarings allowed for one map: a 1-norm up to theta_13 * 2^64 ~ 1e20, a
+# rate-duration product no physical segment comes near.
+MAX_SQUARINGS = 64
 
 
 @dataclass(frozen=True)
@@ -208,17 +222,61 @@ def shared_steps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) -> lis
     return [default_step(_segment_params(envelope, seg, 0.0), seg) for seg in seq.segments]
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """expm of a generator or a stack of them, with subnormal parts flushed to zero.
+def _expm(a: np.ndarray, names=None) -> np.ndarray:
+    """expm of a generator (n, n) or of every matrix of a stack (..., n, n).
 
-    For triangular input, scipy's squaring step divides by differences of the
-    diagonal entries, which overflows to nan when a difference is subnormal
-    (scipy issue 11839); flushing moves the map by less than 1e-300.
+    Scaling and squaring with the [m/m] Pade approximant of exp (Higham
+    2005): m is the least of 3, 5, 7, 9 whose theta_m bounds the largest
+    1-norm of the stack, else 13, where each matrix is scaled by its own
+    2^-s, s = ceil(log2(norm / theta_13)), and squared s times; only the
+    matrices still needing a squaring are squared.  The squaring divides by
+    nothing, so subnormal entries need no special care.  A non-finite entry,
+    or a 1-norm needing more than MAX_SQUARINGS squarings, raises a
+    ConfigurationError before any squaring; `names`, one per entry of the
+    first stack axis, names the culprit in it, and a second axis is read as
+    members.
     """
-    a = np.array(a, dtype=complex)
-    parts = a.view(float)
-    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
-    return expm(a)
+    a = np.asarray(a, dtype=complex)
+    x = a.reshape(-1, *a.shape[-2:])
+    theta = PADE_THETAS[13]
+    with np.errstate(over="ignore"):
+        norms = np.abs(x).sum(axis=-2).max(axis=-1)
+    scalable = norms <= theta * 2.0 ** MAX_SQUARINGS               # False for nan too
+    if not scalable.all():
+        i = int(np.argmin(scalable))
+        where = [int(j) for j in np.unravel_index(i, a.shape[:-2])]
+        name = (f"generator {tuple(where)}" if names is None
+                else names[where[0]] + "".join(f", member {j}" for j in where[1:]))
+        what = (f"has 1-norm {norms[i]:g}, beyond {MAX_SQUARINGS} squarings"
+                if np.isfinite(x[i]).all() else "has a non-finite entry")
+        raise ConfigurationError([f"{name}: {what}"])
+    m = next(m for m in PADE_THETAS if m == 13 or norms.max(initial=0.0) <= PADE_THETAS[m])
+    b = PADE_COEFFICIENTS[m]
+    eye = np.eye(x.shape[-1], dtype=complex)
+    depth = np.zeros(len(x))
+    if m == 13:
+        depth = np.ceil(np.log2(np.maximum(norms / theta, 1.0)))
+        x = x * np.exp2(-depth)[:, None, None]
+        x2 = x @ x
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+        v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
+    else:
+        powers = [eye, x @ x]                      # x^0, x^2, ..., x^(m-1)
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ powers[1])
+        u = x @ sum(b[2 * k + 1] * pk for k, pk in enumerate(powers))
+        v = sum(b[2 * k] * pk for k, pk in enumerate(powers))
+    r = np.linalg.solve(v - u, v + u)
+    for done in range(int(depth.max(initial=0.0))):
+        todo = depth > done
+        if todo.all():
+            r = r @ r
+        else:
+            r[todo] = r[todo] @ r[todo]
+    return r.reshape(a.shape)
 
 
 def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
@@ -285,6 +343,11 @@ def geometric_sum(step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return total, power
 
 
+def _segment_name(k: int, seg: Segment) -> str:
+    """How errors name segment k of a sequence."""
+    return f"segment {k} ({seg.label if isinstance(seg, PulseSpec) else 'wait'})"
+
+
 def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,
                        offsets: np.ndarray) -> np.ndarray:
     """End states (T, M, 9) of every member row of `offsets` after each of T sequences.
@@ -292,8 +355,9 @@ def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,
     The sequences share one layout: segment k of each is the same pulse, or
     a wait with the same Zeeman sign whose duration may differ (the storage
     times of a decay curve).  Segment k's generator is built once for the
-    member stack (:func:`member_generators`); a pulse applies one exact map
-    to every (sequence, member) state, a wait its closed-form map
+    member stack (:func:`member_generators`); the maps of all pulses come
+    from one :func:`_expm` call over (pulse x member) and apply to every
+    (sequence, member) state, a wait applies its closed-form map
     (:func:`wait_maps`).  The states are returned unchecked: callers apply
     their remaining maps and then :func:`_check_physical`.
     """
@@ -301,18 +365,26 @@ def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,
     if any(len(s.segments) != len(layout) for s in seqs):
         raise ValidationError("sequence_endpoints: sequences differ in length")
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
-    v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (len(seqs), len(offsets), 1))
+    maps, pulses = [], []
     for k, seg in enumerate(layout):
         column = [s.segments[k] for s in seqs]
         gen = member_generators(p, seg, offsets)
         if all(isinstance(s, Wait) and s.zeeman_sign == seg.zeeman_sign for s in column):
-            maps = wait_maps(gen, [s.duration for s in column])
+            maps.append(wait_maps(gen, [s.duration for s in column]))
         elif all(s == seg for s in column):
-            maps = _expm(seg.duration * gen)
+            maps.append(seg.duration * gen)         # replaced by its map below
+            pulses.append(k)
         else:
             raise ValidationError(
                 f"sequence_endpoints: segment {k} differs in more than a wait's duration")
-        v = (maps @ v[..., None])[..., 0]
+    if pulses:
+        pulse_maps = _expm(np.array([maps[k] for k in pulses]),
+                           [_segment_name(k, layout[k]) for k in pulses])
+        for k, pulse_map in zip(pulses, pulse_maps):
+            maps[k] = pulse_map
+    v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (len(seqs), len(offsets), 1))
+    for segment_map in maps:
+        v = (segment_map @ v[..., None])[..., 0]
     return v
 
 
@@ -401,8 +473,11 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         clock = seg.clock_dt if isinstance(seg, PulseSpec) and seg.clock_dt else seg.duration
         dt = clock / max(1, int(np.ceil(clock / dt_target - 1e-12)))
         n_steps = int(np.floor(seg.duration / dt + 1e-9))
+        rest = seg.duration - n_steps * dt
+        steps = [dt, rest] if rest > 1e-9 * dt else [dt]
+        maps = _expm(np.array([h * gen for h in steps]), [_segment_name(k, seg)] * len(steps))
         if n_steps:
-            powers = _step_powers(_expm(dt * gen), min(SAMPLE_BLOCK, n_steps))
+            powers = _step_powers(maps[0], min(SAMPLE_BLOCK, n_steps))
         for done in range(0, n_steps, SAMPLE_BLOCK):
             b = min(SAMPLE_BLOCK, n_steps - done)
             weighted = (weights[:, None] * v).reshape(9 * n_members)
@@ -411,9 +486,8 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
             v = (v[:, None, :] @ powers[:, :, b - 1])[:, 0]
         times.append(t0 + dt * np.arange(1, n_steps + 1))
         n_samples += n_steps
-        rest = seg.duration - n_steps * dt
-        if rest > 1e-9 * dt:
-            v = (_expm(rest * gen) @ v[:, :, None])[:, :, 0]
+        if len(steps) == 2:
+            v = (maps[1] @ v[:, :, None])[:, :, 0]
             states.append((weights @ v)[None])
             times.append(np.array([t0 + seg.duration]))
             n_samples += 1

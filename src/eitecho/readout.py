@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _expm,
                        geometric_sum, member_generators, sequence_endpoints)
@@ -173,11 +172,12 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
     _check_window_samples(n_steps + 1 + (rest > 1e-9 * tick))
     _check_window_periods(n_steps * tick * beat_frequency)
     gen = member_generators(params, readout, offsets)
-    step = _expm(tick * gen)
+    steps = [tick, rest] if rest > 1e-9 * tick else [tick]
+    maps = _expm(np.array([h * gen for h in steps]), ["readout tick", "readout rest"])
     twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * tick)     # e^{2i w dt}
-    sums, powers = geometric_sum(np.stack([step, twist * step]), n_steps)
+    sums, powers = geometric_sum(np.stack([maps[0], twist * maps[0]]), n_steps)
     rows = (sums + powers)[:, :, 5, :]            # e5^T F_a and e5^T F_b: (2, M, 9)
-    full = powers[0] if rest <= 1e-9 * tick else _expm(rest * gen) @ powers[0]
+    full = maps[-1] @ powers[0] if len(steps) == 2 else powers[0]
     _check_physical(full @ states[..., None], offsets, taus)
     a, b = np.einsum("smi,tmi->stm", rows, states) @ weights
     return DETECTOR_SCALE * 2.0 / (n_steps + 1) * np.abs(0.5 * a + 0.5 * np.conj(b))
@@ -228,6 +228,34 @@ def assemble_decay_curve(cfg: EchoConfig, taus, params: LambdaParams,
     return DecayCurve(taus=taus, amplitudes=_echo_amplitudes(cfg, taus, params, spec, mode))
 
 
+def student_t_quantile(dof: int, p: float) -> float:
+    """Quantile t of Student's t distribution with integer `dof` >= 1 at p in (1/2, 1).
+
+    With theta = arctan(t / sqrt(dof)), P(|T| <= t) is a finite series in
+    sin(theta) and cos(theta) (Abramowitz & Stegun 26.7.3 and 26.7.4), and its
+    derivative in theta is k cos(theta)^(dof - 1).  The series is increasing
+    and concave in theta, so Newton's method from theta = 0 climbs to the
+    root without overshooting; it stops when a step no longer raises theta.
+    """
+    target = 2.0 * p - 1.0
+    k = 2.0 * math.exp(math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2)) / math.sqrt(math.pi)
+    odd = dof % 2
+    theta = 0.0
+    for _ in range(200):
+        sin, cos = math.sin(theta), math.cos(theta)
+        term = cos if odd else 1.0
+        total = 0.0 if dof == 1 else term
+        for j in range(1, dof // 2):
+            term *= cos * cos * (2 * j - 1 + odd) / (2 * j + odd)
+            total += term
+        prob = 2.0 / math.pi * (theta + sin * total) if odd else sin * total
+        step = (target - prob) / (k * cos ** (dof - 1))
+        if not theta + step > theta:
+            break
+        theta += step
+    return math.sqrt(dof) * math.tan(theta)
+
+
 def _model(theta: np.ndarray, taus: np.ndarray) -> np.ndarray:
     a, t2, c = theta
     return a * np.exp(-taus / t2) + c
@@ -249,8 +277,9 @@ def fit_decay(curve: DecayCurve) -> FitResult:
     Start values: A = max - min, C = min, T2 = half the tau span.  The damping
     parameter moves by factors of 10 (Levenberg-Marquardt schedule), iteration
     stops when the relative step drops below 1e-10.  The covariance is
-    (J^T J)^-1 scaled by the residual variance; 95% intervals use Student's t
-    with n - 3 degrees of freedom.
+    (J^T J)^-1 scaled by the residual variance; 95% intervals use the 0.975
+    quantile of Student's t with n - 3 degrees of freedom, solved from the
+    distribution's finite series (:func:`student_t_quantile`).
     """
     taus = curve.taus
     y = curve.amplitudes
@@ -323,7 +352,7 @@ def fit_decay(curve: DecayCurve) -> FitResult:
     except np.linalg.LinAlgError:
         raise FitFailureError("fit_decay: singular Jacobian at the optimum",
                               diagnostics={"theta": theta.tolist()})
-    tval = float(stdtrit(dof, 0.975))
+    tval = student_t_quantile(dof, 0.975)
     ci = tuple(float(tval * math.sqrt(max(cov[i, i], 0.0))) for i in range(3))
     return FitResult(
         amplitude=float(theta[0]),
