@@ -37,6 +37,7 @@ from .readout import (
     DecayCurve,
     FitResult,
     assemble_decay_curve,
+    assemble_decay_curves,
     beat_amplitude,
     fit_decay,
     synthesize_beat,
@@ -60,7 +61,7 @@ __all__ = [
     "EnsembleSpec", "FieldModel", "FitResult", "GroundQubitState", "LambdaParams",
     "PulseSpec", "RunConfig", "ScalingModel", "SequenceSpec", "TemperatureModel",
     "TomographyResult", "Trajectory", "Wait", "assemble_decay_curve",
-    "beat_amplitude", "bloch_vector", "bright_dark_basis", "compensation_search",
+    "assemble_decay_curves", "beat_amplitude", "bloch_vector", "bright_dark_basis", "compensation_search",
     "coupling_strengths", "ensemble_average", "fidelity", "field_sweep",
     "fit_decay", "hamiltonian", "lindblad_rhs", "make_echo_sequence",
     "make_init_pulse", "make_readout_pulse", "make_rephase_pulse",

@@ -7,7 +7,8 @@ fixed config and seed.  A study runs all its numerics before it yields its
 first (file name, text) pair, and `main` is the one writer: it writes each
 output, then the manifest naming them, so a run that fails leaves only
 config_used.yaml.
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical failure.
+Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical failure;
+a failed fit's diagnostics follow its message on stderr as one JSON line.
 """
 
 from __future__ import annotations
@@ -293,6 +294,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (FitFailureError, ValidationError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        if getattr(exc, "diagnostics", None):
+            print(json.dumps(exc.diagnostics, sort_keys=True), file=sys.stderr)
         return EXIT_NUMERICAL
     _write_manifest(outdir, cfg, args.command, written)
     return EXIT_OK

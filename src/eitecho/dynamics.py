@@ -6,13 +6,14 @@ segment is solved exactly by its propagator expm(h * L).  :func:`_expm` is
 scaling and squaring with diagonal Pade approximants (Higham, SIAM J. Matrix
 Anal. Appl. 26, 1179 (2005)) in numpy, batched over a stack of generators.
 Members differ only in their detunings, which enter L as a diagonal shift,
-so one Liouvillian per segment serves the whole stack.  A wait's generator
-is diagonal apart from the two |e>-decay entries, so its map is written in
-closed form and needs no expm.  End states of a batch of sequences that
-differ only in their wait durations (a decay curve's storage times) are
-computed together: each segment's generator is built once, the maps of all
-pulses come from one expm call over (pulse x member), and the waits are
-applied over (sequence x member).
+so one Liouvillian serves the whole stack; it depends only on the parameters
+and the segment's drive, so it is built once per (parameters, drive) and
+cached.  A wait's generator is diagonal apart from the two |e>-decay
+entries, so its map is written in closed form and needs no expm.  End
+states of a batch of sequences that differ only in their wait durations (a
+decay curve's storage times) are computed together: each segment's
+generator is built once, the maps of all pulses come from one expm call
+over (pulse x member), and the waits are applied over (sequence x member).
 Sampled segments raise the map of one grid step, a whole fraction of the
 segment's clock (the readout's detector clock, else the duration), to
 successive powers, one block of samples per batched product.  Every sample
@@ -22,6 +23,7 @@ keep runs deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -222,7 +224,7 @@ def shared_steps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) -> lis
     return [default_step(_segment_params(envelope, seg, 0.0), seg) for seg in seq.segments]
 
 
-def _expm(a: np.ndarray, names=None) -> np.ndarray:
+def _expm(a: np.ndarray, name=None) -> np.ndarray:
     """expm of a generator (n, n) or of every matrix of a stack (..., n, n).
 
     Scaling and squaring with the [m/m] Pade approximant of exp (Higham
@@ -232,9 +234,8 @@ def _expm(a: np.ndarray, names=None) -> np.ndarray:
     matrices still needing a squaring are squared.  The squaring divides by
     nothing, so subnormal entries need no special care.  A non-finite entry,
     or a 1-norm needing more than MAX_SQUARINGS squarings, raises a
-    ConfigurationError before any squaring; `names`, one per entry of the
-    first stack axis, names the culprit in it, and a second axis is read as
-    members.
+    ConfigurationError before any squaring, naming the culprit by
+    `name(*index)` of its stack index, else as "generator (index)".
     """
     a = np.asarray(a, dtype=complex)
     x = a.reshape(-1, *a.shape[-2:])
@@ -244,12 +245,10 @@ def _expm(a: np.ndarray, names=None) -> np.ndarray:
     scalable = norms <= theta * 2.0 ** MAX_SQUARINGS               # False for nan too
     if not scalable.all():
         i = int(np.argmin(scalable))
-        where = [int(j) for j in np.unravel_index(i, a.shape[:-2])]
-        name = (f"generator {tuple(where)}" if names is None
-                else names[where[0]] + "".join(f", member {j}" for j in where[1:]))
+        where = tuple(int(j) for j in np.unravel_index(i, a.shape[:-2]))
         what = (f"has 1-norm {norms[i]:g}, beyond {MAX_SQUARINGS} squarings"
                 if np.isfinite(x[i]).all() else "has a non-finite entry")
-        raise ConfigurationError([f"{name}: {what}"])
+        raise ConfigurationError([f"{name(*where) if name else f'generator {where}'}: {what}"])
     m = next(m for m in PADE_THETAS if m == 13 or norms.max(initial=0.0) <= PADE_THETAS[m])
     b = PADE_COEFFICIENTS[m]
     eye = np.eye(x.shape[-1], dtype=complex)
@@ -284,6 +283,20 @@ def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
     return _expm(h * liouvillian(p))
 
 
+# an echo has 4 distinct drives: room for the generators of 64 parameter sets, ~330 kB
+@functools.lru_cache(maxsize=256)
+def _base_generator(p: LambdaParams, drive: tuple | None) -> np.ndarray:
+    """Read-only Liouvillian of `p` under a drive (rabi0, rabi1, phase0, phase1), None for a wait.
+
+    Neither a segment's duration, nor its Zeeman sign, nor any member offset
+    enters it, so segments sharing a drive share one cached generator.
+    """
+    segment = Wait(duration=1.0) if drive is None else PulseSpec(1.0, *drive)
+    gen = liouvillian(_segment_params(p, segment, 0.0))
+    gen.setflags(write=False)
+    return gen
+
+
 def member_generators(p: LambdaParams, segment: Segment, offsets: np.ndarray) -> np.ndarray:
     """Generators (M, 9, 9) of one segment for the member rows of `offsets`.
 
@@ -294,7 +307,9 @@ def member_generators(p: LambdaParams, segment: Segment, offsets: np.ndarray) ->
     shift = (np.multiply.outer(offsets[:, 0], DETUNING_OPT)
              + np.multiply.outer(offsets[:, 1], DETUNING_SPIN)
              + segment.zeeman_sign * np.multiply.outer(offsets[:, 2], DETUNING_SPIN))
-    gen = np.repeat(liouvillian(_segment_params(p, segment, 0.0))[None], len(offsets), axis=0)
+    drive = None if isinstance(segment, Wait) else (
+        segment.rabi0, segment.rabi1, segment.phase0, segment.phase1)
+    gen = np.repeat(_base_generator(p, drive)[None], len(offsets), axis=0)
     gen.reshape(len(offsets), 81)[:, ::10] += shift
     return gen
 
@@ -348,8 +363,17 @@ def _segment_name(k: int, seg: Segment) -> str:
     return f"segment {k} ({seg.label if isinstance(seg, PulseSpec) else 'wait'})"
 
 
+# how errors name member m of a stack, unless the caller names its members
+_member = "member {}".format
+
+
+def _map_namer(names: list, member_name=_member):
+    """`name` argument of :func:`_expm` for a (map, member) stack: names[i], member m."""
+    return lambda i, m: f"{names[i]}, {member_name(m)}"
+
+
 def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,
-                       offsets: np.ndarray) -> np.ndarray:
+                       offsets: np.ndarray, member_name=_member) -> np.ndarray:
     """End states (T, M, 9) of every member row of `offsets` after each of T sequences.
 
     The sequences share one layout: segment k of each is the same pulse, or
@@ -359,7 +383,8 @@ def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,
     from one :func:`_expm` call over (pulse x member) and apply to every
     (sequence, member) state, a wait applies its closed-form map
     (:func:`wait_maps`).  The states are returned unchecked: callers apply
-    their remaining maps and then :func:`_check_physical`.
+    their remaining maps and then :func:`_check_physical`.  `member_name`
+    maps a member row to its name in errors.
     """
     layout = seqs[0].segments
     if any(len(s.segments) != len(layout) for s in seqs):
@@ -379,7 +404,7 @@ def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,
                 f"sequence_endpoints: segment {k} differs in more than a wait's duration")
     if pulses:
         pulse_maps = _expm(np.array([maps[k] for k in pulses]),
-                           [_segment_name(k, layout[k]) for k in pulses])
+                           _map_namer([_segment_name(k, layout[k]) for k in pulses], member_name))
         for k, pulse_map in zip(pulses, pulse_maps):
             maps[k] = pulse_map
     v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (len(seqs), len(offsets), 1))
@@ -407,13 +432,14 @@ def _step_powers(step: np.ndarray, count: int) -> np.ndarray:
     return powers
 
 
-def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None) -> None:
+def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None,
+                    member_name=_member) -> None:
     """Guard against drift: every member's final (3, 3) state must be physical.
 
     `finals` holds one state, (3, 3) or flattened, per member (M, ...), or
     per storage time and member (T, M, ...) for the T storage times `taus`.
-    On failure the error names the first failing member, its storage time,
-    its offsets and the offending value.
+    On failure the error names the first failing member by `member_name`,
+    its storage time, its offsets and the offending value.
     """
     finals = finals.reshape(-1, 3, 3)
     adjoint = finals.conj().swapaxes(1, 2)
@@ -431,8 +457,8 @@ def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None) -> None:
     when = "" if taus is None else f" at tau {taus[t]:g} s"
     a, b, z = offsets[m]
     raise ConfigurationError(
-        [f"propagation {what} in member {m}{when} with offsets (delta_opt, delta_spin, "
-         f"zeeman_offset) = ({a:g}, {b:g}, {z:g}) rad/s"])
+        [f"propagation {what} in {member_name(m)}{when} with offsets "
+         f"(delta_opt, delta_spin, zeeman_offset) = ({a:g}, {b:g}, {z:g}) rad/s"])
 
 
 def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
@@ -475,7 +501,8 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         n_steps = int(np.floor(seg.duration / dt + 1e-9))
         rest = seg.duration - n_steps * dt
         steps = [dt, rest] if rest > 1e-9 * dt else [dt]
-        maps = _expm(np.array([h * gen for h in steps]), [_segment_name(k, seg)] * len(steps))
+        maps = _expm(np.array([h * gen for h in steps]),
+                     _map_namer([_segment_name(k, seg)] * len(steps)))
         if n_steps:
             powers = _step_powers(maps[0], min(SAMPLE_BLOCK, n_steps))
         for done in range(0, n_steps, SAMPLE_BLOCK):

@@ -12,7 +12,11 @@ detector units.
 A decay curve needs only that projection, which is linear in each member's
 state at readout start: with S the one-tick readout map, the single-bin sum
 is a pair of geometric sums of S, built once per curve, applied to the
-pre-readout states of every storage time at once.
+pre-readout states of every storage time at once.  Curves that differ only
+in their ensemble (the field sweep's fields, a compensation scan's trial
+vectors: a Zeeman splitting enters only as a member offset) are one pass
+over the stacked members of all of them, reduced by a block weight matrix,
+one column per curve.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _expm,
-                       geometric_sum, member_generators, sequence_endpoints)
+                       _map_namer, _member, geometric_sum, member_generators,
+                       sequence_endpoints)
 from .ensemble import MIXED_GROUND, EnsembleSpec, member_stack
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
@@ -156,15 +161,19 @@ def _check_window_periods(periods: float) -> None:
 
 def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarray,
                      weights: np.ndarray, states: np.ndarray, beat_frequency: float,
-                     taus: np.ndarray) -> np.ndarray:
+                     taus: np.ndarray, member_name=_member) -> np.ndarray:
     """Beat amplitude of each storage time from the pre-readout states (T, M, 9).
+
+    `weights` (M,) gives amplitudes (T,); a weight matrix (M, G) gives one
+    column (T, G) per group of members.
 
     The readout is sampled on the detector clock: with S the one-tick map and
     n ticks, tick k reads the |1>-|e> coherence c_k = e5^T S^k v, so the
     single-bin sum of synthesize_beat and beat_amplitude is
     (2/n) |1/2 e5^T F_a v + 1/2 conj(e5^T F_b v)|, weight-summed over members,
     with F_a = sum_k S^k and F_b = sum_k (e^{2i w dt} S)^k, k = 0 ... n-1.
-    Every (storage time, member) state is checked after the full readout map.
+    Every (storage time, member) state is checked after the full readout map;
+    `member_name` names a failing member.
     """
     tick = readout.clock_dt
     n_steps = int(np.floor(readout.duration / tick + 1e-9))
@@ -173,32 +182,49 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
     _check_window_periods(n_steps * tick * beat_frequency)
     gen = member_generators(params, readout, offsets)
     steps = [tick, rest] if rest > 1e-9 * tick else [tick]
-    maps = _expm(np.array([h * gen for h in steps]), ["readout tick", "readout rest"])
+    maps = _expm(np.array([h * gen for h in steps]),
+                 _map_namer(["readout tick", "readout rest"], member_name))
     twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * tick)     # e^{2i w dt}
     sums, powers = geometric_sum(np.stack([maps[0], twist * maps[0]]), n_steps)
     rows = (sums + powers)[:, :, 5, :]            # e5^T F_a and e5^T F_b: (2, M, 9)
     full = maps[-1] @ powers[0] if len(steps) == 2 else powers[0]
-    _check_physical(full @ states[..., None], offsets, taus)
+    _check_physical(full @ states[..., None], offsets, taus, member_name)
     a, b = np.einsum("smi,tmi->stm", rows, states) @ weights
     return DETECTOR_SCALE * 2.0 / (n_steps + 1) * np.abs(0.5 * a + 0.5 * np.conj(b))
 
 
 def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
-                     spec: EnsembleSpec, mode: str) -> np.ndarray:
-    """Echo amplitude at each storage time: every echo of a curve in one pass."""
+                     specs: list, mode: str, labels=None) -> np.ndarray:
+    """Echo amplitudes (T, G) of G ensembles: their members stacked in spec order,
+    reduced by a block weight matrix (M_total, G).  Errors name a failing member
+    by its index within its spec and by the spec's label ("group g" unless
+    given; none for one unlabelled spec)."""
     if mode not in ("beat", "proxy"):
         raise ValidationError(f"echo_amplitude: unknown mode {mode!r}")
     seqs = [make_echo_sequence(replace(cfg, tau=tau), include_readout=mode == "beat")
             for tau in taus]
-    offsets, weights = member_stack(spec)
+    stacks = [member_stack(spec) for spec in specs]
+    starts = np.cumsum([0] + [len(w) for _, w in stacks])
+    offsets = np.concatenate([o for o, _ in stacks])
+    weights = np.zeros((len(offsets), len(stacks)))
+    for g, (_, w) in enumerate(stacks):
+        weights[starts[g]:starts[g + 1], g] = w
+    if labels is None and len(specs) > 1:
+        labels = [f"group {g}" for g in range(len(specs))]
+
+    def member_name(m: int) -> str:
+        g = int(np.searchsorted(starts, m, side="right")) - 1
+        return f"member {m - starts[g]}" + (f" of {labels[g]}" if labels else "")
+
     if mode == "proxy":
-        states = sequence_endpoints(MIXED_GROUND, params, seqs, offsets)
-        _check_physical(states, offsets, taus)
+        states = sequence_endpoints(MIXED_GROUND, params, seqs, offsets, member_name)
+        _check_physical(states, offsets, taus, member_name)
         return np.abs(states[..., 1] @ weights)
     stored = sequence_endpoints(MIXED_GROUND, params,
-                                [SequenceSpec(segments=s.segments[:-1]) for s in seqs], offsets)
+                                [SequenceSpec(segments=s.segments[:-1]) for s in seqs], offsets,
+                                member_name)
     return _beat_amplitudes(seqs[0].segments[-1], params, offsets, weights, stored,
-                            cfg.splitting, taus)
+                            cfg.splitting, taus, member_name)
 
 
 def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,
@@ -211,21 +237,34 @@ def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,
     start (fast path for sweeps; proportional to the beat amplitude because
     the readout map is linear in the stored coherence).
     """
-    return float(_echo_amplitudes(cfg, np.array([tau], dtype=float), params, spec, mode)[0])
+    return float(_echo_amplitudes(cfg, np.array([tau], dtype=float), params, [spec], mode)[0, 0])
+
+
+def assemble_decay_curves(cfg: EchoConfig, taus, params: LambdaParams, specs,
+                          mode: str = "beat", labels=None) -> list[DecayCurve]:
+    """Echo amplitude versus storage time for each ensemble spec, all in one pass.
+
+    The specs share everything but their members, so every curve's storage
+    times and members are one stack: each segment's generator and each pulse
+    map is built once, and the waits, which alone depend on the storage
+    time, are applied in closed form (see
+    :func:`eitecho.dynamics.sequence_endpoints`).  `labels`, one per spec,
+    name the spec of a failing member in errors.
+    """
+    taus, specs = np.asarray(list(taus), dtype=float), list(specs)
+    if taus.size < 3:
+        raise ValidationError("assemble_decay_curve needs at least 3 storage times")
+    if not specs:
+        return []
+    amplitudes = _echo_amplitudes(cfg, taus, params, specs, mode, labels)
+    return [DecayCurve(taus=taus, amplitudes=column)
+            for column in np.ascontiguousarray(amplitudes.T)]
 
 
 def assemble_decay_curve(cfg: EchoConfig, taus, params: LambdaParams,
                          spec: EnsembleSpec, mode: str = "beat") -> DecayCurve:
-    """Echo amplitude versus storage time, all storage times in one pass.
-
-    Each segment's generator and each pulse map is built once for the curve;
-    the waits, which alone depend on the storage time, are applied in closed
-    form (see :func:`eitecho.dynamics.sequence_endpoints`).
-    """
-    taus = np.asarray(list(taus), dtype=float)
-    if taus.size < 3:
-        raise ValidationError("assemble_decay_curve needs at least 3 storage times")
-    return DecayCurve(taus=taus, amplitudes=_echo_amplitudes(cfg, taus, params, spec, mode))
+    """Echo amplitude versus storage time of one ensemble (see :func:`assemble_decay_curves`)."""
+    return assemble_decay_curves(cfg, taus, params, [spec], mode)[0]
 
 
 def student_t_quantile(dof: int, p: float) -> float:

@@ -24,7 +24,8 @@ from .ensemble import EnsembleSpec, ensemble_final_state
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .qstate import GroundQubitState, fidelity
-from .readout import DecayCurve, FitResult, assemble_decay_curve, fit_decay
+from .readout import (DecayCurve, FitResult, assemble_decay_curve, assemble_decay_curves,
+                      fit_decay)
 from .sequences import EchoConfig, make_echo_sequence
 from .units import csv_text
 
@@ -135,19 +136,25 @@ class FieldSweepPoint:
 def field_sweep(fields, cfg: EchoConfig, params: LambdaParams,
                 spec: EnsembleSpec, taus, model: FieldModel | None = None,
                 mode: str = "proxy") -> list[FieldSweepPoint]:
-    """Echo decay curve, fit, and beat-minimum time for each vertical field value."""
+    """Echo decay curve, fit, and beat-minimum time for each vertical field value.
+
+    The curves of all fields are one batched call: a field enters only
+    through the Zeeman branches of its ensemble.
+    """
     model = model or FieldModel()
+    fields = [float(b) for b in fields]
+    splittings = [model.g_factor * abs(b) for b in fields]
+    specs = [replace(spec, zeeman_branches=branches_for_splitting(s)) for s in splittings]
+    curves = assemble_decay_curves(cfg, taus, params, specs, mode=mode,
+                                   labels=[f"field {b:g} T" for b in fields])
     points = []
-    for b in fields:
-        splitting = model.g_factor * abs(float(b))
-        member_spec = replace(spec, zeeman_branches=branches_for_splitting(splitting))
-        curve = assemble_decay_curve(cfg, taus, params, member_spec, mode=mode)
+    for b, splitting, curve in zip(fields, splittings, curves):
         try:
             fit = fit_decay(curve)
         except FitFailureError:
             fit = None
         points.append(FieldSweepPoint(
-            field=float(b), splitting=splitting, curve=curve, fit=fit,
+            field=b, splitting=splitting, curve=curve, fit=fit,
             beat_minimum=first_minimum(curve.taus, curve.amplitudes)))
     return points
 
@@ -282,8 +289,11 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     and refined by golden section to below the requested tolerance; two
     passes over the axes in a fixed order keep the search deterministic.
     The reported objective is the fitted T2 at the found compensation.
-    Each axis's coarse scan revisits the current point, so curves are kept
-    by the exact bytes of (compensation, storage times) and computed once;
+    A coarse scan is one batched decay-curve call over its grid points (a
+    compensation vector enters only through the Zeeman branches of the
+    ensemble); the golden-section refinement is sequential.  Each axis's
+    coarse scan revisits the current point, so curves are kept by the exact
+    bytes of (compensation, storage times) and computed once;
     ``evaluations`` still counts every objective call.
     """
     taus = np.asarray(list(taus), dtype=float)
@@ -291,19 +301,22 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     evaluations = 0
     curves: dict = {}
 
-    def curve_for(comp: np.ndarray, window: np.ndarray) -> DecayCurve:
-        key = (comp.tobytes(), window.tobytes())
-        if key not in curves:
-            trial = replace(m, compensation_vector=tuple(comp))
-            splitting = splitting_from_field(trial)
-            member_spec = replace(spec, zeeman_branches=branches_for_splitting(splitting))
-            curves[key] = assemble_decay_curve(cfg, window, params, member_spec, mode=mode)
-        return curves[key]
+    def curves_for(comps: list, window: np.ndarray) -> list[DecayCurve]:
+        keys = [(comp.tobytes(), window.tobytes()) for comp in comps]
+        todo = {key: comp for key, comp in zip(keys, comps) if key not in curves}
+        if todo:
+            specs = [replace(spec, zeeman_branches=branches_for_splitting(splitting_from_field(
+                replace(m, compensation_vector=tuple(comp))))) for comp in todo.values()]
+            labels = [f"compensation ({', '.join(f'{c:g}' for c in comp)}) T"
+                      for comp in todo.values()]
+            curves.update(zip(todo, assemble_decay_curves(cfg, window, params, specs,
+                                                          mode=mode, labels=labels)))
+        return [curves[key] for key in keys]
 
-    def modulation(comp: np.ndarray, window: np.ndarray) -> float:
+    def modulation(comps: list, window: np.ndarray) -> list[float]:
         nonlocal evaluations
-        evaluations += 1
-        return -float(np.sum(curve_for(comp, window).amplitudes))
+        evaluations += len(comps)
+        return [-float(np.sum(curve.amplitudes)) for curve in curves_for(comps, window)]
 
     # Bracketing stage uses storage times short enough that the largest
     # splitting reachable inside the search box keeps every point within the
@@ -317,7 +330,7 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     bracket_taus = np.linspace(max(tau_floor, 0.5 * tau_hi), tau_hi, 6)
 
     comp = np.asarray(m.compensation_vector, dtype=float).copy()
-    start = modulation(comp, bracket_taus)
+    start = modulation([comp], bracket_taus)[0]
     history = [(tuple(comp), -start)]
 
     def descend(window: np.ndarray, half_range: float, passes: int) -> None:
@@ -325,17 +338,18 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
             for axis in range(3):
                 center = comp[axis]
 
-                def along(c: float) -> float:
-                    trial = comp.copy()
-                    trial[axis] = c
-                    return modulation(trial, window)
+                def trial(c: float) -> np.ndarray:
+                    moved = comp.copy()
+                    moved[axis] = c
+                    return moved
 
                 grid = np.linspace(center - half_range, center + half_range, 13)
-                values = [along(c) for c in grid]
+                values = modulation([trial(c) for c in grid], window)
                 k = int(np.argmin(values))
                 lo = grid[max(k - 1, 0)]
                 hi = grid[min(k + 1, grid.size - 1)]
-                c_best, f_best = _golden_min(along, lo, hi, tol=0.25 * tol)
+                c_best, f_best = _golden_min(lambda c: modulation([trial(c)], window)[0],
+                                             lo, hi, tol=0.25 * tol)
                 if values[k] < f_best:
                     # the coarse point sat exactly on the optimum
                     c_best, f_best = grid[k], values[k]
@@ -347,12 +361,12 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     # field is now small enough that these also stay within the first lobe
     descend(taus, max(5.0 * tol, 3e-6), passes=1)
 
-    end = modulation(comp, bracket_taus)
+    end = modulation([comp], bracket_taus)[0]
     warning = None
     if not end < start and float(np.linalg.norm(m.net_field())) > tol:
         warning = "search could not improve on the starting compensation"
     try:
-        fitted_t2 = fit_decay(curve_for(comp, taus)).t2
+        fitted_t2 = fit_decay(curves_for([comp], taus)[0]).t2
     except FitFailureError:
         fitted_t2 = float("nan")
         warning = warning or "decay fit failed at the found compensation"

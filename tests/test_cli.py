@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eitecho.cli as cli
 from eitecho.cli import main
+from eitecho.errors import FitFailureError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -144,6 +146,28 @@ class TestNumericalFailureExit:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_fit_failure_prints_its_diagnostics(self, tmp_path, capsys, monkeypatch):
+        diagnostics = {"theta": [1.0, -2e-5, 0.5], "iterations": 200, "cost": 0.25}
+
+        def failing(*args, **kwargs):
+            raise FitFailureError("fit_decay did not converge", diagnostics=diagnostics)
+
+        monkeypatch.setattr(cli, "field_sweep", failing)
+        out = tmp_path / "o"
+        assert main(["field-sweep", "--config", str(write_config(tmp_path, SWEEP_CONFIG)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: fit_decay did not converge",
+                       json.dumps(diagnostics, sort_keys=True)]
+        assert json.loads(err[1]) == diagnostics
+        assert sorted(p.name for p in out.iterdir()) == ["config_used.yaml"]
+
+    def test_failure_without_diagnostics_prints_one_line(self, tmp_path, capsys):
+        bad = CLOSED_CONFIG.replace("tau: 30us", "tau: 30us\n  splitting: 1MHz")
+        assert main(["simulate", "--config", str(write_config(tmp_path, bad)),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestOneWriter:

@@ -259,9 +259,9 @@ class TestPhysicalityCheck:
 
 
 class TestSubnormalDetuning:
-    # a decay-only wait has a triangular generator; scipy's squaring step for
-    # triangular input divides by differences of its diagonal and returned nan
-    # when a subnormal detuning made one of them subnormal
+    # a subnormal detuning must leave every map finite: the first case guards
+    # the Pade scaling and squaring of a segment map, the second the
+    # closed-form waits of an echo endpoint, which must match zero offset
 
     def test_segment_map_stays_finite(self):
         p = LambdaParams(gamma_opt_decay=0.1 * W, delta_spin=5e-324 * W)

@@ -7,7 +7,7 @@ import eitecho.studies as studies
 from eitecho.ensemble import EnsembleSpec
 from eitecho.errors import ValidationError
 from eitecho.lambda_system import LambdaParams
-from eitecho.readout import assemble_decay_curve
+from eitecho.readout import assemble_decay_curves
 from eitecho.sequences import EchoConfig
 from eitecho.studies import (
     FieldModel,
@@ -160,14 +160,15 @@ class TestCompensationSearch:
 
     def test_repeated_curves_are_computed_once(self, monkeypatch):
         # criterion 12's search: each axis's coarse scan revisits the current
-        # point, 8 of the 216 curves it asks for
+        # point, 8 of the 216 curves it asks for; a batched call computes one
+        # curve per spec
         computed = []
 
-        def counting(*args, **kwargs):
-            computed.append(args)
-            return assemble_decay_curve(*args, **kwargs)
+        def counting(cfg, taus, params, specs, **kwargs):
+            computed.extend(specs)
+            return assemble_decay_curves(cfg, taus, params, specs, **kwargs)
 
-        monkeypatch.setattr(studies, "assemble_decay_curve", counting)
+        monkeypatch.setattr(studies, "assemble_decay_curves", counting)
         cfg = EchoConfig(tau=30e-6)
         taus = np.linspace(15e-6, 120e-6, 6)
         ambient = (20e-6, -10e-6, 45e-6)
