@@ -14,11 +14,15 @@ states of a batch of sequences that differ only in their wait durations (a
 decay curve's storage times) are computed together: each segment's
 generator is built once, the maps of all pulses come from one expm call
 over (pulse x member), and the waits are applied over (sequence x member).
-Sampled segments raise the map of one grid step, a whole fraction of the
-segment's clock (the readout's detector clock, else the duration), to
-successive powers, one block of samples per batched product.  Every sample
-is exact whatever the step, so a step only places samples, and fixed grids
-keep runs deterministic.
+Sampled segments are sampled on a whole fraction of the segment's clock (the
+readout's detector clock, else the duration).  A pulse raises the map of one
+grid step to successive powers, one block of samples per batched product.  A
+wait is sampled in closed form: each entry only decays and rotates, its
+samples e^{d j dt} v split as e^{d B k dt} e^{d r dt} into one batched
+product over all blocks, plus the decay of rho_ee into the ground
+populations, the same for every member.  Every sample is exact whatever the
+step, so a step only places samples, and fixed grids keep runs
+deterministic.
 """
 
 from __future__ import annotations
@@ -34,15 +38,20 @@ from .lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillia
 from .qstate import DensityMatrix3
 from .units import csv_text
 
+# Flat entries rho_00, rho_11 that the decay of rho_ee (flat index 8) feeds.
+DECAY_FED = [0, 4]
+
 # Default sampling grid: fine enough that the sampled coherences resolve
 # every drive and detuning oscillation.  Every sample is an exact map, so a
 # decay rate leaves nothing to resolve and does not set the grid.
 DEFAULT_STEPS_FRACTION = 1.0 / 50.0
 DEFAULT_PHASE_PER_STEP = 0.01
 
-# Samples per batched product: a sampled segment builds the powers
+# Samples per batched product of a sampled pulse: it builds the powers
 # S^1 ... S^SAMPLE_BLOCK of its step map S once and applies them to the stack.
-SAMPLE_BLOCK = 64
+# Pulses are short (a few hundred samples), so small blocks waste least;
+# waits are sampled in closed form and use no powers.
+SAMPLE_BLOCK = 8
 
 PULSE_LABELS = ("init_pi_half", "rephase_pi", "readout", "custom")
 
@@ -283,6 +292,10 @@ def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
     return _expm(h * liouvillian(p))
 
 
+# how errors name member m of a stack, unless the caller names its members
+_member = "member {}".format
+
+
 # an echo has 4 distinct drives: room for the generators of 64 parameter sets, ~330 kB
 @functools.lru_cache(maxsize=256)
 def _base_generator(p: LambdaParams, drive: tuple | None) -> np.ndarray:
@@ -297,11 +310,14 @@ def _base_generator(p: LambdaParams, drive: tuple | None) -> np.ndarray:
     return gen
 
 
-def member_generators(p: LambdaParams, segment: Segment, offsets: np.ndarray) -> np.ndarray:
+def member_generators(p: LambdaParams, segment: Segment, offsets: np.ndarray,
+                      name=_member) -> np.ndarray:
     """Generators (M, 9, 9) of one segment for the member rows of `offsets`.
 
     One Liouvillian serves every member: a member's detunings and its Zeeman
-    offset, with the segment's ``zeeman_sign``, only shift the diagonal.
+    offset, with the segment's ``zeeman_sign``, only shift the diagonal.  A
+    non-finite entry raises a ConfigurationError naming the first such
+    member by `name(m)`.
     """
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     shift = (np.multiply.outer(offsets[:, 0], DETUNING_OPT)
@@ -311,6 +327,9 @@ def member_generators(p: LambdaParams, segment: Segment, offsets: np.ndarray) ->
         segment.rabi0, segment.rabi1, segment.phase0, segment.phase1)
     gen = np.repeat(_base_generator(p, drive)[None], len(offsets), axis=0)
     gen.reshape(len(offsets), 81)[:, ::10] += shift
+    if not np.isfinite(gen.view(float)).all():
+        m = int(np.argmin(np.isfinite(gen).all(axis=(1, 2))))
+        raise ConfigurationError([f"{name(m)}: has a non-finite entry"])
     return gen
 
 
@@ -318,26 +337,34 @@ def wait_maps(gen: np.ndarray, durations) -> np.ndarray:
     """Maps (T, M, 9, 9) of drive-free generators (M, 9, 9) over T durations, in closed form.
 
     Without drive the generator is diagonal apart from the decay of rho_ee
-    (flat index 8) into rho_00 and rho_11 (indices 0 and 4), so the map is
-    exp(t d) on the diagonal d, and its entry [i, 8] is
+    (flat index 8) into rho_00 and rho_11 (DECAY_FED), so the map is
+    exp(t d) on the diagonal d plus the :func:`_decay_feed` entries [i, 8].
+    """
+    t = np.asarray(durations, dtype=float)[:, None]                   # (T, 1)
+    maps = np.zeros((t.size,) + gen.shape, dtype=complex)
+    idx = np.arange(9)
+    maps[..., idx, idx] = np.exp(t[..., None] * np.einsum("mii->mi", gen))
+    maps[..., DECAY_FED, 8] = _decay_feed(gen, t)
+    return maps
+
+
+def _decay_feed(gen: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Entries [i, 8], i in DECAY_FED, (T, M, 2) of the wait maps of `gen` over times t (T, 1).
+
     L[i, 8] (e^{d_8 t} - e^{d_i t}) / (d_8 - d_i) = L[i, 8] t e^{d_i t} expm1(x) / x
     with x = (d_8 - d_i) t, read as L[i, 8] t e^{d_i t} where x = 0.  The
     population entries d_0, d_4, d_8 are real, and x is kept real: complex
     division by a subnormal x overflows, real division does not.
     """
-    t = np.asarray(durations, dtype=float)[:, None]                   # (T, 1)
-    diag = np.einsum("mii->mi", gen)                                  # (M, 9)
-    maps = np.zeros((t.size,) + gen.shape, dtype=complex)
-    idx = np.arange(9)
-    maps[..., idx, idx] = np.exp(t[..., None] * diag)
-    rates = diag.real
-    for i in (0, 4):
+    rates = np.einsum("mii->mi", gen).real                            # (M, 9)
+    feed = np.empty((len(t), len(gen), len(DECAY_FED)), dtype=complex)
+    for j, i in enumerate(DECAY_FED):
         x = t * (rates[:, 8] - rates[:, i])                           # (T, M)
         ratio = np.ones_like(x)
         nonzero = x != 0.0
         ratio[nonzero] = np.expm1(x[nonzero]) / x[nonzero]
-        maps[..., i, 8] = gen[:, i, 8] * t * np.exp(t * rates[:, i]) * ratio
-    return maps
+        feed[..., j] = gen[:, i, 8] * t * np.exp(t * rates[:, i]) * ratio
+    return feed
 
 
 def geometric_sum(step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,10 +388,6 @@ def geometric_sum(step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _segment_name(k: int, seg: Segment) -> str:
     """How errors name segment k of a sequence."""
     return f"segment {k} ({seg.label if isinstance(seg, PulseSpec) else 'wait'})"
-
-
-# how errors name member m of a stack, unless the caller names its members
-_member = "member {}".format
 
 
 def _map_namer(names: list, member_name=_member):
@@ -393,7 +416,8 @@ def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,
     maps, pulses = [], []
     for k, seg in enumerate(layout):
         column = [s.segments[k] for s in seqs]
-        gen = member_generators(p, seg, offsets)
+        gen = member_generators(p, seg, offsets,
+                                lambda m: f"{_segment_name(k, seg)}, {member_name(m)}")
         if all(isinstance(s, Wait) and s.zeeman_sign == seg.zeeman_sign for s in column):
             maps.append(wait_maps(gen, [s.duration for s in column]))
         elif all(s == seg for s in column):
@@ -430,6 +454,33 @@ def _step_powers(step: np.ndarray, count: int) -> np.ndarray:
         powers[:, :, done:done + k] = block.reshape(-1, 9, k, 9)
         done += k
     return powers
+
+
+def _wait_samples(gen: np.ndarray, weights: np.ndarray, v: np.ndarray, dt: float,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight-summed samples (n, 9) of a wait at dt ... n dt and the member states (M, 9) at n dt.
+
+    Entry i of member m picks up e^{d_mi t}, d_mi its diagonal generator
+    entry, plus, for i in DECAY_FED, the feed of rho_ee.  With B = ceil(sqrt(n))
+    and j = B k + r, the diagonal part sum_m w_m v_mi e^{d_mi j dt} of every
+    block k comes from one batched product of the block factors
+    w_m v_mi e^{d_mi B k dt} (9, K, M) with the in-block factors
+    e^{d_mi r dt} (9, M, B), so the temporaries grow as sqrt(n) M.  The feed
+    involves population entries only, which no member offset shifts
+    (DETUNING_OPT and DETUNING_SPIN vanish there), so one member's feed
+    applies to the weighted rho_ee.
+    """
+    d = np.einsum("mii->im", gen)                                     # (9, M)
+    block = math.isqrt(n - 1) + 1
+    starts = block * dt * np.arange(-(-n // block))                   # (K,)
+    outer = np.exp(d[:, None, :] * starts[:, None]) * (weights * v.T)[:, None, :]
+    inner = np.exp(d[:, :, None] * (dt * np.arange(1, block + 1)))
+    samples = (outer @ inner).reshape(9, -1)[:, :n].T
+    times = dt * np.arange(1, n + 1)[:, None]
+    samples[:, DECAY_FED] += _decay_feed(gen[:1], times)[:, 0] * (weights @ v[:, 8])
+    end = v * np.exp(d.T * (n * dt))
+    end[:, DECAY_FED] += _decay_feed(gen, times[-1:])[0] * v[:, 8:]
+    return samples, end
 
 
 def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None,
@@ -472,13 +523,20 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     k is sampled every clock/n, for the least n whose step is no coarser
     than dt_targets[k] (default: :func:`shared_steps`), which must be finite
     and > 0; if the duration is not a whole number of steps, one more exact
-    map adds a sample at the segment's end.  Each block of samples is summed
-    over the weighted member states by one product in fixed member order;
-    only the weighted sum is stored.
+    map adds a sample at the segment's end.  A pulse is sampled in blocks of
+    SAMPLE_BLOCK powers of its step map, each block summed over the weighted
+    member states by one product in fixed member order; a wait is sampled in
+    closed form (:func:`_wait_samples`) with no expm.  Only the weighted sum
+    is stored.  A non-finite generator raises a ConfigurationError naming
+    its segment and member.
     """
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     weights = np.asarray(weights, dtype=float)
     n_members = weights.size
+    # every generator is checked, and a failure named, before the grid reads the offsets
+    names = [_segment_name(k, seg) for k, seg in enumerate(seq.segments)]
+    gens = [member_generators(p, seg, offsets, lambda m: f"{name}, {_member(m)}")
+            for name, seg in zip(names, seq.segments)]
     if dt_targets is None:
         dt_targets = shared_steps(p, seq, offsets)
     elif len(dt_targets) != len(seq.segments):
@@ -489,8 +547,7 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     n_samples = 1
     t0 = 0.0
 
-    for k, seg in enumerate(seq.segments):
-        gen = member_generators(p, seg, offsets)
+    for k, (seg, name, gen) in enumerate(zip(seq.segments, names, gens)):
         segment_starts.append((n_samples - 1, seg))
         dt_target = dt_targets[k]
         if not 0.0 < dt_target < np.inf:
@@ -501,20 +558,25 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         n_steps = int(np.floor(seg.duration / dt + 1e-9))
         rest = seg.duration - n_steps * dt
         steps = [dt, rest] if rest > 1e-9 * dt else [dt]
-        maps = _expm(np.array([h * gen for h in steps]),
-                     _map_namer([_segment_name(k, seg)] * len(steps)))
-        if n_steps:
-            powers = _step_powers(maps[0], min(SAMPLE_BLOCK, n_steps))
-        for done in range(0, n_steps, SAMPLE_BLOCK):
-            b = min(SAMPLE_BLOCK, n_steps - done)
-            weighted = (weights[:, None] * v).reshape(9 * n_members)
-            states.append((weighted @ powers[:, :, :b].reshape(9 * n_members, 9 * b))
-                          .reshape(b, 9))
-            v = (v[:, None, :] @ powers[:, :, b - 1])[:, 0]
+        if isinstance(seg, Wait):
+            maps = wait_maps(gen, steps[1:])
+            samples, v = _wait_samples(gen, weights, v, dt, n_steps)
+            states.append(samples)
+        else:
+            maps = _expm(np.array([h * gen for h in steps]),
+                         _map_namer([name] * len(steps)))
+            if n_steps:
+                powers = _step_powers(maps[0], min(SAMPLE_BLOCK, n_steps))
+            for done in range(0, n_steps, SAMPLE_BLOCK):
+                b = min(SAMPLE_BLOCK, n_steps - done)
+                weighted = (weights[:, None] * v).reshape(9 * n_members)
+                states.append((weighted @ powers[:, :, :b].reshape(9 * n_members, 9 * b))
+                              .reshape(b, 9))
+                v = (v[:, None, :] @ powers[:, :, b - 1])[:, 0]
         times.append(t0 + dt * np.arange(1, n_steps + 1))
         n_samples += n_steps
         if len(steps) == 2:
-            v = (maps[1] @ v[:, :, None])[:, :, 0]
+            v = (maps[-1] @ v[:, :, None])[:, :, 0]
             states.append((weights @ v)[None])
             times.append(np.array([t0 + seg.duration]))
             n_samples += 1

@@ -180,7 +180,7 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
     rest = readout.duration - n_steps * tick
     _check_window_samples(n_steps + 1 + (rest > 1e-9 * tick))
     _check_window_periods(n_steps * tick * beat_frequency)
-    gen = member_generators(params, readout, offsets)
+    gen = member_generators(params, readout, offsets, lambda m: f"readout, {member_name(m)}")
     steps = [tick, rest] if rest > 1e-9 * tick else [tick]
     maps = _expm(np.array([h * gen for h in steps]),
                  _map_namer(["readout tick", "readout rest"], member_name))
