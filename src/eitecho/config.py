@@ -19,6 +19,7 @@ import yaml
 from .ensemble import EnsembleSpec
 from .errors import ConfigurationError, ValidationError
 from .lambda_system import LambdaParams
+from .readout import FIT_MIN_POINTS
 from .sequences import DEFAULT_SPLITTING_HZ, EchoConfig
 from .studies import (
     DEFAULT_G_FACTOR_HZ_PER_T,
@@ -189,6 +190,21 @@ class _Reader:
         self.errors.append(f"{path}: expected a list or a min/max/n mapping")
         return np.array([])
 
+    def get_taus(self, key: str, default: SweepRange):
+        """A study's storage times: at least FIT_MIN_POINTS, for the decay fit,
+        and strictly increasing, as a decay curve's axis."""
+        before = len(self.errors)
+        taus = self.get_values(key, "time", default)
+        if len(self.errors) > before:
+            return taus
+        if taus.size < FIT_MIN_POINTS:
+            self.errors.append(f"{self._fullpath(key)}: the decay fit needs at least "
+                               f"{FIT_MIN_POINTS} storage times, got {taus.size}")
+        elif not np.all(np.diff(taus) > 0.0):
+            self.errors.append(f"{self._fullpath(key)}: storage times must be strictly "
+                               f"increasing")
+        return taus
+
     def finish(self):
         for key in self.tree:
             if key not in self.seen:
@@ -343,7 +359,7 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
 
     fs = studies.child("field_sweep")
     fs_fields = fs.get_values("fields", "field", SweepRange(0.0, 95e-6, 20))
-    fs_taus = fs.get_values("taus", "time", SweepRange(10e-6, 150e-6, 30))
+    fs_taus = fs.get_taus("taus", SweepRange(10e-6, 150e-6, 30))
     fs.finish()
 
     ts = studies.child("temp_scan")
@@ -351,7 +367,7 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
     # optical linewidth, so log spacing keeps every decade represented
     ts_temps = ts.get_values("temperatures", "temperature",
                              SweepRange(2.0, 7.68, 5, log=True))
-    ts_taus = ts.get_values("taus", "time", SweepRange(20e-6, 180e-6, 5))
+    ts_taus = ts.get_taus("taus", SweepRange(20e-6, 180e-6, 5))
     t2_opt_ref = ts.get("t2_opt_ref", "time", default=100e-6)
     temperature_ref = ts.get("temperature_ref", "temperature", default=2.0)
     ts.finish()
@@ -376,7 +392,7 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
                 errors.append(f"studies.compensation.ambient_field[{i}]: {exc}")
     search_range = co.get("search_range", "field", default=100e-6)
     tolerance = co.get("tolerance", "field", default=1e-6)
-    co_taus = co.get_values("taus", "time", SweepRange(15e-6, 120e-6, 6))
+    co_taus = co.get_taus("taus", SweepRange(15e-6, 120e-6, 6))
     co.finish()
     studies.finish()
 

@@ -21,6 +21,7 @@ one column per curve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -43,6 +44,8 @@ MIN_PERIODS = 5.0
 FIT_MAX_ITERATIONS = 200
 FIT_DAMPING_FACTOR = 10.0
 FIT_RELATIVE_STEP_TOL = 1e-10
+# Fewest storage times the three-parameter decay fit accepts: two residual degrees of freedom.
+FIT_MIN_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -193,6 +196,21 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
     return DETECTOR_SCALE * 2.0 / (n_steps + 1) * np.abs(0.5 * a + 0.5 * np.conj(b))
 
 
+# a compensation search reads each of its two storage-time windows dozens of times
+@functools.lru_cache(maxsize=32)
+def _echo_layouts(cfg: EchoConfig, taus: tuple, beat: bool) -> tuple:
+    """Echo sequences of the storage times `taus` up to the readout, and the
+    readout pulse in beat mode (None in proxy mode).
+
+    Only `cfg` and the storage times enter the layouts, and they are frozen,
+    so every curve of a window shares one cached set.
+    """
+    seqs = [make_echo_sequence(replace(cfg, tau=tau), include_readout=beat) for tau in taus]
+    if not beat:
+        return tuple(seqs), None
+    return tuple(SequenceSpec(segments=s.segments[:-1]) for s in seqs), seqs[0].segments[-1]
+
+
 def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
                      specs: list, mode: str, labels=None) -> np.ndarray:
     """Echo amplitudes (T, G) of G ensembles: their members stacked in spec order,
@@ -201,8 +219,7 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
     given; none for one unlabelled spec)."""
     if mode not in ("beat", "proxy"):
         raise ValidationError(f"echo_amplitude: unknown mode {mode!r}")
-    seqs = [make_echo_sequence(replace(cfg, tau=tau), include_readout=mode == "beat")
-            for tau in taus]
+    seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()), mode == "beat")
     stacks = [member_stack(spec) for spec in specs]
     starts = np.cumsum([0] + [len(w) for _, w in stacks])
     offsets = np.concatenate([o for o, _ in stacks])
@@ -216,15 +233,12 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
         g = int(np.searchsorted(starts, m, side="right")) - 1
         return f"member {m - starts[g]}" + (f" of {labels[g]}" if labels else "")
 
-    if mode == "proxy":
-        states = sequence_endpoints(MIXED_GROUND, params, seqs, offsets, member_name)
+    states = sequence_endpoints(MIXED_GROUND, params, seqs, offsets, member_name)
+    if readout is None:
         _check_physical(states, offsets, taus, member_name)
         return np.abs(states[..., 1] @ weights)
-    stored = sequence_endpoints(MIXED_GROUND, params,
-                                [SequenceSpec(segments=s.segments[:-1]) for s in seqs], offsets,
-                                member_name)
-    return _beat_amplitudes(seqs[0].segments[-1], params, offsets, weights, stored,
-                            cfg.splitting, taus, member_name)
+    return _beat_amplitudes(readout, params, offsets, weights, states, cfg.splitting, taus,
+                            member_name)
 
 
 def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,
@@ -253,7 +267,7 @@ def assemble_decay_curves(cfg: EchoConfig, taus, params: LambdaParams, specs,
     """
     taus, specs = np.asarray(list(taus), dtype=float), list(specs)
     if taus.size < 3:
-        raise ValidationError("assemble_decay_curve needs at least 3 storage times")
+        raise ValidationError("assemble_decay_curves needs at least 3 storage times")
     if not specs:
         return []
     amplitudes = _echo_amplitudes(cfg, taus, params, specs, mode, labels)
@@ -323,8 +337,8 @@ def fit_decay(curve: DecayCurve) -> FitResult:
     taus = curve.taus
     y = curve.amplitudes
     n = taus.size
-    if n < 5:
-        raise FitFailureError(f"fit_decay needs at least 5 points, got {n}")
+    if n < FIT_MIN_POINTS:
+        raise FitFailureError(f"fit_decay needs at least {FIT_MIN_POINTS} points, got {n}")
     if not np.all(np.isfinite(y)):
         raise FitFailureError("fit_decay: non-finite amplitudes")
     if np.ptp(y) == 0.0:

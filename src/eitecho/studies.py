@@ -256,22 +256,61 @@ class CompensationResult:
     history: list
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps whose trial points one batched call computes ahead.
+LOOKAHEAD = 2
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_step(a: float, b: float, c: float, d: float, left: bool) -> tuple:
+    """One golden-section step: the new bracket (a, b, c, d) and the point it asks for.
+
+    `left` is the comparison f(c) <= f(d): the minimum lies in [a, d].
+    """
+    if left:
+        b, d = d, c
+        c = b - INVPHI * (b - a)
+        return a, b, c, d, c
+    a, c = c, d
+    d = a + INVPHI * (b - a)
+    return a, b, c, d, d
+
+
+def _ahead(a: float, b: float, c: float, d: float, left: bool, depth: int,
+           tol: float) -> list[float]:
+    """Every point the next `depth` steps can ask for, given the next comparison."""
+    if depth == 0 or not (b - a) > tol:
+        return []
+    a, b, c, d, x = _golden_step(a, b, c, d, left)
+    return [x] + _ahead(a, b, c, d, True, depth - 1, tol) + \
+        _ahead(a, b, c, d, False, depth - 1, tol)
+
+
+def _golden_min(f, lo: float, hi: float, tol: float, prefetch) -> tuple[float, float]:
+    """Golden-section minimum of a unimodal scalar function on [lo, hi].
+
+    The next trial point follows from the last comparison, and each later one
+    from one more comparison, so the LOOKAHEAD steps ahead can ask for at
+    most 2**LOOKAHEAD - 1 points.  `prefetch` receives them in one list
+    before `f` is asked for the first; a batched objective computes them in
+    one call and `f` then reads its memo.  The points and comparisons,
+    hence the result and the calls of `f`, are those of the sequential search.
+    """
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    prefetch([c, d])
     fc, fd = f(c), f(d)
+    step = 0
     while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+        left = fc <= fd
+        if step % LOOKAHEAD == 0:
+            prefetch(_ahead(a, b, c, d, left, LOOKAHEAD, tol))
+        a, b, c, d, x = _golden_step(a, b, c, d, left)
+        if left:
+            fc, fd = f(x), fc
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+            fc, fd = fd, f(x)
+        step += 1
     return (c, fc) if fc <= fd else (d, fd)
 
 
@@ -291,10 +330,13 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     The reported objective is the fitted T2 at the found compensation.
     A coarse scan is one batched decay-curve call over its grid points (a
     compensation vector enters only through the Zeeman branches of the
-    ensemble); the golden-section refinement is sequential.  Each axis's
-    coarse scan revisits the current point, so curves are kept by the exact
-    bytes of (compensation, storage times) and computed once;
-    ``evaluations`` still counts every objective call.
+    ensemble).  The golden-section refinement makes one batched call per
+    LOOKAHEAD steps, over every point those steps can ask for (see
+    :func:`_golden_min`), so it visits the points of the sequential search.
+    Curves are kept by the exact bytes of (compensation, storage times) and
+    computed once, which also serves each axis's coarse scan revisiting the
+    current point; ``evaluations`` counts the objective calls of the
+    sequential search, not the curves computed ahead.
     """
     taus = np.asarray(list(taus), dtype=float)
 
@@ -348,8 +390,9 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
                 k = int(np.argmin(values))
                 lo = grid[max(k - 1, 0)]
                 hi = grid[min(k + 1, grid.size - 1)]
-                c_best, f_best = _golden_min(lambda c: modulation([trial(c)], window)[0],
-                                             lo, hi, tol=0.25 * tol)
+                c_best, f_best = _golden_min(
+                    lambda c: modulation([trial(c)], window)[0], lo, hi, tol=0.25 * tol,
+                    prefetch=lambda cs: curves_for([trial(c) for c in cs], window))
                 if values[k] < f_best:
                     # the coarse point sat exactly on the optimum
                     c_best, f_best = grid[k], values[k]

@@ -16,12 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eitecho.dynamics as dynamics
+import eitecho.readout as readout
 from eitecho.dynamics import PulseSpec, Wait, _base_generator, _segment_params, wait_maps
 from eitecho.ensemble import EnsembleSpec
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams, liouvillian
-from eitecho.readout import assemble_decay_curve, assemble_decay_curves
-from eitecho.sequences import EchoConfig
+from eitecho.readout import _echo_layouts, assemble_decay_curve, assemble_decay_curves
+from eitecho.sequences import EchoConfig, make_echo_sequence
 from eitecho.studies import FieldModel, branches_for_splitting, compensation_search, field_sweep
 
 from test_propagators import lambda_params, segments
@@ -166,3 +167,39 @@ class TestGeneratorCache:
                                   np.linspace(15e-6, 120e-6, 6), tol=1e-6, mode="beat")
         assert res.evaluations == 215
         assert len(calls) <= 8
+
+
+class TestLayoutCache:
+    @pytest.mark.parametrize("beat", [True, False])
+    @settings(max_examples=20, deadline=None)
+    @given(taus=st.lists(st.floats(10e-6, 200e-6), min_size=1, max_size=6),
+           cfg=st.sampled_from([CFG, EchoConfig(tau=30e-6, t_readout=1e-6, splitting=5e6,
+                                                init_phase_offset=0.3)]))
+    def test_cached_equals_fresh(self, beat, taus, cfg):
+        seqs, readout_pulse = _echo_layouts(cfg, tuple(taus), beat)
+        assert len(seqs) == len(taus)
+        for tau, seq in zip(taus, seqs):
+            full = make_echo_sequence(replace(cfg, tau=tau), include_readout=beat)
+            if beat:
+                assert seq.segments + (readout_pulse,) == full.segments
+            else:
+                assert readout_pulse is None
+                assert seq == full
+            assert seq == make_echo_sequence(replace(cfg, tau=tau), include_readout=False)
+        assert _echo_layouts(cfg, tuple(taus), beat)[0] is seqs
+
+    def test_compensation_search_builds_one_layout_per_window(self, monkeypatch):
+        calls = []
+
+        def counting(cfg, **kwargs):
+            calls.append(cfg.tau)
+            return make_echo_sequence(cfg, **kwargs)
+
+        monkeypatch.setattr(readout, "make_echo_sequence", counting)
+        _echo_layouts.cache_clear()
+        res = compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)), CFG,
+                                  LambdaParams(gamma_spin_deph=1.0 / 500e-6), EnsembleSpec(),
+                                  np.linspace(15e-6, 120e-6, 6), tol=1e-6, mode="beat")
+        assert res.evaluations == 215
+        # two windows of six storage times: the bracketing one and the caller's
+        assert len(calls) <= 12

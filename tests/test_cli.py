@@ -103,6 +103,23 @@ class TestValidate:
             capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, study, taus", [
+        # four storage times: every fitted_t2_s cell was blank, and exit 0
+        ("temp-scan", "temp_scan", "[20us, 60us, 100us, 140us]"),
+        # a NaN objective with a fit-failure warning, and exit 0
+        ("compensate", "compensation", "[15us, 40us, 65us, 90us]"),
+        # "numerical failure: DecayCurve taus must be strictly increasing", exit 2
+        ("field-sweep", "field_sweep", "[10us, 50us, 30us, 70us, 90us]"),
+    ])
+    def test_unusable_study_taus_exit_one(self, tmp_path, capsys, command, study, taus):
+        text = CLOSED_CONFIG + f"studies:\n  {study}:\n    taus: {taus}\n"
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        assert f"config error: studies.{study}.taus: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestArgumentErrors:
     @staticmethod
     def run_cli(*args) -> subprocess.CompletedProcess:

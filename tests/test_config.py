@@ -7,6 +7,7 @@ import pytest
 
 from eitecho.config import DEFAULT_CONFIG_TEXT, parse_config, validate_config
 from eitecho.errors import ConfigurationError
+from eitecho.readout import FIT_MIN_POINTS
 from eitecho.units import parse_quantity, parse_ratio
 
 
@@ -124,3 +125,32 @@ class TestValidation:
         cfg, errors = validate_config(tree)
         assert errors == []
         assert cfg.ensemble.zeeman_branches == ((-3e3, 0.5), (3e3, 0.5))
+
+    @pytest.mark.parametrize("study", ["field_sweep", "temp_scan", "compensation"])
+    @pytest.mark.parametrize("taus, problem", [
+        # fit_decay needs FIT_MIN_POINTS points; a shorter curve only ever fails its fit
+        (["20us", "60us", "100us", "140us"], "the decay fit needs at least 5 storage times, got 4"),
+        ({"min": "20us", "max": "140us", "n": 4}, "needs at least 5 storage times, got 4"),
+        # a decay curve's axis must be strictly increasing
+        (["20us", "60us", "40us", "100us", "140us"], "strictly increasing"),
+        (["20us", "60us", "60us", "100us", "140us"], "strictly increasing"),
+        ({"min": "140us", "max": "20us", "n": 5}, "strictly increasing"),
+    ])
+    def test_unusable_study_taus_named(self, study, taus, problem):
+        tree = {"sequence": {"tau": "60us"}, "studies": {study: {"taus": taus}}}
+        cfg, errors = validate_config(tree)
+        assert cfg is None
+        assert len(errors) == 1 and errors[0].startswith(f"studies.{study}.taus: ")
+        assert problem in errors[0]
+
+    def test_study_taus_parse_error_reported_once(self):
+        tree = {"sequence": {"tau": "60us"}, "studies": {"temp_scan": {"taus": ["20"]}}}
+        _, errors = validate_config(tree)
+        assert len(errors) == 1 and errors[0].startswith("studies.temp_scan.taus[0]")
+
+    def test_fit_minimum_is_the_validation_minimum(self):
+        taus = [f"{20 + 20 * k}us" for k in range(FIT_MIN_POINTS)]
+        tree = {"sequence": {"tau": "60us"}, "studies": {"temp_scan": {"taus": taus}}}
+        cfg, errors = validate_config(tree)
+        assert errors == []
+        assert cfg.temp_scan.taus.size == FIT_MIN_POINTS

@@ -25,6 +25,34 @@ from eitecho.studies import (
 PARAMS = LambdaParams(gamma_spin_deph=1.0 / 500e-6)
 SINGLE = EnsembleSpec()
 
+# The proxy-mode search of TestCompensationSearch, recorded with a golden section
+# that computed one trial point per call: the compensation found and every
+# (compensation, summed amplitude) of its history, as float.hex literals.
+PINNED_COMPENSATION = ("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
+                       "-0x1.796f2bc2e2e01p-15")
+PINNED_HISTORY = [
+    (("0x0.0p+0", "0x0.0p+0",
+      "0x0.0p+0"), "0x1.73e4b889bf8b0p+0"),
+    (("-0x1.4f765a99edb64p-16", "0x0.0p+0",
+      "0x0.0p+0"), "0x1.74c9b7ac8a451p+0"),
+    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb64p-17",
+      "0x0.0p+0"), "0x1.7502ffa40bd8fp+0"),
+    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb64p-17",
+      "-0x1.7954ee5187d13p-15"), "0x1.798db20a51004p+0"),
+    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb64p-17",
+      "-0x1.7954ee5187d13p-15"), "0x1.798db20a51004p+0"),
+    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
+      "-0x1.7954ee5187d13p-15"), "0x1.798db20a51004p+0"),
+    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
+      "-0x1.796f2bc2e2e01p-15"), "0x1.798db215c7f64p+0"),
+    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
+      "-0x1.796f2bc2e2e01p-15"), "0x1.51bad6a73fd7bp+0"),
+    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
+      "-0x1.796f2bc2e2e01p-15"), "0x1.51bad6a73fd7bp+0"),
+    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
+      "-0x1.796f2bc2e2e01p-15"), "0x1.51bad6a73fd7bp+0"),
+]
+
 
 class TestFieldModel:
     def test_50_microtesla_gives_6_kilohertz(self):
@@ -160,14 +188,22 @@ class TestCompensationSearch:
 
     def test_repeated_curves_are_computed_once(self, monkeypatch):
         # criterion 12's search: each axis's coarse scan revisits the current
-        # point, 8 of the 216 curves it asks for; a batched call computes one
-        # curve per spec
-        computed = []
+        # point, and the golden section computes both possible next points
+        # ahead; every curve is computed once, 61 batched calls in all
+        pending, computed, batches = [], [], []
+
+        def recording(model):
+            pending.append(np.asarray(model.compensation_vector).tobytes())
+            return splitting_from_field(model)
 
         def counting(cfg, taus, params, specs, **kwargs):
-            computed.extend(specs)
+            assert len(pending) == len(specs)
+            computed.extend((comp, taus.tobytes()) for comp in pending)
+            pending.clear()
+            batches.append(len(specs))
             return assemble_decay_curves(cfg, taus, params, specs, **kwargs)
 
+        monkeypatch.setattr(studies, "splitting_from_field", recording)
         monkeypatch.setattr(studies, "assemble_decay_curves", counting)
         cfg = EchoConfig(tau=30e-6)
         taus = np.linspace(15e-6, 120e-6, 6)
@@ -175,9 +211,19 @@ class TestCompensationSearch:
         res = compensation_search(FieldModel(field_vector=ambient), cfg, PARAMS, SINGLE,
                                   taus, tol=1e-6, mode="proxy")
         assert res.evaluations == 215
-        assert len(computed) == 208
+        assert len(set(computed)) == len(computed)
+        assert len(computed) == 244
+        assert len(batches) == 61
         assert all(abs(found + true) < 1e-6 for found, true in zip(res.compensation, ambient))
         assert res.warning is None
+
+    def test_search_path_is_pinned(self):
+        res = compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)),
+                                  EchoConfig(tau=30e-6), PARAMS, SINGLE,
+                                  np.linspace(15e-6, 120e-6, 6), tol=1e-6, mode="proxy")
+        assert tuple(c.hex() for c in res.compensation) == PINNED_COMPENSATION
+        assert [(tuple(c.hex() for c in comp), a.hex()) for comp, a in res.history] == \
+            PINNED_HISTORY
 
     def test_zero_ambient_stays_at_zero(self):
         cfg = EchoConfig(tau=30e-6)
