@@ -256,8 +256,15 @@ class CompensationResult:
     history: list
 
 
-# Golden-section steps whose trial points one batched call computes ahead.
+# Golden-section steps whose trial points one batched call computes ahead.  Depth
+# 2 halves the refinement's calls but computes one point in three that the
+# search then does not use, so it pays only while a curve costs less than a
+# call's fixed overhead (about 0.5 ms).  Per two steps, one call of 3 curves
+# against two of 1 took 0.75x the time at 2 stacked members per curve (one grid
+# point, two Zeeman branches), about 1x at 6 and 1.3-1.7x from 18 on, so larger
+# ensembles search one step per call.
 LOOKAHEAD = 2
+LOOKAHEAD_MAX_MEMBERS = 2
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -285,26 +292,29 @@ def _ahead(a: float, b: float, c: float, d: float, left: bool, depth: int,
         _ahead(a, b, c, d, False, depth - 1, tol)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float, prefetch) -> tuple[float, float]:
+def _golden_min(f, lo: float, hi: float, tol: float, prefetch,
+                depth: int) -> tuple[float, float]:
     """Golden-section minimum of a unimodal scalar function on [lo, hi].
 
     The next trial point follows from the last comparison, and each later one
-    from one more comparison, so the LOOKAHEAD steps ahead can ask for at
-    most 2**LOOKAHEAD - 1 points.  `prefetch` receives them in one list
-    before `f` is asked for the first; a batched objective computes them in
-    one call and `f` then reads its memo.  The points and comparisons,
-    hence the result and the calls of `f`, are those of the sequential search.
+    from one more comparison, so the `depth` steps ahead can ask for at most
+    2**depth - 1 points.  `prefetch` receives them in one list before `f` is
+    asked for the first; a batched objective computes them in one call and
+    `f` then reads its memo.  The points and comparisons, hence the result
+    and the calls of `f`, are those of the sequential search, which depth 1
+    is: one point per batch.
     """
     a, b = lo, hi
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
-    prefetch([c, d])
+    for batch in ([c, d],) if depth > 1 else ([c], [d]):
+        prefetch(batch)
     fc, fd = f(c), f(d)
     step = 0
     while (b - a) > tol:
         left = fc <= fd
-        if step % LOOKAHEAD == 0:
-            prefetch(_ahead(a, b, c, d, left, LOOKAHEAD, tol))
+        if step % depth == 0:
+            prefetch(_ahead(a, b, c, d, left, depth, tol))
         a, b, c, d, x = _golden_step(a, b, c, d, left)
         if left:
             fc, fd = f(x), fc
@@ -331,14 +341,19 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     A coarse scan is one batched decay-curve call over its grid points (a
     compensation vector enters only through the Zeeman branches of the
     ensemble).  The golden-section refinement makes one batched call per
-    LOOKAHEAD steps, over every point those steps can ask for (see
-    :func:`_golden_min`), so it visits the points of the sequential search.
+    LOOKAHEAD steps on ensembles of at most LOOKAHEAD_MAX_MEMBERS stacked
+    members per curve, and one per step on larger ones, over every point
+    those steps can ask for (see :func:`_golden_min`); either way it visits
+    the points of the sequential search.
     Curves are kept by the exact bytes of (compensation, storage times) and
     computed once, which also serves each axis's coarse scan revisiting the
     current point; ``evaluations`` counts the objective calls of the
     sequential search, not the curves computed ahead.
     """
     taus = np.asarray(list(taus), dtype=float)
+    # a curve stacks one member per grid point and Zeeman branch
+    members = spec.n_optical * spec.n_spin * 2
+    depth = LOOKAHEAD if members <= LOOKAHEAD_MAX_MEMBERS else 1
 
     evaluations = 0
     curves: dict = {}
@@ -392,7 +407,8 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
                 hi = grid[min(k + 1, grid.size - 1)]
                 c_best, f_best = _golden_min(
                     lambda c: modulation([trial(c)], window)[0], lo, hi, tol=0.25 * tol,
-                    prefetch=lambda cs: curves_for([trial(c) for c in cs], window))
+                    prefetch=lambda cs: curves_for([trial(c) for c in cs], window),
+                    depth=depth)
                 if values[k] < f_best:
                     # the coarse point sat exactly on the optimum
                     c_best, f_best = grid[k], values[k]

@@ -1,7 +1,8 @@
 """The look-ahead golden section against the sequential search it replays.
 
-`_golden_min` hands every point the next LOOKAHEAD steps can ask for to
-`prefetch` in one list before it asks `f` for the first.  The reference below
+`_golden_min` hands every point the next `depth` steps can ask for to
+`prefetch` in one list before it asks `f` for the first; the compensation
+search uses depth LOOKAHEAD on small ensembles and 1 on larger ones.  The reference below
 is the sequential golden section (Kiefer, Proc. AMS 4, 502 (1953)), one
 objective call per step.  On unimodal functions, V-shapes and flat stretches
 that tie f(c) == f(d), and on intervals that end after any number of steps
@@ -38,7 +39,7 @@ def sequential_golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, f
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def replay(f, lo: float, hi: float, tol: float) -> tuple[list, list]:
+def replay(f, lo: float, hi: float, tol: float, depth: int) -> tuple[list, list]:
     """Both searches of `f`; returns the reference's points and the prefetch batches."""
     visited = []
 
@@ -59,14 +60,15 @@ def replay(f, lo: float, hi: float, tol: float) -> tuple[list, list]:
         asked.append(x)
         return f(x)
 
-    found = _golden_min(ahead_f, lo, hi, tol, prefetch=prefetch)
+    found = _golden_min(ahead_f, lo, hi, tol, prefetch=prefetch, depth=depth)
     assert (found[0].hex(), found[1].hex()) == (expected[0].hex(), expected[1].hex())
     assert asked == visited
     assert set(visited) <= fetched
-    # the first batch is the two interior points, each later one covers LOOKAHEAD steps
+    # the two interior points come in one batch (in two at depth 1), each later
+    # batch covers `depth` steps
     steps = len(visited) - 2
-    assert len(batches) == 1 + math.ceil(steps / LOOKAHEAD)
-    assert all(len(batch) <= 2 ** LOOKAHEAD - 1 for batch in batches)
+    assert len(batches) == (1 if depth > 1 else 2) + math.ceil(steps / depth)
+    assert all(len(batch) <= 2 ** depth - 1 for batch in batches)
     return visited, batches
 
 
@@ -92,21 +94,22 @@ def objectives(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(f=objectives(), lo=st.floats(-2.0, 2.0), width=st.floats(1e-3, 8.0),
-       tol_exponent=st.floats(-9.0, 0.5))
-@example(f=lambda x: 1.0, lo=0.0, width=1.0, tol_exponent=-3.0)
-@example(f=lambda x: abs(x), lo=-1.0, width=2.0, tol_exponent=-8.0)
-def test_lookahead_replays_the_sequential_search(f, lo, width, tol_exponent):
-    replay(f, lo, lo + width, width * 10.0 ** tol_exponent)
+       tol_exponent=st.floats(-9.0, 0.5), depth=st.sampled_from([1, LOOKAHEAD, 3]))
+@example(f=lambda x: 1.0, lo=0.0, width=1.0, tol_exponent=-3.0, depth=LOOKAHEAD)
+@example(f=lambda x: abs(x), lo=-1.0, width=2.0, tol_exponent=-8.0, depth=LOOKAHEAD)
+def test_lookahead_replays_the_sequential_search(f, lo, width, tol_exponent, depth):
+    replay(f, lo, lo + width, width * 10.0 ** tol_exponent, depth)
 
 
 @pytest.mark.parametrize("steps", range(12))
 @pytest.mark.parametrize("f", [lambda x: (x - 0.3) ** 2, lambda x: max(abs(x) - 0.2, 0.0)],
                          ids=["parabola", "flat"])
-def test_every_step_count(f, steps):
+@pytest.mark.parametrize("depth", [1, LOOKAHEAD])
+def test_every_step_count(f, steps, depth):
     # a tolerance just above the bracket width after `steps` steps: an odd
     # count ends the search in the middle of a batch, which then computes no
     # point past the last step
-    visited, batches = replay(f, -1.0, 1.0, 2.0 * INVPHI ** steps * 1.01)
+    visited, batches = replay(f, -1.0, 1.0, 2.0 * INVPHI ** steps * 1.01, depth)
     assert len(visited) == steps + 2
-    full, rest = divmod(steps, LOOKAHEAD)
-    assert sum(map(len, batches)) == 2 + full * (2 ** LOOKAHEAD - 1) + 2 ** rest - 1
+    full, rest = divmod(steps, depth)
+    assert sum(map(len, batches)) == 2 + full * (2 ** depth - 1) + 2 ** rest - 1

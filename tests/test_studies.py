@@ -217,6 +217,32 @@ class TestCompensationSearch:
         assert all(abs(found + true) < 1e-6 for found, true in zip(res.compensation, ambient))
         assert res.warning is None
 
+    def test_larger_ensembles_search_one_step_per_call(self, monkeypatch):
+        # three grid points stack 6 members per curve, past LOOKAHEAD_MAX_MEMBERS:
+        # the refinement computes one point per call, as the sequential search
+        # does, and nothing ahead; with the bound raised it computes three
+        def batch_sizes(max_members):
+            batches = []
+
+            def counting(cfg, taus, params, specs, **kwargs):
+                batches.append(len(specs))
+                return assemble_decay_curves(cfg, taus, params, specs, **kwargs)
+
+            monkeypatch.setattr(studies, "assemble_decay_curves", counting)
+            monkeypatch.setattr(studies, "LOOKAHEAD_MAX_MEMBERS", max_members)
+            res = compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)),
+                                      EchoConfig(tau=30e-6), PARAMS,
+                                      EnsembleSpec(spin_fwhm=20e3, n_spin=3),
+                                      np.linspace(15e-6, 120e-6, 6), tol=1e-6, mode="proxy")
+            return res, batches
+
+        res, batches = batch_sizes(studies.LOOKAHEAD_MAX_MEMBERS)
+        # 9 coarse scans of 12 or 13 new points, the rest one curve each
+        scans = [n for n in batches if n > 1]
+        assert len(scans) == 9 and min(scans) >= 12
+        assert res.evaluations == 215 and res.warning is None
+        assert 3 in batch_sizes(6)[1]
+
     def test_search_path_is_pinned(self):
         res = compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)),
                                   EchoConfig(tau=30e-6), PARAMS, SINGLE,
