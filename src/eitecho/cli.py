@@ -213,7 +213,8 @@ config file keys (YAML; dimensioned values carry unit suffixes like 2us, 170kHz,
     temp_scan:    temperatures, taus, t2_opt_ref, temperature_ref
     scaling:      t2_opt, t_pi_ref, t2_opt_ref, tau_in_pulses
     compensation: ambient_field (3 entries), search_range, tolerance, taus
-    (every taus: at least 5 storage times, strictly increasing)
+    (every taus: at least 5 storage times, strictly increasing, each a
+     valid sequence.tau)
   output:     directory, seed, threads, noise_rms
 """
 

@@ -11,7 +11,7 @@ frequencies (Hz) and converted to angular units where the physics needs them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -190,19 +190,27 @@ class _Reader:
         self.errors.append(f"{path}: expected a list or a min/max/n mapping")
         return np.array([])
 
-    def get_taus(self, key: str, default: SweepRange):
+    def get_taus(self, key: str, default: SweepRange, sequence: EchoConfig | None):
         """A study's storage times: at least FIT_MIN_POINTS, for the decay fit,
-        and strictly increasing, as a decay curve's axis."""
+        strictly increasing, as a decay curve's axis, and each long enough to
+        hold the echo pulses of `sequence` (None when the sequence is invalid)."""
         before = len(self.errors)
         taus = self.get_values(key, "time", default)
+        path = self._fullpath(key)
         if len(self.errors) > before:
             return taus
         if taus.size < FIT_MIN_POINTS:
-            self.errors.append(f"{self._fullpath(key)}: the decay fit needs at least "
+            self.errors.append(f"{path}: the decay fit needs at least "
                                f"{FIT_MIN_POINTS} storage times, got {taus.size}")
         elif not np.all(np.diff(taus) > 0.0):
-            self.errors.append(f"{self._fullpath(key)}: storage times must be strictly "
-                               f"increasing")
+            self.errors.append(f"{path}: storage times must be strictly increasing")
+        elif sequence is not None:
+            # EchoConfig holds the rule; the shortest storage time is the first
+            try:
+                replace(sequence, tau=float(taus[0]))
+            except ConfigurationError as exc:
+                self.errors.extend(f"{path}[0]: " + p.replace("EchoConfig.tau", "storage time")
+                                   for p in exc.problems)
         return taus
 
     def finish(self):
@@ -295,7 +303,7 @@ def _ensemble_from(r: _Reader, errors: list) -> EnsembleSpec:
         return EnsembleSpec()
 
 
-def _sequence_from(r: _Reader, errors: list) -> EchoConfig:
+def _sequence_from(r: _Reader, errors: list) -> EchoConfig | None:
     tau = r.get("tau", "time", required=True)
     t_init = r.get("t_init", "time", default=2e-6)
     t_rephase = r.get("t_rephase", "time", default=2e-6)
@@ -324,7 +332,7 @@ def _sequence_from(r: _Reader, errors: list) -> EchoConfig:
                       .replace("sequence.init_area ", "sequence.init_area_pi ")
                       .replace("sequence.rephase_area ", "sequence.rephase_area_pi ")
                       for p in exc.problems)
-        return EchoConfig(tau=1.0)
+        return None
 
 
 def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
@@ -359,7 +367,7 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
 
     fs = studies.child("field_sweep")
     fs_fields = fs.get_values("fields", "field", SweepRange(0.0, 95e-6, 20))
-    fs_taus = fs.get_taus("taus", SweepRange(10e-6, 150e-6, 30))
+    fs_taus = fs.get_taus("taus", SweepRange(10e-6, 150e-6, 30), sequence)
     fs.finish()
 
     ts = studies.child("temp_scan")
@@ -367,7 +375,7 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
     # optical linewidth, so log spacing keeps every decade represented
     ts_temps = ts.get_values("temperatures", "temperature",
                              SweepRange(2.0, 7.68, 5, log=True))
-    ts_taus = ts.get_taus("taus", SweepRange(20e-6, 180e-6, 5))
+    ts_taus = ts.get_taus("taus", SweepRange(20e-6, 180e-6, 5), sequence)
     t2_opt_ref = ts.get("t2_opt_ref", "time", default=100e-6)
     temperature_ref = ts.get("temperature_ref", "temperature", default=2.0)
     ts.finish()
@@ -392,7 +400,7 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
                 errors.append(f"studies.compensation.ambient_field[{i}]: {exc}")
     search_range = co.get("search_range", "field", default=100e-6)
     tolerance = co.get("tolerance", "field", default=1e-6)
-    co_taus = co.get_taus("taus", SweepRange(15e-6, 120e-6, 6))
+    co_taus = co.get_taus("taus", SweepRange(15e-6, 120e-6, 6), sequence)
     co.finish()
     studies.finish()
 

@@ -193,11 +193,11 @@ class Trajectory:
         table = np.column_stack([self.times, self.populations, c01.real, c01.imag,
                                  c0e.real, c0e.imag, c1e.real, c1e.imag])
         return csv_text("time_s,pop0,pop1,pope,re_coh01,im_coh01,re_coh0e,im_coh0e,"
-                        "re_coh1e,im_coh1e", table.tolist())
+                        "re_coh1e,im_coh1e", table)
 
     def bloch_path_csv(self) -> str:
         table = np.column_stack([self.times, self.bloch_path()])
-        return csv_text("time_s,x,y,z", table.tolist())
+        return csv_text("time_s,x,y,z", table)
 
 
 def _segment_params(p: LambdaParams, segment: Segment, zeeman_offset: float) -> LambdaParams:

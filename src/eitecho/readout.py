@@ -72,7 +72,7 @@ class BeatTrace:
         object.__setattr__(self, "signal", s)
 
     def to_csv(self) -> str:
-        return csv_text("time_s,signal", zip(self.times, self.signal))
+        return csv_text("time_s,signal", np.column_stack([self.times, self.signal]))
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,23 @@ def _check_window_periods(periods: float) -> None:
                               f"is below the minimum of {MIN_PERIODS}")
 
 
+def _group_sums(x: np.ndarray, weights: np.ndarray, starts) -> np.ndarray:
+    """Weighted sums (..., G) of x (..., M) over the members of each group.
+
+    Group g is the members from starts[g] up to the next start, and holds at
+    least one.  Each sum runs over its group's members only, in an order set
+    by their count, so its bits do not depend on the groups beside it.
+    """
+    return np.add.reduceat(x * weights, starts, axis=-1)
+
+
 def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarray,
                      weights: np.ndarray, states: np.ndarray, beat_frequency: float,
-                     taus: np.ndarray, member_name=_member) -> np.ndarray:
+                     taus: np.ndarray, member_name=_member, starts=(0,)) -> np.ndarray:
     """Beat amplitude of each storage time from the pre-readout states (T, M, 9).
 
-    `weights` (M,) gives amplitudes (T,); a weight matrix (M, G) gives one
-    column (T, G) per group of members.
+    Gives one column (T, G) per group of members, group g starting at member
+    `starts[g]` (one group by default); see :func:`_group_sums`.
 
     The readout is sampled on the detector clock: with S the one-tick map and
     n ticks, tick k reads the |1>-|e> coherence c_k = e5^T S^k v, so the
@@ -192,7 +202,7 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
     rows = (sums + powers)[:, :, 5, :]            # e5^T F_a and e5^T F_b: (2, M, 9)
     full = maps[-1] @ powers[0] if len(steps) == 2 else powers[0]
     _check_physical(full @ states[..., None], offsets, taus, member_name)
-    a, b = np.einsum("smi,tmi->stm", rows, states) @ weights
+    a, b = _group_sums(np.einsum("smi,tmi->stm", rows, states), weights, starts)
     return DETECTOR_SCALE * 2.0 / (n_steps + 1) * np.abs(0.5 * a + 0.5 * np.conj(b))
 
 
@@ -214,7 +224,7 @@ def _echo_layouts(cfg: EchoConfig, taus: tuple, beat: bool) -> tuple:
 def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
                      specs: list, mode: str, labels=None) -> np.ndarray:
     """Echo amplitudes (T, G) of G ensembles: their members stacked in spec order,
-    reduced by a block weight matrix (M_total, G).  Errors name a failing member
+    each ensemble reduced over its own members.  Errors name a failing member
     by its index within its spec and by the spec's label ("group g" unless
     given; none for one unlabelled spec)."""
     if mode not in ("beat", "proxy"):
@@ -223,9 +233,7 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
     stacks = [member_stack(spec) for spec in specs]
     starts = np.cumsum([0] + [len(w) for _, w in stacks])
     offsets = np.concatenate([o for o, _ in stacks])
-    weights = np.zeros((len(offsets), len(stacks)))
-    for g, (_, w) in enumerate(stacks):
-        weights[starts[g]:starts[g + 1], g] = w
+    weights = np.concatenate([w for _, w in stacks])
     if labels is None and len(specs) > 1:
         labels = [f"group {g}" for g in range(len(specs))]
 
@@ -236,9 +244,9 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
     states = sequence_endpoints(MIXED_GROUND, params, seqs, offsets, member_name)
     if readout is None:
         _check_physical(states, offsets, taus, member_name)
-        return np.abs(states[..., 1] @ weights)
+        return np.abs(_group_sums(states[..., 1], weights, starts[:-1]))
     return _beat_amplitudes(readout, params, offsets, weights, states, cfg.splitting, taus,
-                            member_name)
+                            member_name, starts[:-1])
 
 
 def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,

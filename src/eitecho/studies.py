@@ -262,7 +262,8 @@ class CompensationResult:
 # call's fixed overhead (about 0.5 ms).  Per two steps, one call of 3 curves
 # against two of 1 took 0.75x the time at 2 stacked members per curve (one grid
 # point, two Zeeman branches), about 1x at 6 and 1.3-1.7x from 18 on, so larger
-# ensembles search one step per call.
+# ensembles search one step per call.  The gate is a matter of speed only: a
+# curve's bits do not depend on the curves batched with it.
 LOOKAHEAD = 2
 LOOKAHEAD_MAX_MEMBERS = 2
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -70,6 +70,36 @@ class TestBatchedCurves:
             assert point.field == b
             assert np.max(np.abs(point.curve.amplitudes - alone)) <= 1e-14 * np.max(alone)
 
+    @pytest.mark.parametrize("mode", ["beat", "proxy"])
+    @pytest.mark.parametrize("n_spin", [3, 5, 11])
+    def test_curve_bits_do_not_depend_on_batch_mates(self, mode, n_spin):
+        # 6 to 22 members per curve: past 7, a reduction whose order follows
+        # the batch shape (a block weight matrix) moved curves by an ulp
+        taus = np.linspace(15e-6, 120e-6, 6)
+        specs = [EnsembleSpec(spin_fwhm=20e3, n_spin=n_spin,
+                              zeeman_branches=branches_for_splitting(G_FACTOR * b))
+                 for b in (0.0, 20e-6, 45e-6)]
+        batched = assemble_decay_curves(CFG, taus, PARAMS, specs, mode=mode)
+        reordered = assemble_decay_curves(CFG, taus, PARAMS, specs[::-1], mode=mode)[::-1]
+        for spec, curve, other in zip(specs, batched, reordered):
+            alone = assemble_decay_curve(CFG, taus, PARAMS, spec, mode=mode).amplitudes
+            assert np.array_equal(curve.amplitudes, alone)
+            assert np.array_equal(other.amplitudes, alone)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_group_sums_are_sums_of_each_group_alone(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        starts = np.cumsum([0] + sizes)
+        x = rng.standard_normal((2, 3, starts[-1])) + 1j * rng.standard_normal((2, 3, starts[-1]))
+        weights = rng.random(starts[-1])
+        sums = readout._group_sums(x, weights, starts[:-1])
+        assert sums.shape == (2, 3, len(sizes))
+        for g, (s, e) in enumerate(zip(starts[:-1], starts[1:])):
+            alone = readout._group_sums(x[..., s:e].copy(), weights[s:e].copy(), [0])[..., 0]
+            assert np.array_equal(sums[..., g], alone)
+            assert np.allclose(alone, x[..., s:e] @ weights[s:e], rtol=1e-12, atol=1e-12)
+
     def test_no_fields_gives_no_points(self):
         assert field_sweep([], CFG, PARAMS, EnsembleSpec(), [20e-6, 40e-6, 60e-6]) == []
 

@@ -120,6 +120,22 @@ class TestValidate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, study", [
+        ("temp-scan", "temp_scan"), ("field-sweep", "field_sweep"),
+        ("compensate", "compensation"), ("validate", "temp_scan")])
+    def test_study_taus_shorter_than_the_pulses_exit_one(self, tmp_path, capsys, command,
+                                                           study):
+        # validate printed "config OK"; the studies exited 1 naming EchoConfig.tau
+        text = CLOSED_CONFIG + f"studies:\n  {study}:\n    taus: [1us, 2us, 3us, 4us, 5us]\n"
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: studies.{study}.taus[0]: storage time (1e-06) must exceed" in err
+        assert "EchoConfig" not in err
+        assert not out.exists()
+
+
 class TestArgumentErrors:
     @staticmethod
     def run_cli(*args) -> subprocess.CompletedProcess:

@@ -143,6 +143,33 @@ class TestValidation:
         assert len(errors) == 1 and errors[0].startswith(f"studies.{study}.taus: ")
         assert problem in errors[0]
 
+    @pytest.mark.parametrize("study", ["field_sweep", "temp_scan", "compensation"])
+    def test_study_taus_too_short_for_the_pulses_named(self, study):
+        # 1 us cannot hold the three 2 us pulses: every run of the study failed
+        # with an EchoConfig.tau error naming neither the key nor the index
+        tree = {"sequence": {"tau": "60us"},
+                "studies": {study: {"taus": ["1us", "20us", "40us", "60us", "80us"]}}}
+        cfg, errors = validate_config(tree)
+        assert cfg is None and errors
+        assert all(e.startswith(f"studies.{study}.taus[0]: storage time (1e-06)") for e in errors)
+        assert "must exceed the summed pulse durations" in errors[0]
+
+    def test_study_taus_checked_against_the_configured_pulses(self):
+        taus = ["5us", "20us", "40us", "60us", "80us"]
+        # 5 us holds three 1 us pulses but not three 2 us ones
+        short = {"tau": "60us", "t_init": "1us", "t_rephase": "1us", "t_readout": "1us"}
+        cfg, errors = validate_config({"sequence": short, "studies": {"temp_scan": {"taus": taus}}})
+        assert errors == [] and cfg.temp_scan.taus[0] == pytest.approx(5e-6)
+        _, errors = validate_config({"sequence": {"tau": "60us"},
+                                     "studies": {"temp_scan": {"taus": taus}}})
+        assert errors and all(e.startswith("studies.temp_scan.taus[0]: ") for e in errors)
+
+    def test_invalid_sequence_does_not_flag_study_taus(self):
+        tree = {"sequence": {"tau": "60us", "t_init": "-1us"},
+                "studies": {"temp_scan": {"taus": ["1us", "20us", "40us", "60us", "80us"]}}}
+        _, errors = validate_config(tree)
+        assert errors and all(e.startswith("sequence.") for e in errors)
+
     def test_study_taus_parse_error_reported_once(self):
         tree = {"sequence": {"tau": "60us"}, "studies": {"temp_scan": {"taus": ["20"]}}}
         _, errors = validate_config(tree)

@@ -4,6 +4,10 @@ import csv
 import io
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eitecho import units
 from eitecho.dynamics import Trajectory
@@ -43,6 +47,63 @@ class TestCsvText:
 
     def test_no_rows_is_header_only(self):
         assert units.csv_text("x,y", []) == "x,y\n"
+
+
+# the cells where repr changes notation or a shortcut could slip: signed
+# zeros, NaN, infinities, subnormals, the 1e-5/1e-4 and 1e16 switches
+EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072e-308,
+         2.2250738585072014e-308, 1e-5, 9.999999999999999e-06, 1e-4, 0.0001000000000000001,
+         1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16, 0.1, 1.0 / 3.0]
+edge_floats = st.sampled_from(EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def per_cell_reference(header: str, table: np.ndarray) -> str:
+    return "".join(line + "\n" for line in
+                   [header, *(",".join(map(repr, row)) for row in table.tolist())])
+
+
+class TestFloatTable:
+    """A float ndarray takes the one-repr-per-distinct-value path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                         min_side=0, max_side=12),
+                            elements=edge_floats))
+    @example(table=np.array(EDGES).reshape(1, -1))            # a single row
+    @example(table=np.array(EDGES).reshape(-1, 1))            # a single column
+    @example(table=np.zeros((0, 4)))                          # zero rows
+    @example(table=np.array([[0.0, -0.0], [-0.0, 0.0]]))      # signed zeros stay apart
+    @example(table=np.full((5, 3), 0.1))                      # one repeated value
+    @example(table=np.array([[np.nan, -np.nan], [np.inf, -np.inf]]))
+    def test_equals_per_cell_repr(self, table):
+        assert units.csv_text("h", table) == per_cell_reference("h", table)
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_blocks_of_rows_join_seamlessly(self, monkeypatch, block):
+        # 11 rows: full blocks and a short last one, values repeated across blocks
+        rng = np.random.default_rng(block)
+        table = rng.choice(np.array(EDGES + list(rng.standard_normal(5))), size=(11, 4))
+        monkeypatch.setattr(units, "ROWS_PER_BLOCK", block)
+        assert units.csv_text("h", table) == per_cell_reference("h", table)
+
+    def test_table_longer_than_a_block(self):
+        rows = 2 * units.ROWS_PER_BLOCK + 3
+        table = np.column_stack([np.arange(rows) * 1e-7, np.tile([0.0, -0.0, 0.5], rows)[:rows],
+                                 np.random.default_rng(0).standard_normal(rows)])
+        assert units.csv_text("h", table) == per_cell_reference("h", table)
+
+    def test_every_nan_pattern_is_nan(self):
+        bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0x7FF8DEADBEEF0001], dtype=np.uint64)
+        table = bits.view(np.float64).reshape(2, 2)
+        assert units.csv_text("a,b", table) == "a,b\nnan,nan\nnan,nan\n"
+
+    def test_non_contiguous_and_float32_tables(self):
+        table = np.arange(24.0).reshape(4, 6) / 7.0
+        assert units.csv_text("h", table[:, ::2]) == per_cell_reference("h", table[:, ::2])
+        assert units.csv_text("h", table.T) == per_cell_reference("h", table.T)
+        small = table.astype(np.float32)
+        assert units.csv_text("h", small) == per_cell_reference("h", small.astype(np.float64))
 
 
 class TestTrajectoryCsv:
