@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_CONFIG_TEXT, RunConfig, parse_config
+from .config import DEFAULT_CONFIG_TEXT, KEYS, REQUIRED, Key, RunConfig, parse_config
 from .dynamics import SequenceSpec, run_sequence
 from .ensemble import ensemble_average, ensemble_final_state
 from .errors import ConfigurationError, FitFailureError, ValidationError
@@ -94,7 +94,7 @@ def _cmd_simulate(cfg: RunConfig) -> Iterator[tuple[str, str]]:
 
 def _cmd_bloch_path(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     """Paths of the two computational ground components under the EIT pulses."""
-    rows = []
+    tables = {}
     stages = {
         "init": make_echo_sequence(cfg.sequence, include_rephase=False,
                                    include_readout=False),
@@ -104,10 +104,10 @@ def _cmd_bloch_path(cfg: RunConfig) -> Iterator[tuple[str, str]]:
         for comp, ket in (("0", [1, 0, 0]), ("1", [0, 1, 0])):
             rho0 = DensityMatrix3(0.5 * np.outer(ket, np.conj(ket)).astype(complex))
             traj = run_sequence(rho0, cfg.physics, seq)
-            table = np.column_stack([traj.times, traj.bloch_path(), traj.populations[:, 2]])
-            rows.extend([stage, comp, *cells] for cells in table.tolist())
+            tables[stage, comp] = np.column_stack([traj.times, traj.bloch_path(),
+                                                    traj.populations[:, 2]])
     print(f"bloch paths written for {len(stages)} stages")
-    yield "bloch_path.csv", csv_text("stage,component,time_s,x,y,z,pop_e", rows)
+    yield "bloch_path.csv", csv_text("stage,component,time_s,x,y,z,pop_e", tables)
 
 
 def _qst_cases(cfg: RunConfig):
@@ -196,27 +196,40 @@ _COMMANDS = {
 }
 
 
-CONFIG_KEYS_HELP = """\
-config file keys (YAML; dimensioned values carry unit suffixes like 2us, 170kHz, 50uT, 90deg):
-  physics:    t1_opt, t2_opt, t2_spin, branch0, excitation_spin_deph,
-              delta_opt, delta_spin
-  ensemble:   optical_fwhm, spin_fwhm (required when n_spin > 1), n_optical,
-              n_spin (odd), zeeman_branches: [{offset, weight}, ...]
-  sequence:   tau (required), t_init, t_rephase, t_readout, readout_rabi,
-              splitting, init_phase_offset, init_area_pi, rephase_area_pi,
-              calibration (bright|bare)
-  readout:    mode (beat|proxy); used by field-sweep and compensate only:
-              simulate always reads the beat, temp-scan always the proxy
-  field_model: g_factor (e.g. "12kHz/100uT")
-  studies:
-    field_sweep:  fields, taus              (lists or {min, max, n[, log]})
-    temp_scan:    temperatures, taus, t2_opt_ref, temperature_ref
-    scaling:      t2_opt, t_pi_ref, t2_opt_ref, tau_in_pulses
-    compensation: ambient_field (3 entries), search_range, tolerance, taus
-    (every taus: at least 5 storage times, strictly increasing, each a
-     valid sequence.tau)
-  output:     directory, seed, threads, noise_rms
-"""
+def accepts(key: Key) -> str:
+    """What a config key takes: its kind, its bound and whether it is required."""
+    parts = ["|".join(key.kind) if isinstance(key.kind, tuple) else key.kind]
+    if key.bound:
+        parts.append(key.bound)
+    if key.default is REQUIRED:
+        parts.append("required")
+    return " ".join(parts)
+
+
+def _keys_help() -> str:
+    """The config keys of the table, one line each, under their sections."""
+    lines = ["config file keys (YAML): name, what it takes, meaning.  Dimensioned values "
+             "carry unit",
+             "suffixes like 2us, 170kHz, 50uT, 90deg.  An axis is a list of values or a "
+             "{min, max, n[, log]}",
+             "range; log is true or false and needs min and max nonzero and of one sign:"]
+    section = None
+    for key in KEYS:
+        if key.section != section:
+            section = key.section
+            lines.append(f"  {section}:")
+        lines.append(f"    {key.name:<22}{accepts(key):<22}{key.note}")
+    return "\n".join(lines) + "\n"
+
+
+CONFIG_KEYS_HELP = _keys_help()
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as output.seed takes."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="YAML config file (built-in defaults when omitted)")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: from config)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="seed for simulated measurement noise")
     return parser
 

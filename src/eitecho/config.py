@@ -1,17 +1,17 @@
-"""Structured run configuration: schema, validation, and defaults.
+"""Structured run configuration: one table of keys, validation, and defaults.
 
 Configs are YAML trees whose dimensioned leaves carry explicit unit suffixes
 ("tau: 60us", "optical_fwhm: 170kHz", "ambient_field: [20uT, -10uT, 45uT]").
-Validation walks the whole tree and reports every problem at once, with the
-dotted path of the offending key; unknown keys are errors, never silently
-ignored.  Detunings, Rabi amplitudes and widths are written as ordinary
-frequencies (Hz) and converted to angular units where the physics needs them.
+Each key is one row of KEYS.  Validation reports every problem at once, with
+the dotted path of the offending key; unknown keys are errors.  Detunings,
+Rabi amplitudes and widths are written as ordinary frequencies (Hz) and
+converted to angular units where the physics needs them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -20,29 +20,11 @@ from .ensemble import EnsembleSpec
 from .errors import ConfigurationError, ValidationError
 from .lambda_system import LambdaParams
 from .readout import FIT_MIN_POINTS
-from .sequences import DEFAULT_SPLITTING_HZ, EchoConfig
-from .studies import (
-    DEFAULT_G_FACTOR_HZ_PER_T,
-    FieldModel,
-    ScalingModel,
-    TemperatureModel,
-)
+from .sequences import EchoConfig
+from .studies import FieldModel, ScalingModel, TemperatureModel
 from .units import parse_quantity, parse_ratio
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SweepRange:
-    lo: float
-    hi: float
-    n: int
-    log: bool = False
-
-    def values(self) -> np.ndarray:
-        if self.log:
-            return np.geomspace(self.lo, self.hi, self.n)
-        return np.linspace(self.lo, self.hi, self.n)
 
 
 @dataclass(frozen=True)
@@ -97,360 +79,298 @@ class RunConfig:
                                 temperature_ref=self.temp_scan.temperature_ref)
 
 
-class _Reader:
-    """Tracks visited keys and accumulates errors while walking a config dict."""
-
-    def __init__(self, tree, errors: list, path: str = ""):
-        self.tree = tree if isinstance(tree, dict) else {}
-        self.errors = errors
-        self.path = path
-        self.seen: set = set()
-        if tree is not None and not isinstance(tree, dict):
-            errors.append(f"{path or 'config'}: expected a mapping")
-
-    def _fullpath(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
-
-    def child(self, key: str) -> "_Reader":
-        self.seen.add(key)
-        return _Reader(self.tree.get(key), self.errors, self._fullpath(key))
-
-    def get(self, key: str, dimension: str, default=None, required: bool = False):
-        self.seen.add(key)
-        if key not in self.tree:
-            if required:
-                self.errors.append(f"missing required key {self._fullpath(key)}")
-            return default
-        try:
-            return parse_quantity(self.tree[key], dimension)
-        except ValueError as exc:
-            self.errors.append(f"{self._fullpath(key)}: {exc}")
-            return default
-
-    def get_raw(self, key: str, default=None, required: bool = False):
-        self.seen.add(key)
-        if key not in self.tree:
-            if required:
-                self.errors.append(f"missing required key {self._fullpath(key)}")
-            return default
-        return self.tree[key]
-
-    def get_int(self, key: str, default=None) -> int:
-        v = self.get_raw(key, default)
-        if v is default:
-            return default
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.errors.append(f"{self._fullpath(key)}: expected an integer, got {v!r}")
-            return default
-        return v
-
-    def get_choice(self, key: str, choices, default):
-        v = self.get_raw(key, default)
-        if v not in choices:
-            self.errors.append(
-                f"{self._fullpath(key)}: expected one of {sorted(choices)}, got {v!r}")
-            return default
-        return v
-
-    def get_values(self, key: str, dimension: str, default: SweepRange | list):
-        """A sweep axis: either an explicit list of quantities or a range spec."""
-        self.seen.add(key)
-        if key not in self.tree:
-            spec = default
-        else:
-            spec = self.tree[key]
-        path = self._fullpath(key)
-        if isinstance(spec, SweepRange):
-            return spec.values()
-        if isinstance(spec, list):
-            out = []
-            for i, item in enumerate(spec):
-                try:
-                    out.append(parse_quantity(item, dimension))
-                except ValueError as exc:
-                    self.errors.append(f"{path}[{i}]: {exc}")
-            return np.array(out)
-        if isinstance(spec, dict):
-            sub = _Reader(spec, self.errors, path)
-            lo = sub.get("min", dimension, required=True)
-            hi = sub.get("max", dimension, required=True)
-            n = sub.get_int("n", 10)
-            log = bool(sub.get_raw("log", False))
-            sub.finish()
-            if lo is None or hi is None:
-                return np.array([])
-            if n < 1:
-                self.errors.append(f"{path}.n: must be >= 1")
-                return np.array([])
-            if log and not lo * hi > 0.0:
-                self.errors.append(f"{path}: a log range needs min and max nonzero "
-                                   f"and of one sign, got {lo:g} and {hi:g}")
-                return np.array([])
-            return SweepRange(lo, hi, n, log).values()
-        self.errors.append(f"{path}: expected a list or a min/max/n mapping")
-        return np.array([])
-
-    def get_taus(self, key: str, default: SweepRange, sequence: EchoConfig | None):
-        """A study's storage times: at least FIT_MIN_POINTS, for the decay fit,
-        strictly increasing, as a decay curve's axis, and each long enough to
-        hold the echo pulses of `sequence` (None when the sequence is invalid)."""
-        before = len(self.errors)
-        taus = self.get_values(key, "time", default)
-        path = self._fullpath(key)
-        if len(self.errors) > before:
-            return taus
-        if taus.size < FIT_MIN_POINTS:
-            self.errors.append(f"{path}: the decay fit needs at least "
-                               f"{FIT_MIN_POINTS} storage times, got {taus.size}")
-        elif not np.all(np.diff(taus) > 0.0):
-            self.errors.append(f"{path}: storage times must be strictly increasing")
-        elif sequence is not None:
-            # EchoConfig holds the rule; the shortest storage time is the first
-            try:
-                replace(sequence, tau=float(taus[0]))
-            except ConfigurationError as exc:
-                self.errors.extend(f"{path}[0]: " + p.replace("EchoConfig.tau", "storage time")
-                                   for p in exc.problems)
-        return taus
-
-    def finish(self):
-        for key in self.tree:
-            if key not in self.seen:
-                self.errors.append(f"unknown key {self._fullpath(key)}")
+REQUIRED = object()
 
 
-def _physics_from(r: _Reader, errors: list) -> LambdaParams:
-    t1_opt = r.get("t1_opt", "time")
-    t2_opt = r.get("t2_opt", "time")
-    t2_spin = r.get("t2_spin", "time")
-    branch0 = r.get("branch0", "dimensionless", default=0.5)
-    extra_spin_deph = r.get("excitation_spin_deph", "frequency", default=0.0)
-    delta_opt = r.get("delta_opt", "frequency", default=0.0)
-    delta_spin = r.get("delta_spin", "frequency", default=0.0)
-    r.finish()
+@dataclass(frozen=True)
+class Key:
+    """One config key at its dotted path: ``kind`` is a dimension of
+    :func:`parse_quantity`, a ratio ("frequency/field"), "int", "bool", "str",
+    a tuple of choices, "<dimension> axis" (a list or {min, max, n[, log]}
+    range) or "list" (parsed by its section's code).  ``bound`` is a lower
+    bound ("> 0") of every value.  An absent or invalid key takes ``default``:
+    None leaves it to the dataclass's own, REQUIRED makes the key required.
+    The value, times ``scale``, fills ``field``, the key's own name unless stated."""
 
-    gamma_decay = 0.0
-    if t1_opt is not None:
-        if t1_opt <= 0.0:
-            errors.append("physics.t1_opt: must be > 0")
-        else:
-            gamma_decay = 1.0 / t1_opt
-    gamma_opt_deph = 0.0
-    if t2_opt is not None:
-        if t2_opt <= 0.0:
-            errors.append("physics.t2_opt: must be > 0")
-        elif 1.0 / t2_opt < 0.5 * gamma_decay - 1e-12:
+    path: str
+    kind: str | tuple
+    bound: str | None = None
+    note: str = ""
+    default: object = None
+    scale: float | None = None
+    field: str | None = None
+
+    @property
+    def section(self) -> str:
+        return self.path.rpartition(".")[0]
+
+    @property
+    def name(self) -> str:
+        return self.path.rpartition(".")[2]
+
+
+TAUS = f"storage times: >= {FIT_MIN_POINTS}, increasing, each a valid sequence.tau"
+# geometric temperature and optical-T2 ladders: a T^7 broadening law spans
+# decades of optical linewidth, so log spacing keeps every decade represented
+KEYS = (
+    Key("physics.t1_opt", "time", "> 0", "excited-state lifetime; omit for a closed system"),
+    Key("physics.t2_opt", "time", "> 0", "optical coherence time, at most 2 * t1_opt"),
+    Key("physics.t2_spin", "time", "> 0", "nuclear spin coherence time"),
+    Key("physics.branch0", "dimensionless", None, "share of |e> decay into |0>, in [0, 1]"),
+    Key("physics.excitation_spin_deph", "frequency", ">= 0", "spin dephasing rate added", 0.0),
+    Key("physics.delta_opt", "frequency", None, "one-photon detuning", scale=TWO_PI),
+    Key("physics.delta_spin", "frequency", None, "two-photon detuning", scale=TWO_PI),
+    Key("ensemble.optical_fwhm", "frequency", ">= 0", "Gaussian optical width"),
+    Key("ensemble.spin_fwhm", "frequency", ">= 0", "Gaussian spin width; required if n_spin > 1"),
+    Key("ensemble.n_optical", "int", ">= 1", "odd optical grid size; 1 = resonant member only"),
+    Key("ensemble.n_spin", "int", ">= 1", "odd spin grid size"),
+    Key("ensemble.zeeman_branches", "list", None, "[{offset, weight}, ...], weights sum to 1"),
+    Key("sequence.tau", "time", None, "storage time: the readout pulse starts here", REQUIRED),
+    Key("sequence.t_init", "time", "> 0", "init pulse duration"),
+    Key("sequence.t_rephase", "time", "> 0", "rephasing pulse duration"),
+    Key("sequence.t_readout", "time", "> 0", "readout pulse duration"),
+    Key("sequence.readout_rabi", "frequency", ">= 0", "default: the init pulse's", scale=TWO_PI),
+    Key("sequence.splitting", "frequency", "> 0", "hyperfine splitting = beat frequency"),
+    Key("sequence.init_phase_offset", "angle", None, "relative phase of the init pulse"),
+    Key("sequence.init_area_pi", "dimensionless", "> 0", "init pulse area / pi",
+        scale=math.pi, field="init_area"),
+    Key("sequence.rephase_area_pi", "dimensionless", "> 0", "rephasing pulse area / pi",
+        scale=math.pi, field="rephase_area"),
+    Key("sequence.calibration", ("bright", "bare"), None, "coupling the pulse areas refer to"),
+    Key("readout.mode", ("beat", "proxy"), None, "used by field-sweep and compensate only",
+        "beat", field="readout_mode"),
+    Key("field_model.g_factor", "frequency/field", "> 0", 'g-factor, e.g. "12kHz/100uT"'),
+    Key("studies.field_sweep.fields", "field axis", None, "vertical fields",
+        np.linspace(0.0, 95e-6, 20)),
+    Key("studies.field_sweep.taus", "time axis", None, TAUS, np.linspace(10e-6, 150e-6, 30)),
+    Key("studies.temp_scan.temperatures", "temperature axis", "> 0", "scan temperatures",
+        np.geomspace(2.0, 7.68, 5)),
+    Key("studies.temp_scan.taus", "time axis", None, TAUS, np.linspace(20e-6, 180e-6, 5)),
+    Key("studies.temp_scan.t2_opt_ref", "time", "> 0", "optical T2 at temperature_ref", 100e-6),
+    Key("studies.temp_scan.temperature_ref", "temperature", "> 0", "reference temperature", 2.0),
+    Key("studies.scaling.t2_opt", "time axis", "> 0", "optical coherence times",
+        np.geomspace(100e-12, 10e-6, 13), field="t2_opt_values"),
+    Key("studies.scaling.t_pi_ref", "time", "> 0", "pi-pulse duration at t2_opt_ref"),
+    Key("studies.scaling.t2_opt_ref", "time", "> 0", "reference optical coherence time"),
+    # the echo spans 4 init-pulse durations: init, a 2-long rephase, readout
+    Key("studies.scaling.tau_in_pulses", "dimensionless", "> 4", "storage time / t_pi", 8.0),
+    Key("studies.compensation.ambient_field", "list", None, "[x, y, z] fields to compensate",
+        ["0uT", "0uT", "50uT"]),
+    Key("studies.compensation.search_range", "field", "> 0", "search half-width", 100e-6),
+    Key("studies.compensation.tolerance", "field", "> 0", "field resolution", 1e-6),
+    Key("studies.compensation.taus", "time axis", None, TAUS, np.linspace(15e-6, 120e-6, 6)),
+    Key("output.directory", "str", None, "output directory", "out", field="output_dir"),
+    Key("output.seed", "int", ">= 0", "seed for simulated measurement noise", 12345),
+    Key("output.threads", "int", ">= 1", "recorded in the manifest; changes no result", 1),
+    Key("output.noise_rms", "dimensionless", ">= 0", "qst projection noise", 0.0),
+)
+_KEY_OF = {(k.section, k.field or k.name): k.name for k in KEYS}
+_TYPES = {"int": (int, "an integer"), "bool": (bool, "true or false"), "str": (str, "a string")}
+_MISSING = object()
+
+
+def _lookup(tree, path: str):
+    for part in path.split("."):
+        if not isinstance(tree, dict) or part not in tree:
+            return _MISSING
+        tree = tree[part]
+    return tree
+
+
+def _check_keys(tree: dict, keys, errors: list, prefix: str = "", path: str = "") -> None:
+    """Flags each key below `path` that `keys` does not name, and each section
+    that is not a mapping."""
+    for name, value in tree.items():
+        full = f"{path}.{name}" if path else str(name)
+        if any(k.path == full for k in keys):
+            continue
+        if not any(k.path.startswith(full + ".") for k in keys):
+            errors.append(f"unknown key {prefix}{full}")
+        elif isinstance(value, dict):
+            _check_keys(value, keys, errors, prefix, full)
+        elif value is not None:
+            errors.append(f"{prefix}{full}: expected a mapping")
+
+
+def _read(tree: dict, keys, errors: list, prefix: str = "") -> tuple[dict, set]:
+    """Each section's values by the field each key fills, and the paths of the
+    keys that are missing or invalid."""
+    values, bad = {k.section: {} for k in keys}, set()
+    for k in keys:
+        raw, value = _lookup(tree, k.path), None
+        if raw is not _MISSING:
+            value = _value(raw, k.kind, k.bound, prefix + k.path, errors)
+            if value is None:
+                bad.add(k.path)
+            elif k.scale is not None:
+                value = value * k.scale
+        elif k.default is REQUIRED:
+            errors.append(f"missing required key {prefix}{k.path}")
+            bad.add(k.path)
+        if value is None and k.default is not REQUIRED:
+            value = k.default.copy() if isinstance(k.default, np.ndarray) else k.default
+        if value is not None:
+            values[k.section][k.field or k.name] = value
+    return values, bad
+
+
+def _value(raw, kind, bound: str | None, path: str, errors: list):
+    """One value of the given kind within `bound`, or None after recording why not."""
+    if isinstance(kind, str) and kind.endswith(" axis"):
+        return _axis(raw, kind.split()[0], bound, path, errors)
+    try:
+        if isinstance(kind, tuple):
+            if raw not in kind:
+                raise ValueError(f"expected one of {sorted(kind)}, got {raw!r}")
+        elif kind in _TYPES:
+            if type(raw) is not _TYPES[kind][0]:
+                raise ValueError(f"expected {_TYPES[kind][1]}, got {raw!r}")
+        elif "/" in kind:
+            raw = parse_ratio(raw, *kind.split("/"))
+        elif kind != "list":
+            raw = parse_quantity(raw, kind)
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
+        return None
+    if bound:
+        op, limit = bound.split()
+        if not (raw > float(limit) if op == ">" else raw >= float(limit)):
+            errors.append(f"{path}: must be {bound}")
+            return None
+    return raw
+
+
+def _axis(spec, dimension: str, bound: str | None, path: str, errors: list):
+    """A list of values or a {min, max, n[, log]} range, each value within `bound`."""
+    if isinstance(spec, list):
+        values = [_value(item, dimension, bound, f"{path}[{i}]", errors)
+                  for i, item in enumerate(spec)]
+        return None if None in values else np.array(values)
+    if not isinstance(spec, dict):
+        errors.append(f"{path}: expected a list or a min/max/n mapping")
+        return None
+    keys = (Key("min", dimension, default=REQUIRED), Key("max", dimension, default=REQUIRED),
+            Key("n", "int", ">= 1", default=10), Key("log", "bool", default=False))
+    _check_keys(spec, keys, errors, f"{path}.")
+    values, bad = _read(spec, keys, errors, f"{path}.")
+    if bad:
+        return None
+    r = values[""]
+    if r["log"] and not r["min"] * r["max"] > 0.0:
+        errors.append(f"{path}: a log range needs min and max nonzero "
+                      f"and of one sign, got {r['min']:g} and {r['max']:g}")
+        return None
+    # the ends bound every value between them
+    if any(_value(r[end], "dimensionless", bound, f"{path}.{end}", errors) is None
+           for end in ("min", "max")):
+        return None
+    return (np.geomspace if r["log"] else np.linspace)(r["min"], r["max"], r["n"])
+
+
+def _build(cls, section: str, values: dict, errors: list):
+    """`cls` from the section's values that are its fields, or None; a problem
+    that names a field of `cls` is reported under the key that fills it."""
+    names = {f.name for f in fields(cls)}
+    try:
+        return cls(**{name: v for name, v in values.items() if name in names})
+    except (ConfigurationError, ValidationError) as exc:
+        for problem in getattr(exc, "problems", [str(exc)]):
+            head, _, rest = problem.partition(" ")
+            owner, _, name = head.partition(".")
+            key = _KEY_OF.get((section, name)) if owner == cls.__name__ else None
+            errors.append(f"{section}.{key} {rest}" if key else f"{section}: {problem}")
+        return None
+
+
+def _physics(p: dict, errors: list) -> LambdaParams | None:
+    """LambdaParams from the physics keys: each lifetime sets the rate it names,
+    and an absent lifetime is infinite."""
+    gamma_decay = 1.0 / p.get("t1_opt", math.inf)
+    rates = {"gamma_opt_decay": gamma_decay,
+             "gamma_spin_deph": 1.0 / p.get("t2_spin", math.inf) + p["excitation_spin_deph"]}
+    if "t2_opt" in p:
+        if 1.0 / p["t2_opt"] < 0.5 * gamma_decay - 1e-12:
             errors.append("physics.t2_opt: exceeds the 2*T1 limit set by physics.t1_opt")
         else:
-            gamma_opt_deph = max(1.0 / t2_opt - 0.5 * gamma_decay, 0.0)
-    gamma_spin_deph = 0.0
-    if t2_spin is not None:
-        if t2_spin <= 0.0:
-            errors.append("physics.t2_spin: must be > 0")
-        else:
-            gamma_spin_deph = 1.0 / t2_spin
-    if extra_spin_deph < 0.0:
-        errors.append("physics.excitation_spin_deph: must be >= 0")
-        extra_spin_deph = 0.0
-    try:
-        return LambdaParams(
-            delta_opt=TWO_PI * delta_opt,
-            delta_spin=TWO_PI * delta_spin,
-            gamma_opt_decay=gamma_decay,
-            gamma_opt_deph=gamma_opt_deph,
-            gamma_spin_deph=gamma_spin_deph + extra_spin_deph,
-            branch0=branch0 if branch0 is not None else 0.5,
-        )
-    except ValidationError as exc:
-        errors.append(f"physics: {exc}")
-        return LambdaParams()
+            rates["gamma_opt_deph"] = max(1.0 / p["t2_opt"] - 0.5 * gamma_decay, 0.0)
+    return _build(LambdaParams, "physics", {**p, **rates}, errors)
 
 
-def _ensemble_from(r: _Reader, errors: list) -> EnsembleSpec:
-    optical_fwhm = r.get("optical_fwhm", "frequency", default=0.0)
-    n_optical = r.get_int("n_optical", 1)
-    n_spin = r.get_int("n_spin", 1)
-    spin_fwhm = r.get("spin_fwhm", "frequency",
-                      required=(n_spin is not None and n_spin > 1))
-    branches_raw = r.get_raw("zeeman_branches", [])
-    r.finish()
-
-    branches = []
-    if not isinstance(branches_raw, list):
-        errors.append("ensemble.zeeman_branches: expected a list")
-    else:
-        for i, item in enumerate(branches_raw):
-            if not isinstance(item, dict) or set(item) != {"offset", "weight"}:
-                errors.append(
-                    f"ensemble.zeeman_branches[{i}]: expected offset/weight mapping")
-                continue
-            try:
-                off = parse_quantity(item["offset"], "frequency")
-                w = parse_quantity(item["weight"], "dimensionless")
-                branches.append((off, w))
-            except ValueError as exc:
-                errors.append(f"ensemble.zeeman_branches[{i}]: {exc}")
-    try:
-        return EnsembleSpec(
-            optical_fwhm=optical_fwhm,
-            spin_fwhm=spin_fwhm if spin_fwhm is not None else 0.0,
-            n_optical=n_optical,
-            n_spin=n_spin,
-            zeeman_branches=tuple(branches),
-        )
-    except ValidationError as exc:
-        errors.append(f"ensemble: {exc}")
-        return EnsembleSpec()
+def _branches(raw, errors: list) -> tuple:
+    path = "ensemble.zeeman_branches"
+    if not (isinstance(raw, list)
+            and all(isinstance(b, dict) and set(b) == {"offset", "weight"} for b in raw)):
+        errors.append(f"{path}: expected a list of {{offset, weight}} mappings")
+        return ()
+    pairs = tuple((_value(b["offset"], "frequency", None, f"{path}[{i}].offset", errors),
+                   _value(b["weight"], "dimensionless", None, f"{path}[{i}].weight", errors))
+                  for i, b in enumerate(raw))
+    return () if any(None in pair for pair in pairs) else pairs
 
 
-def _sequence_from(r: _Reader, errors: list) -> EchoConfig | None:
-    tau = r.get("tau", "time", required=True)
-    t_init = r.get("t_init", "time", default=2e-6)
-    t_rephase = r.get("t_rephase", "time", default=2e-6)
-    t_readout = r.get("t_readout", "time", default=2e-6)
-    readout_rabi = r.get("readout_rabi", "frequency")
-    splitting = r.get("splitting", "frequency", default=DEFAULT_SPLITTING_HZ)
-    offset = r.get("init_phase_offset", "angle", default=0.0)
-    init_area = r.get("init_area_pi", "dimensionless", default=1.0)
-    rephase_area = r.get("rephase_area_pi", "dimensionless", default=2.0)
-    calibration = r.get_choice("calibration", {"bright", "bare"}, "bright")
-    r.finish()
-    try:
-        return EchoConfig(
-            tau=tau if tau is not None else 1.0,
-            t_init=t_init, t_rephase=t_rephase, t_readout=t_readout,
-            readout_rabi=None if readout_rabi is None else TWO_PI * readout_rabi,
-            splitting=splitting,
-            init_phase_offset=offset,
-            init_area=init_area * math.pi,
-            rephase_area=rephase_area * math.pi,
-            calibration=calibration,
-        )
-    except ConfigurationError as exc:
-        # EchoConfig.<field> problems name the key they come from
-        errors.extend(f"sequence: {p}".replace("sequence: EchoConfig.", "sequence.")
-                      .replace("sequence.init_area ", "sequence.init_area_pi ")
-                      .replace("sequence.rephase_area ", "sequence.rephase_area_pi ")
-                      for p in exc.problems)
-        return None
+def _ambient(raw, errors: list) -> tuple:
+    path = "studies.compensation.ambient_field"
+    if isinstance(raw, list) and len(raw) == 3:
+        return tuple(_value(v, "field", None, f"{path}[{i}]", errors) for i, v in enumerate(raw))
+    errors.append(f"{path}: expected a list of 3 fields")
+    return ()
+
+
+def _check_taus(taus: np.ndarray, path: str, sequence: EchoConfig | None, errors: list) -> None:
+    """A study's storage times: at least FIT_MIN_POINTS, for the decay fit,
+    strictly increasing, as a decay curve's axis, and each long enough to
+    hold the echo pulses of `sequence` (None when the sequence is invalid)."""
+    if taus.size < FIT_MIN_POINTS:
+        errors.append(f"{path}: the decay fit needs at least "
+                      f"{FIT_MIN_POINTS} storage times, got {taus.size}")
+    elif not np.all(np.diff(taus) > 0.0):
+        errors.append(f"{path}: storage times must be strictly increasing")
+    elif sequence is not None:
+        # EchoConfig holds the rule; the shortest storage time is the first
+        try:
+            replace(sequence, tau=float(taus[0]))
+        except ConfigurationError as exc:
+            errors.extend(f"{path}[0]: " + p.replace("EchoConfig.tau", "storage time")
+                          for p in exc.problems)
 
 
 def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
     """Validate a parsed YAML tree; returns (config, all problems found)."""
     errors: list[str] = []
-    root = _Reader(tree if tree is not None else {}, errors)
+    if not isinstance(tree, dict):
+        errors.append("config: expected a mapping")
+        tree = {}
+    _check_keys(tree, KEYS, errors)
+    v, bad = _read(tree, KEYS, errors)
 
-    physics = _physics_from(root.child("physics"), errors)
-    spec = _ensemble_from(root.child("ensemble"), errors)
-    sequence = _sequence_from(root.child("sequence"), errors)
-
-    ro = root.child("readout")
-    readout_mode = ro.get_choice("mode", {"beat", "proxy"}, "beat")
-    ro.finish()
-
-    fm = root.child("field_model")
-    g_raw = fm.get_raw("g_factor")
-    g_factor = DEFAULT_G_FACTOR_HZ_PER_T
-    if g_raw is not None:
-        try:
-            g_factor = parse_ratio(g_raw, "frequency", "field")
-        except ValueError as exc:
-            errors.append(f"field_model.g_factor: {exc}")
-    fm.finish()
-    try:
-        field_model = FieldModel(g_factor=g_factor)
-    except ValidationError as exc:
-        errors.append(f"field_model: {exc}")
-        field_model = FieldModel()
-
-    studies = root.child("studies")
-
-    fs = studies.child("field_sweep")
-    fs_fields = fs.get_values("fields", "field", SweepRange(0.0, 95e-6, 20))
-    fs_taus = fs.get_taus("taus", SweepRange(10e-6, 150e-6, 30), sequence)
-    fs.finish()
-
-    ts = studies.child("temp_scan")
-    # geometric temperature ladder: a T^7 broadening law spans decades of
-    # optical linewidth, so log spacing keeps every decade represented
-    ts_temps = ts.get_values("temperatures", "temperature",
-                             SweepRange(2.0, 7.68, 5, log=True))
-    ts_taus = ts.get_taus("taus", SweepRange(20e-6, 180e-6, 5), sequence)
-    t2_opt_ref = ts.get("t2_opt_ref", "time", default=100e-6)
-    temperature_ref = ts.get("temperature_ref", "temperature", default=2.0)
-    ts.finish()
-
-    sc = studies.child("scaling")
-    sc_values = sc.get_values("t2_opt", "time", SweepRange(100e-12, 10e-6, 13, log=True))
-    t_pi_ref = sc.get("t_pi_ref", "time", default=100e-9)
-    sc_t2_ref = sc.get("t2_opt_ref", "time", default=100e-6)
-    tau_in_pulses = sc.get("tau_in_pulses", "dimensionless", default=8.0)
-    sc.finish()
-
-    co = studies.child("compensation")
-    ambient_raw = co.get_raw("ambient_field", ["0uT", "0uT", "50uT"])
-    ambient = [0.0, 0.0, 0.0]
-    if not isinstance(ambient_raw, list) or len(ambient_raw) != 3:
-        errors.append("studies.compensation.ambient_field: expected a list of 3 fields")
-    else:
-        for i, item in enumerate(ambient_raw):
-            try:
-                ambient[i] = parse_quantity(item, "field")
-            except ValueError as exc:
-                errors.append(f"studies.compensation.ambient_field[{i}]: {exc}")
-    search_range = co.get("search_range", "field", default=100e-6)
-    tolerance = co.get("tolerance", "field", default=1e-6)
-    co_taus = co.get_taus("taus", SweepRange(15e-6, 120e-6, 6), sequence)
-    co.finish()
-    studies.finish()
-
-    out = root.child("output")
-    output_dir = out.get_raw("directory", "out")
-    seed = out.get_int("seed", 12345)
-    threads = out.get_int("threads", 1)
-    noise_rms = out.get("noise_rms", "dimensionless", default=0.0)
-    out.finish()
-    if not isinstance(output_dir, str):
-        errors.append("output.directory: expected a string")
-        output_dir = "out"
-    if threads is not None and threads < 1:
-        errors.append("output.threads: must be >= 1")
-        threads = 1
-    if noise_rms is not None and noise_rms < 0.0:
-        errors.append("output.noise_rms: must be >= 0")
-        noise_rms = 0.0
-
-    root.finish()
-
-    try:
-        scaling_model = ScalingModel(t_pi_ref=t_pi_ref, t2_opt_ref=sc_t2_ref)
-    except ValidationError as exc:
-        errors.append(f"studies.scaling: {exc}")
-
+    ensemble, compensation = v["ensemble"], v["studies.compensation"]
+    if ensemble.get("n_spin", 0) > 1 and _lookup(tree, "ensemble.spin_fwhm") is _MISSING:
+        errors.append("missing required key ensemble.spin_fwhm")
+    if "zeeman_branches" in ensemble:
+        ensemble["zeeman_branches"] = _branches(ensemble["zeeman_branches"], errors)
+    compensation["ambient_field"] = _ambient(compensation["ambient_field"], errors)
+    physics = _physics(v["physics"], errors)
+    spec = _build(EnsembleSpec, "ensemble", ensemble, errors)
+    # an infinite placeholder keeps a missing tau from hiding the other problems
+    sequence = _build(EchoConfig, "sequence", {"tau": math.inf, **v["sequence"]}, errors)
+    field_model = _build(FieldModel, "field_model", v["field_model"], errors)
+    scaling_model = _build(ScalingModel, "studies.scaling", v["studies.scaling"], errors)
+    for study in ("field_sweep", "temp_scan", "compensation"):
+        if f"studies.{study}.taus" not in bad:
+            # against the pulses only when every sequence key is valid
+            _check_taus(v[f"studies.{study}"]["taus"], f"studies.{study}.taus",
+                        None if any(p.startswith("sequence.") for p in bad) else sequence,
+                        errors)
     if errors:
         return None, errors
-
-    cfg = RunConfig(
-        physics=physics,
-        ensemble=spec,
-        sequence=sequence,
-        readout_mode=readout_mode,
-        field_model=field_model,
-        scaling_model=scaling_model,
-        field_sweep=FieldSweepConfig(fields=fs_fields, taus=fs_taus),
-        temp_scan=TempScanConfig(temperatures=ts_temps, taus=ts_taus,
-                                 t2_opt_ref=t2_opt_ref, temperature_ref=temperature_ref),
-        scaling=ScalingConfig(t2_opt_values=sc_values, t_pi_ref=t_pi_ref,
-                              t2_opt_ref=sc_t2_ref, tau_in_pulses=tau_in_pulses),
-        compensation=CompensationConfig(ambient_field=tuple(ambient),
-                                        search_range=search_range,
-                                        tolerance=tolerance, taus=co_taus),
-        output_dir=output_dir,
-        seed=seed,
-        threads=threads,
-        noise_rms=noise_rms,
-    )
-    return cfg, []
+    v["studies.scaling"] |= {f: getattr(scaling_model, f) for f in ("t_pi_ref", "t2_opt_ref")}
+    return RunConfig(physics=physics, ensemble=spec, sequence=sequence, field_model=field_model,
+                     scaling_model=scaling_model,
+                     field_sweep=FieldSweepConfig(**v["studies.field_sweep"]),
+                     temp_scan=TempScanConfig(**v["studies.temp_scan"]),
+                     scaling=ScalingConfig(**v["studies.scaling"]),
+                     compensation=CompensationConfig(**compensation),
+                     **v["readout"], **v["output"]), []
 
 
 def parse_config(text: str) -> RunConfig:

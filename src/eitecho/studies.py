@@ -351,6 +351,9 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     current point; ``evaluations`` counts the objective calls of the
     sequential search, not the curves computed ahead.
     """
+    # a zero tolerance would never end the golden section
+    if not (search_range > 0.0 and tol > 0.0):
+        raise ValidationError("compensation_search: search_range and tol must be > 0")
     taus = np.asarray(list(taus), dtype=float)
     # a curve stacks one member per grid point and Zeeman branch
     members = spec.n_optical * spec.n_spin * 2

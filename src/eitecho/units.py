@@ -127,11 +127,17 @@ def csv_text(header: str, rows) -> str:
     A number is written as repr(float(value)), the shortest decimal that
     reads back to the same double (also for numpy scalars); None is an
     empty cell, and a str is written as it is.  ``rows`` may be a 2-D float
-    ndarray, written with one repr per distinct value of each block of rows.
+    ndarray, written with one repr per distinct value of each block of rows,
+    or a dict of such tables by a tuple of label cells, each line of a table
+    led by its labels.
     """
     lines = [header]
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
         lines.extend(_float_lines(rows))
+    elif isinstance(rows, dict):
+        for labels, table in rows.items():
+            lead = "".join(f"{label}," for label in labels)
+            lines.extend(lead + line for line in _float_lines(table))
     else:
         lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"

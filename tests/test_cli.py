@@ -306,3 +306,57 @@ class TestBlochPath:
             sel = [r for r in rows if r.startswith(f"{stage},{comp},")]
             finals[comp] = np.array([float(v) for v in sel[-1].split(",")[3:6]])
         assert np.allclose(finals["0"], finals["1"], atol=1e-3)
+
+
+class TestBoundsExitOne:
+    @pytest.mark.parametrize("command, block, problem", [
+        # compensate never returned at tolerance 0
+        ("compensate", "compensation: {tolerance: 0uT}",
+         "studies.compensation.tolerance: must be > 0"),
+        ("compensate", "compensation: {search_range: -5uT}",
+         "studies.compensation.search_range: must be > 0"),
+        # these exited 2 as a "numerical failure" after validate passed them
+        ("temp-scan", "temp_scan: {temperatures: [2K, 0K, 5K]}",
+         "studies.temp_scan.temperatures[1]: must be > 0"),
+        ("temp-scan", "temp_scan: {t2_opt_ref: 0us}", "studies.temp_scan.t2_opt_ref: must be > 0"),
+        ("temp-scan", "temp_scan: {temperature_ref: 0K}",
+         "studies.temp_scan.temperature_ref: must be > 0"),
+        ("scaling", "scaling: {t2_opt: [1ns, 0ns]}", "studies.scaling.t2_opt[1]: must be > 0"),
+        # this exited 1 naming EchoConfig.tau instead of the key
+        ("scaling", "scaling: {tau_in_pulses: 4}", "studies.scaling.tau_in_pulses: must be > 4"),
+        ("validate", "compensation: {tolerance: 0uT}",
+         "studies.compensation.tolerance: must be > 0"),
+    ])
+    def test_bound_is_a_config_error(self, tmp_path, capsys, command, block, problem):
+        text = CLOSED_CONFIG + f"studies:\n  {block}\n"
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {problem}\n"
+        assert not out.exists()
+
+    def test_negative_config_seed_exits_one(self, tmp_path, capsys):
+        # qst died with numpy's "expected non-negative integer" traceback
+        text = CLOSED_CONFIG.replace("seed: 7", "seed: -5")
+        out = tmp_path / "o"
+        assert main(["qst", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: output.seed: must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+    def test_bad_seed_argument_is_a_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["qst", "--seed", seed, "--out", str(out)])
+        assert exc.value.code == 1
+        assert f"argument --seed: expected an integer >= 0, got '{seed}'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_seed_runs(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["qst", "--config", str(write_config(tmp_path, CLOSED_CONFIG)),
+                     "--seed", "0", "--out", str(out)]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["seed"] == 0

@@ -1,13 +1,21 @@
 """Unit parsing and config validation: every error reported, unknown keys rejected."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from eitecho.config import DEFAULT_CONFIG_TEXT, parse_config, validate_config
+from eitecho.cli import accepts, build_parser
+from eitecho.config import KEYS, DEFAULT_CONFIG_TEXT, parse_config, validate_config
+from eitecho.ensemble import EnsembleSpec
 from eitecho.errors import ConfigurationError
+from eitecho.lambda_system import LambdaParams
 from eitecho.readout import FIT_MIN_POINTS
+from eitecho.sequences import EchoConfig
+from eitecho.studies import FieldModel, ScalingModel
 from eitecho.units import parse_quantity, parse_ratio
 
 
@@ -181,3 +189,122 @@ class TestValidation:
         cfg, errors = validate_config(tree)
         assert errors == []
         assert cfg.temp_scan.taus.size == FIT_MIN_POINTS
+
+
+class TestKeyTable:
+    """One table states every key: the README, --help and the defaults follow it."""
+
+    @staticmethod
+    def readme_section() -> str:
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        return text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+
+    def test_readme_names_exactly_the_table_keys_with_their_bounds(self):
+        rows = re.findall(r"^\| `([\w.]+)` \| (.+?) \|", self.readme_section(), re.M)
+        assert [path for path, _ in rows] == [k.path for k in KEYS]
+        assert {path: takes.replace("\\|", "|") for path, takes in rows} == \
+            {k.path: accepts(k) for k in KEYS}
+
+    def test_readme_example_is_valid(self):
+        example_text = self.readme_section().split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg, errors = validate_config(yaml.safe_load(example_text))
+        assert errors == [] and cfg is not None
+
+    def test_help_names_exactly_the_table_keys(self):
+        names, section = [], None
+        for line in build_parser().format_help().splitlines():
+            if m := re.fullmatch(r"  ([\w.]+):", line):
+                section = m.group(1)
+            elif section and (m := re.match(r"    (\w+) ", line)):
+                names.append(f"{section}.{m.group(1)}")
+        assert names == [k.path for k in KEYS]
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        cfg, errors = validate_config({"sequence": {"tau": "60us"}})
+        assert errors == []
+        assert cfg.sequence == EchoConfig(tau=parse_quantity("60us", "time"))
+        assert cfg.ensemble == EnsembleSpec()
+        assert cfg.physics == LambdaParams()
+        assert cfg.field_model == FieldModel()
+        assert cfg.scaling_model == ScalingModel()
+        assert (cfg.scaling.t_pi_ref, cfg.scaling.t2_opt_ref) == \
+            (ScalingModel().t_pi_ref, ScalingModel().t2_opt_ref)
+
+    def test_scaled_keys_fill_their_fields(self):
+        tree = {"sequence": {"tau": "60us", "init_area_pi": 0.5, "rephase_area_pi": 1,
+                             "readout_rabi": "1MHz"},
+                "physics": {"delta_opt": "2kHz"}}
+        cfg, errors = validate_config(tree)
+        assert errors == []
+        assert cfg.sequence.init_area == 0.5 * math.pi
+        assert cfg.sequence.rephase_area == math.pi
+        assert cfg.sequence.readout_rabi == 2.0 * math.pi * 1e6
+        assert cfg.physics.delta_opt == 2.0 * math.pi * 2e3
+
+    def test_axis_defaults_are_not_shared_between_configs(self):
+        first, _ = validate_config({"sequence": {"tau": "60us"}})
+        first.field_sweep.taus[0] = -1.0
+        second, _ = validate_config({"sequence": {"tau": "60us"}})
+        assert second.field_sweep.taus[0] == pytest.approx(10e-6)
+
+
+class TestBounds:
+    @pytest.mark.parametrize("block, problem", [
+        # 0 uT made the golden section of compensate loop forever
+        ({"compensation": {"tolerance": "0uT"}}, "studies.compensation.tolerance: must be > 0"),
+        ({"compensation": {"tolerance": "-1uT"}}, "studies.compensation.tolerance: must be > 0"),
+        ({"compensation": {"search_range": "0uT"}},
+         "studies.compensation.search_range: must be > 0"),
+        # these passed validate, then failed the run as a numerical failure
+        ({"temp_scan": {"temperatures": ["2K", "0K"]}},
+         "studies.temp_scan.temperatures[1]: must be > 0"),
+        ({"temp_scan": {"temperatures": {"min": "-1K", "max": "5K", "n": 3}}},
+         "studies.temp_scan.temperatures.min: must be > 0"),
+        ({"temp_scan": {"t2_opt_ref": "0us"}}, "studies.temp_scan.t2_opt_ref: must be > 0"),
+        ({"temp_scan": {"temperature_ref": "-2K"}},
+         "studies.temp_scan.temperature_ref: must be > 0"),
+        ({"scaling": {"t2_opt": ["1ns", "-1ns"]}}, "studies.scaling.t2_opt[1]: must be > 0"),
+        ({"scaling": {"t2_opt": {"min": "0ns", "max": "1us", "n": 4}}},
+         "studies.scaling.t2_opt.min: must be > 0"),
+        # the echo spans 4 init-pulse durations; this named EchoConfig.tau at run time
+        ({"scaling": {"tau_in_pulses": 4}}, "studies.scaling.tau_in_pulses: must be > 4"),
+        ({"scaling": {"tau_in_pulses": 3.5}}, "studies.scaling.tau_in_pulses: must be > 4"),
+    ])
+    def test_study_bound_names_its_key(self, block, problem):
+        cfg, errors = validate_config({"sequence": {"tau": "60us"}, "studies": block})
+        assert cfg is None and errors == [problem]
+
+    def test_negative_seed_named(self):
+        cfg, errors = validate_config({"sequence": {"tau": "60us"}, "output": {"seed": -5}})
+        assert cfg is None and errors == ["output.seed: must be >= 0"]
+        cfg, errors = validate_config({"sequence": {"tau": "60us"}, "output": {"seed": 0}})
+        assert errors == [] and cfg.seed == 0
+
+    @pytest.mark.parametrize("log", ["no", "yes please", 1, 0, None, [True]])
+    def test_range_log_takes_only_booleans(self, log):
+        fields = {"min": "1uT", "max": "90uT", "n": 6, "log": log}
+        cfg, errors = validate_config({"sequence": {"tau": "60us"},
+                                       "studies": {"field_sweep": {"fields": fields}}})
+        assert cfg is None and len(errors) == 1
+        assert errors[0].startswith("studies.field_sweep.fields.log: expected true or false")
+
+    @pytest.mark.parametrize("log, spacing", [(True, np.geomspace), (False, np.linspace)])
+    def test_range_log_booleans(self, log, spacing):
+        fields = {"min": "1uT", "max": "90uT", "n": 6, "log": log}
+        cfg, errors = validate_config({"sequence": {"tau": "60us"},
+                                       "studies": {"field_sweep": {"fields": fields}}})
+        assert errors == []
+        assert np.array_equal(cfg.field_sweep.fields, spacing(
+            parse_quantity("1uT", "field"), parse_quantity("90uT", "field"), 6))
+
+    def test_yaml_boolean_spellings_are_booleans(self):
+        cfg = parse_config("sequence: {tau: 60us}\nstudies:\n  field_sweep:\n"
+                           "    fields: {min: 1uT, max: 90uT, n: 6, log: yes}\n")
+        assert np.array_equal(cfg.field_sweep.fields, np.geomspace(
+            parse_quantity("1uT", "field"), parse_quantity("90uT", "field"), 6))
+
+    def test_unknown_range_key_named(self):
+        fields = {"min": "1uT", "max": "90uT", "n": 6, "lg": True}
+        _, errors = validate_config({"sequence": {"tau": "60us"},
+                                     "studies": {"field_sweep": {"fields": fields}}})
+        assert errors == ["unknown key studies.field_sweep.fields.lg"]

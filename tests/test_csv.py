@@ -106,6 +106,31 @@ class TestFloatTable:
         assert units.csv_text("h", small) == per_cell_reference("h", small.astype(np.float64))
 
 
+class TestLabeledTables:
+    """A dict of float tables by label cells: each line led by its labels."""
+
+    @staticmethod
+    def per_cell(tables: dict) -> str:
+        return units.csv_text("s,c,a,b", [[*labels, *row] for labels, table in tables.items()
+                                          for row in table.tolist()])
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables=st.dictionaries(
+        st.tuples(st.sampled_from(["init", "echo"]), st.sampled_from(["0", "1"])),
+        hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(2)), elements=edge_floats),
+        max_size=4))
+    def test_equals_labeled_rows_per_cell(self, tables):
+        assert units.csv_text("s,c,a,b", tables) == self.per_cell(tables)
+
+    def test_tables_longer_than_a_block_keep_their_order(self):
+        rng = np.random.default_rng(3)
+        tables = {("echo", "1"): rng.standard_normal((units.ROWS_PER_BLOCK + 5, 2)),
+                  ("init", "0"): np.array([[0.0, -0.0], [np.nan, 1e16]])}
+        text = units.csv_text("s,c,a,b", tables)
+        assert text == self.per_cell(tables)
+        assert text.splitlines()[-1] == "init,0,nan,1e+16"
+
+
 class TestTrajectoryCsv:
     def _traj(self) -> Trajectory:
         s0 = np.array([[0.5, 0.25 - 0.125j, 0.0],

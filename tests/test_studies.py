@@ -258,3 +258,18 @@ class TestCompensationSearch:
                                   tol=1e-6, mode="proxy")
         assert np.allclose(res.compensation, 0.0, atol=1e-6)
         assert res.warning is None
+
+    @pytest.mark.parametrize("search_range, tol", [
+        # at tol 0 the golden-section bracket stops shrinking one ulp wide and
+        # the search never returned
+        (100e-6, 0.0), (100e-6, -1e-6), (0.0, 1e-6), (-100e-6, 1e-6)])
+    def test_non_positive_tolerance_or_range_rejected(self, monkeypatch, search_range, tol):
+        def no_curves(*args, **kwargs):
+            raise AssertionError("no curve may be computed")
+
+        monkeypatch.setattr(studies, "assemble_decay_curves", no_curves)
+        with pytest.raises(ValidationError, match="search_range and tol must be > 0"):
+            compensation_search(FieldModel(field_vector=(0.0, 0.0, 50e-6)),
+                                EchoConfig(tau=30e-6), PARAMS, SINGLE,
+                                np.linspace(15e-6, 120e-6, 6), search_range=search_range,
+                                tol=tol, mode="proxy")
