@@ -7,24 +7,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .qstate import (
-    DensityMatrix3,
-    GroundQubitState,
-    bloch_vector,
-    fidelity,
-    trace_distance,
-)
-from .lambda_system import (
-    BrightDarkBasis,
-    LambdaParams,
-    bright_dark_basis,
-    coupling_strengths,
-    hamiltonian,
-    lindblad_rhs,
-)
+from .qstate import DensityMatrix3, GroundQubitState, fidelity
+from .lambda_system import LambdaParams, hamiltonian, lindblad_rhs
 from .dynamics import PulseSpec, SequenceSpec, Trajectory, Wait, propagate, run_sequence
 from .sequences import (
     EchoConfig,
+    dark_target,
     make_echo_sequence,
     make_init_pulse,
     make_readout_pulse,
@@ -57,15 +45,14 @@ from .config import RunConfig, parse_config, validate_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeatTrace", "BrightDarkBasis", "DecayCurve", "DensityMatrix3", "EchoConfig",
-    "EnsembleSpec", "FieldModel", "FitResult", "GroundQubitState", "LambdaParams",
-    "PulseSpec", "RunConfig", "ScalingModel", "SequenceSpec", "TemperatureModel",
+    "BeatTrace", "DecayCurve", "DensityMatrix3", "EchoConfig", "EnsembleSpec",
+    "FieldModel", "FitResult", "GroundQubitState", "LambdaParams", "PulseSpec",
+    "RunConfig", "ScalingModel", "SequenceSpec", "TemperatureModel",
     "TomographyResult", "Trajectory", "Wait", "assemble_decay_curve",
-    "assemble_decay_curves", "beat_amplitude", "bloch_vector", "bright_dark_basis", "compensation_search",
-    "coupling_strengths", "ensemble_average", "fidelity", "field_sweep",
-    "fit_decay", "hamiltonian", "lindblad_rhs", "make_echo_sequence",
-    "make_init_pulse", "make_readout_pulse", "make_rephase_pulse",
-    "member_stack", "parse_config", "projection_measurements",
+    "assemble_decay_curves", "beat_amplitude", "compensation_search", "dark_target",
+    "ensemble_average", "fidelity", "field_sweep", "fit_decay", "hamiltonian",
+    "lindblad_rhs", "make_echo_sequence", "make_init_pulse", "make_readout_pulse",
+    "make_rephase_pulse", "member_stack", "parse_config", "projection_measurements",
     "propagate", "reconstruct", "run_sequence", "scaling_study", "splitting_from_field",
-    "synthesize_beat", "temperature_scan", "trace_distance", "validate_config",
+    "synthesize_beat", "temperature_scan", "validate_config",
 ]

@@ -30,7 +30,7 @@ from .ensemble import ensemble_average, ensemble_final_state
 from .errors import ConfigurationError, FitFailureError, ValidationError
 from .qstate import DensityMatrix3, GroundQubitState
 from .readout import beat_amplitude, synthesize_beat
-from .sequences import make_echo_sequence, make_init_pulse
+from .sequences import dark_target, make_echo_sequence, make_init_pulse
 from .studies import (
     FieldModel,
     compensation_json,
@@ -130,8 +130,7 @@ def _cmd_qst(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     for name, case_cfg, seq in _qst_cases(cfg):
         final = ensemble_final_state(seq, cfg.physics, cfg.ensemble)
         offset = case_cfg.init_phase_offset
-        dark = np.array([1.0, -np.exp(1j * offset)], dtype=complex) / math.sqrt(2.0)
-        tomo = tomography_of(GroundQubitState(final.matrix[:2, :2]), dark,
+        tomo = tomography_of(GroundQubitState(final.matrix[:2, :2]), dark_target(case_cfg),
                              cfg.noise_rms, rng)
         (x, y, z), f_pure = tomo.projections, tomo.fidelity_vs_target
         ideal = reconstruct(-0.5 * math.cos(offset), -0.5 * math.sin(offset), 0.0)

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, ValidationError
 from .lambda_system import LambdaParams
 from .readout import FIT_MIN_POINTS
 from .sequences import EchoConfig
-from .studies import FieldModel, ScalingModel, TemperatureModel
+from .studies import FieldModel, ScalingModel, TemperatureModel, scaling_echo
 from .units import parse_quantity, parse_ratio
 
 TWO_PI = 2.0 * math.pi
@@ -274,7 +274,7 @@ def _build(cls, section: str, values: dict, errors: list):
     try:
         return cls(**{name: v for name, v in values.items() if name in names})
     except (ConfigurationError, ValidationError) as exc:
-        for problem in getattr(exc, "problems", [str(exc)]):
+        for problem in exc.problems:
             head, _, rest = problem.partition(" ")
             owner, _, name = head.partition(".")
             key = _KEY_OF.get((section, name)) if owner == cls.__name__ else None
@@ -361,14 +361,25 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
             _check_taus(v[f"studies.{study}"]["taus"], f"studies.{study}.taus",
                         None if any(p.startswith("sequence.") for p in bad) else sequence,
                         errors)
+    scaling = v["studies.scaling"]
+    if (sequence is not None and scaling_model is not None
+            and not any(p.startswith("studies.scaling.") for p in bad)):
+        # each point's echo, as the scaling study builds it
+        for i, t2 in enumerate(scaling["t2_opt_values"]):
+            try:
+                scaling_echo(sequence, scaling_model.pulse_duration(t2), scaling["tau_in_pulses"])
+            except ConfigurationError as exc:
+                errors.extend(f"studies.scaling.t2_opt[{i}]: " + p.replace("EchoConfig.", "echo ")
+                              for p in exc.problems)
+                break
     if errors:
         return None, errors
-    v["studies.scaling"] |= {f: getattr(scaling_model, f) for f in ("t_pi_ref", "t2_opt_ref")}
+    scaling |= {f: getattr(scaling_model, f) for f in ("t_pi_ref", "t2_opt_ref")}
     return RunConfig(physics=physics, ensemble=spec, sequence=sequence, field_model=field_model,
                      scaling_model=scaling_model,
                      field_sweep=FieldSweepConfig(**v["studies.field_sweep"]),
                      temp_scan=TempScanConfig(**v["studies.temp_scan"]),
-                     scaling=ScalingConfig(**v["studies.scaling"]),
+                     scaling=ScalingConfig(**scaling),
                      compensation=CompensationConfig(**compensation),
                      **v["readout"], **v["output"]), []
 

@@ -483,6 +483,14 @@ def _wait_samples(gen: np.ndarray, weights: np.ndarray, v: np.ndarray, dt: float
     return samples, end
 
 
+def whole_steps(duration: float, dt: float) -> tuple[int, list]:
+    """The whole steps n of `dt` in `duration`, and the step lengths: [dt], and
+    the remainder after n steps when it exceeds 1e-9 dt."""
+    n = int(np.floor(duration / dt + 1e-9))
+    rest = duration - n * dt
+    return n, [dt, rest] if rest > 1e-9 * dt else [dt]
+
+
 def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None,
                     member_name=_member) -> None:
     """Guard against drift: every member's final (3, 3) state must be physical.
@@ -555,9 +563,7 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
                                       f"must be finite and > 0"])
         clock = seg.clock_dt if isinstance(seg, PulseSpec) and seg.clock_dt else seg.duration
         dt = clock / max(1, int(np.ceil(clock / dt_target - 1e-12)))
-        n_steps = int(np.floor(seg.duration / dt + 1e-9))
-        rest = seg.duration - n_steps * dt
-        steps = [dt, rest] if rest > 1e-9 * dt else [dt]
+        n_steps, steps = whole_steps(seg.duration, dt)
         if isinstance(seg, Wait):
             maps = wait_maps(gen, steps[1:])
             samples, v = _wait_samples(gen, weights, v, dt, n_steps)

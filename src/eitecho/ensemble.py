@@ -47,20 +47,23 @@ class EnsembleSpec:
     zeeman_branches: tuple = ()
 
     def __post_init__(self):
-        if self.optical_fwhm < 0.0 or self.spin_fwhm < 0.0:
-            raise ValidationError("EnsembleSpec FWHMs must be >= 0")
+        problems = []
+        for name in ("optical_fwhm", "spin_fwhm"):
+            if getattr(self, name) < 0.0:
+                problems.append(f"EnsembleSpec.{name} must be >= 0")
         for name in ("n_optical", "n_spin"):
             n = getattr(self, name)
             if n < 1 or n % 2 == 0:
-                raise ValidationError(f"EnsembleSpec.{name} must be odd and >= 1, got {n}")
+                problems.append(f"EnsembleSpec.{name} must be odd and >= 1, got {n}")
         branches = tuple((float(o), float(w)) for o, w in self.zeeman_branches)
-        if branches:
-            weights = [w for _, w in branches]
-            if any(w < 0.0 for w in weights):
-                raise ValidationError("EnsembleSpec branch weights must be >= 0")
-            if abs(sum(weights) - 1.0) > 1e-9:
-                raise ValidationError(
-                    f"EnsembleSpec branch weights must sum to 1, got {sum(weights)}")
+        weights = [w for _, w in branches]
+        if any(w < 0.0 for w in weights):
+            problems.append("EnsembleSpec.zeeman_branches weights must be >= 0")
+        if branches and abs(sum(weights) - 1.0) > 1e-9:
+            problems.append(f"EnsembleSpec.zeeman_branches weights must sum to 1, "
+                            f"got {sum(weights)}")
+        if problems:
+            raise ValidationError(problems)
         object.__setattr__(self, "zeeman_branches", branches)
 
 

@@ -1,5 +1,5 @@
-"""Driven lambda-system model: rotating-frame Hamiltonian, bright/dark algebra,
-and the dissipative right-hand side of the master equation.
+"""Driven lambda-system model: rotating-frame Hamiltonian and the dissipative
+right-hand side of the master equation, also as a 9x9 Liouvillian.
 
 Conventions (basis order |0>, |1>, |e>):
 
@@ -19,7 +19,7 @@ Conventions (basis order |0>, |1>, |e>):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,16 +51,19 @@ class LambdaParams:
     frame_offset: float = 0.0
 
     def __post_init__(self):
+        problems = []
         for name in ("rabi0", "rabi1", "gamma_opt_decay", "gamma_opt_deph",
                      "gamma_spin_deph"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0.0:
-                raise ValidationError(f"LambdaParams.{name} must be >= 0, got {v}")
+                problems.append(f"LambdaParams.{name} must be >= 0, got {v}")
         if not 0.0 <= self.branch0 <= 1.0:
-            raise ValidationError(f"LambdaParams.branch0 must be in [0, 1], got {self.branch0}")
+            problems.append(f"LambdaParams.branch0 must be in [0, 1], got {self.branch0}")
         for name in ("phase0", "phase1", "delta_opt", "delta_spin", "frame_offset"):
             if not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"LambdaParams.{name} must be finite")
+                problems.append(f"LambdaParams.{name} must be finite")
+        if problems:
+            raise ValidationError(problems)
 
     @property
     def gamma_opt_coherence(self) -> float:
@@ -68,69 +71,7 @@ class LambdaParams:
         return 0.5 * self.gamma_opt_decay + self.gamma_opt_deph
 
     def replace(self, **kw) -> "LambdaParams":
-        from dataclasses import replace as _replace
-        return _replace(self, **kw)
-
-
-@dataclass(frozen=True)
-class BrightDarkBasis:
-    """Unitary ground-manifold change of basis (|0>, |1>) -> (|B>, |D>).
-
-    Columns are the bright and dark kets.  For an equal-amplitude, equal-phase
-    drive they are (|0> + |1>)/sqrt(2) and (|0> - |1>)/sqrt(2).
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValidationError("BrightDarkBasis must be 2x2")
-        if not np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12):
-            raise ValidationError("BrightDarkBasis is not unitary to 1e-12")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def bright(self) -> np.ndarray:
-        return self.matrix[:, 0]
-
-    @property
-    def dark(self) -> np.ndarray:
-        return self.matrix[:, 1]
-
-    def dark3(self) -> np.ndarray:
-        return np.array([self.dark[0], self.dark[1], 0.0], dtype=complex)
-
-
-def _strip_global_phase(v: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible component real positive."""
-    for c in v:
-        if abs(c) > 1e-12:
-            return v * (abs(c) / c)
-    return v
-
-
-def bright_dark_basis(p: LambdaParams) -> BrightDarkBasis:
-    """Drive-adapted bright/dark basis for the given pulse amplitudes and phases.
-
-    The bright ket maximizes the coupling to |e>, the dark ket is orthogonal
-    and decoupled.  With no drive at all the balanced pair is returned.
-    """
-    v0 = 0.5 * p.rabi0 * np.exp(1j * p.phase0)
-    v1 = 0.5 * p.rabi1 * np.exp(1j * p.phase1)
-    norm = np.hypot(abs(v0), abs(v1))
-    if norm < 1e-300:
-        # no drive: fall back to the balanced pair
-        bright = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-        dark = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-    else:
-        bright = np.array([np.conj(v0), np.conj(v1)], dtype=complex) / norm
-        dark = np.array([v1, -v0], dtype=complex) / norm
-    bright = _strip_global_phase(bright)
-    dark = _strip_global_phase(dark)
-    return BrightDarkBasis(np.column_stack([bright, dark]))
+        return replace(self, **kw)
 
 
 def hamiltonian(p: LambdaParams) -> np.ndarray:
@@ -144,18 +85,6 @@ def hamiltonian(p: LambdaParams) -> np.ndarray:
     h[0, 2] = np.conj(h[2, 0])
     h[1, 2] = np.conj(h[2, 1])
     return h
-
-
-def coupling_strengths(p: LambdaParams) -> tuple[complex, complex]:
-    """Matrix elements of the Hamiltonian from the balanced bright/dark kets to |e>.
-
-    Returns (<e|H|B>, <e|H|D>) with |B/D> = (|0> +/- |1>)/sqrt(2); the
-    equal-phase drive gives (sqrt(2) * rabi / 2, 0).
-    """
-    h = hamiltonian(p)
-    bright = (KET0 + KET1) / np.sqrt(2.0)
-    dark = (KET0 - KET1) / np.sqrt(2.0)
-    return complex(KETE.conj() @ h @ bright), complex(KETE.conj() @ h @ dark)
 
 
 def _jump_operators(p: LambdaParams) -> list[tuple[float, np.ndarray]]:

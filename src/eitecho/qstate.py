@@ -25,82 +25,55 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _check_state_matrix(m: np.ndarray, dim: int, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValidationError(f"{what}: expected a {dim}x{dim} matrix, got shape {m.shape}")
-    if not np.allclose(m, m.conj().T, rtol=0.0, atol=HERMITICITY_TOL):
-        raise ValidationError(f"{what}: matrix is not Hermitian to within {HERMITICITY_TOL}")
-    tr = np.trace(m)
-    if abs(tr.imag) > HERMITICITY_TOL:
-        raise ValidationError(f"{what}: trace has imaginary part {tr.imag}")
-    if tr.real < -TRACE_TOL or tr.real > 1.0 + TRACE_TOL:
-        raise ValidationError(f"{what}: trace {tr.real} outside [0, 1]")
-    eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    if eigs.min() < -EIGENVALUE_TOL:
-        raise ValidationError(f"{what}: negative eigenvalue {eigs.min()}")
-    m = m.copy()
-    m.setflags(write=False)
-    return m
+@dataclass(frozen=True)
+class _StateMatrix:
+    """Read-only Hermitian, positive semidefinite DIM x DIM matrix of trace in [0, 1]."""
+
+    matrix: np.ndarray
+    DIM = 0
+
+    def __post_init__(self):
+        what, dim = type(self).__name__, self.DIM
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.shape != (dim, dim):
+            raise ValidationError(f"{what}: expected a {dim}x{dim} matrix, got shape {m.shape}")
+        if not np.allclose(m, m.conj().T, rtol=0.0, atol=HERMITICITY_TOL):
+            raise ValidationError(f"{what}: matrix is not Hermitian to within {HERMITICITY_TOL}")
+        tr = np.trace(m)
+        if abs(tr.imag) > HERMITICITY_TOL:
+            raise ValidationError(f"{what}: trace has imaginary part {tr.imag}")
+        if tr.real < -TRACE_TOL or tr.real > 1.0 + TRACE_TOL:
+            raise ValidationError(f"{what}: trace {tr.real} outside [0, 1]")
+        eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        if eigs.min() < -EIGENVALUE_TOL:
+            raise ValidationError(f"{what}: negative eigenvalue {eigs.min()}")
+        m = m.copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def trace(self) -> float:
+        return float(np.trace(self.matrix).real)
 
 
 @dataclass(frozen=True)
-class DensityMatrix3:
+class DensityMatrix3(_StateMatrix):
     """State (possibly a sub-normalized block) of one three-level ensemble member."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrix", _check_state_matrix(self.matrix, 3, "DensityMatrix3")
-        )
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    @property
-    def populations(self) -> tuple[float, float, float]:
-        d = np.real(np.diag(self.matrix))
-        return float(d[0]), float(d[1]), float(d[2])
+    DIM = 3
 
 
 @dataclass(frozen=True)
-class GroundQubitState:
+class GroundQubitState(_StateMatrix):
     """State of the nuclear ground qubit; trace may be below one."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrix", _check_state_matrix(self.matrix, 2, "GroundQubitState")
-        )
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    DIM = 2
 
 
 # Equal-weight ground superpositions that couple maximally / not at all to an
 # equal-phase bichromatic drive.
 KET_BRIGHT = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_DARK = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-
-
-def bloch_vector(state: GroundQubitState) -> tuple[float, float, float]:
-    """Pauli expectation values (tr Xr, tr Yr, tr Zr) of a ground-qubit block.
-
-    For a sub-normalized block the vector length is bounded by the trace, not
-    by one.
-    """
-    m = state.matrix
-    x = np.trace(PAULI_X @ m)
-    y = np.trace(PAULI_Y @ m)
-    z = np.trace(PAULI_Z @ m)
-    for name, v in (("x", x), ("y", y), ("z", z)):
-        if abs(v.imag) > 1e-12:
-            raise ValidationError(f"bloch_vector: {name} has imaginary part {v.imag}")
-    return float(x.real), float(y.real), float(z.real)
 
 
 def fidelity(state: GroundQubitState, target) -> float:
@@ -120,14 +93,4 @@ def fidelity(state: GroundQubitState, target) -> float:
         raise ValidationError("fidelity: state has zero trace, fidelity undefined")
     overlap = float(np.real(t.conj() @ state.matrix @ t))
     return overlap + 0.5 * (1.0 - tr)
-
-
-def trace_distance(a: GroundQubitState, b: GroundQubitState) -> float:
-    """Half the trace norm of (a - b); requires equal traces."""
-    if abs(a.trace - b.trace) > 1e-9:
-        raise ValidationError(
-            f"trace_distance: traces differ ({a.trace} vs {b.trace})"
-        )
-    diff = a.matrix - b.matrix
-    return 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
 

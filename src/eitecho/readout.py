@@ -15,8 +15,8 @@ is a pair of geometric sums of S, built once per curve, applied to the
 pre-readout states of every storage time at once.  Curves that differ only
 in their ensemble (the field sweep's fields, a compensation scan's trial
 vectors: a Zeeman splitting enters only as a member offset) are one pass
-over the stacked members of all of them, reduced by a block weight matrix,
-one column per curve.
+over the stacked members of all of them, each curve the weighted sum of its
+own contiguous group of members (one ``np.add.reduceat`` per group).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _expm,
                        _map_namer, _member, geometric_sum, member_generators,
-                       sequence_endpoints)
+                       sequence_endpoints, whole_steps)
 from .ensemble import MIXED_GROUND, EnsembleSpec, member_stack
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
@@ -81,7 +81,6 @@ class DecayCurve:
 
     taus: np.ndarray
     amplitudes: np.ndarray
-    repeats: int = 1
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -189,12 +188,10 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
     `member_name` names a failing member.
     """
     tick = readout.clock_dt
-    n_steps = int(np.floor(readout.duration / tick + 1e-9))
-    rest = readout.duration - n_steps * tick
-    _check_window_samples(n_steps + 1 + (rest > 1e-9 * tick))
+    n_steps, steps = whole_steps(readout.duration, tick)
+    _check_window_samples(n_steps + len(steps))
     _check_window_periods(n_steps * tick * beat_frequency)
     gen = member_generators(params, readout, offsets, lambda m: f"readout, {member_name(m)}")
-    steps = [tick, rest] if rest > 1e-9 * tick else [tick]
     maps = _expm(np.array([h * gen for h in steps]),
                  _map_namer(["readout tick", "readout rest"], member_name))
     twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * tick)     # e^{2i w dt}
@@ -228,7 +225,7 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
     by its index within its spec and by the spec's label ("group g" unless
     given; none for one unlabelled spec)."""
     if mode not in ("beat", "proxy"):
-        raise ValidationError(f"echo_amplitude: unknown mode {mode!r}")
+        raise ValidationError(f"unknown readout mode {mode!r}")
     seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()), mode == "beat")
     stacks = [member_stack(spec) for spec in specs]
     starts = np.cumsum([0] + [len(w) for _, w in stacks])
@@ -247,19 +244,6 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
         return np.abs(_group_sums(states[..., 1], weights, starts[:-1]))
     return _beat_amplitudes(readout, params, offsets, weights, states, cfg.splitting, taus,
                             member_name, starts[:-1])
-
-
-def echo_amplitude(cfg: EchoConfig, params: LambdaParams, spec: EnsembleSpec,
-                   tau: float, mode: str = "beat") -> float:
-    """One echo simulation reduced to a single amplitude.
-
-    mode 'beat' runs the readout pulse and returns the Fourier amplitude of
-    the beat the detector would synthesize from it; mode 'proxy' skips the
-    readout entirely and reports |<coh01>| at the moment the readout would
-    start (fast path for sweeps; proportional to the beat amplitude because
-    the readout map is linear in the stored coherence).
-    """
-    return float(_echo_amplitudes(cfg, np.array([tau], dtype=float), params, [spec], mode)[0, 0])
 
 
 def assemble_decay_curves(cfg: EchoConfig, taus, params: LambdaParams, specs,

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .dynamics import PulseSpec, SequenceSpec, Wait
 from .errors import ConfigurationError
 
@@ -36,6 +38,10 @@ SQRT2 = math.sqrt(2.0)
 DEFAULT_SPLITTING_HZ = 10.2e6
 # Detector clock: samples per period of the heterodyne beat at the splitting.
 SAMPLES_PER_PERIOD = 8.0
+# Room rule: each wait of an echo layout must exceed this fraction of its start
+# time, so that each of the >= 50 steps a trajectory samples it in advances the
+# clock (a wait of one float spacing ends after it starts; its samples do not).
+WAIT_RESOLUTION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,12 +94,25 @@ class EchoConfig:
         if not self.tau > self.t_init + self.t_rephase + self.t_readout:
             problems.append(
                 f"EchoConfig.tau ({self.tau}) must exceed the summed pulse durations")
-        if self.tau < 2.0 * self.t_init + self.t_rephase:
-            problems.append(
-                f"EchoConfig.tau ({self.tau}) too small to center the rephasing pulse "
-                f"at tau/2 after a {self.t_init} init pulse")
+        elif math.isfinite(self.tau):
+            wait1, wait2 = self.waits
+            for what, start, wait in (
+                    ("before the rephasing pulse, centered at tau/2", self.t_init, wait1),
+                    ("after the rephasing pulse", self.t_init + wait1 + self.t_rephase, wait2),
+                    ("after the init pulse when the rephasing pulse is left out",
+                     self.t_init, self.tau - self.t_init)):
+                if not wait > WAIT_RESOLUTION * start:
+                    problems.append(
+                        f"EchoConfig.tau ({self.tau}) leaves no room for the wait {what}")
+                    break
         if problems:
             raise ConfigurationError(problems)
+
+    @property
+    def waits(self) -> tuple[float, float]:
+        """The waits before and after the rephasing pulse centered at tau/2."""
+        return (self.tau / 2.0 - self.t_rephase / 2.0 - self.t_init,
+                self.tau / 2.0 - self.t_rephase / 2.0)
 
     @property
     def enhancement(self) -> float:
@@ -123,6 +142,12 @@ def make_init_pulse(cfg: EchoConfig) -> PulseSpec:
         phase1=0.0,
         label="init_pi_half",
     )
+
+
+def dark_target(cfg: EchoConfig) -> np.ndarray:
+    """Ground ket (|0> - e^{i phi}|1>)/sqrt(2) that the init pulse, of relative
+    phase phi on its |0> color, leaves uncoupled: the state it prepares."""
+    return np.array([1.0, -np.exp(1j * cfg.init_phase_offset)], dtype=complex) / math.sqrt(2.0)
 
 
 def make_rephase_pulse(cfg: EchoConfig) -> PulseSpec:
@@ -172,17 +197,11 @@ def make_echo_sequence(cfg: EchoConfig, include_rephase: bool = True,
     """
     segments: list = [make_init_pulse(cfg)]
     if include_rephase:
-        wait1 = cfg.tau / 2.0 - cfg.t_rephase / 2.0 - cfg.t_init
-        wait2 = cfg.tau / 2.0 - cfg.t_rephase / 2.0
-        if wait1 <= 0.0 or wait2 <= 0.0:
-            raise ConfigurationError(
-                [f"tau {cfg.tau} leaves no room for waits around the rephasing pulse"])
+        wait1, wait2 = cfg.waits
         half = replace(make_rephase_pulse(cfg), duration=cfg.t_rephase / 2.0)
         segments += [Wait(duration=wait1), half, replace(half, zeeman_sign=-1.0),
                      Wait(duration=wait2, zeeman_sign=-1.0)]
     else:
-        if cfg.tau <= cfg.t_init:
-            raise ConfigurationError([f"tau {cfg.tau} shorter than the init pulse"])
         segments.append(Wait(duration=cfg.tau - cfg.t_init))
     if include_readout:
         segments.append(replace(make_readout_pulse(cfg),

@@ -26,7 +26,7 @@ from .lambda_system import LambdaParams
 from .qstate import GroundQubitState, fidelity
 from .readout import (DecayCurve, FitResult, assemble_decay_curve, assemble_decay_curves,
                       fit_decay)
-from .sequences import EchoConfig, make_echo_sequence
+from .sequences import EchoConfig, dark_target, make_echo_sequence
 from .units import csv_text
 
 TWO_PI = 2.0 * math.pi
@@ -210,6 +210,14 @@ class ScalingPoint:
     coherence: float          # |<coh01>| of the pre-readout ground state
 
 
+def scaling_echo(cfg: EchoConfig, t_pi: float, tau_in_pulses: float) -> EchoConfig:
+    """`cfg` at one scaling point: constant intensity means one Rabi amplitude
+    per system, so the 2*pi rephasing pulse runs twice as long as the pi-area
+    init pulse, and the storage time is tau_in_pulses init-pulse durations."""
+    return replace(cfg, tau=tau_in_pulses * t_pi, t_init=t_pi, t_rephase=2.0 * t_pi,
+                   t_readout=t_pi)
+
+
 def scaling_study(t2_opt_values, sm: ScalingModel, cfg: EchoConfig,
                   params: LambdaParams, spec: EnsembleSpec,
                   tau_in_pulses: float = 8.0) -> list[ScalingPoint]:
@@ -221,20 +229,15 @@ def scaling_study(t2_opt_values, sm: ScalingModel, cfg: EchoConfig,
     fidelity compares the pre-readout ground block against the ideal dark
     target, with missing population counted as mixed.
     """
-    dark = np.array([1.0, -np.exp(1j * cfg.init_phase_offset)], dtype=complex) / math.sqrt(2.0)
+    dark = dark_target(cfg)
     points = []
     for t2_opt in t2_opt_values:
         t2_opt = float(t2_opt)
         if t2_opt <= 0.0:
             raise ValidationError("scaling_study: optical T2 values must be > 0")
         t_pi = sm.pulse_duration(t2_opt)
-        tau = tau_in_pulses * t_pi
-        # constant intensity means one Rabi amplitude per system, so the 2*pi
-        # rephasing pulse runs twice as long as the pi-area init pulse
-        run_cfg = replace(cfg, tau=tau, t_init=t_pi, t_rephase=2.0 * t_pi,
-                          t_readout=t_pi)
         member = params.replace(gamma_opt_deph=1.0 / t2_opt)
-        seq = make_echo_sequence(run_cfg, include_readout=False)
+        seq = make_echo_sequence(scaling_echo(cfg, t_pi, tau_in_pulses), include_readout=False)
         final = ensemble_final_state(seq, member, spec)
         ground = GroundQubitState(final.matrix[:2, :2])
         points.append(ScalingPoint(

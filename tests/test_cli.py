@@ -95,6 +95,17 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"config error: sequence.{key}" in err
 
+    @pytest.mark.parametrize("tau", ["6us", "6.000000000000001us"])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_wait_without_room_is_a_config_error(self, tmp_path, capsys, command, tau):
+        # validate exited 0 and simulate 2: a first wait of 4.2e-22 s after the
+        # 2 us init pulse, whose samples did not advance the trajectory's clock
+        setting = f"tau: {tau}\n  t_readout: 1us"
+        cfg = write_config(tmp_path, CLOSED_CONFIG.replace("tau: 30us", setting))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: sequence.tau" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_log_range_through_zero_is_a_config_error(self, tmp_path, capsys):
         text = CLOSED_CONFIG + ("studies:\n  temp_scan:\n"
                                 "    temperatures: {min: 0K, max: 5K, n: 3, log: true}\n")

@@ -94,6 +94,27 @@ class TestValidation:
                        "n_optical", "unknown key bogus"):
             assert needle in joined
 
+    def test_every_problem_of_a_section_is_reported(self):
+        # the ensemble reported its first failed invariant only
+        tree = {"sequence": {"tau": "60us"},
+                "ensemble": {"n_optical": 4,
+                             "zeeman_branches": [{"offset": "1kHz", "weight": 0.7}]}}
+        _, errors = validate_config(tree)
+        assert len(errors) == 2
+        assert errors[0].startswith("ensemble.n_optical must be odd")
+        assert errors[1].startswith("ensemble.zeeman_branches weights must sum to 1")
+
+    def test_scaling_points_checked_by_the_room_rule(self):
+        # just above the "> 4" bound the first wait is 5e-13 of the init pulse
+        tree = {"sequence": {"tau": "60us"},
+                "studies": {"scaling": {"tau_in_pulses": 4.000000000001}}}
+        _, errors = validate_config(tree)
+        assert len(errors) == 1
+        assert errors[0].startswith("studies.scaling.t2_opt[0]: echo tau (")
+        assert "leaves no room for the wait" in errors[0]
+        tree["studies"]["scaling"]["tau_in_pulses"] = 4.001
+        assert validate_config(tree)[1] == []
+
     def test_parse_config_raises_with_all_problems(self):
         with pytest.raises(ConfigurationError) as exc:
             parse_config("sequence: {tau: 60us, nonsense: 1}\nalso_bad: {}")

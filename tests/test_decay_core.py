@@ -22,8 +22,8 @@ from eitecho.dynamics import (PulseSpec, Trajectory, Wait, _check_physical,
 from eitecho.ensemble import MIXED_GROUND, EnsembleSpec, member_stack
 from eitecho.errors import ConfigurationError, ValidationError
 from eitecho.lambda_system import LambdaParams
-from eitecho.readout import (_beat_amplitudes, assemble_decay_curve, beat_amplitude,
-                             echo_amplitude, synthesize_beat)
+from eitecho.readout import (_beat_amplitudes, _echo_amplitudes, assemble_decay_curve,
+                             beat_amplitude, synthesize_beat)
 from eitecho.sequences import EchoConfig, make_echo_sequence, make_readout_pulse
 
 from conftest import random_density3
@@ -131,13 +131,13 @@ class TestBeatFunctional:
     def test_short_window_is_refused(self):
         cfg = EchoConfig(tau=30e-6, splitting=1e6)
         with pytest.raises(ValidationError, match="below the minimum of 5"):
-            echo_amplitude(cfg, PARAMS, EnsembleSpec(), cfg.tau)
+            _echo_amplitudes(cfg, np.array([cfg.tau]), PARAMS, [EnsembleSpec()], "beat")
 
     def test_too_few_samples_is_refused(self):
         # a 0.2 us readout at 10.2 MHz spans 16 ticks, but at 1.2 MHz only 1.9
         cfg = EchoConfig(tau=30e-6, t_readout=0.2e-6, splitting=1.2e6)
         with pytest.raises(ValidationError, match="too few samples"):
-            echo_amplitude(cfg, PARAMS, EnsembleSpec(), cfg.tau)
+            _echo_amplitudes(cfg, np.array([cfg.tau]), PARAMS, [EnsembleSpec()], "beat")
 
 
 def per_tau_reference(cfg, taus, p, spec, mode) -> np.ndarray:
@@ -167,7 +167,7 @@ class TestWholeCurve:
         curve = assemble_decay_curve(cfg, taus, PARAMS, spec, mode=mode)
         expected = per_tau_reference(cfg, taus, PARAMS, spec, mode)
         assert np.max(np.abs(curve.amplitudes / expected - 1.0)) <= 1e-10
-        assert echo_amplitude(cfg, PARAMS, spec, taus[2], mode=mode) == \
+        assert _echo_amplitudes(cfg, taus[2:3], PARAMS, [spec], mode)[0, 0] == \
             pytest.approx(expected[2], rel=1e-10)
 
     def test_segments_differing_beyond_a_wait_are_refused(self):

@@ -29,6 +29,13 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="sum to 1"):
             EnsembleSpec(zeeman_branches=((1e3, 0.4), (-1e3, 0.4)))
 
+    def test_every_problem_is_reported(self):
+        with pytest.raises(ValidationError) as exc:
+            EnsembleSpec(spin_fwhm=-1.0, n_spin=2, zeeman_branches=((1e3, -0.5),))
+        assert [p.split()[0] for p in exc.value.problems] == [
+            "EnsembleSpec.spin_fwhm", "EnsembleSpec.n_spin", "EnsembleSpec.zeeman_branches",
+            "EnsembleSpec.zeeman_branches"]
+
 
 class TestDetuningGrid:
     def test_single_member(self):

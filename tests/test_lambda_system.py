@@ -1,22 +1,21 @@
-"""Hamiltonian conventions, bright/dark algebra, and the master-equation RHS."""
+"""Hamiltonian conventions, bright/dark couplings, and the master-equation RHS."""
 
 import numpy as np
 import pytest
 
 from eitecho.errors import ValidationError
-from eitecho.lambda_system import (
-    LambdaParams,
-    bright_dark_basis,
-    coupling_strengths,
-    hamiltonian,
-    lindblad_rhs,
-    liouvillian,
-)
+from eitecho.lambda_system import LambdaParams, hamiltonian, lindblad_rhs, liouvillian
 
 from conftest import random_density3
 
 DARK3 = np.array([1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 BRIGHT3 = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+
+
+def coupling_strengths(p: LambdaParams) -> tuple[complex, complex]:
+    """<e|H|B> and <e|H|D> of the balanced bright and dark kets."""
+    h = hamiltonian(p)
+    return complex(h[2] @ BRIGHT3), complex(h[2] @ DARK3)
 
 
 class TestParams:
@@ -27,6 +26,13 @@ class TestParams:
     def test_rejects_bad_branching(self):
         with pytest.raises(ValidationError, match="branch0"):
             LambdaParams(branch0=1.5)
+
+    def test_every_problem_is_reported(self):
+        with pytest.raises(ValidationError) as exc:
+            LambdaParams(rabi0=-1.0, gamma_opt_deph=-1.0, branch0=1.5, delta_opt=np.nan)
+        assert [p.split()[0] for p in exc.value.problems] == [
+            "LambdaParams.rabi0", "LambdaParams.gamma_opt_deph", "LambdaParams.branch0",
+            "LambdaParams.delta_opt"]
 
     def test_optical_coherence_rate(self):
         p = LambdaParams(gamma_opt_decay=10.0, gamma_opt_deph=3.0)
@@ -76,29 +82,19 @@ class TestHamiltonian:
 
 
 class TestBrightDarkBasis:
-    def test_equal_phase_matches_balanced_pair(self):
-        basis = bright_dark_basis(LambdaParams(rabi0=1.0, rabi1=1.0))
-        assert np.allclose(basis.bright, BRIGHT3[:2])
-        assert np.allclose(basis.dark, DARK3[:2])
-
-    def test_unitary_for_random_drives(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            p = LambdaParams(rabi0=rng.uniform(0, 2), rabi1=rng.uniform(0, 2),
-                             phase0=rng.uniform(-np.pi, np.pi),
-                             phase1=rng.uniform(-np.pi, np.pi))
-            u = bright_dark_basis(p).matrix
-            assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+    """The drive-adapted dark ket, which the Hamiltonian leaves uncoupled."""
 
     def test_dark_column_is_decoupled(self):
+        # (rabi1 e^{i phase1}, -rabi0 e^{i phase0}, 0) / norm for any drive
         rng = np.random.default_rng(6)
         for _ in range(50):
             p = LambdaParams(rabi0=rng.uniform(0.1, 2), rabi1=rng.uniform(0.1, 2),
                              phase0=rng.uniform(-np.pi, np.pi),
                              phase1=rng.uniform(-np.pi, np.pi))
-            h = hamiltonian(p)
-            dark = bright_dark_basis(p).dark3()
-            assert abs(h[2] @ dark) < 1e-12
+            dark = np.array([p.rabi1 * np.exp(1j * p.phase1),
+                             -p.rabi0 * np.exp(1j * p.phase0), 0.0])
+            dark /= np.linalg.norm(dark)
+            assert abs(hamiltonian(p)[2] @ dark) < 1e-12
 
 
 class TestLindbladRhs:

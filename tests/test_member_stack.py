@@ -20,7 +20,7 @@ from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, ensemble_average,
                               ensemble_final_state, member_stack)
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian
-from eitecho.readout import beat_amplitude, echo_amplitude, synthesize_beat
+from eitecho.readout import _echo_amplitudes, beat_amplitude, synthesize_beat
 from eitecho.sequences import EchoConfig, make_echo_sequence
 
 from test_propagators import W, lambda_params, unit
@@ -156,7 +156,7 @@ class TestReadoutWindowBeat:
                               gamma_opt_decay=1.0 / 164e-6)
         full = ensemble_average(make_echo_sequence(cfg, include_readout=True), params, spec)
         expected = beat_amplitude(synthesize_beat(full, beat_frequency=cfg.splitting))
-        got = echo_amplitude(cfg, params, spec, cfg.tau, mode="beat")
+        got = _echo_amplitudes(cfg, np.array([cfg.tau]), params, [spec], "beat")[0, 0]
         assert got == pytest.approx(expected, rel=1e-9)
 
 

@@ -1,27 +1,27 @@
-"""State containers, Bloch metrics, and the sub-normalized fidelity convention."""
+"""State containers, the Bloch vector, and the sub-normalized fidelity convention."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitecho.dynamics import Trajectory
 from eitecho.errors import ValidationError
-from eitecho.qstate import (
-    KET_BRIGHT,
-    KET_DARK,
-    DensityMatrix3,
-    GroundQubitState,
-    bloch_vector,
-    fidelity,
-    trace_distance,
-)
+from eitecho.qstate import KET_BRIGHT, KET_DARK, DensityMatrix3, GroundQubitState, fidelity
 
-from conftest import random_qubit_state
+from conftest import random_qubit_state, trace_distance_matrix
 
 
 def ket_dm(ket) -> GroundQubitState:
     v = np.asarray(ket, dtype=complex)
     return GroundQubitState(np.outer(v, v.conj()))
+
+
+def bloch_vector(state: GroundQubitState) -> np.ndarray:
+    """Bloch vector of a ground block, as Trajectory.bloch_path reads it."""
+    states = np.zeros((1, 3, 3), dtype=complex)
+    states[0, :2, :2] = state.matrix
+    return Trajectory(times=np.array([0.0]), states=states).bloch_path()[-1]
 
 
 class TestValidation:
@@ -101,22 +101,20 @@ class TestFidelity:
 
 
 class TestTraceDistance:
+    """The trace distance the other tests measure with (conftest)."""
+
     def test_identical_states(self):
         s = ket_dm([1.0, 0.0])
-        assert trace_distance(s, s) == 0.0
+        assert trace_distance_matrix(s.matrix, s.matrix) == 0.0
 
     def test_orthogonal_pure_states(self):
-        assert trace_distance(ket_dm([1, 0]), ket_dm([0, 1])) == pytest.approx(1.0)
+        d = trace_distance_matrix(ket_dm([1, 0]).matrix, ket_dm([0, 1]).matrix)
+        assert d == pytest.approx(1.0)
 
     def test_zero_versus_dark(self):
         # closed form: eigenvalues of the difference are +-1/sqrt(2)
-        d = trace_distance(ket_dm([1, 0]), ket_dm(KET_DARK))
+        d = trace_distance_matrix(ket_dm([1, 0]).matrix, ket_dm(KET_DARK).matrix)
         assert d == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-
-    def test_trace_mismatch_rejected(self):
-        half = GroundQubitState(0.5 * np.outer(KET_DARK, KET_DARK.conj()))
-        with pytest.raises(ValidationError, match="trace"):
-            trace_distance(half, ket_dm(KET_DARK))
 
 
 @settings(max_examples=60, deadline=None)

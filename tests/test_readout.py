@@ -13,7 +13,6 @@ from eitecho.readout import (
     DecayCurve,
     assemble_decay_curve,
     beat_amplitude,
-    echo_amplitude,
     fit_decay,
     synthesize_beat,
 )
@@ -216,8 +215,7 @@ class TestFitDecay:
             stack = [self.synthetic(noise=0.05, rng=rng).amplitudes
                      for _ in range(repeats)]
             curve = DecayCurve(taus=self.synthetic().taus,
-                               amplitudes=np.mean(stack, axis=0),
-                               repeats=repeats)
+                               amplitudes=np.mean(stack, axis=0))
             widths.append(fit_decay(curve).ci95[1])
         assert widths[2] < widths[1] < widths[0]
         assert widths[2] < 0.5 * widths[0]

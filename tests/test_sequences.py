@@ -6,7 +6,7 @@ import pytest
 from eitecho.dynamics import PulseSpec, SequenceSpec, Wait, propagate, run_sequence
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
-from eitecho.qstate import DensityMatrix3, GroundQubitState, bloch_vector
+from eitecho.qstate import DensityMatrix3
 from eitecho.sequences import (
     EchoConfig,
     make_echo_sequence,
@@ -45,30 +45,25 @@ class TestInitPulse:
     def test_offset_zero_lands_on_minus_x(self):
         cfg = EchoConfig(tau=40e-6)
         traj = run_pulses([make_init_pulse(cfg)])
-        ground = GroundQubitState(traj.final_state.matrix[:2, :2])
-        assert bloch_vector(ground) == pytest.approx((-0.5, 0.0, 0.0), abs=1e-4)
+        assert traj.bloch_path()[-1] == pytest.approx((-0.5, 0.0, 0.0), abs=1e-4)
 
     def test_offset_quarter_turn_lands_on_minus_y(self):
         cfg = EchoConfig(tau=40e-6, init_phase_offset=np.pi / 2.0)
         traj = run_pulses([make_init_pulse(cfg)])
-        ground = GroundQubitState(traj.final_state.matrix[:2, :2])
-        assert bloch_vector(ground) == pytest.approx((0.0, -0.5, 0.0), abs=1e-4)
+        assert traj.bloch_path()[-1] == pytest.approx((0.0, -0.5, 0.0), abs=1e-4)
 
     def test_offset_pi_mirrors_the_state(self):
         cfg = EchoConfig(tau=40e-6, init_phase_offset=np.pi)
         traj = run_pulses([make_init_pulse(cfg)])
-        ground = GroundQubitState(traj.final_state.matrix[:2, :2])
-        assert bloch_vector(ground) == pytest.approx((0.5, 0.0, 0.0), abs=1e-4)
+        assert traj.bloch_path()[-1] == pytest.approx((0.5, 0.0, 0.0), abs=1e-4)
 
     def test_phase_covariance(self):
         # adding phi to the offset rotates the prepared vector by phi about z
         cfg0 = EchoConfig(tau=40e-6)
-        v0 = np.array(bloch_vector(GroundQubitState(
-            run_pulses([make_init_pulse(cfg0)]).final_state.matrix[:2, :2])))
+        v0 = run_pulses([make_init_pulse(cfg0)]).bloch_path()[-1]
         for phi in (0.3, 1.1, 2.5):
             cfg = EchoConfig(tau=40e-6, init_phase_offset=phi)
-            v = bloch_vector(GroundQubitState(
-                run_pulses([make_init_pulse(cfg)]).final_state.matrix[:2, :2]))
+            v = run_pulses([make_init_pulse(cfg)]).bloch_path()[-1]
             rot = np.array([[np.cos(phi), -np.sin(phi), 0.0],
                             [np.sin(phi), np.cos(phi), 0.0],
                             [0.0, 0.0, 1.0]])
@@ -79,8 +74,7 @@ class TestRephasePulse:
     def test_leaves_the_prepared_state_in_place(self):
         cfg = EchoConfig(tau=40e-6)
         traj = run_pulses([make_init_pulse(cfg), make_rephase_pulse(cfg)])
-        ground = GroundQubitState(traj.final_state.matrix[:2, :2])
-        assert bloch_vector(ground) == pytest.approx((-0.5, 0.0, 0.0), abs=1e-4)
+        assert traj.bloch_path()[-1] == pytest.approx((-0.5, 0.0, 0.0), abs=1e-4)
 
     def test_conjugates_accumulated_spin_phase(self):
         # prepare, dephase for t, rephase: the coherence phase is mirrored
@@ -164,6 +158,28 @@ class TestEchoSequence:
             EchoConfig(tau=5.9e-6)
         with pytest.raises(ConfigurationError, match="tau"):
             EchoConfig(tau=5e-6, t_readout=0.1e-6)
+
+    @pytest.mark.parametrize("tau", [6e-6, 6.000000000000001e-6])
+    def test_wait_too_short_to_sample_is_config_error(self, tau):
+        # the first wait is one float spacing after the init pulse: it ends
+        # after it starts, but its samples do not advance the clock
+        with pytest.raises(ConfigurationError, match="no room for the wait before"):
+            EchoConfig(tau=tau, t_readout=1e-6)
+
+    def test_shortest_accepted_waits_are_sampled(self):
+        # the first storage time the room rule accepts, found by bisection
+        lo, hi = 6e-6, 6.1e-6
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            try:
+                EchoConfig(tau=mid, t_readout=1e-6)
+                hi = mid
+            except ConfigurationError:
+                lo = mid
+        cfg = EchoConfig(tau=hi, t_readout=1e-6)
+        for rephase in (True, False):
+            seq = make_echo_sequence(cfg, include_rephase=rephase)
+            assert np.all(np.diff(run_pulses(seq.segments).times) > 0.0)
 
     def test_fid_control_has_no_rephase(self):
         seq = make_echo_sequence(EchoConfig(tau=20e-6), include_rephase=False)
