@@ -16,12 +16,14 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import yaml
 
-from .ensemble import EnsembleSpec
+from .dynamics import check_pulse_maps
+from .ensemble import EnsembleSpec, member_stack
 from .errors import ConfigurationError, ValidationError
 from .lambda_system import LambdaParams
 from .readout import FIT_MIN_POINTS
 from .sequences import EchoConfig
-from .studies import FieldModel, ScalingModel, TemperatureModel, scaling_echo
+from .studies import (FieldModel, ScalingModel, TemperatureModel, compensation_bracket_taus,
+                      scaling_echo, scaling_point)
 from .units import parse_quantity, parse_ratio
 
 TWO_PI = 2.0 * math.pi
@@ -326,12 +328,14 @@ def _check_taus(taus: np.ndarray, path: str, sequence: EchoConfig | None, errors
     elif not np.all(np.diff(taus) > 0.0):
         errors.append(f"{path}: storage times must be strictly increasing")
     elif sequence is not None:
-        # EchoConfig holds the rule; the shortest storage time is the first
-        try:
-            replace(sequence, tau=float(taus[0]))
-        except ConfigurationError as exc:
-            errors.extend(f"{path}[0]: " + p.replace("EchoConfig.tau", "storage time")
-                          for p in exc.problems)
+        # EchoConfig holds the rule: a wait has least room at the shortest
+        # storage time, a pulse, which starts later as tau grows, at the longest
+        for i in (0, taus.size - 1):
+            try:
+                replace(sequence, tau=float(taus[i]))
+            except ConfigurationError as exc:
+                errors.extend(f"{path}[{i}]: " + p.replace("EchoConfig.tau", "storage time")
+                              .replace("EchoConfig.", "sequence.") for p in exc.problems)
 
 
 def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
@@ -348,7 +352,7 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
         errors.append("missing required key ensemble.spin_fwhm")
     if "zeeman_branches" in ensemble:
         ensemble["zeeman_branches"] = _branches(ensemble["zeeman_branches"], errors)
-    compensation["ambient_field"] = _ambient(compensation["ambient_field"], errors)
+    ambient = compensation["ambient_field"] = _ambient(compensation["ambient_field"], errors)
     physics = _physics(v["physics"], errors)
     spec = _build(EnsembleSpec, "ensemble", ensemble, errors)
     # an infinite placeholder keeps a missing tau from hiding the other problems
@@ -361,14 +365,35 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
             _check_taus(v[f"studies.{study}"]["taus"], f"studies.{study}.taus",
                         None if any(p.startswith("sequence.") for p in bad) else sequence,
                         errors)
+    if (sequence is not None and field_model is not None and len(ambient) == 3
+            and None not in ambient
+            and not any(p.startswith(("sequence.", "studies.compensation.")) for p in bad)):
+        # the bracketing stage's longest storage time, where a pulse has least room
+        model = replace(field_model, field_vector=ambient)
+        tau = float(compensation_bracket_taus(model, sequence,
+                                              compensation["search_range"])[-1])
+        try:
+            replace(sequence, tau=tau)
+        except ConfigurationError as exc:
+            errors.extend(f"studies.compensation.search_range: its bracketing storage time "
+                          f"{tau:g} s: " + p.replace("EchoConfig.", "sequence.")
+                          for p in exc.problems)
     scaling = v["studies.scaling"]
     if (sequence is not None and scaling_model is not None
             and not any(p.startswith("studies.scaling.") for p in bad)):
-        # each point's echo, as the scaling study builds it
-        for i, t2 in enumerate(scaling["t2_opt_values"]):
+        # each point's echo, as the scaling study builds it, and with valid
+        # physics and ensemble its pulse maps, as the study propagates them
+        offsets = None if physics is None or spec is None else member_stack(spec)[0]
+        for i, t2 in enumerate(scaling["t2_opt_values"].tolist()):
             try:
-                scaling_echo(sequence, scaling_model.pulse_duration(t2), scaling["tau_in_pulses"])
-            except ConfigurationError as exc:
+                if offsets is None:
+                    scaling_echo(sequence, scaling_model.pulse_duration(t2),
+                                 scaling["tau_in_pulses"])
+                else:
+                    _, member, seq = scaling_point(sequence, scaling_model, physics, t2,
+                                                   scaling["tau_in_pulses"])
+                    check_pulse_maps(member, seq, offsets)
+            except (ConfigurationError, ValidationError) as exc:
                 errors.extend(f"studies.scaling.t2_opt[{i}]: " + p.replace("EchoConfig.", "echo ")
                               for p in exc.problems)
                 break

@@ -233,6 +233,24 @@ def shared_steps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) -> lis
     return [default_step(_segment_params(envelope, seg, 0.0), seg) for seg in seq.segments]
 
 
+def _check_squarings(a: np.ndarray, name=None) -> np.ndarray:
+    """1-norms (flattened) of a generator stack (..., n, n) that :func:`_expm`
+    can map: a non-finite entry, or a 1-norm needing more than MAX_SQUARINGS
+    squarings, raises a ConfigurationError naming the culprit by
+    `name(*index)` of its stack index, else as "generator (index)"."""
+    x = a.reshape(-1, *a.shape[-2:])
+    with np.errstate(over="ignore"):
+        norms = np.abs(x).sum(axis=-2).max(axis=-1)
+    scalable = norms <= PADE_THETAS[13] * 2.0 ** MAX_SQUARINGS      # False for nan too
+    if not scalable.all():
+        i = int(np.argmin(scalable))
+        where = tuple(int(j) for j in np.unravel_index(i, a.shape[:-2]))
+        what = (f"has 1-norm {norms[i]:g}, beyond {MAX_SQUARINGS} squarings"
+                if np.isfinite(x[i]).all() else "has a non-finite entry")
+        raise ConfigurationError([f"{name(*where) if name else f'generator {where}'}: {what}"])
+    return norms
+
+
 def _expm(a: np.ndarray, name=None) -> np.ndarray:
     """expm of a generator (n, n) or of every matrix of a stack (..., n, n).
 
@@ -241,23 +259,13 @@ def _expm(a: np.ndarray, name=None) -> np.ndarray:
     1-norm of the stack, else 13, where each matrix is scaled by its own
     2^-s, s = ceil(log2(norm / theta_13)), and squared s times; only the
     matrices still needing a squaring are squared.  The squaring divides by
-    nothing, so subnormal entries need no special care.  A non-finite entry,
-    or a 1-norm needing more than MAX_SQUARINGS squarings, raises a
-    ConfigurationError before any squaring, naming the culprit by
-    `name(*index)` of its stack index, else as "generator (index)".
+    nothing, so subnormal entries need no special care.  The stack passes
+    :func:`_check_squarings` first, which `name` serves.
     """
     a = np.asarray(a, dtype=complex)
+    norms = _check_squarings(a, name)
     x = a.reshape(-1, *a.shape[-2:])
     theta = PADE_THETAS[13]
-    with np.errstate(over="ignore"):
-        norms = np.abs(x).sum(axis=-2).max(axis=-1)
-    scalable = norms <= theta * 2.0 ** MAX_SQUARINGS               # False for nan too
-    if not scalable.all():
-        i = int(np.argmin(scalable))
-        where = tuple(int(j) for j in np.unravel_index(i, a.shape[:-2]))
-        what = (f"has 1-norm {norms[i]:g}, beyond {MAX_SQUARINGS} squarings"
-                if np.isfinite(x[i]).all() else "has a non-finite entry")
-        raise ConfigurationError([f"{name(*where) if name else f'generator {where}'}: {what}"])
     m = next(m for m in PADE_THETAS if m == 13 or norms.max(initial=0.0) <= PADE_THETAS[m])
     b = PADE_COEFFICIENTS[m]
     eye = np.eye(x.shape[-1], dtype=complex)
@@ -393,6 +401,16 @@ def _segment_name(k: int, seg: Segment) -> str:
 def _map_namer(names: list, member_name=_member):
     """`name` argument of :func:`_expm` for a (map, member) stack: names[i], member m."""
     return lambda i, m: f"{names[i]}, {member_name(m)}"
+
+
+def check_pulse_maps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) -> None:
+    """The check of :func:`_expm` on the pulse generators of `seq` for the
+    member rows of `offsets`, as :func:`sequence_endpoints` stacks them,
+    without building any map: a config check of a propagation."""
+    pulses = [(k, seg) for k, seg in enumerate(seq.segments) if isinstance(seg, PulseSpec)]
+    _check_squarings(np.array([seg.duration * member_generators(p, seg, offsets)
+                               for _, seg in pulses]),
+                     _map_namer([_segment_name(k, seg) for k, seg in pulses]))
 
 
 def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,

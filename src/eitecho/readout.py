@@ -40,9 +40,12 @@ DETECTOR_SCALE = 1.0
 MIN_SAMPLES_PER_PERIOD = 4.0
 MIN_PERIODS = 5.0
 
-# Damped Gauss-Newton schedule for the decay fit.
-FIT_MAX_ITERATIONS = 200
-FIT_DAMPING_FACTOR = 10.0
+# Rates k = 1/T2 on which the decay fit brackets its minimum, in units of one
+# per storage-time span: 8 per decade from a T2 of 10^3 spans (over the curve,
+# a straight line) to 10^-3 spans (a step after the first storage time).  A
+# best rate at either end has no minimum inside and fails as a runaway.
+FIT_RATE_GRID = np.logspace(-3.0, 3.0, 49)
+# The refinement stops once a step moves the rate by less than this, relatively.
 FIT_RELATIVE_STEP_TOL = 1e-10
 # Fewest storage times the three-parameter decay fit accepts: two residual degrees of freedom.
 FIT_MIN_POINTS = 5
@@ -316,15 +319,74 @@ def _jacobian(theta: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return j
 
 
-def fit_decay(curve: DecayCurve) -> FitResult:
-    """Least-squares fit of A*exp(-tau/T2) + C by damped Gauss-Newton.
+def _rate_profile(rates: np.ndarray, s: np.ndarray, yc: np.ndarray) -> tuple:
+    """Reduced cost R, its slope dR/dx and the amplitude b at each scaled rate x
+    of `rates`, a float or an array.
 
-    Start values: A = max - min, C = min, T2 = half the tau span.  The damping
-    parameter moves by factors of 10 (Levenberg-Marquardt schedule), iteration
-    stops when the relative step drops below 1e-10.  The covariance is
-    (J^T J)^-1 scaled by the residual variance; 95% intervals use the 0.975
-    quantile of Student's t with n - 3 degrees of freedom, solved from the
-    distribution's finite series (:func:`student_t_quantile`).
+    `s` are the storage times less the first over their span, `yc` the
+    amplitudes less their mean.  For a fixed x the best b and offset of
+    b e^{-x s} + c are linear least squares: with u the centred e^{-x s},
+    b = u.yc / u.u and the residual is r = yc - b u, so R = r.r.  Since b
+    and c are optimal at every x, dR/dx = 2 b r.f with f the centred
+    s e^{-x s} = -de/dx.  Both sums are of residuals, with no cancellation
+    of large terms; centring f as well drops the rounding of sum(r) = 0.
+    """
+    u = np.expm1(-np.multiply.outer(rates, s))          # e - 1: exact for x s << 1
+    f = s * (u + 1.0)
+    u -= u.mean(axis=-1, keepdims=True)
+    f -= f.mean(axis=-1, keepdims=True)
+    b = (u @ yc) / (u * u).sum(axis=-1)
+    r = yc - np.expand_dims(b, -1) * u
+    return (r * r).sum(axis=-1), 2.0 * b * (r * f).sum(axis=-1), b
+
+
+def _refine_rate(a: float, b: float, slope_a: float, slope_b: float, slope) -> tuple:
+    """Root of dR/dx = `slope(x)` in [a, b], where it rises from <= 0 to >= 0.
+
+    Secant steps through the last two rates, bisection when a step leaves
+    the bracket or the bracket has not halved over the last two steps.  Stops
+    when a step moves the rate by less than FIT_RELATIVE_STEP_TOL relative;
+    returns the rate and the number of slope evaluations.
+    """
+    if slope_a == 0.0 or slope_b == 0.0:
+        return (a if slope_a == 0.0 else b), 0
+    (x0, g0), (x1, g1) = (a, slope_a), (b, slope_b)
+    widths = [b - a]
+    iterations = 0
+    while True:
+        iterations += 1
+        x = 0.5 * (a + b)
+        if g1 != g0 and not (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
+            secant = x1 - g1 * (x1 - x0) / (g1 - g0)
+            if a < secant < b:
+                x = secant
+        g = slope(x)
+        if g == 0.0 or not abs(x - x1) > FIT_RELATIVE_STEP_TOL * x:
+            return x, iterations
+        if g < 0.0:
+            a = x
+        else:
+            b = x
+        widths.append(b - a)
+        (x0, g0), (x1, g1) = (x1, g1), (x, g)
+
+
+def fit_decay(curve: DecayCurve) -> FitResult:
+    """Least-squares fit of A*exp(-tau/T2) + C as a search over the rate alone.
+
+    A and C enter linearly, so for each rate they follow in closed form and
+    the fit minimizes the reduced cost R over one parameter (variable
+    projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  R is
+    evaluated on the fixed rate grid FIT_RATE_GRID; a best grid rate at
+    either end fails at once, the fit running away to a straight line or a
+    step, with the reason, the best rate (1/s) and R at both ends as
+    diagnostics.  Otherwise the zero of dR/dk beside the best grid rate is
+    refined to a relative step of 1e-10 (:func:`_refine_rate`, whose count
+    of slope evaluations is ``iterations``).  The covariance is (J^T J)^-1
+    of the full three-parameter Jacobian, scaled by the residual variance;
+    95% intervals use the 0.975 quantile of Student's t with n - 3 degrees
+    of freedom, solved from the distribution's finite series
+    (:func:`student_t_quantile`).
     """
     taus = curve.taus
     y = curve.amplitudes
@@ -336,58 +398,43 @@ def fit_decay(curve: DecayCurve) -> FitResult:
     if np.ptp(y) == 0.0:
         raise FitFailureError("fit_decay: degenerate curve with zero variance")
 
+    # the rate in units of one per span, the time from the first storage time
     span = taus[-1] - taus[0]
-    theta = np.array([y.max() - y.min(), 0.5 * span, y.min()])
-    # scale floors keep the relative-step test meaningful for parameters that
-    # converge to zero (typically the offset)
-    scale = np.array([max(np.max(np.abs(y)), 1e-300), span,
-                      max(np.max(np.abs(y)), 1e-300)])
-    resid = y - _model(theta, taus)
-    cost = float(resid @ resid)
-    lam = 1e-3
-    iterations = 0
-    converged = False
-
-    for iterations in range(1, FIT_MAX_ITERATIONS + 1):
-        j = _jacobian(theta, taus)
-        g = j.T @ resid
-        h = j.T @ j
-        stepped = False
-        for _ in range(25):
-            try:
-                step = np.linalg.solve(h + lam * np.diag(np.diag(h)), g)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
-                trial = theta + step
-                if trial[1] > 0.0:
-                    trial_resid = y - _model(trial, taus)
-                    trial_cost = float(trial_resid @ trial_resid)
-                    if trial_cost <= cost:
-                        rel_step = np.max(np.abs(step) / np.maximum(np.abs(theta), scale))
-                        theta, resid, cost = trial, trial_resid, trial_cost
-                        lam = max(lam / FIT_DAMPING_FACTOR, 1e-14)
-                        stepped = True
-                        if rel_step < FIT_RELATIVE_STEP_TOL:
-                            converged = True
-                        break
-            lam *= FIT_DAMPING_FACTOR
-            if lam > 1e14:
-                break
-        if converged:
-            break
-        if not stepped:
-            # no downhill step found at any damping: treat as stationary
-            converged = True
-            break
-
-    if not converged:
+    s = (taus - taus[0]) / span
+    yc = y - y.mean()
+    costs, slopes, _ = _rate_profile(FIT_RATE_GRID, s, yc)
+    best = int(np.argmin(costs))
+    if costs[-1] == costs[best]:
+        # rates fast enough to leave e^{-x s} = 0 beyond the first point tie
+        best = FIT_RATE_GRID.size - 1
+    ends = {"best_rate_per_s": float(FIT_RATE_GRID[best] / span),
+            "cost_slow_end": float(costs[0]), "cost_fast_end": float(costs[-1])}
+    if best == 0:
         raise FitFailureError(
-            "fit_decay did not converge",
-            diagnostics={"iterations": iterations, "theta": theta.tolist(), "cost": cost})
-    if theta[1] <= 0.0 or not np.all(np.isfinite(theta)):
+            "fit_decay: no finite T2 within 10^3 storage-time spans: "
+            "the best fit is a straight line", diagnostics={"reason": "straight line", **ends})
+    if best == FIT_RATE_GRID.size - 1:
+        raise FitFailureError(
+            "fit_decay: no T2 above 10^-3 storage-time spans: the best fit is "
+            "a step after the first storage time", diagnostics={"reason": "step", **ends})
+    lo = best if slopes[best] < 0.0 else best - 1
+    if not (slopes[lo] <= 0.0 <= slopes[lo + 1]):
+        raise FitFailureError("fit_decay: the slope of the reduced cost does not change "
+                              "sign beside its best grid rate",
+                              diagnostics={"reason": "no bracket", **ends})
+    x, iterations = _refine_rate(
+        float(FIT_RATE_GRID[lo]), float(FIT_RATE_GRID[lo + 1]), float(slopes[lo]),
+        float(slopes[lo + 1]), lambda x: float(_rate_profile(x, s, yc)[1]))
+    b = float(_rate_profile(x, s, yc)[2])
+    with np.errstate(over="ignore"):
+        # A is the amplitude at tau = 0, which a late first storage time overflows
+        theta = np.array([b * np.exp(x * taus[0] / span), span / x,
+                          y.mean() - b * np.mean(np.exp(-x * s))])
+    if not np.all(np.isfinite(theta)):
         raise FitFailureError("fit_decay converged to unphysical parameters",
                               diagnostics={"theta": theta.tolist()})
+    resid = y - _model(theta, taus)
+    cost = float(resid @ resid)
 
     j = _jacobian(theta, taus)
     dof = n - 3

@@ -38,9 +38,10 @@ SQRT2 = math.sqrt(2.0)
 DEFAULT_SPLITTING_HZ = 10.2e6
 # Detector clock: samples per period of the heterodyne beat at the splitting.
 SAMPLES_PER_PERIOD = 8.0
-# Room rule: each wait of an echo layout must exceed this fraction of its start
-# time, so that each of the >= 50 steps a trajectory samples it in advances the
-# clock (a wait of one float spacing ends after it starts; its samples do not).
+# Room rule: each segment of an echo layout, pulse or wait, must last more than
+# this fraction of its start time, so that each of the >= 50 steps a trajectory
+# samples it in advances the clock (a segment of one float spacing ends after
+# it starts; its samples do not).
 WAIT_RESOLUTION = 1e-12
 
 
@@ -94,19 +95,33 @@ class EchoConfig:
         if not self.tau > self.t_init + self.t_rephase + self.t_readout:
             problems.append(
                 f"EchoConfig.tau ({self.tau}) must exceed the summed pulse durations")
-        elif math.isfinite(self.tau):
-            wait1, wait2 = self.waits
-            for what, start, wait in (
-                    ("before the rephasing pulse, centered at tau/2", self.t_init, wait1),
-                    ("after the rephasing pulse", self.t_init + wait1 + self.t_rephase, wait2),
-                    ("after the init pulse when the rephasing pulse is left out",
-                     self.t_init, self.tau - self.t_init)):
-                if not wait > WAIT_RESOLUTION * start:
-                    problems.append(
-                        f"EchoConfig.tau ({self.tau}) leaves no room for the wait {what}")
-                    break
+        elif math.isfinite(self.tau) and self.t_rephase > 0.0 and self.t_readout > 0.0:
+            problems += self._room_problems()
         if problems:
             raise ConfigurationError(problems)
+
+    def _room_problems(self) -> list[str]:
+        """The room rule for every segment after the init pulse, which starts
+        at 0, in both layouts (see make_echo_sequence): its duration must
+        exceed WAIT_RESOLUTION times its start time.  A wait's length is set
+        by tau, a pulse's by its own duration key; each key names its first
+        segment without room."""
+        wait1, wait2 = self.waits
+        half = self.t_rephase / 2.0
+        problems = {}
+        for key, what, start, duration in (
+                ("tau", "the wait before the rephasing pulse, centered at tau/2",
+                 self.t_init, wait1),
+                ("t_rephase", "each half of the rephasing pulse", self.t_init + wait1, half),
+                ("t_rephase", "each half of the rephasing pulse", self.tau / 2.0, half),
+                ("tau", "the wait after the rephasing pulse", self.tau / 2.0 + half, wait2),
+                ("t_readout", "the readout pulse", self.tau, self.t_readout),
+                ("tau", "the wait after the init pulse when the rephasing pulse is left out",
+                 self.t_init, self.tau - self.t_init)):
+            if not duration > WAIT_RESOLUTION * start and key not in problems:
+                problems[key] = (f"EchoConfig.{key} ({getattr(self, key)}) leaves no room "
+                                 f"for {what}, starting at {start:g} s")
+        return list(problems.values())
 
     @property
     def waits(self) -> tuple[float, float]:

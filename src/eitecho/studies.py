@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dynamics import SequenceSpec
 from .ensemble import EnsembleSpec, ensemble_final_state
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
@@ -218,6 +219,15 @@ def scaling_echo(cfg: EchoConfig, t_pi: float, tau_in_pulses: float) -> EchoConf
                    t_readout=t_pi)
 
 
+def scaling_point(cfg: EchoConfig, sm: ScalingModel, params: LambdaParams, t2_opt: float,
+                  tau_in_pulses: float) -> tuple[float, LambdaParams, SequenceSpec]:
+    """Pi-pulse duration, parameters and pre-readout echo of the scaling point
+    at optical coherence time `t2_opt`."""
+    t_pi = sm.pulse_duration(t2_opt)
+    seq = make_echo_sequence(scaling_echo(cfg, t_pi, tau_in_pulses), include_readout=False)
+    return t_pi, params.replace(gamma_opt_deph=1.0 / t2_opt), seq
+
+
 def scaling_study(t2_opt_values, sm: ScalingModel, cfg: EchoConfig,
                   params: LambdaParams, spec: EnsembleSpec,
                   tau_in_pulses: float = 8.0) -> list[ScalingPoint]:
@@ -235,9 +245,7 @@ def scaling_study(t2_opt_values, sm: ScalingModel, cfg: EchoConfig,
         t2_opt = float(t2_opt)
         if t2_opt <= 0.0:
             raise ValidationError("scaling_study: optical T2 values must be > 0")
-        t_pi = sm.pulse_duration(t2_opt)
-        member = params.replace(gamma_opt_deph=1.0 / t2_opt)
-        seq = make_echo_sequence(scaling_echo(cfg, t_pi, tau_in_pulses), include_readout=False)
+        t_pi, member, seq = scaling_point(cfg, sm, params, t2_opt, tau_in_pulses)
         final = ensemble_final_state(seq, member, spec)
         ground = GroundQubitState(final.matrix[:2, :2])
         points.append(ScalingPoint(
@@ -328,6 +336,23 @@ def _golden_min(f, lo: float, hi: float, tol: float, prefetch,
     return (c, fc) if fc <= fd else (d, fd)
 
 
+def compensation_bracket_taus(m: FieldModel, cfg: EchoConfig,
+                              search_range: float) -> np.ndarray:
+    """Storage times of the compensation search's bracketing stage.
+
+    They are short enough that the largest splitting reachable inside the
+    search box keeps every point within the first beat lobe; there the summed
+    amplitude is strictly monotone in the net field magnitude, |B + c|^2 is
+    separable per axis, and each axis scan is exactly V-shaped around the
+    true compensation value.
+    """
+    tau_floor = 2.0 * cfg.t_init + cfg.t_rephase + cfg.t_readout + 1e-7
+    reach = float(np.linalg.norm(m.net_field())) + 2.0 * search_range
+    tau_lobe = 1.4 / (math.pi * m.g_factor * reach) - cfg.t_init
+    tau_hi = max(tau_floor * 1.5, tau_lobe)
+    return np.linspace(max(tau_floor, 0.5 * tau_hi), tau_hi, 6)
+
+
 def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
                         spec: EnsembleSpec, taus,
                         search_range: float = 100e-6, tol: float = 1e-6,
@@ -382,17 +407,7 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
         evaluations += len(comps)
         return [-float(np.sum(curve.amplitudes)) for curve in curves_for(comps, window)]
 
-    # Bracketing stage uses storage times short enough that the largest
-    # splitting reachable inside the search box keeps every point within the
-    # first beat lobe; there the summed amplitude is strictly monotone in the
-    # net field magnitude, |B + c|^2 is separable per axis, and each axis scan
-    # is exactly V-shaped around the true compensation value.
-    tau_floor = 2.0 * cfg.t_init + cfg.t_rephase + cfg.t_readout + 1e-7
-    reach = float(np.linalg.norm(m.net_field())) + 2.0 * search_range
-    tau_lobe = 1.4 / (math.pi * m.g_factor * reach) - cfg.t_init
-    tau_hi = max(tau_floor * 1.5, tau_lobe)
-    bracket_taus = np.linspace(max(tau_floor, 0.5 * tau_hi), tau_hi, 6)
-
+    bracket_taus = compensation_bracket_taus(m, cfg, search_range)
     comp = np.asarray(m.compensation_vector, dtype=float).copy()
     start = modulation([comp], bracket_taus)[0]
     history = [(tuple(comp), -start)]

@@ -106,6 +106,18 @@ class TestValidate:
         assert "config error: sequence.tau" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["t_rephase", "t_readout"])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_pulse_without_room_is_a_config_error(self, tmp_path, capsys, command, key):
+        # validate exited 0 and simulate 2: 5e-27 s rephasing halves near
+        # 15 us, where one float spacing is 1.7e-21 s, stalled the samples
+        setting = f"tau: 30us\n  {key}: 1e-20us"
+        cfg = write_config(tmp_path, CLOSED_CONFIG.replace("tau: 30us", setting))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: sequence.{key} (" in err and "leaves no room" in err
+        assert not (tmp_path / "o").exists()
+
     def test_log_range_through_zero_is_a_config_error(self, tmp_path, capsys):
         text = CLOSED_CONFIG + ("studies:\n  temp_scan:\n"
                                 "    temperatures: {min: 0K, max: 5K, n: 3, log: true}\n")

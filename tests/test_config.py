@@ -10,12 +10,13 @@ import yaml
 
 from eitecho.cli import accepts, build_parser
 from eitecho.config import KEYS, DEFAULT_CONFIG_TEXT, parse_config, validate_config
-from eitecho.ensemble import EnsembleSpec
+from eitecho.dynamics import check_pulse_maps
+from eitecho.ensemble import EnsembleSpec, ensemble_final_state, member_stack
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.readout import FIT_MIN_POINTS
 from eitecho.sequences import EchoConfig
-from eitecho.studies import FieldModel, ScalingModel
+from eitecho.studies import FieldModel, ScalingModel, scaling_point
 from eitecho.units import parse_quantity, parse_ratio
 
 
@@ -113,6 +114,47 @@ class TestValidation:
         assert errors[0].startswith("studies.scaling.t2_opt[0]: echo tau (")
         assert "leaves no room for the wait" in errors[0]
         tree["studies"]["scaling"]["tau_in_pulses"] = 4.001
+        assert validate_config(tree)[1] == []
+
+    def test_scaling_point_beyond_the_squarings_names_its_key(self):
+        # validate said "config OK" and scaling exited 1 naming no key: the
+        # init pulse's 1e-155 s at a 1e300 /s dephasing rate
+        tree = {"sequence": {"tau": "60us"},
+                "studies": {"scaling": {"t2_opt": ["1e-300s", "1us"]}}}
+        _, errors = validate_config(tree)
+        assert errors == ["studies.scaling.t2_opt[0]: segment 0 (init_pi_half), member 0: "
+                          "has 1-norm 1e+145, beyond 64 squarings"]
+
+    # the norm is about 1e-5 / sqrt(t2_opt / 1 s), at the bound near t2_opt = 1e-50 s
+    @pytest.mark.parametrize("t2_opt", [1e-300, 1e-51, 1e-49, 1e-12])
+    def test_pulse_map_check_agrees_with_the_propagation(self, t2_opt):
+        # one bound: the config check fails exactly where the propagation does
+        cfg = parse_config("sequence: {tau: 60us}\n")
+        spec = cfg.ensemble
+        _, member, seq = scaling_point(cfg.sequence, cfg.scaling_model, cfg.physics, t2_opt,
+                                       cfg.scaling.tau_in_pulses)
+        offsets = member_stack(spec)[0]
+        outcomes = []
+        for run in (lambda: check_pulse_maps(member, seq, offsets),
+                    lambda: ensemble_final_state(seq, member, spec)):
+            try:
+                run()
+                outcomes.append(None)
+            except ConfigurationError as exc:
+                outcomes.append(exc.problems)
+        assert outcomes[0] == outcomes[1]
+
+    def test_compensation_bracket_without_room_names_the_search_range(self):
+        # with no ambient field a 1e-26 T search range sets bracketing storage
+        # times near 1e17 s, where a 2 us pulse is below the clock's resolution
+        tree = {"sequence": {"tau": "60us"},
+                "studies": {"compensation": {"ambient_field": ["0uT", "0uT", "0uT"],
+                                             "search_range": "1e-20uT"}}}
+        _, errors = validate_config(tree)
+        assert errors and all(e.startswith("studies.compensation.search_range: its "
+                                           "bracketing storage time ") for e in errors)
+        assert "sequence.t_readout (2e-06) leaves no room" in errors[-1]
+        tree["studies"]["compensation"]["search_range"] = "1e-3uT"
         assert validate_config(tree)[1] == []
 
     def test_parse_config_raises_with_all_problems(self):
