@@ -206,7 +206,7 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
     return DETECTOR_SCALE * 2.0 / (n_steps + 1) * np.abs(0.5 * a + 0.5 * np.conj(b))
 
 
-# a compensation search reads each of its two storage-time windows dozens of times
+# a compensation search reads its bracketing storage-time window in every step
 @functools.lru_cache(maxsize=32)
 def _echo_layouts(cfg: EchoConfig, taus: tuple, beat: bool) -> tuple:
     """Echo sequences of the storage times `taus` up to the readout, and the

@@ -267,78 +267,39 @@ class CompensationResult:
     history: list
 
 
-# Golden-section steps whose trial points one batched call computes ahead.  Depth
-# 2 halves the refinement's calls but computes one point in three that the
-# search then does not use, so it pays only while a curve costs less than a
-# call's fixed overhead (about 0.5 ms).  Per two steps, one call of 3 curves
-# against two of 1 took 0.75x the time at 2 stacked members per curve (one grid
-# point, two Zeeman branches), about 1x at 6 and 1.3-1.7x from 18 on, so larger
-# ensembles search one step per call.  The gate is a matter of speed only: a
-# curve's bits do not depend on the curves batched with it.
-LOOKAHEAD = 2
-LOOKAHEAD_MAX_MEMBERS = 2
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_step(a: float, b: float, c: float, d: float, left: bool) -> tuple:
-    """One golden-section step: the new bracket (a, b, c, d) and the point it asks for.
-
-    `left` is the comparison f(c) <= f(d): the minimum lies in [a, d].
-    """
-    if left:
-        b, d = d, c
-        c = b - INVPHI * (b - a)
-        return a, b, c, d, c
-    a, c = c, d
-    d = a + INVPHI * (b - a)
-    return a, b, c, d, d
+def golden_steps(search_range: float, tol: float) -> int:
+    """Golden-section steps that shrink a bracket 2 * search_range wide to tol / 4:
+    ceil(log(2 * search_range / (tol / 4)) / log(1 / INVPHI)), taken as a sum of
+    logarithms so that no product or quotient under- or overflows."""
+    return max(0, math.ceil((math.log(8.0) + math.log(search_range) - math.log(tol))
+                            / math.log(1.0 / INVPHI)))
 
 
-def _ahead(a: float, b: float, c: float, d: float, left: bool, depth: int,
-           tol: float) -> list[float]:
-    """Every point the next `depth` steps can ask for, given the next comparison."""
-    if depth == 0 or not (b - a) > tol:
-        return []
-    a, b, c, d, x = _golden_step(a, b, c, d, left)
-    return [x] + _ahead(a, b, c, d, True, depth - 1, tol) + \
-        _ahead(a, b, c, d, False, depth - 1, tol)
-
-
-def _golden_min(f, lo: float, hi: float, tol: float, prefetch,
-                depth: int) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi].
-
-    The next trial point follows from the last comparison, and each later one
-    from one more comparison, so the `depth` steps ahead can ask for at most
-    2**depth - 1 points.  `prefetch` receives them in one list before `f` is
-    asked for the first; a batched objective computes them in one call and
-    `f` then reads its memo.  The points and comparisons, hence the result
-    and the calls of `f`, are those of the sequential search, which depth 1
-    is: one point per batch.
-    """
+def golden_section(f, lo: np.ndarray, hi: np.ndarray, steps: int) -> tuple:
+    """Best point and value of `steps` golden-section steps (Kiefer, Proc. AMS 4,
+    502 (1953)) on each component of [lo, hi]: `f` maps one trial point per
+    component to one value each, and each bracket moves on its own comparisons,
+    so component i visits the points of the sequential search of f_i alone."""
     a, b = lo, hi
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    for batch in ([c, d],) if depth > 1 else ([c], [d]):
-        prefetch(batch)
+    c, d = b - INVPHI * (b - a), a + INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    step = 0
-    while (b - a) > tol:
+    for _ in range(steps):
+        # f(c) <= f(d): the minimum lies in [a, d], else in [c, b]
         left = fc <= fd
-        if step % depth == 0:
-            prefetch(_ahead(a, b, c, d, left, depth, tol))
-        a, b, c, d, x = _golden_step(a, b, c, d, left)
-        if left:
-            fc, fd = f(x), fc
-        else:
-            fc, fd = fd, f(x)
-        step += 1
-    return (c, fc) if fc <= fd else (d, fd)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - INVPHI * (b - a), d), np.where(left, c, a + INVPHI * (b - a))
+        fx = f(np.where(left, c, d))
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    left = fc <= fd
+    return np.where(left, c, d), np.where(left, fc, fd)
 
 
 def compensation_bracket_taus(m: FieldModel, cfg: EchoConfig,
                               search_range: float) -> np.ndarray:
-    """Storage times of the compensation search's bracketing stage.
+    """Storage times on which the compensation search compares its trial points.
 
     They are short enough that the largest splitting reachable inside the
     search box keeps every point within the first beat lobe; there the summed
@@ -357,107 +318,72 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
                         spec: EnsembleSpec, taus,
                         search_range: float = 100e-6, tol: float = 1e-6,
                         mode: str = "proxy") -> CompensationResult:
-    """Coordinate descent on the three compensation components.
+    """Three golden-section line searches, one per compensation axis, in lockstep.
 
     The search minimizes the beat modulation of the simulated decay curve
     (the summed echo amplitudes, which any residual splitting can only
     reduce); maximizing the raw fitted T2 is the same optimum but ill-posed
     on short curves, where the fit trades a slight cosine droop against the
-    amplitude/offset degeneracy.  Each axis is bracketed with a coarse scan
-    and refined by golden section to below the requested tolerance; two
-    passes over the axes in a fixed order keep the search deterministic.
-    The reported objective is the fitted T2 at the found compensation.
-    A coarse scan is one batched decay-curve call over its grid points (a
-    compensation vector enters only through the Zeeman branches of the
-    ensemble).  The golden-section refinement makes one batched call per
-    LOOKAHEAD steps on ensembles of at most LOOKAHEAD_MAX_MEMBERS stacked
-    members per curve, and one per step on larger ones, over every point
-    those steps can ask for (see :func:`_golden_min`); either way it visits
-    the points of the sequential search.
-    Curves are kept by the exact bytes of (compensation, storage times) and
-    computed once, which also serves each axis's coarse scan revisiting the
-    current point; ``evaluations`` counts the objective calls of the
-    sequential search, not the curves computed ahead.
+    amplitude/offset degeneracy.  The splitting depends only on |B + c|, and
+    |B + c|^2 = sum_i (B_i + c_i)^2 separates per axis, so axis i's optimum
+    -B_i does not depend on the other components.  On the storage times of
+    :func:`compensation_bracket_taus` the summed amplitude is strictly
+    monotone in |B + c| over the search box, so one golden section per axis
+    over c_i +/- search_range, the others held at the start vector, finds it
+    to within tol / 4 in :func:`golden_steps` steps.  Each step is one batched
+    decay-curve call of the three axes' trial points (a compensation vector
+    enters only through the Zeeman branches of the ensemble).
+
+    ``evaluations`` counts the curves computed: the start, three per trial
+    step, and the found vector twice, on the bracketing storage times
+    (``improved``, ``warning``) and on `taus` (the fitted T2, ``objective``).
+    ``history`` lists (compensation, summed amplitude) of the start, of each
+    axis's best trial and of the found vector.
     """
-    # a zero tolerance would never end the golden section
     if not (search_range > 0.0 and tol > 0.0):
         raise ValidationError("compensation_search: search_range and tol must be > 0")
     taus = np.asarray(list(taus), dtype=float)
-    # a curve stacks one member per grid point and Zeeman branch
-    members = spec.n_optical * spec.n_spin * 2
-    depth = LOOKAHEAD if members <= LOOKAHEAD_MAX_MEMBERS else 1
-
+    bracket_taus = compensation_bracket_taus(m, cfg, search_range)
     evaluations = 0
-    curves: dict = {}
 
-    def curves_for(comps: list, window: np.ndarray) -> list[DecayCurve]:
-        keys = [(comp.tobytes(), window.tobytes()) for comp in comps]
-        todo = {key: comp for key, comp in zip(keys, comps) if key not in curves}
-        if todo:
-            specs = [replace(spec, zeeman_branches=branches_for_splitting(splitting_from_field(
-                replace(m, compensation_vector=tuple(comp))))) for comp in todo.values()]
-            labels = [f"compensation ({', '.join(f'{c:g}' for c in comp)}) T"
-                      for comp in todo.values()]
-            curves.update(zip(todo, assemble_decay_curves(cfg, window, params, specs,
-                                                          mode=mode, labels=labels)))
-        return [curves[key] for key in keys]
-
-    def modulation(comps: list, window: np.ndarray) -> list[float]:
+    def curves(comps, window: np.ndarray) -> list[DecayCurve]:
         nonlocal evaluations
         evaluations += len(comps)
-        return [-float(np.sum(curve.amplitudes)) for curve in curves_for(comps, window)]
+        specs = [replace(spec, zeeman_branches=branches_for_splitting(splitting_from_field(
+            replace(m, compensation_vector=tuple(comp))))) for comp in comps]
+        labels = [f"compensation ({', '.join(f'{c:g}' for c in comp)}) T" for comp in comps]
+        return assemble_decay_curves(cfg, window, params, specs, mode=mode, labels=labels)
 
-    bracket_taus = compensation_bracket_taus(m, cfg, search_range)
-    comp = np.asarray(m.compensation_vector, dtype=float).copy()
-    start = modulation([comp], bracket_taus)[0]
-    history = [(tuple(comp), -start)]
+    def modulation(comps) -> np.ndarray:
+        return np.array([-float(np.sum(c.amplitudes)) for c in curves(comps, bracket_taus)])
 
-    def descend(window: np.ndarray, half_range: float, passes: int) -> None:
-        for _ in range(passes):
-            for axis in range(3):
-                center = comp[axis]
+    comp = np.asarray(m.compensation_vector, dtype=float)
 
-                def trial(c: float) -> np.ndarray:
-                    moved = comp.copy()
-                    moved[axis] = c
-                    return moved
+    def trials(x: np.ndarray) -> np.ndarray:      # row i: the start vector, axis i at x[i]
+        return np.where(np.eye(3, dtype=bool), x[:, None], comp)
 
-                grid = np.linspace(center - half_range, center + half_range, 13)
-                values = modulation([trial(c) for c in grid], window)
-                k = int(np.argmin(values))
-                lo = grid[max(k - 1, 0)]
-                hi = grid[min(k + 1, grid.size - 1)]
-                c_best, f_best = _golden_min(
-                    lambda c: modulation([trial(c)], window)[0], lo, hi, tol=0.25 * tol,
-                    prefetch=lambda cs: curves_for([trial(c) for c in cs], window),
-                    depth=depth)
-                if values[k] < f_best:
-                    # the coarse point sat exactly on the optimum
-                    c_best, f_best = grid[k], values[k]
-                comp[axis] = c_best
-                history.append((tuple(comp), -f_best))
-
-    descend(bracket_taus, search_range, passes=2)
-    # polish each axis on the caller's (longer) storage times; the residual
-    # field is now small enough that these also stay within the first lobe
-    descend(taus, max(5.0 * tol, 3e-6), passes=1)
-
-    end = modulation([comp], bracket_taus)[0]
+    start = modulation([comp])[0]
+    best, f_best = golden_section(lambda x: modulation(trials(x)), comp - search_range,
+                                  comp + search_range, golden_steps(search_range, tol))
+    end = modulation([best])[0]
     warning = None
     if not end < start and float(np.linalg.norm(m.net_field())) > tol:
         warning = "search could not improve on the starting compensation"
     try:
-        fitted_t2 = fit_decay(curves_for([comp], taus)[0]).t2
+        fitted_t2 = fit_decay(curves([best], taus)[0]).t2
     except FitFailureError:
         fitted_t2 = float("nan")
         warning = warning or "decay fit failed at the found compensation"
+    found = tuple(best.tolist())
     return CompensationResult(
-        compensation=tuple(float(c) for c in comp),
+        compensation=found,
         objective=fitted_t2,
         evaluations=evaluations,
-        improved=end < start,
+        improved=bool(end < start),
         warning=warning,
-        history=history,
+        history=[(tuple(comp.tolist()), -float(start)),
+                 *zip(map(tuple, trials(best).tolist()), (-f_best).tolist()),
+                 (found, -float(end))],
     )
 
 

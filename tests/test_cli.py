@@ -276,6 +276,20 @@ class TestScaling:
         assert "scaling.csv" in manifest["outputs"]
 
 
+class TestCompensate:
+    def test_tolerance_below_the_float_spacing_ends(self, tmp_path):
+        # one float spacing of a 50 uT field is 6.8e-21 T: a search run until
+        # its bracket was narrower than the tolerance never ended; the fixed
+        # step count ends after 1 + 3 * (2 + 110) + 2 curves
+        text = CLOSED_CONFIG + ("studies:\n"
+                                "  compensation: {search_range: 1uT, tolerance: 1e-22uT}\n")
+        out = tmp_path / "o"
+        done = TestArgumentErrors.run_cli("compensate", "--config",
+                                          str(write_config(tmp_path, text)), "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert json.loads((out / "compensation.json").read_text())["evaluations"] == 339
+
+
 class TestReproducibility:
     def test_identical_runs_are_bitwise_identical(self, tmp_path):
         cfg = write_config(tmp_path, CLOSED_CONFIG)

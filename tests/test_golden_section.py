@@ -1,33 +1,40 @@
-"""The look-ahead golden section against the sequential search it replays.
+"""The lockstep golden section against the sequential search of each axis.
 
-`_golden_min` hands every point the next `depth` steps can ask for to
-`prefetch` in one list before it asks `f` for the first; the compensation
-search uses depth LOOKAHEAD on small ensembles and 1 on larger ones.  The reference below
-is the sequential golden section (Kiefer, Proc. AMS 4, 502 (1953)), one
-objective call per step.  On unimodal functions, V-shapes and flat stretches
-that tie f(c) == f(d), and on intervals that end after any number of steps
-(so also in the middle of a batch), the look-ahead search must return the
-bitwise same (x, f), ask `f` for the same points, and have prefetched each
-of them.
+`golden_section` runs one golden-section search per component of its
+bracket, all components' trial points in one call of the objective.  The
+reference below is the sequential golden section (Kiefer, Proc. AMS 4, 502
+(1953)), one objective call per step, run for the same fixed step count.  On
+separable objectives built from unimodal functions, V-shapes and flat
+stretches that tie f(c) == f(d), each component of the lockstep search must
+return the bitwise same (x, f) as the sequential search of that component
+alone, and ask for the same points.  The last test checks the compensation
+search itself, axis by axis, against a sequential search that computes one
+decay curve per call.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eitecho.studies import LOOKAHEAD, _golden_min
+from eitecho.ensemble import EnsembleSpec
+from eitecho.lambda_system import LambdaParams
+from eitecho.readout import assemble_decay_curves
+from eitecho.sequences import EchoConfig
+from eitecho.studies import (INVPHI, FieldModel, branches_for_splitting,
+                             compensation_bracket_taus, compensation_search, golden_section,
+                             golden_steps, splitting_from_field)
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-def sequential_golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def sequential_golden_min(f, lo: float, hi: float, steps: int) -> tuple[float, float]:
     a, b = lo, hi
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    for _ in range(steps):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - INVPHI * (b - a)
@@ -39,37 +46,33 @@ def sequential_golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, f
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def replay(f, lo: float, hi: float, tol: float, depth: int) -> tuple[list, list]:
-    """Both searches of `f`; returns the reference's points and the prefetch batches."""
-    visited = []
+def replay(fs, lo: list, hi: list, steps: int) -> tuple:
+    """The lockstep search of the separable objective (f_0, f_1, ...) against the
+    sequential search of each f_i; returns each axis's point and visited points."""
+    calls, lockstep_visits = [], [[] for _ in fs]
 
-    def reference_f(x):
-        visited.append(x)
-        return f(x)
+    def lockstep_f(x):
+        assert x.shape == (len(fs),)
+        calls.append(x)
+        for visits, xi in zip(lockstep_visits, x):
+            visits.append(float(xi))
+        return np.array([f(float(xi)) for f, xi in zip(fs, x)])
 
-    expected = sequential_golden_min(reference_f, lo, hi, tol)
+    found, values = golden_section(lockstep_f, np.array(lo, dtype=float),
+                                   np.array(hi, dtype=float), steps)
+    assert len(calls) == 2 + steps
+    for i, f in enumerate(fs):
+        visits = []
 
-    fetched, batches, asked = set(), [], []
+        def recording(x, f=f, visits=visits):
+            visits.append(x)
+            return f(x)
 
-    def prefetch(xs):
-        batches.append(list(xs))
-        fetched.update(xs)
-
-    def ahead_f(x):
-        assert x in fetched, "asked for a point no batch computed"
-        asked.append(x)
-        return f(x)
-
-    found = _golden_min(ahead_f, lo, hi, tol, prefetch=prefetch, depth=depth)
-    assert (found[0].hex(), found[1].hex()) == (expected[0].hex(), expected[1].hex())
-    assert asked == visited
-    assert set(visited) <= fetched
-    # the two interior points come in one batch (in two at depth 1), each later
-    # batch covers `depth` steps
-    steps = len(visited) - 2
-    assert len(batches) == (1 if depth > 1 else 2) + math.ceil(steps / depth)
-    assert all(len(batch) <= 2 ** depth - 1 for batch in batches)
-    return visited, batches
+        expected = sequential_golden_min(recording, lo[i], hi[i], steps)
+        assert (float(found[i]).hex(), float(values[i]).hex()) == \
+            (expected[0].hex(), expected[1].hex())
+        assert [x.hex() for x in lockstep_visits[i]] == [x.hex() for x in visits]
+    return found, lockstep_visits
 
 
 @st.composite
@@ -93,23 +96,71 @@ def objectives(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(f=objectives(), lo=st.floats(-2.0, 2.0), width=st.floats(1e-3, 8.0),
-       tol_exponent=st.floats(-9.0, 0.5), depth=st.sampled_from([1, LOOKAHEAD, 3]))
-@example(f=lambda x: 1.0, lo=0.0, width=1.0, tol_exponent=-3.0, depth=LOOKAHEAD)
-@example(f=lambda x: abs(x), lo=-1.0, width=2.0, tol_exponent=-8.0, depth=LOOKAHEAD)
-def test_lookahead_replays_the_sequential_search(f, lo, width, tol_exponent, depth):
-    replay(f, lo, lo + width, width * 10.0 ** tol_exponent, depth)
+@given(fs=st.lists(objectives(), min_size=3, max_size=3),
+       lo=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       width=st.lists(st.floats(1e-3, 8.0), min_size=3, max_size=3),
+       steps=st.integers(0, 60))
+@example(fs=[lambda x: 1.0] * 3, lo=[0.0] * 3, width=[1.0] * 3, steps=14)
+@example(fs=[abs, lambda x: 1.0, lambda x: max(abs(x) - 0.2, 0.0)], lo=[-1.0] * 3,
+         width=[2.0] * 3, steps=40)
+def test_lockstep_replays_the_sequential_search(fs, lo, width, steps):
+    replay(fs, lo, [a + w for a, w in zip(lo, width)], steps)
 
 
 @pytest.mark.parametrize("steps", range(12))
-@pytest.mark.parametrize("f", [lambda x: (x - 0.3) ** 2, lambda x: max(abs(x) - 0.2, 0.0)],
+@pytest.mark.parametrize("f, minima", [(lambda x: (x - 0.3) ** 2, (0.3, 0.3)),
+                                       (lambda x: max(abs(x) - 0.2, 0.0), (-0.2, 0.2))],
                          ids=["parabola", "flat"])
-@pytest.mark.parametrize("depth", [1, LOOKAHEAD])
-def test_every_step_count(f, steps, depth):
-    # a tolerance just above the bracket width after `steps` steps: an odd
-    # count ends the search in the middle of a batch, which then computes no
-    # point past the last step
-    visited, batches = replay(f, -1.0, 1.0, 2.0 * INVPHI ** steps * 1.01, depth)
-    assert len(visited) == steps + 2
-    full, rest = divmod(steps, depth)
-    assert sum(map(len, batches)) == 2 + full * (2 ** depth - 1) + 2 ** rest - 1
+@pytest.mark.parametrize("half_width", [1, 2])
+def test_every_step_count(f, minima, steps, half_width):
+    # a tolerance just above four times the bracket width after `steps` steps:
+    # golden_steps asks for exactly that many, and each axis ends within tol / 4
+    # of the minima inside its bracket, or of the bracket end nearest to them
+    tol = 8.0 * half_width * INVPHI ** steps * 1.01
+    assert golden_steps(half_width, tol) == steps
+    lo, hi = [-half_width, -half_width, 0.5], [half_width, 0.0, half_width]
+    found, visits = replay([f] * 3, lo, hi, steps)
+    assert all(len(v) == steps + 2 for v in visits)
+    for x, a, b in zip(found, lo, hi):
+        first, last = (min(max(m, a), b) for m in minima)
+        assert max(first - x, x - last, 0.0) <= tol / 4
+
+
+@pytest.mark.parametrize("search_range, tol, steps", [
+    # the default search; a tolerance below the float spacing of the
+    # compensation values, where a search run to a bracket width never ended;
+    # a subnormal tolerance and a huge range, whose quotient would overflow;
+    # a tolerance wider than the box
+    (100e-6, 1e-6, 14), (1e-6, 1e-28, 110), (100e-6, 5e-324, 1533), (1e300, 5e-324, 2987),
+    (100e-6, 1e-3, 0)])
+def test_step_count(search_range, tol, steps):
+    assert golden_steps(search_range, tol) == steps
+    if steps:
+        assert 2.0 * search_range * INVPHI ** steps <= tol / 4.0 * (1.0 + 1e-12)
+
+
+def test_compensation_search_replays_each_axis():
+    # criterion 12's search: each axis's result is the sequential golden section
+    # of that axis alone, with the other two held at the start vector and one
+    # decay curve computed per call
+    cfg, params, spec = EchoConfig(tau=30e-6), LambdaParams(gamma_spin_deph=1.0 / 500e-6), \
+        EnsembleSpec()
+    model = FieldModel(field_vector=(20e-6, -10e-6, 45e-6))
+    res = compensation_search(model, cfg, params, spec, np.linspace(15e-6, 120e-6, 6),
+                              tol=1e-6, mode="proxy")
+    window = compensation_bracket_taus(model, cfg, 100e-6)
+    for axis in range(3):
+        def modulation(x: float) -> float:
+            comp = [0.0, 0.0, 0.0]
+            comp[axis] = x
+            branches = branches_for_splitting(splitting_from_field(
+                replace(model, compensation_vector=tuple(comp))))
+            curve, = assemble_decay_curves(cfg, window, params,
+                                           [replace(spec, zeeman_branches=branches)],
+                                           mode="proxy")
+            return -float(np.sum(curve.amplitudes))
+
+        x, f = sequential_golden_min(modulation, -100e-6, 100e-6, golden_steps(100e-6, 1e-6))
+        assert res.compensation[axis].hex() == x.hex()
+        trial, amplitude = res.history[1 + axis]
+        assert trial[axis].hex() == x.hex() and amplitude.hex() == (-f).hex()

@@ -25,32 +25,23 @@ from eitecho.studies import (
 PARAMS = LambdaParams(gamma_spin_deph=1.0 / 500e-6)
 SINGLE = EnsembleSpec()
 
-# The proxy-mode search of TestCompensationSearch, recorded with a golden section
-# that computed one trial point per call: the compensation found and every
-# (compensation, summed amplitude) of its history, as float.hex literals.
-PINNED_COMPENSATION = ("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
-                       "-0x1.796f2bc2e2e01p-15")
+# The proxy-mode search of TestCompensationSearch, recorded with the lockstep
+# golden section: the compensation found and every (compensation, summed
+# amplitude) of its history (the start, each axis's best trial and the found
+# vector), as float.hex literals.
+PINNED_COMPENSATION = ("-0x1.4ffdf0ddb445ep-16", "0x1.4ec30f8d6f921p-17",
+                       "-0x1.7959a9bdc98dcp-15")
 PINNED_HISTORY = [
     (("0x0.0p+0", "0x0.0p+0",
       "0x0.0p+0"), "0x1.73e4b889bf8b0p+0"),
-    (("-0x1.4f765a99edb64p-16", "0x0.0p+0",
-      "0x0.0p+0"), "0x1.74c9b7ac8a451p+0"),
-    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb64p-17",
-      "0x0.0p+0"), "0x1.7502ffa40bd8fp+0"),
-    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb64p-17",
-      "-0x1.7954ee5187d13p-15"), "0x1.798db20a51004p+0"),
-    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb64p-17",
-      "-0x1.7954ee5187d13p-15"), "0x1.798db20a51004p+0"),
-    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
-      "-0x1.7954ee5187d13p-15"), "0x1.798db20a51004p+0"),
-    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
-      "-0x1.796f2bc2e2e01p-15"), "0x1.798db215c7f64p+0"),
-    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
-      "-0x1.796f2bc2e2e01p-15"), "0x1.51bad6a73fd7bp+0"),
-    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
-      "-0x1.796f2bc2e2e01p-15"), "0x1.51bad6a73fd7bp+0"),
-    (("-0x1.4f765a99edb64p-16", "0x1.4f765a99edb68p-17",
-      "-0x1.796f2bc2e2e01p-15"), "0x1.51bad6a73fd7bp+0"),
+    (("-0x1.4ffdf0ddb445ep-16", "0x0.0p+0",
+      "0x0.0p+0"), "0x1.74c9b792b7374p+0"),
+    (("0x0.0p+0", "0x1.4ec30f8d6f921p-17",
+      "0x0.0p+0"), "0x1.741df355a35bcp+0"),
+    (("0x0.0p+0", "0x0.0p+0",
+      "-0x1.7959a9bdc98dcp-15"), "0x1.786e1f1392727p+0"),
+    (("-0x1.4ffdf0ddb445ep-16", "0x1.4ec30f8d6f921p-17",
+      "-0x1.7959a9bdc98dcp-15"), "0x1.798db1defdc37p+0"),
 ]
 
 
@@ -187,9 +178,9 @@ class TestCompensationSearch:
             assert abs(found + ambient) < 1e-6
 
     def test_repeated_curves_are_computed_once(self, monkeypatch):
-        # criterion 12's search: each axis's coarse scan revisits the current
-        # point, and the golden section computes both possible next points
-        # ahead; every curve is computed once, 61 batched calls in all
+        # criterion 12's search: the start, one call of the three axes' trial
+        # points per golden-section point, then the found vector on each of the
+        # two storage-time windows; no curve is computed twice
         pending, computed, batches = [], [], []
 
         def recording(model):
@@ -210,38 +201,21 @@ class TestCompensationSearch:
         ambient = (20e-6, -10e-6, 45e-6)
         res = compensation_search(FieldModel(field_vector=ambient), cfg, PARAMS, SINGLE,
                                   taus, tol=1e-6, mode="proxy")
-        assert res.evaluations == 215
+        steps = studies.golden_steps(100e-6, 1e-6)
+        assert batches == [1] + [3] * (2 + steps) + [1, 1]
+        assert res.evaluations == len(computed) == 1 + 3 * (2 + steps) + 2 == 51
         assert len(set(computed)) == len(computed)
-        assert len(computed) == 244
-        assert len(batches) == 61
         assert all(abs(found + true) < 1e-6 for found, true in zip(res.compensation, ambient))
         assert res.warning is None
 
-    def test_larger_ensembles_search_one_step_per_call(self, monkeypatch):
-        # three grid points stack 6 members per curve, past LOOKAHEAD_MAX_MEMBERS:
-        # the refinement computes one point per call, as the sequential search
-        # does, and nothing ahead; with the bound raised it computes three
-        def batch_sizes(max_members):
-            batches = []
-
-            def counting(cfg, taus, params, specs, **kwargs):
-                batches.append(len(specs))
-                return assemble_decay_curves(cfg, taus, params, specs, **kwargs)
-
-            monkeypatch.setattr(studies, "assemble_decay_curves", counting)
-            monkeypatch.setattr(studies, "LOOKAHEAD_MAX_MEMBERS", max_members)
-            res = compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)),
-                                      EchoConfig(tau=30e-6), PARAMS,
-                                      EnsembleSpec(spin_fwhm=20e3, n_spin=3),
-                                      np.linspace(15e-6, 120e-6, 6), tol=1e-6, mode="proxy")
-            return res, batches
-
-        res, batches = batch_sizes(studies.LOOKAHEAD_MAX_MEMBERS)
-        # 9 coarse scans of 12 or 13 new points, the rest one curve each
-        scans = [n for n in batches if n > 1]
-        assert len(scans) == 9 and min(scans) >= 12
-        assert res.evaluations == 215 and res.warning is None
-        assert 3 in batch_sizes(6)[1]
+    def test_spin_ensemble_ambient_recovered(self):
+        # three spin grid points stack 6 members per curve
+        ambient = (20e-6, -10e-6, 45e-6)
+        res = compensation_search(FieldModel(field_vector=ambient), EchoConfig(tau=30e-6),
+                                  PARAMS, EnsembleSpec(spin_fwhm=20e3, n_spin=3),
+                                  np.linspace(15e-6, 120e-6, 6), tol=1e-6, mode="proxy")
+        assert all(abs(found + true) < 1e-6 for found, true in zip(res.compensation, ambient))
+        assert res.improved and res.warning is None
 
     def test_search_path_is_pinned(self):
         res = compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)),
