@@ -134,10 +134,6 @@ class SequenceSpec:
             raise ValidationError("readout segment must be last in the sequence")
         object.__setattr__(self, "segments", segs)
 
-    @property
-    def total_duration(self) -> float:
-        return float(sum(s.duration for s in self.segments))
-
 
 @dataclass
 class Trajectory:
@@ -216,8 +212,6 @@ def default_step(p: LambdaParams, segment: Segment) -> float:
     if isinstance(segment, PulseSpec) and segment.clock_dt:
         return segment.clock_dt
     dt = segment.duration * DEFAULT_STEPS_FRACTION
-    # frame_offset is excluded: a uniform diagonal shift cancels exactly in
-    # the commutator and never moves the state
     f = max(p.rabi0, p.rabi1, abs(p.delta_opt), abs(p.delta_spin))
     if f > 0.0:
         dt = min(dt, DEFAULT_PHASE_PER_STEP / f)
@@ -259,12 +253,17 @@ def _expm(a: np.ndarray, name=None) -> np.ndarray:
     1-norm of the stack, else 13, where each matrix is scaled by its own
     2^-s, s = ceil(log2(norm / theta_13)), and squared s times; only the
     matrices still needing a squaring are squared.  The squaring divides by
-    nothing, so subnormal entries need no special care.  The stack passes
-    :func:`_check_squarings` first, which `name` serves.
+    nothing, so subnormal entries need no special care.  A diagonal matrix
+    maps to the exp of its diagonal, exactly, as scipy maps triangular input
+    (Al-Mohy & Higham 2009).  The stack passes :func:`_check_squarings`
+    first, which `name` serves.
     """
     a = np.asarray(a, dtype=complex)
     norms = _check_squarings(a, name)
     x = a.reshape(-1, *a.shape[-2:])
+    idx = np.arange(x.shape[-1])
+    d = x[:, idx, idx]
+    diag = np.flatnonzero(~x[:, idx[:, None] != idx].any(axis=1))
     theta = PADE_THETAS[13]
     m = next(m for m in PADE_THETAS if m == 13 or norms.max(initial=0.0) <= PADE_THETAS[m])
     b = PADE_COEFFICIENTS[m]
@@ -292,6 +291,8 @@ def _expm(a: np.ndarray, name=None) -> np.ndarray:
             r = r @ r
         else:
             r[todo] = r[todo] @ r[todo]
+    r[diag] = 0.0
+    r[diag[:, None], idx, idx] = np.exp(d[diag])
     return r.reshape(a.shape)
 
 

@@ -1,10 +1,11 @@
 """Inhomogeneous averaging over optical and spin detunings.
 
 The ensemble is a deterministic tensor grid: Gaussian midpoint-rule nodes over
-+/- 3 sigma on each detuning axis, optionally multiplied by discrete Zeeman
-branches.  All members are propagated together as one stack, and the average
-is a Trajectory of the states weight-summed in the fixed grid order, so
-results are bitwise reproducible.
++/- 3 sigma on each detuning axis, mirrored exactly about a resonant node at
+exactly 0, optionally multiplied by discrete Zeeman branches.  All members are
+propagated together as one stack, and the average is a Trajectory of the
+states weight-summed in the fixed grid order, so results are bitwise
+reproducible.
 
 Zeeman branch offsets are kept separate from the static spin detunings: a
 static member detuning is refocused by the echo, while a branch offset flips
@@ -68,13 +69,13 @@ class EnsembleSpec:
 
 
 def _axis_nodes(fwhm_hz: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint-rule nodes (rad/s) and normalized weights over +/- 3 sigma."""
+    """Midpoint-rule nodes (rad/s) and normalized weights over +/- 3 sigma: node k
+    of odd n sits (k - (n - 1)/2) spacings from an exact 0, so the grid mirrors exactly."""
     if n == 1 or fwhm_hz == 0.0:
         return np.array([0.0]), np.array([1.0])
     sigma = TWO_PI * fwhm_hz * FWHM_TO_SIGMA
     half = GRID_HALF_WIDTH_SIGMAS * sigma
-    edges = np.linspace(-half, half, n + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    centers = (np.arange(n) - (n - 1) // 2) * (2 * half / n)
     w = np.exp(-0.5 * (centers / sigma) ** 2)
     w /= w.sum()
     return centers, w

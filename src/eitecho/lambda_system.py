@@ -8,9 +8,8 @@ Conventions (basis order |0>, |1>, |e>):
   transition.  With equal Rabi frequencies the bright superposition couples
   sqrt(2) times more strongly and the dark one not at all.
 * The one-photon detuning sits on |e>, the two-photon (spin) detuning is split
-  symmetrically as +delta_spin/2 on |0> and -delta_spin/2 on |1>.  Shifting
-  all three diagonal entries together is a pure change of the rotating-frame
-  energy zero; ``frame_offset`` exposes that gauge explicitly.
+  symmetrically as +delta_spin/2 on |0> and -delta_spin/2 on |1>, so the
+  rotating-frame energy zero is the ground levels' mean.
 * Dissipation is Lindblad-form: |e> decays to |0> and |1> with a branching
   fraction, plus pure dephasing of the optical transition and of the ground
   coherence.  Rates are calibrated so gamma_opt_deph and gamma_spin_deph are
@@ -48,7 +47,6 @@ class LambdaParams:
     gamma_opt_deph: float = 0.0
     gamma_spin_deph: float = 0.0
     branch0: float = 0.5
-    frame_offset: float = 0.0
 
     def __post_init__(self):
         problems = []
@@ -59,16 +57,11 @@ class LambdaParams:
                 problems.append(f"LambdaParams.{name} must be >= 0, got {v}")
         if not 0.0 <= self.branch0 <= 1.0:
             problems.append(f"LambdaParams.branch0 must be in [0, 1], got {self.branch0}")
-        for name in ("phase0", "phase1", "delta_opt", "delta_spin", "frame_offset"):
+        for name in ("phase0", "phase1", "delta_opt", "delta_spin"):
             if not np.isfinite(getattr(self, name)):
                 problems.append(f"LambdaParams.{name} must be finite")
         if problems:
             raise ValidationError(problems)
-
-    @property
-    def gamma_opt_coherence(self) -> float:
-        """Total optical coherence decay rate: decay/2 plus pure dephasing."""
-        return 0.5 * self.gamma_opt_decay + self.gamma_opt_deph
 
     def replace(self, **kw) -> "LambdaParams":
         return replace(self, **kw)
@@ -77,9 +70,9 @@ class LambdaParams:
 def hamiltonian(p: LambdaParams) -> np.ndarray:
     """Rotating-frame Hamiltonian (units hbar = 1, entries in rad/s)."""
     h = np.zeros((3, 3), dtype=complex)
-    h[0, 0] = 0.5 * p.delta_spin + p.frame_offset
-    h[1, 1] = -0.5 * p.delta_spin + p.frame_offset
-    h[2, 2] = p.delta_opt + p.frame_offset
+    h[0, 0] = 0.5 * p.delta_spin
+    h[1, 1] = -0.5 * p.delta_spin
+    h[2, 2] = p.delta_opt
     h[2, 0] = 0.5 * p.rabi0 * np.exp(1j * p.phase0)
     h[2, 1] = 0.5 * p.rabi1 * np.exp(1j * p.phase1)
     h[0, 2] = np.conj(h[2, 0])

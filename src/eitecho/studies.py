@@ -61,14 +61,13 @@ class TemperatureModel:
 
     t2_opt_ref: float
     temperature_ref: float
-    exponent: int = TEMPERATURE_EXPONENT
 
     def __post_init__(self):
         if not self.t2_opt_ref > 0.0 or not self.temperature_ref > 0.0:
             raise ValidationError("TemperatureModel reference values must be > 0")
 
     def t2_opt(self, temperature: float) -> float:
-        return self.t2_opt_ref * (self.temperature_ref / temperature) ** self.exponent
+        return self.t2_opt_ref * (self.temperature_ref / temperature) ** TEMPERATURE_EXPONENT
 
     def gamma_opt_deph(self, temperature: float) -> float:
         return 1.0 / self.t2_opt(temperature)
@@ -80,16 +79,15 @@ class ScalingModel:
 
     The pi-pulse duration scales as sqrt(T2_opt) around the reference pair:
     T2 ~ 1/mu^2 and T_pi ~ 1/mu at fixed field amplitude.  The intensity
-    budget (100 mW into a ~70 um spot by default) is what fixes the reference
-    pair experimentally; it is carried for the run manifest.
+    budget (100 mW into a ~70 um spot) is what fixes the reference pair
+    experimentally.
     """
 
     t_pi_ref: float = 100e-9
     t2_opt_ref: float = 100e-6
-    intensity_budget: float = 0.1 / (math.pi * (35e-6) ** 2)   # W / m^2
 
     def __post_init__(self):
-        if not (self.t_pi_ref > 0.0 and self.t2_opt_ref > 0.0 and self.intensity_budget > 0.0):
+        if not (self.t_pi_ref > 0.0 and self.t2_opt_ref > 0.0):
             raise ValidationError("ScalingModel fields must be > 0")
 
     def pulse_duration(self, t2_opt: float) -> float:
@@ -330,15 +328,17 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     :func:`compensation_bracket_taus` the summed amplitude is strictly
     monotone in |B + c| over the search box, so one golden section per axis
     over c_i +/- search_range, the others held at the start vector, finds it
-    to within tol / 4 in :func:`golden_steps` steps.  Each step is one batched
+    to within tol / 4 in :func:`golden_steps` steps, tol raised to the four
+    float spacings where a bracket stops shrinking.  Each step is one batched
     decay-curve call of the three axes' trial points (a compensation vector
-    enters only through the Zeeman branches of the ensemble).
+    enters only through the Zeeman branches of the ensemble).  An axis keeps
+    its start unless its best trial scores above the start.
 
     ``evaluations`` counts the curves computed: the start, three per trial
     step, and the found vector twice, on the bracketing storage times
     (``improved``, ``warning``) and on `taus` (the fitted T2, ``objective``).
     ``history`` lists (compensation, summed amplitude) of the start, of each
-    axis's best trial and of the found vector.
+    axis's best trial (the start, if the axis kept it) and of the found vector.
     """
     if not (search_range > 0.0 and tol > 0.0):
         raise ValidationError("compensation_search: search_range and tol must be > 0")
@@ -363,8 +363,11 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
         return np.where(np.eye(3, dtype=bool), x[:, None], comp)
 
     start = modulation([comp])[0]
+    steps = golden_steps(search_range, max(tol, 4.0 * math.ulp(np.abs(comp).max() + search_range)))
     best, f_best = golden_section(lambda x: modulation(trials(x)), comp - search_range,
-                                  comp + search_range, golden_steps(search_range, tol))
+                                  comp + search_range, steps)
+    keep = ~(f_best < start)
+    best, f_best = np.where(keep, comp, best), np.where(keep, start, f_best)
     end = modulation([best])[0]
     warning = None
     if not end < start and float(np.linalg.norm(m.net_field())) > tol:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, outputs, and reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import eitecho.cli as cli
 from eitecho.cli import main
 from eitecho.errors import FitFailureError
+from eitecho.studies import golden_steps
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -278,16 +280,19 @@ class TestScaling:
 
 class TestCompensate:
     def test_tolerance_below_the_float_spacing_ends(self, tmp_path):
-        # one float spacing of a 50 uT field is 6.8e-21 T: a search run until
-        # its bracket was narrower than the tolerance never ended; the fixed
-        # step count ends after 1 + 3 * (2 + 110) + 2 curves
-        text = CLOSED_CONFIG + ("studies:\n"
-                                "  compensation: {search_range: 1uT, tolerance: 1e-22uT}\n")
-        out = tmp_path / "o"
-        done = TestArgumentErrors.run_cli("compensate", "--config",
-                                          str(write_config(tmp_path, text)), "--out", str(out))
-        assert done.returncode == 0, done.stderr
-        assert json.loads((out / "compensation.json").read_text())["evaluations"] == 339
+        # one float spacing of a 50 uT field is 6.8e-21 T, so no bracket gets
+        # as narrow as these tolerances: the steps stop where a bracket of
+        # values up to |start| + search_range stops shrinking
+        for compensation, search_range in (("{search_range: 1uT, tolerance: 1e-22uT}", 1e-6),
+                                           ("{tolerance: 1e-317uT}", 100e-6)):
+            text = CLOSED_CONFIG + f"studies:\n  compensation: {compensation}\n"
+            out = tmp_path / str(search_range)
+            done = TestArgumentErrors.run_cli("compensate", "--config",
+                                              str(write_config(tmp_path, text)), "--out", str(out))
+            assert done.returncode == 0, done.stderr
+            steps = golden_steps(search_range, 4.0 * math.ulp(search_range))
+            evaluations = json.loads((out / "compensation.json").read_text())["evaluations"]
+            assert evaluations == 1 + 3 * (2 + steps) + 2 <= 1 + 3 * (2 + 80) + 2
 
 
 class TestReproducibility:

@@ -41,9 +41,9 @@ class TestClosedFormWait:
     @given(lambda_params(), st.lists(st.floats(1e-9, 30e-6), min_size=1, max_size=3),
            st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=3),
            st.sampled_from([1.0, -1.0]))
-    @example(LambdaParams(gamma_opt_decay=0.0, gamma_opt_deph=W, frame_offset=0.7 * W),
+    @example(LambdaParams(gamma_opt_decay=0.0, gamma_opt_deph=W),
              [27e-6], [(0.0, 0.0, 0.0)], 1.0)
-    @example(LambdaParams(gamma_opt_decay=W, branch0=0.0, frame_offset=-W),
+    @example(LambdaParams(gamma_opt_decay=W, branch0=0.0),
              [1e-6, 2e-6], [(1.0, -1.0, 0.5)], -1.0)
     @example(LambdaParams(gamma_opt_decay=W, branch0=1.0, gamma_spin_deph=0.1 * W),
              [1e-6], [(0.0, 0.0, 0.0)], 1.0)
@@ -66,7 +66,7 @@ class TestClosedFormWait:
 
     def test_generator_is_diagonal_but_for_decay(self):
         p = LambdaParams(rabi0=W, rabi1=W, gamma_opt_decay=W, gamma_opt_deph=W,
-                         gamma_spin_deph=W, delta_opt=W, frame_offset=W)
+                         gamma_spin_deph=W, delta_opt=W)
         gen = member_generators(p, Wait(duration=1e-6), [[W, -W, W]])[0]
         off = gen - np.diag(np.diag(gen))
         assert np.flatnonzero(off).tolist() == [0 * 9 + 8, 4 * 9 + 8]

@@ -52,6 +52,18 @@ class TestDetuningGrid:
         assert np.allclose(detunings, -detunings[::-1])
         assert detunings[weights.size // 2] == 0.0
 
+    @pytest.mark.parametrize("n", [3, 21, 57, 101])
+    @pytest.mark.parametrize("fwhm", [1.0, 20e3, 170e3, 3e9])
+    def test_resonant_node_and_mirror_are_exact(self, fwhm, n):
+        nodes, weights = _axis_nodes(fwhm, n)
+        assert nodes[(n - 1) // 2] == 0.0
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        # still the midpoints of n equal cells over +/- 3 sigma
+        half = 3.0 * TWO_PI * fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+        edges = np.linspace(-half, half, n + 1)
+        assert np.allclose(nodes, 0.5 * (edges[:-1] + edges[1:]), rtol=0.0, atol=1e-14 * half)
+
     def test_branches_duplicate_every_point(self):
         spec = EnsembleSpec(spin_fwhm=10e3, n_spin=5,
                             zeeman_branches=((-3e3, 0.5), (3e3, 0.5)))

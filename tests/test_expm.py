@@ -65,7 +65,7 @@ def generator_stacks(draw, max_members: int = 4) -> np.ndarray:
 
 
 # Two scaling-and-squaring codes differ by up to about u * ||A||_1, the
-# condition of exp (and scipy takes exp of a diagonal exactly): at a 1-norm
+# condition of exp (both take exp of a diagonal exactly): at a 1-norm
 # of 1e3 that reaches the 1e-13 bound for a few random stacks in a thousand,
 # so the drawn examples are fixed from run to run.
 oracle_settings = settings(max_examples=100, deadline=None, derandomize=True)
@@ -90,6 +90,10 @@ class TestAgainstScipy:
     @example(np.array([member_generators(LambdaParams(gamma_opt_decay=W, rabi0=W),
                                          PulseSpec(duration=1e-6, rabi0=W), [[0, 0, 0]])[0]] * 2),
              [-12.0, 3.0, 0.0, 0.0])
+    # a drive-free, decay-free wait: diagonal, so exp of the diagonal is exact
+    @example(np.array([member_generators(LambdaParams(), Wait(duration=1e-6),
+                                         [[0, W, 0]])[0]] * 3),
+             [0.0, 0.0, 3.0, 0.0])
     def test_stacks_mixing_tiny_and_large_norms(self, gen, log_norms):
         # each matrix at its own 1-norm: the degree is the stack's, the depth each one's
         assert_matches_scipy(rescaled(gen, log_norms[:len(gen)]))

@@ -34,10 +34,6 @@ class TestParams:
             "LambdaParams.rabi0", "LambdaParams.gamma_opt_deph", "LambdaParams.branch0",
             "LambdaParams.delta_opt"]
 
-    def test_optical_coherence_rate(self):
-        p = LambdaParams(gamma_opt_decay=10.0, gamma_opt_deph=3.0)
-        assert p.gamma_opt_coherence == pytest.approx(8.0)
-
 
 class TestHamiltonian:
     def test_couplings_and_phases(self):
@@ -74,11 +70,6 @@ class TestHamiltonian:
         b, d = coupling_strengths(p)
         assert abs(b) == pytest.approx(0.0, abs=1e-15)
         assert abs(d) == pytest.approx(np.sqrt(2.0) / 2.0)
-
-    def test_frame_offset_is_uniform_shift(self):
-        p = LambdaParams(rabi0=1.0, rabi1=0.5, delta_opt=2.0, frame_offset=7.0)
-        h0 = hamiltonian(p.replace(frame_offset=0.0))
-        assert np.allclose(hamiltonian(p), h0 + 7.0 * np.eye(3))
 
 
 class TestBrightDarkBasis:

@@ -133,7 +133,7 @@ class TestStackedPropagator:
 class TestAffineGenerator:
     @settings(max_examples=100, deadline=None)
     @given(lambda_params(), unit, unit)
-    @example(LambdaParams(rabi0=W, rabi1=0.3 * W, delta_opt=0.2 * W, frame_offset=0.7 * W),
+    @example(LambdaParams(rabi0=W, rabi1=0.3 * W, delta_opt=0.2 * W),
              -1.0, 1.0)
     def test_detuning_shift_is_diagonal(self, p, a, b):
         a, b = W * a, W * b
@@ -201,7 +201,7 @@ class TestDetectorClock:
         seq = make_echo_sequence(cfg)
         traj = run_sequence(mixed_ground, self.PARAMS, seq, zeeman_offset=TWO_PI * 8e3)
         tick = 1.0 / (8.0 * cfg.splitting)
-        assert traj.times[-1] == seq.total_duration
+        assert traj.times[-1] == sum(s.duration for s in seq.segments)
         assert 0.0 < traj.times[-1] - traj.times[-2] < tick
         end = sequence_endpoints(mixed_ground, self.PARAMS, [seq],
                                  [0.0, 0.0, TWO_PI * 8e3])[0, 0].reshape(3, 3)
@@ -215,7 +215,7 @@ class TestDetectorClock:
         window = traj.times[traj.segment_start_index("readout"):]
         assert window.size == 17
         assert np.allclose(np.diff(window), 125e-9, rtol=1e-9, atol=0.0)
-        assert window[-1] == pytest.approx(seq.total_duration, rel=1e-15)
+        assert window[-1] == pytest.approx(sum(s.duration for s in seq.segments), rel=1e-15)
 
     @pytest.mark.parametrize("duration,dt", [(10e-6, 0.037e-6), (27e-6, 0.031e-6),
                                              (1e-6, 0.02e-6)])

@@ -39,7 +39,6 @@ def lambda_params(draw) -> LambdaParams:
         delta_opt=W * draw(unit), delta_spin=W * draw(unit),
         gamma_opt_decay=W * draw(rate), gamma_opt_deph=W * draw(rate),
         gamma_spin_deph=W * draw(rate), branch0=draw(branching),
-        frame_offset=W * draw(unit),
     )
 
 
@@ -99,8 +98,8 @@ class TestClosedFormLiouvillian:
     @settings(max_examples=200, deadline=None)
     @given(lambda_params())
     @example(LambdaParams())
-    @example(LambdaParams(rabi0=W, rabi1=0.5 * W, delta_opt=-W, frame_offset=0.7 * W))
-    @example(LambdaParams(gamma_opt_decay=W, branch0=0.0, frame_offset=-W))
+    @example(LambdaParams(rabi0=W, rabi1=0.5 * W, delta_opt=-W))
+    @example(LambdaParams(gamma_opt_decay=W, branch0=0.0))
     @example(LambdaParams(gamma_opt_decay=W, branch0=1.0, gamma_spin_deph=0.1 * W))
     def test_matches_rhs_on_matrix_units(self, p):
         ref = column_by_column(p)
@@ -111,7 +110,7 @@ class TestClosedFormLiouvillian:
 class TestEndpointDifferential:
     @settings(max_examples=12, deadline=None)
     @given(lambda_params(), segments(), unit, st.integers(0, 2**32 - 1))
-    @example(LambdaParams(rabi0=W, rabi1=W, delta_opt=W, delta_spin=W, frame_offset=W),
+    @example(LambdaParams(rabi0=W, rabi1=W, delta_opt=W, delta_spin=W),
              tuple(PulseSpec(duration=0.4e-6, rabi0=W, rabi1=W, phase0=0.0, phase1=1.0)
                    for _ in range(3)), 1.0, 1)
     def test_matches_fine_step_rk4(self, p, segs, offset, seed):
@@ -186,12 +185,11 @@ class TestSegmentMapProperties:
         assert np.max(np.abs(lhs - rhs)) <= 1e-11
 
     @settings(max_examples=60, deadline=None)
-    @given(magnitude, st.floats(0.05, 1.0), phase, phase, unit, unit, st.floats(1e-9, 1e-5))
-    def test_dark_state_is_fixed_point(self, rabi0, rabi1, ph0, ph1, delta_opt, frame_offset,
-                                       h):
+    @given(magnitude, st.floats(0.05, 1.0), phase, phase, unit, st.floats(1e-9, 1e-5))
+    def test_dark_state_is_fixed_point(self, rabi0, rabi1, ph0, ph1, delta_opt, h):
         # any two amplitudes and phases: the ket the drive leaves uncoupled
         p = LambdaParams(rabi0=W * rabi0, rabi1=W * rabi1, phase0=ph0, phase1=ph1,
-                         delta_opt=W * delta_opt, frame_offset=W * frame_offset)
+                         delta_opt=W * delta_opt)
         dark = np.array([rabi1 * np.exp(1j * ph1), -rabi0 * np.exp(1j * ph0), 0.0])
         dark /= np.linalg.norm(dark)
         rho = np.outer(dark, dark.conj())
