@@ -32,7 +32,6 @@ from .qstate import DensityMatrix3, GroundQubitState
 from .readout import beat_amplitude, synthesize_beat
 from .sequences import dark_target, make_echo_sequence, make_init_pulse
 from .studies import (
-    FieldModel,
     compensation_json,
     compensation_search,
     field_fits_csv,
@@ -51,29 +50,17 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 
-def _config_as_dict(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _config_as_dict(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (list, tuple)):
-        return [_config_as_dict(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    return obj
-
-
 def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, written: list) -> None:
     manifest = {
         "subcommand": subcommand,
-        "config": _config_as_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,
         "threads": cfg.threads,
         "outputs": sorted(written),
         "versions": {"eitecho": __version__, "numpy": np.__version__},
     }
-    (outdir / "run_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+    (outdir / "run_manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2, default=np.ndarray.tolist))
 
 
 def _cmd_simulate(cfg: RunConfig) -> Iterator[tuple[str, str]]:
@@ -153,8 +140,7 @@ def _cmd_field_sweep(cfg: RunConfig) -> Iterator[tuple[str, str]]:
 
 
 def _cmd_temp_scan(cfg: RunConfig) -> Iterator[tuple[str, str]]:
-    tm = cfg.temperature_model()
-    points = temperature_scan(cfg.temp_scan.temperatures, tm, cfg.sequence,
+    points = temperature_scan(cfg.temp_scan.temperatures, cfg.temp_scan.model, cfg.sequence,
                               cfg.physics, cfg.ensemble, cfg.temp_scan.taus,
                               mode="proxy")
     print(f"temperature scan: {len(points)} points")
@@ -162,7 +148,7 @@ def _cmd_temp_scan(cfg: RunConfig) -> Iterator[tuple[str, str]]:
 
 
 def _cmd_scaling(cfg: RunConfig) -> Iterator[tuple[str, str]]:
-    points = scaling_study(cfg.scaling.t2_opt_values, cfg.scaling_model,
+    points = scaling_study(cfg.scaling.t2_opt_values, cfg.scaling.model,
                            cfg.sequence, cfg.physics, cfg.ensemble,
                            tau_in_pulses=cfg.scaling.tau_in_pulses)
     print(f"scaling study: {len(points)} optical-T2 points")
@@ -170,9 +156,7 @@ def _cmd_scaling(cfg: RunConfig) -> Iterator[tuple[str, str]]:
 
 
 def _cmd_compensate(cfg: RunConfig) -> Iterator[tuple[str, str]]:
-    model = FieldModel(g_factor=cfg.field_model.g_factor,
-                       field_vector=cfg.compensation.ambient_field)
-    result = compensation_search(model, cfg.sequence, cfg.physics, cfg.ensemble,
+    result = compensation_search(cfg.compensation.model, cfg.sequence, cfg.physics, cfg.ensemble,
                                  cfg.compensation.taus,
                                  search_range=cfg.compensation.search_range,
                                  tol=cfg.compensation.tolerance,

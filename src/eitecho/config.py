@@ -21,7 +21,7 @@ from .ensemble import EnsembleSpec, member_stack
 from .errors import ConfigurationError, ValidationError
 from .lambda_system import LambdaParams
 from .readout import FIT_MIN_POINTS
-from .sequences import EchoConfig
+from .sequences import EchoConfig, make_echo_sequence
 from .studies import (FieldModel, ScalingModel, TemperatureModel, compensation_bracket_taus,
                       scaling_echo, scaling_point)
 from .units import parse_quantity, parse_ratio
@@ -39,21 +39,19 @@ class FieldSweepConfig:
 class TempScanConfig:
     temperatures: np.ndarray
     taus: np.ndarray
-    t2_opt_ref: float
-    temperature_ref: float
+    model: TemperatureModel
 
 
 @dataclass(frozen=True)
 class ScalingConfig:
     t2_opt_values: np.ndarray
-    t_pi_ref: float
-    t2_opt_ref: float
     tau_in_pulses: float
+    model: ScalingModel
 
 
 @dataclass(frozen=True)
 class CompensationConfig:
-    ambient_field: tuple[float, float, float]
+    model: FieldModel             # the ambient field as its field_vector
     search_range: float
     tolerance: float
     taus: np.ndarray
@@ -66,7 +64,6 @@ class RunConfig:
     sequence: EchoConfig
     readout_mode: str
     field_model: FieldModel
-    scaling_model: ScalingModel
     field_sweep: FieldSweepConfig
     temp_scan: TempScanConfig
     scaling: ScalingConfig
@@ -75,10 +72,6 @@ class RunConfig:
     seed: int
     threads: int
     noise_rms: float
-
-    def temperature_model(self) -> TemperatureModel:
-        return TemperatureModel(t2_opt_ref=self.temp_scan.t2_opt_ref,
-                                temperature_ref=self.temp_scan.temperature_ref)
 
 
 REQUIRED = object()
@@ -310,12 +303,32 @@ def _branches(raw, errors: list) -> tuple:
     return () if any(None in pair for pair in pairs) else pairs
 
 
-def _ambient(raw, errors: list) -> tuple:
+def _ambient(raw, errors: list) -> tuple | None:
     path = "studies.compensation.ambient_field"
-    if isinstance(raw, list) and len(raw) == 3:
-        return tuple(_value(v, "field", None, f"{path}[{i}]", errors) for i, v in enumerate(raw))
-    errors.append(f"{path}: expected a list of 3 fields")
-    return ()
+    if not (isinstance(raw, list) and len(raw) == 3):
+        errors.append(f"{path}: expected a list of 3 fields")
+        return None
+    values = tuple(_value(v, "field", None, f"{path}[{i}]", errors) for i, v in enumerate(raw))
+    return None if None in values else values
+
+
+def _temperature_rates(temperatures: np.ndarray, model: TemperatureModel,
+                       errors: list) -> list | None:
+    """Each scan temperature's optical dephasing rate under `model`, finite and
+    > 0, as is then its T2; None after reporting the first point that fails."""
+    rates = []
+    for i, t in enumerate(temperatures.tolist()):
+        try:
+            rates.append(model.gamma_opt_deph(t))
+        except ArithmeticError:
+            rates.append(math.nan)
+        if not 0.0 < rates[-1] < math.inf:
+            errors.append(f"studies.temp_scan.temperatures[{i}]: at {t:g} K the T^-7 law from "
+                          f"t2_opt_ref {model.t2_opt_ref:g} s at temperature_ref "
+                          f"{model.temperature_ref:g} K gives no finite optical T2 and "
+                          f"dephasing rate > 0")
+            return None
+    return rates
 
 
 def _check_taus(taus: np.ndarray, path: str, sequence: EchoConfig | None, errors: list) -> None:
@@ -348,29 +361,31 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
     v, bad = _read(tree, KEYS, errors)
 
     ensemble, compensation = v["ensemble"], v["studies.compensation"]
+    temp_scan, scaling = v["studies.temp_scan"], v["studies.scaling"]
     if ensemble.get("n_spin", 0) > 1 and _lookup(tree, "ensemble.spin_fwhm") is _MISSING:
         errors.append("missing required key ensemble.spin_fwhm")
     if "zeeman_branches" in ensemble:
         ensemble["zeeman_branches"] = _branches(ensemble["zeeman_branches"], errors)
-    ambient = compensation["ambient_field"] = _ambient(compensation["ambient_field"], errors)
+    ambient = _ambient(compensation["ambient_field"], errors)
     physics = _physics(v["physics"], errors)
     spec = _build(EnsembleSpec, "ensemble", ensemble, errors)
     # an infinite placeholder keeps a missing tau from hiding the other problems
     sequence = _build(EchoConfig, "sequence", {"tau": math.inf, **v["sequence"]}, errors)
+    sequence_ok = sequence is not None and not any(p.startswith("sequence.") for p in bad)
     field_model = _build(FieldModel, "field_model", v["field_model"], errors)
-    scaling_model = _build(ScalingModel, "studies.scaling", v["studies.scaling"], errors)
+    if field_model is not None and ambient is not None:
+        compensation["model"] = replace(field_model, field_vector=ambient)
+    temp_scan["model"] = _build(TemperatureModel, "studies.temp_scan", temp_scan, errors)
+    scaling["model"] = _build(ScalingModel, "studies.scaling", scaling, errors)
     for study in ("field_sweep", "temp_scan", "compensation"):
         if f"studies.{study}.taus" not in bad:
             # against the pulses only when every sequence key is valid
             _check_taus(v[f"studies.{study}"]["taus"], f"studies.{study}.taus",
-                        None if any(p.startswith("sequence.") for p in bad) else sequence,
-                        errors)
-    if (sequence is not None and field_model is not None and len(ambient) == 3
-            and None not in ambient
+                        sequence if sequence_ok else None, errors)
+    if (sequence is not None and "model" in compensation
             and not any(p.startswith(("sequence.", "studies.compensation.")) for p in bad)):
         # the bracketing stage's longest storage time, where a pulse has least room
-        model = replace(field_model, field_vector=ambient)
-        tau = float(compensation_bracket_taus(model, sequence,
+        tau = float(compensation_bracket_taus(compensation["model"], sequence,
                                               compensation["search_range"])[-1])
         try:
             replace(sequence, tau=tau)
@@ -378,19 +393,27 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
             errors.extend(f"studies.compensation.search_range: its bracketing storage time "
                           f"{tau:g} s: " + p.replace("EchoConfig.", "sequence.")
                           for p in exc.problems)
-    scaling = v["studies.scaling"]
-    if (sequence is not None and scaling_model is not None
-            and not any(p.startswith("studies.scaling.") for p in bad)):
-        # each point's echo, as the scaling study builds it, and with valid
-        # physics and ensemble its pulse maps, as the study propagates them
-        offsets = None if physics is None or spec is None else member_stack(spec)[0]
+    # with valid physics and ensemble, the pulse maps as the studies propagate them
+    offsets = None if physics is None or spec is None else member_stack(spec)[0]
+    if not any(p.startswith("studies.temp_scan.") for p in bad):
+        rates = _temperature_rates(temp_scan["temperatures"], temp_scan["model"], errors)
+        if rates and offsets is not None and sequence_ok:
+            # the pulse maps' 1-norms grow with the rate: the fastest bounds the others
+            i = int(np.argmax(rates))
+            try:
+                check_pulse_maps(physics.replace(gamma_opt_deph=rates[i]),
+                                 make_echo_sequence(sequence, include_readout=False), offsets)
+            except ConfigurationError as exc:
+                errors.extend(f"studies.temp_scan.temperatures[{i}]: {p}" for p in exc.problems)
+    if sequence is not None and not any(p.startswith("studies.scaling.") for p in bad):
+        # each point's echo, as the scaling study builds it, and its pulse maps
         for i, t2 in enumerate(scaling["t2_opt_values"].tolist()):
             try:
                 if offsets is None:
-                    scaling_echo(sequence, scaling_model.pulse_duration(t2),
+                    scaling_echo(sequence, scaling["model"].pulse_duration(t2),
                                  scaling["tau_in_pulses"])
                 else:
-                    _, member, seq = scaling_point(sequence, scaling_model, physics, t2,
+                    _, member, seq = scaling_point(sequence, scaling["model"], physics, t2,
                                                    scaling["tau_in_pulses"])
                     check_pulse_maps(member, seq, offsets)
             except (ConfigurationError, ValidationError) as exc:
@@ -399,13 +422,12 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
                 break
     if errors:
         return None, errors
-    scaling |= {f: getattr(scaling_model, f) for f in ("t_pi_ref", "t2_opt_ref")}
     return RunConfig(physics=physics, ensemble=spec, sequence=sequence, field_model=field_model,
-                     scaling_model=scaling_model,
                      field_sweep=FieldSweepConfig(**v["studies.field_sweep"]),
-                     temp_scan=TempScanConfig(**v["studies.temp_scan"]),
-                     scaling=ScalingConfig(**scaling),
-                     compensation=CompensationConfig(**compensation),
+                     temp_scan=_build(TempScanConfig, "studies.temp_scan", temp_scan, errors),
+                     scaling=_build(ScalingConfig, "studies.scaling", scaling, errors),
+                     compensation=_build(CompensationConfig, "studies.compensation",
+                                         compensation, errors),
                      **v["readout"], **v["output"]), []
 
 

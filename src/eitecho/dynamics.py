@@ -613,30 +613,17 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
                       segment_starts=segment_starts)
 
 
-def propagate(rho0: DensityMatrix3, p: LambdaParams, pulse: Segment,
-              dt: float | None = None) -> Trajectory:
-    """Propagate one state through one pulse or wait segment.
-
-    `dt` places the output samples on the least whole fraction of the
-    segment's clock (its duration unless a detector clock is set) no coarser
-    than `dt`.  Each sample is an exact map, so a coarse `dt` is exact at its
-    sample times.  With dt omitted the default grid resolves the
-    drive strength and detunings.
-    """
-    return run_sequence(rho0, p, SequenceSpec(segments=(pulse,)),
-                        dt_overrides=None if dt is None else [dt])
+def propagate(rho0: DensityMatrix3, p: LambdaParams, pulse: Segment) -> Trajectory:
+    """Propagate one state through one pulse or wait segment on the default
+    grid, which resolves the drive strength and detunings."""
+    return run_sequence(rho0, p, SequenceSpec(segments=(pulse,)))
 
 
 def run_sequence(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
-                 zeeman_offset: float = 0.0,
                  dt_overrides: list | None = None) -> Trajectory:
     """Propagate through all segments, state continuous across boundaries.
 
-    ``zeeman_offset`` (rad/s) is added to the spin detuning with each
-    segment's ``zeeman_sign``; sequences that never set signs other than +1
-    see a plain constant offset.  ``dt_overrides``, one step per segment,
-    replaces the default sampling grid; it only places samples, each of which
-    is exact.
+    ``dt_overrides``, one step per segment, replaces the default sampling
+    grid; it only places samples, each of which is exact.
     """
-    return propagate_members(rho0, p, seq, [0.0, 0.0, zeeman_offset], [1.0], dt_overrides)
-
+    return propagate_members(rho0, p, seq, [0.0, 0.0, 0.0], [1.0], dt_overrides)

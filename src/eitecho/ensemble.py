@@ -49,9 +49,13 @@ class EnsembleSpec:
 
     def __post_init__(self):
         problems = []
-        for name in ("optical_fwhm", "spin_fwhm"):
-            if getattr(self, name) < 0.0:
+        for name, n in (("optical_fwhm", self.n_optical), ("spin_fwhm", self.n_spin)):
+            fwhm = getattr(self, name)
+            if fwhm < 0.0:
                 problems.append(f"EnsembleSpec.{name} must be >= 0")
+            elif n > 1 and not math.isfinite(2.0 * _grid_widths(fwhm)[1]):
+                problems.append(f"EnsembleSpec.{name} ({fwhm:g} Hz) spans a grid of "
+                                f"+/- {GRID_HALF_WIDTH_SIGMAS:g} sigma beyond the float range")
         for name in ("n_optical", "n_spin"):
             n = getattr(self, name)
             if n < 1 or n % 2 == 0:
@@ -68,13 +72,18 @@ class EnsembleSpec:
         object.__setattr__(self, "zeeman_branches", branches)
 
 
+def _grid_widths(fwhm_hz: float) -> tuple[float, float]:
+    """Standard deviation and half-width (GRID_HALF_WIDTH_SIGMAS sigmas) of an axis, rad/s."""
+    sigma = TWO_PI * fwhm_hz * FWHM_TO_SIGMA
+    return sigma, GRID_HALF_WIDTH_SIGMAS * sigma
+
+
 def _axis_nodes(fwhm_hz: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint-rule nodes (rad/s) and normalized weights over +/- 3 sigma: node k
     of odd n sits (k - (n - 1)/2) spacings from an exact 0, so the grid mirrors exactly."""
     if n == 1 or fwhm_hz == 0.0:
         return np.array([0.0]), np.array([1.0])
-    sigma = TWO_PI * fwhm_hz * FWHM_TO_SIGMA
-    half = GRID_HALF_WIDTH_SIGMAS * sigma
+    sigma, half = _grid_widths(fwhm_hz)
     centers = (np.arange(n) - (n - 1) // 2) * (2 * half / n)
     w = np.exp(-0.5 * (centers / sigma) ** 2)
     w /= w.sum()

@@ -208,16 +208,14 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
 
 # a compensation search reads its bracketing storage-time window in every step
 @functools.lru_cache(maxsize=32)
-def _echo_layouts(cfg: EchoConfig, taus: tuple, beat: bool) -> tuple:
+def _echo_layouts(cfg: EchoConfig, taus: tuple) -> tuple:
     """Echo sequences of the storage times `taus` up to the readout, and the
-    readout pulse in beat mode (None in proxy mode).
+    readout pulse, which proxy mode ignores.
 
     Only `cfg` and the storage times enter the layouts, and they are frozen,
-    so every curve of a window shares one cached set.
+    so every curve of a window, in either mode, shares one cached set.
     """
-    seqs = [make_echo_sequence(replace(cfg, tau=tau), include_readout=beat) for tau in taus]
-    if not beat:
-        return tuple(seqs), None
+    seqs = [make_echo_sequence(replace(cfg, tau=tau)) for tau in taus]
     return tuple(SequenceSpec(segments=s.segments[:-1]) for s in seqs), seqs[0].segments[-1]
 
 
@@ -229,7 +227,7 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
     given; none for one unlabelled spec)."""
     if mode not in ("beat", "proxy"):
         raise ValidationError(f"unknown readout mode {mode!r}")
-    seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()), mode == "beat")
+    seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()))
     stacks = [member_stack(spec) for spec in specs]
     starts = np.cumsum([0] + [len(w) for _, w in stacks])
     offsets = np.concatenate([o for o, _ in stacks])
@@ -242,7 +240,7 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
         return f"member {m - starts[g]}" + (f" of {labels[g]}" if labels else "")
 
     states = sequence_endpoints(MIXED_GROUND, params, seqs, offsets, member_name)
-    if readout is None:
+    if mode == "proxy":
         _check_physical(states, offsets, taus, member_name)
         return np.abs(_group_sums(states[..., 1], weights, starts[:-1]))
     return _beat_amplitudes(readout, params, offsets, weights, states, cfg.splitting, taus,

@@ -143,20 +143,16 @@ class EchoConfig:
         return self.rephase_area / (self.enhancement * self.t_rephase)
 
 
-def make_init_pulse(cfg: EchoConfig) -> PulseSpec:
-    """Bichromatic pulse creating the dark superposition from a mixed state.
+def _bichromatic(cfg: EchoConfig, duration: float, rabi: float, label: str) -> PulseSpec:
+    """Pulse of equal Rabi components with the init pulse's relative phase on the |0> color."""
+    return PulseSpec(duration=duration, rabi0=rabi, rabi1=rabi, phase0=cfg.init_phase_offset,
+                     phase1=0.0, label=label)
 
-    Equal Rabi components; the relative phase offset sits on the |0> color and
-    steers the prepared state's Bloch azimuth.
-    """
-    return PulseSpec(
-        duration=cfg.t_init,
-        rabi0=cfg.init_rabi,
-        rabi1=cfg.init_rabi,
-        phase0=cfg.init_phase_offset,
-        phase1=0.0,
-        label="init_pi_half",
-    )
+
+def make_init_pulse(cfg: EchoConfig) -> PulseSpec:
+    """Bichromatic pulse creating the dark superposition from a mixed state;
+    its relative phase steers the prepared state's Bloch azimuth."""
+    return _bichromatic(cfg, cfg.t_init, cfg.init_rabi, "init_pi_half")
 
 
 def dark_target(cfg: EchoConfig) -> np.ndarray:
@@ -172,14 +168,7 @@ def make_rephase_pulse(cfg: EchoConfig) -> PulseSpec:
     with the prepared state; nominal area 2*pi on the bright transition so the
     transiently excited amplitude returns to the ground manifold.
     """
-    return PulseSpec(
-        duration=cfg.t_rephase,
-        rabi0=cfg.rephase_rabi,
-        rabi1=cfg.rephase_rabi,
-        phase0=cfg.init_phase_offset,
-        phase1=0.0,
-        label="rephase_pi",
-    )
+    return _bichromatic(cfg, cfg.t_rephase, cfg.rephase_rabi, "rephase_pi")
 
 
 def make_readout_pulse(cfg: EchoConfig) -> PulseSpec:

@@ -25,8 +25,7 @@ from .ensemble import EnsembleSpec, ensemble_final_state
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .qstate import GroundQubitState, fidelity
-from .readout import (DecayCurve, FitResult, assemble_decay_curve, assemble_decay_curves,
-                      fit_decay)
+from .readout import DecayCurve, FitResult, assemble_decay_curves, fit_decay
 from .sequences import EchoConfig, dark_target, make_echo_sequence
 from .units import csv_text
 
@@ -186,7 +185,8 @@ def temperature_scan(temperatures, tm: TemperatureModel, cfg: EchoConfig,
     reference = None
     for t in temperatures:
         member = params.replace(gamma_opt_deph=tm.gamma_opt_deph(t))
-        curve = assemble_decay_curve(cfg, taus, member, spec, mode=mode)
+        curve = assemble_decay_curves(cfg, taus, member, [spec], mode=mode,
+                                      labels=[f"temperature {t:g} K"])[0]
         try:
             fit = fit_decay(curve)
             fitted_t2, ci = fit.t2, fit.ci95[1]

@@ -201,23 +201,18 @@ class TestGeneratorCache:
 
 
 class TestLayoutCache:
-    @pytest.mark.parametrize("beat", [True, False])
     @settings(max_examples=20, deadline=None)
     @given(taus=st.lists(st.floats(10e-6, 200e-6), min_size=1, max_size=6),
            cfg=st.sampled_from([CFG, EchoConfig(tau=30e-6, t_readout=1e-6, splitting=5e6,
                                                 init_phase_offset=0.3)]))
-    def test_cached_equals_fresh(self, beat, taus, cfg):
-        seqs, readout_pulse = _echo_layouts(cfg, tuple(taus), beat)
+    def test_cached_equals_fresh(self, taus, cfg):
+        seqs, readout_pulse = _echo_layouts(cfg, tuple(taus))
         assert len(seqs) == len(taus)
         for tau, seq in zip(taus, seqs):
-            full = make_echo_sequence(replace(cfg, tau=tau), include_readout=beat)
-            if beat:
-                assert seq.segments + (readout_pulse,) == full.segments
-            else:
-                assert readout_pulse is None
-                assert seq == full
+            full = make_echo_sequence(replace(cfg, tau=tau))
+            assert seq.segments + (readout_pulse,) == full.segments
             assert seq == make_echo_sequence(replace(cfg, tau=tau), include_readout=False)
-        assert _echo_layouts(cfg, tuple(taus), beat)[0] is seqs
+        assert _echo_layouts(cfg, tuple(taus))[0] is seqs
 
     def test_compensation_search_builds_one_layout_per_window(self, monkeypatch):
         calls = []

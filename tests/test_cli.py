@@ -249,6 +249,15 @@ class TestOneWriter:
         assert set(manifest["outputs"]) == written
         assert len(manifest["outputs"]) == len(written) == 4
 
+    def test_manifest_config_holds_each_study_model_in_its_section(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["temp-scan", "--out", str(out)]) == 0
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert config["temp_scan"]["model"] == {"t2_opt_ref": 100e-6, "temperature_ref": 2.0}
+        assert config["scaling"]["model"] == {"t_pi_ref": 100e-9, "t2_opt_ref": 100e-6}
+        assert config["compensation"]["model"]["field_vector"] == [0.0, 0.0, 50 * 1e-6]
+        assert "scaling_model" not in config
+
 
 class TestFieldSweep:
     def test_shape_of_outputs(self, tmp_path):
@@ -364,6 +373,10 @@ class TestBoundsExitOne:
         ("temp-scan", "temp_scan: {temperature_ref: 0K}",
          "studies.temp_scan.temperature_ref: must be > 0"),
         ("scaling", "scaling: {t2_opt: [1ns, 0ns]}", "studies.scaling.t2_opt[1]: must be > 0"),
+        # temp-scan died with a ZeroDivisionError traceback after validate passed it
+        ("temp-scan", "temp_scan: {temperatures: [2K, 1e50K]}",
+         "studies.temp_scan.temperatures[1]: at 1e+50 K the T^-7 law from t2_opt_ref 0.0001 s "
+         "at temperature_ref 2 K gives no finite optical T2 and dephasing rate > 0"),
         # this exited 1 naming EchoConfig.tau instead of the key
         ("scaling", "scaling: {tau_in_pulses: 4}", "studies.scaling.tau_in_pulses: must be > 4"),
         ("validate", "compensation: {tolerance: 0uT}",

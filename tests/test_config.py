@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,7 @@ class TestValidation:
         # one bound: the config check fails exactly where the propagation does
         cfg = parse_config("sequence: {tau: 60us}\n")
         spec = cfg.ensemble
-        _, member, seq = scaling_point(cfg.sequence, cfg.scaling_model, cfg.physics, t2_opt,
+        _, member, seq = scaling_point(cfg.sequence, cfg.scaling.model, cfg.physics, t2_opt,
                                        cfg.scaling.tau_in_pulses)
         offsets = member_stack(spec)[0]
         outcomes = []
@@ -156,6 +157,27 @@ class TestValidation:
         assert "sequence.t_readout (2e-06) leaves no room" in errors[-1]
         tree["studies"]["compensation"]["search_range"] = "1e-3uT"
         assert validate_config(tree)[1] == []
+
+    @pytest.mark.parametrize("block, head", [
+        # the T^-7 law underflows the optical T2 to 0 at 1e50 K and overflows
+        # at 1e-60 K and from a 1e300 K reference; at 1e10 K the rate is finite
+        # but the init pulse map needs more than 64 squarings
+        ({"studies": {"temp_scan": {"temperatures": ["2K", "1e50K"]}}},
+         "studies.temp_scan.temperatures[1]: at 1e+50 K "),
+        ({"studies": {"temp_scan": {"temperatures": ["2K", "1e-60K"]}}},
+         "studies.temp_scan.temperatures[1]: at 1e-60 K "),
+        ({"studies": {"temp_scan": {"temperature_ref": "1e300K"}}},
+         "studies.temp_scan.temperatures[0]: at 2 K "),
+        ({"studies": {"temp_scan": {"temperatures": ["2K", "1e10K"]}}},
+         "studies.temp_scan.temperatures[1]: segment 0 (init_pi_half), member 0: "),
+        ({"ensemble": {"optical_fwhm": "1e308Hz", "n_optical": 3}}, "ensemble.optical_fwhm "),
+        ({"ensemble": {"spin_fwhm": "1e308Hz", "n_spin": 3}}, "ensemble.spin_fwhm "),
+    ], ids=["1e50K", "1e-60K", "reference-1e300K", "1e10K", "optical_fwhm", "spin_fwhm"])
+    def test_values_beyond_float_range_name_their_key(self, block, head):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, errors = validate_config({"sequence": {"tau": "60us"}, **block})
+        assert len(errors) == 1 and errors[0].startswith(head)
 
     def test_parse_config_raises_with_all_problems(self):
         with pytest.raises(ConfigurationError) as exc:
@@ -289,9 +311,7 @@ class TestKeyTable:
         assert cfg.ensemble == EnsembleSpec()
         assert cfg.physics == LambdaParams()
         assert cfg.field_model == FieldModel()
-        assert cfg.scaling_model == ScalingModel()
-        assert (cfg.scaling.t_pi_ref, cfg.scaling.t2_opt_ref) == \
-            (ScalingModel().t_pi_ref, ScalingModel().t2_opt_ref)
+        assert cfg.scaling.model == ScalingModel()
 
     def test_scaled_keys_fill_their_fields(self):
         tree = {"sequence": {"tau": "60us", "init_area_pi": 0.5, "rephase_area_pi": 1,

@@ -79,7 +79,7 @@ def test_amplitude_beyond_float_range_is_a_fit_failure():
 def _default_curves() -> list:
     cfg = parse_config(DEFAULT_CONFIG_TEXT)
     ts, fs = cfg.temp_scan, cfg.field_sweep
-    model = cfg.temperature_model()
+    model = cfg.temp_scan.model
     curves = [assemble_decay_curve(cfg.sequence, ts.taus,
                                    cfg.physics.replace(gamma_opt_deph=model.gamma_opt_deph(t)),
                                    cfg.ensemble, mode="proxy") for t in ts.temperatures]

@@ -166,7 +166,7 @@ class TestSampling:
         p = LambdaParams(rabi0=1e6)
         pulse = PulseSpec(duration=2e-6, rabi0=1e6)
         rho = dm(np.diag([1.0, 0.0, 0.0]))
-        coarse = propagate(rho, p, pulse, dt=1e-6)
+        coarse = run_sequence(rho, p, SequenceSpec(segments=(pulse,)), dt_overrides=[1e-6])
         assert np.array_equal(coarse.times, [0.0, 1e-6, 2e-6])
         fine = propagate(rho, p, pulse)
         assert fine.times.size > 3

@@ -36,6 +36,16 @@ class TestSpecValidation:
             "EnsembleSpec.spin_fwhm", "EnsembleSpec.n_spin", "EnsembleSpec.zeeman_branches",
             "EnsembleSpec.zeeman_branches"]
 
+    @pytest.mark.parametrize("name, n", [("optical_fwhm", "n_optical"), ("spin_fwhm", "n_spin")])
+    def test_grid_span_beyond_float_range_rejected(self, name, n):
+        # the +/- 3 sigma span overflows above ~1.1e307 Hz; one node spans nothing
+        with pytest.raises(ValidationError) as exc:
+            EnsembleSpec(**{name: 1e308, n: 3})
+        assert [p.split()[0] for p in exc.value.problems] == [f"EnsembleSpec.{name}"]
+        EnsembleSpec(**{name: 1e308})
+        offsets, weights = member_stack(EnsembleSpec(**{name: 1e307, n: 3}))
+        assert np.isfinite(offsets).all() and np.isfinite(weights).all()
+
 
 class TestDetuningGrid:
     def test_single_member(self):

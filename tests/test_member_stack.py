@@ -199,7 +199,8 @@ class TestDetectorClock:
     def test_end_sample_at_segment_end(self, mixed_ground):
         cfg = EchoConfig(tau=12e-6, t_init=0.5e-6, t_rephase=0.5e-6, t_readout=0.5e-6)
         seq = make_echo_sequence(cfg)
-        traj = run_sequence(mixed_ground, self.PARAMS, seq, zeeman_offset=TWO_PI * 8e3)
+        traj = propagate_members(mixed_ground, self.PARAMS, seq, [[0.0, 0.0, TWO_PI * 8e3]],
+                                 [1.0])
         tick = 1.0 / (8.0 * cfg.splitting)
         assert traj.times[-1] == sum(s.duration for s in seq.segments)
         assert 0.0 < traj.times[-1] - traj.times[-2] < tick

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _segment_map, run_sequence,
+from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _segment_map, propagate_members,
                               sequence_endpoints)
 from eitecho.ensemble import EnsembleSpec, ensemble_average, ensemble_final_state
 from eitecho.lambda_system import LambdaParams, lindblad_rhs, liouvillian
@@ -136,7 +136,7 @@ class TestEndpointDifferential:
         rho0 = DensityMatrix3(np.diag([0.5, 0.5, 0.0]).astype(complex))
         zeeman_offset = 2.0 * np.pi * 50e3 * offset
         end = sequence_endpoints(rho0, p, [seq], [0.0, 0.0, zeeman_offset])[0, 0].reshape(3, 3)
-        traj = run_sequence(rho0, p, seq, zeeman_offset=zeeman_offset)
+        traj = propagate_members(rho0, p, seq, [[0.0, 0.0, zeeman_offset]], [1.0])
         assert np.max(np.abs(end - traj.states[-1])) <= 1e-10
 
     def test_ensemble_final_state_matches_averaged_trajectory(self):

@@ -5,7 +5,7 @@ import pytest
 
 import eitecho.studies as studies
 from eitecho.ensemble import EnsembleSpec
-from eitecho.errors import ValidationError
+from eitecho.errors import ConfigurationError, ValidationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.readout import assemble_decay_curves
 from eitecho.sequences import EchoConfig
@@ -137,6 +137,13 @@ class TestTemperatureScan:
         with pytest.raises(ValidationError):
             temperature_scan([0.0], tm, EchoConfig(tau=30e-6), PARAMS, SINGLE,
                              np.linspace(20e-6, 100e-6, 5))
+
+    def test_propagation_failure_names_its_temperature(self):
+        # at 1e10 K the init pulse map needs more than 64 squarings
+        tm = TemperatureModel(t2_opt_ref=100e-6, temperature_ref=2.0)
+        with pytest.raises(ConfigurationError, match=r"temperature 1e\+10 K"):
+            temperature_scan([2.0, 1e10], tm, EchoConfig(tau=60e-6), PARAMS, SINGLE,
+                             np.linspace(20e-6, 180e-6, 5))
 
     def test_reference_amplitude_is_one_and_decreasing_after_knee(self):
         tm = TemperatureModel(t2_opt_ref=100e-6, temperature_ref=2.0)
