@@ -201,17 +201,22 @@ class TestGeneratorCache:
 
 
 class TestLayoutCache:
+    # one cache entry serves both modes: beat mode appends the readout pulse to
+    # the cached layout, proxy mode uses the layout alone
+    @pytest.mark.parametrize("include_readout", [True, False])
     @settings(max_examples=20, deadline=None)
     @given(taus=st.lists(st.floats(10e-6, 200e-6), min_size=1, max_size=6),
            cfg=st.sampled_from([CFG, EchoConfig(tau=30e-6, t_readout=1e-6, splitting=5e6,
                                                 init_phase_offset=0.3)]))
-    def test_cached_equals_fresh(self, taus, cfg):
+    def test_cached_equals_fresh(self, include_readout, taus, cfg):
         seqs, readout_pulse = _echo_layouts(cfg, tuple(taus))
         assert len(seqs) == len(taus)
         for tau, seq in zip(taus, seqs):
-            full = make_echo_sequence(replace(cfg, tau=tau))
-            assert seq.segments + (readout_pulse,) == full.segments
-            assert seq == make_echo_sequence(replace(cfg, tau=tau), include_readout=False)
+            full = make_echo_sequence(replace(cfg, tau=tau), include_readout=include_readout)
+            if include_readout:
+                assert seq.segments + (readout_pulse,) == full.segments
+            else:
+                assert seq == full
         assert _echo_layouts(cfg, tuple(taus))[0] is seqs
 
     def test_compensation_search_builds_one_layout_per_window(self, monkeypatch):
