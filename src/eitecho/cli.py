@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_CONFIG_TEXT, KEYS, REQUIRED, Key, RunConfig, parse_config
+from .config import (DEFAULT_CONFIG_TEXT, KEYS, REQUIRED, Key, RunConfig, grid_warnings,
+                     parse_config)
 from .dynamics import SequenceSpec, run_sequence
 from .ensemble import ensemble_average, ensemble_final_state
 from .errors import ConfigurationError, FitFailureError, ValidationError
@@ -273,6 +274,8 @@ def main(argv=None) -> int:
         cfg = dataclasses.replace(cfg, output_dir=str(args.out))
 
     if args.command == "validate":
+        for warning in grid_warnings(cfg):
+            print(warning, file=sys.stderr)
         print("config OK")
         return EXIT_OK
     outdir = Path(cfg.output_dir)

@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .dynamics import check_pulse_maps
-from .ensemble import EnsembleSpec, member_stack
+from .ensemble import EnsembleSpec, alias_free_size, member_stack
 from .errors import ConfigurationError, ValidationError
 from .lambda_system import LambdaParams
 from .readout import FIT_MIN_POINTS
@@ -27,6 +27,8 @@ from .studies import (FieldModel, ScalingModel, TemperatureModel, compensation_b
 from .units import parse_quantity, parse_ratio
 
 TWO_PI = 2.0 * math.pi
+# the ensemble keys behind the three columns of the member offsets
+ENSEMBLE_AXES = ("optical_fwhm", "spin_fwhm", "zeeman_branches")
 
 
 @dataclass(frozen=True)
@@ -331,6 +333,15 @@ def _temperature_rates(temperatures: np.ndarray, model: TemperatureModel,
     return rates
 
 
+def _pulse_map_problems(p: LambdaParams, seq, offsets: np.ndarray) -> list[str]:
+    """What :func:`check_pulse_maps` finds wrong with the pulse maps, if anything."""
+    try:
+        check_pulse_maps(p, seq, offsets)
+    except ConfigurationError as exc:
+        return exc.problems
+    return []
+
+
 def _check_taus(taus: np.ndarray, path: str, sequence: EchoConfig | None, errors: list) -> None:
     """A study's storage times: at least FIT_MIN_POINTS, for the decay fit,
     strictly increasing, as a decay curve's axis, and each long enough to
@@ -395,16 +406,22 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
                           for p in exc.problems)
     # with valid physics and ensemble, the pulse maps as the studies propagate them
     offsets = None if physics is None or spec is None else member_stack(spec)[0]
+    if offsets is not None and sequence_ok:
+        # the base echo's maps over the members: when the resonant member alone
+        # passes, the widest offset axis is at fault, whatever the studies do
+        base = make_echo_sequence(sequence, include_readout=False)
+        problems = _pulse_map_problems(physics, base, offsets)
+        if problems and not _pulse_map_problems(physics, base, np.zeros((1, 3))):
+            key = ENSEMBLE_AXES[int(np.argmax(np.abs(offsets).max(axis=0)))]
+            errors.extend(f"ensemble.{key}: {p}" for p in problems)
+            offsets = None
     if not any(p.startswith("studies.temp_scan.") for p in bad):
         rates = _temperature_rates(temp_scan["temperatures"], temp_scan["model"], errors)
         if rates and offsets is not None and sequence_ok:
             # the pulse maps' 1-norms grow with the rate: the fastest bounds the others
             i = int(np.argmax(rates))
-            try:
-                check_pulse_maps(physics.replace(gamma_opt_deph=rates[i]),
-                                 make_echo_sequence(sequence, include_readout=False), offsets)
-            except ConfigurationError as exc:
-                errors.extend(f"studies.temp_scan.temperatures[{i}]: {p}" for p in exc.problems)
+            errors.extend(f"studies.temp_scan.temperatures[{i}]: {p}" for p in _pulse_map_problems(
+                physics.replace(gamma_opt_deph=rates[i]), base, offsets))
     if sequence is not None and not any(p.startswith("studies.scaling.") for p in bad):
         # each point's echo, as the scaling study builds it, and its pulse maps
         for i, t2 in enumerate(scaling["t2_opt_values"].tolist()):
@@ -429,6 +446,31 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
                      compensation=_build(CompensationConfig, "studies.compensation",
                                          compensation, errors),
                      **v["readout"], **v["output"]), []
+
+
+def grid_warnings(cfg: RunConfig) -> list[str]:
+    """A warning for each storage time source and ensemble axis whose longest
+    storage time reaches the axis grid's revival (:func:`alias_free_size`),
+    from config values alone: no propagation."""
+    comp = cfg.compensation
+    window = compensation_bracket_taus(comp.model, cfg.sequence, comp.search_range)
+    sources = [("sequence.tau", cfg.sequence.tau),
+               ("studies.field_sweep.taus", cfg.field_sweep.taus[-1]),
+               ("studies.temp_scan.taus", cfg.temp_scan.taus[-1]),
+               ("studies.compensation.taus", comp.taus[-1]),
+               ("studies.compensation.search_range (bracketing storage times)", window[-1])]
+    warnings = []
+    for axis in ("optical", "spin"):
+        fwhm, n = getattr(cfg.ensemble, f"{axis}_fwhm"), getattr(cfg.ensemble, f"n_{axis}")
+        if n == 1 or fwhm == 0.0:         # a single node: no grid to revive
+            continue
+        for path, tau in sources:
+            need = alias_free_size(fwhm, float(tau))
+            if n < need:
+                warnings.append(f"warning: {path} reaches {tau:g} s, where the {n}-point "
+                                f"{axis} grid revives (within 5/sigma of 2*pi/spacing); "
+                                f"the least odd ensemble.n_{axis} that clears it is {need}")
+    return warnings
 
 
 def parse_config(text: str) -> RunConfig:

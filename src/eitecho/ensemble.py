@@ -16,6 +16,7 @@ beats instead of refocusing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ from .qstate import DensityMatrix3
 TWO_PI = 2.0 * math.pi
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 GRID_HALF_WIDTH_SIGMAS = 3.0
+# A storage time this many 1/sigma short of a grid's revival already sees it.
+REVIVAL_MARGIN_SIGMAS = 5.0
 # Every member starts from the incoherent ground-state mixture.
 MIXED_GROUND = DensityMatrix3(np.diag([0.5, 0.5, 0.0]).astype(complex))
 
@@ -76,6 +79,22 @@ def _grid_widths(fwhm_hz: float) -> tuple[float, float]:
     """Standard deviation and half-width (GRID_HALF_WIDTH_SIGMAS sigmas) of an axis, rad/s."""
     sigma = TWO_PI * fwhm_hz * FWHM_TO_SIGMA
     return sigma, GRID_HALF_WIDTH_SIGMAS * sigma
+
+
+def alias_free_size(fwhm_hz: float, tau: float) -> int:
+    """Least odd grid size of an axis whose revival lies more than
+    REVIVAL_MARGIN_SIGMAS / sigma beyond storage time `tau`.
+
+    A midpoint rule of spacing d (rad/s) is exact for signals of period
+    2 * pi / d, so a coherence that survives the pulses comes back at every
+    multiple of it (Poisson summation; Trefethen & Weideman, SIAM Rev. 56, 385
+    (2014)), where a continuous Gaussian line would not bring it back.  With
+    d = 2 * half / n that revival is pi * n / half.
+    """
+    sigma, half = _grid_widths(fwhm_hz)
+    x = min((tau + REVIVAL_MARGIN_SIGMAS / sigma) * half / math.pi, sys.float_info.max)
+    n = math.floor(x) + 1
+    return n + 1 - n % 2
 
 
 def _axis_nodes(fwhm_hz: float, n: int) -> tuple[np.ndarray, np.ndarray]:

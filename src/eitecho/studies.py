@@ -276,23 +276,79 @@ def golden_steps(search_range: float, tol: float) -> int:
                             / math.log(1.0 / INVPHI)))
 
 
-def golden_section(f, lo: np.ndarray, hi: np.ndarray, steps: int) -> tuple:
-    """Best point and value of `steps` golden-section steps (Kiefer, Proc. AMS 4,
-    502 (1953)) on each component of [lo, hi]: `f` maps one trial point per
-    component to one value each, and each bracket moves on its own comparisons,
-    so component i visits the points of the sequential search of f_i alone."""
+def brent_min(lo: float, hi: float, xatol: float, maxfun: int):
+    """Brent's bounded minimizer on [lo, hi] as a generator: it yields each trial
+    point, is sent the value there, and returns the best (x, f).
+
+    Golden-section steps with safeguarded parabolic steps (R. P. Brent,
+    *Algorithms for Minimization without Derivatives* (1973), ch. 5), step for
+    step the search of scipy's ``fminbound(f, lo, hi, xtol=xatol, maxfun=maxfun)``:
+    it ends once the best point lies within 2 * (sqrt_eps * |x| + xatol / 3)
+    of both ends of the bracket, or after `maxfun` values.
+    """
+    sqrt_eps, golden = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi
-    c, d = b - INVPHI * (b - a), a + INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(steps):
-        # f(c) <= f(d): the minimum lies in [a, d], else in [c, b]
-        left = fc <= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        c, d = np.where(left, b - INVPHI * (b - a), d), np.where(left, c, a + INVPHI * (b - a))
-        fx = f(np.where(left, c, d))
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    left = fc <= fd
-    return np.where(left, c, d), np.where(left, fc, fd)
+    x = w = v = a + golden * (b - a)      # best, second best, previous second best
+    fx = yield x
+    fw = fv = fx
+    step = last = 0.0                     # the last two step lengths
+    num = 1
+    while True:
+        xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(x - xm) > tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(last) > tol1:
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, last = last, step
+            # the vertex of the parabola through (v, w, x), if it lies inside the
+            # bracket and moves less than half the step before last
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x)
+            if parabolic:
+                step = p / q
+                if (x + step) - a < tol2 or b - (x + step) < tol2:
+                    step = tol1 if xm - x >= 0.0 else -tol1
+        if not parabolic:
+            last = a - x if x >= xm else b - x
+            step = golden * last
+        u = x + (1.0 if step >= 0.0 else -1.0) * max(abs(step), tol1)
+        fu = yield u
+        num += 1
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        if num >= maxfun:
+            return x, fx
+
+
+def lockstep_brent(f, lo, hi, xatol: float, maxfun: int) -> tuple:
+    """Best points and values of one :func:`brent_min` per component of [lo, hi].
+
+    Each round sends the pending trial points of the unfinished components to
+    one call ``f(components, points)``, which returns one value per point, so
+    component i visits the points of the sequential search of f_i alone.
+    """
+    searches = [brent_min(float(a), float(b), xatol, maxfun) for a, b in zip(lo, hi)]
+    pending = {i: next(s) for i, s in enumerate(searches)}
+    found = [None] * len(searches)
+    while pending:
+        axes = list(pending)
+        for i, value in zip(axes, f(axes, np.array([pending[i] for i in axes]))):
+            try:
+                pending[i] = searches[i].send(float(value))
+            except StopIteration as stop:
+                found[i] = stop.value
+                del pending[i]
+    return tuple(np.array(column) for column in zip(*found))
 
 
 def compensation_bracket_taus(m: FieldModel, cfg: EchoConfig,
@@ -316,7 +372,7 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
                         spec: EnsembleSpec, taus,
                         search_range: float = 100e-6, tol: float = 1e-6,
                         mode: str = "proxy") -> CompensationResult:
-    """Three golden-section line searches, one per compensation axis, in lockstep.
+    """Three bounded Brent line searches, one per compensation axis, in lockstep.
 
     The search minimizes the beat modulation of the simulated decay curve
     (the summed echo amplitudes, which any residual splitting can only
@@ -326,16 +382,18 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     |B + c|^2 = sum_i (B_i + c_i)^2 separates per axis, so axis i's optimum
     -B_i does not depend on the other components.  On the storage times of
     :func:`compensation_bracket_taus` the summed amplitude is strictly
-    monotone in |B + c| over the search box, so one golden section per axis
-    over c_i +/- search_range, the others held at the start vector, finds it
-    to within tol / 4 in :func:`golden_steps` steps, tol raised to the four
-    float spacings where a bracket stops shrinking.  Each step is one batched
-    decay-curve call of the three axes' trial points (a compensation vector
-    enters only through the Zeeman branches of the ensemble).  An axis keeps
-    its start unless its best trial scores above the start.
+    monotone in |B + c| over the search box, so one :func:`brent_min` per axis
+    over c_i +/- search_range, the others held at the start vector, finds it,
+    with ``xatol`` tol / 4 and tol raised to the four float spacings where a
+    bracket stops shrinking.  An axis ends at its own convergence or after
+    2 + :func:`golden_steps` values, the count a golden section needs for the
+    same bracket.  Each round is one batched decay-curve call of the trial
+    points of the unfinished axes (a compensation vector enters only through
+    the Zeeman branches of the ensemble).  An axis keeps its start unless its
+    best trial scores above the start.
 
-    ``evaluations`` counts the curves computed: the start, three per trial
-    step, and the found vector twice, on the bracketing storage times
+    ``evaluations`` counts the curves computed: the start, one per trial
+    point, and the found vector twice, on the bracketing storage times
     (``improved``, ``warning``) and on `taus` (the fitted T2, ``objective``).
     ``history`` lists (compensation, summed amplitude) of the start, of each
     axis's best trial (the start, if the axis kept it) and of the found vector.
@@ -359,13 +417,16 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
 
     comp = np.asarray(m.compensation_vector, dtype=float)
 
-    def trials(x: np.ndarray) -> np.ndarray:      # row i: the start vector, axis i at x[i]
-        return np.where(np.eye(3, dtype=bool), x[:, None], comp)
+    def trials(axes, x) -> np.ndarray:     # row k: the start vector, axis axes[k] at x[k]
+        rows = np.repeat(comp[None], len(axes), axis=0)
+        rows[np.arange(len(axes)), axes] = x
+        return rows
 
     start = modulation([comp])[0]
-    steps = golden_steps(search_range, max(tol, 4.0 * math.ulp(np.abs(comp).max() + search_range)))
-    best, f_best = golden_section(lambda x: modulation(trials(x)), comp - search_range,
-                                  comp + search_range, steps)
+    raised = max(tol, 4.0 * math.ulp(np.abs(comp).max() + search_range))
+    best, f_best = lockstep_brent(lambda axes, x: modulation(trials(axes, x)),
+                                  comp - search_range, comp + search_range, raised / 4.0,
+                                  2 + golden_steps(search_range, raised))
     keep = ~(f_best < start)
     best, f_best = np.where(keep, comp, best), np.where(keep, start, f_best)
     end = modulation([best])[0]
@@ -385,7 +446,7 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
         improved=bool(end < start),
         warning=warning,
         history=[(tuple(comp.tolist()), -float(start)),
-                 *zip(map(tuple, trials(best).tolist()), (-f_best).tolist()),
+                 *zip(map(tuple, trials([0, 1, 2], best).tolist()), (-f_best).tolist()),
                  (found, -float(end))],
     )
 

@@ -76,6 +76,16 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "spin_fwhm" in err
 
+    def test_aliasing_grid_warns_and_exits_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, CLOSED_CONFIG.replace(
+            "ensemble: {}", "ensemble: {optical_fwhm: 170kHz, n_optical: 21}"))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "config OK\n"
+        lines = err.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert "ensemble.n_optical that clears it is 57" in lines[-1]
+
     def test_unreadable_config_exits_one(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) == 1
 
@@ -290,10 +300,12 @@ class TestScaling:
 class TestCompensate:
     def test_tolerance_below_the_float_spacing_ends(self, tmp_path):
         # one float spacing of a 50 uT field is 6.8e-21 T, so no bracket gets
-        # as narrow as these tolerances: the steps stop where a bracket of
-        # values up to |start| + search_range stops shrinking
-        for compensation, search_range in (("{search_range: 1uT, tolerance: 1e-22uT}", 1e-6),
-                                           ("{tolerance: 1e-317uT}", 100e-6)):
+        # as narrow as these tolerances: each axis stops at the cap of
+        # 2 + golden_steps values, the steps that still shrink a bracket of
+        # values up to |start| + search_range, or at its own convergence
+        for compensation, search_range, count in (
+                ("{search_range: 1uT, tolerance: 1e-22uT}", 1e-6, 175),
+                ("{tolerance: 1e-317uT}", 100e-6, 153)):
             text = CLOSED_CONFIG + f"studies:\n  compensation: {compensation}\n"
             out = tmp_path / str(search_range)
             done = TestArgumentErrors.run_cli("compensate", "--config",
@@ -301,7 +313,7 @@ class TestCompensate:
             assert done.returncode == 0, done.stderr
             steps = golden_steps(search_range, 4.0 * math.ulp(search_range))
             evaluations = json.loads((out / "compensation.json").read_text())["evaluations"]
-            assert evaluations == 1 + 3 * (2 + steps) + 2 <= 1 + 3 * (2 + 80) + 2
+            assert evaluations == count <= 1 + 3 * (2 + steps) + 2 <= 1 + 3 * (2 + 80) + 2
 
 
 class TestReproducibility:

@@ -1,6 +1,7 @@
 """Unit parsing and config validation: every error reported, unknown keys rejected."""
 
 import math
+from dataclasses import replace
 import re
 import warnings
 from pathlib import Path
@@ -10,12 +11,12 @@ import pytest
 import yaml
 
 from eitecho.cli import accepts, build_parser
-from eitecho.config import KEYS, DEFAULT_CONFIG_TEXT, parse_config, validate_config
+from eitecho.config import KEYS, DEFAULT_CONFIG_TEXT, grid_warnings, parse_config, validate_config
 from eitecho.dynamics import check_pulse_maps
 from eitecho.ensemble import EnsembleSpec, ensemble_final_state, member_stack
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
-from eitecho.readout import FIT_MIN_POINTS
+from eitecho.readout import FIT_MIN_POINTS, assemble_decay_curves
 from eitecho.sequences import EchoConfig
 from eitecho.studies import FieldModel, ScalingModel, scaling_point
 from eitecho.units import parse_quantity, parse_ratio
@@ -179,6 +180,20 @@ class TestValidation:
             _, errors = validate_config({"sequence": {"tau": "60us"}, **block})
         assert len(errors) == 1 and errors[0].startswith(head)
 
+    @pytest.mark.parametrize("ensemble, key", [
+        ({"optical_fwhm": "1e300Hz", "n_optical": 3}, "optical_fwhm"),
+        ({"spin_fwhm": "1e300Hz", "n_spin": 3}, "spin_fwhm"),
+        ({"zeeman_branches": [{"offset": "1e300Hz", "weight": 1}]}, "zeeman_branches")])
+    def test_ensemble_too_wide_for_the_pulse_maps_names_its_key(self, ensemble, key):
+        # a finite width below the grid bound: validate named
+        # studies.temp_scan.temperatures[4] and studies.scaling.t2_opt[0],
+        # though the member offsets alone put the base echo's pulse maps
+        # beyond 64 squarings at any temperature or optical T2
+        _, errors = validate_config({"sequence": {"tau": "60us"}, "ensemble": ensemble})
+        assert len(errors) == 1
+        assert errors[0].startswith(f"ensemble.{key}: segment 0 (init_pi_half), member 0: ")
+        assert errors[0].endswith("beyond 64 squarings")
+
     def test_parse_config_raises_with_all_problems(self):
         with pytest.raises(ConfigurationError) as exc:
             parse_config("sequence: {tau: 60us, nonsense: 1}\nalso_bad: {}")
@@ -274,6 +289,45 @@ class TestValidation:
         cfg, errors = validate_config(tree)
         assert errors == []
         assert cfg.temp_scan.taus.size == FIT_MIN_POINTS
+
+
+class TestGridWarnings:
+    RATED = DEFAULT_CONFIG_TEXT.replace("n_optical: 1 ", "n_optical: 21")
+
+    def test_default_config_has_no_warning(self):
+        assert grid_warnings(parse_config(DEFAULT_CONFIG_TEXT)) == []
+
+    def test_aliasing_grid_names_the_least_clearing_size(self):
+        # 170 kHz over 21 points revives at 48.5 us; 5/sigma is 11 us
+        found = grid_warnings(parse_config(self.RATED))
+        assert all(w.startswith("warning: ") and w.endswith(tuple("0123456789"))
+                   for w in found)
+        sizes = {w.split()[1]: int(w.split()[-1]) for w in found}
+        assert sizes == {"sequence.tau": 31, "studies.field_sweep.taus": 71,
+                         "studies.temp_scan.taus": 83, "studies.compensation.taus": 57}
+        assert all("ensemble.n_optical" in w for w in found)
+        cleared = self.RATED.replace("n_optical: 21", "n_optical: 83")
+        assert grid_warnings(parse_config(cleared)) == []
+
+    def test_spin_axis_is_checked_too(self):
+        text = self.RATED.replace("n_optical: 21", "n_optical: 83").replace(
+            "n_spin: 1", "spin_fwhm: 20kHz\n  n_spin: 11")
+        found = grid_warnings(parse_config(text))
+        assert found and all("ensemble.n_spin" in w for w in found)
+
+    def test_the_warned_grid_misses_the_echo(self):
+        # the glitch behind the rule: a 21-point grid's revival puts the beat
+        # amplitude at 100 us >= 10% off a 161-point reference; the size the
+        # warning names for the compensation window, 57, is within 1e-3 of it
+        cfg = parse_config(self.RATED)
+        taus = np.sort(np.append(cfg.compensation.taus, 100e-6))
+        curves = {n: assemble_decay_curves(cfg.sequence, taus, cfg.physics,
+                                           [replace(cfg.ensemble, n_optical=n)],
+                                           mode="beat")[0].amplitudes
+                  for n in (21, 57, 161)}
+        at_100us = int(np.flatnonzero(taus == 100e-6)[0])
+        assert abs(curves[21][at_100us] / curves[161][at_100us] - 1.0) >= 0.1
+        assert np.all(np.abs(curves[57] / curves[161] - 1.0) <= 1e-3)
 
 
 class TestKeyTable:

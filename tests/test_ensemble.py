@@ -7,6 +7,7 @@ from eitecho.dynamics import run_sequence
 from eitecho.ensemble import (
     EnsembleSpec,
     _axis_nodes,
+    alias_free_size,
     ensemble_average,
     member_stack,
 )
@@ -107,6 +108,20 @@ class TestDetuningGrid:
         ref = np.exp(-0.5 * (d / sigma) ** 2)
         ref /= ref.sum()
         assert np.allclose(w, ref, atol=1e-15)
+
+
+@pytest.mark.parametrize("fwhm, tau, n", [
+    # 170 kHz: sigma = 4.54e5 rad/s, so 5/sigma = 11 us; n = 21 revives at 48.5 us
+    (170e3, 60e-6, 31), (170e3, 120e-6, 57), (170e3, 180e-6, 83), (170e3, 0.0, 5),
+    (20e3, 180e-6, 15), (1e9, 1e-3, 2547971)])
+def test_alias_free_size_is_the_least_odd_clearing_size(fwhm, tau, n):
+    assert alias_free_size(fwhm, tau) == n and n % 2 == 1
+    sigma = TWO_PI * fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+
+    def revival(size):
+        return 2.0 * np.pi / (6.0 * sigma / size)
+
+    assert revival(n) - 5.0 / sigma > tau >= revival(n - 2) - 5.0 / sigma
 
 
 class TestAveraging:
