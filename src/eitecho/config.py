@@ -29,6 +29,8 @@ from .units import parse_quantity, parse_ratio
 TWO_PI = 2.0 * math.pi
 # the ensemble keys behind the three columns of the member offsets
 ENSEMBLE_AXES = ("optical_fwhm", "spin_fwhm", "zeeman_branches")
+# the physics keys of the base detunings, which every member shares
+DETUNING_KEYS = ("delta_opt", "delta_spin")
 
 
 @dataclass(frozen=True)
@@ -407,13 +409,19 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
     # with valid physics and ensemble, the pulse maps as the studies propagate them
     offsets = None if physics is None or spec is None else member_stack(spec)[0]
     if offsets is not None and sequence_ok:
-        # the base echo's maps over the members: when the resonant member alone
-        # passes, the widest offset axis is at fault, whatever the studies do
+        # the base echo's maps over the members: whatever the studies do, the
+        # widest offset axis is at fault when the resonant member alone
+        # passes; when only its base detunings make it fail, the larger of them
         base = make_echo_sequence(sequence, include_readout=False)
-        problems = _pulse_map_problems(physics, base, offsets)
-        if problems and not _pulse_map_problems(physics, base, np.zeros((1, 3))):
-            key = ENSEMBLE_AXES[int(np.argmax(np.abs(offsets).max(axis=0)))]
-            errors.extend(f"ensemble.{key}: {p}" for p in problems)
+        problems, key = _pulse_map_problems(physics, base, offsets), None
+        resonant = np.zeros((1, 3))
+        if problems and not _pulse_map_problems(physics, base, resonant):
+            key = "ensemble." + ENSEMBLE_AXES[int(np.argmax(np.abs(offsets).max(axis=0)))]
+        elif problems and not _pulse_map_problems(
+                physics.replace(delta_opt=0.0, delta_spin=0.0), base, resonant):
+            key = "physics." + max(DETUNING_KEYS, key=lambda k: abs(getattr(physics, k)))
+        if key:
+            errors.extend(f"{key}: {p}" for p in problems)
             offsets = None
     if not any(p.startswith("studies.temp_scan.") for p in bad):
         rates = _temperature_rates(temp_scan["temperatures"], temp_scan["model"], errors)

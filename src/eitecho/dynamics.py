@@ -65,6 +65,9 @@ PADE_COEFFICIENTS = {m: [math.factorial(2 * m - j) // (math.factorial(j) * math.
 # Squarings allowed for one map: a 1-norm up to theta_13 * 2^64 ~ 1e20, a
 # rate-duration product no physical segment comes near.
 MAX_SQUARINGS = 64
+# Samples a sampled trajectory may hold: 2^20 weight-summed states of 144 B,
+# ~150 MB, hundreds of times a default echo's.
+MAX_SAMPLES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -227,21 +230,29 @@ def shared_steps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) -> lis
     return [default_step(_segment_params(envelope, seg, 0.0), seg) for seg in seq.segments]
 
 
-def _check_squarings(a: np.ndarray, name=None) -> np.ndarray:
-    """1-norms (flattened) of a generator stack (..., n, n) that :func:`_expm`
-    can map: a non-finite entry, or a 1-norm needing more than MAX_SQUARINGS
-    squarings, raises a ConfigurationError naming the culprit by
-    `name(*index)` of its stack index, else as "generator (index)"."""
-    x = a.reshape(-1, *a.shape[-2:])
-    with np.errstate(over="ignore"):
-        norms = np.abs(x).sum(axis=-2).max(axis=-1)
+def _check_norms(norms: np.ndarray, finite, shape: tuple, name=None) -> None:
+    """The verdict on a stack of maps of stack shape `shape` from their 1-norms
+    (flattened): the first whose norm needs more than MAX_SQUARINGS squarings
+    (or is nan) raises a ConfigurationError naming it by `name(*index)` of its
+    stack index, else as "generator (index)"; `finite(i)` tells whether map i
+    has only finite entries, and so which fault to report."""
     scalable = norms <= PADE_THETAS[13] * 2.0 ** MAX_SQUARINGS      # False for nan too
     if not scalable.all():
         i = int(np.argmin(scalable))
-        where = tuple(int(j) for j in np.unravel_index(i, a.shape[:-2]))
+        where = tuple(int(j) for j in np.unravel_index(i, shape))
         what = (f"has 1-norm {norms[i]:g}, beyond {MAX_SQUARINGS} squarings"
-                if np.isfinite(x[i]).all() else "has a non-finite entry")
+                if finite(i) else "has a non-finite entry")
         raise ConfigurationError([f"{name(*where) if name else f'generator {where}'}: {what}"])
+
+
+def _check_squarings(a: np.ndarray, name=None) -> np.ndarray:
+    """1-norms (flattened) of a generator stack (..., n, n) that :func:`_expm`
+    can map: a non-finite entry, or a 1-norm needing more than MAX_SQUARINGS
+    squarings, raises a ConfigurationError (see :func:`_check_norms`)."""
+    x = a.reshape(-1, *a.shape[-2:])
+    with np.errstate(over="ignore"):
+        norms = np.abs(x).sum(axis=-2).max(axis=-1)
+    _check_norms(norms, lambda i: np.isfinite(x[i]).all(), a.shape[:-2], name)
     return norms
 
 
@@ -319,6 +330,21 @@ def _base_generator(p: LambdaParams, drive: tuple | None) -> np.ndarray:
     return gen
 
 
+def _drive(segment: Segment) -> tuple | None:
+    """The drive (rabi0, rabi1, phase0, phase1) of a pulse, None for a wait."""
+    if isinstance(segment, Wait):
+        return None
+    return segment.rabi0, segment.rabi1, segment.phase0, segment.phase1
+
+
+def _detuning_shift(offsets: np.ndarray, zeeman_sign: float) -> np.ndarray:
+    """Diagonals (M, 9) that the member rows of `offsets` add to a segment's
+    generator: its detunings, and its Zeeman offset times the segment's sign."""
+    return (np.multiply.outer(offsets[:, 0], DETUNING_OPT)
+            + np.multiply.outer(offsets[:, 1], DETUNING_SPIN)
+            + zeeman_sign * np.multiply.outer(offsets[:, 2], DETUNING_SPIN))
+
+
 def member_generators(p: LambdaParams, segment: Segment, offsets: np.ndarray,
                       name=_member) -> np.ndarray:
     """Generators (M, 9, 9) of one segment for the member rows of `offsets`.
@@ -329,13 +355,8 @@ def member_generators(p: LambdaParams, segment: Segment, offsets: np.ndarray,
     member by `name(m)`.
     """
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
-    shift = (np.multiply.outer(offsets[:, 0], DETUNING_OPT)
-             + np.multiply.outer(offsets[:, 1], DETUNING_SPIN)
-             + segment.zeeman_sign * np.multiply.outer(offsets[:, 2], DETUNING_SPIN))
-    drive = None if isinstance(segment, Wait) else (
-        segment.rabi0, segment.rabi1, segment.phase0, segment.phase1)
-    gen = np.repeat(_base_generator(p, drive)[None], len(offsets), axis=0)
-    gen.reshape(len(offsets), 81)[:, ::10] += shift
+    gen = np.repeat(_base_generator(p, _drive(segment))[None], len(offsets), axis=0)
+    gen.reshape(len(offsets), 81)[:, ::10] += _detuning_shift(offsets, segment.zeeman_sign)
     if not np.isfinite(gen.view(float)).all():
         m = int(np.argmin(np.isfinite(gen).all(axis=(1, 2))))
         raise ConfigurationError([f"{name(m)}: has a non-finite entry"])
@@ -379,13 +400,16 @@ def _decay_feed(gen: np.ndarray, t: np.ndarray) -> np.ndarray:
 def geometric_sum(step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(step^0 + ... + step^(n-1), step^n) of a stack of square maps, by binary doubling.
 
-    From the leading bit of n down, (sum, power) for m steps becomes the pair
-    for 2m (sum + power @ sum, power @ power) and, where the bit is set, for
-    2m + 1 (sum + power, power @ step).
+    The leading bit gives the pair for 1, (identity, step); from the next bit
+    down, (sum, power) for m steps becomes the pair for 2m (sum + power @ sum,
+    power @ power) and, where the bit is set, for 2m + 1 (sum + power,
+    power @ step).
     """
-    total = np.zeros_like(step)
-    power = np.broadcast_to(np.eye(step.shape[-1], dtype=step.dtype), step.shape).copy()
-    for bit in bin(n)[2:]:
+    eye = np.broadcast_to(np.eye(step.shape[-1], dtype=step.dtype), step.shape)
+    if n == 0:
+        return np.zeros_like(step), eye.copy()
+    total, power = eye.copy(), step.copy()
+    for bit in bin(n)[3:]:
         total = total + power @ total
         power = power @ power
         if bit == "1":
@@ -407,11 +431,24 @@ def _map_namer(names: list, member_name=_member):
 def check_pulse_maps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) -> None:
     """The check of :func:`_expm` on the pulse generators of `seq` for the
     member rows of `offsets`, as :func:`sequence_endpoints` stacks them,
-    without building any map: a config check of a propagation."""
+    without building any map or generator stack: a config check of a
+    propagation.  Members differ only on the diagonal, so the 1-norm of a
+    member's h L is the largest over columns j of the column's off-diagonal
+    |h L_ij| summed, plus |h (L_jj + shift_j)|, its own diagonal entry."""
+    offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     pulses = [(k, seg) for k, seg in enumerate(seq.segments) if isinstance(seg, PulseSpec)]
-    _check_squarings(np.array([seg.duration * member_generators(p, seg, offsets)
-                               for _, seg in pulses]),
-                     _map_namer([_segment_name(k, seg) for k, seg in pulses]))
+    norms, finite = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, seg in pulses:
+            base = _base_generator(p, _drive(seg))
+            diag = seg.duration * (np.diagonal(base) + _detuning_shift(offsets, seg.zeeman_sign))
+            off = np.abs(seg.duration * base)
+            np.fill_diagonal(off, 0.0)
+            norms.append((off.sum(axis=0) + np.abs(diag)).max(axis=1))
+            finite.append(np.isfinite(off).all() & np.isfinite(diag).all(axis=1))
+    finite = np.ravel(finite)
+    _check_norms(np.ravel(norms), finite.__getitem__, (len(pulses), len(offsets)),
+                 _map_namer([_segment_name(k, seg) for k, seg in pulses]))
 
 
 def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,
@@ -539,6 +576,49 @@ def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None,
          f"(delta_opt, delta_spin, zeeman_offset) = ({a:g}, {b:g}, {z:g}) rad/s"])
 
 
+def mirror_phases(rho0: DensityMatrix3, p: LambdaParams, segments) -> np.ndarray | None:
+    """Phases (9,) of the member mirror on flattened states, or None where it fails.
+
+    Reflecting a member's offsets, (a, b, z) -> (-a, -b, -z), maps its state
+    rho to W rho* W^dag with W = diag(e^{-2i phi0}, e^{-2i phi1}, -1), an
+    antiunitary symmetry of the master equation (Buca & Prosen, New J. Phys.
+    14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)):
+    conjugation flips every detuning and the sign and phase of each drive
+    coupling, W undoes the drive part, and the real jump operators stay.
+    On a flattened state that is x -> phases * conj(x), phases[3i + j] =
+    w_i conj(w_j), exactly 1 on the diagonal.  It holds when the base
+    detunings are 0, every pulse of `segments` has one (phase0, phase1),
+    and `rho0` is its own mirror, bitwise.
+    """
+    drives = {(s.phase0, s.phase1) for s in segments if isinstance(s, PulseSpec)}
+    if p.delta_opt != 0.0 or p.delta_spin != 0.0 or len(drives) > 1:
+        return None
+    phase0, phase1 = drives.pop() if drives else (0.0, 0.0)
+    w = np.array([np.exp(-2j * phase0), np.exp(-2j * phase1), -1.0])
+    phases = np.outer(w, w.conj())
+    np.fill_diagonal(phases, 1.0)
+    phases = phases.reshape(9)
+    v0 = np.asarray(rho0.matrix, dtype=complex).reshape(9)
+    return phases if np.array_equal(phases * v0.conj(), v0) else None
+
+
+def mirror_half(offsets: np.ndarray, weights: np.ndarray) -> tuple | None:
+    """The members to propagate of a stack that reverses onto its mirror bitwise
+    (offsets[::-1] == -offsets, weights[::-1] == weights), None for any other
+    stack or a single member: the first ceil(M/2) rows, the self-mirror centre
+    of an odd M at half its weight.  With :func:`mirror_phases`, each
+    weight-summed state S of the half gives the full stack's as
+    S + phases * conj(S)."""
+    if not (weights.size > 1 and np.array_equal(offsets[::-1], -offsets)
+            and np.array_equal(weights[::-1], weights)):
+        return None
+    m = weights.size
+    weights = weights[:(m + 1) // 2].copy()
+    if m % 2:
+        weights[-1] *= 0.5
+    return offsets[:weights.size], weights
+
+
 def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
                       offsets: np.ndarray, weights: np.ndarray,
                       dt_targets: list | None = None) -> Trajectory:
@@ -550,39 +630,54 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     k is sampled every clock/n, for the least n whose step is no coarser
     than dt_targets[k] (default: :func:`shared_steps`), which must be finite
     and > 0; if the duration is not a whole number of steps, one more exact
-    map adds a sample at the segment's end.  A pulse is sampled in blocks of
+    map adds a sample at the segment's end.  More than MAX_SAMPLES samples
+    in all raise a ConfigurationError naming the segment with the most,
+    before any state is stored.  A pulse is sampled in blocks of
     SAMPLE_BLOCK powers of its step map, each block summed over the weighted
     member states by one product in fixed member order; a wait is sampled in
     closed form (:func:`_wait_samples`) with no expm.  Only the weighted sum
-    is stored.  A non-finite generator raises a ConfigurationError naming
-    its segment and member.
+    is stored.  A stack that mirrors (:func:`mirror_phases`,
+    :func:`mirror_half`) propagates its first half only and adds the mirror
+    to each sample.  A non-finite generator raises a ConfigurationError
+    naming its segment and member.
     """
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     weights = np.asarray(weights, dtype=float)
+    phases = mirror_phases(rho0, p, seq.segments)
+    half = None if phases is None else mirror_half(offsets, weights)
+    grid_offsets = offsets
+    if half is not None:
+        offsets, weights = half
     n_members = weights.size
     # every generator is checked, and a failure named, before the grid reads the offsets
     names = [_segment_name(k, seg) for k, seg in enumerate(seq.segments)]
     gens = [member_generators(p, seg, offsets, lambda m: f"{name}, {_member(m)}")
             for name, seg in zip(names, seq.segments)]
     if dt_targets is None:
-        dt_targets = shared_steps(p, seq, offsets)
+        dt_targets = shared_steps(p, seq, grid_offsets)
     elif len(dt_targets) != len(seq.segments):
         raise ConfigurationError([f"one step per segment: got {len(dt_targets)} entries "
                                   f"for {len(seq.segments)} segments"])
-    v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (n_members, 1))
-    times, states, segment_starts = [np.array([0.0])], [(weights @ v)[None]], []
-    n_samples = 1
-    t0 = 0.0
-
-    for k, (seg, name, gen) in enumerate(zip(seq.segments, names, gens)):
-        segment_starts.append((n_samples - 1, seg))
-        dt_target = dt_targets[k]
+    grids = []
+    for k, (seg, dt_target) in enumerate(zip(seq.segments, dt_targets)):
         if not 0.0 < dt_target < np.inf:
             raise ConfigurationError([f"segment {k}: requested dt {dt_target:g} s "
                                       f"must be finite and > 0"])
         clock = seg.clock_dt if isinstance(seg, PulseSpec) and seg.clock_dt else seg.duration
         dt = clock / max(1, int(np.ceil(clock / dt_target - 1e-12)))
-        n_steps, steps = whole_steps(seg.duration, dt)
+        grids.append((dt, *whole_steps(seg.duration, dt)))
+    counts = [n_steps + len(steps) - 1 for _, n_steps, steps in grids]
+    if 1 + sum(counts) > MAX_SAMPLES:
+        k = int(np.argmax(counts))
+        raise ConfigurationError([f"{names[k]}: sampled {counts[k]} times, {1 + sum(counts)} "
+                                  f"samples in all, beyond the bound of {MAX_SAMPLES}"])
+    v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (n_members, 1))
+    times, states, segment_starts = [np.array([0.0])], [(weights @ v)[None]], []
+    n_samples = 1
+    t0 = 0.0
+
+    for seg, name, gen, (dt, n_steps, steps) in zip(seq.segments, names, gens, grids):
+        segment_starts.append((n_samples - 1, seg))
         if isinstance(seg, Wait):
             maps = wait_maps(gen, steps[1:])
             samples, v = _wait_samples(gen, weights, v, dt, n_steps)
@@ -608,8 +703,10 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         t0 += seg.duration
 
     _check_physical(v, offsets)
-    return Trajectory(times=np.concatenate(times),
-                      states=np.concatenate(states).reshape(-1, 3, 3),
+    states = np.concatenate(states)
+    if half is not None:
+        states = states + phases * states.conj()
+    return Trajectory(times=np.concatenate(times), states=states.reshape(-1, 3, 3),
                       segment_starts=segment_starts)
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SequenceSpec, Trajectory, _check_physical, propagate_members,
-                       sequence_endpoints)
+from .dynamics import (SequenceSpec, Trajectory, _check_physical, mirror_half, mirror_phases,
+                       propagate_members, sequence_endpoints)
 from .errors import ValidationError
 from .lambda_system import LambdaParams
 from .qstate import DensityMatrix3
@@ -133,7 +133,8 @@ def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec) 
 
     Every member starts from the mixed ground state, and all members share
     one time grid.  The members are propagated as one stack and reduced in
-    fixed grid order.
+    fixed grid order; a grid that mirrors propagates half of them
+    (:func:`eitecho.dynamics.propagate_members`).
     """
     offsets, weights = member_stack(spec)
     return propagate_members(MIXED_GROUND, base, seq, offsets, weights)
@@ -145,9 +146,18 @@ def ensemble_final_state(seq: SequenceSpec, base: LambdaParams,
 
     Every member starts from the mixed ground state and applies one map per
     segment (:func:`eitecho.dynamics.sequence_endpoints` with one sequence);
-    the reduction runs in fixed grid order.
+    the reduction runs in fixed grid order.  A grid that mirrors
+    (:func:`eitecho.dynamics.mirror_half`) maps its first half only, and its
+    weighted sum S gives the average S + phases * conj(S).
     """
     offsets, weights = member_stack(spec)
+    phases = mirror_phases(MIXED_GROUND, base, seq.segments)
+    half = None if phases is None else mirror_half(offsets, weights)
+    if half is not None:
+        offsets, weights = half
     finals = sequence_endpoints(MIXED_GROUND, base, [seq], offsets)[0]
     _check_physical(finals, offsets)
-    return DensityMatrix3((weights @ finals).reshape(3, 3))
+    mean = weights @ finals
+    if half is not None:
+        mean = mean + phases * mean.conj()
+    return DensityMatrix3(mean.reshape(3, 3))

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _expm,
-                       _map_namer, _member, geometric_sum, member_generators,
-                       sequence_endpoints, whole_steps)
+                       _map_namer, _member, geometric_sum, member_generators, mirror_half,
+                       mirror_phases, sequence_endpoints, whole_steps)
 from .ensemble import MIXED_GROUND, EnsembleSpec, member_stack
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
@@ -176,17 +176,24 @@ def _group_sums(x: np.ndarray, weights: np.ndarray, starts) -> np.ndarray:
 
 def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarray,
                      weights: np.ndarray, states: np.ndarray, beat_frequency: float,
-                     taus: np.ndarray, member_name=_member, starts=(0,)) -> np.ndarray:
+                     taus: np.ndarray, member_name=_member, starts=(0,), folded=(),
+                     phases=None) -> np.ndarray:
     """Beat amplitude of each storage time from the pre-readout states (T, M, 9).
 
     Gives one column (T, G) per group of members, group g starting at member
-    `starts[g]` (one group by default); see :func:`_group_sums`.
+    `starts[g]` (one group by default); see :func:`_group_sums`.  A group
+    flagged in `folded` holds the half of a mirrored stack
+    (:func:`eitecho.dynamics.mirror_half`) whose mirror has the entry
+    `phases` (:func:`eitecho.dynamics.mirror_phases`).
 
     The readout is sampled on the detector clock: with S the one-tick map and
     n ticks, tick k reads the |1>-|e> coherence c_k = e5^T S^k v, so the
     single-bin sum of synthesize_beat and beat_amplitude is
     (2/n) |1/2 e5^T F_a v + 1/2 conj(e5^T F_b v)|, weight-summed over members,
     with F_a = sum_k S^k and F_b = sum_k (e^{2i w dt} S)^k, k = 0 ... n-1.
+    A mirror member reads phases[5] * conj(c_k), so its sums are phases[5]
+    times the conj of e5^T F_a v and of e5^T F_c v, F_c that of the conjugate
+    twist: a folded group's sums a and b gain those of its half.
     Every (storage time, member) state is checked after the full readout map;
     `member_name` names a failing member.
     """
@@ -198,11 +205,16 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
     maps = _expm(np.array([h * gen for h in steps]),
                  _map_namer(["readout tick", "readout rest"], member_name))
     twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * tick)     # e^{2i w dt}
-    sums, powers = geometric_sum(np.stack([maps[0], twist * maps[0]]), n_steps)
-    rows = (sums + powers)[:, :, 5, :]            # e5^T F_a and e5^T F_b: (2, M, 9)
+    fold = np.any(folded)
+    steps_maps = [maps[0], twist * maps[0]] + ([np.conj(twist) * maps[0]] if fold else [])
+    sums, powers = geometric_sum(np.stack(steps_maps), n_steps)
+    rows = (sums + powers)[:, :, 5, :]            # e5^T F_a, e5^T F_b (, e5^T F_c): (2-3, M, 9)
     full = maps[-1] @ powers[0] if len(steps) == 2 else powers[0]
     _check_physical(full @ states[..., None], offsets, taus, member_name)
-    a, b = _group_sums(np.einsum("smi,tmi->stm", rows, states), weights, starts)
+    a, b, *c = _group_sums(np.einsum("smi,tmi->stm", rows, states), weights, starts)
+    if fold:
+        b[:, folded] += phases[5] * c[0][:, folded].conj()
+        a[:, folded] += phases[5] * a[:, folded].conj()
     return DETECTOR_SCALE * 2.0 / (n_steps + 1) * np.abs(0.5 * a + 0.5 * np.conj(b))
 
 
@@ -222,13 +234,21 @@ def _echo_layouts(cfg: EchoConfig, taus: tuple) -> tuple:
 def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
                      specs: list, mode: str, labels=None) -> np.ndarray:
     """Echo amplitudes (T, G) of G ensembles: their members stacked in spec order,
-    each ensemble reduced over its own members.  Errors name a failing member
-    by its index within its spec and by the spec's label ("group g" unless
-    given; none for one unlabelled spec)."""
+    each ensemble reduced over its own members.  An ensemble that mirrors
+    (:func:`eitecho.dynamics.mirror_half`) stacks half its members and adds
+    the mirror to its sums.  Errors name a failing member by its index within
+    its spec and by the spec's label ("group g" unless given; none for one
+    unlabelled spec)."""
     if mode not in ("beat", "proxy"):
         raise ValidationError(f"unknown readout mode {mode!r}")
     seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()))
+    # the readout pulse is mapped, and so has to mirror, in beat mode only
+    phases = mirror_phases(MIXED_GROUND, params,
+                           seqs[0].segments + ((readout,) if mode == "beat" else ()))
     stacks = [member_stack(spec) for spec in specs]
+    halves = [None if phases is None else mirror_half(*stack) for stack in stacks]
+    folded = np.array([half is not None for half in halves])
+    stacks = [stack if half is None else half for stack, half in zip(stacks, halves)]
     starts = np.cumsum([0] + [len(w) for _, w in stacks])
     offsets = np.concatenate([o for o, _ in stacks])
     weights = np.concatenate([w for _, w in stacks])
@@ -242,9 +262,12 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
     states = sequence_endpoints(MIXED_GROUND, params, seqs, offsets, member_name)
     if mode == "proxy":
         _check_physical(states, offsets, taus, member_name)
-        return np.abs(_group_sums(states[..., 1], weights, starts[:-1]))
+        sums = _group_sums(states[..., 1], weights, starts[:-1])
+        if folded.any():
+            sums[:, folded] += phases[1] * sums[:, folded].conj()
+        return np.abs(sums)
     return _beat_amplitudes(readout, params, offsets, weights, states, cfg.splitting, taus,
-                            member_name, starts[:-1])
+                            member_name, starts[:-1], folded, phases)
 
 
 def assemble_decay_curves(cfg: EchoConfig, taus, params: LambdaParams, specs,

@@ -194,6 +194,20 @@ class TestValidation:
         assert errors[0].startswith(f"ensemble.{key}: segment 0 (init_pi_half), member 0: ")
         assert errors[0].endswith("beyond 64 squarings")
 
+    @pytest.mark.parametrize("block, key", [
+        ({"physics": {"delta_opt": "1e300Hz"}}, "delta_opt"),
+        ({"physics": {"delta_spin": "-1e300Hz"}}, "delta_spin"),
+        ({"physics": {"delta_opt": "1e300Hz", "delta_spin": "1e299Hz"},
+          "ensemble": {"optical_fwhm": "170kHz", "n_optical": 3}}, "delta_opt")])
+    def test_base_detuning_too_large_for_the_pulse_maps_names_its_key(self, block, key):
+        # validate named studies.temp_scan.temperatures[4] and
+        # studies.scaling.t2_opt[0]: the resonant member alone fails the base
+        # echo's check, on its base detunings
+        _, errors = validate_config({"sequence": {"tau": "60us"}, **block})
+        assert len(errors) == 1
+        assert errors[0].startswith(f"physics.{key}: segment 0 (init_pi_half), member 0: ")
+        assert errors[0].endswith("beyond 64 squarings")
+
     def test_parse_config_raises_with_all_problems(self):
         with pytest.raises(ConfigurationError) as exc:
             parse_config("sequence: {tau: 60us, nonsense: 1}\nalso_bad: {}")
