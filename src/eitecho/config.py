@@ -31,6 +31,8 @@ TWO_PI = 2.0 * math.pi
 ENSEMBLE_AXES = ("optical_fwhm", "spin_fwhm", "zeeman_branches")
 # the physics keys of the base detunings, which every member shares
 DETUNING_KEYS = ("delta_opt", "delta_spin")
+# the physics keys of the decay rates: a lifetime is the inverse of its rate
+RATE_KEYS = ("t1_opt", "t2_opt", "t2_spin", "excitation_spin_deph")
 
 
 @dataclass(frozen=True)
@@ -411,16 +413,23 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
     if offsets is not None and sequence_ok:
         # the base echo's maps over the members: whatever the studies do, the
         # widest offset axis is at fault when the resonant member alone
-        # passes; when only its base detunings make it fail, the larger of them
+        # passes; when only its base detunings make it fail, the larger of
+        # them; else the fastest rate, as a pulse's drive times its duration
+        # is its area
         base = make_echo_sequence(sequence, include_readout=False)
-        problems, key = _pulse_map_problems(physics, base, offsets), None
-        resonant = np.zeros((1, 3))
-        if problems and not _pulse_map_problems(physics, base, resonant):
-            key = "ensemble." + ENSEMBLE_AXES[int(np.argmax(np.abs(offsets).max(axis=0)))]
-        elif problems and not _pulse_map_problems(
-                physics.replace(delta_opt=0.0, delta_spin=0.0), base, resonant):
-            key = "physics." + max(DETUNING_KEYS, key=lambda k: abs(getattr(physics, k)))
-        if key:
+        problems = _pulse_map_problems(physics, base, offsets)
+        if problems:
+            resonant = np.zeros((1, 3))
+            if not _pulse_map_problems(physics, base, resonant):
+                key = "ensemble." + ENSEMBLE_AXES[int(np.argmax(np.abs(offsets).max(axis=0)))]
+            elif not _pulse_map_problems(physics.replace(delta_opt=0.0, delta_spin=0.0), base,
+                                         resonant):
+                key = "physics." + max(DETUNING_KEYS, key=lambda k: abs(getattr(physics, k)))
+            else:
+                given = v["physics"]
+                key_rates = {k: given[k] if k == "excitation_spin_deph" else 1.0 / given[k]
+                             for k in RATE_KEYS if k in given}
+                key = "physics." + max(key_rates, key=key_rates.get)
             errors.extend(f"{key}: {p}" for p in problems)
             offsets = None
     if not any(p.startswith("studies.temp_scan.") for p in bad):

@@ -5,15 +5,16 @@ equation is a constant linear map on the flattened density matrix and the
 segment is solved exactly by its propagator expm(h * L).  :func:`_expm` is
 scaling and squaring with diagonal Pade approximants (Higham, SIAM J. Matrix
 Anal. Appl. 26, 1179 (2005)) in numpy, batched over a stack of generators.
-Members differ only in their detunings, which enter L as a diagonal shift,
-so one Liouvillian serves the whole stack; it depends only on the parameters
-and the segment's drive, so it is built once per (parameters, drive) and
-cached.  A wait's generator is diagonal apart from the two |e>-decay
+Members of one parameter set differ only in their detunings, which enter L
+as a diagonal shift, so one Liouvillian serves them all; it depends only on
+the parameters and the segment's drive, so it is built once per (parameters,
+drive) and cached.  A wait's generator is diagonal apart from the two |e>-decay
 entries, so its map is written in closed form and needs no expm.  End
 states of a batch of sequences that differ only in their wait durations (a
 decay curve's storage times) are computed together: each segment's
 generator is built once, the maps of all pulses come from one expm call
-over (pulse x member), and the waits are applied over (sequence x member).
+per parameter set over (pulse x member), and the waits are applied over
+(sequence x member), a bounded chunk of sequences at a time.
 Sampled segments are sampled on a whole fraction of the segment's clock (the
 readout's detector clock, else the duration).  A pulse raises the map of one
 grid step to successive powers, one block of samples per batched product.  A
@@ -68,6 +69,11 @@ MAX_SQUARINGS = 64
 # Samples a sampled trajectory may hold: 2^20 weight-summed states of 144 B,
 # ~150 MB, hundreds of times a default echo's.
 MAX_SAMPLES = 2 ** 20
+# (storage time x member) states whose wait maps and products the endpoint
+# path holds at once, unless one storage time has more members: a wait map
+# is 1.3 kB per state, so a chunk's stays near 2.7 MB, below the member
+# stack's pulse maps, however many storage times a batch of curves has.
+BATCH_STATES = 2 ** 11
 
 
 @dataclass(frozen=True)
@@ -282,13 +288,7 @@ def _expm(a: np.ndarray, name=None) -> np.ndarray:
     depth = np.zeros(len(x))
     if m == 13:
         depth = np.ceil(np.log2(np.maximum(norms / theta, 1.0)))
-        x = x * np.exp2(-depth)[:, None, None]
-        x2 = x @ x
-        x4 = x2 @ x2
-        x6 = x4 @ x2
-        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-        v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye
+        u, v = _pade13(x * np.exp2(-depth)[:, None, None], b, eye)
     else:
         powers = [eye, x @ x]                      # x^0, x^2, ..., x^(m-1)
         while len(powers) <= m // 2:
@@ -305,6 +305,29 @@ def _expm(a: np.ndarray, name=None) -> np.ndarray:
     r[diag] = 0.0
     r[diag[:, None], idx, idx] = np.exp(d[diag])
     return r.reshape(a.shape)
+
+
+def _pade13(x: np.ndarray, b: list, eye: np.ndarray) -> tuple:
+    """Odd and even parts (u, v) of the [13/13] Pade numerator of exp at a
+    stack x, summed in place in the order of Higham's expression
+    u = x (x6 (b13 x6 + b11 x4 + b9 x2) + b7 x6 + ... + b1 I), so with its
+    bits; x and its powers are freed on return, before the solve."""
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    w = b[12] * x6
+    w += b[10] * x4
+    w += b[8] * x2
+    v = x6 @ w
+    for k, xk in ((6, x6), (4, x4), (2, x2), (0, eye)):
+        v += b[k] * xk
+    w = b[13] * x6
+    w += b[11] * x4
+    w += b[9] * x2
+    w = x6 @ w
+    for k, xk in ((7, x6), (5, x4), (3, x2), (1, eye)):
+        w += b[k] * xk
+    return x @ w, v
 
 
 def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
@@ -345,17 +368,25 @@ def _detuning_shift(offsets: np.ndarray, zeeman_sign: float) -> np.ndarray:
             + zeeman_sign * np.multiply.outer(offsets[:, 2], DETUNING_SPIN))
 
 
-def member_generators(p: LambdaParams, segment: Segment, offsets: np.ndarray,
-                      name=_member) -> np.ndarray:
+def _param_sets(p, n_members: int) -> tuple:
+    """The parameter sets of a member stack as (sets, which): the distinct
+    LambdaParams and the index (M,) of each member's.  `p` is one LambdaParams
+    for every member, or already such a pair."""
+    return ((p,), np.zeros(n_members, dtype=int)) if isinstance(p, LambdaParams) else p
+
+
+def member_generators(p, segment: Segment, offsets: np.ndarray, name=_member) -> np.ndarray:
     """Generators (M, 9, 9) of one segment for the member rows of `offsets`.
 
-    One Liouvillian serves every member: a member's detunings and its Zeeman
-    offset, with the segment's ``zeeman_sign``, only shift the diagonal.  A
-    non-finite entry raises a ConfigurationError naming the first such
-    member by `name(m)`.
+    One Liouvillian per parameter set serves its members (`p`, see
+    :func:`_param_sets`): a member's detunings and its Zeeman offset, with
+    the segment's ``zeeman_sign``, only shift the diagonal.  A non-finite
+    entry raises a ConfigurationError naming the first such member by
+    `name(m)`.
     """
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
-    gen = np.repeat(_base_generator(p, _drive(segment))[None], len(offsets), axis=0)
+    sets, which = _param_sets(p, len(offsets))
+    gen = np.array([_base_generator(q, _drive(segment)) for q in sets])[which]
     gen.reshape(len(offsets), 81)[:, ::10] += _detuning_shift(offsets, segment.zeeman_sign)
     if not np.isfinite(gen.view(float)).all():
         m = int(np.argmin(np.isfinite(gen).all(axis=(1, 2))))
@@ -428,6 +459,28 @@ def _map_namer(names: list, member_name=_member):
     return lambda i, m: f"{names[i]}, {member_name(m)}"
 
 
+def _set_maps(gens: np.ndarray, p, name) -> np.ndarray:
+    """Maps of a (map, member) stack of generators (K, M, 9, 9) whose members
+    have the parameter sets `p` (see :func:`_param_sets`): one :func:`_expm`
+    call per set, since the Pade degree follows the largest 1-norm of a call
+    and one set's maps must not move with another's.  Several sets overwrite
+    `gens` in place.  `name(i, m)` names map i of member m."""
+    sets, which = _param_sets(p, gens.shape[1])
+    if len(sets) == 1:
+        return _expm(gens, name)
+    for s in range(len(sets)):
+        rows = np.flatnonzero(which == s)
+        gens[:, rows] = _expm(gens[:, rows], lambda i, m: name(i, int(rows[m])))
+    return gens
+
+
+def storage_chunks(n_taus: int, n_members: int) -> list:
+    """Slices, in order, of T storage times of M members, each of at most
+    BATCH_STATES (storage time x member) states and at least one storage time."""
+    step = max(1, BATCH_STATES // max(n_members, 1))
+    return [slice(t, min(t + step, n_taus)) for t in range(0, n_taus, step)]
+
+
 def check_pulse_maps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) -> None:
     """The check of :func:`_expm` on the pulse generators of `seq` for the
     member rows of `offsets`, as :func:`sequence_endpoints` stacks them,
@@ -451,46 +504,57 @@ def check_pulse_maps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) ->
                  _map_namer([_segment_name(k, seg) for k, seg in pulses]))
 
 
-def sequence_endpoints(rho0: DensityMatrix3, p: LambdaParams, seqs: list,
-                       offsets: np.ndarray, member_name=_member) -> np.ndarray:
+def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,
+                       member_name=_member) -> np.ndarray:
     """End states (T, M, 9) of every member row of `offsets` after each of T sequences.
 
     The sequences share one layout: segment k of each is the same pulse, or
     a wait with the same Zeeman sign whose duration may differ (the storage
-    times of a decay curve).  Segment k's generator is built once for the
-    member stack (:func:`member_generators`); the maps of all pulses come
-    from one :func:`_expm` call over (pulse x member) and apply to every
-    (sequence, member) state, a wait applies its closed-form map
-    (:func:`wait_maps`).  The states are returned unchecked: callers apply
-    their remaining maps and then :func:`_check_physical`.  `member_name`
-    maps a member row to its name in errors.
+    times of a decay curve).  `p` gives the members' parameters, one
+    LambdaParams or one per member (see :func:`_param_sets`).  Segment k's
+    generator is built once for the member stack (:func:`member_generators`);
+    the maps of all pulses come from one :func:`_expm` call per parameter
+    set over (pulse x member) and apply to every (sequence, member) state, a
+    wait applies its closed-form map (:func:`wait_maps`).  The waits and
+    products run over one :func:`storage_chunks` chunk of sequences at a
+    time.  The states are returned unchecked: callers apply their remaining
+    maps and then :func:`_check_physical`.  `member_name` maps a member row
+    to its name in errors.
     """
     layout = seqs[0].segments
     if any(len(s.segments) != len(layout) for s in seqs):
         raise ValidationError("sequence_endpoints: sequences differ in length")
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
-    maps, pulses = [], []
+    pulses = [k for k, seg in enumerate(layout) if isinstance(seg, PulseSpec)]
+    maps = np.empty((len(pulses), len(offsets), 9, 9), dtype=complex)
+    waits = {}
     for k, seg in enumerate(layout):
         column = [s.segments[k] for s in seqs]
         gen = member_generators(p, seg, offsets,
                                 lambda m: f"{_segment_name(k, seg)}, {member_name(m)}")
         if all(isinstance(s, Wait) and s.zeeman_sign == seg.zeeman_sign for s in column):
-            maps.append(wait_maps(gen, [s.duration for s in column]))
+            waits[k] = gen, np.array([s.duration for s in column])
         elif all(s == seg for s in column):
-            maps.append(seg.duration * gen)         # replaced by its map below
-            pulses.append(k)
+            maps[pulses.index(k)] = seg.duration * gen      # mapped below
         else:
             raise ValidationError(
                 f"sequence_endpoints: segment {k} differs in more than a wait's duration")
     if pulses:
-        pulse_maps = _expm(np.array([maps[k] for k in pulses]),
-                           _map_namer([_segment_name(k, layout[k]) for k in pulses], member_name))
-        for k, pulse_map in zip(pulses, pulse_maps):
-            maps[k] = pulse_map
-    v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (len(seqs), len(offsets), 1))
-    for segment_map in maps:
-        v = (segment_map @ v[..., None])[..., 0]
-    return v
+        maps = _set_maps(maps, p, _map_namer([_segment_name(k, layout[k]) for k in pulses],
+                                             member_name))
+    v0 = np.asarray(rho0.matrix, dtype=complex).reshape(9)
+    ends = np.empty((len(seqs), len(offsets), 9), dtype=complex)
+    for rows in storage_chunks(len(seqs), len(offsets)):
+        v = np.tile(v0, (rows.stop - rows.start, len(offsets), 1))
+        for k in range(len(layout)):
+            if k in waits:
+                gen, durations = waits[k]
+                segment_map = wait_maps(gen, durations[rows])
+            else:
+                segment_map = maps[pulses.index(k)]
+            v = (segment_map @ v[..., None])[..., 0]
+        ends[rows] = v
+    return ends
 
 
 def _step_powers(step: np.ndarray, count: int) -> np.ndarray:

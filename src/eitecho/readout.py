@@ -27,9 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _expm,
-                       _map_namer, _member, geometric_sum, member_generators, mirror_half,
-                       mirror_phases, sequence_endpoints, whole_steps)
+from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _map_namer,
+                       _member, _set_maps, geometric_sum, member_generators, mirror_half,
+                       mirror_phases, sequence_endpoints, storage_chunks, whole_steps)
 from .ensemble import MIXED_GROUND, EnsembleSpec, member_stack
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
@@ -174,7 +174,7 @@ def _group_sums(x: np.ndarray, weights: np.ndarray, starts) -> np.ndarray:
     return np.add.reduceat(x * weights, starts, axis=-1)
 
 
-def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarray,
+def _beat_amplitudes(readout: PulseSpec, params, offsets: np.ndarray,
                      weights: np.ndarray, states: np.ndarray, beat_frequency: float,
                      taus: np.ndarray, member_name=_member, starts=(0,), folded=(),
                      phases=None) -> np.ndarray:
@@ -184,7 +184,9 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
     `starts[g]` (one group by default); see :func:`_group_sums`.  A group
     flagged in `folded` holds the half of a mirrored stack
     (:func:`eitecho.dynamics.mirror_half`) whose mirror has the entry
-    `phases` (:func:`eitecho.dynamics.mirror_phases`).
+    `phases` (:func:`eitecho.dynamics.mirror_phases`).  `params` is one
+    LambdaParams or one per member, as for
+    :func:`eitecho.dynamics.sequence_endpoints`.
 
     The readout is sampled on the detector clock: with S the one-tick map and
     n ticks, tick k reads the |1>-|e> coherence c_k = e5^T S^k v, so the
@@ -194,28 +196,33 @@ def _beat_amplitudes(readout: PulseSpec, params: LambdaParams, offsets: np.ndarr
     A mirror member reads phases[5] * conj(c_k), so its sums are phases[5]
     times the conj of e5^T F_a v and of e5^T F_c v, F_c that of the conjugate
     twist: a folded group's sums a and b gain those of its half.
-    Every (storage time, member) state is checked after the full readout map;
-    `member_name` names a failing member.
+    The maps and sums are built once; every (storage time, member) state is
+    checked after the full readout map, and read, one
+    :func:`eitecho.dynamics.storage_chunks` chunk at a time.  `member_name`
+    names a failing member.
     """
     tick = readout.clock_dt
     n_steps, steps = whole_steps(readout.duration, tick)
     _check_window_samples(n_steps + len(steps))
     _check_window_periods(n_steps * tick * beat_frequency)
     gen = member_generators(params, readout, offsets, lambda m: f"readout, {member_name(m)}")
-    maps = _expm(np.array([h * gen for h in steps]),
-                 _map_namer(["readout tick", "readout rest"], member_name))
+    maps = _set_maps(np.array([h * gen for h in steps]), params,
+                     _map_namer(["readout tick", "readout rest"], member_name))
     twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * tick)     # e^{2i w dt}
     fold = np.any(folded)
     steps_maps = [maps[0], twist * maps[0]] + ([np.conj(twist) * maps[0]] if fold else [])
     sums, powers = geometric_sum(np.stack(steps_maps), n_steps)
     rows = (sums + powers)[:, :, 5, :]            # e5^T F_a, e5^T F_b (, e5^T F_c): (2-3, M, 9)
     full = maps[-1] @ powers[0] if len(steps) == 2 else powers[0]
-    _check_physical(full @ states[..., None], offsets, taus, member_name)
-    a, b, *c = _group_sums(np.einsum("smi,tmi->stm", rows, states), weights, starts)
-    if fold:
-        b[:, folded] += phases[5] * c[0][:, folded].conj()
-        a[:, folded] += phases[5] * a[:, folded].conj()
-    return DETECTOR_SCALE * 2.0 / (n_steps + 1) * np.abs(0.5 * a + 0.5 * np.conj(b))
+    amplitudes = np.empty((len(taus), len(starts)))
+    for chunk in storage_chunks(len(taus), len(offsets)):
+        _check_physical(full @ states[chunk, ..., None], offsets, taus[chunk], member_name)
+        a, b, *c = _group_sums(np.einsum("smi,tmi->stm", rows, states[chunk]), weights, starts)
+        if fold:
+            b[:, folded] += phases[5] * c[0][:, folded].conj()
+            a[:, folded] += phases[5] * a[:, folded].conj()
+        amplitudes[chunk] = np.abs(0.5 * a + 0.5 * np.conj(b))
+    return DETECTOR_SCALE * 2.0 / (n_steps + 1) * amplitudes
 
 
 # a compensation search reads its bracketing storage-time window in every step
@@ -231,27 +238,41 @@ def _echo_layouts(cfg: EchoConfig, taus: tuple) -> tuple:
     return tuple(SequenceSpec(segments=s.segments[:-1]) for s in seqs), seqs[0].segments[-1]
 
 
-def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
-                     specs: list, mode: str, labels=None) -> np.ndarray:
-    """Echo amplitudes (T, G) of G ensembles: their members stacked in spec order,
+def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params, specs: list, mode: str,
+                     labels=None) -> np.ndarray:
+    """Echo amplitudes (T, G) of G ensembles, spec g with the parameters
+    params[g] (or `params` for all): their members stacked in spec order,
     each ensemble reduced over its own members.  An ensemble that mirrors
-    (:func:`eitecho.dynamics.mirror_half`) stacks half its members and adds
-    the mirror to its sums.  Errors name a failing member by its index within
-    its spec and by the spec's label ("group g" unless given; none for one
-    unlabelled spec)."""
+    under its parameters (:func:`eitecho.dynamics.mirror_half`) stacks half
+    its members and adds the mirror to its sums.  Errors name a failing member by its index
+    within its spec and by the spec's label ("group g" unless given; none
+    for one unlabelled spec)."""
     if mode not in ("beat", "proxy"):
         raise ValidationError(f"unknown readout mode {mode!r}")
+    params = [params] * len(specs) if isinstance(params, LambdaParams) else list(params)
+    if len(params) != len(specs):
+        raise ValidationError(f"{len(params)} parameter sets for {len(specs)} ensembles")
     seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()))
     # the readout pulse is mapped, and so has to mirror, in beat mode only
-    phases = mirror_phases(MIXED_GROUND, params,
-                           seqs[0].segments + ((readout,) if mode == "beat" else ()))
+    segments = seqs[0].segments + ((readout,) if mode == "beat" else ())
+    # equal parameter sets share their maps; a dict groups them, since
+    # np.unique imports numpy.ma, which costs more than a cold curve pass
+    index = {}
+    spec_sets = [index.setdefault(p, len(index)) for p in params]
+    sets = tuple(index)
+    set_phases = [mirror_phases(MIXED_GROUND, p, segments) for p in sets]
     stacks = [member_stack(spec) for spec in specs]
-    halves = [None if phases is None else mirror_half(*stack) for stack in stacks]
+    halves = [None if set_phases[s] is None else mirror_half(*stack)
+              for s, stack in zip(spec_sets, stacks)]
     folded = np.array([half is not None for half in halves])
+    # the phases read the pulses only, so they are equal wherever they hold
+    phases = next((ph for ph in set_phases if ph is not None), None)
     stacks = [stack if half is None else half for stack, half in zip(stacks, halves)]
-    starts = np.cumsum([0] + [len(w) for _, w in stacks])
+    counts = [len(w) for _, w in stacks]
+    starts = np.cumsum([0] + counts)
     offsets = np.concatenate([o for o, _ in stacks])
     weights = np.concatenate([w for _, w in stacks])
+    members = (sets, np.repeat(spec_sets, counts))
     if labels is None and len(specs) > 1:
         labels = [f"group {g}" for g in range(len(specs))]
 
@@ -259,25 +280,31 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams,
         g = int(np.searchsorted(starts, m, side="right")) - 1
         return f"member {m - starts[g]}" + (f" of {labels[g]}" if labels else "")
 
-    states = sequence_endpoints(MIXED_GROUND, params, seqs, offsets, member_name)
-    if mode == "proxy":
-        _check_physical(states, offsets, taus, member_name)
-        sums = _group_sums(states[..., 1], weights, starts[:-1])
-        if folded.any():
-            sums[:, folded] += phases[1] * sums[:, folded].conj()
-        return np.abs(sums)
-    return _beat_amplitudes(readout, params, offsets, weights, states, cfg.splitting, taus,
-                            member_name, starts[:-1], folded, phases)
+    states = sequence_endpoints(MIXED_GROUND, members, seqs, offsets, member_name)
+    if mode == "beat":
+        return _beat_amplitudes(readout, members, offsets, weights, states, cfg.splitting,
+                                taus, member_name, starts[:-1], folded, phases)
+    sums = np.empty((len(taus), len(specs)), dtype=complex)
+    for chunk in storage_chunks(len(taus), len(offsets)):
+        _check_physical(states[chunk], offsets, taus[chunk], member_name)
+        sums[chunk] = _group_sums(states[chunk, :, 1], weights, starts[:-1])
+    if folded.any():
+        sums[:, folded] += phases[1] * sums[:, folded].conj()
+    return np.abs(sums)
 
 
-def assemble_decay_curves(cfg: EchoConfig, taus, params: LambdaParams, specs,
+def assemble_decay_curves(cfg: EchoConfig, taus, params, specs,
                           mode: str = "beat", labels=None) -> list[DecayCurve]:
     """Echo amplitude versus storage time for each ensemble spec, all in one pass.
 
-    The specs share everything but their members, so every curve's storage
-    times and members are one stack: each segment's generator and each pulse
-    map is built once, and the waits, which alone depend on the storage
-    time, are applied in closed form (see
+    `params` is one LambdaParams for every spec, or a sequence of one per
+    spec (a temperature scan's optical dephasing rates).  The specs share
+    the echo layout, so every curve's storage times and members are one
+    stack: each segment's generator is built once per parameter set, the
+    pulse maps come from one expm call per distinct set (its Pade degree
+    follows its own norms, so a curve's bits do not depend on the others),
+    and the waits, which alone depend on the storage time, are applied in
+    closed form, a bounded chunk of storage times at a time (see
     :func:`eitecho.dynamics.sequence_endpoints`).  `labels`, one per spec,
     name the spec of a failing member in errors.
     """

@@ -169,24 +169,25 @@ class TemperaturePoint:
 def temperature_scan(temperatures, tm: TemperatureModel, cfg: EchoConfig,
                      params: LambdaParams, spec: EnsembleSpec, taus,
                      mode: str = "proxy") -> list[TemperaturePoint]:
-    """Echo pipeline per temperature with the optical dephasing rate rescaled.
+    """Echo decay curve and fit per temperature with the optical dephasing rate rescaled.
 
-    Amplitudes are the echo amplitude at the shortest requested storage time,
-    normalized to the first (coldest) scan point.  The amplitude metric is the
-    stored-coherence proxy by default: the phenomenon under test is the loss
-    of dark-state initialization once optical dephasing outruns the init
-    pulse, not the detection chain.
+    The curves of all temperatures are one batched call, each with its own
+    parameters (:func:`eitecho.readout.assemble_decay_curves`).  Amplitudes
+    are the echo amplitude at the shortest requested storage time,
+    normalized to the first scan point as listed.  The amplitude metric is
+    the stored-coherence proxy by default: the phenomenon under test is the
+    loss of dark-state initialization once optical dephasing outruns the
+    init pulse, not the detection chain.
     """
     temperatures = [float(t) for t in temperatures]
     if any(t <= 0.0 for t in temperatures):
         raise ValidationError("temperature_scan: temperatures must be > 0")
-    taus = np.asarray(list(taus), dtype=float)
+    members = [params.replace(gamma_opt_deph=tm.gamma_opt_deph(t)) for t in temperatures]
+    curves = assemble_decay_curves(cfg, taus, members, [spec] * len(temperatures), mode=mode,
+                                   labels=[f"temperature {t:g} K" for t in temperatures])
     results = []
     reference = None
-    for t in temperatures:
-        member = params.replace(gamma_opt_deph=tm.gamma_opt_deph(t))
-        curve = assemble_decay_curves(cfg, taus, member, [spec], mode=mode,
-                                      labels=[f"temperature {t:g} K"])[0]
+    for t, curve in zip(temperatures, curves):
         try:
             fit = fit_decay(curve)
             fitted_t2, ci = fit.t2, fit.ci95[1]

@@ -208,6 +208,21 @@ class TestValidation:
         assert errors[0].startswith(f"physics.{key}: segment 0 (init_pi_half), member 0: ")
         assert errors[0].endswith("beyond 64 squarings")
 
+    @pytest.mark.parametrize("physics, key", [
+        ({"t2_opt": "1e-300s"}, "t2_opt"),
+        ({"t1_opt": "1e-300s"}, "t1_opt"),
+        ({"t2_spin": "1e-300s"}, "t2_spin"),
+        ({"excitation_spin_deph": "1e300Hz"}, "excitation_spin_deph"),
+        ({"t1_opt": "1e-290s", "t2_opt": "1e-300s", "t2_spin": "1e-295s"}, "t2_opt")])
+    def test_base_rate_too_large_for_the_pulse_maps_names_its_key(self, physics, key):
+        # validate passed t2_opt (the studies replace the optical rate with
+        # their own) and blamed the studies for t1_opt: the resonant member
+        # fails the base echo's check at zero detunings, on its fastest rate
+        _, errors = validate_config({"sequence": {"tau": "60us"}, "physics": physics})
+        assert len(errors) == 1
+        assert errors[0].startswith(f"physics.{key}: segment 0 (init_pi_half), member 0: ")
+        assert errors[0].endswith("beyond 64 squarings")
+
     def test_parse_config_raises_with_all_problems(self):
         with pytest.raises(ConfigurationError) as exc:
             parse_config("sequence: {tau: 60us, nonsense: 1}\nalso_bad: {}")

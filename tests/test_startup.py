@@ -10,17 +10,23 @@ import eitecho
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the subcommands whose modules PROBE checks: the batched curves, the sampled
+# trajectories and the compensation search
+SUBCOMMANDS = ("temp-scan", "compensate", "simulate", "field-sweep")
 # prints the BLAS variables, then the scipy modules loaded after importing the
-# CLI and after a default temp-scan into the directory given as argv[1]
+# CLI, then after each of SUBCOMMANDS, run in turn into the directory given as
+# argv[1], its exit code, the scipy modules and whether numpy.ma is loaded
+# (np.unique and its kin import it on first use, 10-19 ms of a cold run)
 PROBE = f"""
 import contextlib, io, os, sys
 import eitecho.cli as cli
 print(','.join(os.environ[v] for v in {BLAS_VARS!r}))
 scipy_modules = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
 print(scipy_modules())
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(['temp-scan', '--out', sys.argv[1]])
-print(code, scipy_modules())
+for name in {SUBCOMMANDS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([name, '--out', os.path.join(sys.argv[1], name)])
+    print(name, code, scipy_modules(), 'numpy.ma' in sys.modules)
 """
 
 
@@ -31,11 +37,11 @@ def start_cli(out_dir, **env_vars) -> list:
     env.update(env_vars)
     done = subprocess.run([sys.executable, "-c", PROBE, str(out_dir)], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
-    return done.stdout.split("\n")[:3]
+    return done.stdout.split("\n")[:2 + len(SUBCOMMANDS)]
 
 
 def test_default_start_up_is_lean_and_single_threaded(tmp_path):
-    assert start_cli(tmp_path) == ["1,1,1", "[]", "0 []"]
+    assert start_cli(tmp_path) == ["1,1,1", "[]"] + [f"{name} 0 [] False" for name in SUBCOMMANDS]
 
 
 def test_user_set_blas_threads_win(tmp_path):
