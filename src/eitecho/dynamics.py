@@ -8,12 +8,13 @@ Anal. Appl. 26, 1179 (2005)) in numpy, batched over a stack of generators.
 Members of one parameter set differ only in their detunings, which enter L
 as a diagonal shift, so one Liouvillian serves them all; it depends only on
 the parameters and the segment's drive, so it is built once per (parameters,
-drive) and cached.  A wait's generator is diagonal apart from the two |e>-decay
-entries, so its map is written in closed form and needs no expm.  End
-states of a batch of sequences that differ only in their wait durations (a
-decay curve's storage times) are computed together: each segment's
-generator is built once, the maps of all pulses come from one expm call
-per parameter set over (pulse x member), and the waits are applied over
+drive) and cached, the missing ones of a call all at once.  A wait's
+generator is diagonal apart from the two |e>-decay entries, so its map is
+written in closed form and needs no expm.  End states of a batch of
+sequences that differ only in their wait durations (a decay curve's storage
+times) are computed together: each segment's generator is built once, the
+maps of all pulses come from one expm call per Pade degree of the
+parameter sets over (pulse x member), and the waits are applied over
 (sequence x member), a bounded chunk of sequences at a time.
 Sampled segments are sampled on a whole fraction of the segment's clock (the
 readout's detector clock, else the duration).  A pulse raises the map of one
@@ -28,14 +29,15 @@ deterministic.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian
+from .lambda_system import (DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian,
+                           liouvillians)
 from .qstate import DensityMatrix3
 from .units import csv_text
 
@@ -282,7 +284,7 @@ def _expm(a: np.ndarray, name=None) -> np.ndarray:
     d = x[:, idx, idx]
     diag = np.flatnonzero(~x[:, idx[:, None] != idx].any(axis=1))
     theta = PADE_THETAS[13]
-    m = next(m for m in PADE_THETAS if m == 13 or norms.max(initial=0.0) <= PADE_THETAS[m])
+    m = _pade_degree(norms.max(initial=0.0))
     b = PADE_COEFFICIENTS[m]
     eye = np.eye(x.shape[-1], dtype=complex)
     depth = np.zeros(len(x))
@@ -305,6 +307,12 @@ def _expm(a: np.ndarray, name=None) -> np.ndarray:
     r[diag] = 0.0
     r[diag[:, None], idx, idx] = np.exp(d[diag])
     return r.reshape(a.shape)
+
+
+def _pade_degree(norm: float) -> int:
+    """The Pade degree of :func:`_expm` for a stack of largest 1-norm `norm`: the
+    least of 3, 5, 7, 9 whose theta_m bounds it, else 13."""
+    return next(m for m in PADE_THETAS if m == 13 or norm <= PADE_THETAS[m])
 
 
 def _pade13(x: np.ndarray, b: list, eye: np.ndarray) -> tuple:
@@ -339,18 +347,49 @@ def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
 _member = "member {}".format
 
 
-# an echo has 4 distinct drives: room for the generators of 64 parameter sets, ~330 kB
-@functools.lru_cache(maxsize=256)
-def _base_generator(p: LambdaParams, drive: tuple | None) -> np.ndarray:
-    """Read-only Liouvillian of `p` under a drive (rabi0, rabi1, phase0, phase1), None for a wait.
+class _GeneratorCache:
+    """Read-only Liouvillians by (parameters, drive), the drive (rabi0, rabi1,
+    phase0, phase1) or None for a wait, the oldest dropped beyond `maxsize`.
 
+    Called as ``cache(p, drive)`` for one generator or as ``cache.many(keys)``
+    for several, whose misses are built at once (:func:`liouvillians`).
     Neither a segment's duration, nor its Zeeman sign, nor any member offset
-    enters it, so segments sharing a drive share one cached generator.
+    enters a generator, so segments sharing a drive share one.
     """
-    segment = Wait(duration=1.0) if drive is None else PulseSpec(1.0, *drive)
-    gen = liouvillian(_segment_params(p, segment, 0.0))
-    gen.setflags(write=False)
-    return gen
+
+    def __init__(self, maxsize: int):
+        self.maxsize, self.store, self.misses = maxsize, {}, 0
+
+    def __call__(self, p: LambdaParams, drive: tuple | None) -> np.ndarray:
+        return self.many([(p, drive)])[0]
+
+    def many(self, keys: list) -> list:
+        try:
+            return [self.store[key] for key in keys]
+        except KeyError:
+            pass
+        new = [key for key in dict.fromkeys(keys) if key not in self.store]
+        built = liouvillians([_segment_params(p, Wait(duration=1.0) if drive is None
+                                              else PulseSpec(1.0, *drive), 0.0)
+                              for p, drive in new])
+        built.setflags(write=False)
+        self.store.update(zip(new, built))
+        self.misses += len(new)
+        found = [self.store[key] for key in keys]
+        while len(self.store) > self.maxsize:
+            del self.store[next(iter(self.store))]
+        return found
+
+    def cache_info(self) -> SimpleNamespace:
+        return SimpleNamespace(misses=self.misses, currsize=len(self.store))
+
+    def cache_clear(self) -> None:
+        self.store.clear()
+        self.misses = 0
+
+
+# an echo has 4 distinct drives: room for the generators of 64 parameter sets, ~330 kB
+_base_generator = _GeneratorCache(maxsize=256)
 
 
 def _drive(segment: Segment) -> tuple | None:
@@ -379,14 +418,14 @@ def member_generators(p, segment: Segment, offsets: np.ndarray, name=_member) ->
     """Generators (M, 9, 9) of one segment for the member rows of `offsets`.
 
     One Liouvillian per parameter set serves its members (`p`, see
-    :func:`_param_sets`): a member's detunings and its Zeeman offset, with
-    the segment's ``zeeman_sign``, only shift the diagonal.  A non-finite
-    entry raises a ConfigurationError naming the first such member by
-    `name(m)`.
+    :func:`_param_sets`), those not cached built at once: a member's
+    detunings and its Zeeman offset, with the segment's ``zeeman_sign``,
+    only shift the diagonal.  A non-finite entry raises a
+    ConfigurationError naming the first such member by `name(m)`.
     """
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     sets, which = _param_sets(p, len(offsets))
-    gen = np.array([_base_generator(q, _drive(segment)) for q in sets])[which]
+    gen = np.array(_base_generator.many([(q, _drive(segment)) for q in sets]))[which]
     gen.reshape(len(offsets), 81)[:, ::10] += _detuning_shift(offsets, segment.zeeman_sign)
     if not np.isfinite(gen.view(float)).all():
         m = int(np.argmin(np.isfinite(gen).all(axis=(1, 2))))
@@ -462,15 +501,23 @@ def _map_namer(names: list, member_name=_member):
 def _set_maps(gens: np.ndarray, p, name) -> np.ndarray:
     """Maps of a (map, member) stack of generators (K, M, 9, 9) whose members
     have the parameter sets `p` (see :func:`_param_sets`): one :func:`_expm`
-    call per set, since the Pade degree follows the largest 1-norm of a call
-    and one set's maps must not move with another's.  Several sets overwrite
-    `gens` in place.  `name(i, m)` names map i of member m."""
+    call per Pade degree of the sets.  A call's degree follows its largest
+    1-norm, and it is all that its matrices share (each takes its own
+    scaling depth), so each set's degree is taken from its own norms and the
+    sets of one degree are mapped together with the bits each would get
+    alone.  Several degrees overwrite `gens` in place.  `name(i, m)` names
+    map i of member m; the first failing map in (map, member) order is named.
+    """
     sets, which = _param_sets(p, gens.shape[1])
     if len(sets) == 1:
         return _expm(gens, name)
-    for s in range(len(sets)):
-        rows = np.flatnonzero(which == s)
-        gens[:, rows] = _expm(gens[:, rows], lambda i, m: name(i, int(rows[m])))
+    norms = _check_squarings(gens, name).reshape(gens.shape[:2]).max(axis=0)
+    degrees = np.array([_pade_degree(norms[which == s].max()) for s in range(len(sets))])[which]
+    if (degrees == degrees[0]).all():
+        return _expm(gens, name)
+    for m in sorted(set(degrees.tolist())):
+        rows = np.flatnonzero(degrees == m)
+        gens[:, rows] = _expm(gens[:, rows], lambda i, k: name(i, int(rows[k])))
     return gens
 
 
@@ -490,10 +537,10 @@ def check_pulse_maps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) ->
     |h L_ij| summed, plus |h (L_jj + shift_j)|, its own diagonal entry."""
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     pulses = [(k, seg) for k, seg in enumerate(seq.segments) if isinstance(seg, PulseSpec)]
+    bases = _base_generator.many([(p, _drive(seg)) for _, seg in pulses])
     norms, finite = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, seg in pulses:
-            base = _base_generator(p, _drive(seg))
+        for (_, seg), base in zip(pulses, bases):
             diag = seg.duration * (np.diagonal(base) + _detuning_shift(offsets, seg.zeeman_sign))
             off = np.abs(seg.duration * base)
             np.fill_diagonal(off, 0.0)
@@ -513,13 +560,14 @@ def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,
     times of a decay curve).  `p` gives the members' parameters, one
     LambdaParams or one per member (see :func:`_param_sets`).  Segment k's
     generator is built once for the member stack (:func:`member_generators`);
-    the maps of all pulses come from one :func:`_expm` call per parameter
-    set over (pulse x member) and apply to every (sequence, member) state, a
-    wait applies its closed-form map (:func:`wait_maps`).  The waits and
-    products run over one :func:`storage_chunks` chunk of sequences at a
-    time.  The states are returned unchecked: callers apply their remaining
-    maps and then :func:`_check_physical`.  `member_name` maps a member row
-    to its name in errors.
+    the maps of all pulses come from one :func:`_expm` call per Pade degree
+    of the sets over (pulse x member) (:func:`_set_maps`) and apply to every
+    (sequence, member) state, a wait applies its closed-form map
+    (:func:`wait_maps`).  The waits and products run over one
+    :func:`storage_chunks` chunk of sequences at a time.  The states are
+    returned unchecked: callers apply their remaining maps and then
+    :func:`_check_physical`.  `member_name` maps a member row to its name in
+    errors.
     """
     layout = seqs[0].segments
     if any(len(s.segments) != len(layout) for s in seqs):

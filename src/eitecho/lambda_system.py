@@ -80,21 +80,25 @@ def hamiltonian(p: LambdaParams) -> np.ndarray:
     return h
 
 
+# The four jump operators C, in the order of _jump_rates, with C^dag C.
+JUMPS = (np.outer(KET0, KETE.conj()), np.outer(KET1, KETE.conj()),
+         np.outer(KETE, KETE.conj()), np.diag([1.0, -1.0, 0.0]).astype(complex))
+_JUMP_NORMS = tuple(c.conj().T @ c for c in JUMPS)
+
+
+def _jump_rates(p: LambdaParams) -> tuple:
+    """Rate of each of the four JUMPS under `p`, None where the jump is absent."""
+    decay = p.gamma_opt_decay > 0.0
+    return (p.branch0 * p.gamma_opt_decay if decay and p.branch0 > 0.0 else None,
+            (1.0 - p.branch0) * p.gamma_opt_decay if decay and p.branch0 < 1.0 else None,
+            # rate 2*gamma on the projector gives optical coherences decay at gamma
+            2.0 * p.gamma_opt_deph if p.gamma_opt_deph > 0.0 else None,
+            # rate gamma/2 on (P0 - P1) makes the 0-1 coherence decay at gamma
+            0.5 * p.gamma_spin_deph if p.gamma_spin_deph > 0.0 else None)
+
+
 def _jump_operators(p: LambdaParams) -> list[tuple[float, np.ndarray]]:
-    ops = []
-    if p.gamma_opt_decay > 0.0:
-        if p.branch0 > 0.0:
-            ops.append((p.branch0 * p.gamma_opt_decay, np.outer(KET0, KETE.conj())))
-        if p.branch0 < 1.0:
-            ops.append(((1.0 - p.branch0) * p.gamma_opt_decay, np.outer(KET1, KETE.conj())))
-    if p.gamma_opt_deph > 0.0:
-        # rate 2*gamma on the projector gives optical coherences decay at gamma
-        ops.append((2.0 * p.gamma_opt_deph, np.outer(KETE, KETE.conj())))
-    if p.gamma_spin_deph > 0.0:
-        # rate gamma/2 on (P0 - P1) makes the 0-1 coherence decay at gamma
-        sz = np.diag([1.0, -1.0, 0.0]).astype(complex)
-        ops.append((0.5 * p.gamma_spin_deph, sz))
-    return ops
+    return [(gamma, c) for gamma, c in zip(_jump_rates(p), JUMPS) if gamma is not None]
 
 
 def lindblad_rhs(rho: np.ndarray, p: LambdaParams) -> np.ndarray:
@@ -130,20 +134,45 @@ def _superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ik,lj->ijkl", a, b).reshape(9, 9)
 
 
+_JUMP_SUPEROPS = tuple(_superop(c, c.conj().T) for c in JUMPS)
+
+
 def liouvillian(p: LambdaParams) -> np.ndarray:
-    """The master equation as a 9x9 linear map on the flattened density matrix.
+    """The master equation as a 9x9 linear map on the flattened density matrix
+    (see :func:`liouvillians`)."""
+    return liouvillians([p])[0]
+
+
+def liouvillians(ps) -> np.ndarray:
+    """The master equation of each LambdaParams of `ps` as a 9x9 linear map on
+    the flattened density matrix, (S, 9, 9) for S parameter sets, built at once.
 
     Closed form in the spre/spost idiom: the anticommutator terms fold into
     the effective Hamiltonian H_eff = H - (i/2) sum gamma C^dag C, leaving
     L = -i (S(H_eff, 1) - S(1, H_eff^dag)) + sum gamma S(C, C^dag) with
     S(a, b) the map X -> a X b.  It is the same map as :func:`lindblad_rhs`.
+    Each set's entries are those of the set built alone, bit for bit: a set
+    takes no term of a jump it lacks, since adding a zero term would turn a
+    -0.0 entry into +0.0.
     """
-    jumps = _jump_operators(p)
-    h_eff = hamiltonian(p)
-    for gamma, c in jumps:
-        h_eff -= 0.5j * gamma * (c.conj().T @ c)
+    fields = np.array([(p.rabi0, p.rabi1, p.phase0, p.phase1, p.delta_opt, p.delta_spin)
+                       for p in ps])
+    h = np.zeros((len(fields), 3, 3), dtype=complex)          # as hamiltonian() builds each
+    h.reshape(-1, 9)[:, 0:5:4] = np.multiply(fields[:, 5:], [0.5, -0.5])
+    h[:, 2, 2] = fields[:, 4]
+    h[:, 2, :2] = 0.5 * fields[:, :2] * np.exp(1j * fields[:, 2:4])
+    h[:, :2, 2] = np.conj(h[:, 2, :2])
+    rates = np.array([_jump_rates(p) for p in ps], dtype=float)     # nan: jump absent
+    present = ~np.isnan(rates)
+    # every zero of a C^dag C is +0, so an absent jump's zero rate subtracts
+    # +0 from every entry of H_eff, which moves no bit
+    gammas = np.where(present, rates, 0.0)
+    for j, norm in enumerate(_JUMP_NORMS):
+        h -= (0.5j * gammas[:, j])[:, None, None] * norm
     eye = np.eye(3)
-    sup = -1j * (_superop(h_eff, eye) - _superop(eye, h_eff.conj().T))
-    for gamma, c in jumps:
-        sup += gamma * _superop(c, c.conj().T)
+    sup = -1j * (np.einsum("sik,lj->sijkl", h, eye)
+                 - np.einsum("ik,slj->sijkl", eye, h.conj().swapaxes(1, 2)))
+    sup = sup.reshape(-1, 9, 9)
+    for j, term in enumerate(_JUMP_SUPEROPS):
+        np.add(sup, gammas[:, j, None, None] * term, out=sup, where=present[:, j, None, None])
     return sup

@@ -27,9 +27,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _map_namer,
-                       _member, _set_maps, geometric_sum, member_generators, mirror_half,
-                       mirror_phases, sequence_endpoints, storage_chunks, whole_steps)
+from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _base_generator, _check_physical,
+                       _drive, _map_namer, _member, _set_maps, geometric_sum, member_generators,
+                       mirror_half, mirror_phases, sequence_endpoints, storage_chunks,
+                       whole_steps)
 from .ensemble import MIXED_GROUND, EnsembleSpec, member_stack
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
@@ -255,13 +256,18 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params, specs: list, mod
     seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()))
     # the readout pulse is mapped, and so has to mirror, in beat mode only
     segments = seqs[0].segments + ((readout,) if mode == "beat" else ())
-    # equal parameter sets share their maps; a dict groups them, since
-    # np.unique imports numpy.ma, which costs more than a cold curve pass
+    # equal parameter sets share their maps, and equal specs their member
+    # stacks; dicts group them, since np.unique imports numpy.ma, which costs
+    # more than a cold curve pass
     index = {}
     spec_sets = [index.setdefault(p, len(index)) for p in params]
     sets = tuple(index)
+    # every generator of the call, built at once
+    _base_generator.many([(p, drive) for drive in dict.fromkeys(map(_drive, segments))
+                          for p in sets])
     set_phases = [mirror_phases(MIXED_GROUND, p, segments) for p in sets]
-    stacks = [member_stack(spec) for spec in specs]
+    stack_of = {spec: member_stack(spec) for spec in dict.fromkeys(specs)}
+    stacks = [stack_of[spec] for spec in specs]
     halves = [None if set_phases[s] is None else mirror_half(*stack)
               for s, stack in zip(spec_sets, stacks)]
     folded = np.array([half is not None for half in halves])
@@ -300,13 +306,13 @@ def assemble_decay_curves(cfg: EchoConfig, taus, params, specs,
     `params` is one LambdaParams for every spec, or a sequence of one per
     spec (a temperature scan's optical dephasing rates).  The specs share
     the echo layout, so every curve's storage times and members are one
-    stack: each segment's generator is built once per parameter set, the
-    pulse maps come from one expm call per distinct set (its Pade degree
-    follows its own norms, so a curve's bits do not depend on the others),
-    and the waits, which alone depend on the storage time, are applied in
-    closed form, a bounded chunk of storage times at a time (see
-    :func:`eitecho.dynamics.sequence_endpoints`).  `labels`, one per spec,
-    name the spec of a failing member in errors.
+    stack: the generators of every (parameter set, drive) are built at
+    once, the pulse maps come from one expm call per Pade degree of the sets
+    (each set's degree follows its own norms, so a curve's bits do not
+    depend on the others), and the waits, which alone depend on the storage
+    time, are applied in closed form, a bounded chunk of storage times at a
+    time (see :func:`eitecho.dynamics.sequence_endpoints`).  `labels`, one
+    per spec, name the spec of a failing member in errors.
     """
     taus, specs = np.asarray(list(taus), dtype=float), list(specs)
     if taus.size < 3:
@@ -353,48 +359,54 @@ def student_t_quantile(dof: int, p: float) -> float:
 
 
 def _model(theta: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    a, t2, c = theta
+    """A e^{-tau/T2} + C of the rows (A, T2, C) of `theta` (..., 3) at their `taus` (..., n)."""
+    a, t2, c = theta.T[..., None]
     return a * np.exp(-taus / t2) + c
 
 
 def _jacobian(theta: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    a, t2, c = theta
+    """Jacobians (..., n, 3) of :func:`_model` in (A, T2, C)."""
+    a, t2, _ = theta.T[..., None]
     e = np.exp(-taus / t2)
-    j = np.empty((taus.size, 3))
-    j[:, 0] = e
-    j[:, 1] = a * e * taus / (t2 * t2)
-    j[:, 2] = 1.0
+    j = np.empty(taus.shape + (3,))
+    j[..., 0] = e
+    j[..., 1] = a * e * taus / (t2 * t2)
+    j[..., 2] = 1.0
     return j
 
 
 def _rate_profile(rates: np.ndarray, s: np.ndarray, yc: np.ndarray) -> tuple:
-    """Reduced cost R, its slope dR/dx and the amplitude b at each scaled rate x
-    of `rates`, a float or an array.
+    """Reduced cost R, its slope dR/dx and the amplitude b (C, R) of C curves at
+    the scaled rates x of `rates`, (R,) for every curve or (C, R), one row each.
 
-    `s` are the storage times less the first over their span, `yc` the
-    amplitudes less their mean.  For a fixed x the best b and offset of
-    b e^{-x s} + c are linear least squares: with u the centred e^{-x s},
-    b = u.yc / u.u and the residual is r = yc - b u, so R = r.r.  Since b
-    and c are optimal at every x, dR/dx = 2 b r.f with f the centred
+    `s` (C, n) are the storage times less the first over their span, `yc`
+    (C, n) the amplitudes less their mean.  For a fixed x the best b and
+    offset of b e^{-x s} + c are linear least squares: with u the centred
+    e^{-x s}, b = u.yc / u.u and the residual is r = yc - b u, so R = r.r.
+    Since b and c are optimal at every x, dR/dx = 2 b r.f with f the centred
     s e^{-x s} = -de/dx.  Both sums are of residuals, with no cancellation
     of large terms; centring f as well drops the rounding of sum(r) = 0.
+    Every row is reduced on its own, in the order of a curve fitted alone.
     """
-    u = np.expm1(-np.multiply.outer(rates, s))          # e - 1: exact for x s << 1
+    s = s[:, None, :]
+    u = np.expm1(-(rates[..., None] * s))               # e - 1: exact for x s << 1
     f = s * (u + 1.0)
-    u -= u.mean(axis=-1, keepdims=True)
-    f -= f.mean(axis=-1, keepdims=True)
-    b = (u @ yc) / (u * u).sum(axis=-1)
-    r = yc - np.expand_dims(b, -1) * u
+    # the means as np.mean takes them, without its overhead
+    u -= u.sum(axis=-1, keepdims=True) / s.shape[-1]
+    f -= f.sum(axis=-1, keepdims=True) / s.shape[-1]
+    b = (u @ yc[:, :, None])[..., 0] / (u * u).sum(axis=-1)
+    r = yc[:, None, :] - b[..., None] * u
     return (r * r).sum(axis=-1), 2.0 * b * (r * f).sum(axis=-1), b
 
 
-def _refine_rate(a: float, b: float, slope_a: float, slope_b: float, slope) -> tuple:
-    """Root of dR/dx = `slope(x)` in [a, b], where it rises from <= 0 to >= 0.
+def _refine_rate(a: float, b: float, slope_a: float, slope_b: float):
+    """Root of dR/dx in [a, b], where it rises from <= 0 to >= 0, as a generator:
+    it yields each rate whose slope it needs, is sent the slope there, and
+    returns the rate and the number of slope evaluations.
 
     Secant steps through the last two rates, bisection when a step leaves
     the bracket or the bracket has not halved over the last two steps.  Stops
-    when a step moves the rate by less than FIT_RELATIVE_STEP_TOL relative;
-    returns the rate and the number of slope evaluations.
+    when a step moves the rate by less than FIT_RELATIVE_STEP_TOL relative.
     """
     if slope_a == 0.0 or slope_b == 0.0:
         return (a if slope_a == 0.0 else b), 0
@@ -408,7 +420,7 @@ def _refine_rate(a: float, b: float, slope_a: float, slope_b: float, slope) -> t
             secant = x1 - g1 * (x1 - x0) / (g1 - g0)
             if a < secant < b:
                 x = secant
-        g = slope(x)
+        g = yield x
         if g == 0.0 or not abs(x - x1) > FIT_RELATIVE_STEP_TOL * x:
             return x, iterations
         if g < 0.0:
@@ -419,87 +431,177 @@ def _refine_rate(a: float, b: float, slope_a: float, slope_b: float, slope) -> t
         (x0, g0), (x1, g1) = (x1, g1), (x, g)
 
 
-def fit_decay(curve: DecayCurve) -> FitResult:
+def lockstep(searches: list, f) -> list:
+    """Results of generator searches run in lockstep, each one yielding its trial
+    points and sent the value there: each round sends the pending points of
+    the unfinished searches to one call ``f(indices, points)``, which returns
+    one value per point, so each search visits the points it would visit alone.
+    """
+    pending, found = {}, [None] * len(searches)
+    for i, search in enumerate(searches):
+        try:
+            pending[i] = next(search)
+        except StopIteration as stop:
+            found[i] = stop.value
+    while pending:
+        ids = list(pending)
+        for i, value in zip(ids, f(ids, np.array([pending[i] for i in ids]))):
+            try:
+                pending[i] = searches[i].send(float(value))
+            except StopIteration as stop:
+                found[i] = stop.value
+                del pending[i]
+    return found
+
+
+def fit_decay(curves):
     """Least-squares fit of A*exp(-tau/T2) + C as a search over the rate alone.
+
+    `curves` is one DecayCurve, whose FitResult is returned or whose
+    FitFailureError is raised, or a sequence of them (a stack) with one
+    number of storage times, whose fits run together: the result has one
+    entry per curve, its FitResult or the FitFailureError that fitting it
+    alone raises, with the same bits.
 
     A and C enter linearly, so for each rate they follow in closed form and
     the fit minimizes the reduced cost R over one parameter (variable
     projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  R is
-    evaluated on the fixed rate grid FIT_RATE_GRID; a best grid rate at
-    either end fails at once, the fit running away to a straight line or a
-    step, with the reason, the best rate (1/s) and R at both ends as
-    diagnostics.  Otherwise the zero of dR/dk beside the best grid rate is
-    refined to a relative step of 1e-10 (:func:`_refine_rate`, whose count
-    of slope evaluations is ``iterations``).  The covariance is (J^T J)^-1
-    of the full three-parameter Jacobian, scaled by the residual variance;
-    95% intervals use the 0.975 quantile of Student's t with n - 3 degrees
-    of freedom, solved from the distribution's finite series
-    (:func:`student_t_quantile`).
+    evaluated on the fixed rate grid FIT_RATE_GRID, for all curves at once;
+    a best grid rate at either end fails at once, the fit running away to a
+    straight line or a step, with the reason, the best rate (1/s) and R at
+    both ends as diagnostics.  Otherwise the zero of dR/dk beside the best
+    grid rate is refined to a relative step of 1e-10, the curves' searches
+    in lockstep (:func:`_refine_rate`, whose count of slope evaluations is
+    ``iterations``).  The covariance is (J^T J)^-1 of the full
+    three-parameter Jacobian, scaled by the residual variance; 95% intervals
+    use the 0.975 quantile of Student's t with n - 3 degrees of freedom,
+    solved from the distribution's finite series (:func:`student_t_quantile`).
     """
-    taus = curve.taus
-    y = curve.amplitudes
-    n = taus.size
-    if n < FIT_MIN_POINTS:
-        raise FitFailureError(f"fit_decay needs at least {FIT_MIN_POINTS} points, got {n}")
-    if not np.all(np.isfinite(y)):
-        raise FitFailureError("fit_decay: non-finite amplitudes")
-    if np.ptp(y) == 0.0:
-        raise FitFailureError("fit_decay: degenerate curve with zero variance")
+    if isinstance(curves, DecayCurve):
+        (fit,) = fit_decay([curves])
+        if isinstance(fit, FitFailureError):
+            raise fit
+        return fit
+    curves = list(curves)
+    fits = [_checked(curve) for curve in curves]
+    live = [i for i, fit in enumerate(fits) if fit is None]
+    if len({curves[i].taus.size for i in live}) > 1:
+        raise ValidationError("fit_decay: the curves of a stack need one number of storage times")
+    if live:
+        stack = _fit_stack(np.array([curves[i].taus for i in live]),
+                           np.array([curves[i].amplitudes for i in live]))
+        for i, fit in zip(live, stack):
+            fits[i] = fit
+    return fits
 
+
+def _checked(curve: DecayCurve) -> FitFailureError | None:
+    """Why `curve` cannot be fitted at all, if it cannot."""
+    if curve.taus.size < FIT_MIN_POINTS:
+        return FitFailureError(
+            f"fit_decay needs at least {FIT_MIN_POINTS} points, got {curve.taus.size}")
+    if not np.all(np.isfinite(curve.amplitudes)):
+        return FitFailureError("fit_decay: non-finite amplitudes")
+    if np.ptp(curve.amplitudes) == 0.0:
+        return FitFailureError("fit_decay: degenerate curve with zero variance")
+    return None
+
+
+def _fit_stack(taus: np.ndarray, y: np.ndarray) -> list:
+    """:func:`fit_decay` of the curves y (C, n) at their storage times `taus` (C, n)."""
     # the rate in units of one per span, the time from the first storage time
-    span = taus[-1] - taus[0]
-    s = (taus - taus[0]) / span
-    yc = y - y.mean()
+    span = taus[:, -1] - taus[:, 0]
+    s = (taus - taus[:, :1]) / span[:, None]
+    yc = y - y.mean(axis=-1, keepdims=True)
+    fits, searches = _grid_brackets(span, s, yc)
+    if searches:
+        rows = np.array(list(searches))
+        taus, y, span, s, yc = taus[rows], y[rows], span[rows], s[rows], yc[rows]
+        found = lockstep(list(searches.values()),
+                         lambda ids, x: _rate_profile(x[:, None], s[ids], yc[ids])[1][:, 0])
+        for row, fit in zip(rows, _refined_fits(taus, y, span, s, yc, found)):
+            fits[row] = fit
+    return fits
+
+
+def _grid_brackets(span: np.ndarray, s: np.ndarray, yc: np.ndarray) -> tuple:
+    """The grid stage of :func:`_fit_stack`: a list with the failure of each
+    curve that runs away or has no bracket, else None, and a dict of the
+    others' :func:`_refine_rate` searches by row."""
     costs, slopes, _ = _rate_profile(FIT_RATE_GRID, s, yc)
-    best = int(np.argmin(costs))
-    if costs[-1] == costs[best]:
-        # rates fast enough to leave e^{-x s} = 0 beyond the first point tie
-        best = FIT_RATE_GRID.size - 1
-    ends = {"best_rate_per_s": float(FIT_RATE_GRID[best] / span),
-            "cost_slow_end": float(costs[0]), "cost_fast_end": float(costs[-1])}
-    if best == 0:
-        raise FitFailureError(
-            "fit_decay: no finite T2 within 10^3 storage-time spans: "
-            "the best fit is a straight line", diagnostics={"reason": "straight line", **ends})
-    if best == FIT_RATE_GRID.size - 1:
-        raise FitFailureError(
-            "fit_decay: no T2 above 10^-3 storage-time spans: the best fit is "
-            "a step after the first storage time", diagnostics={"reason": "step", **ends})
-    lo = best if slopes[best] < 0.0 else best - 1
-    if not (slopes[lo] <= 0.0 <= slopes[lo + 1]):
-        raise FitFailureError("fit_decay: the slope of the reduced cost does not change "
-                              "sign beside its best grid rate",
-                              diagnostics={"reason": "no bracket", **ends})
-    x, iterations = _refine_rate(
-        float(FIT_RATE_GRID[lo]), float(FIT_RATE_GRID[lo + 1]), float(slopes[lo]),
-        float(slopes[lo + 1]), lambda x: float(_rate_profile(x, s, yc)[1]))
-    b = float(_rate_profile(x, s, yc)[2])
+    rows = np.arange(len(s))
+    best = np.argmin(costs, axis=-1)
+    # rates fast enough to leave e^{-x s} = 0 beyond the first point tie
+    best[costs[:, -1] == costs[rows, best]] = FIT_RATE_GRID.size - 1
+    lo = np.where(slopes[rows, best] < 0.0, best, best - 1)
+    fits, searches = [None] * len(s), {}
+    for k in rows.tolist():
+        ends = {"best_rate_per_s": float(FIT_RATE_GRID[best[k]] / span[k]),
+                "cost_slow_end": float(costs[k, 0]), "cost_fast_end": float(costs[k, -1])}
+        if best[k] == 0:
+            fits[k] = FitFailureError(
+                "fit_decay: no finite T2 within 10^3 storage-time spans: "
+                "the best fit is a straight line", diagnostics={"reason": "straight line", **ends})
+        elif best[k] == FIT_RATE_GRID.size - 1:
+            fits[k] = FitFailureError(
+                "fit_decay: no T2 above 10^-3 storage-time spans: the best fit is "
+                "a step after the first storage time", diagnostics={"reason": "step", **ends})
+        elif not slopes[k, lo[k]] <= 0.0 <= slopes[k, lo[k] + 1]:
+            fits[k] = FitFailureError("fit_decay: the slope of the reduced cost does not change "
+                                      "sign beside its best grid rate",
+                                      diagnostics={"reason": "no bracket", **ends})
+        else:
+            searches[k] = _refine_rate(
+                float(FIT_RATE_GRID[lo[k]]), float(FIT_RATE_GRID[lo[k] + 1]),
+                float(slopes[k, lo[k]]), float(slopes[k, lo[k] + 1]))
+    return fits, searches
+
+
+def _refined_fits(taus, y, span, s, yc, found: list) -> list:
+    """The last stage of :func:`_fit_stack`: the FitResult, or the failure, of
+    each curve whose search `found` (rate, iterations)."""
+    x = np.array([rate for rate, _ in found])
+    b = _rate_profile(x[:, None], s, yc)[2][:, 0]
     with np.errstate(over="ignore"):
         # A is the amplitude at tau = 0, which a late first storage time overflows
-        theta = np.array([b * np.exp(x * taus[0] / span), span / x,
-                          y.mean() - b * np.mean(np.exp(-x * s))])
-    if not np.all(np.isfinite(theta)):
-        raise FitFailureError("fit_decay converged to unphysical parameters",
-                              diagnostics={"theta": theta.tolist()})
+        theta = np.stack([b * np.exp(x * taus[:, 0] / span), span / x,
+                          y.mean(axis=-1) - b * np.exp(-x[:, None] * s).mean(axis=-1)], axis=-1)
+    finite = np.isfinite(theta).all(axis=-1)
+    fits = [None if ok else FitFailureError("fit_decay converged to unphysical parameters",
+                                            diagnostics={"theta": row.tolist()})
+            for row, ok in zip(theta, finite)]
+    physical = np.flatnonzero(finite)
+    theta, taus, y = theta[physical], taus[physical], y[physical]
     resid = y - _model(theta, taus)
-    cost = float(resid @ resid)
-
     j = _jacobian(theta, taus)
-    dof = n - 3
-    sigma2 = cost / dof if dof > 0 else float("nan")
+    jtj = j.swapaxes(-1, -2) @ j
     try:
-        cov = sigma2 * np.linalg.inv(j.T @ j)
+        inverses = list(np.linalg.inv(jtj))
+    except np.linalg.LinAlgError:          # one is singular: invert one at a time
+        inverses = [_inverse(m) for m in jtj]
+    n = taus.shape[-1]
+    tval = student_t_quantile(n - 3, 0.975)
+    for k, row, inverse, cost in zip(physical, theta, inverses, np.vecdot(resid, resid).tolist()):
+        if inverse is None:
+            fits[k] = FitFailureError("fit_decay: singular Jacobian at the optimum",
+                                      diagnostics={"theta": row.tolist()})
+            continue
+        cov = cost / (n - 3) * inverse
+        fits[k] = FitResult(
+            amplitude=float(row[0]),
+            t2=float(row[1]),
+            offset=float(row[2]),
+            covariance=cov,
+            ci95=tuple(float(tval * math.sqrt(max(cov[d, d], 0.0))) for d in range(3)),
+            residual_rms=math.sqrt(cost / n),
+            iterations=found[k][1],
+        )
+    return fits
+
+
+def _inverse(m: np.ndarray) -> np.ndarray | None:
+    """The inverse of a matrix, None where it is singular."""
+    try:
+        return np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        raise FitFailureError("fit_decay: singular Jacobian at the optimum",
-                              diagnostics={"theta": theta.tolist()})
-    tval = student_t_quantile(dof, 0.975)
-    ci = tuple(float(tval * math.sqrt(max(cov[i, i], 0.0))) for i in range(3))
-    return FitResult(
-        amplitude=float(theta[0]),
-        t2=float(theta[1]),
-        offset=float(theta[2]),
-        covariance=cov,
-        ci95=ci,
-        residual_rms=float(math.sqrt(cost / n)),
-        iterations=iterations,
-    )
+        return None

@@ -25,7 +25,7 @@ from .ensemble import EnsembleSpec, ensemble_final_state
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .qstate import GroundQubitState, fidelity
-from .readout import DecayCurve, FitResult, assemble_decay_curves, fit_decay
+from .readout import DecayCurve, FitResult, assemble_decay_curves, fit_decay, lockstep
 from .sequences import EchoConfig, dark_target, make_echo_sequence
 from .units import csv_text
 
@@ -136,8 +136,9 @@ def field_sweep(fields, cfg: EchoConfig, params: LambdaParams,
                 mode: str = "proxy") -> list[FieldSweepPoint]:
     """Echo decay curve, fit, and beat-minimum time for each vertical field value.
 
-    The curves of all fields are one batched call: a field enters only
-    through the Zeeman branches of its ensemble.
+    The curves of all fields are one batched call, a field entering only
+    through the Zeeman branches of its ensemble, and their fits one
+    :func:`eitecho.readout.fit_decay` call; a failed fit leaves ``fit`` None.
     """
     model = model or FieldModel()
     fields = [float(b) for b in fields]
@@ -145,16 +146,10 @@ def field_sweep(fields, cfg: EchoConfig, params: LambdaParams,
     specs = [replace(spec, zeeman_branches=branches_for_splitting(s)) for s in splittings]
     curves = assemble_decay_curves(cfg, taus, params, specs, mode=mode,
                                    labels=[f"field {b:g} T" for b in fields])
-    points = []
-    for b, splitting, curve in zip(fields, splittings, curves):
-        try:
-            fit = fit_decay(curve)
-        except FitFailureError:
-            fit = None
-        points.append(FieldSweepPoint(
-            field=b, splitting=splitting, curve=curve, fit=fit,
-            beat_minimum=first_minimum(curve.taus, curve.amplitudes)))
-    return points
+    return [FieldSweepPoint(field=b, splitting=splitting, curve=curve,
+                            fit=None if isinstance(fit, FitFailureError) else fit,
+                            beat_minimum=first_minimum(curve.taus, curve.amplitudes))
+            for b, splitting, curve, fit in zip(fields, splittings, curves, fit_decay(curves))]
 
 
 @dataclass(frozen=True)
@@ -172,12 +167,13 @@ def temperature_scan(temperatures, tm: TemperatureModel, cfg: EchoConfig,
     """Echo decay curve and fit per temperature with the optical dephasing rate rescaled.
 
     The curves of all temperatures are one batched call, each with its own
-    parameters (:func:`eitecho.readout.assemble_decay_curves`).  Amplitudes
-    are the echo amplitude at the shortest requested storage time,
-    normalized to the first scan point as listed.  The amplitude metric is
-    the stored-coherence proxy by default: the phenomenon under test is the
-    loss of dark-state initialization once optical dephasing outruns the
-    init pulse, not the detection chain.
+    parameters (:func:`eitecho.readout.assemble_decay_curves`), and their fits
+    one :func:`eitecho.readout.fit_decay` call.  Amplitudes are the echo
+    amplitude at the shortest requested storage time, normalized to the
+    first scan point as listed.  The amplitude metric is the stored-coherence
+    proxy by default: the phenomenon under test is the loss of dark-state
+    initialization once optical dephasing outruns the init pulse, not the
+    detection chain.
     """
     temperatures = [float(t) for t in temperatures]
     if any(t <= 0.0 for t in temperatures):
@@ -187,12 +183,8 @@ def temperature_scan(temperatures, tm: TemperatureModel, cfg: EchoConfig,
                                    labels=[f"temperature {t:g} K" for t in temperatures])
     results = []
     reference = None
-    for t, curve in zip(temperatures, curves):
-        try:
-            fit = fit_decay(curve)
-            fitted_t2, ci = fit.t2, fit.ci95[1]
-        except FitFailureError:
-            fitted_t2, ci = None, None
+    for t, curve, fit in zip(temperatures, curves, fit_decay(curves)):
+        fitted_t2, ci = (None, None) if isinstance(fit, FitFailureError) else (fit.t2, fit.ci95[1])
         amp = curve.amplitudes[0]
         if reference is None:
             reference = amp if amp > 0.0 else 1.0
@@ -338,17 +330,7 @@ def lockstep_brent(f, lo, hi, xatol: float, maxfun: int) -> tuple:
     one call ``f(components, points)``, which returns one value per point, so
     component i visits the points of the sequential search of f_i alone.
     """
-    searches = [brent_min(float(a), float(b), xatol, maxfun) for a, b in zip(lo, hi)]
-    pending = {i: next(s) for i, s in enumerate(searches)}
-    found = [None] * len(searches)
-    while pending:
-        axes = list(pending)
-        for i, value in zip(axes, f(axes, np.array([pending[i] for i in axes]))):
-            try:
-                pending[i] = searches[i].send(float(value))
-            except StopIteration as stop:
-                found[i] = stop.value
-                del pending[i]
+    found = lockstep([brent_min(float(a), float(b), xatol, maxfun) for a, b in zip(lo, hi)], f)
     return tuple(np.array(column) for column in zip(*found))
 
 

@@ -1,17 +1,19 @@
 """The separable decay fit: recovery of exact curves, runaways that fail at
-once with their reason, and a scipy least-squares oracle on the default
-study curves."""
+once with their reason, a scipy least-squares oracle on the default study
+curves, and stacks of curves fitted together with the bits and failures of
+each curve fitted alone."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from eitecho import readout
 from eitecho.config import DEFAULT_CONFIG_TEXT, parse_config
-from eitecho.errors import FitFailureError
-from eitecho.readout import FIT_RATE_GRID, DecayCurve, assemble_decay_curve, fit_decay
+from eitecho.errors import FitFailureError, ValidationError
+from eitecho.readout import (FIT_RATE_GRID, DecayCurve, FitResult, assemble_decay_curve,
+                             fit_decay)
 from eitecho.studies import field_sweep
 
 SPAN = 160e-6
@@ -118,3 +120,101 @@ def test_least_squares_cannot_improve_on_the_default_study_fits():
     # 3 of 5 temperatures and 15 of 20 fields: the 3.9 K and 5.5 K curves and
     # the 10-30 uT beats run away to straight lines
     assert converged == 3 + 15
+
+
+KINDS = ("decay", "straight line", "step", "zero variance", "non-finite")
+
+
+def stack_curve(kind: str, taus: np.ndarray, t2_in_spans: float, seed: int) -> DecayCurve:
+    """A curve of `kind` on `taus`: a noisy decay of T2 = t2_in_spans spans, one
+    that fails as each runaway, a constant one or one with a non-finite point."""
+    rng = np.random.default_rng(seed)
+    x = (taus - taus[0]) / (taus[-1] - taus[0])
+    if kind == "decay":
+        y = np.exp(-x / t2_in_spans) + rng.uniform(0.0, 1.0) + 1e-3 * rng.normal(size=x.size)
+    elif kind == "straight line":
+        y = 1.0 - x ** 2
+    elif kind == "step":
+        y = np.full(x.size, 0.25)
+        y[0] = 1.0
+    elif kind == "zero variance":
+        y = np.full(x.size, rng.uniform(0.0, 1.0))
+    else:
+        y = np.exp(-x)
+        y[rng.integers(x.size)] = rng.choice([np.nan, np.inf])
+    return DecayCurve(taus=taus, amplitudes=np.abs(y))
+
+
+def alone(curve: DecayCurve):
+    try:
+        return fit_decay(curve)
+    except FitFailureError as exc:
+        return exc
+
+
+def assert_same_fit(got, want) -> None:
+    """Bitwise: a FitResult field for field, a failure by message and diagnostics."""
+    assert type(got) is type(want)
+    if isinstance(want, FitFailureError):
+        assert (str(got), repr(got.diagnostics)) == (str(want), repr(want.diagnostics))
+        return
+    fields = lambda f: [v.hex() for v in (f.amplitude, f.t2, f.offset, *f.ci95, f.residual_rms)]
+    assert fields(got) == fields(want)
+    assert got.iterations == want.iterations
+    assert np.array_equal(got.covariance.view(np.uint64), want.covariance.view(np.uint64))
+
+
+# every kind of curve in one stack, on storage times starting 1000 spans
+# late: there the fast decay's amplitude at tau = 0 overflows ("unphysical")
+# while the slow one fits
+EVERY_KIND = [("decay", 3.0), ("decay", 0.2), *((kind, 1.0) for kind in KINDS[1:])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(curves=st.lists(st.tuples(st.sampled_from(KINDS), st.floats(0.05, 20.0)), min_size=1,
+                       max_size=8),
+       start_in_spans=st.sampled_from([0.0, 0.5, 1000.0]), n=st.integers(5, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(curves=EVERY_KIND, start_in_spans=1000.0, n=9, seed=0)
+def test_a_stack_fits_each_curve_as_alone(curves, start_in_spans, n, seed):
+    taus = (start_in_spans + np.linspace(0.0, 1.0, n)) * SPAN
+    stack = [stack_curve(kind, taus, t2, seed + k) for k, (kind, t2) in enumerate(curves)]
+    fits = fit_decay(stack)
+    assert len(fits) == len(stack)
+    for curve, fit in zip(stack, fits):
+        assert_same_fit(fit, alone(curve))
+
+
+def test_every_failure_of_a_stack_keeps_its_reason():
+    taus = (1000.0 + np.linspace(0.0, 1.0, 9)) * SPAN
+    stack = [stack_curve(kind, taus, t2, k) for k, (kind, t2) in enumerate(EVERY_KIND)]
+    fits = fit_decay(stack)
+    assert isinstance(fits[0], FitResult)
+    assert [str(f).split(":")[-1].strip() if not f.diagnostics.get("reason") else
+            f.diagnostics["reason"] for f in fits[1:]] == [
+        "fit_decay converged to unphysical parameters", "straight line", "step",
+        "degenerate curve with zero variance", "non-finite amplitudes"]
+
+
+def test_a_curve_without_bracket_fails_alone_and_in_a_stack(monkeypatch):
+    # on a coarse grid a fast and a slow decay leave two wells in the reduced
+    # cost, and the best grid rate has no sign change of the slope beside it
+    monkeypatch.setattr(readout, "FIT_RATE_GRID", np.logspace(-3.0, 3.0, 13))
+    taus = np.linspace(0.0, 1.0, 37)
+    two_wells = DecayCurve(taus=taus,
+                           amplitudes=np.exp(-0.3 * taus) + 0.5 * np.exp(-300.0 * taus))
+    stack = [stack_curve("decay", taus, 0.5, 1), two_wells, stack_curve("step", taus, 1.0, 2)]
+    fits = fit_decay(stack)
+    assert fits[1].diagnostics["reason"] == "no bracket"
+    for curve, fit in zip(stack, fits):
+        assert_same_fit(fit, alone(curve))
+
+
+def test_short_curves_fail_and_a_ragged_stack_is_refused():
+    short = DecayCurve(taus=np.linspace(1e-6, 4e-6, 4), amplitudes=np.array([4.0, 3.0, 2.0, 1.5]))
+    fits = fit_decay([short, short])
+    assert [str(f) for f in fits] == ["fit_decay needs at least 5 points, got 4"] * 2
+    longer = stack_curve("decay", np.linspace(1e-6, 9e-6, 9), 1.0, 0)
+    with pytest.raises(ValidationError, match="one number of storage times"):
+        fit_decay([longer, stack_curve("decay", np.linspace(1e-6, 9e-6, 7), 1.0, 0)])
+    assert fit_decay([]) == []

@@ -2,11 +2,12 @@
 
 A temperature scan's curves differ in their optical dephasing rate, so each
 spec brings its own LambdaParams.  The batched call must give every curve the
-bits of a call of its own: one expm call per distinct parameter set (the Pade
-degree follows the largest norm of a call), and a mirror fold decided per
-spec.  The endpoint path works through the storage times in chunks of at
-most BATCH_STATES (storage time x member) states; chunks must not move a bit
-or change which member and storage time an error names.
+bits of a call of its own: one expm call per Pade degree of the parameter sets
+(the degree follows the largest norm of a call, and each set's is taken from
+its own norms), and a mirror fold decided per spec.  The endpoint path works
+through the storage times in chunks of at most BATCH_STATES (storage time x
+member) states; chunks must not move a bit or change which member and storage
+time an error names.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import eitecho.dynamics as dynamics
 import eitecho.studies as studies
+from eitecho.config import parse_config
 from eitecho.dynamics import PADE_THETAS, wait_maps
 from eitecho.ensemble import EnsembleSpec
 from eitecho.errors import ConfigurationError, ValidationError
@@ -31,6 +33,10 @@ GRID = EnsembleSpec(optical_fwhm=170e3, spin_fwhm=20e3, n_optical=3, n_spin=3)
 # a weak init pulse whose maps cross Pade thresholds as the optical rate grows:
 # at 1e4/s its stack takes a lower degree than at 3e6/s (checked below)
 WEAK = EchoConfig(tau=TAUS[0], init_area=0.05 * np.pi, rephase_area=0.1 * np.pi, **SHORT)
+# the config of the second-run temp-scan comparison in .github/workflows/tier1.yml:
+# short weak pulses, so that the scan's cold and hot points map at different degrees
+STRADDLING_SCAN = ("sequence: {tau: 60us, t_init: 0.5us, t_rephase: 0.5us, init_area_pi: 0.05, "
+                   "rephase_area_pi: 0.1}\n")
 
 
 def alone(cfg, taus, params, specs, mode) -> list:
@@ -87,13 +93,19 @@ class TestOneSetPerSpec:
         assert len(pade_degrees) == 2
         assert pade_degrees[0] < pade_degrees[1]
 
-    @pytest.mark.parametrize("mode, per_set", [("proxy", 1), ("beat", 2)])
-    def test_one_expm_call_per_distinct_set(self, pade_degrees, mode, per_set):
-        rates = [1e5, 3e6, 1e5, 3e6, 1e6]
-        params = [PARAMS.replace(gamma_opt_deph=r) for r in rates]
-        assemble_decay_curves(EchoConfig(tau=TAUS[0], **SHORT), TAUS, params, [GRID] * 5,
+    @pytest.mark.parametrize("mode, stacks", [("proxy", 1), ("beat", 2)])
+    def test_one_expm_call_per_pade_degree(self, pade_degrees, mode, stacks):
+        # a call maps one stack in proxy mode (the pulses) and two in beat mode
+        # (and the readout ticks): the ladder's sets share each stack's degree,
+        # the weak pair's take two degrees in each
+        ladder = [PARAMS.replace(gamma_opt_deph=r) for r in (1e5, 3e6, 1e5, 3e6, 1e6)]
+        assemble_decay_curves(EchoConfig(tau=TAUS[0], **SHORT), TAUS, ladder, [GRID] * 5,
                               mode=mode)
-        assert len(pade_degrees) == 3 * per_set
+        assert len(pade_degrees) == stacks
+        pade_degrees.clear()
+        weak = [PARAMS.replace(gamma_opt_deph=r) for r in (1e4, 3e6)]
+        assemble_decay_curves(WEAK, TAUS, weak, [GRID] * 2, mode=mode)
+        assert len(set(pade_degrees)) == len(pade_degrees) == 2 * stacks
 
     def test_one_set_for_all_specs_is_one_call(self, pade_degrees):
         specs = [GRID, EnsembleSpec(), GRID]
@@ -172,6 +184,13 @@ class TestTemperatureScan:
         firsts = [real(cfg, taus, PARAMS.replace(gamma_opt_deph=tm.gamma_opt_deph(t)),
                        [GRID], mode="proxy")[0].amplitudes[0] for t in (2.0, 3.0, 2.0, 5.0)]
         assert [p.amplitude for p in points] == [a / firsts[0] for a in firsts]
+
+    def test_the_straddling_scan_maps_at_several_pade_degrees(self, pade_degrees):
+        cfg = parse_config(STRADDLING_SCAN)
+        scan = cfg.temp_scan
+        temperature_scan(scan.temperatures, scan.model, cfg.sequence, cfg.physics,
+                         cfg.ensemble, scan.taus)
+        assert len(set(pade_degrees)) == len(pade_degrees) >= 2
 
     def test_amplitudes_are_relative_to_the_first_point_as_listed(self):
         tm = TemperatureModel(t2_opt_ref=10e-6, temperature_ref=2.0)

@@ -10,9 +10,9 @@ import eitecho
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# the subcommands whose modules PROBE checks: the batched curves, the sampled
-# trajectories and the compensation search
-SUBCOMMANDS = ("temp-scan", "compensate", "simulate", "field-sweep")
+# the subcommands whose modules PROBE checks: every study subcommand
+SUBCOMMANDS = ("temp-scan", "compensate", "simulate", "field-sweep", "scaling", "qst",
+               "bloch-path")
 # prints the BLAS variables, then the scipy modules loaded after importing the
 # CLI, then after each of SUBCOMMANDS, run in turn into the directory given as
 # argv[1], its exit code, the scipy modules and whether numpy.ma is loaded
