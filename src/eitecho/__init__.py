@@ -9,7 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .qstate import DensityMatrix3, GroundQubitState, fidelity
 from .lambda_system import LambdaParams, hamiltonian, lindblad_rhs
-from .dynamics import PulseSpec, SequenceSpec, Trajectory, Wait, propagate, run_sequence
+from .dynamics import PulseSpec, SequenceSpec, Trajectory, Wait, run_sequence
 from .sequences import (
     EchoConfig,
     dark_target,
@@ -53,6 +53,6 @@ __all__ = [
     "ensemble_average", "fidelity", "field_sweep", "fit_decay", "hamiltonian",
     "lindblad_rhs", "make_echo_sequence", "make_init_pulse", "make_readout_pulse",
     "make_rephase_pulse", "member_stack", "parse_config", "projection_measurements",
-    "propagate", "reconstruct", "run_sequence", "scaling_study", "splitting_from_field",
+    "reconstruct", "run_sequence", "scaling_study", "splitting_from_field",
     "synthesize_beat", "temperature_scan", "validate_config",
 ]

@@ -36,8 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .lambda_system import (DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian,
-                           liouvillians)
+from .lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillians
 from .qstate import DensityMatrix3
 from .units import csv_text
 
@@ -157,10 +156,6 @@ class Trajectory:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0.0):
             raise ValidationError("Trajectory times must be strictly increasing")
-
-    @property
-    def final_state(self) -> DensityMatrix3:
-        return DensityMatrix3(self.states[-1])
 
     @property
     def populations(self) -> np.ndarray:
@@ -336,11 +331,6 @@ def _pade13(x: np.ndarray, b: list, eye: np.ndarray) -> tuple:
     for k, xk in ((7, x6), (5, x4), (3, x2), (1, eye)):
         w += b[k] * xk
     return x @ w, v
-
-
-def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
-    """Exact 9x9 propagator over time h of the constant generator of `p`."""
-    return _expm(h * liouvillian(p))
 
 
 # how errors name member m of a stack, unless the caller names its members
@@ -820,12 +810,6 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         states = states + phases * states.conj()
     return Trajectory(times=np.concatenate(times), states=states.reshape(-1, 3, 3),
                       segment_starts=segment_starts)
-
-
-def propagate(rho0: DensityMatrix3, p: LambdaParams, pulse: Segment) -> Trajectory:
-    """Propagate one state through one pulse or wait segment on the default
-    grid, which resolves the drive strength and detunings."""
-    return run_sequence(rho0, p, SequenceSpec(segments=(pulse,)))
 
 
 def run_sequence(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,

@@ -592,7 +592,8 @@ def _refined_fits(taus, y, span, s, yc, found: list) -> list:
             t2=float(row[1]),
             offset=float(row[2]),
             covariance=cov,
-            ci95=tuple(float(tval * math.sqrt(max(cov[d, d], 0.0))) for d in range(3)),
+            # + 0.0: a variance of -0.0 gives a CI of 0.0, not -0.0
+            ci95=tuple(float(tval * math.sqrt(max(cov[d, d], 0.0) + 0.0)) for d in range(3)),
             residual_rms=math.sqrt(cost / n),
             iterations=found[k][1],
         )

@@ -8,6 +8,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from eitecho.dynamics import SequenceSpec, Trajectory, _expm, run_sequence
+from eitecho.lambda_system import LambdaParams, liouvillian
 from eitecho.qstate import DensityMatrix3
 
 
@@ -15,6 +17,22 @@ from eitecho.qstate import DensityMatrix3
 def mixed_ground() -> DensityMatrix3:
     """Fully mixed ground manifold, empty excited state."""
     return DensityMatrix3(np.diag([0.5, 0.5, 0.0]).astype(complex))
+
+
+def propagate(rho0: DensityMatrix3, p: LambdaParams, segment) -> Trajectory:
+    """Propagate one state through one pulse or wait segment on the default
+    grid, which resolves the drive strength and detunings."""
+    return run_sequence(rho0, p, SequenceSpec(segments=(segment,)))
+
+
+def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
+    """Exact 9x9 propagator over time h of the constant generator of `p`."""
+    return _expm(h * liouvillian(p))
+
+
+def final_state(traj: Trajectory) -> DensityMatrix3:
+    """The last state of a trajectory."""
+    return DensityMatrix3(traj.states[-1])
 
 
 def random_density3(rng: np.random.Generator, trace: float = 1.0) -> np.ndarray:

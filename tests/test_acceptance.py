@@ -12,7 +12,6 @@ from eitecho.dynamics import (
     SequenceSpec,
     Wait,
     default_step,
-    propagate,
     run_sequence,
     _segment_params,
 )
@@ -33,7 +32,7 @@ from eitecho.studies import (
 )
 from eitecho.tomography import projection_measurements, reconstruct
 
-from conftest import random_qubit_state, trace_distance_matrix
+from conftest import final_state, propagate, random_qubit_state, trace_distance_matrix
 
 TWO_PI = 2.0 * np.pi
 MIXED = DensityMatrix3(np.diag([0.5, 0.5, 0.0]).astype(complex))
@@ -85,7 +84,7 @@ def test_criterion_03_mixed_state_initialization():
     traj = propagate(MIXED, LambdaParams(), make_init_pulse(cfg))
     target = 0.5 * np.outer(DARK3, DARK3.conj())
     target[2, 2] += 0.5
-    dist = trace_distance_matrix(traj.final_state.matrix, target)
+    dist = trace_distance_matrix(final_state(traj).matrix, target)
     assert dist < 1e-4
     report(3, "mixed-state init", f"trace distance {dist:.2e}")
 
@@ -97,7 +96,7 @@ def test_criterion_04_75_percent_bound():
     seq = SequenceSpec(segments=(make_init_pulse(cfg),
                                  Wait(duration=12.0 * t1_opt)))
     traj = run_sequence(MIXED, p, seq)
-    ground = GroundQubitState(traj.final_state.matrix[:2, :2])
+    ground = GroundQubitState(final_state(traj).matrix[:2, :2])
     f = fidelity(ground, KET_DARK)
     assert f == pytest.approx(0.750, abs=0.01)
     report(4, "75% fidelity bound", f"fidelity {f:.4f}")

@@ -20,7 +20,7 @@ import eitecho.readout as readout
 from eitecho.dynamics import PulseSpec, Wait, _base_generator, _segment_params, wait_maps
 from eitecho.ensemble import EnsembleSpec
 from eitecho.errors import ConfigurationError
-from eitecho.lambda_system import LambdaParams, liouvillian
+from eitecho.lambda_system import LambdaParams, liouvillian, liouvillians
 from eitecho.readout import _echo_layouts, assemble_decay_curve, assemble_decay_curves
 from eitecho.sequences import EchoConfig, make_echo_sequence
 from eitecho.studies import (FieldModel, branches_for_splitting, compensation_search,
@@ -187,11 +187,11 @@ class TestGeneratorCache:
     def test_compensation_search_builds_few_liouvillians(self, monkeypatch):
         calls = []
 
-        def counting(p):
-            calls.append(p)
-            return liouvillian(p)
+        def counting(ps):
+            calls.extend(ps)
+            return liouvillians(ps)
 
-        monkeypatch.setattr(dynamics, "liouvillian", counting)
+        monkeypatch.setattr(dynamics, "liouvillians", counting)
         _base_generator.cache_clear()
         res = compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)), CFG,
                                   LambdaParams(gamma_spin_deph=1.0 / 500e-6), EnsembleSpec(),

@@ -283,6 +283,20 @@ class TestFieldSweep:
         assert "field_sweep.csv" in manifest["outputs"]
 
 
+class TestTempScan:
+    def test_zero_variance_writes_a_ci_of_zero(self, tmp_path):
+        # short, weak pulses: the fit at 3.9 K has a T2 variance of -0.0,
+        # whose CI was written as -0.0
+        cfg = write_config(tmp_path, "sequence: {tau: 60us, t_init: 0.5us, t_rephase: 0.5us, "
+                                     "init_area_pi: 0.05, rephase_area_pi: 0.1}\n")
+        out = tmp_path / "o"
+        assert main(["temp-scan", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "temp_scan.csv").read_text().splitlines()]
+        assert rows[0][3] == "t2_ci95_s"
+        assert rows[3][0].startswith("3.919") and rows[3][3] == "0.0"
+        assert not any(row[3].startswith("-") for row in rows[1:])
+
+
 class TestScaling:
     def test_scaling_csv_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path, SCALING_CONFIG)

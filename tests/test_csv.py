@@ -106,6 +106,58 @@ class TestFloatTable:
         assert units.csv_text("h", small) == per_cell_reference("h", small.astype(np.float64))
 
 
+def assert_spelled_as_repr(values) -> None:
+    """Every value, eight to a row, spelled as repr(float(value))."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    table = np.resize(values, (-(-values.size // 8), 8))
+    cells = units.csv_text("h", table).replace(",", "\n").split("\n")[1:values.size + 1]
+    expected = list(map(repr, values.tolist()))
+    if cells != expected:
+        wrong = [(hex(bits), cell, want) for bits, cell, want
+                 in zip(values.view(np.uint64).tolist(), cells, expected) if cell != want]
+        pytest.fail(f"{len(wrong)} cells differ from repr, first {wrong[:5]}")
+
+
+class TestShortestDigits:
+    """The vectorized kernel against repr, on the doubles where its arithmetic
+    turns: subnormals, the irregular gaps, powers of two and ten, integers."""
+
+    def test_subnormals(self):
+        mantissas = np.concatenate([np.arange(1, 2**16), 2**52 - np.arange(1, 2**16 + 1)])
+        assert_spelled_as_repr(mantissas.astype(np.uint64).view(np.float64))
+
+    def test_powers_of_two_and_their_neighbours(self):
+        # every power of two from 2^-1021 up is an irregular point: mantissa
+        # 0, the gap below half the gap above
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert_spelled_as_repr(np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers]))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        assert_spelled_as_repr(np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+    def test_integers(self):
+        rng = np.random.default_rng(5)
+        assert_spelled_as_repr(np.concatenate(
+            [np.arange(2**16), rng.integers(0, 2**53, 2**14)]).astype(np.float64))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        assert_spelled_as_repr(rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(bits=hnp.arrays(np.uint64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                       min_side=0, max_side=9),
+                           elements=st.integers(0, 2**64 - 1)))
+    @example(bits=np.zeros((3, 0), np.uint64))
+    @example(bits=np.zeros((0, 3), np.uint64))
+    def test_raw_bit_pattern_tables(self, bits):
+        table = bits.view(np.float64)
+        assert units.csv_text("h", table) == per_cell_reference("h", table)
+
+
 class TestLabeledTables:
     """A dict of float tables by label cells: each line led by its labels."""
 

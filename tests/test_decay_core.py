@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import eitecho.dynamics as dynamics
 from eitecho.dynamics import (PulseSpec, Trajectory, Wait, _check_physical,
-                              _expm, _segment_map, _segment_params, geometric_sum,
+                              _expm, _segment_params, geometric_sum,
                               member_generators, propagate_members, sequence_endpoints,
                               wait_maps)
 from eitecho.ensemble import MIXED_GROUND, EnsembleSpec, member_stack
@@ -26,7 +26,7 @@ from eitecho.readout import (_beat_amplitudes, _echo_amplitudes, assemble_decay_
                              beat_amplitude, synthesize_beat)
 from eitecho.sequences import EchoConfig, make_echo_sequence, make_readout_pulse
 
-from conftest import random_density3
+from conftest import _segment_map, random_density3
 from test_propagators import W, lambda_params, unit
 
 TWO_PI = 2.0 * np.pi

@@ -8,7 +8,6 @@ from eitecho.dynamics import (
     SequenceSpec,
     Wait,
     default_step,
-    propagate,
     propagate_members,
     run_sequence,
 )
@@ -17,7 +16,7 @@ from eitecho.lambda_system import LambdaParams
 from eitecho.qstate import DensityMatrix3
 from eitecho.sequences import EchoConfig, make_echo_sequence, make_init_pulse
 
-from conftest import trace_distance_matrix
+from conftest import final_state, propagate, trace_distance_matrix
 
 DARK3 = np.array([1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
@@ -63,7 +62,7 @@ class TestPulses:
         duration = np.pi / rabi
         pulse = PulseSpec(duration=duration, rabi0=rabi)
         traj = propagate(dm(np.diag([1.0, 0.0, 0.0])), LambdaParams(), pulse)
-        assert traj.final_state.matrix[2, 2].real == pytest.approx(1.0, abs=1e-6)
+        assert final_state(traj).matrix[2, 2].real == pytest.approx(1.0, abs=1e-6)
 
     def test_bichromatic_pi_on_mixed_state(self, mixed_ground):
         # resonant pulse with sqrt(2)*rabi*duration = pi: bright half excited,
@@ -74,7 +73,7 @@ class TestPulses:
         traj = propagate(mixed_ground, LambdaParams(), pulse)
         target = 0.5 * np.outer(DARK3, DARK3.conj())
         target[2, 2] += 0.5
-        assert trace_distance_matrix(traj.final_state.matrix, target) < 1e-4
+        assert trace_distance_matrix(final_state(traj).matrix, target) < 1e-4
 
     def test_wait_dephasing_closed_form(self):
         # |rho01| = 0.5 e^{-t/T2}: at t = T2 = 500 us the half-weight dark
@@ -83,7 +82,7 @@ class TestPulses:
         p = LambdaParams(gamma_spin_deph=1.0 / t2)
         rho0 = dm(0.5 * np.outer(DARK3, DARK3.conj()))
         traj = propagate(rho0, p, Wait(duration=t2))
-        assert abs(traj.final_state.matrix[0, 1]) == pytest.approx(
+        assert abs(final_state(traj).matrix[0, 1]) == pytest.approx(
             0.25 * np.exp(-1.0), rel=1e-6)
 
     def test_trace_conserved_along_trajectory(self, mixed_ground):
@@ -123,7 +122,7 @@ class TestSequences:
         cfg = EchoConfig(tau=40e-6)
         seq = SequenceSpec(segments=(make_init_pulse(cfg),))
         traj = run_sequence(mixed_ground, LambdaParams(), seq)
-        ground = traj.final_state.matrix[:2, :2]
+        ground = final_state(traj).matrix[:2, :2]
         assert trace_distance_matrix(ground, 0.25 * np.array([[1, -1], [-1, 1]])) < 1e-4
 
     def test_rk4_halving_convergence(self, mixed_ground):

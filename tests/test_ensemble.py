@@ -17,6 +17,8 @@ from eitecho.qstate import DensityMatrix3
 from eitecho.sequences import EchoConfig, make_echo_sequence, make_init_pulse
 from eitecho.dynamics import SequenceSpec, Wait
 
+from conftest import final_state
+
 MIXED = DensityMatrix3(np.diag([0.5, 0.5, 0.0]).astype(complex))
 TWO_PI = 2.0 * np.pi
 
@@ -131,7 +133,7 @@ class TestAveraging:
         p = LambdaParams(delta_spin=TWO_PI * 2e3)
         avg = ensemble_average(seq, p, EnsembleSpec())
         direct = run_sequence(MIXED, p, seq)
-        assert np.allclose(avg.final_state.matrix, direct.final_state.matrix,
+        assert np.allclose(final_state(avg).matrix, final_state(direct).matrix,
                            atol=1e-12)
 
     def test_free_induction_decay_timescale(self):
@@ -178,4 +180,4 @@ class TestAveraging:
         b = ensemble_average(seq, p, spec)
         assert np.array_equal(a.coherence01, b.coherence01)
         assert np.array_equal(a.populations, b.populations)
-        assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
+        assert np.array_equal(final_state(a).matrix, final_state(b).matrix)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _check_physical, _segment_map,
-                              _segment_params, propagate_members, run_sequence,
-                              sequence_endpoints, shared_steps)
+from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _check_physical, _segment_params,
+                              propagate_members, run_sequence, sequence_endpoints,
+                              shared_steps)
 from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, ensemble_average,
                               ensemble_final_state, member_stack)
 from eitecho.errors import ConfigurationError
@@ -23,6 +23,7 @@ from eitecho.lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, lio
 from eitecho.readout import _echo_amplitudes, beat_amplitude, synthesize_beat
 from eitecho.sequences import EchoConfig, make_echo_sequence
 
+from conftest import _segment_map
 from test_propagators import W, lambda_params, unit
 
 TWO_PI = 2.0 * np.pi

@@ -11,14 +11,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _segment_map, propagate_members,
-                              sequence_endpoints)
+from eitecho.dynamics import PulseSpec, SequenceSpec, Wait, propagate_members, sequence_endpoints
 from eitecho.ensemble import EnsembleSpec, ensemble_average, ensemble_final_state
 from eitecho.lambda_system import LambdaParams, lindblad_rhs, liouvillian
 from eitecho.qstate import DensityMatrix3
 from eitecho.sequences import EchoConfig, make_echo_sequence
 
-from conftest import random_density3
+from conftest import _segment_map, final_state, random_density3
 
 W = 2.0 * np.pi * 1e6          # frequency scale of the drawn parameters, rad/s
 TRACE_FUNCTIONAL = np.eye(3).reshape(9)
@@ -146,7 +145,7 @@ class TestEndpointDifferential:
         p = LambdaParams(gamma_spin_deph=1e3, gamma_opt_deph=1e5)
         final = ensemble_final_state(seq, p, spec)
         avg = ensemble_average(seq, p, spec)
-        assert np.max(np.abs(final.matrix - avg.final_state.matrix)) <= 1e-10
+        assert np.max(np.abs(final.matrix - final_state(avg).matrix)) <= 1e-10
         threaded = ensemble_final_state(seq, p, spec)
         assert np.array_equal(final.matrix, threaded.matrix)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eitecho.dynamics import PulseSpec, SequenceSpec, Wait, propagate, run_sequence
+from eitecho.dynamics import PulseSpec, SequenceSpec, Wait, run_sequence
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.qstate import DensityMatrix3
@@ -15,7 +15,7 @@ from eitecho.sequences import (
     make_rephase_pulse,
 )
 
-from conftest import trace_distance_matrix
+from conftest import final_state, trace_distance_matrix
 
 MIXED = np.diag([0.5, 0.5, 0.0]).astype(complex)
 
@@ -84,12 +84,12 @@ class TestRephasePulse:
         t_wait = 8e-6
         traj = run_pulses(
             [make_init_pulse(cfg), Wait(duration=t_wait)], params=p)
-        before = complex(traj.final_state.matrix[0, 1])
+        before = complex(final_state(traj).matrix[0, 1])
         traj2 = run_pulses(
             [make_init_pulse(cfg), Wait(duration=t_wait), make_rephase_pulse(cfg)],
             params=p)
-        after = complex(traj2.final_state.matrix[0, 1])
-        ref = complex(run_pulses([make_init_pulse(cfg)]).final_state.matrix[0, 1])
+        after = complex(final_state(traj2).matrix[0, 1])
+        ref = complex(final_state(run_pulses([make_init_pulse(cfg)])).matrix[0, 1])
         phase_before = np.angle(before / ref)
         phase_after = np.angle(after / ref)
         assert phase_after == pytest.approx(-phase_before, abs=0.02)
@@ -100,13 +100,13 @@ class TestRephasePulse:
         rho_dark = np.outer(dark, dark.conj())
         traj = run_pulses([make_rephase_pulse(cfg)], rho0=rho_dark)
         # a density matrix absorbs the global phase entirely
-        assert trace_distance_matrix(traj.final_state.matrix, rho_dark) < 1e-4
+        assert trace_distance_matrix(final_state(traj).matrix, rho_dark) < 1e-4
 
     def test_applied_twice_is_identity_on_ground(self):
         cfg = EchoConfig(tau=40e-6)
-        start = run_pulses([make_init_pulse(cfg)]).final_state.matrix
-        twice = run_pulses([make_init_pulse(cfg), make_rephase_pulse(cfg),
-                            make_rephase_pulse(cfg)]).final_state.matrix
+        start = final_state(run_pulses([make_init_pulse(cfg)])).matrix
+        twice = final_state(run_pulses([make_init_pulse(cfg), make_rephase_pulse(cfg),
+                                        make_rephase_pulse(cfg)])).matrix
         assert trace_distance_matrix(twice[:2, :2], start[:2, :2]) < 1e-4
 
 
@@ -204,5 +204,5 @@ class TestEchoSequence:
             cfg = EchoConfig(tau=30e-6, init_phase_offset=offset)
             seq = make_echo_sequence(cfg, include_readout=False)
             traj = run_sequence(DensityMatrix3(MIXED), p, seq)
-            amps.append(abs(traj.final_state.matrix[0, 1]))
+            amps.append(abs(final_state(traj).matrix[0, 1]))
         assert np.ptp(amps) < 1e-4
