@@ -197,12 +197,12 @@ def _keys_help() -> str:
              "suffixes like 2us, 170kHz, 50uT, 90deg.  An axis is a list of values or a "
              "{min, max, n[, log]}",
              "range; log is true or false and needs min and max nonzero and of one sign:"]
-    section = None
+    section, width = None, max(len(accepts(key)) for key in KEYS) + 2
     for key in KEYS:
         if key.section != section:
             section = key.section
             lines.append(f"  {section}:")
-        lines.append(f"    {key.name:<22}{accepts(key):<22}{key.note}")
+        lines.append(f"    {key.name:<22}{accepts(key):<{width}}{key.note}")
     return "\n".join(lines) + "\n"
 
 

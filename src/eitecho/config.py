@@ -16,23 +16,29 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import yaml
 
-from .dynamics import check_pulse_maps
-from .ensemble import EnsembleSpec, alias_free_size, member_stack
+from .ensemble import EnsembleSpec, alias_free_size
 from .errors import ConfigurationError, ValidationError
 from .lambda_system import LambdaParams
 from .readout import FIT_MIN_POINTS
-from .sequences import EchoConfig, make_echo_sequence
+from .sequences import EchoConfig
 from .studies import (FieldModel, ScalingModel, TemperatureModel, compensation_bracket_taus,
-                      scaling_echo, scaling_point)
+                      scaling_echo)
 from .units import parse_quantity, parse_ratio
 
 TWO_PI = 2.0 * math.pi
-# the ensemble keys behind the three columns of the member offsets
-ENSEMBLE_AXES = ("optical_fwhm", "spin_fwhm", "zeeman_branches")
-# the physics keys of the base detunings, which every member shares
-DETUNING_KEYS = ("delta_opt", "delta_spin")
-# the physics keys of the decay rates: a lifetime is the inverse of its rate
-RATE_KEYS = ("t1_opt", "t2_opt", "t2_spin", "excitation_spin_deph")
+# Physical ranges of the keys that enter a pulse map's 1-norm.  Pulses last
+# at most 1 s; rates, detunings, widths and Zeeman splittings stay within
+# 1e15 Hz, so each term of a map's norm stays below ~1e16, and the default
+# readout drive, the init pulse's over the readout pulse, below
+# 1000 pi / 1e-15: every map of a run keeps a 1-norm below ~3.2e18, under
+# the theta_13 * 2^64 ~ 9.9e19 that dynamics._expm can scale.
+LIFETIME = ">= 1e-15s"
+DURATION = ">= 1e-15s, <= 1s"
+FREQUENCY = ">= 0, <= 1e15Hz"
+DETUNING = ">= -1e15Hz, <= 1e15Hz"
+FIELD = ">= -1kT, <= 1kT"
+# the upper ends of FREQUENCY and DURATION, for the values derived from keys
+MAX_RATE, MAX_DURATION = 1e15, 1.0
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,10 @@ class Key:
     """One config key at its dotted path: ``kind`` is a dimension of
     :func:`parse_quantity`, a ratio ("frequency/field"), "int", "bool", "str",
     a tuple of choices, "<dimension> axis" (a list or {min, max, n[, log]}
-    range) or "list" (parsed by its section's code).  ``bound`` is a lower
-    bound ("> 0") of every value.  An absent or invalid key takes ``default``:
+    range) or "list" (parsed by its section's code).  ``bound`` is the range
+    of every value, of each field or offset of a list: clauses "> 0", ">= 1",
+    "<= 1e15Hz", joined by ", ", each limit a bare number or a value of the
+    key's kind.  An absent or invalid key takes ``default``:
     None leaves it to the dataclass's own, REQUIRED makes the key required.
     The value, times ``scale``, fills ``field``, the key's own name unless stated."""
 
@@ -114,34 +122,39 @@ TAUS = f"storage times: >= {FIT_MIN_POINTS}, increasing, each a valid sequence.t
 # geometric temperature and optical-T2 ladders: a T^7 broadening law spans
 # decades of optical linewidth, so log spacing keeps every decade represented
 KEYS = (
-    Key("physics.t1_opt", "time", "> 0", "excited-state lifetime; omit for a closed system"),
-    Key("physics.t2_opt", "time", "> 0", "optical coherence time, at most 2 * t1_opt"),
-    Key("physics.t2_spin", "time", "> 0", "nuclear spin coherence time"),
+    Key("physics.t1_opt", "time", LIFETIME, "excited-state lifetime; omit for a closed system"),
+    Key("physics.t2_opt", "time", LIFETIME, "optical coherence time, at most 2 * t1_opt"),
+    Key("physics.t2_spin", "time", LIFETIME, "nuclear spin coherence time"),
     Key("physics.branch0", "dimensionless", None, "share of |e> decay into |0>, in [0, 1]"),
-    Key("physics.excitation_spin_deph", "frequency", ">= 0", "spin dephasing rate added", 0.0),
-    Key("physics.delta_opt", "frequency", None, "one-photon detuning", scale=TWO_PI),
-    Key("physics.delta_spin", "frequency", None, "two-photon detuning", scale=TWO_PI),
-    Key("ensemble.optical_fwhm", "frequency", ">= 0", "Gaussian optical width"),
-    Key("ensemble.spin_fwhm", "frequency", ">= 0", "Gaussian spin width; required if n_spin > 1"),
-    Key("ensemble.n_optical", "int", ">= 1", "odd optical grid size; 1 = resonant member only"),
-    Key("ensemble.n_spin", "int", ">= 1", "odd spin grid size"),
-    Key("ensemble.zeeman_branches", "list", None, "[{offset, weight}, ...], weights sum to 1"),
+    Key("physics.excitation_spin_deph", "frequency", FREQUENCY, "spin dephasing rate added", 0.0),
+    Key("physics.delta_opt", "frequency", DETUNING, "one-photon detuning", scale=TWO_PI),
+    Key("physics.delta_spin", "frequency", DETUNING, "two-photon detuning", scale=TWO_PI),
+    Key("ensemble.optical_fwhm", "frequency", FREQUENCY, "Gaussian optical width"),
+    Key("ensemble.spin_fwhm", "frequency", FREQUENCY,
+        "Gaussian spin width; required if n_spin > 1"),
+    Key("ensemble.n_optical", "int", ">= 1, <= 255",
+        "odd optical grid size; 1 = resonant member only"),
+    Key("ensemble.n_spin", "int", ">= 1, <= 255", "odd spin grid size"),
+    Key("ensemble.zeeman_branches", "list", DETUNING,
+        "[{offset, weight}, ...], weights sum to 1"),
     Key("sequence.tau", "time", None, "storage time: the readout pulse starts here", REQUIRED),
-    Key("sequence.t_init", "time", "> 0", "init pulse duration"),
-    Key("sequence.t_rephase", "time", "> 0", "rephasing pulse duration"),
-    Key("sequence.t_readout", "time", "> 0", "readout pulse duration"),
-    Key("sequence.readout_rabi", "frequency", ">= 0", "default: the init pulse's", scale=TWO_PI),
+    Key("sequence.t_init", "time", DURATION, "init pulse duration"),
+    Key("sequence.t_rephase", "time", DURATION, "rephasing pulse duration"),
+    Key("sequence.t_readout", "time", DURATION, "readout pulse duration"),
+    Key("sequence.readout_rabi", "frequency", FREQUENCY, "default: the init pulse's",
+        scale=TWO_PI),
     Key("sequence.splitting", "frequency", "> 0", "hyperfine splitting = beat frequency"),
     Key("sequence.init_phase_offset", "angle", None, "relative phase of the init pulse"),
-    Key("sequence.init_area_pi", "dimensionless", "> 0", "init pulse area / pi",
+    Key("sequence.init_area_pi", "dimensionless", "> 0, <= 1000", "init pulse area / pi",
         scale=math.pi, field="init_area"),
-    Key("sequence.rephase_area_pi", "dimensionless", "> 0", "rephasing pulse area / pi",
+    Key("sequence.rephase_area_pi", "dimensionless", "> 0, <= 1000", "rephasing pulse area / pi",
         scale=math.pi, field="rephase_area"),
     Key("sequence.calibration", ("bright", "bare"), None, "coupling the pulse areas refer to"),
     Key("readout.mode", ("beat", "proxy"), None, "used by field-sweep and compensate only",
         "beat", field="readout_mode"),
-    Key("field_model.g_factor", "frequency/field", "> 0", 'g-factor, e.g. "12kHz/100uT"'),
-    Key("studies.field_sweep.fields", "field axis", None, "vertical fields",
+    Key("field_model.g_factor", "frequency/field", "> 0, <= 1e12Hz/1T",
+        'g-factor, e.g. "12kHz/100uT"'),
+    Key("studies.field_sweep.fields", "field axis", FIELD, "vertical fields",
         np.linspace(0.0, 95e-6, 20)),
     Key("studies.field_sweep.taus", "time axis", None, TAUS, np.linspace(10e-6, 150e-6, 30)),
     Key("studies.temp_scan.temperatures", "temperature axis", "> 0", "scan temperatures",
@@ -149,15 +162,15 @@ KEYS = (
     Key("studies.temp_scan.taus", "time axis", None, TAUS, np.linspace(20e-6, 180e-6, 5)),
     Key("studies.temp_scan.t2_opt_ref", "time", "> 0", "optical T2 at temperature_ref", 100e-6),
     Key("studies.temp_scan.temperature_ref", "temperature", "> 0", "reference temperature", 2.0),
-    Key("studies.scaling.t2_opt", "time axis", "> 0", "optical coherence times",
+    Key("studies.scaling.t2_opt", "time axis", LIFETIME, "optical coherence times",
         np.geomspace(100e-12, 10e-6, 13), field="t2_opt_values"),
-    Key("studies.scaling.t_pi_ref", "time", "> 0", "pi-pulse duration at t2_opt_ref"),
+    Key("studies.scaling.t_pi_ref", "time", DURATION, "pi-pulse duration at t2_opt_ref"),
     Key("studies.scaling.t2_opt_ref", "time", "> 0", "reference optical coherence time"),
     # the echo spans 4 init-pulse durations: init, a 2-long rephase, readout
     Key("studies.scaling.tau_in_pulses", "dimensionless", "> 4", "storage time / t_pi", 8.0),
-    Key("studies.compensation.ambient_field", "list", None, "[x, y, z] fields to compensate",
+    Key("studies.compensation.ambient_field", "list", FIELD, "[x, y, z] fields to compensate",
         ["0uT", "0uT", "50uT"]),
-    Key("studies.compensation.search_range", "field", "> 0", "search half-width", 100e-6),
+    Key("studies.compensation.search_range", "field", "> 0, <= 1kT", "search half-width", 100e-6),
     Key("studies.compensation.tolerance", "field", "> 0", "field resolution", 1e-6),
     Key("studies.compensation.taus", "time axis", None, TAUS, np.linspace(15e-6, 120e-6, 6)),
     Key("output.directory", "str", None, "output directory", "out", field="output_dir"),
@@ -233,12 +246,24 @@ def _value(raw, kind, bound: str | None, path: str, errors: list):
     except ValueError as exc:
         errors.append(f"{path}: {exc}")
         return None
-    if bound:
-        op, limit = bound.split()
-        if not (raw > float(limit) if op == ">" else raw >= float(limit)):
-            errors.append(f"{path}: must be {bound}")
-            return None
-    return raw
+    # a list's bound is of each of its values, which its section's code reads
+    return raw if kind == "list" or _within(raw, kind, bound, path, errors) else None
+
+
+def _within(value, kind: str, bound: str | None, path: str, errors: list) -> bool:
+    """Whether `value` keeps every clause of `bound` (see :class:`Key`), its
+    limits read as values of `kind`; else records the first clause it breaks."""
+    for clause in bound.split(", ") if bound else ():
+        op, limit = clause.split()
+        if not limit[-1].isalpha():
+            limit = float(limit)
+        else:
+            limit = parse_ratio(limit, *kind.split("/")) if "/" in kind else \
+                parse_quantity(limit, kind)
+        if not {">": value > limit, ">=": value >= limit, "<=": value <= limit}[op]:
+            errors.append(f"{path}: must be {clause}")
+            return False
+    return True
 
 
 def _axis(spec, dimension: str, bound: str | None, path: str, errors: list):
@@ -262,8 +287,8 @@ def _axis(spec, dimension: str, bound: str | None, path: str, errors: list):
                       f"and of one sign, got {r['min']:g} and {r['max']:g}")
         return None
     # the ends bound every value between them
-    if any(_value(r[end], "dimensionless", bound, f"{path}.{end}", errors) is None
-           for end in ("min", "max")):
+    if not all(_within(r[end], dimension, bound, f"{path}.{end}", errors)
+               for end in ("min", "max")):
         return None
     return (np.geomspace if r["log"] else np.linspace)(r["min"], r["max"], r["n"])
 
@@ -303,7 +328,7 @@ def _branches(raw, errors: list) -> tuple:
             and all(isinstance(b, dict) and set(b) == {"offset", "weight"} for b in raw)):
         errors.append(f"{path}: expected a list of {{offset, weight}} mappings")
         return ()
-    pairs = tuple((_value(b["offset"], "frequency", None, f"{path}[{i}].offset", errors),
+    pairs = tuple((_value(b["offset"], "frequency", DETUNING, f"{path}[{i}].offset", errors),
                    _value(b["weight"], "dimensionless", None, f"{path}[{i}].weight", errors))
                   for i, b in enumerate(raw))
     return () if any(None in pair for pair in pairs) else pairs
@@ -314,36 +339,24 @@ def _ambient(raw, errors: list) -> tuple | None:
     if not (isinstance(raw, list) and len(raw) == 3):
         errors.append(f"{path}: expected a list of 3 fields")
         return None
-    values = tuple(_value(v, "field", None, f"{path}[{i}]", errors) for i, v in enumerate(raw))
+    values = tuple(_value(v, "field", FIELD, f"{path}[{i}]", errors) for i, v in enumerate(raw))
     return None if None in values else values
 
 
 def _temperature_rates(temperatures: np.ndarray, model: TemperatureModel,
-                       errors: list) -> list | None:
-    """Each scan temperature's optical dephasing rate under `model`, finite and
-    > 0, as is then its T2; None after reporting the first point that fails."""
-    rates = []
+                       errors: list) -> None:
+    """Each scan temperature's optical dephasing rate under `model` must be > 0
+    and at most MAX_RATE, as a lifetime key's: the first that is not is reported."""
     for i, t in enumerate(temperatures.tolist()):
         try:
-            rates.append(model.gamma_opt_deph(t))
+            rate = model.gamma_opt_deph(t)
         except ArithmeticError:
-            rates.append(math.nan)
-        if not 0.0 < rates[-1] < math.inf:
+            rate = math.nan
+        if not 0.0 < rate <= MAX_RATE:
             errors.append(f"studies.temp_scan.temperatures[{i}]: at {t:g} K the T^-7 law from "
                           f"t2_opt_ref {model.t2_opt_ref:g} s at temperature_ref "
-                          f"{model.temperature_ref:g} K gives no finite optical T2 and "
-                          f"dephasing rate > 0")
-            return None
-    return rates
-
-
-def _pulse_map_problems(p: LambdaParams, seq, offsets: np.ndarray) -> list[str]:
-    """What :func:`check_pulse_maps` finds wrong with the pulse maps, if anything."""
-    try:
-        check_pulse_maps(p, seq, offsets)
-    except ConfigurationError as exc:
-        return exc.problems
-    return []
+                          f"{model.temperature_ref:g} K gives no finite optical T2 {LIFETIME}")
+            return
 
 
 def _check_taus(taus: np.ndarray, path: str, sequence: EchoConfig | None, errors: list) -> None:
@@ -408,49 +421,21 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
             errors.extend(f"studies.compensation.search_range: its bracketing storage time "
                           f"{tau:g} s: " + p.replace("EchoConfig.", "sequence.")
                           for p in exc.problems)
-    # with valid physics and ensemble, the pulse maps as the studies propagate them
-    offsets = None if physics is None or spec is None else member_stack(spec)[0]
-    if offsets is not None and sequence_ok:
-        # the base echo's maps over the members: whatever the studies do, the
-        # widest offset axis is at fault when the resonant member alone
-        # passes; when only its base detunings make it fail, the larger of
-        # them; else the fastest rate, as a pulse's drive times its duration
-        # is its area
-        base = make_echo_sequence(sequence, include_readout=False)
-        problems = _pulse_map_problems(physics, base, offsets)
-        if problems:
-            resonant = np.zeros((1, 3))
-            if not _pulse_map_problems(physics, base, resonant):
-                key = "ensemble." + ENSEMBLE_AXES[int(np.argmax(np.abs(offsets).max(axis=0)))]
-            elif not _pulse_map_problems(physics.replace(delta_opt=0.0, delta_spin=0.0), base,
-                                         resonant):
-                key = "physics." + max(DETUNING_KEYS, key=lambda k: abs(getattr(physics, k)))
-            else:
-                given = v["physics"]
-                key_rates = {k: given[k] if k == "excitation_spin_deph" else 1.0 / given[k]
-                             for k in RATE_KEYS if k in given}
-                key = "physics." + max(key_rates, key=key_rates.get)
-            errors.extend(f"{key}: {p}" for p in problems)
-            offsets = None
     if not any(p.startswith("studies.temp_scan.") for p in bad):
-        rates = _temperature_rates(temp_scan["temperatures"], temp_scan["model"], errors)
-        if rates and offsets is not None and sequence_ok:
-            # the pulse maps' 1-norms grow with the rate: the fastest bounds the others
-            i = int(np.argmax(rates))
-            errors.extend(f"studies.temp_scan.temperatures[{i}]: {p}" for p in _pulse_map_problems(
-                physics.replace(gamma_opt_deph=rates[i]), base, offsets))
+        _temperature_rates(temp_scan["temperatures"], temp_scan["model"], errors)
     if sequence is not None and not any(p.startswith("studies.scaling.") for p in bad):
-        # each point's echo, as the scaling study builds it, and its pulse maps
+        # each point's echo, as the scaling study builds it, with pulses of at
+        # most MAX_DURATION
         for i, t2 in enumerate(scaling["t2_opt_values"].tolist()):
+            t_pi = scaling["model"].pulse_duration(t2)
+            if not t_pi <= MAX_DURATION:
+                errors.append(f"studies.scaling.t2_opt[{i}]: its pulse duration t_pi_ref * "
+                              f"sqrt(t2_opt / t2_opt_ref), {t_pi:g} s, must be <= "
+                              f"{MAX_DURATION:g}s")
+                break
             try:
-                if offsets is None:
-                    scaling_echo(sequence, scaling["model"].pulse_duration(t2),
-                                 scaling["tau_in_pulses"])
-                else:
-                    _, member, seq = scaling_point(sequence, scaling["model"], physics, t2,
-                                                   scaling["tau_in_pulses"])
-                    check_pulse_maps(member, seq, offsets)
-            except (ConfigurationError, ValidationError) as exc:
+                scaling_echo(sequence, t_pi, scaling["tau_in_pulses"])
+            except ConfigurationError as exc:
                 errors.extend(f"studies.scaling.t2_opt[{i}]: " + p.replace("EchoConfig.", "echo ")
                               for p in exc.problems)
                 break

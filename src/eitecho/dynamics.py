@@ -233,29 +233,21 @@ def shared_steps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) -> lis
     return [default_step(_segment_params(envelope, seg, 0.0), seg) for seg in seq.segments]
 
 
-def _check_norms(norms: np.ndarray, finite, shape: tuple, name=None) -> None:
-    """The verdict on a stack of maps of stack shape `shape` from their 1-norms
-    (flattened): the first whose norm needs more than MAX_SQUARINGS squarings
-    (or is nan) raises a ConfigurationError naming it by `name(*index)` of its
-    stack index, else as "generator (index)"; `finite(i)` tells whether map i
-    has only finite entries, and so which fault to report."""
-    scalable = norms <= PADE_THETAS[13] * 2.0 ** MAX_SQUARINGS      # False for nan too
-    if not scalable.all():
-        i = int(np.argmin(scalable))
-        where = tuple(int(j) for j in np.unravel_index(i, shape))
-        what = (f"has 1-norm {norms[i]:g}, beyond {MAX_SQUARINGS} squarings"
-                if finite(i) else "has a non-finite entry")
-        raise ConfigurationError([f"{name(*where) if name else f'generator {where}'}: {what}"])
-
-
 def _check_squarings(a: np.ndarray, name=None) -> np.ndarray:
     """1-norms (flattened) of a generator stack (..., n, n) that :func:`_expm`
-    can map: a non-finite entry, or a 1-norm needing more than MAX_SQUARINGS
-    squarings, raises a ConfigurationError (see :func:`_check_norms`)."""
+    can map.  The first matrix with a non-finite entry, or with a 1-norm
+    needing more than MAX_SQUARINGS squarings, raises a ConfigurationError
+    naming it by `name(*index)` of its stack index, else as "generator (index)"."""
     x = a.reshape(-1, *a.shape[-2:])
     with np.errstate(over="ignore"):
         norms = np.abs(x).sum(axis=-2).max(axis=-1)
-    _check_norms(norms, lambda i: np.isfinite(x[i]).all(), a.shape[:-2], name)
+    scalable = norms <= PADE_THETAS[13] * 2.0 ** MAX_SQUARINGS      # False for nan too
+    if not scalable.all():
+        i = int(np.argmin(scalable))
+        where = tuple(int(j) for j in np.unravel_index(i, a.shape[:-2]))
+        what = (f"has 1-norm {norms[i]:g}, beyond {MAX_SQUARINGS} squarings"
+                if np.isfinite(x[i]).all() else "has a non-finite entry")
+        raise ConfigurationError([f"{name(*where) if name else f'generator {where}'}: {what}"])
     return norms
 
 
@@ -389,14 +381,6 @@ def _drive(segment: Segment) -> tuple | None:
     return segment.rabi0, segment.rabi1, segment.phase0, segment.phase1
 
 
-def _detuning_shift(offsets: np.ndarray, zeeman_sign: float) -> np.ndarray:
-    """Diagonals (M, 9) that the member rows of `offsets` add to a segment's
-    generator: its detunings, and its Zeeman offset times the segment's sign."""
-    return (np.multiply.outer(offsets[:, 0], DETUNING_OPT)
-            + np.multiply.outer(offsets[:, 1], DETUNING_SPIN)
-            + zeeman_sign * np.multiply.outer(offsets[:, 2], DETUNING_SPIN))
-
-
 def _param_sets(p, n_members: int) -> tuple:
     """The parameter sets of a member stack as (sets, which): the distinct
     LambdaParams and the index (M,) of each member's.  `p` is one LambdaParams
@@ -416,7 +400,10 @@ def member_generators(p, segment: Segment, offsets: np.ndarray, name=_member) ->
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     sets, which = _param_sets(p, len(offsets))
     gen = np.array(_base_generator.many([(q, _drive(segment)) for q in sets]))[which]
-    gen.reshape(len(offsets), 81)[:, ::10] += _detuning_shift(offsets, segment.zeeman_sign)
+    gen.reshape(len(offsets), 81)[:, ::10] += (
+        np.multiply.outer(offsets[:, 0], DETUNING_OPT)
+        + np.multiply.outer(offsets[:, 1], DETUNING_SPIN)
+        + segment.zeeman_sign * np.multiply.outer(offsets[:, 2], DETUNING_SPIN))
     if not np.isfinite(gen.view(float)).all():
         m = int(np.argmin(np.isfinite(gen).all(axis=(1, 2))))
         raise ConfigurationError([f"{name(m)}: has a non-finite entry"])
@@ -516,29 +503,6 @@ def storage_chunks(n_taus: int, n_members: int) -> list:
     BATCH_STATES (storage time x member) states and at least one storage time."""
     step = max(1, BATCH_STATES // max(n_members, 1))
     return [slice(t, min(t + step, n_taus)) for t in range(0, n_taus, step)]
-
-
-def check_pulse_maps(p: LambdaParams, seq: SequenceSpec, offsets: np.ndarray) -> None:
-    """The check of :func:`_expm` on the pulse generators of `seq` for the
-    member rows of `offsets`, as :func:`sequence_endpoints` stacks them,
-    without building any map or generator stack: a config check of a
-    propagation.  Members differ only on the diagonal, so the 1-norm of a
-    member's h L is the largest over columns j of the column's off-diagonal
-    |h L_ij| summed, plus |h (L_jj + shift_j)|, its own diagonal entry."""
-    offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
-    pulses = [(k, seg) for k, seg in enumerate(seq.segments) if isinstance(seg, PulseSpec)]
-    bases = _base_generator.many([(p, _drive(seg)) for _, seg in pulses])
-    norms, finite = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (_, seg), base in zip(pulses, bases):
-            diag = seg.duration * (np.diagonal(base) + _detuning_shift(offsets, seg.zeeman_sign))
-            off = np.abs(seg.duration * base)
-            np.fill_diagonal(off, 0.0)
-            norms.append((off.sum(axis=0) + np.abs(diag)).max(axis=1))
-            finite.append(np.isfinite(off).all() & np.isfinite(diag).all(axis=1))
-    finite = np.ravel(finite)
-    _check_norms(np.ravel(norms), finite.__getitem__, (len(pulses), len(offsets)),
-                 _map_namer([_segment_name(k, seg) for k, seg in pulses]))
 
 
 def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,

@@ -264,7 +264,9 @@ def _float_rows(table: np.ndarray, lead: str = "") -> str:
     the pad bytes are then compressed away.  0.0 and -0.0 keep their own
     spelling and every NaN pattern is written as 'nan'.
     """
-    bits = np.ascontiguousarray(table, dtype=np.float64).view(np.uint64)
+    # a signalling NaN of a float32 table sets the invalid flag as it is cast
+    with np.errstate(invalid="ignore"):
+        bits = np.ascontiguousarray(table, dtype=np.float64).view(np.uint64)
     rows, cols = bits.shape
     if not cols:
         return (lead + "\n") * rows

@@ -122,8 +122,10 @@ class TestValidate:
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     def test_pulse_without_room_is_a_config_error(self, tmp_path, capsys, command, key):
         # validate exited 0 and simulate 2: 5e-27 s rephasing halves near
-        # 15 us, where one float spacing is 1.7e-21 s, stalled the samples
-        setting = f"tau: 30us\n  {key}: 1e-20us"
+        # 15 us, where one float spacing is 1.7e-21 s, stalled the samples;
+        # so short a pulse is now outside its key's range, and the room rule
+        # is shown on a 1 fs pulse near 15 s of a 30 s echo
+        setting = f"tau: 30s\n  {key}: 1e-15s"
         cfg = write_config(tmp_path, CLOSED_CONFIG.replace("tau: 30us", setting))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
@@ -398,18 +400,25 @@ class TestBoundsExitOne:
         ("temp-scan", "temp_scan: {t2_opt_ref: 0us}", "studies.temp_scan.t2_opt_ref: must be > 0"),
         ("temp-scan", "temp_scan: {temperature_ref: 0K}",
          "studies.temp_scan.temperature_ref: must be > 0"),
-        ("scaling", "scaling: {t2_opt: [1ns, 0ns]}", "studies.scaling.t2_opt[1]: must be > 0"),
+        ("scaling", "scaling: {t2_opt: [1ns, 0ns]}",
+         "studies.scaling.t2_opt[1]: must be >= 1e-15s"),
         # temp-scan died with a ZeroDivisionError traceback after validate passed it
         ("temp-scan", "temp_scan: {temperatures: [2K, 1e50K]}",
          "studies.temp_scan.temperatures[1]: at 1e+50 K the T^-7 law from t2_opt_ref 0.0001 s "
-         "at temperature_ref 2 K gives no finite optical T2 and dephasing rate > 0"),
+         "at temperature_ref 2 K gives no finite optical T2 >= 1e-15s"),
         # this exited 1 naming EchoConfig.tau instead of the key
         ("scaling", "scaling: {tau_in_pulses: 4}", "studies.scaling.tau_in_pulses: must be > 4"),
         ("validate", "compensation: {tolerance: 0uT}",
          "studies.compensation.tolerance: must be > 0"),
+        # validate ran member_stack on the grid for 4.9 s, then said "config OK"
+        ("field-sweep", "ensemble: {n_optical: 200001}", "ensemble.n_optical: must be <= 255"),
     ])
     def test_bound_is_a_config_error(self, tmp_path, capsys, command, block, problem):
-        text = CLOSED_CONFIG + f"studies:\n  {block}\n"
+        # a block is the ensemble section, or one section of the studies
+        if block.startswith("ensemble:"):
+            text = CLOSED_CONFIG.replace("ensemble: {}", block)
+        else:
+            text = CLOSED_CONFIG + f"studies:\n  {block}\n"
         out = tmp_path / "o"
         assert main([command, "--config", str(write_config(tmp_path, text)),
                      "--out", str(out)]) == 1

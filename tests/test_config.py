@@ -9,16 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eitecho.cli import accepts, build_parser
-from eitecho.config import KEYS, DEFAULT_CONFIG_TEXT, grid_warnings, parse_config, validate_config
-from eitecho.dynamics import check_pulse_maps
-from eitecho.ensemble import EnsembleSpec, ensemble_final_state, member_stack
+from eitecho.config import (KEYS, DEFAULT_CONFIG_TEXT, MAX_DURATION, MAX_RATE, grid_warnings,
+                            parse_config, validate_config)
+from eitecho.dynamics import PulseSpec, _check_squarings, member_generators
+from eitecho.ensemble import EnsembleSpec, member_stack
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.readout import FIT_MIN_POINTS, assemble_decay_curves
-from eitecho.sequences import EchoConfig
-from eitecho.studies import FieldModel, ScalingModel, scaling_point
+from eitecho.sequences import EchoConfig, make_echo_sequence
+from eitecho.studies import (FieldModel, ScalingModel, TemperatureModel,
+                             branches_for_splitting, scaling_point)
 from eitecho.units import parse_quantity, parse_ratio
 
 
@@ -124,27 +128,7 @@ class TestValidation:
         tree = {"sequence": {"tau": "60us"},
                 "studies": {"scaling": {"t2_opt": ["1e-300s", "1us"]}}}
         _, errors = validate_config(tree)
-        assert errors == ["studies.scaling.t2_opt[0]: segment 0 (init_pi_half), member 0: "
-                          "has 1-norm 1e+145, beyond 64 squarings"]
-
-    # the norm is about 1e-5 / sqrt(t2_opt / 1 s), at the bound near t2_opt = 1e-50 s
-    @pytest.mark.parametrize("t2_opt", [1e-300, 1e-51, 1e-49, 1e-12])
-    def test_pulse_map_check_agrees_with_the_propagation(self, t2_opt):
-        # one bound: the config check fails exactly where the propagation does
-        cfg = parse_config("sequence: {tau: 60us}\n")
-        spec = cfg.ensemble
-        _, member, seq = scaling_point(cfg.sequence, cfg.scaling.model, cfg.physics, t2_opt,
-                                       cfg.scaling.tau_in_pulses)
-        offsets = member_stack(spec)[0]
-        outcomes = []
-        for run in (lambda: check_pulse_maps(member, seq, offsets),
-                    lambda: ensemble_final_state(seq, member, spec)):
-            try:
-                run()
-                outcomes.append(None)
-            except ConfigurationError as exc:
-                outcomes.append(exc.problems)
-        assert outcomes[0] == outcomes[1]
+        assert errors == ["studies.scaling.t2_opt[0]: must be >= 1e-15s"]
 
     def test_compensation_bracket_without_room_names_the_search_range(self):
         # with no ambient field a 1e-26 T search range sets bracketing storage
@@ -161,8 +145,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("block, head", [
         # the T^-7 law underflows the optical T2 to 0 at 1e50 K and overflows
-        # at 1e-60 K and from a 1e300 K reference; at 1e10 K the rate is finite
-        # but the init pulse map needs more than 64 squarings
+        # at 1e-60 K and from a 1e300 K reference; at 1e10 K the T2 is finite
+        # but below the 1e-15 s of a lifetime key; the other values are
+        # finite but outside their key's range: validate said "config OK" to
+        # the last four, and their runs exited 1 with "beyond 64 squarings"
         ({"studies": {"temp_scan": {"temperatures": ["2K", "1e50K"]}}},
          "studies.temp_scan.temperatures[1]: at 1e+50 K "),
         ({"studies": {"temp_scan": {"temperatures": ["2K", "1e-60K"]}}},
@@ -170,10 +156,21 @@ class TestValidation:
         ({"studies": {"temp_scan": {"temperature_ref": "1e300K"}}},
          "studies.temp_scan.temperatures[0]: at 2 K "),
         ({"studies": {"temp_scan": {"temperatures": ["2K", "1e10K"]}}},
-         "studies.temp_scan.temperatures[1]: segment 0 (init_pi_half), member 0: "),
-        ({"ensemble": {"optical_fwhm": "1e308Hz", "n_optical": 3}}, "ensemble.optical_fwhm "),
-        ({"ensemble": {"spin_fwhm": "1e308Hz", "n_spin": 3}}, "ensemble.spin_fwhm "),
-    ], ids=["1e50K", "1e-60K", "reference-1e300K", "1e10K", "optical_fwhm", "spin_fwhm"])
+         "studies.temp_scan.temperatures[1]: at 1e+10 K "),
+        ({"ensemble": {"optical_fwhm": "1e308Hz", "n_optical": 3}},
+         "ensemble.optical_fwhm: must be <= 1e15Hz"),
+        ({"ensemble": {"spin_fwhm": "1e308Hz", "n_spin": 3}},
+         "ensemble.spin_fwhm: must be <= 1e15Hz"),
+        ({"sequence": {"tau": "60us", "readout_rabi": "1e300Hz"}},
+         "sequence.readout_rabi: must be <= 1e15Hz"),
+        ({"studies": {"field_sweep": {"fields": ["0uT", "1e30uT"]}}},
+         "studies.field_sweep.fields[1]: must be <= 1kT"),
+        ({"field_model": {"g_factor": "1e300kHz/100uT"}},
+         "field_model.g_factor: must be <= 1e12Hz/1T"),
+        ({"studies": {"compensation": {"ambient_field": ["0uT", "0uT", "1e30uT"]}}},
+         "studies.compensation.ambient_field[2]: must be <= 1kT"),
+    ], ids=["1e50K", "1e-60K", "reference-1e300K", "1e10K", "optical_fwhm", "spin_fwhm",
+            "readout_rabi", "field_sweep", "g_factor", "ambient_field"])
     def test_values_beyond_float_range_name_their_key(self, block, head):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -190,9 +187,8 @@ class TestValidation:
         # though the member offsets alone put the base echo's pulse maps
         # beyond 64 squarings at any temperature or optical T2
         _, errors = validate_config({"sequence": {"tau": "60us"}, "ensemble": ensemble})
-        assert len(errors) == 1
-        assert errors[0].startswith(f"ensemble.{key}: segment 0 (init_pi_half), member 0: ")
-        assert errors[0].endswith("beyond 64 squarings")
+        offset = "[0].offset" if key == "zeeman_branches" else ""
+        assert errors == [f"ensemble.{key}{offset}: must be <= 1e15Hz"]
 
     @pytest.mark.parametrize("block, key", [
         ({"physics": {"delta_opt": "1e300Hz"}}, "delta_opt"),
@@ -202,11 +198,11 @@ class TestValidation:
     def test_base_detuning_too_large_for_the_pulse_maps_names_its_key(self, block, key):
         # validate named studies.temp_scan.temperatures[4] and
         # studies.scaling.t2_opt[0]: the resonant member alone fails the base
-        # echo's check, on its base detunings
+        # echo's check, on its base detunings; each detuning out of its range
+        # is named, the first in table order first
         _, errors = validate_config({"sequence": {"tau": "60us"}, **block})
-        assert len(errors) == 1
-        assert errors[0].startswith(f"physics.{key}: segment 0 (init_pi_half), member 0: ")
-        assert errors[0].endswith("beyond 64 squarings")
+        assert errors[0].startswith(f"physics.{key}: must be ")
+        assert all(e.startswith("physics.delta_") and e.endswith("1e15Hz") for e in errors)
 
     @pytest.mark.parametrize("physics, key", [
         ({"t2_opt": "1e-300s"}, "t2_opt"),
@@ -216,12 +212,12 @@ class TestValidation:
         ({"t1_opt": "1e-290s", "t2_opt": "1e-300s", "t2_spin": "1e-295s"}, "t2_opt")])
     def test_base_rate_too_large_for_the_pulse_maps_names_its_key(self, physics, key):
         # validate passed t2_opt (the studies replace the optical rate with
-        # their own) and blamed the studies for t1_opt: the resonant member
-        # fails the base echo's check at zero detunings, on its fastest rate
+        # their own) and blamed the studies for t1_opt; each rate or lifetime
+        # out of its range is named
         _, errors = validate_config({"sequence": {"tau": "60us"}, "physics": physics})
-        assert len(errors) == 1
-        assert errors[0].startswith(f"physics.{key}: segment 0 (init_pi_half), member 0: ")
-        assert errors[0].endswith("beyond 64 squarings")
+        limit = "<= 1e15Hz" if key == "excitation_spin_deph" else ">= 1e-15s"
+        assert f"physics.{key}: must be {limit}" in errors
+        assert all(e.startswith("physics.") and e.endswith(("1e15Hz", "1e-15s")) for e in errors)
 
     def test_parse_config_raises_with_all_problems(self):
         with pytest.raises(ConfigurationError) as exc:
@@ -429,12 +425,16 @@ class TestBounds:
         ({"temp_scan": {"t2_opt_ref": "0us"}}, "studies.temp_scan.t2_opt_ref: must be > 0"),
         ({"temp_scan": {"temperature_ref": "-2K"}},
          "studies.temp_scan.temperature_ref: must be > 0"),
-        ({"scaling": {"t2_opt": ["1ns", "-1ns"]}}, "studies.scaling.t2_opt[1]: must be > 0"),
+        ({"scaling": {"t2_opt": ["1ns", "-1ns"]}}, "studies.scaling.t2_opt[1]: must be >= 1e-15s"),
         ({"scaling": {"t2_opt": {"min": "0ns", "max": "1us", "n": 4}}},
-         "studies.scaling.t2_opt.min: must be > 0"),
+         "studies.scaling.t2_opt.min: must be >= 1e-15s"),
         # the echo spans 4 init-pulse durations; this named EchoConfig.tau at run time
         ({"scaling": {"tau_in_pulses": 4}}, "studies.scaling.tau_in_pulses: must be > 4"),
         ({"scaling": {"tau_in_pulses": 3.5}}, "studies.scaling.tau_in_pulses: must be > 4"),
+        # t_pi = 100 ns * sqrt(t2_opt / 100 us): 10 s at t2_opt = 1e12 s
+        ({"scaling": {"t2_opt": ["1us", "1e12s"]}},
+         "studies.scaling.t2_opt[1]: its pulse duration t_pi_ref * sqrt(t2_opt / t2_opt_ref), "
+         "10 s, must be <= 1s"),
     ])
     def test_study_bound_names_its_key(self, block, problem):
         cfg, errors = validate_config({"sequence": {"tau": "60us"}, "studies": block})
@@ -474,3 +474,121 @@ class TestBounds:
         _, errors = validate_config({"sequence": {"tau": "60us"},
                                      "studies": {"field_sweep": {"fields": fields}}})
         assert errors == ["unknown key studies.field_sweep.fields.lg"]
+
+
+
+
+def _end(path: str, op: str) -> str:
+    """The limit of the `op` clause (">=" or "<=") of a key's range, as written."""
+    bound = next(k.bound for k in KEYS if k.path == path)
+    return dict(clause.split() for clause in bound.split(", "))[op]
+
+
+def _hottest_at_the_rate_end() -> float:
+    """The hottest scan temperature whose T^-7 dephasing rate, from the default
+    reference pair, validate accepts: at most MAX_RATE."""
+    model = TemperatureModel(t2_opt_ref=100e-6, temperature_ref=2.0)
+    t = 2.0 * (100e-6 * MAX_RATE) ** (1.0 / 7.0)
+    while model.gamma_opt_deph(t) > MAX_RATE:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+def edge_tree(pick) -> dict:
+    """A config tree whose ranged keys sit at an end of their range in KEYS (a
+    lower end of 0 written as 0Hz), or are left out (None); `pick(choices)`
+    picks one of each key's choices, the last of which puts the pulse maps'
+    norms farthest out."""
+    def ends(path):
+        return _end(path, ">="), _end(path, "<=")
+
+    def chosen(**choices):
+        picked = {key: pick(values) for key, values in choices.items()}
+        return {key: value for key, value in picked.items() if value is not None}
+
+    lifetime, (short, long) = _end("physics.t1_opt", ">="), ends("sequence.t_init")
+    # pulse durations (init, rephase, readout): the defaults, the shortest, the
+    # longest, and the shortest init pulse before the longest readout pulse,
+    # whose default drive, the init pulse's, is then the largest of any key
+    durations = pick([("2us",) * 3, (short,) * 3, (long,) * 3, (short, "2us", long)])
+    tau = 2.0 * sum(parse_quantity(d, "time") for d in durations)
+    taus = {"min": f"{tau!r}s", "max": f"{5 * tau!r}s", "n": 5}
+    n_optical, n_spin = pick([(1, 1), (3, 3), (3, int(_end("ensemble.n_spin", "<="))),
+                              (int(_end("ensemble.n_optical", "<=")), 3)])
+    offset_lo, offset_hi = ends("ensemble.zeeman_branches")
+    ambient_lo, ambient_hi = ends("studies.compensation.ambient_field")
+    return {
+        "physics": chosen(t1_opt=(None, lifetime), t2_opt=(None, lifetime),
+                          t2_spin=(None, lifetime),
+                          excitation_spin_deph=("0Hz", _end("physics.excitation_spin_deph", "<=")),
+                          delta_opt=(None, *ends("physics.delta_opt")),
+                          delta_spin=(None, *ends("physics.delta_spin"))),
+        "ensemble": {"n_optical": n_optical, "n_spin": n_spin, "spin_fwhm": "0Hz", **chosen(
+            optical_fwhm=("0Hz", _end("ensemble.optical_fwhm", "<=")),
+            spin_fwhm=("0Hz", _end("ensemble.spin_fwhm", "<=")),
+            zeeman_branches=(None, [{"offset": offset_lo, "weight": 0.5},
+                                    {"offset": offset_hi, "weight": 0.5}]))},
+        "sequence": {"tau": f"{tau!r}s", **dict(zip(("t_init", "t_rephase", "t_readout"),
+                                                    durations)), **chosen(
+            readout_rabi=("0Hz", _end("sequence.readout_rabi", "<="), None),
+            init_area_pi=(None, _end("sequence.init_area_pi", "<=")),
+            rephase_area_pi=(None, _end("sequence.rephase_area_pi", "<=")),
+            calibration=("bright", "bare"))},
+        "field_model": chosen(g_factor=(None, _end("field_model.g_factor", "<="))),
+        "studies": {
+            "field_sweep": {"taus": taus,
+                            **chosen(fields=(None, list(ends("studies.field_sweep.fields"))))},
+            "temp_scan": {"taus": taus, **chosen(
+                temperatures=(None, ["2K", f"{_hottest_at_the_rate_end()!r}K"]))},
+            # pulses of t_pi_ref * sqrt(t2_opt / 100 us), up to the longest
+            # that validate accepts, MAX_DURATION
+            "scaling": pick([{}, {"t_pi_ref": _end("studies.scaling.t_pi_ref", "<="),
+                                  "t2_opt": [_end("studies.scaling.t2_opt", ">="),
+                                             f"{100e-6 * MAX_DURATION ** 2!r}s"]}]),
+            "compensation": {"taus": taus, **chosen(
+                ambient_field=(None, [ambient_hi, ambient_lo, ambient_hi]),
+                search_range=(None, _end("studies.compensation.search_range", "<=")))},
+        },
+    }
+
+
+@st.composite
+def edge_trees(draw) -> dict:
+    return edge_tree(lambda choices: draw(st.sampled_from(choices)))
+
+
+def pulse_stacks(cfg):
+    """(parameters, sequence, member offsets) of every pulse stack that the
+    subcommands propagate: the base echo with its readout, at the hottest scan
+    temperature, at the largest sweep field and at the compensation box's
+    farthest corner, and each scaling point's echo."""
+    seq = make_echo_sequence(cfg.sequence)
+    offsets = member_stack(cfg.ensemble)[0]
+    yield cfg.physics, seq, offsets
+    rate = max(cfg.temp_scan.model.gamma_opt_deph(t) for t in cfg.temp_scan.temperatures)
+    yield cfg.physics.replace(gamma_opt_deph=rate), seq, offsets
+    comp = cfg.compensation
+    corner = np.linalg.norm(np.abs(comp.model.net_field()) + comp.search_range)
+    for field in (np.abs(cfg.field_sweep.fields).max(), corner):
+        spec = replace(cfg.ensemble, zeeman_branches=branches_for_splitting(
+            cfg.field_model.g_factor * field))
+        yield cfg.physics, seq, member_stack(spec)[0]
+    for t2 in cfg.scaling.t2_opt_values:
+        _, member, scaled = scaling_point(cfg.sequence, cfg.scaling.model, cfg.physics, t2,
+                                          cfg.scaling.tau_in_pulses)
+        yield member, scaled, offsets
+
+
+class TestRangesBoundThePulseMaps:
+    """A config that validates cannot fail _expm's squaring check at run time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=edge_trees())
+    @example(tree=edge_tree(lambda choices: choices[-1]))
+    def test_every_pulse_map_of_a_valid_config_is_scalable(self, tree):
+        cfg, errors = validate_config(tree)
+        assert errors == []
+        for params, seq, offsets in pulse_stacks(cfg):
+            pulses = [seg for seg in seq.segments if isinstance(seg, PulseSpec)]
+            _check_squarings(np.array([seg.duration * member_generators(params, seg, offsets)
+                                       for seg in pulses]))

@@ -97,6 +97,9 @@ class TestFloatTable:
                          0x7FF8DEADBEEF0001], dtype=np.uint64)
         table = bits.view(np.float64).reshape(2, 2)
         assert units.csv_text("a,b", table) == "a,b\nnan,nan\nnan,nan\n"
+        # a signalling float32 NaN, whose cast to float64 sets numpy's invalid flag
+        small = np.array([0x7FA00000, 0x3F800000], np.uint32).view(np.float32).reshape(1, 2)
+        assert units.csv_text("a,b", small) == "a,b\nnan,1.0\n"
 
     def test_non_contiguous_and_float32_tables(self):
         table = np.arange(24.0).reshape(4, 6) / 7.0

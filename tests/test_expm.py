@@ -17,17 +17,14 @@ from scipy.special import stdtrit
 
 import eitecho.dynamics as dynamics
 from eitecho.dynamics import (MAX_SQUARINGS, PADE_THETAS, PulseSpec, SequenceSpec, Wait,
-                              _check_squarings, _expm, _map_namer, _segment_name,
-                              check_pulse_maps, member_generators, propagate_members,
-                              sequence_endpoints)
+                              _expm, member_generators, propagate_members, sequence_endpoints)
 from eitecho.ensemble import MIXED_GROUND, EnsembleSpec
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.readout import assemble_decay_curve, student_t_quantile
 from eitecho.sequences import EchoConfig, make_echo_sequence
 
-from test_propagators import (TRACE_FUNCTIONAL, W, lambda_params, magnitude, phase, segments,
-                              unit)
+from test_propagators import TRACE_FUNCTIONAL, W, lambda_params, magnitude, phase, unit
 
 # vec(rho) -> vec(rho^T): a map M keeps Hermitian states Hermitian iff SWAP conj(M) SWAP = M
 SWAP = np.eye(9)[[3 * (j % 3) + j // 3 for j in range(9)]]
@@ -237,30 +234,3 @@ class TestUnscalableInput:
         with pytest.raises(ConfigurationError, match=f"beyond {MAX_SQUARINGS} squarings"):
             _expm(-norm * np.eye(9))
         assert np.isfinite(_expm(-PADE_THETAS[13] * 2.0 ** MAX_SQUARINGS * np.eye(9))).all()
-
-
-class TestPulseMapCheck:
-    @settings(max_examples=60, deadline=None)
-    @given(p=lambda_params(), segs=segments(), units=st.lists(st.tuples(unit, unit, unit),
-                                                             min_size=1, max_size=4),
-           log_scale=st.floats(0.0, 30.0))
-    @example(p=LambdaParams(rabi0=W), segs=(PulseSpec(duration=1e-7, rabi0=W),),
-             units=[(0.0, 0.0, 0.0), (1.0, -0.5, 0.2)], log_scale=27.0)
-    def test_same_verdict_as_the_stacked_generators(self, p, segs, units, log_scale):
-        # the check sums each member's column norms without stacking its
-        # generators; the verdict and the named member are those of _expm's check
-        offsets = 10.0 ** log_scale * np.array(units)
-        seq = SequenceSpec(segments=segs)
-        pulses = [(k, seg) for k, seg in enumerate(segs) if isinstance(seg, PulseSpec)]
-        outcomes = []
-        for check in (lambda: check_pulse_maps(p, seq, offsets),
-                      lambda: _check_squarings(
-                          np.array([seg.duration * member_generators(p, seg, offsets)
-                                    for _, seg in pulses]).reshape(len(pulses), len(offsets), 9, 9),
-                          _map_namer([_segment_name(k, seg) for k, seg in pulses]))):
-            try:
-                check()
-                outcomes.append(None)
-            except ConfigurationError as exc:
-                outcomes.append(exc.problems)
-        assert outcomes[0] == outcomes[1]
