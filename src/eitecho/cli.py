@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (DEFAULT_CONFIG_TEXT, KEYS, REQUIRED, Key, RunConfig, grid_warnings,
-                     parse_config)
+from .config import (DEFAULT_CONFIG_TEXT, KEYS, MAX_AXIS, REQUIRED, Key, RunConfig,
+                     grid_warnings, parse_config)
 from .dynamics import SequenceSpec, run_sequence
 from .ensemble import ensemble_average, ensemble_final_state
 from .errors import ConfigurationError, FitFailureError, ValidationError
@@ -182,7 +182,8 @@ _COMMANDS = {
 
 def accepts(key: Key) -> str:
     """What a config key takes: its kind, its bound and whether it is required."""
-    parts = ["|".join(key.kind) if isinstance(key.kind, tuple) else key.kind]
+    parts = ["|".join(key.kind) if isinstance(key.kind, tuple)
+             else key.kind.replace(" axis", f" axis (<= {MAX_AXIS} values)")]
     if key.bound:
         parts.append(key.bound)
     if key.default is REQUIRED:

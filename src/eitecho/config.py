@@ -39,6 +39,8 @@ DETUNING = ">= -1e15Hz, <= 1e15Hz"
 FIELD = ">= -1kT, <= 1kT"
 # the upper ends of FREQUENCY and DURATION, for the values derived from keys
 MAX_RATE, MAX_DURATION = 1e15, 1.0
+# values of a study axis: 1024 fields take ~0.4 s and ~90 MB of one member's sweep
+MAX_AXIS = 1024
 
 
 @dataclass(frozen=True)
@@ -267,8 +269,11 @@ def _within(value, kind: str, bound: str | None, path: str, errors: list) -> boo
 
 
 def _axis(spec, dimension: str, bound: str | None, path: str, errors: list):
-    """A list of values or a {min, max, n[, log]} range, each value within `bound`."""
+    """A list or a {min, max, n[, log]} range of at most MAX_AXIS values, each within `bound`."""
     if isinstance(spec, list):
+        if len(spec) > MAX_AXIS:
+            errors.append(f"{path}: must have <= {MAX_AXIS} values, got {len(spec)}")
+            return None
         values = [_value(item, dimension, bound, f"{path}[{i}]", errors)
                   for i, item in enumerate(spec)]
         return None if None in values else np.array(values)
@@ -276,7 +281,7 @@ def _axis(spec, dimension: str, bound: str | None, path: str, errors: list):
         errors.append(f"{path}: expected a list or a min/max/n mapping")
         return None
     keys = (Key("min", dimension, default=REQUIRED), Key("max", dimension, default=REQUIRED),
-            Key("n", "int", ">= 1", default=10), Key("log", "bool", default=False))
+            Key("n", "int", f">= 1, <= {MAX_AXIS}", default=10), Key("log", "bool", default=False))
     _check_keys(spec, keys, errors, f"{path}.")
     values, bad = _read(spec, keys, errors, f"{path}.")
     if bad:
@@ -412,15 +417,27 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
                         sequence if sequence_ok else None, errors)
     if (sequence is not None and "model" in compensation
             and not any(p.startswith(("sequence.", "studies.compensation.")) for p in bad)):
-        # the bracketing stage's longest storage time, where a pulse has least room
-        tau = float(compensation_bracket_taus(compensation["model"], sequence,
-                                              compensation["search_range"])[-1])
-        try:
-            replace(sequence, tau=tau)
-        except ConfigurationError as exc:
-            errors.extend(f"studies.compensation.search_range: its bracketing storage time "
-                          f"{tau:g} s: " + p.replace("EchoConfig.", "sequence.")
-                          for p in exc.problems)
+        def bracket_problems(model: FieldModel) -> list:
+            """The room rule at the bracketing stage's longest storage time,
+            where a pulse has least room; EchoConfig has none for an inf."""
+            tau = float(compensation_bracket_taus(model, sequence,
+                                                  compensation["search_range"])[-1])
+            if tau == math.inf:
+                return ["its bracketing storage time is inf: g_factor times the reach, "
+                        "|ambient_field| + 2 search_range, is too small to invert"]
+            try:
+                replace(sequence, tau=tau)
+            except ConfigurationError as exc:
+                return [f"its bracketing storage time {tau:g} s: "
+                        + p.replace("EchoConfig.", "sequence.") for p in exc.problems]
+            return []
+
+        model = compensation["model"]
+        if problems := bracket_problems(model):
+            # the g-factor is at fault if the default one leaves room
+            at_fault = ("studies.compensation.search_range" if bracket_problems(
+                replace(model, g_factor=FieldModel.g_factor)) else "field_model.g_factor")
+            errors.extend(f"{at_fault}: {p}" for p in problems)
     if not any(p.startswith("studies.temp_scan.") for p in bad):
         _temperature_rates(temp_scan["temperatures"], temp_scan["model"], errors)
     if sequence is not None and not any(p.startswith("studies.scaling.") for p in bad):

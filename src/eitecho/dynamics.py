@@ -9,13 +9,13 @@ Members of one parameter set differ only in their detunings, which enter L
 as a diagonal shift, so one Liouvillian serves them all; it depends only on
 the parameters and the segment's drive, so it is built once per (parameters,
 drive) and cached, the missing ones of a call all at once.  A wait's
-generator is diagonal apart from the two |e>-decay entries, so its map is
-written in closed form and needs no expm.  End states of a batch of
-sequences that differ only in their wait durations (a decay curve's storage
-times) are computed together: each segment's generator is built once, the
-maps of all pulses come from one expm call per Pade degree of the
-parameter sets over (pulse x member), and the waits are applied over
-(sequence x member), a bounded chunk of sequences at a time.
+generator is diagonal apart from the two |e>-decay entries, so on every
+path a wait acts on the states elementwise (:func:`wait_states`), no expm.
+End states of a batch of sequences that differ only in their wait
+durations (a decay curve's storage times) are computed together: each
+segment's generator is built once, the maps of all pulses come from one
+expm call per Pade degree of the parameter sets over (pulse x member), and
+every segment acts on (sequence x member) states, a chunk at a time.
 Sampled segments are sampled on a whole fraction of the segment's clock (the
 readout's detector clock, else the duration).  A pulse raises the map of one
 grid step to successive powers, one block of samples per batched product.  A
@@ -70,10 +70,10 @@ MAX_SQUARINGS = 64
 # Samples a sampled trajectory may hold: 2^20 weight-summed states of 144 B,
 # ~150 MB, hundreds of times a default echo's.
 MAX_SAMPLES = 2 ** 20
-# (storage time x member) states whose wait maps and products the endpoint
-# path holds at once, unless one storage time has more members: a wait map
-# is 1.3 kB per state, so a chunk's stays near 2.7 MB, below the member
-# stack's pulse maps, however many storage times a batch of curves has.
+# (storage time x member) states that the endpoint path and the readout hold
+# at once, unless one storage time has more members: a chunk bounds the
+# states (144 B each), the pulse products and the readout's temporaries to
+# ~0.3 MB per array, however many storage times a batch of curves has.
 BATCH_STATES = 2 ** 11
 
 
@@ -410,38 +410,35 @@ def member_generators(p, segment: Segment, offsets: np.ndarray, name=_member) ->
     return gen
 
 
-def wait_maps(gen: np.ndarray, durations) -> np.ndarray:
-    """Maps (T, M, 9, 9) of drive-free generators (M, 9, 9) over T durations, in closed form.
+def wait_states(gen: np.ndarray, durations, v: np.ndarray) -> np.ndarray:
+    """States (T, M, 9) after drive-free generators (M, 9, 9) act on the member
+    states v, (M, 9) or (T, M, 9), for each of T durations, in closed form.
 
     Without drive the generator is diagonal apart from the decay of rho_ee
-    (flat index 8) into rho_00 and rho_11 (DECAY_FED), so the map is
-    exp(t d) on the diagonal d plus the :func:`_decay_feed` entries [i, 8].
+    (flat index 8) into rho_00 and rho_11 (DECAY_FED), so entry i of a state
+    picks up exp(t d_i), d the diagonal, plus :func:`_decay_feed` times v_8.
     """
     t = np.asarray(durations, dtype=float)[:, None]                   # (T, 1)
-    maps = np.zeros((t.size,) + gen.shape, dtype=complex)
-    idx = np.arange(9)
-    maps[..., idx, idx] = np.exp(t[..., None] * np.einsum("mii->mi", gen))
-    maps[..., DECAY_FED, 8] = _decay_feed(gen, t)
-    return maps
+    states = v * np.exp(t[..., None] * np.einsum("mii->mi", gen))
+    states[..., DECAY_FED] += _decay_feed(gen, t) * v[..., 8:]
+    return states
 
 
 def _decay_feed(gen: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Entries [i, 8], i in DECAY_FED, (T, M, 2) of the wait maps of `gen` over times t (T, 1).
+    """Entries [i, 8], i in DECAY_FED, (T, M, 2) of the maps exp(t gen) over times t (T, 1).
 
     L[i, 8] (e^{d_8 t} - e^{d_i t}) / (d_8 - d_i) = L[i, 8] t e^{d_i t} expm1(x) / x
     with x = (d_8 - d_i) t, read as L[i, 8] t e^{d_i t} where x = 0.  The
     population entries d_0, d_4, d_8 are real, and x is kept real: complex
     division by a subnormal x overflows, real division does not.
     """
-    rates = np.einsum("mii->mi", gen).real                            # (M, 9)
-    feed = np.empty((len(t), len(gen), len(DECAY_FED)), dtype=complex)
-    for j, i in enumerate(DECAY_FED):
-        x = t * (rates[:, 8] - rates[:, i])                           # (T, M)
-        ratio = np.ones_like(x)
-        nonzero = x != 0.0
-        ratio[nonzero] = np.expm1(x[nonzero]) / x[nonzero]
-        feed[..., j] = gen[:, i, 8] * t * np.exp(t * rates[:, i]) * ratio
-    return feed
+    rates = np.einsum("mii->mi", gen).real[:, DECAY_FED + [8]]       # (M, 3)
+    t = t[..., None]                                                  # (T, 1, 1)
+    x = t * (rates[:, 2:] - rates[:, :2])                             # (T, M, 2)
+    ratio = np.ones_like(x)
+    nonzero = x != 0.0
+    ratio[nonzero] = np.expm1(x[nonzero]) / x[nonzero]
+    return gen[:, DECAY_FED, 8] * t * np.exp(t * rates[:, :2]) * ratio
 
 
 def geometric_sum(step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -516,12 +513,11 @@ def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,
     generator is built once for the member stack (:func:`member_generators`);
     the maps of all pulses come from one :func:`_expm` call per Pade degree
     of the sets over (pulse x member) (:func:`_set_maps`) and apply to every
-    (sequence, member) state, a wait applies its closed-form map
-    (:func:`wait_maps`).  The waits and products run over one
-    :func:`storage_chunks` chunk of sequences at a time.  The states are
-    returned unchecked: callers apply their remaining maps and then
-    :func:`_check_physical`.  `member_name` maps a member row to its name in
-    errors.
+    (sequence, member) state, and a wait acts on the states elementwise
+    (:func:`wait_states`), one :func:`storage_chunks` chunk of sequences at
+    a time.  The states are returned unchecked: callers apply their
+    remaining maps and then :func:`_check_physical`.  `member_name` maps a
+    member row to its name in errors.
     """
     layout = seqs[0].segments
     if any(len(s.segments) != len(layout) for s in seqs):
@@ -551,10 +547,9 @@ def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,
         for k in range(len(layout)):
             if k in waits:
                 gen, durations = waits[k]
-                segment_map = wait_maps(gen, durations[rows])
+                v = wait_states(gen, durations[rows], v)
             else:
-                segment_map = maps[pulses.index(k)]
-            v = (segment_map @ v[..., None])[..., 0]
+                v = (maps[pulses.index(k)] @ v[..., None])[..., 0]
         ends[rows] = v
     return ends
 
@@ -600,9 +595,7 @@ def _wait_samples(gen: np.ndarray, weights: np.ndarray, v: np.ndarray, dt: float
     samples = (outer @ inner).reshape(9, -1)[:, :n].T
     times = dt * np.arange(1, n + 1)[:, None]
     samples[:, DECAY_FED] += _decay_feed(gen[:1], times)[:, 0] * (weights @ v[:, 8])
-    end = v * np.exp(d.T * (n * dt))
-    end[:, DECAY_FED] += _decay_feed(gen, times[-1:])[0] * v[:, 8:]
-    return samples, end
+    return samples, wait_states(gen, times[-1], v)[0]
 
 
 def whole_steps(duration: float, dt: float) -> tuple[int, list]:
@@ -701,11 +694,11 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     before any state is stored.  A pulse is sampled in blocks of
     SAMPLE_BLOCK powers of its step map, each block summed over the weighted
     member states by one product in fixed member order; a wait is sampled in
-    closed form (:func:`_wait_samples`) with no expm.  Only the weighted sum
-    is stored.  A stack that mirrors (:func:`mirror_phases`,
-    :func:`mirror_half`) propagates its first half only and adds the mirror
-    to each sample.  A non-finite generator raises a ConfigurationError
-    naming its segment and member.
+    closed form (:func:`_wait_samples`, :func:`wait_states`) with no expm.
+    Only the weighted sum is stored.  A stack that mirrors
+    (:func:`mirror_phases`, :func:`mirror_half`) propagates its first half
+    only and adds the mirror to each sample.  A non-finite generator raises
+    a ConfigurationError naming its segment and member.
     """
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     weights = np.asarray(weights, dtype=float)
@@ -745,7 +738,6 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     for seg, name, gen, (dt, n_steps, steps) in zip(seq.segments, names, gens, grids):
         segment_starts.append((n_samples - 1, seg))
         if isinstance(seg, Wait):
-            maps = wait_maps(gen, steps[1:])
             samples, v = _wait_samples(gen, weights, v, dt, n_steps)
             states.append(samples)
         else:
@@ -762,7 +754,8 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         times.append(t0 + dt * np.arange(1, n_steps + 1))
         n_samples += n_steps
         if len(steps) == 2:
-            v = (maps[-1] @ v[:, :, None])[:, :, 0]
+            v = (wait_states(gen, steps[1:], v)[0] if isinstance(seg, Wait)
+                 else (maps[-1] @ v[:, :, None])[:, :, 0])
             states.append((weights @ v)[None])
             times.append(np.array([t0 + seg.duration]))
             n_samples += 1

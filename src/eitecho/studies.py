@@ -342,12 +342,16 @@ def compensation_bracket_taus(m: FieldModel, cfg: EchoConfig,
     search box keeps every point within the first beat lobe; there the summed
     amplitude is strictly monotone in the net field magnitude, |B + c|^2 is
     separable per axis, and each axis scan is exactly V-shaped around the
-    true compensation value.
+    true compensation value.  They are all inf where g_factor * reach is too
+    small for its inverse to be a float.
     """
     tau_floor = 2.0 * cfg.t_init + cfg.t_rephase + cfg.t_readout + 1e-7
     reach = float(np.linalg.norm(m.net_field())) + 2.0 * search_range
-    tau_lobe = 1.4 / (math.pi * m.g_factor * reach) - cfg.t_init
+    with np.errstate(divide="ignore", over="ignore"):
+        tau_lobe = float(np.float64(1.4) / (math.pi * m.g_factor * reach)) - cfg.t_init
     tau_hi = max(tau_floor * 1.5, tau_lobe)
+    if tau_hi == math.inf:
+        return np.full(6, math.inf)
     return np.linspace(max(tau_floor, 0.5 * tau_hi), tau_hi, 6)
 
 

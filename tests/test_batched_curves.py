@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import eitecho.dynamics as dynamics
 import eitecho.readout as readout
-from eitecho.dynamics import PulseSpec, Wait, _base_generator, _segment_params, wait_maps
+from eitecho.dynamics import PulseSpec, Wait, _base_generator, _segment_params, wait_states
 from eitecho.ensemble import EnsembleSpec
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams, liouvillian, liouvillians
@@ -110,13 +110,12 @@ class TestGroupNamedErrors:
     def test_physicality_error_names_field_member_and_tau(self, monkeypatch, mode):
         # stacked rows: field 0 -> row 0, 10 uT -> rows 1-2, 20 uT -> rows 3-4;
         # inflate the spin coherence of row 4 at the last storage time
-        def inflating(gen, durations):
-            maps = wait_maps(gen, durations)
-            maps[-1, 4, 1, 1] *= 5.0
-            maps[-1, 4, 3, 3] *= 5.0
-            return maps
+        def inflating(gen, durations, v):
+            states = wait_states(gen, durations, v)
+            states[-1, 4, [1, 3]] *= 5.0
+            return states
 
-        monkeypatch.setattr(dynamics, "wait_maps", inflating)
+        monkeypatch.setattr(dynamics, "wait_states", inflating)
         taus = np.array([20e-6, 40e-6, 60e-6])
         with pytest.raises(ConfigurationError,
                            match=r"in member 1 of field 2e-05 T at tau 6e-05 s with offsets"):

@@ -320,8 +320,8 @@ class TestCompensate:
         # 2 + golden_steps values, the steps that still shrink a bracket of
         # values up to |start| + search_range, or at its own convergence
         for compensation, search_range, count in (
-                ("{search_range: 1uT, tolerance: 1e-22uT}", 1e-6, 175),
-                ("{tolerance: 1e-317uT}", 100e-6, 153)):
+                ("{search_range: 1uT, tolerance: 1e-22uT}", 1e-6, 173),
+                ("{tolerance: 1e-317uT}", 100e-6, 145)):
             text = CLOSED_CONFIG + f"studies:\n  compensation: {compensation}\n"
             out = tmp_path / str(search_range)
             done = TestArgumentErrors.run_cli("compensate", "--config",
@@ -424,6 +424,27 @@ class TestBoundsExitOne:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"config error: {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, problem", [
+        # validate printed numpy's "invalid value" warning and "config OK", and
+        # compensate exited 1 naming "EchoConfig.tau (nan)": 1.4 / (pi g reach)
+        # overflows, and the bracket check let its infinite storage time pass
+        ("compensate", "field_model: {g_factor: 1e-310Hz/1T}", "field_model.g_factor"),
+        ("compensate", "studies:\n  compensation: {ambient_field: [0uT, 0uT, 0uT], "
+         "search_range: 1e-320T}", "studies.compensation.search_range"),
+        # validate said "config OK", and temp-scan would have made a million curves
+        ("temp-scan", "studies:\n  temp_scan: {temperatures: {min: 2K, max: 5K, n: 1000000}}",
+         "studies.temp_scan.temperatures.n: must be <= 1024"),
+    ])
+    def test_validate_and_the_run_name_the_key(self, tmp_path, capsys, command, section,
+                                               problem):
+        path = str(write_config(tmp_path, CLOSED_CONFIG + section + "\n"))
+        out = tmp_path / "o"
+        for args in (["validate"], [command, "--out", str(out)]):
+            assert main([*args, "--config", path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {problem}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_negative_config_seed_exits_one(self, tmp_path, capsys):

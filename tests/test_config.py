@@ -144,6 +144,26 @@ class TestValidation:
         assert validate_config(tree)[1] == []
 
     @pytest.mark.parametrize("block, head", [
+        # 1.4 / (pi g reach) overflows: validate warned from np.linspace and
+        # said "config OK" to the first and third, and raised ZeroDivisionError
+        # on the second; EchoConfig has no room rule for an infinite tau
+        ({"field_model": {"g_factor": "1e-310Hz/1T"}},
+         "field_model.g_factor: its bracketing storage time is inf: "),
+        ({"field_model": {"g_factor": "5e-324Hz/1T"}},
+         "field_model.g_factor: its bracketing storage time is inf: "),
+        ({"studies": {"compensation": {"ambient_field": ["0uT", "0uT", "0uT"],
+                                       "search_range": "1e-320T"}}},
+         "studies.compensation.search_range: its bracketing storage time is inf: "),
+        # near 1e303 s no pulse has room: this named the search range, though
+        # the default g-factor leaves room
+        ({"field_model": {"g_factor": "1e-300Hz/1T"}},
+         "field_model.g_factor: its bracketing storage time 1.78254e+303 s: "),
+    ])
+    def test_compensation_bracket_names_the_key_at_fault(self, block, head):
+        _, errors = validate_config({"sequence": {"tau": "60us"}, **block})
+        assert errors and all(e.startswith(head) for e in errors)
+
+    @pytest.mark.parametrize("block, head", [
         # the T^-7 law underflows the optical T2 to 0 at 1e50 K and overflows
         # at 1e-60 K and from a 1e300 K reference; at 1e10 K the T2 is finite
         # but below the 1e-15 s of a lifetime key; the other values are
@@ -439,6 +459,25 @@ class TestBounds:
     def test_study_bound_names_its_key(self, block, problem):
         cfg, errors = validate_config({"sequence": {"tau": "60us"}, "studies": block})
         assert cfg is None and errors == [problem]
+
+    @pytest.mark.parametrize("path", ["field_sweep.fields", "field_sweep.taus",
+                                      "temp_scan.temperatures", "temp_scan.taus",
+                                      "scaling.t2_opt", "compensation.taus"])
+    def test_an_axis_holds_at_most_1024_values(self, path):
+        # {min: 2K, max: 5K, n: 1000000} passed validate, and each value is a
+        # decay curve or a point of one
+        study, key = path.split(".")
+        low, high = {"fields": ("0uT", "95uT"), "temperatures": ("2K", "5K"),
+                     "t2_opt": ("1ns", "1us")}.get(key, ("200us", "300us"))
+
+        def errors(axis):
+            return validate_config({"sequence": {"tau": "60us"},
+                                    "studies": {study: {key: axis}}})[1]
+
+        assert errors({"min": low, "max": high, "n": 1024}) == []
+        assert errors({"min": low, "max": high, "n": 1000000}) == \
+            [f"studies.{path}.n: must be <= 1024"]
+        assert errors([low] * 1025) == [f"studies.{path}: must have <= 1024 values, got 1025"]
 
     def test_negative_seed_named(self):
         cfg, errors = validate_config({"sequence": {"tau": "60us"}, "output": {"seed": -5}})

@@ -1,6 +1,6 @@
 """One call per decay curve: closed-form waits, geometric sums and the beat functional.
 
-The closed-form wait map is checked against `expm` of the same generator, the
+The closed-form wait is checked against `expm` of the same generator, the
 geometric-sum readout against the beat synthesized from explicitly sampled
 detector ticks, and whole decay curves against one full sampled
 `propagate_members` trajectory per storage time.  A non-physical (storage time, member) state must be
@@ -18,7 +18,7 @@ import eitecho.dynamics as dynamics
 from eitecho.dynamics import (PulseSpec, Trajectory, Wait, _check_physical,
                               _expm, _segment_params, geometric_sum,
                               member_generators, propagate_members, sequence_endpoints,
-                              wait_maps)
+                              wait_states)
 from eitecho.ensemble import MIXED_GROUND, EnsembleSpec, member_stack
 from eitecho.errors import ConfigurationError, ValidationError
 from eitecho.lambda_system import LambdaParams
@@ -58,11 +58,39 @@ class TestClosedFormWait:
     def test_matches_expm(self, p, durations, offsets, sign):
         offsets = W * np.array(offsets)
         gen = member_generators(p, Wait(duration=1e-6, zeeman_sign=sign), offsets)
-        maps = wait_maps(gen, durations)
+        # the wait of each unit state e_j is column j of its map
+        maps = np.stack([wait_states(gen, durations, np.tile(e, (len(gen), 1)))
+                         for e in np.eye(9)], axis=-1)
         assert np.isfinite(maps).all()
         for t, stack in zip(durations, maps):
             ref = _expm(t * gen)
             assert np.max(np.abs(stack - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lambda_params(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=3),
+           st.sampled_from([1.0, -1.0]), st.integers(0, 2**32 - 1))
+    # a whole second of free evolution: rho_ee has long decayed into the ground
+    @example(LambdaParams(gamma_opt_decay=W, branch0=0.3, delta_opt=W),
+             [0.0, 1.0], [(1.0, -1.0, 1.0)], -1.0, 0)
+    # a decay rate whose x = -rate * t is subnormal
+    @example(LambdaParams(gamma_opt_decay=1.3980551375253427e-306, branch0=0.5),
+             [2.415145003982803e-05], [(0.0, 0.0, 0.0)], 1.0, 1)
+    def test_keeps_a_physical_state_physical(self, p, durations, offsets, sign, seed):
+        rng = np.random.default_rng(seed)
+        gen = member_generators(p, Wait(duration=1e-6, zeeman_sign=sign), W * np.array(offsets))
+        v = np.array([random_density3(rng).reshape(9) for _ in gen])
+        states = wait_states(gen, durations, v)
+        # the trace moves by no more than the generator itself fails to keep
+        # it: liouvillians sums rho_ee's decay with the optical dephasing, so
+        # a slow decay beside a fast dephasing loses its last bits
+        leak = np.abs(np.eye(3).reshape(9) @ gen).sum(axis=-1).max()
+        drift = np.abs(np.trace(states.reshape(len(durations), -1, 3, 3), axis1=2, axis2=3) - 1.0)
+        assert (drift.max(axis=1) <= 1e-12 + leak * np.array(durations)).all()
+        states = states.reshape(-1, 3, 3)
+        adjoint = states.conj().swapaxes(1, 2)
+        assert np.abs(states - adjoint).max() <= 1e-12
+        assert np.linalg.eigvalsh(0.5 * (states + adjoint)).min() >= -1e-12
 
     def test_generator_is_diagonal_but_for_decay(self):
         p = LambdaParams(rabi0=W, rabi1=W, gamma_opt_decay=W, gamma_opt_deph=W,
@@ -196,13 +224,12 @@ class TestNonPhysicalNamesTauAndMember:
     @pytest.mark.parametrize("mode", ["beat", "proxy"])
     def test_curve_error_names_storage_time_and_member(self, monkeypatch, mode):
         # waits that inflate member 1's spin coherence at the last storage time
-        def inflating(gen, durations):
-            maps = wait_maps(gen, durations)
-            maps[-1, 1, 1, 1] *= 5.0
-            maps[-1, 1, 3, 3] *= 5.0
-            return maps
+        def inflating(gen, durations, v):
+            states = wait_states(gen, durations, v)
+            states[-1, 1, [1, 3]] *= 5.0
+            return states
 
-        monkeypatch.setattr(dynamics, "wait_maps", inflating)
+        monkeypatch.setattr(dynamics, "wait_states", inflating)
         spec = EnsembleSpec(spin_fwhm=20e3, n_spin=3)
         taus = np.array([20e-6, 40e-6, 60e-6])
         with pytest.raises(ConfigurationError,

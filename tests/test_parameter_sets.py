@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import eitecho.dynamics as dynamics
 import eitecho.studies as studies
 from eitecho.config import parse_config
-from eitecho.dynamics import PADE_THETAS, wait_maps
+from eitecho.dynamics import PADE_THETAS, wait_states
 from eitecho.ensemble import EnsembleSpec
 from eitecho.errors import ConfigurationError, ValidationError
 from eitecho.lambda_system import LambdaParams
@@ -148,15 +148,14 @@ class TestStorageChunks:
         # stacked rows: 2 temperatures of the 9-member grid, folded to 5 each;
         # inflate row 7 (member 2 of 3 K) from the second storage time on and
         # row 1 (member 1 of 2 K) at the last: row order is storage time first
-        def inflating(gen, durations):
-            maps = wait_maps(gen, durations)
+        def inflating(gen, durations, v):
+            states = wait_states(gen, durations, v)
             for row, longer_than in ((7, 15e-6), (1, 25e-6)):
-                late = np.asarray(durations) > longer_than
-                maps[late, row, 1, 1] *= 5.0
-                maps[late, row, 3, 3] *= 5.0
-            return maps
+                late = np.flatnonzero(np.asarray(durations) > longer_than)
+                states[late[:, None], row, [1, 3]] *= 5.0
+            return states
 
-        monkeypatch.setattr(dynamics, "wait_maps", inflating)
+        monkeypatch.setattr(dynamics, "wait_states", inflating)
         monkeypatch.setattr(dynamics, "BATCH_STATES", bound)
         params = [PARAMS.replace(gamma_opt_deph=r) for r in (1e5, 3e5)]
         with pytest.raises(ConfigurationError,

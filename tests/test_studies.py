@@ -29,19 +29,19 @@ SINGLE = EnsembleSpec()
 # bounded Brent search: the compensation found and every (compensation, summed
 # amplitude) of its history (the start, each axis's best trial and the found
 # vector), as float.hex literals.
-PINNED_COMPENSATION = ("-0x1.4f659353a0118p-16", "0x1.4fbd05f093c36p-17",
-                       "-0x1.792357857f9d7p-15")
+PINNED_COMPENSATION = ("-0x1.4f659353a00f3p-16", "0x1.4fbd05f093c36p-17",
+                       "-0x1.792357857f9d0p-15")
 PINNED_HISTORY = [
     (("0x0.0p+0", "0x0.0p+0",
       "0x0.0p+0"), "0x1.73e4b889bf8b0p+0"),
-    (("-0x1.4f659353a0118p-16", "0x0.0p+0",
-      "0x0.0p+0"), "0x1.74c9b7aa88af0p+0"),
+    (("-0x1.4f659353a00f3p-16", "0x0.0p+0",
+      "0x0.0p+0"), "0x1.74c9b7aa88af1p+0"),
     (("0x0.0p+0", "0x1.4fbd05f093c36p-17",
-      "0x0.0p+0"), "0x1.741df368c6aabp+0"),
+      "0x0.0p+0"), "0x1.741df368c6aacp+0"),
     (("0x0.0p+0", "0x0.0p+0",
-      "-0x1.792357857f9d7p-15"), "0x1.786e1edc50f55p+0"),
-    (("-0x1.4f659353a0118p-16", "0x1.4fbd05f093c36p-17",
-      "-0x1.792357857f9d7p-15"), "0x1.798db1d2d8d3dp+0"),
+      "-0x1.792357857f9d0p-15"), "0x1.786e1edc50f55p+0"),
+    (("-0x1.4f659353a00f3p-16", "0x1.4fbd05f093c36p-17",
+      "-0x1.792357857f9d0p-15"), "0x1.798db1d2d8d3cp+0"),
 ]
 
 

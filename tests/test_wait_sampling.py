@@ -1,8 +1,8 @@
 """Closed-form sampling of waits in `propagate_members`.
 
-A wait's samples are checked against the weighted per-member closed-form
-map (`wait_maps` at each sample time) and against the 9x9 `expm` step-power
-path that pulses use; its end states against `sequence_endpoints`.  A wait
+A wait's samples are checked against the weighted per-member `expm` of the
+generator at each sample time and against the 9x9 `expm` step-power path
+that pulses use; its end states against `sequence_endpoints`.  A wait
 is sampled with no `expm` and no step powers, and a non-finite wait
 generator is named by its segment on both the sampled and the endpoint path.
 """
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import eitecho.dynamics as dynamics
 from eitecho.dynamics import (DECAY_FED, PulseSpec, SequenceSpec, Wait,
                               _expm, _step_powers, _wait_samples, member_generators,
-                              propagate_members, sequence_endpoints, wait_maps)
+                              propagate_members, sequence_endpoints)
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.qstate import DensityMatrix3
@@ -47,11 +47,11 @@ def wait_cases(draw):
     return p, offsets, weights / weights.sum(), wait, draw(st.integers(1, 300)), seed
 
 
-def closed_form_samples(p, offsets, weights, wait, rho0, times):
-    """Weight-summed sum_m w_m wait_maps(gen_m, t) v0 at every sample time."""
+def expm_samples(p, offsets, weights, wait, rho0, times):
+    """Weight-summed sum_m w_m expm(t gen_m) v0 at every sample time."""
     gen = member_generators(p, wait, offsets)
     v0 = np.asarray(rho0.matrix).reshape(9)
-    return np.einsum("m,tmij,j->ti", weights, wait_maps(gen, times), v0)
+    return np.einsum("m,tmij,j->ti", weights, _expm(times[:, None, None, None] * gen), v0)
 
 
 def step_power_samples(p, offsets, weights, wait, rho0, dt, n):
@@ -85,7 +85,7 @@ class TestAgainstClosedForm:
         times = traj.times[1:]
         assert len(times) == n and times[-1] == pytest.approx(wait.duration, rel=1e-12)
         got = traj.states[1:].reshape(n, 9)
-        exact = closed_form_samples(p, offsets, weights, wait, rho0, times)
+        exact = expm_samples(p, offsets, weights, wait, rho0, times)
         scale = np.abs(exact).max()
         assert np.abs(got - exact).max() <= 1e-14 * scale
         old = step_power_samples(p, offsets, weights, wait, rho0, times[0], n)
@@ -128,8 +128,9 @@ class TestAgainstClosedForm:
         before = sequence_endpoints(RHO0, PARAMS, [SequenceSpec(segments=seq.segments[:1])],
                                     offsets)[0]
         gen = member_generators(PARAMS, seq.segments[1], offsets)
-        maps = wait_maps(gen, traj.times[start + 1:stop + 1] - traj.times[start])
-        exact = np.einsum("m,tmij,mj->ti", weights, maps, before)
+        elapsed = traj.times[start + 1:stop + 1] - traj.times[start]
+        exact = np.einsum("m,tmij,mj->ti", weights, _expm(elapsed[:, None, None, None] * gen),
+                          before)
         got = traj.states[start + 1:stop + 1].reshape(-1, 9)
         assert np.abs(got - exact).max() <= 1e-13
         final = weights @ sequence_endpoints(RHO0, PARAMS, [seq], offsets)[0]
