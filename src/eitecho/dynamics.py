@@ -635,49 +635,6 @@ def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None,
          f"(delta_opt, delta_spin, zeeman_offset) = ({a:g}, {b:g}, {z:g}) rad/s"])
 
 
-def mirror_phases(rho0: DensityMatrix3, p: LambdaParams, segments) -> np.ndarray | None:
-    """Phases (9,) of the member mirror on flattened states, or None where it fails.
-
-    Reflecting a member's offsets, (a, b, z) -> (-a, -b, -z), maps its state
-    rho to W rho* W^dag with W = diag(e^{-2i phi0}, e^{-2i phi1}, -1), an
-    antiunitary symmetry of the master equation (Buca & Prosen, New J. Phys.
-    14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)):
-    conjugation flips every detuning and the sign and phase of each drive
-    coupling, W undoes the drive part, and the real jump operators stay.
-    On a flattened state that is x -> phases * conj(x), phases[3i + j] =
-    w_i conj(w_j), exactly 1 on the diagonal.  It holds when the base
-    detunings are 0, every pulse of `segments` has one (phase0, phase1),
-    and `rho0` is its own mirror, bitwise.
-    """
-    drives = {(s.phase0, s.phase1) for s in segments if isinstance(s, PulseSpec)}
-    if p.delta_opt != 0.0 or p.delta_spin != 0.0 or len(drives) > 1:
-        return None
-    phase0, phase1 = drives.pop() if drives else (0.0, 0.0)
-    w = np.array([np.exp(-2j * phase0), np.exp(-2j * phase1), -1.0])
-    phases = np.outer(w, w.conj())
-    np.fill_diagonal(phases, 1.0)
-    phases = phases.reshape(9)
-    v0 = np.asarray(rho0.matrix, dtype=complex).reshape(9)
-    return phases if np.array_equal(phases * v0.conj(), v0) else None
-
-
-def mirror_half(offsets: np.ndarray, weights: np.ndarray) -> tuple | None:
-    """The members to propagate of a stack that reverses onto its mirror bitwise
-    (offsets[::-1] == -offsets, weights[::-1] == weights), None for any other
-    stack or a single member: the first ceil(M/2) rows, the self-mirror centre
-    of an odd M at half its weight.  With :func:`mirror_phases`, each
-    weight-summed state S of the half gives the full stack's as
-    S + phases * conj(S)."""
-    if not (weights.size > 1 and np.array_equal(offsets[::-1], -offsets)
-            and np.array_equal(weights[::-1], weights)):
-        return None
-    m = weights.size
-    weights = weights[:(m + 1) // 2].copy()
-    if m % 2:
-        weights[-1] *= 0.5
-    return offsets[:weights.size], weights
-
-
 def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
                       offsets: np.ndarray, weights: np.ndarray,
                       dt_targets: list | None = None) -> Trajectory:
@@ -695,25 +652,18 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     SAMPLE_BLOCK powers of its step map, each block summed over the weighted
     member states by one product in fixed member order; a wait is sampled in
     closed form (:func:`_wait_samples`, :func:`wait_states`) with no expm.
-    Only the weighted sum is stored.  A stack that mirrors
-    (:func:`mirror_phases`, :func:`mirror_half`) propagates its first half
-    only and adds the mirror to each sample.  A non-finite generator raises
-    a ConfigurationError naming its segment and member.
+    Only the weighted sum is stored.  A non-finite generator raises a
+    ConfigurationError naming its segment and member.
     """
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     weights = np.asarray(weights, dtype=float)
-    phases = mirror_phases(rho0, p, seq.segments)
-    half = None if phases is None else mirror_half(offsets, weights)
-    grid_offsets = offsets
-    if half is not None:
-        offsets, weights = half
     n_members = weights.size
     # every generator is checked, and a failure named, before the grid reads the offsets
     names = [_segment_name(k, seg) for k, seg in enumerate(seq.segments)]
     gens = [member_generators(p, seg, offsets, lambda m: f"{name}, {_member(m)}")
             for name, seg in zip(names, seq.segments)]
     if dt_targets is None:
-        dt_targets = shared_steps(p, seq, grid_offsets)
+        dt_targets = shared_steps(p, seq, offsets)
     elif len(dt_targets) != len(seq.segments):
         raise ConfigurationError([f"one step per segment: got {len(dt_targets)} entries "
                                   f"for {len(seq.segments)} segments"])
@@ -762,10 +712,8 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         t0 += seg.duration
 
     _check_physical(v, offsets)
-    states = np.concatenate(states)
-    if half is not None:
-        states = states + phases * states.conj()
-    return Trajectory(times=np.concatenate(times), states=states.reshape(-1, 3, 3),
+    return Trajectory(times=np.concatenate(times),
+                      states=np.concatenate(states).reshape(-1, 3, 3),
                       segment_starts=segment_starts)
 
 

@@ -15,8 +15,8 @@ is a pair of geometric sums of S, built once per curve, applied to the
 pre-readout states of every storage time at once.  Curves that differ only
 in their ensemble (the field sweep's fields, a compensation scan's trial
 vectors: a Zeeman splitting enters only as a member offset) are one pass
-over the stacked members of all of them, each curve the weighted sum of its
-own contiguous group of members (one ``np.add.reduceat`` per group).
+over the members of all of them, stacked by :mod:`eitecho.ensemble`, each
+curve the weighted sum of its own contiguous group of members.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _base_generator, _check_physical,
-                       _drive, _map_namer, _member, _set_maps, geometric_sum, member_generators,
-                       mirror_half, mirror_phases, sequence_endpoints, storage_chunks,
-                       whole_steps)
-from .ensemble import MIXED_GROUND, EnsembleSpec, member_stack
+from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _map_namer,
+                       _set_maps, geometric_sum, member_generators, sequence_endpoints,
+                       storage_chunks, whole_steps)
+from .ensemble import (MIXED_GROUND, EnsembleSpec, MemberStack, _group_sums, group_states,
+                       stack_ensembles)
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .sequences import SAMPLES_PER_PERIOD, EchoConfig, make_echo_sequence
@@ -165,63 +165,46 @@ def _check_window_periods(periods: float) -> None:
                               f"is below the minimum of {MIN_PERIODS}")
 
 
-def _group_sums(x: np.ndarray, weights: np.ndarray, starts) -> np.ndarray:
-    """Weighted sums (..., G) of x (..., M) over the members of each group.
-
-    Group g is the members from starts[g] up to the next start, and holds at
-    least one.  Each sum runs over its group's members only, in an order set
-    by their count, so its bits do not depend on the groups beside it.
-    """
-    return np.add.reduceat(x * weights, starts, axis=-1)
-
-
-def _beat_amplitudes(readout: PulseSpec, params, offsets: np.ndarray,
-                     weights: np.ndarray, states: np.ndarray, beat_frequency: float,
-                     taus: np.ndarray, member_name=_member, starts=(0,), folded=(),
-                     phases=None) -> np.ndarray:
-    """Beat amplitude of each storage time from the pre-readout states (T, M, 9).
-
-    Gives one column (T, G) per group of members, group g starting at member
-    `starts[g]` (one group by default); see :func:`_group_sums`.  A group
-    flagged in `folded` holds the half of a mirrored stack
-    (:func:`eitecho.dynamics.mirror_half`) whose mirror has the entry
-    `phases` (:func:`eitecho.dynamics.mirror_phases`).  `params` is one
-    LambdaParams or one per member, as for
-    :func:`eitecho.dynamics.sequence_endpoints`.
+def _beat_amplitudes(readout: PulseSpec, stack: MemberStack, states: np.ndarray,
+                     beat_frequency: float, taus: np.ndarray) -> np.ndarray:
+    """Beat amplitudes (T, G) of the ensembles of `stack` from their member
+    states before the readout (T, M, 9) (:func:`eitecho.ensemble.stack_ensembles`).
 
     The readout is sampled on the detector clock: with S the one-tick map and
     n ticks, tick k reads the |1>-|e> coherence c_k = e5^T S^k v, so the
     single-bin sum of synthesize_beat and beat_amplitude is
-    (2/n) |1/2 e5^T F_a v + 1/2 conj(e5^T F_b v)|, weight-summed over members,
-    with F_a = sum_k S^k and F_b = sum_k (e^{2i w dt} S)^k, k = 0 ... n-1.
+    (2/n) |1/2 e5^T F_a v + 1/2 conj(e5^T F_b v)|, weight-summed over the
+    members of each ensemble (:func:`eitecho.ensemble._group_sums`), with
+    F_a = sum_k S^k and F_b = sum_k (e^{2i w dt} S)^k, k = 0 ... n-1.
     A mirror member reads phases[5] * conj(c_k), so its sums are phases[5]
     times the conj of e5^T F_a v and of e5^T F_c v, F_c that of the conjugate
-    twist: a folded group's sums a and b gain those of its half.
-    The maps and sums are built once; every (storage time, member) state is
-    checked after the full readout map, and read, one
-    :func:`eitecho.dynamics.storage_chunks` chunk at a time.  `member_name`
-    names a failing member.
+    twist: a folded ensemble's sums a and b gain those of its half.  The maps
+    and sums are built once; each state is checked after the full readout map,
+    and read, one :func:`eitecho.dynamics.storage_chunks` chunk at a time.
     """
     tick = readout.clock_dt
     n_steps, steps = whole_steps(readout.duration, tick)
     _check_window_samples(n_steps + len(steps))
     _check_window_periods(n_steps * tick * beat_frequency)
-    gen = member_generators(params, readout, offsets, lambda m: f"readout, {member_name(m)}")
-    maps = _set_maps(np.array([h * gen for h in steps]), params,
-                     _map_namer(["readout tick", "readout rest"], member_name))
+    gen = member_generators(stack.params, readout, stack.offsets,
+                            lambda m: f"readout, {stack.member_name(m)}")
+    maps = _set_maps(np.array([h * gen for h in steps]), stack.params,
+                     _map_namer(["readout tick", "readout rest"], stack.member_name))
     twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * tick)     # e^{2i w dt}
-    fold = np.any(folded)
+    fold = stack.folded.any()
     steps_maps = [maps[0], twist * maps[0]] + ([np.conj(twist) * maps[0]] if fold else [])
     sums, powers = geometric_sum(np.stack(steps_maps), n_steps)
     rows = (sums + powers)[:, :, 5, :]            # e5^T F_a, e5^T F_b (, e5^T F_c): (2-3, M, 9)
     full = maps[-1] @ powers[0] if len(steps) == 2 else powers[0]
-    amplitudes = np.empty((len(taus), len(starts)))
-    for chunk in storage_chunks(len(taus), len(offsets)):
-        _check_physical(full @ states[chunk, ..., None], offsets, taus[chunk], member_name)
-        a, b, *c = _group_sums(np.einsum("smi,tmi->stm", rows, states[chunk]), weights, starts)
+    amplitudes = np.empty((len(taus), len(stack.starts)))
+    for chunk in storage_chunks(len(taus), len(stack.offsets)):
+        _check_physical(full @ states[chunk, ..., None], stack.offsets, taus[chunk],
+                        stack.member_name)
+        products = np.einsum("smi,tmi->tms", rows, states[chunk])
+        a, b, *c = _group_sums(products, stack.weights, stack.starts).transpose(2, 0, 1)
         if fold:
-            b[:, folded] += phases[5] * c[0][:, folded].conj()
-            a[:, folded] += phases[5] * a[:, folded].conj()
+            b[:, stack.folded] += stack.phases[5] * c[0][:, stack.folded].conj()
+            a[:, stack.folded] += stack.phases[5] * a[:, stack.folded].conj()
         amplitudes[chunk] = np.abs(0.5 * a + 0.5 * np.conj(b))
     return DETECTOR_SCALE * 2.0 / (n_steps + 1) * amplitudes
 
@@ -241,62 +224,19 @@ def _echo_layouts(cfg: EchoConfig, taus: tuple) -> tuple:
 
 def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params, specs: list, mode: str,
                      labels=None) -> np.ndarray:
-    """Echo amplitudes (T, G) of G ensembles, spec g with the parameters
-    params[g] (or `params` for all): their members stacked in spec order,
-    each ensemble reduced over its own members.  An ensemble that mirrors
-    under its parameters (:func:`eitecho.dynamics.mirror_half`) stacks half
-    its members and adds the mirror to its sums.  Errors name a failing member by its index
-    within its spec and by the spec's label ("group g" unless given; none
-    for one unlabelled spec)."""
+    """Echo amplitudes (T, G) of G ensembles, spec g under params[g] (or `params`
+    for all), stacked and labelled by :func:`eitecho.ensemble.stack_ensembles`."""
     if mode not in ("beat", "proxy"):
         raise ValidationError(f"unknown readout mode {mode!r}")
-    params = [params] * len(specs) if isinstance(params, LambdaParams) else list(params)
-    if len(params) != len(specs):
-        raise ValidationError(f"{len(params)} parameter sets for {len(specs)} ensembles")
     seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()))
     # the readout pulse is mapped, and so has to mirror, in beat mode only
     segments = seqs[0].segments + ((readout,) if mode == "beat" else ())
-    # equal parameter sets share their maps, and equal specs their member
-    # stacks; dicts group them, since np.unique imports numpy.ma, which costs
-    # more than a cold curve pass
-    index = {}
-    spec_sets = [index.setdefault(p, len(index)) for p in params]
-    sets = tuple(index)
-    # every generator of the call, built at once
-    _base_generator.many([(p, drive) for drive in dict.fromkeys(map(_drive, segments))
-                          for p in sets])
-    set_phases = [mirror_phases(MIXED_GROUND, p, segments) for p in sets]
-    stack_of = {spec: member_stack(spec) for spec in dict.fromkeys(specs)}
-    stacks = [stack_of[spec] for spec in specs]
-    halves = [None if set_phases[s] is None else mirror_half(*stack)
-              for s, stack in zip(spec_sets, stacks)]
-    folded = np.array([half is not None for half in halves])
-    # the phases read the pulses only, so they are equal wherever they hold
-    phases = next((ph for ph in set_phases if ph is not None), None)
-    stacks = [stack if half is None else half for stack, half in zip(stacks, halves)]
-    counts = [len(w) for _, w in stacks]
-    starts = np.cumsum([0] + counts)
-    offsets = np.concatenate([o for o, _ in stacks])
-    weights = np.concatenate([w for _, w in stacks])
-    members = (sets, np.repeat(spec_sets, counts))
-    if labels is None and len(specs) > 1:
-        labels = [f"group {g}" for g in range(len(specs))]
-
-    def member_name(m: int) -> str:
-        g = int(np.searchsorted(starts, m, side="right")) - 1
-        return f"member {m - starts[g]}" + (f" of {labels[g]}" if labels else "")
-
-    states = sequence_endpoints(MIXED_GROUND, members, seqs, offsets, member_name)
+    stack = stack_ensembles(params, specs, segments, labels)
+    states = sequence_endpoints(MIXED_GROUND, stack.params, seqs, stack.offsets,
+                                stack.member_name)
     if mode == "beat":
-        return _beat_amplitudes(readout, members, offsets, weights, states, cfg.splitting,
-                                taus, member_name, starts[:-1], folded, phases)
-    sums = np.empty((len(taus), len(specs)), dtype=complex)
-    for chunk in storage_chunks(len(taus), len(offsets)):
-        _check_physical(states[chunk], offsets, taus[chunk], member_name)
-        sums[chunk] = _group_sums(states[chunk, :, 1], weights, starts[:-1])
-    if folded.any():
-        sums[:, folded] += phases[1] * sums[:, folded].conj()
-    return np.abs(sums)
+        return _beat_amplitudes(readout, stack, states, cfg.splitting, taus)
+    return np.abs(group_states(stack, states, taus)[..., 1])
 
 
 def assemble_decay_curves(cfg: EchoConfig, taus, params, specs,
@@ -305,14 +245,11 @@ def assemble_decay_curves(cfg: EchoConfig, taus, params, specs,
 
     `params` is one LambdaParams for every spec, or a sequence of one per
     spec (a temperature scan's optical dephasing rates).  The specs share
-    the echo layout, so every curve's storage times and members are one
-    stack: the generators of every (parameter set, drive) are built at
-    once, the pulse maps come from one expm call per Pade degree of the sets
-    (each set's degree follows its own norms, so a curve's bits do not
-    depend on the others), and the waits, which alone depend on the storage
-    time, are applied in closed form, a bounded chunk of storage times at a
-    time (see :func:`eitecho.dynamics.sequence_endpoints`).  `labels`, one
-    per spec, name the spec of a failing member in errors.
+    the echo layout, so all their members are one stack
+    (:func:`eitecho.ensemble.stack_ensembles`) through one endpoint pass over
+    every storage time (:func:`eitecho.dynamics.sequence_endpoints`), and each
+    curve keeps the bits of a call of its own.  `labels`, one per spec, name
+    the spec of a failing member in errors.
     """
     taus, specs = np.asarray(list(taus), dtype=float), list(specs)
     if taus.size < 3:

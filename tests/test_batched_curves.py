@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import eitecho.dynamics as dynamics
 import eitecho.readout as readout
 from eitecho.dynamics import PulseSpec, Wait, _base_generator, _segment_params, wait_states
-from eitecho.ensemble import EnsembleSpec
+from eitecho.ensemble import EnsembleSpec, _group_sums
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams, liouvillian, liouvillians
 from eitecho.readout import _echo_layouts, assemble_decay_curve, assemble_decay_curves
@@ -92,14 +92,22 @@ class TestBatchedCurves:
     def test_group_sums_are_sums_of_each_group_alone(self, sizes, seed):
         rng = np.random.default_rng(seed)
         starts = np.cumsum([0] + sizes)
-        x = rng.standard_normal((2, 3, starts[-1])) + 1j * rng.standard_normal((2, 3, starts[-1]))
         weights = rng.random(starts[-1])
-        sums = readout._group_sums(x, weights, starts[:-1])
-        assert sums.shape == (2, 3, len(sizes))
-        for g, (s, e) in enumerate(zip(starts[:-1], starts[1:])):
-            alone = readout._group_sums(x[..., s:e].copy(), weights[s:e].copy(), [0])[..., 0]
-            assert np.array_equal(sums[..., g], alone)
-            assert np.allclose(alone, x[..., s:e] @ weights[s:e], rtol=1e-12, atol=1e-12)
+        # the beat's (storage time, member, sum) projections, and a (T, M, 9)
+        # end-state stack, whose entries must each keep the bits of that entry
+        # summed alone: a proxy curve reads entry 1 of the whole reduction
+        for shape in ((2, starts[-1], 3), (3, starts[-1], 9)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            sums = _group_sums(x, weights, starts[:-1])
+            assert sums.shape == (shape[0], len(sizes), shape[2])
+            for g, (s, e) in enumerate(zip(starts[:-1], starts[1:])):
+                alone = _group_sums(x[:, s:e].copy(), weights[s:e].copy(), [0])[:, 0]
+                assert np.array_equal(sums[:, g], alone)
+                for k in range(shape[2]):
+                    entry = _group_sums(x[:, s:e, k:k + 1].copy(), weights[s:e].copy(), [0])
+                    assert np.array_equal(alone[:, k], entry[:, 0, 0])
+                assert np.allclose(alone, np.einsum("tmk,m->tk", x[:, s:e], weights[s:e]),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_no_fields_gives_no_points(self):
         assert field_sweep([], CFG, PARAMS, EnsembleSpec(), [20e-6, 40e-6, 60e-6]) == []

@@ -19,7 +19,7 @@ from eitecho.dynamics import (PulseSpec, Trajectory, Wait, _check_physical,
                               _expm, _segment_params, geometric_sum,
                               member_generators, propagate_members, sequence_endpoints,
                               wait_states)
-from eitecho.ensemble import MIXED_GROUND, EnsembleSpec, member_stack
+from eitecho.ensemble import MIXED_GROUND, EnsembleSpec, member_stack, stack_ensembles
 from eitecho.errors import ConfigurationError, ValidationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.readout import (_beat_amplitudes, _echo_amplitudes, assemble_decay_curve,
@@ -151,8 +151,8 @@ class TestBeatFunctional:
         offsets, weights = member_stack(spec)
         rng = np.random.default_rng(len(offsets))
         states = np.array([random_density3(rng).reshape(9) for _ in offsets])
-        got = _beat_amplitudes(readout, PARAMS, offsets, weights, states[None], splitting,
-                               np.array([cfg.tau]))
+        stack = stack_ensembles(PARAMS, [spec], (readout,))
+        got = _beat_amplitudes(readout, stack, states[None], splitting, np.array([cfg.tau]))
         expected = sampled_beat(readout, PARAMS, offsets, weights, states, splitting)
         assert got[0] == pytest.approx(expected, rel=1e-12)
 

@@ -3,7 +3,8 @@
 Reflecting every member offset maps a member's state rho to W rho* W^dag, so
 a stack that reverses onto its own mirror propagates its first half and adds
 the mirror of each weight-summed state.  The folded results are checked
-against the full stack (the fold switched off) on random symmetric grids, the
+against the full stack (the fold switched off where it is decided, in
+`eitecho.ensemble` alone) on random symmetric grids, the
 folded average against its own mirror bitwise, and every input that breaks
 the mirror against the full stack.  Also here: the bound on a sampled
 trajectory's size, checked on its estimate, never by allocating it.
@@ -22,10 +23,10 @@ import eitecho.dynamics as dynamics
 import eitecho.ensemble as ensemble
 import eitecho.readout as readout
 from eitecho.cli import main
-from eitecho.dynamics import (MAX_SAMPLES, PulseSpec, SequenceSpec, Wait, mirror_half,
-                              mirror_phases, propagate_members, shared_steps)
-from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, ensemble_average,
-                              ensemble_final_state, member_stack)
+from eitecho.dynamics import (MAX_SAMPLES, PulseSpec, SequenceSpec, Wait, propagate_members,
+                              shared_steps)
+from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, ensemble_average, ensemble_final_state,
+                              member_stack, mirror_half, mirror_phases)
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.qstate import DensityMatrix3
@@ -41,10 +42,9 @@ GRID = EnsembleSpec(optical_fwhm=170e3, spin_fwhm=20e3, n_optical=5, n_spin=3,
 
 @contextlib.contextmanager
 def full_stacks():
-    """Every caller propagates its whole stack: the fold switched off."""
-    with contextlib.ExitStack() as stack:
-        for module in (dynamics, ensemble, readout):
-            stack.enter_context(mock.patch.object(module, "mirror_half", lambda *a: None))
+    """Every caller propagates its whole stack: the fold switched off where
+    it is decided, in `eitecho.ensemble` alone."""
+    with mock.patch.object(ensemble, "mirror_half", lambda *a: None):
         yield
 
 
@@ -121,6 +121,32 @@ class TestFoldedMatchesFull:
         assert relative_error(folded[1], full[1]) <= 1e-13
         for got, want in zip(folded[2], full[2]):
             assert relative_error(got.amplitudes, want.amplitudes) <= 1e-13
+
+    def test_one_switch_turns_the_fold_off_everywhere(self):
+        # with the fold off in `eitecho.ensemble` only, no other module folds
+        cfg = EchoConfig(tau=6e-6, **SHORT)
+        seq = make_echo_sequence(cfg)
+        with full_stacks(), member_counts() as counts:
+            ensemble_average(seq, PARAMS, GRID)
+            ensemble_final_state(seq, PARAMS, GRID)
+            for mode in ("beat", "proxy"):
+                assemble_decay_curves(cfg, [6e-6, 7e-6, 9e-6], PARAMS, [GRID], mode)
+        assert counts and set(counts) == {30}
+
+    def test_the_mirror_is_checked_once_per_parameter_set(self):
+        checked = []
+        real = ensemble.mirror_phases
+
+        def counted(rho0, p, segments):
+            checked.append(p)
+            return real(rho0, p, segments)
+
+        hot = PARAMS.replace(gamma_opt_deph=2e5)
+        with mock.patch.object(ensemble, "mirror_phases", counted):
+            assemble_decay_curves(EchoConfig(tau=6e-6, **SHORT), [6e-6, 7e-6, 9e-6],
+                                  [PARAMS, hot, PARAMS, hot], [GRID, GRID, EnsembleSpec(), GRID],
+                                  "proxy")
+        assert checked == [PARAMS, hot]
 
     def test_the_fold_halves_the_members(self):
         # 5 x 3 x 2 = 30 members: 15 propagated; 15 x 1 = 15: 8, the centre at half weight

@@ -146,8 +146,8 @@ class TestEndpointDifferential:
         final = ensemble_final_state(seq, p, spec)
         avg = ensemble_average(seq, p, spec)
         assert np.max(np.abs(final.matrix - final_state(avg).matrix)) <= 1e-10
-        threaded = ensemble_final_state(seq, p, spec)
-        assert np.array_equal(final.matrix, threaded.matrix)
+        again = ensemble_final_state(seq, p, spec)
+        assert np.array_equal(final.matrix, again.matrix)
 
 
 durations = st.floats(1e-9, 2e-6)
