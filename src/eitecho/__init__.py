@@ -8,7 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .qstate import DensityMatrix3, GroundQubitState, fidelity
-from .lambda_system import LambdaParams, hamiltonian, lindblad_rhs
+from .lambda_system import LambdaParams
 from .dynamics import PulseSpec, SequenceSpec, Trajectory, Wait, run_sequence
 from .sequences import (
     EchoConfig,
@@ -50,9 +50,9 @@ __all__ = [
     "RunConfig", "ScalingModel", "SequenceSpec", "TemperatureModel",
     "TomographyResult", "Trajectory", "Wait", "assemble_decay_curve",
     "assemble_decay_curves", "beat_amplitude", "compensation_search", "dark_target",
-    "ensemble_average", "fidelity", "field_sweep", "fit_decay", "hamiltonian",
-    "lindblad_rhs", "make_echo_sequence", "make_init_pulse", "make_readout_pulse",
-    "make_rephase_pulse", "member_stack", "parse_config", "projection_measurements",
-    "reconstruct", "run_sequence", "scaling_study", "splitting_from_field",
-    "synthesize_beat", "temperature_scan", "validate_config",
+    "ensemble_average", "fidelity", "field_sweep", "fit_decay", "make_echo_sequence",
+    "make_init_pulse", "make_readout_pulse", "make_rephase_pulse", "member_stack",
+    "parse_config", "projection_measurements", "reconstruct", "run_sequence",
+    "scaling_study", "splitting_from_field", "synthesize_beat", "temperature_scan",
+    "validate_config",
 ]

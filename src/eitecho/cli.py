@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import (DEFAULT_CONFIG_TEXT, KEYS, MAX_AXIS, REQUIRED, Key, RunConfig,
-                     grid_warnings, parse_config)
+                     grid_warnings, parse_config, readout_warnings)
 from .dynamics import SequenceSpec, run_sequence
 from .ensemble import ensemble_average, ensemble_final_state
 from .errors import ConfigurationError, FitFailureError, ValidationError
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
         cfg = dataclasses.replace(cfg, output_dir=str(args.out))
 
     if args.command == "validate":
-        for warning in grid_warnings(cfg):
+        for warning in grid_warnings(cfg) + readout_warnings(cfg):
             print(warning, file=sys.stderr)
         print("config OK")
         return EXIT_OK

@@ -19,8 +19,8 @@ import yaml
 from .ensemble import EnsembleSpec, alias_free_size
 from .errors import ConfigurationError, ValidationError
 from .lambda_system import LambdaParams
-from .readout import FIT_MIN_POINTS
-from .sequences import EchoConfig
+from .readout import FIT_MIN_POINTS, MIN_PERIODS, window_periods
+from .sequences import EchoConfig, make_readout_pulse
 from .studies import (FieldModel, ScalingModel, TemperatureModel, compensation_bracket_taus,
                       scaling_echo)
 from .units import parse_quantity, parse_ratio
@@ -490,6 +490,20 @@ def grid_warnings(cfg: RunConfig) -> list[str]:
                                 f"{axis} grid revives (within 5/sigma of 2*pi/spacing); "
                                 f"the least odd ensemble.n_{axis} that clears it is {need}")
     return warnings
+
+
+def readout_warnings(cfg: RunConfig) -> list[str]:
+    """A warning when the readout window holds fewer beat periods than a beat
+    readout needs (:data:`eitecho.readout.MIN_PERIODS`), counted on the
+    detector clock as the readout counts them.  Only the beat-reading runs
+    fail on it, so it is not an error."""
+    seq = cfg.sequence
+    periods = window_periods(make_readout_pulse(seq), seq.splitting)
+    if periods >= MIN_PERIODS:
+        return []
+    return [f"warning: sequence.t_readout ({seq.t_readout:g} s) holds {periods:.2f} periods "
+            f"of sequence.splitting ({seq.splitting:g} Hz), below the {MIN_PERIODS} a beat "
+            f"readout needs: simulate, and field-sweep and compensate in beat mode, will fail"]
 
 
 def parse_config(text: str) -> RunConfig:

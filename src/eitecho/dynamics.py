@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -333,17 +332,14 @@ class _GeneratorCache:
     """Read-only Liouvillians by (parameters, drive), the drive (rabi0, rabi1,
     phase0, phase1) or None for a wait, the oldest dropped beyond `maxsize`.
 
-    Called as ``cache(p, drive)`` for one generator or as ``cache.many(keys)``
-    for several, whose misses are built at once (:func:`liouvillians`).
+    ``cache.many(keys)`` returns the generators of the keys, whose misses
+    are built at once (:func:`liouvillians`).
     Neither a segment's duration, nor its Zeeman sign, nor any member offset
     enters a generator, so segments sharing a drive share one.
     """
 
     def __init__(self, maxsize: int):
-        self.maxsize, self.store, self.misses = maxsize, {}, 0
-
-    def __call__(self, p: LambdaParams, drive: tuple | None) -> np.ndarray:
-        return self.many([(p, drive)])[0]
+        self.maxsize, self.store = maxsize, {}
 
     def many(self, keys: list) -> list:
         try:
@@ -356,18 +352,10 @@ class _GeneratorCache:
                               for p, drive in new])
         built.setflags(write=False)
         self.store.update(zip(new, built))
-        self.misses += len(new)
         found = [self.store[key] for key in keys]
         while len(self.store) > self.maxsize:
             del self.store[next(iter(self.store))]
         return found
-
-    def cache_info(self) -> SimpleNamespace:
-        return SimpleNamespace(misses=self.misses, currsize=len(self.store))
-
-    def cache_clear(self) -> None:
-        self.store.clear()
-        self.misses = 0
 
 
 # an echo has 4 distinct drives: room for the generators of 64 parameter sets, ~330 kB

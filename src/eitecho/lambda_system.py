@@ -1,5 +1,5 @@
-"""Driven lambda-system model: rotating-frame Hamiltonian and the dissipative
-right-hand side of the master equation, also as a 9x9 Liouvillian.
+"""Driven lambda-system model: the Lindblad master equation of each parameter
+set as a 9x9 Liouvillian on the flattened density matrix.
 
 Conventions (basis order |0>, |1>, |e>):
 
@@ -67,19 +67,6 @@ class LambdaParams:
         return replace(self, **kw)
 
 
-def hamiltonian(p: LambdaParams) -> np.ndarray:
-    """Rotating-frame Hamiltonian (units hbar = 1, entries in rad/s)."""
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 0] = 0.5 * p.delta_spin
-    h[1, 1] = -0.5 * p.delta_spin
-    h[2, 2] = p.delta_opt
-    h[2, 0] = 0.5 * p.rabi0 * np.exp(1j * p.phase0)
-    h[2, 1] = 0.5 * p.rabi1 * np.exp(1j * p.phase1)
-    h[0, 2] = np.conj(h[2, 0])
-    h[1, 2] = np.conj(h[2, 1])
-    return h
-
-
 # The four jump operators C, in the order of _jump_rates, with C^dag C.
 JUMPS = (np.outer(KET0, KETE.conj()), np.outer(KET1, KETE.conj()),
          np.outer(KETE, KETE.conj()), np.diag([1.0, -1.0, 0.0]).astype(complex))
@@ -97,34 +84,14 @@ def _jump_rates(p: LambdaParams) -> tuple:
             0.5 * p.gamma_spin_deph if p.gamma_spin_deph > 0.0 else None)
 
 
-def _jump_operators(p: LambdaParams) -> list[tuple[float, np.ndarray]]:
-    return [(gamma, c) for gamma, c in zip(_jump_rates(p), JUMPS) if gamma is not None]
-
-
-def lindblad_rhs(rho: np.ndarray, p: LambdaParams) -> np.ndarray:
-    """Right-hand side d(rho)/dt of the master equation, in 1/s.
-
-    Traceless and Hermiticity-preserving by construction; the balanced dark
-    state is an exact fixed point for a resonant equal-amplitude drive with
-    all rates zero.
-    """
-    h = hamiltonian(p)
-    drho = -1j * (h @ rho - rho @ h)
-    for gamma, c in _jump_operators(p):
-        cd = c.conj().T
-        cdc = cd @ c
-        drho += gamma * (c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc))
-    return drho
-
-
 def _commutator_diagonal(levels: np.ndarray) -> np.ndarray:
     """Diagonal of X -> -i [diag(levels), X] on the row-major flattened X."""
     return -1j * np.subtract.outer(levels, levels).reshape(9)
 
 
 # The detuning terms of H are diagonal, so they enter L only on its diagonal:
-# liouvillian(p with delta_opt + a, delta_spin + b)
-#     == liouvillian(p) + diag(a * DETUNING_OPT + b * DETUNING_SPIN).
+# L(p with delta_opt + a, delta_spin + b)
+#     == L(p) + diag(a * DETUNING_OPT + b * DETUNING_SPIN).
 DETUNING_OPT = _commutator_diagonal(np.array([0.0, 0.0, 1.0]))
 DETUNING_SPIN = _commutator_diagonal(np.array([0.5, -0.5, 0.0]))
 
@@ -137,12 +104,6 @@ def _superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _JUMP_SUPEROPS = tuple(_superop(c, c.conj().T) for c in JUMPS)
 
 
-def liouvillian(p: LambdaParams) -> np.ndarray:
-    """The master equation as a 9x9 linear map on the flattened density matrix
-    (see :func:`liouvillians`)."""
-    return liouvillians([p])[0]
-
-
 def liouvillians(ps) -> np.ndarray:
     """The master equation of each LambdaParams of `ps` as a 9x9 linear map on
     the flattened density matrix, (S, 9, 9) for S parameter sets, built at once.
@@ -150,14 +111,15 @@ def liouvillians(ps) -> np.ndarray:
     Closed form in the spre/spost idiom: the anticommutator terms fold into
     the effective Hamiltonian H_eff = H - (i/2) sum gamma C^dag C, leaving
     L = -i (S(H_eff, 1) - S(1, H_eff^dag)) + sum gamma S(C, C^dag) with
-    S(a, b) the map X -> a X b.  It is the same map as :func:`lindblad_rhs`.
+    S(a, b) the map X -> a X b.  The tests check it against the Hamiltonian
+    and the right-hand side d(rho)/dt, kept there as independent oracles.
     Each set's entries are those of the set built alone, bit for bit: a set
     takes no term of a jump it lacks, since adding a zero term would turn a
     -0.0 entry into +0.0.
     """
     fields = np.array([(p.rabi0, p.rabi1, p.phase0, p.phase1, p.delta_opt, p.delta_spin)
                        for p in ps])
-    h = np.zeros((len(fields), 3, 3), dtype=complex)          # as hamiltonian() builds each
+    h = np.zeros((len(fields), 3, 3), dtype=complex)          # rotating-frame H of each set
     h.reshape(-1, 9)[:, 0:5:4] = np.multiply(fields[:, 5:], [0.5, -0.5])
     h[:, 2, 2] = fields[:, 4]
     h[:, 2, :2] = 0.5 * fields[:, :2] * np.exp(1j * fields[:, 2:4])

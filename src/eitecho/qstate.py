@@ -70,12 +70,6 @@ class GroundQubitState(_StateMatrix):
     DIM = 2
 
 
-# Equal-weight ground superpositions that couple maximally / not at all to an
-# equal-phase bichromatic drive.
-KET_BRIGHT = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-KET_DARK = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-
-
 def fidelity(state: GroundQubitState, target) -> float:
     """Fidelity of a (possibly sub-normalized) ground block against a pure target.
 

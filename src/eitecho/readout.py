@@ -165,6 +165,12 @@ def _check_window_periods(periods: float) -> None:
                               f"is below the minimum of {MIN_PERIODS}")
 
 
+def window_periods(readout: PulseSpec, beat_frequency: float) -> float:
+    """Beat periods in the whole detector ticks of the readout pulse's window."""
+    n_steps, _ = whole_steps(readout.duration, readout.clock_dt)
+    return n_steps * readout.clock_dt * beat_frequency
+
+
 def _beat_amplitudes(readout: PulseSpec, stack: MemberStack, states: np.ndarray,
                      beat_frequency: float, taus: np.ndarray) -> np.ndarray:
     """Beat amplitudes (T, G) of the ensembles of `stack` from their member
@@ -185,7 +191,7 @@ def _beat_amplitudes(readout: PulseSpec, stack: MemberStack, states: np.ndarray,
     tick = readout.clock_dt
     n_steps, steps = whole_steps(readout.duration, tick)
     _check_window_samples(n_steps + len(steps))
-    _check_window_periods(n_steps * tick * beat_frequency)
+    _check_window_periods(window_periods(readout, beat_frequency))
     gen = member_generators(stack.params, readout, stack.offsets,
                             lambda m: f"readout, {stack.member_name(m)}")
     maps = _set_maps(np.array([h * gen for h in steps]), stack.params,

@@ -232,13 +232,16 @@ def scaling_study(t2_opt_values, sm: ScalingModel, cfg: EchoConfig,
     """
     dark = dark_target(cfg)
     points = []
-    for t2_opt in t2_opt_values:
+    for k, t2_opt in enumerate(t2_opt_values):
         t2_opt = float(t2_opt)
         if t2_opt <= 0.0:
             raise ValidationError("scaling_study: optical T2 values must be > 0")
         t_pi, member, seq = scaling_point(cfg, sm, params, t2_opt, tau_in_pulses)
-        final = ensemble_final_state(seq, member, spec)
-        ground = GroundQubitState(final.matrix[:2, :2])
+        try:
+            final = ensemble_final_state(seq, member, spec)
+            ground = GroundQubitState(final.matrix[:2, :2])
+        except ValidationError as exc:
+            raise ValidationError(f"scaling point {k} (t2_opt {t2_opt:g} s): {exc}") from exc
         points.append(ScalingPoint(
             t2_opt=t2_opt,
             t_pi=t_pi,

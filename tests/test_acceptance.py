@@ -17,7 +17,7 @@ from eitecho.dynamics import (
 )
 from eitecho.ensemble import EnsembleSpec, ensemble_average
 from eitecho.lambda_system import LambdaParams
-from eitecho.qstate import DensityMatrix3, GroundQubitState, KET_DARK, fidelity
+from eitecho.qstate import DensityMatrix3, GroundQubitState, fidelity
 from eitecho.readout import DecayCurve, beat_amplitude, fit_decay, synthesize_beat
 from eitecho.sequences import EchoConfig, make_echo_sequence, make_init_pulse
 from eitecho.studies import (
@@ -32,7 +32,7 @@ from eitecho.studies import (
 )
 from eitecho.tomography import projection_measurements, reconstruct
 
-from conftest import final_state, propagate, random_qubit_state, trace_distance_matrix
+from conftest import KET_DARK, final_state, propagate, random_qubit_state, trace_distance_matrix
 
 TWO_PI = 2.0 * np.pi
 MIXED = DensityMatrix3(np.diag([0.5, 0.5, 0.0]).astype(complex))

@@ -20,12 +20,13 @@ import eitecho.readout as readout
 from eitecho.dynamics import PulseSpec, Wait, _base_generator, _segment_params, wait_states
 from eitecho.ensemble import EnsembleSpec, _group_sums
 from eitecho.errors import ConfigurationError
-from eitecho.lambda_system import LambdaParams, liouvillian, liouvillians
+from eitecho.lambda_system import LambdaParams
 from eitecho.readout import _echo_layouts, assemble_decay_curve, assemble_decay_curves
 from eitecho.sequences import EchoConfig, make_echo_sequence
 from eitecho.studies import (FieldModel, branches_for_splitting, compensation_search,
                              field_sweep, golden_steps)
 
+from conftest import generator, liouvillian
 from test_propagators import lambda_params, segments
 
 PARAMS = LambdaParams(delta_opt=2.0 * np.pi * 40e3, gamma_spin_deph=2e3, gamma_opt_deph=1e5,
@@ -155,56 +156,46 @@ class TestGeneratorCache:
     def test_cached_equals_fresh_and_ignores_duration_and_sign(self, p, segs):
         # keys equal up to the sign of a zero share an entry, so start empty
         # for the bitwise check of the first build
-        _base_generator.cache_clear()
+        _base_generator.store.clear()
         for k, seg in enumerate(segs):
-            cached = _base_generator(p, drive_of(seg))
+            cached = generator(p, drive_of(seg))
             fresh = liouvillian(_segment_params(p, replace(seg, zeeman_sign=1.0), 0.0))
             if k == 0:
                 assert cached.tobytes() == fresh.tobytes()
             assert np.array_equal(cached, fresh)
             other = replace(seg, duration=2.0 * seg.duration, zeeman_sign=-seg.zeeman_sign)
-            assert _base_generator(p, drive_of(other)) is cached
+            assert generator(p, drive_of(other)) is cached
 
     def test_read_only(self):
-        gen = _base_generator(PARAMS, (1e6, 1e6, 0.0, 0.0))
+        gen = generator(PARAMS, (1e6, 1e6, 0.0, 0.0))
         assert not gen.flags.writeable
         with pytest.raises(ValueError):
             gen[0, 0] = 1.0
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(LambdaParams)])
-    def test_any_parameter_change_misses(self, name):
+    def test_any_parameter_change_misses(self, name, builds):
         drive = (1e6, 2e6, 0.1, 0.2)
-        _base_generator(PARAMS, drive)
+        generator(PARAMS, drive)
         changed = PARAMS.replace(**{name: getattr(PARAMS, name) + 0.25})
-        misses = _base_generator.cache_info().misses
-        gen = _base_generator(changed, drive)
-        assert _base_generator.cache_info().misses == misses + 1
+        gen = generator(changed, drive)
+        assert builds == [1, 1]
         assert np.array_equal(gen, liouvillian(_segment_params(
             changed, PulseSpec(1e-6, *drive), 0.0)))
 
     @pytest.mark.parametrize("index", range(4))
-    def test_any_drive_change_misses(self, index):
+    def test_any_drive_change_misses(self, index, builds):
         drive = (1e6, 2e6, 0.1, 0.2)
-        _base_generator(PARAMS, drive)
+        generator(PARAMS, drive)
         changed = tuple(v + 0.5 if i == index else v for i, v in enumerate(drive))
-        misses = _base_generator.cache_info().misses
-        _base_generator(PARAMS, changed)
-        assert _base_generator.cache_info().misses == misses + 1
+        generator(PARAMS, changed)
+        assert builds == [1, 1]
 
-    def test_compensation_search_builds_few_liouvillians(self, monkeypatch):
-        calls = []
-
-        def counting(ps):
-            calls.extend(ps)
-            return liouvillians(ps)
-
-        monkeypatch.setattr(dynamics, "liouvillians", counting)
-        _base_generator.cache_clear()
+    def test_compensation_search_builds_few_liouvillians(self, builds):
         res = compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)), CFG,
                                   LambdaParams(gamma_spin_deph=1.0 / 500e-6), EnsembleSpec(),
                                   np.linspace(15e-6, 120e-6, 6), tol=1e-6, mode="beat")
         assert res.evaluations == 21 <= 1 + 3 * (2 + golden_steps(100e-6, 1e-6)) + 2
-        assert len(calls) <= 8
+        assert sum(builds) <= 8
 
 
 class TestLayoutCache:

@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 
 import eitecho.cli as cli
+import eitecho.studies as studies
 from eitecho.cli import main
-from eitecho.errors import FitFailureError
+from eitecho.config import parse_config
+from eitecho.errors import FitFailureError, ValidationError
+from eitecho.readout import _echo_amplitudes
+from eitecho.sequences import DEFAULT_SPLITTING_HZ, SAMPLES_PER_PERIOD
 from eitecho.studies import golden_steps
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -85,6 +89,27 @@ class TestValidate:
         lines = err.splitlines()
         assert lines and all(line.startswith("warning: ") for line in lines)
         assert "ensemble.n_optical that clears it is 57" in lines[-1]
+
+    # the default splitting's detector clock ticks 8 times a period, so 40
+    # ticks are the 5-period minimum; the readout counts 40 * (1 - 1e-12)
+    # ticks as 40 whole ones and 40 * (1 - 1e-8) as 39
+    @pytest.mark.parametrize("ticks", [32, 40 * (1 - 1e-8), 40 * (1 - 1e-12), 40, 41])
+    def test_short_readout_warns_exactly_when_the_beat_refuses(self, tmp_path, capsys, ticks):
+        t_readout = ticks / (SAMPLES_PER_PERIOD * DEFAULT_SPLITTING_HZ)
+        path = write_config(tmp_path, f"sequence: {{tau: 60us, t_readout: {t_readout!r}s}}\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "config OK\n"
+        warned = "sequence.t_readout" in err and "sequence.splitting" in err
+        cfg = parse_config(path.read_text())
+        try:
+            _echo_amplitudes(cfg.sequence, np.array([cfg.sequence.tau]), cfg.physics,
+                             [cfg.ensemble], "beat")
+            refused = False
+        except ValidationError as exc:
+            assert "beat_amplitude: window" in str(exc)
+            refused = True
+        assert warned == refused == (ticks < 40 * (1 - 1e-9))
 
     def test_unreadable_config_exits_one(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "missing.yaml")]) == 1
@@ -311,6 +336,22 @@ class TestScaling:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["subcommand"] == "scaling"
         assert "scaling.csv" in manifest["outputs"]
+
+
+    def test_failing_point_names_its_index_and_t2_opt(self, tmp_path, capsys, monkeypatch):
+        calls, final_state = [], studies.ensemble_final_state
+
+        def failing_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValidationError("DensityMatrix3: trace 1.5 outside [0, 1]")
+            return final_state(*args)
+
+        monkeypatch.setattr(studies, "ensemble_final_state", failing_second)
+        cfg = write_config(tmp_path, SCALING_CONFIG)
+        assert main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("numerical failure: scaling point 1 (t2_opt 1e-08 s): "
+                                           "DensityMatrix3: trace 1.5 outside [0, 1]\n")
 
 
 class TestCompensate:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from eitecho.errors import ValidationError
-from eitecho.lambda_system import LambdaParams, hamiltonian, lindblad_rhs, liouvillian
+from eitecho.lambda_system import LambdaParams
 
-from conftest import random_density3
+from conftest import hamiltonian, lindblad_rhs, liouvillian, random_density3
 
 DARK3 = np.array([1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 BRIGHT3 = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)

@@ -12,16 +12,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import eitecho.dynamics as dynamics
 from eitecho.dynamics import PulseSpec, Wait, _base_generator, _segment_params
 from eitecho.ensemble import EnsembleSpec
-from eitecho.lambda_system import (KET0, KET1, KETE, LambdaParams, hamiltonian, lindblad_rhs,
-                                   liouvillian, liouvillians)
+from eitecho.lambda_system import KET0, KET1, KETE, LambdaParams, liouvillians
 from eitecho.readout import assemble_decay_curves
 from eitecho.sequences import EchoConfig
 from eitecho.studies import FieldModel, compensation_search
 
-from conftest import random_density3
+from conftest import generator, hamiltonian, lindblad_rhs, liouvillian, random_density3
 
 
 def reference_jumps(p: LambdaParams) -> list:
@@ -112,64 +110,46 @@ class TestGeneratorCache:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(parameter_sets(), min_size=1, max_size=4))
     def test_many_equals_one_build_per_key(self, ps):
-        _base_generator.cache_clear()
+        _base_generator.store.clear()
         keys = [(p, d) for d in DRIVES for p in ps]
         for (p, d), gen in zip(keys, _base_generator.many(keys)):
             segment = Wait(duration=1.0) if d is None else PulseSpec(1.0, *d)
             assert np.array_equal(bits(gen), bits(liouvillian(_segment_params(p, segment, 0.0))))
             assert not gen.flags.writeable
 
-    def test_misses_of_a_request_are_one_build(self, monkeypatch):
-        calls = []
-
-        def counting(ps):
-            calls.append(len(ps))
-            return liouvillians(ps)
-
-        monkeypatch.setattr(dynamics, "liouvillians", counting)
-        _base_generator.cache_clear()
+    def test_misses_of_a_request_are_one_build(self, builds):
         p, q = LambdaParams(gamma_opt_deph=1e5), LambdaParams(gamma_opt_deph=3e6)
-        _base_generator(p, DRIVES[1])
+        generator(p, DRIVES[1])
         _base_generator.many([(p, d) for d in DRIVES] + [(q, d) for d in DRIVES])
-        assert calls == [1, 5]
-        assert _base_generator.cache_info().misses == 6
+        assert builds == [1, 5]
+        assert len(_base_generator.store) == 6
         _base_generator.many([(q, DRIVES[0]), (p, DRIVES[2])])
-        assert calls == [1, 5]
+        assert builds == [1, 5]
 
-    def test_the_oldest_is_dropped(self, monkeypatch):
+    def test_the_oldest_is_dropped(self, monkeypatch, builds):
         monkeypatch.setattr(_base_generator, "maxsize", 2)
-        _base_generator.cache_clear()
         a, b, c = (LambdaParams(gamma_opt_deph=r) for r in (1.0, 2.0, 3.0))
-        first = _base_generator(a, None)
-        second = _base_generator(b, None)
-        assert _base_generator(a, None) is first
-        _base_generator(c, None)                          # drops a
-        assert _base_generator.cache_info().currsize == 2
-        misses = _base_generator.cache_info().misses
-        assert _base_generator(b, None) is second
-        assert _base_generator(a, None) is not first
-        assert _base_generator.cache_info().misses == misses + 1
+        first = generator(a, None)
+        second = generator(b, None)
+        assert generator(a, None) is first
+        generator(c, None)                                # drops a
+        assert len(_base_generator.store) == 2
+        assert builds == [1, 1, 1]
+        assert generator(b, None) is second
+        assert generator(a, None) is not first
+        assert builds == [1, 1, 1, 1]
 
-    def test_a_temperature_scan_builds_its_generators_in_one_call(self, monkeypatch):
-        calls = []
-
-        def counting(ps):
-            calls.append(len(ps))
-            return liouvillians(ps)
-
-        monkeypatch.setattr(dynamics, "liouvillians", counting)
-        _base_generator.cache_clear()
+    def test_a_temperature_scan_builds_its_generators_in_one_call(self, builds):
         params = [LambdaParams(gamma_opt_deph=r, gamma_spin_deph=2e3) for r in (1e4, 1e5, 1e6)]
         cfg = EchoConfig(tau=20e-6, t_init=0.5e-6, t_rephase=0.5e-6, t_readout=0.5e-6)
         spec = EnsembleSpec(optical_fwhm=170e3, n_optical=3)
         assemble_decay_curves(cfg, [20e-6, 40e-6, 60e-6], params, [spec] * 3, mode="beat")
         # init, wait, rephasing and readout drives of three sets
-        assert calls == [12]
+        assert builds == [12]
 
-    def test_compensation_search_builds_few_generators(self):
-        _base_generator.cache_clear()
+    def test_compensation_search_builds_few_generators(self, builds):
         compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)),
                             EchoConfig(tau=30e-6), LambdaParams(gamma_spin_deph=1.0 / 500e-6),
                             EnsembleSpec(), np.linspace(15e-6, 120e-6, 6), tol=1e-6, mode="beat")
         # one parameter set under the echo's four drives
-        assert _base_generator.cache_info().misses == 4
+        assert sum(builds) == 4

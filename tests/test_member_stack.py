@@ -19,11 +19,11 @@ from eitecho.dynamics import (PulseSpec, SequenceSpec, Wait, _check_physical, _s
 from eitecho.ensemble import (MIXED_GROUND, EnsembleSpec, ensemble_average,
                               ensemble_final_state, member_stack)
 from eitecho.errors import ConfigurationError
-from eitecho.lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillian
+from eitecho.lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams
 from eitecho.readout import _echo_amplitudes, beat_amplitude, synthesize_beat
 from eitecho.sequences import EchoConfig, make_echo_sequence
 
-from conftest import _segment_map
+from conftest import _segment_map, liouvillian
 from test_propagators import W, lambda_params, unit
 
 TWO_PI = 2.0 * np.pi

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from eitecho.dynamics import PulseSpec, SequenceSpec, Wait, propagate_members, sequence_endpoints
 from eitecho.ensemble import EnsembleSpec, ensemble_average, ensemble_final_state
-from eitecho.lambda_system import LambdaParams, lindblad_rhs, liouvillian
+from eitecho.lambda_system import LambdaParams
 from eitecho.qstate import DensityMatrix3
 from eitecho.sequences import EchoConfig, make_echo_sequence
 
-from conftest import _segment_map, final_state, random_density3
+from conftest import _segment_map, final_state, lindblad_rhs, liouvillian, random_density3
 
 W = 2.0 * np.pi * 1e6          # frequency scale of the drawn parameters, rad/s
 TRACE_FUNCTIONAL = np.eye(3).reshape(9)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from eitecho.dynamics import Trajectory
 from eitecho.errors import ValidationError
-from eitecho.qstate import KET_BRIGHT, KET_DARK, DensityMatrix3, GroundQubitState, fidelity
+from eitecho.qstate import DensityMatrix3, GroundQubitState, fidelity
 
-from conftest import random_qubit_state, trace_distance_matrix
+from conftest import KET_BRIGHT, KET_DARK, random_qubit_state, trace_distance_matrix
 
 
 def ket_dm(ket) -> GroundQubitState:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitecho.errors import InconsistentDataError, ValidationError
-from eitecho.qstate import GroundQubitState, KET_DARK, fidelity
+from eitecho.qstate import GroundQubitState, fidelity
 from eitecho.tomography import (
     projection_measurements,
     reconstruct,
@@ -14,7 +14,7 @@ from eitecho.tomography import (
     tomography_of,
 )
 
-from conftest import random_qubit_state, trace_distance_matrix
+from conftest import KET_DARK, random_qubit_state, trace_distance_matrix
 
 
 def ground(mat) -> GroundQubitState:
