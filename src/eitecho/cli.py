@@ -28,7 +28,7 @@ from .config import (DEFAULT_CONFIG_TEXT, KEYS, MAX_AXIS, REQUIRED, Key, RunConf
                      grid_warnings, parse_config, readout_warnings)
 from .dynamics import SequenceSpec, run_sequence
 from .ensemble import ensemble_average, ensemble_final_state
-from .errors import ConfigurationError, FitFailureError, ValidationError
+from .errors import ConfigurationError, FitFailureError, InconsistentDataError, ValidationError
 from .qstate import DensityMatrix3, GroundQubitState
 from .readout import beat_amplitude, synthesize_beat
 from .sequences import dark_target, make_echo_sequence, make_init_pulse
@@ -118,8 +118,11 @@ def _cmd_qst(cfg: RunConfig) -> Iterator[tuple[str, str]]:
     for name, case_cfg, seq in _qst_cases(cfg):
         final = ensemble_final_state(seq, cfg.physics, cfg.ensemble)
         offset = case_cfg.init_phase_offset
-        tomo = tomography_of(GroundQubitState(final.matrix[:2, :2]), dark_target(case_cfg),
-                             cfg.noise_rms, rng)
+        try:
+            tomo = tomography_of(GroundQubitState(final.matrix[:2, :2]), dark_target(case_cfg),
+                                 cfg.noise_rms, rng)
+        except InconsistentDataError as exc:
+            raise ValidationError(f"qst case {name}: {exc}") from exc
         (x, y, z), f_pure = tomo.projections, tomo.fidelity_vs_target
         ideal = reconstruct(-0.5 * math.cos(offset), -0.5 * math.sin(offset), 0.0)
         f_ideal = state_fidelity(tomo.reconstructed, ideal)

@@ -14,8 +14,8 @@ path a wait acts on the states elementwise (:func:`wait_states`), no expm.
 End states of a batch of sequences that differ only in their wait
 durations (a decay curve's storage times) are computed together: each
 segment's generator is built once, the maps of all pulses come from one
-expm call per Pade degree of the parameter sets over (pulse x member), and
-every segment acts on (sequence x member) states, a chunk at a time.
+expm call over (pulse x member), each map at the Pade degree of its own
+norm, and every segment acts on (sequence x member) states, a chunk at a time.
 Sampled segments are sampled on a whole fraction of the segment's clock (the
 readout's detector clock, else the duration).  A pulse raises the map of one
 grid step to successive powers, one block of samples per batched product.  A
@@ -60,6 +60,8 @@ PULSE_LABELS = ("init_pi_half", "rephase_pi", "readout", "custom")
 # theta_m at which each meets double precision (Higham 2005, Table 2.3).
 PADE_THETAS = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
                7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+# The degrees and the thetas as arrays, to pick every matrix's degree at once.
+PADE_DEGREES, PADE_BOUNDS = np.array(list(PADE_THETAS)), np.array(list(PADE_THETAS.values()))
 # Numerator coefficients b_0 ... b_m of each approximant, scaled to b_m = 1.
 PADE_COEFFICIENTS = {m: [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
                          for j in range(m + 1)] for m in PADE_THETAS}
@@ -254,14 +256,16 @@ def _expm(a: np.ndarray, name=None) -> np.ndarray:
     """expm of a generator (n, n) or of every matrix of a stack (..., n, n).
 
     Scaling and squaring with the [m/m] Pade approximant of exp (Higham
-    2005): m is the least of 3, 5, 7, 9 whose theta_m bounds the largest
-    1-norm of the stack, else 13, where each matrix is scaled by its own
-    2^-s, s = ceil(log2(norm / theta_13)), and squared s times; only the
-    matrices still needing a squaring are squared.  The squaring divides by
-    nothing, so subnormal entries need no special care.  A diagonal matrix
-    maps to the exp of its diagonal, exactly, as scipy maps triangular input
-    (Al-Mohy & Higham 2009).  The stack passes :func:`_check_squarings`
-    first, which `name` serves.
+    2005), each matrix by its own 1-norm: m is the least of 3, 5, 7, 9 whose
+    theta_m bounds it, else 13, where the matrix is scaled by 2^-s,
+    s = ceil(log2(norm / theta_13)), and squared s times; only the matrices
+    still needing a squaring are squared.  The matrices of one degree are
+    mapped together (a slice when one degree covers the stack), so a map has
+    the bits it gets alone, in any stack.  The squaring divides by nothing,
+    so subnormal entries need no special care.  A diagonal matrix maps to the
+    exp of its diagonal, exactly, as scipy maps triangular input (Al-Mohy &
+    Higham 2009).  The stack passes :func:`_check_squarings` first, which
+    `name` serves.
     """
     a = np.asarray(a, dtype=complex)
     norms = _check_squarings(a, name)
@@ -269,36 +273,38 @@ def _expm(a: np.ndarray, name=None) -> np.ndarray:
     idx = np.arange(x.shape[-1])
     d = x[:, idx, idx]
     diag = np.flatnonzero(~x[:, idx[:, None] != idx].any(axis=1))
-    theta = PADE_THETAS[13]
-    m = _pade_degree(norms.max(initial=0.0))
-    b = PADE_COEFFICIENTS[m]
+    # the least m whose theta_m bounds each norm, else 13
+    degrees = PADE_DEGREES[np.searchsorted(PADE_BOUNDS[:-1], norms)]
+    present = sorted(set(degrees.tolist()))
     eye = np.eye(x.shape[-1], dtype=complex)
-    depth = np.zeros(len(x))
-    if m == 13:
-        depth = np.ceil(np.log2(np.maximum(norms / theta, 1.0)))
-        u, v = _pade13(x * np.exp2(-depth)[:, None, None], b, eye)
-    else:
-        powers = [eye, x @ x]                      # x^0, x^2, ..., x^(m-1)
-        while len(powers) <= m // 2:
-            powers.append(powers[-1] @ powers[1])
-        u = x @ sum(b[2 * k + 1] * pk for k, pk in enumerate(powers))
-        v = sum(b[2 * k] * pk for k, pk in enumerate(powers))
-    r = np.linalg.solve(v - u, v + u)
-    for done in range(int(depth.max(initial=0.0))):
-        todo = depth > done
-        if todo.all():
-            r = r @ r
+    r = np.empty_like(x)
+    for m in present:
+        rows = slice(None) if len(present) == 1 else np.flatnonzero(degrees == m)
+        xm, b = x[rows], PADE_COEFFICIENTS[m]
+        depth = np.zeros(len(xm))
+        if m == 13:
+            depth = np.ceil(np.log2(np.maximum(norms[rows] / PADE_THETAS[13], 1.0)))
+            u, v = _pade13(xm * np.exp2(-depth)[:, None, None], b, eye)
         else:
-            r[todo] = r[todo] @ r[todo]
+            powers = [eye, xm @ xm]                # x^0, x^2, ..., x^(m-1)
+            while len(powers) <= m // 2:
+                powers.append(powers[-1] @ powers[1])
+            u = xm @ sum(b[2 * k + 1] * pk for k, pk in enumerate(powers))
+            v = sum(b[2 * k] * pk for k, pk in enumerate(powers))
+        rm = np.linalg.solve(v - u, v + u)
+        for done in range(int(depth.max(initial=0.0))):
+            todo = depth > done
+            if todo.all():
+                rm = rm @ rm
+            else:
+                rm[todo] = rm[todo] @ rm[todo]
+        if len(present) == 1:
+            r = rm
+        else:
+            r[rows] = rm
     r[diag] = 0.0
     r[diag[:, None], idx, idx] = np.exp(d[diag])
     return r.reshape(a.shape)
-
-
-def _pade_degree(norm: float) -> int:
-    """The Pade degree of :func:`_expm` for a stack of largest 1-norm `norm`: the
-    least of 3, 5, 7, 9 whose theta_m bounds it, else 13."""
-    return next(m for m in PADE_THETAS if m == 13 or norm <= PADE_THETAS[m])
 
 
 def _pade13(x: np.ndarray, b: list, eye: np.ndarray) -> tuple:
@@ -460,29 +466,6 @@ def _map_namer(names: list, member_name=_member):
     return lambda i, m: f"{names[i]}, {member_name(m)}"
 
 
-def _set_maps(gens: np.ndarray, p, name) -> np.ndarray:
-    """Maps of a (map, member) stack of generators (K, M, 9, 9) whose members
-    have the parameter sets `p` (see :func:`_param_sets`): one :func:`_expm`
-    call per Pade degree of the sets.  A call's degree follows its largest
-    1-norm, and it is all that its matrices share (each takes its own
-    scaling depth), so each set's degree is taken from its own norms and the
-    sets of one degree are mapped together with the bits each would get
-    alone.  Several degrees overwrite `gens` in place.  `name(i, m)` names
-    map i of member m; the first failing map in (map, member) order is named.
-    """
-    sets, which = _param_sets(p, gens.shape[1])
-    if len(sets) == 1:
-        return _expm(gens, name)
-    norms = _check_squarings(gens, name).reshape(gens.shape[:2]).max(axis=0)
-    degrees = np.array([_pade_degree(norms[which == s].max()) for s in range(len(sets))])[which]
-    if (degrees == degrees[0]).all():
-        return _expm(gens, name)
-    for m in sorted(set(degrees.tolist())):
-        rows = np.flatnonzero(degrees == m)
-        gens[:, rows] = _expm(gens[:, rows], lambda i, k: name(i, int(rows[k])))
-    return gens
-
-
 def storage_chunks(n_taus: int, n_members: int) -> list:
     """Slices, in order, of T storage times of M members, each of at most
     BATCH_STATES (storage time x member) states and at least one storage time."""
@@ -499,13 +482,13 @@ def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,
     times of a decay curve).  `p` gives the members' parameters, one
     LambdaParams or one per member (see :func:`_param_sets`).  Segment k's
     generator is built once for the member stack (:func:`member_generators`);
-    the maps of all pulses come from one :func:`_expm` call per Pade degree
-    of the sets over (pulse x member) (:func:`_set_maps`) and apply to every
-    (sequence, member) state, and a wait acts on the states elementwise
-    (:func:`wait_states`), one :func:`storage_chunks` chunk of sequences at
-    a time.  The states are returned unchecked: callers apply their
-    remaining maps and then :func:`_check_physical`.  `member_name` maps a
-    member row to its name in errors.
+    the maps of all pulses come from one :func:`_expm` call over
+    (pulse x member) and apply to every (sequence, member) state, and a wait
+    acts on the states elementwise (:func:`wait_states`), one
+    :func:`storage_chunks` chunk of sequences at a time.  The states are
+    returned unchecked: callers apply their remaining maps and then
+    :func:`_check_physical`.  `member_name` maps a member row to its name in
+    errors.
     """
     layout = seqs[0].segments
     if any(len(s.segments) != len(layout) for s in seqs):
@@ -525,9 +508,7 @@ def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,
         else:
             raise ValidationError(
                 f"sequence_endpoints: segment {k} differs in more than a wait's duration")
-    if pulses:
-        maps = _set_maps(maps, p, _map_namer([_segment_name(k, layout[k]) for k in pulses],
-                                             member_name))
+    maps = _expm(maps, _map_namer([_segment_name(k, layout[k]) for k in pulses], member_name))
     v0 = np.asarray(rho0.matrix, dtype=complex).reshape(9)
     ends = np.empty((len(seqs), len(offsets), 9), dtype=complex)
     for rows in storage_chunks(len(seqs), len(offsets)):
@@ -691,9 +672,8 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
                 v = (v[:, None, :] @ powers[:, :, b - 1])[:, 0]
         times.append(t0 + dt * np.arange(1, n_steps + 1))
         n_samples += n_steps
-        if len(steps) == 2:
-            v = (wait_states(gen, steps[1:], v)[0] if isinstance(seg, Wait)
-                 else (maps[-1] @ v[:, :, None])[:, :, 0])
+        if len(steps) == 2:        # a pulse on a detector clock; a wait's clock is its duration
+            v = (maps[-1] @ v[:, :, None])[:, :, 0]
             states.append((weights @ v)[None])
             times.append(np.array([t0 + seg.duration]))
             n_samples += 1

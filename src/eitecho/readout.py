@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _map_namer,
-                       _set_maps, geometric_sum, member_generators, sequence_endpoints,
+from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _expm,
+                       _map_namer, geometric_sum, member_generators, sequence_endpoints,
                        storage_chunks, whole_steps)
 from .ensemble import (MIXED_GROUND, EnsembleSpec, MemberStack, _group_sums, group_states,
                        stack_ensembles)
@@ -194,8 +194,8 @@ def _beat_amplitudes(readout: PulseSpec, stack: MemberStack, states: np.ndarray,
     _check_window_periods(window_periods(readout, beat_frequency))
     gen = member_generators(stack.params, readout, stack.offsets,
                             lambda m: f"readout, {stack.member_name(m)}")
-    maps = _set_maps(np.array([h * gen for h in steps]), stack.params,
-                     _map_namer(["readout tick", "readout rest"], stack.member_name))
+    maps = _expm(np.array([h * gen for h in steps]),
+                 _map_namer(["readout tick", "readout rest"], stack.member_name))
     twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * tick)     # e^{2i w dt}
     fold = stack.folded.any()
     steps_maps = [maps[0], twist * maps[0]] + ([np.conj(twist) * maps[0]] if fold else [])

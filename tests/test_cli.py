@@ -264,6 +264,17 @@ class TestNumericalFailureExit:
                      "--out", str(tmp_path / "o")]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("seed, case", [(3, "init_y"), (5, "after_rephase")])
+    def test_inconsistent_tomography_names_its_qst_case(self, tmp_path, capsys, seed, case):
+        # read noise of 0.3 on the built-in config lengthens a projection
+        # vector past 1 + INCONSISTENCY_MARGIN at these seeds
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "sequence: {tau: 60us}\noutput: {noise_rms: 0.3}\n")
+        assert main(["qst", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"numerical failure: qst case {case}: projection vector length")
+        assert sorted(p.name for p in out.iterdir()) == ["config_used.yaml"]
+
 
 class TestOneWriter:
     def test_failed_run_leaves_only_the_config(self, tmp_path, capsys):

@@ -3,7 +3,8 @@
 scipy is the oracle here and is imported by this file only: the package
 itself runs without it.  The call-count pins keep a decay curve at one
 `expm` call for its pulses and one for its readout, and an input that no
-scaling can tame must fail fast, naming its segment.
+scaling can tame must fail fast, naming its segment.  Each matrix takes its
+own Pade degree, so a map has the bits it gets alone in any stack.
 """
 
 import time
@@ -16,6 +17,7 @@ from scipy.linalg import expm
 from scipy.special import stdtrit
 
 import eitecho.dynamics as dynamics
+import eitecho.readout as readout
 from eitecho.dynamics import (MAX_SQUARINGS, PADE_THETAS, PulseSpec, SequenceSpec, Wait,
                               _expm, member_generators, propagate_members, sequence_endpoints)
 from eitecho.ensemble import MIXED_GROUND, EnsembleSpec
@@ -93,12 +95,12 @@ class TestAgainstScipy:
                                          [[0, W, 0]])[0]] * 3),
              [0.0, 0.0, 3.0, 0.0])
     def test_stacks_mixing_tiny_and_large_norms(self, gen, log_norms):
-        # each matrix at its own 1-norm: the degree is the stack's, the depth each one's
+        # each matrix at its own 1-norm, which sets its degree and its depth
         assert_matches_scipy(rescaled(gen, log_norms[:len(gen)]))
 
     @pytest.mark.parametrize("partner_norm", [None, 1e-3, 1.0, 1e3])
     def test_zero_matrix(self, partner_norm):
-        # alone (degree 3) or beside a matrix that sets a higher degree for the stack
+        # alone or beside a matrix of a higher degree, in one stack (degree 3 each way)
         stack = np.zeros((1, 9, 9), dtype=complex)
         if partner_norm is not None:
             gen = member_generators(LambdaParams(gamma_opt_decay=W, rabi0=W),
@@ -124,6 +126,20 @@ class TestAgainstScipy:
         parts = flushed.view(float)
         parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
         assert np.isfinite(assert_matches_scipy(stack, flushed)).all()
+
+
+class TestStackIndependence:
+    @settings(max_examples=100, deadline=None)
+    @given(generator_stacks(), st.lists(st.floats(-12.0, 3.0), min_size=4, max_size=4))
+    # one pulse at a norm of each of the degrees 3, 5, 9 and 13 (7 squarings)
+    @example(np.array([member_generators(LambdaParams(gamma_opt_decay=W, rabi0=W),
+                                         PulseSpec(duration=1e-6, rabi0=W), [[0, 0, 0]])[0]] * 4),
+             [-3.0, -1.0, 0.15, 2.5])
+    def test_each_map_has_the_bits_it_gets_alone(self, gen, log_norms):
+        stack = rescaled(gen, log_norms[:len(gen)])
+        maps = _expm(stack)
+        for i in range(len(stack)):
+            assert np.array_equal(maps[i], _expm(stack[i:i + 1])[0])
 
 
 class TestPade13:
@@ -162,15 +178,16 @@ class TestStudentQuantile:
 
 @pytest.fixture
 def expm_calls(monkeypatch) -> list:
-    """Shapes of the stacks passed to `_expm`, one entry per call (readout maps
-    its readout pulse through `dynamics._set_maps`, which calls it)."""
+    """Shapes of the stacks passed to `_expm`, one entry per call, from
+    `dynamics` and from `readout`, which maps its readout pulse."""
     calls = []
 
     def counted(a, names=None):
         calls.append(np.shape(a))
         return _expm(a, names)
 
-    monkeypatch.setattr(dynamics, "_expm", counted)
+    for module in (dynamics, readout):
+        monkeypatch.setattr(module, "_expm", counted)
     return calls
 
 

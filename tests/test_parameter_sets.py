@@ -2,12 +2,11 @@
 
 A temperature scan's curves differ in their optical dephasing rate, so each
 spec brings its own LambdaParams.  The batched call must give every curve the
-bits of a call of its own: one expm call per Pade degree of the parameter sets
-(the degree follows the largest norm of a call, and each set's is taken from
-its own norms), and a mirror fold decided per spec.  The endpoint path works
-through the storage times in chunks of at most BATCH_STATES (storage time x
-member) states; chunks must not move a bit or change which member and storage
-time an error names.
+bits of a call of its own: one expm call per stack, in which each map takes
+the Pade degree of its own norm, so maps of several degrees share a call, and
+a mirror fold decided per spec.  The endpoint path works through the storage
+times in chunks of at most BATCH_STATES (storage time x member) states; chunks
+must not move a bit or change which member and storage time an error names.
 """
 
 import numpy as np
@@ -16,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eitecho.dynamics as dynamics
+import eitecho.readout as readout
 import eitecho.studies as studies
 from eitecho.config import parse_config
 from eitecho.dynamics import PADE_THETAS, wait_states
@@ -47,17 +47,19 @@ def alone(cfg, taus, params, specs, mode) -> list:
 
 @pytest.fixture
 def pade_degrees(monkeypatch) -> list:
-    """The Pade degree of each `_expm` call, in call order."""
+    """The Pade degree of each matrix of each `_expm` call, in call order: one
+    integer array per call, shaped as the stack without its matrix axes."""
     degrees = []
     real = dynamics._expm
+    degree = np.vectorize(lambda norm: next(m for m in PADE_THETAS
+                                            if m == 13 or norm <= PADE_THETAS[m]), otypes=[int])
 
     def recorded(a, name=None):
-        norms = dynamics._check_squarings(np.asarray(a, dtype=complex))
-        top = norms.max(initial=0.0)
-        degrees.append(next(m for m in PADE_THETAS if m == 13 or top <= PADE_THETAS[m]))
+        degrees.append(degree(np.abs(np.asarray(a)).sum(axis=-2).max(axis=-1)))
         return real(a, name)
 
-    monkeypatch.setattr(dynamics, "_expm", recorded)
+    for module in (dynamics, readout):
+        monkeypatch.setattr(module, "_expm", recorded)
     return degrees
 
 
@@ -88,24 +90,33 @@ class TestOneSetPerSpec:
             assert np.array_equal(curve.amplitudes, own)
 
     def test_the_weak_example_straddles_a_pade_threshold(self, pade_degrees):
+        # one (pulse, member) stack: the first half of the members is 1e4/s's,
+        # whose maps all take a lower degree than the highest of 3e6/s's
         params = [PARAMS.replace(gamma_opt_deph=r) for r in (1e4, 3e6)]
-        assemble_decay_curves(WEAK, TAUS, params, [GRID] * 2, mode="proxy")
-        assert len(pade_degrees) == 2
-        assert pade_degrees[0] < pade_degrees[1]
+        batched = assemble_decay_curves(WEAK, TAUS, params, [GRID] * 2, mode="proxy")
+        [stack] = pade_degrees
+        cold, hot = np.split(stack, 2, axis=1)
+        assert cold.max() < hot.max()
+        for curve, own in zip(batched, alone(WEAK, TAUS, params, [GRID] * 2, "proxy"),
+                              strict=True):
+            assert np.array_equal(curve.amplitudes, own)
 
     @pytest.mark.parametrize("mode, stacks", [("proxy", 1), ("beat", 2)])
-    def test_one_expm_call_per_pade_degree(self, pade_degrees, mode, stacks):
+    def test_one_expm_call_per_stack(self, pade_degrees, mode, stacks):
         # a call maps one stack in proxy mode (the pulses) and two in beat mode
-        # (and the readout ticks): the ladder's sets share each stack's degree,
-        # the weak pair's take two degrees in each
+        # (and the readout ticks), whatever degrees its maps take: the weak
+        # pair's pulse maps take several degrees in their one call
         ladder = [PARAMS.replace(gamma_opt_deph=r) for r in (1e5, 3e6, 1e5, 3e6, 1e6)]
         assemble_decay_curves(EchoConfig(tau=TAUS[0], **SHORT), TAUS, ladder, [GRID] * 5,
                               mode=mode)
         assert len(pade_degrees) == stacks
         pade_degrees.clear()
         weak = [PARAMS.replace(gamma_opt_deph=r) for r in (1e4, 3e6)]
-        assemble_decay_curves(WEAK, TAUS, weak, [GRID] * 2, mode=mode)
-        assert len(set(pade_degrees)) == len(pade_degrees) == 2 * stacks
+        batched = assemble_decay_curves(WEAK, TAUS, weak, [GRID] * 2, mode=mode)
+        assert len(pade_degrees) == stacks
+        assert len(set(pade_degrees[0].ravel().tolist())) >= 2
+        for curve, own in zip(batched, alone(WEAK, TAUS, weak, [GRID] * 2, mode), strict=True):
+            assert np.array_equal(curve.amplitudes, own)
 
     def test_one_set_for_all_specs_is_one_call(self, pade_degrees):
         specs = [GRID, EnsembleSpec(), GRID]
@@ -184,12 +195,18 @@ class TestTemperatureScan:
                        [GRID], mode="proxy")[0].amplitudes[0] for t in (2.0, 3.0, 2.0, 5.0)]
         assert [p.amplitude for p in points] == [a / firsts[0] for a in firsts]
 
-    def test_the_straddling_scan_maps_at_several_pade_degrees(self, pade_degrees):
+    def test_the_straddling_scan_mixes_degrees_in_one_stack(self, pade_degrees):
+        # the scan's one pulse stack mixes degrees, and every point keeps the
+        # fit it gets from a scan of its own temperature
         cfg = parse_config(STRADDLING_SCAN)
         scan = cfg.temp_scan
-        temperature_scan(scan.temperatures, scan.model, cfg.sequence, cfg.physics,
-                         cfg.ensemble, scan.taus)
-        assert len(set(pade_degrees)) == len(pade_degrees) >= 2
+        args = scan.model, cfg.sequence, cfg.physics, cfg.ensemble, scan.taus
+        points = temperature_scan(scan.temperatures, *args)
+        [stack] = pade_degrees
+        assert len(set(stack.ravel().tolist())) >= 2
+        for point in points:
+            [own] = temperature_scan([point.temperature], *args)
+            assert (point.fitted_t2, point.t2_ci95) == (own.fitted_t2, own.t2_ci95)
 
     def test_amplitudes_are_relative_to_the_first_point_as_listed(self):
         tm = TemperatureModel(t2_opt_ref=10e-6, temperature_ref=2.0)

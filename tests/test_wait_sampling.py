@@ -3,7 +3,8 @@
 A wait's samples are checked against the weighted per-member `expm` of the
 generator at each sample time and against the 9x9 `expm` step-power path
 that pulses use; its end states against `sequence_endpoints`.  A wait
-is sampled with no `expm` and no step powers, and a non-finite wait
+is sampled with no `expm` and no step powers, on a whole fraction of its
+duration, so no remainder step follows its last sample, and a non-finite wait
 generator is named by its segment on both the sampled and the endpoint path.
 """
 
@@ -135,6 +136,22 @@ class TestAgainstClosedForm:
         assert np.abs(got - exact).max() <= 1e-13
         final = weights @ sequence_endpoints(RHO0, PARAMS, [seq], offsets)[0]
         assert np.abs(traj.states[-1].reshape(9) - final).max() <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(duration=st.floats(-15.0, 0.0).map(lambda e: 10.0 ** e),
+       steps=st.floats(0.5, 2.0 ** 16))
+@example(duration=1e-15, steps=3.0)
+@example(duration=1.0, steps=2.0 ** 16 - 0.5)
+def test_a_wait_has_no_remainder_sample(duration, steps):
+    # a wait's clock is its duration, so its samples fall on whole steps of
+    # dt, none a remainder map, and the last falls on the wait's end
+    seq = SequenceSpec(segments=(Wait(duration=duration),))
+    times = propagate_members(RHO0, PARAMS, seq, [[0.0, 0.0, 0.0]], [1.0],
+                              [duration / steps]).times
+    assert np.array_equal(times[1:], times[1] * np.arange(1, len(times)))
+    assert len(times) - 1 >= steps * (1.0 - 1e-12)
+    assert times[-1] == pytest.approx(duration, rel=1e-14)
 
 
 def test_waits_make_no_expm_or_power_call(monkeypatch):
