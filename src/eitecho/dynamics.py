@@ -17,14 +17,21 @@ segment's generator is built once, the maps of all pulses come from one
 expm call over (pulse x member), each map at the Pade degree of its own
 norm, and every segment acts on (sequence x member) states, a chunk at a time.
 Sampled segments are sampled on a whole fraction of the segment's clock (the
-readout's detector clock, else the duration).  A pulse raises the map of one
-grid step to successive powers, one block of samples per batched product.  A
-wait is sampled in closed form: each entry only decays and rotates, its
+readout's detector clock, else the duration).  A Lindblad generator keeps
+states Hermitian, so a sampled state is set by its upper triangle: entries
+3, 6, 7 are written as the conjugates of 1, 2, 5 and the populations as real.
+A pulse is sampled baby-step/giant-step: the member states at the start of
+every block of SAMPLE_BLOCK samples come from one batched mat-vec with the
+block's power of the step map each, and one product of the weighted block
+starts with the step powers gives every sample of a chunk of blocks.  A
+pulse whose generators and grid equal the previous pulse's reuses its maps.
+A wait is sampled in closed form: each coherence only decays and rotates, its
 samples e^{d j dt} v split as e^{d B k dt} e^{d r dt} into one batched
-product over all blocks, plus the decay of rho_ee into the ground
-populations, the same for every member.  Every sample is exact whatever the
-step, so a step only places samples, and fixed grids keep runs
-deterministic.
+product over all blocks, per member for rho_01, rho_0e and rho_1e only; the
+populations decay at rates that no member offset shifts, so they are sampled
+once from the weighted sum, plus the decay of rho_ee into the ground
+populations.  Every sample is exact whatever the step, so a step only places
+samples, and fixed grids keep runs deterministic.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ from .units import csv_text
 
 # Flat entries rho_00, rho_11 that the decay of rho_ee (flat index 8) feeds.
 DECAY_FED = [0, 4]
+# Flat entries of the populations, of the coherences rho_01, rho_0e, rho_1e
+# and of their conjugates rho_10, rho_e0, rho_e1.
+POPULATIONS, COHERENCES, CONJUGATES = [0, 4, 8], [1, 2, 5], [3, 6, 7]
 
 # Default sampling grid: fine enough that the sampled coherences resolve
 # every drive and detuning oscillation.  Every sample is an exact map, so a
@@ -48,10 +58,11 @@ DECAY_FED = [0, 4]
 DEFAULT_STEPS_FRACTION = 1.0 / 50.0
 DEFAULT_PHASE_PER_STEP = 0.01
 
-# Samples per batched product of a sampled pulse: it builds the powers
-# S^1 ... S^SAMPLE_BLOCK of its step map S once and applies them to the stack.
-# Pulses are short (a few hundred samples), so small blocks waste least;
-# waits are sampled in closed form and use no powers.
+# Samples per block of a sampled pulse: it builds the powers S^1 ... S^B of
+# its step map S once, advances the member states from block start to block
+# start by S^B, and samples every block of a chunk by one product with the
+# powers.  Pulses are short (a few hundred samples), so small blocks waste
+# least; waits are sampled in closed form and use no powers.
 SAMPLE_BLOCK = 8
 
 PULSE_LABELS = ("init_pi_half", "rephase_pi", "readout", "custom")
@@ -547,24 +558,59 @@ def _wait_samples(gen: np.ndarray, weights: np.ndarray, v: np.ndarray, dt: float
     """Weight-summed samples (n, 9) of a wait at dt ... n dt and the member states (M, 9) at n dt.
 
     Entry i of member m picks up e^{d_mi t}, d_mi its diagonal generator
-    entry, plus, for i in DECAY_FED, the feed of rho_ee.  With B = ceil(sqrt(n))
-    and j = B k + r, the diagonal part sum_m w_m v_mi e^{d_mi j dt} of every
-    block k comes from one batched product of the block factors
-    w_m v_mi e^{d_mi B k dt} (9, K, M) with the in-block factors
-    e^{d_mi r dt} (9, M, B), so the temporaries grow as sqrt(n) M.  The feed
-    involves population entries only, which no member offset shifts
-    (DETUNING_OPT and DETUNING_SPIN vanish there), so one member's feed
-    applies to the weighted rho_ee.
+    entry, plus, for i in DECAY_FED, the feed of rho_ee.  The coherences
+    (COHERENCES) are sampled per member: with B = ceil(sqrt(n)) and
+    j = B k + r, sum_m w_m v_mi e^{d_mi j dt} of every block k comes from one
+    batched product of the block factors w_m v_mi e^{d_mi B k dt} (3, K, M)
+    with the in-block factors e^{d_mi r dt} (3, M, B), so the temporaries grow
+    as sqrt(n) M.  The populations and the feed involve population entries
+    only, which no member offset shifts (DETUNING_OPT and DETUNING_SPIN vanish
+    there), so member 0's rates apply to the weighted populations.  The
+    conjugate entries (CONJUGATES) are left zero: :func:`propagate_members`
+    writes every sample's lower triangle.
     """
-    d = np.einsum("mii->im", gen)                                     # (9, M)
+    d = np.einsum("mii->im", gen)[COHERENCES]                         # (3, M)
     block = math.isqrt(n - 1) + 1
     starts = block * dt * np.arange(-(-n // block))                   # (K,)
-    outer = np.exp(d[:, None, :] * starts[:, None]) * (weights * v.T)[:, None, :]
+    outer = np.exp(d[:, None, :] * starts[:, None]) * (weights * v[:, COHERENCES].T)[:, None, :]
     inner = np.exp(d[:, :, None] * (dt * np.arange(1, block + 1)))
-    samples = (outer @ inner).reshape(9, -1)[:, :n].T
+    samples = np.zeros((n, 9), dtype=complex)
+    samples[:, COHERENCES] = (outer @ inner).reshape(3, -1)[:, :n].T
     times = dt * np.arange(1, n + 1)[:, None]
+    rates = gen[0, POPULATIONS, POPULATIONS].real
+    samples[:, POPULATIONS] = np.exp(times * rates) * (weights @ v[:, POPULATIONS])
     samples[:, DECAY_FED] += _decay_feed(gen[:1], times)[:, 0] * (weights @ v[:, 8])
     return samples, wait_states(gen, times[-1], v)[0]
+
+
+def _pulse_samples(powers: np.ndarray, weights: np.ndarray, v: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight-summed samples (n, 9) of a pulse at steps 1 ... n and the member states (M, 9) after.
+
+    `powers` are the step powers S^1 ... S^B of :func:`_step_powers`, and
+    sample B k + r of the pulse is S^r applied to the state at the start of
+    block k.  Each block start comes from the one before by one batched
+    mat-vec with S^B (S^b for a last block of b < B samples), in the order
+    the states would be advanced block by block.  At most BATCH_STATES // M
+    block starts are held at once, and the weighted starts of such a chunk
+    meet the powers in one (blocks, 9 M) @ (9 M, 9 B) product, so memory is set
+    by the chunk, not by the samples.
+    """
+    m, block = len(v), powers.shape[2]
+    n_blocks = -(-n // block)
+    chunk = min(n_blocks, max(1, BATCH_STATES // m))
+    products = powers.reshape(9 * m, 9 * block)
+    samples = np.empty((n_blocks * block, 9), dtype=complex)
+    starts = np.empty((chunk, m, 9), dtype=complex)
+    for first in range(0, n_blocks, chunk):
+        count = min(chunk, n_blocks - first)
+        for k in range(count):
+            starts[k] = v
+            b = min(block, n - (first + k) * block)
+            v = (v[:, None, :] @ powers[:, :, b - 1])[:, 0]
+        weighted = (weights[:, None] * starts[:count]).reshape(count, 9 * m)
+        samples[first * block:(first + count) * block] = (weighted @ products).reshape(-1, 9)
+    return samples[:n], v
 
 
 def whole_steps(duration: float, dt: float) -> tuple[int, list]:
@@ -604,36 +650,12 @@ def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None,
          f"(delta_opt, delta_spin, zeeman_offset) = ({a:g}, {b:g}, {z:g}) rad/s"])
 
 
-def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
-                      offsets: np.ndarray, weights: np.ndarray,
-                      dt_targets: list | None = None) -> Trajectory:
-    """Weight-summed trajectory from t = 0 of a stack of members that all start in `rho0`.
-
-    Member m is `p` with offsets[m, 0] added to the optical detuning and
-    offsets[m, 1] to the spin detuning; its Zeeman offset offsets[m, 2] is
-    added to the spin detuning with each segment's ``zeeman_sign``.  Segment
-    k is sampled every clock/n, for the least n whose step is no coarser
-    than dt_targets[k] (default: :func:`shared_steps`), which must be finite
-    and > 0; if the duration is not a whole number of steps, one more exact
-    map adds a sample at the segment's end.  More than MAX_SAMPLES samples
-    in all raise a ConfigurationError naming the segment with the most,
-    before any state is stored.  A pulse is sampled in blocks of
-    SAMPLE_BLOCK powers of its step map, each block summed over the weighted
-    member states by one product in fixed member order; a wait is sampled in
-    closed form (:func:`_wait_samples`, :func:`wait_states`) with no expm.
-    Only the weighted sum is stored.  A non-finite generator raises a
-    ConfigurationError naming its segment and member.
-    """
-    offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
-    weights = np.asarray(weights, dtype=float)
-    n_members = weights.size
-    # every generator is checked, and a failure named, before the grid reads the offsets
-    names = [_segment_name(k, seg) for k, seg in enumerate(seq.segments)]
-    gens = [member_generators(p, seg, offsets, lambda m: f"{name}, {_member(m)}")
-            for name, seg in zip(names, seq.segments)]
-    if dt_targets is None:
-        dt_targets = shared_steps(p, seq, offsets)
-    elif len(dt_targets) != len(seq.segments):
+def _sample_grids(seq: SequenceSpec, names: list, dt_targets: list) -> list:
+    """(dt, whole steps, step lengths) of every segment for one requested step
+    each (see :func:`propagate_members`), from the clocks alone: a step that
+    is not finite and > 0, or more than MAX_SAMPLES samples in all, raises a
+    ConfigurationError."""
+    if len(dt_targets) != len(seq.segments):
         raise ConfigurationError([f"one step per segment: got {len(dt_targets)} entries "
                                   f"for {len(seq.segments)} segments"])
     grids = []
@@ -649,27 +671,73 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         k = int(np.argmax(counts))
         raise ConfigurationError([f"{names[k]}: sampled {counts[k]} times, {1 + sum(counts)} "
                                   f"samples in all, beyond the bound of {MAX_SAMPLES}"])
+    return grids
+
+
+def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
+                      offsets: np.ndarray, weights: np.ndarray,
+                      dt_targets: list | None = None) -> Trajectory:
+    """Weight-summed trajectory from t = 0 of a stack of members that all start in `rho0`.
+
+    Member m is `p` with offsets[m, 0] added to the optical detuning and
+    offsets[m, 1] to the spin detuning; its Zeeman offset offsets[m, 2] is
+    added to the spin detuning with each segment's ``zeeman_sign``.  Segment
+    k is sampled every clock/n, for the least n whose step is no coarser
+    than dt_targets[k] (default: :func:`shared_steps`), which must be finite
+    and > 0; if the duration is not a whole number of steps, one more exact
+    map adds a sample at the segment's end.  More than MAX_SAMPLES samples
+    in all raise a ConfigurationError naming the segment with the most,
+    before any state is stored, and, for explicit steps, before any
+    generator is built.  A pulse is sampled from its block starts
+    (:func:`_pulse_samples`) with the SAMPLE_BLOCK powers of its step map,
+    which it takes over from the previous pulse when the generators and the
+    grid are bitwise the same (the two rephasing halves without a Zeeman
+    offset); a wait is sampled in closed form (:func:`_wait_samples`,
+    :func:`wait_states`) with no expm.  Only the weighted sum is stored, its
+    lower triangle written as the conjugate of the upper and its populations
+    as real.  A non-finite generator raises a ConfigurationError naming its
+    segment and member.
+    """
+    offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
+    weights = np.asarray(weights, dtype=float)
+    n_members = weights.size
+    names = [_segment_name(k, seg) for k, seg in enumerate(seq.segments)]
+
+    def generators() -> list:
+        return [member_generators(p, seg, offsets, lambda m: f"{name}, {_member(m)}")
+                for name, seg in zip(names, seq.segments)]
+
+    if dt_targets is None:
+        # every generator is checked, and a failure named, before the grid reads the offsets
+        gens = generators()
+        grids = _sample_grids(seq, names, shared_steps(p, seq, offsets))
+    else:
+        grids = _sample_grids(seq, names, dt_targets)
+        gens = generators()
     v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (n_members, 1))
     times, states, segment_starts = [np.array([0.0])], [(weights @ v)[None]], []
     n_samples = 1
     t0 = 0.0
+    last_pulse = None          # (generators, grid, maps, powers) of the previous pulse
 
-    for seg, name, gen, (dt, n_steps, steps) in zip(seq.segments, names, gens, grids):
+    for seg, name, gen, grid in zip(seq.segments, names, gens, grids):
+        dt, n_steps, steps = grid
         segment_starts.append((n_samples - 1, seg))
         if isinstance(seg, Wait):
             samples, v = _wait_samples(gen, weights, v, dt, n_steps)
             states.append(samples)
         else:
-            maps = _expm(np.array([h * gen for h in steps]),
-                         _map_namer([name] * len(steps)))
+            if (last_pulse is None or last_pulse[1] != grid
+                    or not np.array_equal(last_pulse[0], gen)):
+                maps = _expm(np.array([h * gen for h in steps]),
+                             _map_namer([name] * len(steps)))
+                powers = _step_powers(maps[0], min(SAMPLE_BLOCK, n_steps)) if n_steps else None
+                last_pulse = gen, grid, maps, powers
+            else:
+                _, _, maps, powers = last_pulse
             if n_steps:
-                powers = _step_powers(maps[0], min(SAMPLE_BLOCK, n_steps))
-            for done in range(0, n_steps, SAMPLE_BLOCK):
-                b = min(SAMPLE_BLOCK, n_steps - done)
-                weighted = (weights[:, None] * v).reshape(9 * n_members)
-                states.append((weighted @ powers[:, :, :b].reshape(9 * n_members, 9 * b))
-                              .reshape(b, 9))
-                v = (v[:, None, :] @ powers[:, :, b - 1])[:, 0]
+                samples, v = _pulse_samples(powers, weights, v, n_steps)
+                states.append(samples)
         times.append(t0 + dt * np.arange(1, n_steps + 1))
         n_samples += n_steps
         if len(steps) == 2:        # a pulse on a detector clock; a wait's clock is its duration
@@ -680,8 +748,10 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         t0 += seg.duration
 
     _check_physical(v, offsets)
-    return Trajectory(times=np.concatenate(times),
-                      states=np.concatenate(states).reshape(-1, 3, 3),
+    flat = np.concatenate(states)
+    flat[:, CONJUGATES] = flat[:, COHERENCES].conj()
+    flat[:, POPULATIONS] = flat[:, POPULATIONS].real
+    return Trajectory(times=np.concatenate(times), states=flat.reshape(-1, 3, 3),
                       segment_starts=segment_starts)
 
 

@@ -105,7 +105,8 @@ class TestAgainstClosedForm:
     def test_decay_feed_is_shared(self, p, offsets, sign):
         # what _wait_samples relies on: a wait's generator is diagonal apart
         # from the decay of rho_ee into rho_00 and rho_11, and its population
-        # entries, which set that feed, are the same for every member
+        # entries, which set the populations' decay and that feed, are the
+        # same for every member
         gen = member_generators(p, Wait(duration=1e-6, zeeman_sign=sign), W * np.array(offsets))
         coupling = gen.copy()
         coupling[:, range(9), range(9)] = 0.0
