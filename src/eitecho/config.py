@@ -41,6 +41,10 @@ FIELD = ">= -1kT, <= 1kT"
 MAX_RATE, MAX_DURATION = 1e15, 1.0
 # values of a study axis: 1024 fields take ~0.4 s and ~90 MB of one member's sweep
 MAX_AXIS = 1024
+# What one stacked member holds on the endpoint path, about (pulses + 3) 9x9
+# complex maps of 1296 B for the echo's four pulses, and the bound on the
+# largest stack a run builds: the 21 x 11 field sweep's is ~84 MB.
+MEMBER_BYTES, MAX_STACK_BYTES = 1296 * (4 + 3), 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -364,6 +368,20 @@ def _temperature_rates(temperatures: np.ndarray, model: TemperatureModel,
             return
 
 
+def stack_bytes(spec: EnsembleSpec, n_fields: int, n_temperatures: int) -> tuple[int, str]:
+    """Bytes of the largest member stack that any subcommand builds from the
+    grid of `spec`, counted before anything is built, and the pass that stacks
+    it: MEMBER_BYTES per member of n_optical x n_spin x the Zeeman branches,
+    once per ensemble the pass stacks (mirror folds ignored)."""
+    branches = max(1, len(spec.zeeman_branches))
+    passes = {"studies.field_sweep.fields": 2 * n_fields,
+              "studies.temp_scan.temperatures": branches * n_temperatures,
+              "compensate's first round of 4 curves": 2 * 4,
+              "one echo": branches}
+    pass_name = max(passes, key=passes.get)
+    return spec.n_optical * spec.n_spin * passes[pass_name] * MEMBER_BYTES, pass_name
+
+
 def _check_taus(taus: np.ndarray, path: str, sequence: EchoConfig | None, errors: list) -> None:
     """A study's storage times: at least FIT_MIN_POINTS, for the decay fit,
     strictly increasing, as a decay curve's axis, and each long enough to
@@ -438,6 +456,14 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
             at_fault = ("studies.compensation.search_range" if bracket_problems(
                 replace(model, g_factor=FieldModel.g_factor)) else "field_model.g_factor")
             errors.extend(f"{at_fault}: {p}" for p in problems)
+    if spec is not None:
+        size, pass_name = stack_bytes(spec, len(v["studies.field_sweep"]["fields"]),
+                                      len(temp_scan["temperatures"]))
+        if size > MAX_STACK_BYTES:
+            key = "n_optical" if spec.n_optical >= spec.n_spin else "n_spin"
+            errors.append(f"ensemble.{key}: the {spec.n_optical} x {spec.n_spin} grid would "
+                          f"stack ~{size / 2 ** 30:.3g} GiB of maps ({pass_name}), beyond the "
+                          f"bound of {MAX_STACK_BYTES / 2 ** 30:g} GiB")
     if not any(p.startswith("studies.temp_scan.") for p in bad):
         _temperature_rates(temp_scan["temperatures"], temp_scan["model"], errors)
     if sequence is not None and not any(p.startswith("studies.scaling.") for p in bad):

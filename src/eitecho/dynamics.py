@@ -10,7 +10,9 @@ as a diagonal shift, so one Liouvillian serves them all; it depends only on
 the parameters and the segment's drive, so it is built once per (parameters,
 drive) and cached, the missing ones of a call all at once.  A wait's
 generator is diagonal apart from the two |e>-decay entries, so on every
-path a wait acts on the states elementwise (:func:`wait_states`), no expm.
+path a wait acts on the states elementwise from that diagonal and those two
+entries (:func:`wait_rates`, :func:`wait_states`), no expm and no 9x9
+generator.
 End states of a batch of sequences that differ only in their wait
 durations (a decay curve's storage times) are computed together: each
 segment's generator is built once, the maps of all pulses come from one
@@ -31,7 +33,8 @@ product over all blocks, per member for rho_01, rho_0e and rho_1e only; the
 populations decay at rates that no member offset shifts, so they are sampled
 once from the weighted sum, plus the decay of rho_ee into the ground
 populations.  Every sample is exact whatever the step, so a step only places
-samples, and fixed grids keep runs deterministic.
+samples, and fixed grids keep runs deterministic; the samples are written
+into one buffer sized from the grids.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from .lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams, liouvillia
 from .qstate import DensityMatrix3
 from .units import csv_text
 
-# Flat entries rho_00, rho_11 that the decay of rho_ee (flat index 8) feeds.
-DECAY_FED = [0, 4]
+# Flat entries rho_00, rho_11 that the decay of rho_ee (flat index 8) feeds, a
+# slice, so that indexing with it takes views.
+DECAY_FED = slice(0, 5, 4)
 # Flat entries of the populations, of the coherences rho_01, rho_0e, rho_1e
 # and of their conjugates rho_10, rho_e0, rho_e1.
 POPULATIONS, COHERENCES, CONJUGATES = [0, 4, 8], [1, 2, 5], [3, 6, 7]
@@ -393,6 +397,21 @@ def _param_sets(p, n_members: int) -> tuple:
     return ((p,), np.zeros(n_members, dtype=int)) if isinstance(p, LambdaParams) else p
 
 
+def _diagonal_shift(segment: Segment, offsets: np.ndarray) -> np.ndarray:
+    """What the member rows of `offsets` (M, 3) add to the diagonal of a segment's generator."""
+    return (np.multiply.outer(offsets[:, 0], DETUNING_OPT)
+            + np.multiply.outer(offsets[:, 1], DETUNING_SPIN)
+            + segment.zeeman_sign * np.multiply.outer(offsets[:, 2], DETUNING_SPIN))
+
+
+def _check_finite(rows: np.ndarray, name) -> None:
+    """A ConfigurationError naming, by `name(m)`, the first member row of
+    `rows` (M, ...) with a non-finite entry."""
+    if not np.isfinite(rows.view(float)).all():
+        m = int(np.argmin(np.isfinite(rows).reshape(len(rows), -1).all(axis=1)))
+        raise ConfigurationError([f"{name(m)}: has a non-finite entry"])
+
+
 def member_generators(p, segment: Segment, offsets: np.ndarray, name=_member) -> np.ndarray:
     """Generators (M, 9, 9) of one segment for the member rows of `offsets`.
 
@@ -405,45 +424,55 @@ def member_generators(p, segment: Segment, offsets: np.ndarray, name=_member) ->
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     sets, which = _param_sets(p, len(offsets))
     gen = np.array(_base_generator.many([(q, _drive(segment)) for q in sets]))[which]
-    gen.reshape(len(offsets), 81)[:, ::10] += (
-        np.multiply.outer(offsets[:, 0], DETUNING_OPT)
-        + np.multiply.outer(offsets[:, 1], DETUNING_SPIN)
-        + segment.zeeman_sign * np.multiply.outer(offsets[:, 2], DETUNING_SPIN))
-    if not np.isfinite(gen.view(float)).all():
-        m = int(np.argmin(np.isfinite(gen).all(axis=(1, 2))))
-        raise ConfigurationError([f"{name(m)}: has a non-finite entry"])
+    gen.reshape(len(offsets), 81)[:, ::10] += _diagonal_shift(segment, offsets)
+    _check_finite(gen, name)
     return gen
 
 
-def wait_states(gen: np.ndarray, durations, v: np.ndarray) -> np.ndarray:
-    """States (T, M, 9) after drive-free generators (M, 9, 9) act on the member
-    states v, (M, 9) or (T, M, 9), for each of T durations, in closed form.
+def wait_rates(p, segment: Wait, offsets: np.ndarray, name=_member) -> tuple:
+    """A wait's generators for the member rows of `offsets` as (diagonal (M, 9),
+    feed (M, 2)): without drive a generator is diagonal apart from the decay
+    of rho_ee (flat index 8) into rho_00 and rho_11, its entries [i, 8], i in
+    DECAY_FED.  The diagonal is summed as :func:`member_generators` sums it,
+    so it has the same bits, and no (M, 9, 9) stack is formed.  A non-finite
+    entry raises a ConfigurationError naming the first such member by `name(m)`.
+    """
+    offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
+    sets, which = _param_sets(p, len(offsets))
+    base = np.array(_base_generator.many([(q, None) for q in sets]))
+    diagonal = base.reshape(len(sets), 81)[:, ::10][which] + _diagonal_shift(segment, offsets)
+    feed = base[:, DECAY_FED, 8][which]
+    _check_finite(np.concatenate([diagonal, feed], axis=1), name)
+    return diagonal, feed
 
-    Without drive the generator is diagonal apart from the decay of rho_ee
-    (flat index 8) into rho_00 and rho_11 (DECAY_FED), so entry i of a state
-    picks up exp(t d_i), d the diagonal, plus :func:`_decay_feed` times v_8.
+
+def wait_states(wait: tuple, durations, v: np.ndarray) -> np.ndarray:
+    """States (T, M, 9) after a wait's generators, the pair of :func:`wait_rates`,
+    act on the member states v, (M, 9) or (T, M, 9), for each of T durations,
+    in closed form: entry i of a state picks up exp(t d_i), d the diagonal,
+    plus :func:`_decay_feed` times v_8.
     """
     t = np.asarray(durations, dtype=float)[:, None]                   # (T, 1)
-    states = v * np.exp(t[..., None] * np.einsum("mii->mi", gen))
-    states[..., DECAY_FED] += _decay_feed(gen, t) * v[..., 8:]
+    states = v * np.exp(t[..., None] * wait[0])
+    states[..., DECAY_FED] += _decay_feed(wait, t) * v[..., 8:]
     return states
 
 
-def _decay_feed(gen: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Entries [i, 8], i in DECAY_FED, (T, M, 2) of the maps exp(t gen) over times t (T, 1).
+def _decay_feed(wait: tuple, t: np.ndarray) -> np.ndarray:
+    """Entries [i, 8], i in DECAY_FED, (T, M, 2) of the maps exp(t gen) over
+    times t (T, 1) of a wait's generators, the pair of :func:`wait_rates`.
 
     L[i, 8] (e^{d_8 t} - e^{d_i t}) / (d_8 - d_i) = L[i, 8] t e^{d_i t} expm1(x) / x
     with x = (d_8 - d_i) t, read as L[i, 8] t e^{d_i t} where x = 0.  The
     population entries d_0, d_4, d_8 are real, and x is kept real: complex
     division by a subnormal x overflows, real division does not.
     """
-    rates = np.einsum("mii->mi", gen).real[:, DECAY_FED + [8]]       # (M, 3)
+    diagonal, feed = wait
+    rates = diagonal.real[:, ::4]                                     # (M, 3): 0, 4, 8
     t = t[..., None]                                                  # (T, 1, 1)
     x = t * (rates[:, 2:] - rates[:, :2])                             # (T, M, 2)
-    ratio = np.ones_like(x)
-    nonzero = x != 0.0
-    ratio[nonzero] = np.expm1(x[nonzero]) / x[nonzero]
-    return gen[:, DECAY_FED, 8] * t * np.exp(t * rates[:, :2]) * ratio
+    ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    return feed * t * np.exp(t * rates[:, :2]) * ratio
 
 
 def geometric_sum(step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -485,49 +514,54 @@ def storage_chunks(n_taus: int, n_members: int) -> list:
 
 
 def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,
-                       member_name=_member) -> np.ndarray:
+                       member_name=_member, maps: np.ndarray | None = None) -> np.ndarray:
     """End states (T, M, 9) of every member row of `offsets` after each of T sequences.
 
     The sequences share one layout: segment k of each is the same pulse, or
     a wait with the same Zeeman sign whose duration may differ (the storage
     times of a decay curve).  `p` gives the members' parameters, one
-    LambdaParams or one per member (see :func:`_param_sets`).  Segment k's
-    generator is built once for the member stack (:func:`member_generators`);
-    the maps of all pulses come from one :func:`_expm` call over
-    (pulse x member) and apply to every (sequence, member) state, and a wait
-    acts on the states elementwise (:func:`wait_states`), one
-    :func:`storage_chunks` chunk of sequences at a time.  The states are
-    returned unchecked: callers apply their remaining maps and then
-    :func:`_check_physical`.  `member_name` maps a member row to its name in
-    errors.
+    LambdaParams or one per member (see :func:`_param_sets`).  The maps
+    (pulse, M, 9, 9) of the layout's pulses are `maps` if given (a table's,
+    :class:`eitecho.readout.ZeemanTable`), else built once for the member
+    stack (:func:`member_generators`) by one :func:`_expm` call over
+    (pulse x member); they apply to every (sequence, member) state.  A wait
+    acts on the states elementwise from its diagonal and decay feed
+    (:func:`wait_rates`, :func:`wait_states`), one :func:`storage_chunks`
+    chunk of sequences at a time.  The states are returned unchecked:
+    callers apply their remaining maps and then :func:`_check_physical`.
+    `member_name` maps a member row to its name in errors.
     """
     layout = seqs[0].segments
     if any(len(s.segments) != len(layout) for s in seqs):
         raise ValidationError("sequence_endpoints: sequences differ in length")
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     pulses = [k for k, seg in enumerate(layout) if isinstance(seg, PulseSpec)]
-    maps = np.empty((len(pulses), len(offsets), 9, 9), dtype=complex)
+    generators = None if maps is not None else np.empty((len(pulses), len(offsets), 9, 9),
+                                                         dtype=complex)
     waits = {}
     for k, seg in enumerate(layout):
         column = [s.segments[k] for s in seqs]
-        gen = member_generators(p, seg, offsets,
-                                lambda m: f"{_segment_name(k, seg)}, {member_name(m)}")
         if all(isinstance(s, Wait) and s.zeeman_sign == seg.zeeman_sign for s in column):
-            waits[k] = gen, np.array([s.duration for s in column])
-        elif all(s == seg for s in column):
-            maps[pulses.index(k)] = seg.duration * gen      # mapped below
-        else:
+            waits[k] = (wait_rates(p, seg, offsets,
+                                   lambda m: f"{_segment_name(k, seg)}, {member_name(m)}"),
+                        np.array([s.duration for s in column]))
+        elif not all(s is seg or s == seg for s in column):
             raise ValidationError(
                 f"sequence_endpoints: segment {k} differs in more than a wait's duration")
-    maps = _expm(maps, _map_namer([_segment_name(k, layout[k]) for k in pulses], member_name))
+        elif generators is not None:
+            generators[pulses.index(k)] = seg.duration * member_generators(
+                p, seg, offsets, lambda m: f"{_segment_name(k, seg)}, {member_name(m)}")
+    if generators is not None:
+        maps = _expm(generators, _map_namer([_segment_name(k, layout[k]) for k in pulses],
+                                            member_name))
     v0 = np.asarray(rho0.matrix, dtype=complex).reshape(9)
     ends = np.empty((len(seqs), len(offsets), 9), dtype=complex)
     for rows in storage_chunks(len(seqs), len(offsets)):
         v = np.tile(v0, (rows.stop - rows.start, len(offsets), 1))
         for k in range(len(layout)):
             if k in waits:
-                gen, durations = waits[k]
-                v = wait_states(gen, durations[rows], v)
+                wait, durations = waits[k]
+                v = wait_states(wait, durations[rows], v)
             else:
                 v = (maps[pulses.index(k)] @ v[..., None])[..., 0]
         ends[rows] = v
@@ -553,39 +587,43 @@ def _step_powers(step: np.ndarray, count: int) -> np.ndarray:
     return powers
 
 
-def _wait_samples(gen: np.ndarray, weights: np.ndarray, v: np.ndarray, dt: float,
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weight-summed samples (n, 9) of a wait at dt ... n dt and the member states (M, 9) at n dt.
+def _wait_samples(wait: tuple, weights: np.ndarray, v: np.ndarray, dt: float,
+                  out: np.ndarray) -> np.ndarray:
+    """Weight-summed samples of a wait at dt ... n dt, written to the rows `out`
+    (n, 9), and the member states (M, 9) at n dt.
 
-    Entry i of member m picks up e^{d_mi t}, d_mi its diagonal generator
-    entry, plus, for i in DECAY_FED, the feed of rho_ee.  The coherences
-    (COHERENCES) are sampled per member: with B = ceil(sqrt(n)) and
-    j = B k + r, sum_m w_m v_mi e^{d_mi j dt} of every block k comes from one
-    batched product of the block factors w_m v_mi e^{d_mi B k dt} (3, K, M)
-    with the in-block factors e^{d_mi r dt} (3, M, B), so the temporaries grow
-    as sqrt(n) M.  The populations and the feed involve population entries
-    only, which no member offset shifts (DETUNING_OPT and DETUNING_SPIN vanish
-    there), so member 0's rates apply to the weighted populations.  The
-    conjugate entries (CONJUGATES) are left zero: :func:`propagate_members`
+    `wait` is the pair of :func:`wait_rates`.  Entry i of member m picks up
+    e^{d_mi t}, d_mi its diagonal generator entry, plus, for i in DECAY_FED,
+    the feed of rho_ee.  The coherences (COHERENCES) are sampled per member:
+    with B = ceil(sqrt(n)) and j = B k + r, sum_m w_m v_mi e^{d_mi j dt} of
+    every block k comes from one batched product of the block factors
+    w_m v_mi e^{d_mi B k dt} (3, K, M) with the in-block factors
+    e^{d_mi r dt} (3, M, B), so the temporaries grow as sqrt(n) M.  The
+    populations and the feed involve population entries only, which no
+    member offset shifts (DETUNING_OPT and DETUNING_SPIN vanish there), so
+    member 0's rates apply to the weighted populations.  The conjugate
+    entries (CONJUGATES) are left as they are: :func:`propagate_members`
     writes every sample's lower triangle.
     """
-    d = np.einsum("mii->im", gen)[COHERENCES]                         # (3, M)
+    n = len(out)
+    d = wait[0].T[COHERENCES]                                         # (3, M)
     block = math.isqrt(n - 1) + 1
     starts = block * dt * np.arange(-(-n // block))                   # (K,)
     outer = np.exp(d[:, None, :] * starts[:, None]) * (weights * v[:, COHERENCES].T)[:, None, :]
     inner = np.exp(d[:, :, None] * (dt * np.arange(1, block + 1)))
-    samples = np.zeros((n, 9), dtype=complex)
-    samples[:, COHERENCES] = (outer @ inner).reshape(3, -1)[:, :n].T
+    out[:, COHERENCES] = (outer @ inner).reshape(3, -1)[:, :n].T
     times = dt * np.arange(1, n + 1)[:, None]
-    rates = gen[0, POPULATIONS, POPULATIONS].real
-    samples[:, POPULATIONS] = np.exp(times * rates) * (weights @ v[:, POPULATIONS])
-    samples[:, DECAY_FED] += _decay_feed(gen[:1], times)[:, 0] * (weights @ v[:, 8])
-    return samples, wait_states(gen, times[-1], v)[0]
+    rates = wait[0][0, POPULATIONS].real
+    out[:, POPULATIONS] = np.exp(times * rates) * (weights @ v[:, POPULATIONS])
+    first = tuple(x[:1] for x in wait)
+    out[:, DECAY_FED] += _decay_feed(first, times)[:, 0] * (weights @ v[:, 8])
+    return wait_states(wait, times[-1], v)[0]
 
 
 def _pulse_samples(powers: np.ndarray, weights: np.ndarray, v: np.ndarray,
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weight-summed samples (n, 9) of a pulse at steps 1 ... n and the member states (M, 9) after.
+                   out: np.ndarray) -> np.ndarray:
+    """Weight-summed samples of a pulse at steps 1 ... n, written to the rows
+    `out` (n, 9), and the member states (M, 9) after.
 
     `powers` are the step powers S^1 ... S^B of :func:`_step_powers`, and
     sample B k + r of the pulse is S^r applied to the state at the start of
@@ -596,11 +634,10 @@ def _pulse_samples(powers: np.ndarray, weights: np.ndarray, v: np.ndarray,
     meet the powers in one (blocks, 9 M) @ (9 M, 9 B) product, so memory is set
     by the chunk, not by the samples.
     """
-    m, block = len(v), powers.shape[2]
+    n, m, block = len(out), len(v), powers.shape[2]
     n_blocks = -(-n // block)
     chunk = min(n_blocks, max(1, BATCH_STATES // m))
     products = powers.reshape(9 * m, 9 * block)
-    samples = np.empty((n_blocks * block, 9), dtype=complex)
     starts = np.empty((chunk, m, 9), dtype=complex)
     for first in range(0, n_blocks, chunk):
         count = min(chunk, n_blocks - first)
@@ -609,8 +646,9 @@ def _pulse_samples(powers: np.ndarray, weights: np.ndarray, v: np.ndarray,
             b = min(block, n - (first + k) * block)
             v = (v[:, None, :] @ powers[:, :, b - 1])[:, 0]
         weighted = (weights[:, None] * starts[:count]).reshape(count, 9 * m)
-        samples[first * block:(first + count) * block] = (weighted @ products).reshape(-1, 9)
-    return samples[:n], v
+        rows = out[first * block:(first + count) * block]
+        rows[:] = (weighted @ products).reshape(-1, 9)[:len(rows)]
+    return v
 
 
 def whole_steps(duration: float, dt: float) -> tuple[int, list]:
@@ -634,8 +672,11 @@ def _check_physical(finals: np.ndarray, offsets: np.ndarray, taus=None,
     adjoint = finals.conj().swapaxes(1, 2)
     herm_err = np.max(np.abs(finals - adjoint), axis=(1, 2))
     herm = herm_err <= 1e-9           # False for a non-finite member too
-    min_eig = np.zeros(len(finals))
-    min_eig[herm] = np.linalg.eigvalsh(0.5 * (finals + adjoint)[herm]).min(axis=1)
+    if herm.all():
+        min_eig = np.linalg.eigvalsh(0.5 * (finals + adjoint)).min(axis=1)
+    else:
+        min_eig = np.zeros(len(finals))
+        min_eig[herm] = np.linalg.eigvalsh(0.5 * (finals + adjoint)[herm]).min(axis=1)
     bad = ~herm | (min_eig < -1e-9)
     if not bad.any():
         return
@@ -693,10 +734,12 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     which it takes over from the previous pulse when the generators and the
     grid are bitwise the same (the two rephasing halves without a Zeeman
     offset); a wait is sampled in closed form (:func:`_wait_samples`,
-    :func:`wait_states`) with no expm.  Only the weighted sum is stored, its
-    lower triangle written as the conjugate of the upper and its populations
-    as real.  A non-finite generator raises a ConfigurationError naming its
-    segment and member.
+    :func:`wait_states`) from its diagonal (:func:`wait_rates`), with no
+    expm.  Only the weighted sum is stored, every segment writing its samples
+    into one (n, 9) buffer sized from the grids, whose lower triangle is then
+    written as the conjugate of the upper and its populations as real, a
+    chunk of rows at a time.  A non-finite generator raises a
+    ConfigurationError naming its segment and member.
     """
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     weights = np.asarray(weights, dtype=float)
@@ -704,7 +747,8 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
     names = [_segment_name(k, seg) for k, seg in enumerate(seq.segments)]
 
     def generators() -> list:
-        return [member_generators(p, seg, offsets, lambda m: f"{name}, {_member(m)}")
+        return [(wait_rates if isinstance(seg, Wait) else member_generators)(
+                    p, seg, offsets, lambda m: f"{name}, {_member(m)}")
                 for name, seg in zip(names, seq.segments)]
 
     if dt_targets is None:
@@ -715,17 +759,18 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
         grids = _sample_grids(seq, names, dt_targets)
         gens = generators()
     v = np.tile(np.asarray(rho0.matrix, dtype=complex).reshape(9), (n_members, 1))
-    times, states, segment_starts = [np.array([0.0])], [(weights @ v)[None]], []
-    n_samples = 1
-    t0 = 0.0
+    n_samples = 1 + sum(n_steps + len(steps) - 1 for _, n_steps, steps in grids)
+    flat, times = np.empty((n_samples, 9), dtype=complex), np.empty(n_samples)
+    flat[0], times[0] = weights @ v, 0.0
+    row, t0, segment_starts = 1, 0.0, []
     last_pulse = None          # (generators, grid, maps, powers) of the previous pulse
 
     for seg, name, gen, grid in zip(seq.segments, names, gens, grids):
         dt, n_steps, steps = grid
-        segment_starts.append((n_samples - 1, seg))
+        segment_starts.append((row - 1, seg))
+        samples = flat[row:row + n_steps]
         if isinstance(seg, Wait):
-            samples, v = _wait_samples(gen, weights, v, dt, n_steps)
-            states.append(samples)
+            v = _wait_samples(gen, weights, v, dt, samples)
         else:
             if (last_pulse is None or last_pulse[1] != grid
                     or not np.array_equal(last_pulse[0], gen)):
@@ -736,23 +781,21 @@ def propagate_members(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,
             else:
                 _, _, maps, powers = last_pulse
             if n_steps:
-                samples, v = _pulse_samples(powers, weights, v, n_steps)
-                states.append(samples)
-        times.append(t0 + dt * np.arange(1, n_steps + 1))
-        n_samples += n_steps
+                v = _pulse_samples(powers, weights, v, samples)
+        times[row:row + n_steps] = t0 + dt * np.arange(1, n_steps + 1)
+        row += n_steps
         if len(steps) == 2:        # a pulse on a detector clock; a wait's clock is its duration
             v = (maps[-1] @ v[:, :, None])[:, :, 0]
-            states.append((weights @ v)[None])
-            times.append(np.array([t0 + seg.duration]))
-            n_samples += 1
+            flat[row], times[row] = weights @ v, t0 + seg.duration
+            row += 1
         t0 += seg.duration
 
     _check_physical(v, offsets)
-    flat = np.concatenate(states)
-    flat[:, CONJUGATES] = flat[:, COHERENCES].conj()
-    flat[:, POPULATIONS] = flat[:, POPULATIONS].real
-    return Trajectory(times=np.concatenate(times), states=flat.reshape(-1, 3, 3),
-                      segment_starts=segment_starts)
+    for rows in storage_chunks(n_samples, 1):          # the Hermitian fill, a chunk at a time
+        chunk = flat[rows]
+        chunk[:, CONJUGATES] = chunk[:, COHERENCES].conj()
+        chunk[:, POPULATIONS] = chunk[:, POPULATIONS].real
+    return Trajectory(times=times, states=flat.reshape(-1, 3, 3), segment_starts=segment_starts)
 
 
 def run_sequence(rho0: DensityMatrix3, p: LambdaParams, seq: SequenceSpec,

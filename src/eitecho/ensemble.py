@@ -257,12 +257,14 @@ def ensemble_average(seq: SequenceSpec, base: LambdaParams, spec: EnsembleSpec) 
     """Trajectory of the weight-summed states of every grid member, all from the
     mixed ground state on one time grid: the stack (:func:`stack_ensembles`)
     propagated together (:func:`eitecho.dynamics.propagate_members`) and, if
-    folded, each sample S made S + phases * conj(S)."""
+    folded, each sample S made S + phases * conj(S) in place, a chunk of
+    samples at a time."""
     stack = stack_ensembles(base, [spec], seq.segments)
     traj = propagate_members(MIXED_GROUND, base, seq, stack.offsets, stack.weights)
     if stack.folded[0]:
         flat = traj.states.reshape(-1, 9)
-        traj.states = (flat + stack.phases * flat.conj()).reshape(-1, 3, 3)
+        for rows in storage_chunks(len(flat), 1):
+            flat[rows] += stack.phases * flat[rows].conj()
     return traj
 
 

@@ -16,7 +16,10 @@ pre-readout states of every storage time at once.  Curves that differ only
 in their ensemble (the field sweep's fields, a compensation scan's trial
 vectors: a Zeeman splitting enters only as a member offset) are one pass
 over the members of all of them, stacked by :mod:`eitecho.ensemble`, each
-curve the weighted sum of its own contiguous group of members.
+curve the weighted sum of its own contiguous group of members.  A search
+over Zeeman offsets (the compensation search) builds the maps of its whole
+box once, as Chebyshev tables in the offset (:func:`zeeman_table`), and
+each of its curves takes every member's pulse and readout maps from them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _ex
                        storage_chunks, whole_steps)
 from .ensemble import (MIXED_GROUND, EnsembleSpec, MemberStack, _group_sums, group_states,
                        stack_ensembles)
-from .errors import FitFailureError, ValidationError
+from .errors import ConfigurationError, FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .sequences import SAMPLES_PER_PERIOD, EchoConfig, make_echo_sequence
 from .units import csv_text
@@ -50,6 +53,9 @@ FIT_RATE_GRID = np.logspace(-3.0, 3.0, 49)
 FIT_RELATIVE_STEP_TOL = 1e-10
 # Fewest storage times the three-parameter decay fit accepts: two residual degrees of freedom.
 FIT_MIN_POINTS = 5
+# What a Chebyshev table of maps may lose to truncation, relative to a map's
+# 1-norm (:func:`chebyshev_count`): about the rounding of the maps themselves.
+CHEBYSHEV_TARGET = 1e-15
 
 
 @dataclass(frozen=True)
@@ -171,8 +177,23 @@ def window_periods(readout: PulseSpec, beat_frequency: float) -> float:
     return n_steps * readout.clock_dt * beat_frequency
 
 
+def _readout_maps(readout: PulseSpec, maps: np.ndarray, beat_frequency: float,
+                  conjugate_twist: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The readout's rows e5^T (F_a, F_b[, F_c]) (2-3, M, 9) and its full map
+    (M, 9, 9) from its tick map and, if the window is not a whole number of
+    ticks, rest map, `maps` (1-2, M, 9, 9) (see :func:`_beat_amplitudes`);
+    F_c, of the conjugate twist, only with `conjugate_twist`."""
+    n_steps, steps = whole_steps(readout.duration, readout.clock_dt)
+    twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * readout.clock_dt)     # e^{2i w dt}
+    steps_maps = [maps[0], twist * maps[0]] + ([np.conj(twist) * maps[0]] if conjugate_twist
+                                                else [])
+    sums, powers = geometric_sum(np.stack(steps_maps), n_steps)
+    full = maps[-1] @ powers[0] if len(steps) == 2 else powers[0]
+    return (sums + powers)[:, :, 5, :], full
+
+
 def _beat_amplitudes(readout: PulseSpec, stack: MemberStack, states: np.ndarray,
-                     beat_frequency: float, taus: np.ndarray) -> np.ndarray:
+                     beat_frequency: float, taus: np.ndarray, maps=None) -> np.ndarray:
     """Beat amplitudes (T, G) of the ensembles of `stack` from their member
     states before the readout (T, M, 9) (:func:`eitecho.ensemble.stack_ensembles`).
 
@@ -184,35 +205,190 @@ def _beat_amplitudes(readout: PulseSpec, stack: MemberStack, states: np.ndarray,
     F_a = sum_k S^k and F_b = sum_k (e^{2i w dt} S)^k, k = 0 ... n-1.
     A mirror member reads phases[5] * conj(c_k), so its sums are phases[5]
     times the conj of e5^T F_a v and of e5^T F_c v, F_c that of the conjugate
-    twist: a folded ensemble's sums a and b gain those of its half.  The maps
-    and sums are built once; each state is checked after the full readout map,
-    and read, one :func:`eitecho.dynamics.storage_chunks` chunk at a time.
+    twist: a folded ensemble's sums a and b gain those of its half.  The rows
+    and the full readout map are `maps` if given (a table's, :class:`ZeemanTable`),
+    else built once (:func:`_readout_maps`); each state is checked after the
+    full readout map, and read, one :func:`eitecho.dynamics.storage_chunks`
+    chunk at a time.
     """
-    tick = readout.clock_dt
-    n_steps, steps = whole_steps(readout.duration, tick)
+    n_steps, steps = whole_steps(readout.duration, readout.clock_dt)
     _check_window_samples(n_steps + len(steps))
     _check_window_periods(window_periods(readout, beat_frequency))
-    gen = member_generators(stack.params, readout, stack.offsets,
-                            lambda m: f"readout, {stack.member_name(m)}")
-    maps = _expm(np.array([h * gen for h in steps]),
-                 _map_namer(["readout tick", "readout rest"], stack.member_name))
-    twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * tick)     # e^{2i w dt}
     fold = stack.folded.any()
-    steps_maps = [maps[0], twist * maps[0]] + ([np.conj(twist) * maps[0]] if fold else [])
-    sums, powers = geometric_sum(np.stack(steps_maps), n_steps)
-    rows = (sums + powers)[:, :, 5, :]            # e5^T F_a, e5^T F_b (, e5^T F_c): (2-3, M, 9)
-    full = maps[-1] @ powers[0] if len(steps) == 2 else powers[0]
+    folded = slice(None) if stack.folded.all() else stack.folded
+    if maps is None:
+        gen = member_generators(stack.params, readout, stack.offsets,
+                                lambda m: f"readout, {stack.member_name(m)}")
+        maps = _readout_maps(readout, _expm(np.array([h * gen for h in steps]),
+                                            _map_namer(["readout tick", "readout rest"],
+                                                       stack.member_name)),
+                             beat_frequency, fold)
+    rows, full = maps
     amplitudes = np.empty((len(taus), len(stack.starts)))
     for chunk in storage_chunks(len(taus), len(stack.offsets)):
         _check_physical(full @ states[chunk, ..., None], stack.offsets, taus[chunk],
                         stack.member_name)
-        products = np.einsum("smi,tmi->tms", rows, states[chunk])
+        products = np.einsum("smi,tmi->tms", rows[:2 + fold], states[chunk])
         a, b, *c = _group_sums(products, stack.weights, stack.starts).transpose(2, 0, 1)
         if fold:
-            b[:, stack.folded] += stack.phases[5] * c[0][:, stack.folded].conj()
-            a[:, stack.folded] += stack.phases[5] * a[:, stack.folded].conj()
+            b[:, folded] += stack.phases[5] * c[0][:, folded].conj()
+            a[:, folded] += stack.phases[5] * a[:, folded].conj()
         amplitudes[chunk] = np.abs(0.5 * a + 0.5 * np.conj(b))
     return DETECTOR_SCALE * 2.0 / (n_steps + 1) * amplitudes
+
+
+def chebyshev_count(phase: float, cap: int) -> int | None:
+    """Least node count n <= `cap` at which a Chebyshev interpolant resolves a
+    map e^{B + x C}, x in [-1, 1], to CHEBYSHEV_TARGET of its 1-norm, None
+    if none does.
+
+    `phase` bounds ||C|| in the trace norm, in which e^{sB} is a contraction
+    (a channel): then the j-th Taylor coefficient of the map in x is at most
+    phase^j / j!, its k-th Chebyshev coefficient at most that of e^{phase x},
+    2 I_k(phase) <= 2 (phase/2)^k / k! e^{phase^2 / (4 k + 4)}, and the
+    interpolant's error at most twice the tail sum from k = n (Trefethen,
+    *Approximation Theory and Approximation Practice*, SIAM 2013, ch. 8),
+    itself at most 1 / (1 - phase / (2 n + 2)) times its first term.  A
+    factor 3 takes the trace norm to the flattened map's 1-norm, which is at
+    least 1.  A sum of s such maps has s times the bound and s times the norm.
+    """
+    half = 0.5 * phase
+    for n in range(1, cap + 1):
+        if half < n + 1:
+            log_error = (math.log(12.0) + phase * phase / (4 * n + 4) + n * math.log(half or 1e-300)
+                         - math.lgamma(n + 1) - math.log1p(-half / (n + 1)))
+            if log_error <= math.log(CHEBYSHEV_TARGET):
+                return n
+    return None
+
+
+def chebyshev_nodes(n: int) -> np.ndarray:
+    """The n Chebyshev points of the first kind, cos(pi (j + 1/2) / n), j = 0 ... n-1,
+    mirrored exactly: x_{n-1-j} = -x_j, and 0 in the middle of an odd n."""
+    x = np.cos(math.pi / n * (np.arange(n) + 0.5))
+    half = n // 2
+    x[n - half:] = -x[:half][::-1]
+    if n % 2:
+        x[half] = 0.0
+    return x
+
+
+def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients c_k (..., n, K) of the interpolant sum_k c_k T_k(x) of the
+    values (..., n, K) at :func:`chebyshev_nodes`: the discrete cosine
+    transform c_k = (2 / n) sum_j f(x_j) cos(k pi (j + 1/2) / n), c_0 halved,
+    as one matrix product."""
+    n = values.shape[-2]
+    transform = 2.0 / n * np.cos(math.pi / n * np.outer(np.arange(n), np.arange(n) + 0.5))
+    transform[0] *= 0.5
+    return transform @ values
+
+
+def chebyshev_basis(x: np.ndarray, n: int) -> np.ndarray:
+    """T_0(x) ... T_{n-1}(x) (M, n) at the points x (M,), clipped to [-1, 1],
+    as cos(k arccos x)."""
+    return np.cos(np.arccos(np.clip(x, -1.0, 1.0))[:, None] * np.arange(n))
+
+
+@dataclass(frozen=True)
+class ZeemanTable:
+    """Chebyshev interpolants, in a member's Zeeman offset z over [-reach, reach],
+    of every map a decay curve applies to it: the echo's pulse maps (each with
+    its ``zeeman_sign``) and, in beat mode, the readout's rows and full map
+    (:func:`_readout_maps`), for one parameter set and each base member
+    (delta_opt, delta_spin) of a grid (:func:`zeeman_table`).
+
+    ``coefficients`` (B, n, K) holds base b's n coefficients of the K values:
+    the P pulse maps (81 each), then the 3 rows (9 each) and the full map.
+    """
+
+    params: LambdaParams
+    mode: str
+    reach: float
+    bases: dict                  # (delta_opt, delta_spin) -> row of `coefficients`
+    pulses: int
+    coefficients: np.ndarray
+
+    def maps(self, stack: MemberStack, mode: str) -> tuple | None:
+        """The pulse maps (P, M, 9, 9) of the members of `stack` and, in beat
+        mode, the readout's rows (3, M, 9) and full map (M, 9, 9), or None
+        where the table does not cover the stack.  Member m's values are its
+        basis T_k(z_m / reach) times its base's coefficients, one (1, n) @
+        (n, K) product of a batch, so they have the bits they get alone."""
+        if stack.params[0] != (self.params,) or mode != self.mode:
+            return None
+        try:
+            index = np.array([self.bases[base]
+                              for base in map(tuple, stack.offsets[:, :2].tolist())])
+        except KeyError:
+            return None
+        basis = chebyshev_basis(stack.offsets[:, 2] / self.reach, self.coefficients.shape[1])
+        values = np.empty((len(index), self.coefficients.shape[2]), dtype=complex)
+        for b in dict.fromkeys(index.tolist()):
+            rows = np.flatnonzero(index == b)
+            values[rows] = (basis[rows, None, :] @ self.coefficients[b])[:, 0]
+        p = 81 * self.pulses
+        pulses = np.ascontiguousarray(values[:, :p].reshape(-1, self.pulses, 9, 9).swapaxes(0, 1))
+        if mode == "proxy":
+            return pulses, None
+        rows = np.ascontiguousarray(values[:, p:p + 27].reshape(-1, 3, 9).swapaxes(0, 1))
+        return pulses, (rows, values[:, p + 27:].reshape(-1, 9, 9))
+
+
+def zeeman_table(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams, spec: EnsembleSpec,
+                 mode: str, reach: float, cap: int) -> ZeemanTable | None:
+    """The :class:`ZeemanTable` of the echo of `cfg`, whose pulses and readout
+    it reads from the layouts of the storage times `taus`, over Zeeman offsets within
+    +/- `reach` (rad/s), for every member (delta_opt, delta_spin) that a
+    curve of `spec` under `params` stacks whatever its Zeeman branches, or
+    None where a table would take more than `cap` nodes.
+
+    A map's Zeeman offset turns it by at most `reach` times its duration, the
+    readout's by `reach` times its window, and :func:`chebyshev_count`
+    sets the node count n from the largest such phase.  The maps at the n
+    nodes of every base member come from one :func:`eitecho.dynamics._expm`
+    call, the nodes mirrored so that the rephasing halves share their maps,
+    and the readout's from one :func:`eitecho.dynamics.geometric_sum`,
+    and their coefficients from one matrix product
+    (:func:`chebyshev_coefficients`).  A node map that
+    cannot be built leaves the table None: the curves' own maps then name
+    the member that fails.
+    """
+    seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()))
+    segments = seqs[0].segments + ((readout,) if mode == "beat" else ())
+    pulses = [s for s in seqs[0].segments if isinstance(s, PulseSpec)]
+    tabulated = pulses + ([readout] if mode == "beat" else [])
+    n = chebyshev_count(reach * max(s.duration for s in tabulated), cap)
+    if n is None:
+        return None
+    stack = stack_ensembles(params, [replace(spec, zeeman_branches=())], segments)
+    bases = stack.offsets[:, :2]
+    offsets = np.column_stack([np.repeat(bases, n, axis=0),
+                               np.tile(reach * chebyshev_nodes(n), len(bases))])
+    _, steps = whole_steps(readout.duration, readout.clock_dt)
+    scaled = [(s.duration, s) for s in pulses] + (
+        [(h, readout) for h in steps] if mode == "beat" else [])
+    # a map that differs from an earlier one in its Zeeman sign alone (the second
+    # rephasing half) is that one's at the mirrored node: it is built once
+    built, sources = {}, []            # the maps to build; (built map, mirrored) of each
+    for h, s in scaled:
+        twin = (h, replace(s, zeeman_sign=-s.zeeman_sign))
+        sources.append((built[twin], True) if twin in built else
+                       (built.setdefault((h, s), len(built)), False))
+    try:
+        maps = _expm(np.array([h * member_generators(params, s, offsets) for h, s in built]))
+    except ConfigurationError:
+        return None
+    maps = [maps[i].reshape(len(bases), n, 9, 9)[:, ::-1].reshape(-1, 9, 9) if mirrored
+            else maps[i] for i, mirrored in sources]
+    values = [m.reshape(len(offsets), 81) for m in maps[:len(pulses)]]
+    if mode == "beat":
+        rows, full = _readout_maps(readout, maps[len(pulses):], cfg.splitting, True)
+        values += [rows.swapaxes(0, 1).reshape(len(offsets), 27), full.reshape(len(offsets), 81)]
+    table = np.concatenate(values, axis=1).reshape(len(bases), n, -1)
+    return ZeemanTable(params=params, mode=mode, reach=reach,
+                       bases={key: b for b, key in enumerate(map(tuple, bases.tolist()))},
+                       pulses=len(pulses), coefficients=chebyshev_coefficients(table))
 
 
 # a compensation search reads its bracketing storage-time window in every step
@@ -222,31 +398,49 @@ def _echo_layouts(cfg: EchoConfig, taus: tuple) -> tuple:
     readout pulse, which proxy mode ignores.
 
     Only `cfg` and the storage times enter the layouts, and they are frozen,
-    so every curve of a window, in either mode, shares one cached set.
+    so every curve of a window, in either mode, shares one cached set, and
+    every window one cached sequence per storage time (:func:`_echo_layout`).
     """
-    seqs = [make_echo_sequence(replace(cfg, tau=tau)) for tau in taus]
-    return tuple(SequenceSpec(segments=s.segments[:-1]) for s in seqs), seqs[0].segments[-1]
+    layouts = [_echo_layout(cfg, tau) for tau in taus]
+    return tuple(seq for seq, _ in layouts), layouts[0][1]
+
+
+@functools.lru_cache(maxsize=256)
+def _echo_layout(cfg: EchoConfig, tau: float) -> tuple:
+    """The echo of `cfg` at storage time `tau` up to the readout, and the
+    readout pulse; its pulses are those of every storage time (:func:`_pulse`)."""
+    segments = tuple(_pulse(s) if isinstance(s, PulseSpec) else s
+                     for s in make_echo_sequence(replace(cfg, tau=tau)).segments)
+    return SequenceSpec(segments=segments[:-1]), segments[-1]
+
+
+# the first of equal pulses: the layouts of a window share their pulse objects
+_pulse = functools.lru_cache(maxsize=256)(lambda pulse: pulse)
 
 
 def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params, specs: list, mode: str,
-                     labels=None) -> np.ndarray:
+                     labels=None, table: ZeemanTable | None = None) -> np.ndarray:
     """Echo amplitudes (T, G) of G ensembles, spec g under params[g] (or `params`
-    for all), stacked and labelled by :func:`eitecho.ensemble.stack_ensembles`."""
+    for all), stacked and labelled by :func:`eitecho.ensemble.stack_ensembles`,
+    their maps from `table` where it covers the stack (:meth:`ZeemanTable.maps`)."""
     if mode not in ("beat", "proxy"):
         raise ValidationError(f"unknown readout mode {mode!r}")
     seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()))
     # the readout pulse is mapped, and so has to mirror, in beat mode only
     segments = seqs[0].segments + ((readout,) if mode == "beat" else ())
     stack = stack_ensembles(params, specs, segments, labels)
+    pulses, readout_maps = (None, None) if table is None else (
+        table.maps(stack, mode) or (None, None))
     states = sequence_endpoints(MIXED_GROUND, stack.params, seqs, stack.offsets,
-                                stack.member_name)
+                                stack.member_name, pulses)
     if mode == "beat":
-        return _beat_amplitudes(readout, stack, states, cfg.splitting, taus)
+        return _beat_amplitudes(readout, stack, states, cfg.splitting, taus, readout_maps)
     return np.abs(group_states(stack, states, taus)[..., 1])
 
 
 def assemble_decay_curves(cfg: EchoConfig, taus, params, specs,
-                          mode: str = "beat", labels=None) -> list[DecayCurve]:
+                          mode: str = "beat", labels=None,
+                          table: ZeemanTable | None = None) -> list[DecayCurve]:
     """Echo amplitude versus storage time for each ensemble spec, all in one pass.
 
     `params` is one LambdaParams for every spec, or a sequence of one per
@@ -255,14 +449,15 @@ def assemble_decay_curves(cfg: EchoConfig, taus, params, specs,
     (:func:`eitecho.ensemble.stack_ensembles`) through one endpoint pass over
     every storage time (:func:`eitecho.dynamics.sequence_endpoints`), and each
     curve keeps the bits of a call of its own.  `labels`, one per spec, name
-    the spec of a failing member in errors.
+    the spec of a failing member in errors.  `table` (:func:`zeeman_table`)
+    gives the maps of the members it covers.
     """
     taus, specs = np.asarray(list(taus), dtype=float), list(specs)
     if taus.size < 3:
         raise ValidationError("assemble_decay_curves needs at least 3 storage times")
     if not specs:
         return []
-    amplitudes = _echo_amplitudes(cfg, taus, params, specs, mode, labels)
+    amplitudes = _echo_amplitudes(cfg, taus, params, specs, mode, labels, table)
     return [DecayCurve(taus=taus, amplitudes=column)
             for column in np.ascontiguousarray(amplitudes.T)]
 

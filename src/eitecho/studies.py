@@ -25,7 +25,8 @@ from .ensemble import EnsembleSpec, ensemble_final_state
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .qstate import GroundQubitState, fidelity
-from .readout import DecayCurve, FitResult, assemble_decay_curves, fit_decay, lockstep
+from .readout import (DecayCurve, FitResult, _echo_amplitudes, assemble_decay_curves, fit_decay,
+                      lockstep, zeeman_table)
 from .sequences import EchoConfig, dark_target, make_echo_sequence
 from .units import csv_text
 
@@ -379,8 +380,17 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     2 + :func:`golden_steps` values, the count a golden section needs for the
     same bracket.  Each round is one batched decay-curve call of the trial
     points of the unfinished axes (a compensation vector enters only through
-    the Zeeman branches of the ensemble).  An axis keeps its start unless its
-    best trial scores above the start.
+    the Zeeman branches of the ensemble); the start vector, whose value no
+    first trial point needs, joins the first round, and the found vector's
+    two storage-time windows are one call.  An axis keeps its start unless
+    its best trial scores above the start.
+
+    Every curve's maps come from one :func:`eitecho.readout.zeeman_table`
+    built before the first round over the box's Zeeman offsets,
+    pi g |(|B_i + c_i| + search_range)_i|, so a round evaluates polynomials
+    and builds no map; where the table would need more nodes than the search
+    can evaluate curves, 1 + 3 (2 + golden_steps) + 2, each curve maps its
+    members exactly.
 
     ``evaluations`` counts the curves computed: the start, one per trial
     point, and the found vector twice, on the bracketing storage times
@@ -392,39 +402,55 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
         raise ValidationError("compensation_search: search_range and tol must be > 0")
     taus = np.asarray(list(taus), dtype=float)
     bracket_taus = compensation_bracket_taus(m, cfg, search_range)
+    comp = np.asarray(m.compensation_vector, dtype=float)
+    raised = max(tol, 4.0 * math.ulp(np.abs(comp).max() + search_range))
+    maxfun = 2 + golden_steps(search_range, raised)
+    reach = math.pi * m.g_factor * float(np.linalg.norm(np.abs(m.net_field()) + search_range))
+    table = zeeman_table(cfg, bracket_taus, params, spec, mode, reach, 1 + 3 * maxfun + 2)
     evaluations = 0
 
-    def curves(comps, window: np.ndarray) -> list[DecayCurve]:
+    def curves(comps, windows: list) -> list:
+        """Amplitudes of the curve of each of `comps` on each window, one call."""
         nonlocal evaluations
-        evaluations += len(comps)
+        evaluations += len(comps) * len(windows)
         specs = [replace(spec, zeeman_branches=branches_for_splitting(splitting_from_field(
             replace(m, compensation_vector=tuple(comp))))) for comp in comps]
         labels = [f"compensation ({', '.join(f'{c:g}' for c in comp)}) T" for comp in comps]
-        return assemble_decay_curves(cfg, window, params, specs, mode=mode, labels=labels)
+        amplitudes = _echo_amplitudes(cfg, np.concatenate(windows), params, specs, mode,
+                                      labels, table)
+        bounds = np.cumsum([0] + [len(w) for w in windows])
+        return [[np.ascontiguousarray(amplitudes[lo:hi, g]) for lo, hi in zip(bounds, bounds[1:])]
+                for g in range(len(comps))]
 
     def modulation(comps) -> np.ndarray:
-        return np.array([-float(np.sum(c.amplitudes)) for c in curves(comps, bracket_taus)])
-
-    comp = np.asarray(m.compensation_vector, dtype=float)
+        return np.array([-float(np.sum(amps)) for amps, in curves(comps, [bracket_taus])])
 
     def trials(axes, x) -> np.ndarray:     # row k: the start vector, axis axes[k] at x[k]
         rows = np.repeat(comp[None], len(axes), axis=0)
         rows[np.arange(len(axes)), axes] = x
         return rows
 
-    start = modulation([comp])[0]
-    raised = max(tol, 4.0 * math.ulp(np.abs(comp).max() + search_range))
-    best, f_best = lockstep_brent(lambda axes, x: modulation(trials(axes, x)),
-                                  comp - search_range, comp + search_range, raised / 4.0,
-                                  2 + golden_steps(search_range, raised))
+    start = None
+
+    def rounds(axes, x) -> np.ndarray:     # the first round evaluates the start too
+        nonlocal start
+        if start is not None:
+            return modulation(trials(axes, x))
+        values = modulation(np.vstack([comp, trials(axes, x)]))
+        start = values[0]
+        return values[1:]
+
+    best, f_best = lockstep_brent(rounds, comp - search_range, comp + search_range,
+                                  raised / 4.0, maxfun)
     keep = ~(f_best < start)
     best, f_best = np.where(keep, comp, best), np.where(keep, start, f_best)
-    end = modulation([best])[0]
+    bracket, fit_window = curves([best], [bracket_taus, taus])[0]
+    end = -float(np.sum(bracket))
     warning = None
     if not end < start and float(np.linalg.norm(m.net_field())) > tol:
         warning = "search could not improve on the starting compensation"
     try:
-        fitted_t2 = fit_decay(curves([best], taus)[0]).t2
+        fitted_t2 = fit_decay(DecayCurve(taus=taus, amplitudes=fit_window)).t2
     except FitFailureError:
         fitted_t2 = float("nan")
         warning = warning or "decay fit failed at the found compensation"

@@ -370,10 +370,11 @@ class TestCompensate:
         # one float spacing of a 50 uT field is 6.8e-21 T, so no bracket gets
         # as narrow as these tolerances: each axis stops at the cap of
         # 2 + golden_steps values, the steps that still shrink a bracket of
-        # values up to |start| + search_range, or at its own convergence
+        # values up to |start| + search_range, or at its own convergence; the
+        # counts follow the last bits of the search's table of maps
         for compensation, search_range, count in (
                 ("{search_range: 1uT, tolerance: 1e-22uT}", 1e-6, 173),
-                ("{tolerance: 1e-317uT}", 100e-6, 145)):
+                ("{tolerance: 1e-317uT}", 100e-6, 143)):
             text = CLOSED_CONFIG + f"studies:\n  compensation: {compensation}\n"
             out = tmp_path / str(search_range)
             done = TestArgumentErrors.run_cli("compensate", "--config",

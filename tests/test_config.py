@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -13,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitecho.cli import accepts, build_parser
-from eitecho.config import (KEYS, DEFAULT_CONFIG_TEXT, MAX_DURATION, MAX_RATE, grid_warnings,
-                            parse_config, validate_config)
+from eitecho.config import (KEYS, DEFAULT_CONFIG_TEXT, MAX_DURATION, MAX_RATE, MAX_STACK_BYTES,
+                            MEMBER_BYTES, grid_warnings, parse_config, stack_bytes,
+                            validate_config)
 from eitecho.dynamics import PulseSpec, _check_squarings, member_generators
 from eitecho.ensemble import EnsembleSpec, member_stack
 from eitecho.errors import ConfigurationError
@@ -631,3 +633,55 @@ class TestRangesBoundThePulseMaps:
             pulses = [seg for seg in seq.segments if isinstance(seg, PulseSpec)]
             _check_squarings(np.array([seg.duration * member_generators(params, seg, offsets)
                                        for seg in pulses]))
+
+
+class TestStackBound:
+    """The member stack a config implies is estimated from the config alone,
+    before any generator or map is built (ensemble.n_optical x n_spin)."""
+
+    GRID_255 = ("sequence: {tau: 60us}\nensemble: {optical_fwhm: 170kHz, spin_fwhm: 20kHz, "
+                "n_optical: 255, n_spin: 255}\n")
+
+    def test_estimate(self):
+        grid = EnsembleSpec(optical_fwhm=170e3, spin_fwhm=20e3, n_optical=21, n_spin=11)
+        # the default field sweep stacks 20 fields of 2 Zeeman branches each
+        assert stack_bytes(grid, 20, 5) == (21 * 11 * 40 * MEMBER_BYTES,
+                                            "studies.field_sweep.fields")
+        assert stack_bytes(grid, 1, 5) == (21 * 11 * 8 * MEMBER_BYTES,
+                                           "compensate's first round of 4 curves")
+        branched = replace(grid, zeeman_branches=((-1e3, 0.25), (0.0, 0.5), (1e3, 0.25)))
+        assert stack_bytes(branched, 1, 5)[0] == 21 * 11 * 15 * MEMBER_BYTES
+        assert 21 * 11 * 40 * MEMBER_BYTES < MAX_STACK_BYTES < 255 * 255 * 40 * MEMBER_BYTES
+
+    def test_the_21_x_11_grid_passes(self):
+        text = DEFAULT_CONFIG_TEXT.replace("n_optical: 1 ", "n_optical: 21").replace(
+            "n_spin: 1", "spin_fwhm: 20kHz\n  n_spin: 11")
+        assert parse_config(text).ensemble.n_optical == 21
+
+    @pytest.mark.parametrize("grid, key", [((255, 255), "n_optical"), ((101, 255), "n_spin")])
+    def test_a_huge_grid_names_its_larger_axis(self, grid, key):
+        text = self.GRID_255.replace("n_optical: 255", f"n_optical: {grid[0]}").replace(
+            "n_spin: 255", f"n_spin: {grid[1]}")
+        with pytest.raises(ConfigurationError) as info:
+            parse_config(text)
+        assert [p for p in info.value.problems if "GiB" in p] == [
+            f"ensemble.{key}: the {grid[0]} x {grid[1]} grid would stack "
+            f"~{stack_bytes(parse_grid(grid), 20, 5)[0] / 2 ** 30:.3g} GiB of maps "
+            f"(studies.field_sweep.fields), beyond the bound of 1 GiB"]
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "bloch-path", "qst",
+                                         "field-sweep", "temp-scan", "scaling", "compensate"])
+    def test_every_subcommand_exits_1_at_once(self, tmp_path, capsys, command):
+        from eitecho.cli import main
+        config = tmp_path / "g.yaml"
+        config.write_text(self.GRID_255)
+        start = time.monotonic()
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ensemble.n_optical: the 255 x 255 grid")
+        assert "Traceback" not in err
+
+
+def parse_grid(grid) -> EnsembleSpec:
+    return EnsembleSpec(optical_fwhm=170e3, spin_fwhm=20e3, n_optical=grid[0], n_spin=grid[1])

@@ -18,7 +18,7 @@ import eitecho.dynamics as dynamics
 from eitecho.dynamics import (PulseSpec, Trajectory, Wait, _check_physical,
                               _expm, _segment_params, geometric_sum,
                               member_generators, propagate_members, sequence_endpoints,
-                              wait_states)
+                              wait_rates, wait_states)
 from eitecho.ensemble import MIXED_GROUND, EnsembleSpec, member_stack, stack_ensembles
 from eitecho.errors import ConfigurationError, ValidationError
 from eitecho.lambda_system import LambdaParams
@@ -57,9 +57,11 @@ class TestClosedFormWait:
              [9e-6], [(0.0, 0.0, 5e-324)], -1.0)
     def test_matches_expm(self, p, durations, offsets, sign):
         offsets = W * np.array(offsets)
-        gen = member_generators(p, Wait(duration=1e-6, zeeman_sign=sign), offsets)
+        wait = Wait(duration=1e-6, zeeman_sign=sign)
+        gen = member_generators(p, wait, offsets)
         # the wait of each unit state e_j is column j of its map
-        maps = np.stack([wait_states(gen, durations, np.tile(e, (len(gen), 1)))
+        maps = np.stack([wait_states(wait_rates(p, wait, offsets), durations,
+                                     np.tile(e, (len(gen), 1)))
                          for e in np.eye(9)], axis=-1)
         assert np.isfinite(maps).all()
         for t, stack in zip(durations, maps):
@@ -78,9 +80,10 @@ class TestClosedFormWait:
              [2.415145003982803e-05], [(0.0, 0.0, 0.0)], 1.0, 1)
     def test_keeps_a_physical_state_physical(self, p, durations, offsets, sign, seed):
         rng = np.random.default_rng(seed)
-        gen = member_generators(p, Wait(duration=1e-6, zeeman_sign=sign), W * np.array(offsets))
+        wait, offsets = Wait(duration=1e-6, zeeman_sign=sign), W * np.array(offsets)
+        gen = member_generators(p, wait, offsets)
         v = np.array([random_density3(rng).reshape(9) for _ in gen])
-        states = wait_states(gen, durations, v)
+        states = wait_states(wait_rates(p, wait, offsets), durations, v)
         # the trace moves by no more than the generator itself fails to keep
         # it: liouvillians sums rho_ee's decay with the optical dephasing, so
         # a slow decay beside a fast dephasing loses its last bits

@@ -9,7 +9,8 @@ functions, V-shapes, flat stretches and steps that tie values, each
 component of the lockstep search must visit bitwise the same points as
 `fminbound` and return the same (x, f).  The last test checks the
 compensation search itself, axis by axis, against `fminbound` on an
-objective that computes one decay curve per call.  `golden_steps` sets the
+objective that computes one decay curve per call, through the search's own
+table of maps.  `golden_steps` sets the
 cap: the evaluations a golden section (Kiefer, Proc. AMS 4, 502 (1953))
 needs to shrink the bracket to the tolerance.
 """
@@ -25,7 +26,8 @@ from scipy.optimize import fminbound
 
 from eitecho.ensemble import EnsembleSpec
 from eitecho.lambda_system import LambdaParams
-from eitecho.readout import assemble_decay_curves
+import eitecho.studies as studies
+from eitecho.readout import assemble_decay_curves, zeeman_table
 from eitecho.sequences import EchoConfig
 from eitecho.studies import (INVPHI, FieldModel, branches_for_splitting,
                              compensation_bracket_taus, compensation_search, golden_steps,
@@ -141,15 +143,24 @@ def test_step_count(search_range, tol, steps):
         assert 2.0 * search_range * INVPHI ** steps <= tol / 4.0 * (1.0 + 1e-12)
 
 
-def test_compensation_search_replays_each_axis():
+def test_compensation_search_replays_each_axis(monkeypatch):
     # criterion 12's search: each axis's result is fminbound on that axis
     # alone, with the other two held at the start vector and one decay curve
-    # computed per call
+    # computed per call, its maps from the search's own table
     cfg, params, spec = EchoConfig(tau=30e-6), LambdaParams(gamma_spin_deph=1.0 / 500e-6), \
         EnsembleSpec()
     model = FieldModel(field_vector=(20e-6, -10e-6, 45e-6))
+    tables = []
+
+    def recording(*args):
+        tables.append(zeeman_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(studies, "zeeman_table", recording)
     res = compensation_search(model, cfg, params, spec, np.linspace(15e-6, 120e-6, 6),
                               tol=1e-6, mode="proxy")
+    (table,) = tables
+    assert table is not None
     window = compensation_bracket_taus(model, cfg, 100e-6)
     visits = 0
     for axis in range(3):
@@ -160,7 +171,7 @@ def test_compensation_search_replays_each_axis():
                 replace(model, compensation_vector=tuple(comp))))
             curve, = assemble_decay_curves(cfg, window, params,
                                            [replace(spec, zeeman_branches=branches)],
-                                           mode="proxy")
+                                           mode="proxy", table=table)
             return -float(np.sum(curve.amplitudes))
 
         x, f, points = oracle(modulation, -100e-6, 100e-6, 1e-6 / 4,

@@ -163,13 +163,14 @@ class TestReusedMaps:
 def test_long_pulse_memory_is_set_by_the_chunk():
     # 2^17 samples of 64 members: all block starts at once would take
     # 2^17 / B * 64 * 144 B = 151 MB; the trajectory itself is 2^17 * 144 B
-    # (18.9 MB), held twice while its pieces are joined
+    # (18.9 MB), written once into its buffer, whose lower triangle is
+    # filled a chunk of rows at a time
     n, members = 2 ** 17, 64
     rng = np.random.default_rng(3)
     offsets = W * rng.uniform(-0.1, 0.1, (members, 3))
     state_bytes = 144
     unchunked = n // B * members * state_bytes
-    bound = 3 * n * state_bytes + 16 * dynamics.BATCH_STATES * state_bytes
+    bound = 1.5 * n * state_bytes + 16 * dynamics.BATCH_STATES * state_bytes
     assert bound < unchunked / 2
     tracemalloc.start()
     try:
@@ -188,14 +189,14 @@ class TestSampleBoundBeforeGenerators:
     MESSAGE = r"^segment 1 \(wait\): sampled \d+ times, \d+ samples in all, beyond the bound"
 
     def counted(self, monkeypatch) -> list:
+        """The member count of each pulse's generators and each wait's rates built."""
         calls = []
-        real = dynamics.member_generators
+        for name in ("member_generators", "wait_rates"):
+            def counting(*args, real=getattr(dynamics, name)):
+                calls.append(len(args[2]))
+                return real(*args)
 
-        def counting(*args):
-            calls.append(len(args[2]))
-            return real(*args)
-
-        monkeypatch.setattr(dynamics, "member_generators", counting)
+            monkeypatch.setattr(dynamics, name, counting)
         return calls
 
     def test_explicit_steps(self, monkeypatch):

@@ -16,7 +16,9 @@ SUBCOMMANDS = ("temp-scan", "compensate", "simulate", "field-sweep", "scaling", 
 # prints the BLAS variables, then the scipy modules loaded after importing the
 # CLI, then after each of SUBCOMMANDS, run in turn into the directory given as
 # argv[1], its exit code, the scipy modules and whether numpy.ma is loaded
-# (np.unique and its kin import it on first use, 10-19 ms of a cold run)
+# (np.unique and its kin import it on first use, 10-19 ms of a cold run) and
+# numpy.polynomial (~4 ms of import; the compensation search's Chebyshev
+# tables are built with cos and a matrix product instead)
 PROBE = f"""
 import contextlib, io, os, sys
 import eitecho.cli as cli
@@ -26,7 +28,8 @@ print(scipy_modules())
 for name in {SUBCOMMANDS!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([name, '--out', os.path.join(sys.argv[1], name)])
-    print(name, code, scipy_modules(), 'numpy.ma' in sys.modules)
+    print(name, code, scipy_modules(), 'numpy.ma' in sys.modules,
+          'numpy.polynomial' in sys.modules)
 """
 
 
@@ -41,7 +44,8 @@ def start_cli(out_dir, **env_vars) -> list:
 
 
 def test_default_start_up_is_lean_and_single_threaded(tmp_path):
-    assert start_cli(tmp_path) == ["1,1,1", "[]"] + [f"{name} 0 [] False" for name in SUBCOMMANDS]
+    assert start_cli(tmp_path) == ["1,1,1", "[]"] + [f"{name} 0 [] False False"
+                                                     for name in SUBCOMMANDS]
 
 
 def test_user_set_blas_threads_win(tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import eitecho.dynamics as dynamics
 from eitecho.dynamics import (DECAY_FED, PulseSpec, SequenceSpec, Wait,
                               _expm, _step_powers, _wait_samples, member_generators,
-                              propagate_members, sequence_endpoints)
+                              propagate_members, sequence_endpoints, wait_rates)
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.qstate import DensityMatrix3
@@ -93,9 +93,9 @@ class TestAgainstClosedForm:
         assert np.abs(got - old).max() <= 1e-12 * scale
 
         # the member states that continue into the next segment
-        gen = member_generators(p, wait, offsets)
         v0 = np.tile(np.asarray(rho0.matrix).reshape(9), (len(weights), 1))
-        _, end = _wait_samples(gen, weights, v0, times[0], n)
+        end = _wait_samples(wait_rates(p, wait, offsets), weights, v0, times[0],
+                            np.empty((n, 9), dtype=complex))
         ends = sequence_endpoints(rho0, p, [SequenceSpec(segments=(wait,))], offsets)[0]
         assert np.abs(end - ends).max() <= 1e-14
 
