@@ -41,10 +41,12 @@ FIELD = ">= -1kT, <= 1kT"
 MAX_RATE, MAX_DURATION = 1e15, 1.0
 # values of a study axis: 1024 fields take ~0.4 s and ~90 MB of one member's sweep
 MAX_AXIS = 1024
-# What one stacked member holds on the endpoint path, about (pulses + 3) 9x9
-# complex maps of 1296 B for the echo's four pulses, and the bound on the
-# largest stack a run builds: the 21 x 11 field sweep's is ~84 MB.
-MEMBER_BYTES, MAX_STACK_BYTES = 1296 * (4 + 3), 2 ** 30
+# The traced peak of a pass per stacked member, in 9x9 complex maps of 1296 B,
+# and the bound on it.  tracemalloc peaks of the default config's passes on
+# 5 x 3, 9 x 5 and 21 x 11 grids: the field sweep takes 17.5 kB per member
+# (13.5 maps; 162 MB at 21 x 11), compensate 23.7-24.7 kB (18.3-19 maps; 44 MB
+# at 21 x 11, 3.0 MB at 5 x 3); 20 maps cover both.
+MEMBER_BYTES, MAX_STACK_BYTES = 1296 * 20, 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -369,10 +371,10 @@ def _temperature_rates(temperatures: np.ndarray, model: TemperatureModel,
 
 
 def stack_bytes(spec: EnsembleSpec, n_fields: int, n_temperatures: int) -> tuple[int, str]:
-    """Bytes of the largest member stack that any subcommand builds from the
-    grid of `spec`, counted before anything is built, and the pass that stacks
-    it: MEMBER_BYTES per member of n_optical x n_spin x the Zeeman branches,
-    once per ensemble the pass stacks (mirror folds ignored)."""
+    """The peak bytes of the largest member stack that any subcommand builds
+    from the grid of `spec`, counted before anything is built, and the pass
+    that stacks it: MEMBER_BYTES per member of n_optical x n_spin x the Zeeman
+    branches, once per ensemble the pass stacks (mirror folds ignored)."""
     branches = max(1, len(spec.zeeman_branches))
     passes = {"studies.field_sweep.fields": 2 * n_fields,
               "studies.temp_scan.temperatures": branches * n_temperatures,
@@ -462,7 +464,7 @@ def validate_config(tree: dict) -> tuple[RunConfig | None, list[str]]:
         if size > MAX_STACK_BYTES:
             key = "n_optical" if spec.n_optical >= spec.n_spin else "n_spin"
             errors.append(f"ensemble.{key}: the {spec.n_optical} x {spec.n_spin} grid would "
-                          f"stack ~{size / 2 ** 30:.3g} GiB of maps ({pass_name}), beyond the "
+                          f"take ~{size / 2 ** 30:.3g} GiB at its peak ({pass_name}), beyond the "
                           f"bound of {MAX_STACK_BYTES / 2 ** 30:g} GiB")
     if not any(p.startswith("studies.temp_scan.") for p in bad):
         _temperature_rates(temp_scan["temperatures"], temp_scan["model"], errors)

@@ -545,7 +545,7 @@ def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,
             waits[k] = (wait_rates(p, seg, offsets,
                                    lambda m: f"{_segment_name(k, seg)}, {member_name(m)}"),
                         np.array([s.duration for s in column]))
-        elif not all(s is seg or s == seg for s in column):
+        elif not all(s == seg for s in column):
             raise ValidationError(
                 f"sequence_endpoints: segment {k} differs in more than a wait's duration")
         elif generators is not None:

@@ -298,24 +298,33 @@ class ZeemanTable:
     (:func:`_readout_maps`), for one parameter set and each base member
     (delta_opt, delta_spin) of a grid (:func:`zeeman_table`).
 
+    ``segments`` are the tabulated pulses, the readout last in beat mode, and
+    ``splitting`` the beat frequency of the readout's rows.
     ``coefficients`` (B, n, K) holds base b's n coefficients of the K values:
     the P pulse maps (81 each), then the 3 rows (9 each) and the full map.
     """
 
     params: LambdaParams
     mode: str
+    segments: tuple
+    splitting: float
     reach: float
     bases: dict                  # (delta_opt, delta_spin) -> row of `coefficients`
-    pulses: int
     coefficients: np.ndarray
 
-    def maps(self, stack: MemberStack, mode: str) -> tuple | None:
+    def maps(self, stack: MemberStack, segments: tuple, splitting: float,
+             mode: str) -> tuple | None:
         """The pulse maps (P, M, 9, 9) of the members of `stack` and, in beat
         mode, the readout's rows (3, M, 9) and full map (M, 9, 9), or None
-        where the table does not cover the stack.  Member m's values are its
-        basis T_k(z_m / reach) times its base's coefficients, one (1, n) @
-        (n, K) product of a batch, so they have the bits they get alone."""
-        if stack.params[0] != (self.params,) or mode != self.mode:
+        where the table does not cover the stack: other parameters, mode,
+        pulses among the `segments` the stack goes through, or `splitting`, a
+        base member it has not tabulated, or a Zeeman offset beyond `reach`
+        by more than the rounding of the box's edge.  Member m's values are
+        its basis T_k(z_m / reach) times its base's coefficients, one (1, n)
+        @ (n, K) product of a batch, so they have the bits they get alone."""
+        if (stack.params[0] != (self.params,) or mode != self.mode or splitting != self.splitting
+                or tuple(s for s in segments if isinstance(s, PulseSpec)) != self.segments
+                or (np.abs(stack.offsets[:, 2]) > self.reach + 4.0 * math.ulp(self.reach)).any()):
             return None
         try:
             index = np.array([self.bases[base]
@@ -327,8 +336,9 @@ class ZeemanTable:
         for b in dict.fromkeys(index.tolist()):
             rows = np.flatnonzero(index == b)
             values[rows] = (basis[rows, None, :] @ self.coefficients[b])[:, 0]
-        p = 81 * self.pulses
-        pulses = np.ascontiguousarray(values[:, :p].reshape(-1, self.pulses, 9, 9).swapaxes(0, 1))
+        count = len(self.segments) - (mode == "beat")
+        p = 81 * count
+        pulses = np.ascontiguousarray(values[:, :p].reshape(-1, count, 9, 9).swapaxes(0, 1))
         if mode == "proxy":
             return pulses, None
         rows = np.ascontiguousarray(values[:, p:p + 27].reshape(-1, 3, 9).swapaxes(0, 1))
@@ -386,9 +396,10 @@ def zeeman_table(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams, spec: 
         rows, full = _readout_maps(readout, maps[len(pulses):], cfg.splitting, True)
         values += [rows.swapaxes(0, 1).reshape(len(offsets), 27), full.reshape(len(offsets), 81)]
     table = np.concatenate(values, axis=1).reshape(len(bases), n, -1)
-    return ZeemanTable(params=params, mode=mode, reach=reach,
+    return ZeemanTable(params=params, mode=mode, segments=tuple(tabulated),
+                       splitting=cfg.splitting, reach=reach,
                        bases={key: b for b, key in enumerate(map(tuple, bases.tolist()))},
-                       pulses=len(pulses), coefficients=chebyshev_coefficients(table))
+                       coefficients=chebyshev_coefficients(table))
 
 
 # a compensation search reads its bracketing storage-time window in every step
@@ -399,23 +410,17 @@ def _echo_layouts(cfg: EchoConfig, taus: tuple) -> tuple:
 
     Only `cfg` and the storage times enter the layouts, and they are frozen,
     so every curve of a window, in either mode, shares one cached set, and
-    every window one cached sequence per storage time (:func:`_echo_layout`).
+    a window joined from others (the search's last call) their cached
+    sequences (:func:`_echo_layout`).
     """
-    layouts = [_echo_layout(cfg, tau) for tau in taus]
-    return tuple(seq for seq, _ in layouts), layouts[0][1]
+    seqs = [_echo_layout(cfg, tau) for tau in taus]
+    return tuple(SequenceSpec(segments=s.segments[:-1]) for s in seqs), seqs[0].segments[-1]
 
 
 @functools.lru_cache(maxsize=256)
-def _echo_layout(cfg: EchoConfig, tau: float) -> tuple:
-    """The echo of `cfg` at storage time `tau` up to the readout, and the
-    readout pulse; its pulses are those of every storage time (:func:`_pulse`)."""
-    segments = tuple(_pulse(s) if isinstance(s, PulseSpec) else s
-                     for s in make_echo_sequence(replace(cfg, tau=tau)).segments)
-    return SequenceSpec(segments=segments[:-1]), segments[-1]
-
-
-# the first of equal pulses: the layouts of a window share their pulse objects
-_pulse = functools.lru_cache(maxsize=256)(lambda pulse: pulse)
+def _echo_layout(cfg: EchoConfig, tau: float) -> SequenceSpec:
+    """The echo of `cfg` at storage time `tau`, readout included."""
+    return make_echo_sequence(replace(cfg, tau=tau))
 
 
 def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params, specs: list, mode: str,
@@ -430,7 +435,7 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params, specs: list, mod
     segments = seqs[0].segments + ((readout,) if mode == "beat" else ())
     stack = stack_ensembles(params, specs, segments, labels)
     pulses, readout_maps = (None, None) if table is None else (
-        table.maps(stack, mode) or (None, None))
+        table.maps(stack, segments, cfg.splitting, mode) or (None, None))
     states = sequence_endpoints(MIXED_GROUND, stack.params, seqs, stack.offsets,
                                 stack.member_name, pulses)
     if mode == "beat":
@@ -439,8 +444,7 @@ def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params, specs: list, mod
 
 
 def assemble_decay_curves(cfg: EchoConfig, taus, params, specs,
-                          mode: str = "beat", labels=None,
-                          table: ZeemanTable | None = None) -> list[DecayCurve]:
+                          mode: str = "beat", labels=None) -> list[DecayCurve]:
     """Echo amplitude versus storage time for each ensemble spec, all in one pass.
 
     `params` is one LambdaParams for every spec, or a sequence of one per
@@ -449,15 +453,14 @@ def assemble_decay_curves(cfg: EchoConfig, taus, params, specs,
     (:func:`eitecho.ensemble.stack_ensembles`) through one endpoint pass over
     every storage time (:func:`eitecho.dynamics.sequence_endpoints`), and each
     curve keeps the bits of a call of its own.  `labels`, one per spec, name
-    the spec of a failing member in errors.  `table` (:func:`zeeman_table`)
-    gives the maps of the members it covers.
+    the spec of a failing member in errors.
     """
     taus, specs = np.asarray(list(taus), dtype=float), list(specs)
     if taus.size < 3:
         raise ValidationError("assemble_decay_curves needs at least 3 storage times")
     if not specs:
         return []
-    amplitudes = _echo_amplitudes(cfg, taus, params, specs, mode, labels, table)
+    amplitudes = _echo_amplitudes(cfg, taus, params, specs, mode, labels)
     return [DecayCurve(taus=taus, amplitudes=column)
             for column in np.ascontiguousarray(amplitudes.T)]
 

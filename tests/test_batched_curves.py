@@ -21,8 +21,7 @@ from eitecho.dynamics import PulseSpec, Wait, _base_generator, _segment_params, 
 from eitecho.ensemble import EnsembleSpec, _group_sums
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
-from eitecho.readout import (_echo_layout, _echo_layouts, assemble_decay_curve,
-                             assemble_decay_curves)
+from eitecho.readout import _echo_layouts, assemble_decay_curve, assemble_decay_curves
 from eitecho.sequences import EchoConfig, make_echo_sequence
 from eitecho.studies import (FieldModel, branches_for_splitting, compensation_search,
                              field_sweep, golden_steps)
@@ -227,7 +226,6 @@ class TestLayoutCache:
 
         monkeypatch.setattr(readout, "make_echo_sequence", counting)
         _echo_layouts.cache_clear()
-        _echo_layout.cache_clear()
         res = compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)), CFG,
                                   LambdaParams(gamma_spin_deph=1.0 / 500e-6), EnsembleSpec(),
                                   np.linspace(15e-6, 120e-6, 6), tol=1e-6, mode="beat")

@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 import re
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -653,6 +654,24 @@ class TestStackBound:
         assert stack_bytes(branched, 1, 5)[0] == 21 * 11 * 15 * MEMBER_BYTES
         assert 21 * 11 * 40 * MEMBER_BYTES < MAX_STACK_BYTES < 255 * 255 * 40 * MEMBER_BYTES
 
+    @pytest.mark.parametrize("command, passes", [("field-sweep", (20, 5)),
+                                                 ("compensate", (1, 1))])
+    def test_the_estimate_covers_the_traced_peak(self, tmp_path, capsys, command, passes):
+        # the pass the estimate picks for these counts is the one the command runs
+        text = DEFAULT_CONFIG_TEXT.replace("n_optical: 1 ", "n_optical: 9").replace(
+            "n_spin: 1", "spin_fwhm: 20kHz\n  n_spin: 5")
+        config = tmp_path / "g.yaml"
+        config.write_text(text)
+        from eitecho.cli import main
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = stack_bytes(parse_config(text).ensemble, *passes)[0]
+        assert 0.6 * estimate < peak <= estimate
+
     def test_the_21_x_11_grid_passes(self):
         text = DEFAULT_CONFIG_TEXT.replace("n_optical: 1 ", "n_optical: 21").replace(
             "n_spin: 1", "spin_fwhm: 20kHz\n  n_spin: 11")
@@ -665,8 +684,8 @@ class TestStackBound:
         with pytest.raises(ConfigurationError) as info:
             parse_config(text)
         assert [p for p in info.value.problems if "GiB" in p] == [
-            f"ensemble.{key}: the {grid[0]} x {grid[1]} grid would stack "
-            f"~{stack_bytes(parse_grid(grid), 20, 5)[0] / 2 ** 30:.3g} GiB of maps "
+            f"ensemble.{key}: the {grid[0]} x {grid[1]} grid would take "
+            f"~{stack_bytes(parse_grid(grid), 20, 5)[0] / 2 ** 30:.3g} GiB at its peak "
             f"(studies.field_sweep.fields), beyond the bound of 1 GiB"]
 
     @pytest.mark.parametrize("command", ["validate", "simulate", "bloch-path", "qst",

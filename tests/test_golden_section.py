@@ -27,7 +27,7 @@ from scipy.optimize import fminbound
 from eitecho.ensemble import EnsembleSpec
 from eitecho.lambda_system import LambdaParams
 import eitecho.studies as studies
-from eitecho.readout import assemble_decay_curves, zeeman_table
+from eitecho.readout import _echo_amplitudes, zeeman_table
 from eitecho.sequences import EchoConfig
 from eitecho.studies import (INVPHI, FieldModel, branches_for_splitting,
                              compensation_bracket_taus, compensation_search, golden_steps,
@@ -169,10 +169,10 @@ def test_compensation_search_replays_each_axis(monkeypatch):
             comp[axis] = x
             branches = branches_for_splitting(splitting_from_field(
                 replace(model, compensation_vector=tuple(comp))))
-            curve, = assemble_decay_curves(cfg, window, params,
-                                           [replace(spec, zeeman_branches=branches)],
-                                           mode="proxy", table=table)
-            return -float(np.sum(curve.amplitudes))
+            amplitudes = _echo_amplitudes(cfg, window, params,
+                                          [replace(spec, zeeman_branches=branches)], "proxy",
+                                          None, table)
+            return -float(np.sum(np.ascontiguousarray(amplitudes[:, 0])))
 
         x, f, points = oracle(modulation, -100e-6, 100e-6, 1e-6 / 4,
                               2 + golden_steps(100e-6, 1e-6))

@@ -80,11 +80,12 @@ class TestTableAgainstExactMaps:
         table = zeeman_table(cfg, WINDOW, p, spec, mode, reach, 51)
         assert table is not None
         # members at random offsets in the box, on the grid of the table's bases
+        segments = make_echo_sequence_segments(cfg, mode)
         stack = stack_ensembles(p, [replace(spec, zeeman_branches=((-1.0, 0.5), (1.0, 0.5)))],
-                                make_echo_sequence_segments(cfg, mode))
+                                segments)
         z = reach * np.random.default_rng(seed).uniform(-1.0, 1.0, len(stack.offsets))
         stack = replace(stack, offsets=np.column_stack([stack.offsets[:, :2], z]))
-        pulses, readout = table.maps(stack, mode)
+        pulses, readout = table.maps(stack, segments, cfg.splitting, mode)
         seqs, readout_pulse = _echo_layouts(cfg, tuple(WINDOW.tolist()))
         echo = [s for s in seqs[0].segments if isinstance(s, PulseSpec)]
         exact = _expm(np.array([s.duration * member_generators(p, s, stack.offsets)
@@ -104,17 +105,62 @@ class TestTableAgainstExactMaps:
 
     def test_a_member_has_the_bits_it_gets_alone(self):
         table = zeeman_table(CFG, WINDOW, PARAMS, EnsembleSpec(), "beat", 2e5, 51)
+        segments = make_echo_sequence_segments(CFG, "beat")
         stack = stack_ensembles(PARAMS, [EnsembleSpec(zeeman_branches=((-3e3, 0.5),
                                                                        (3e3, 0.5)))] * 4,
-                                make_echo_sequence_segments(CFG, "beat"))
+                                segments)
         stack = replace(stack, offsets=np.column_stack(
             [stack.offsets[:, :2], np.linspace(-2e5, 2e5, len(stack.offsets))]))
-        together = table.maps(stack, "beat")
+        together = table.maps(stack, segments, CFG.splitting, "beat")
         for m in range(len(stack.offsets)):
-            alone = table.maps(replace(stack, offsets=stack.offsets[m:m + 1]), "beat")
+            alone = table.maps(replace(stack, offsets=stack.offsets[m:m + 1]), segments,
+                               CFG.splitting, "beat")
             assert np.array_equal(alone[0][:, 0], together[0][:, m])
             assert np.array_equal(alone[1][0][:, 0], together[1][0][:, m])
             assert np.array_equal(alone[1][1][0], together[1][1][m])
+
+
+class TestCoverage:
+    """A table hands out maps only for the echo, parameters and box it was built for."""
+
+    SPEC = EnsembleSpec(zeeman_branches=branches_for_splitting(2.0 * 5e4 / (2.0 * math.pi)))
+
+    @pytest.mark.parametrize("mode", ["beat", "proxy"])
+    @pytest.mark.parametrize("other", [
+        {"cfg": replace(CFG, t_rephase=1.5e-6)}, {"cfg": replace(CFG, t_init=1.5e-6)},
+        {"cfg": replace(CFG, init_phase_offset=0.3)}, {"cfg": replace(CFG, splitting=4e6)},
+        {"cfg": replace(CFG, t_readout=1.5e-6)}, {"params": replace(PARAMS, gamma_spin_deph=1e3)},
+        {"mode": "other"}, {"reach": 4e4}])
+    def test_a_table_of_another_echo_or_a_narrower_box_maps_nothing(self, mode, other):
+        # the curve's members reach a Zeeman offset of 5e4 rad/s
+        cfg, params = other.get("cfg", CFG), other.get("params", PARAMS)
+        built = {"beat": "proxy", "proxy": "beat"}[mode] if "mode" in other else mode
+        table = zeeman_table(CFG, WINDOW, PARAMS, EnsembleSpec(), built,
+                             other.get("reach", 2e5), 51)
+        segments = make_echo_sequence_segments(cfg, mode)
+        stack = stack_ensembles(params, [self.SPEC], segments)
+        assert np.abs(stack.offsets[:, 2]).max() == pytest.approx(5e4)
+        maps = table.maps(stack, segments, cfg.splitting, mode)
+        if mode == "proxy" and cfg.t_readout != CFG.t_readout:
+            # proxy mode tabulates no readout: its table serves any readout
+            assert maps is not None
+            return
+        assert maps is None
+        # the curve then maps exactly
+        assert np.array_equal(_echo_amplitudes(cfg, WINDOW, params, [self.SPEC], mode, None, table),
+                              _echo_amplitudes(cfg, WINDOW, params, [self.SPEC], mode))
+
+    def test_the_box_edge_is_covered(self):
+        table = zeeman_table(CFG, WINDOW, PARAMS, EnsembleSpec(), "beat", 5e4, 51)
+        segments = make_echo_sequence_segments(CFG, "beat")
+        stack = stack_ensembles(PARAMS, [self.SPEC], segments)
+        z = stack.offsets[:, 2]
+        edge = replace(stack, offsets=np.column_stack([stack.offsets[:, :2],
+                                                       np.sign(z) * table.reach]))
+        assert table.maps(edge, segments, CFG.splitting, "beat") is not None
+        beyond = replace(edge, offsets=np.column_stack([stack.offsets[:, :2],
+                                                        np.sign(z) * table.reach * 1.001]))
+        assert table.maps(beyond, segments, CFG.splitting, "beat") is None
 
 
 def make_echo_sequence_segments(cfg, mode) -> tuple:
