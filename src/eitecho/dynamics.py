@@ -13,11 +13,11 @@ generator is diagonal apart from the two |e>-decay entries, so on every
 path a wait acts on the states elementwise from that diagonal and those two
 entries (:func:`wait_rates`, :func:`wait_states`), no expm and no 9x9
 generator.
-End states of a batch of sequences that differ only in their wait
+The end states of a sequence whose waits take each row of a table of
 durations (a decay curve's storage times) are computed together: each
 segment's generator is built once, the maps of all pulses come from one
 expm call over (pulse x member), each map at the Pade degree of its own
-norm, and every segment acts on (sequence x member) states, a chunk at a time.
+norm, and every segment acts on (row x member) states, a chunk at a time.
 Sampled segments are sampled on a whole fraction of the segment's clock (the
 readout's detector clock, else the duration).  A Lindblad generator keeps
 states Hermitian, so a sampled state is set by its upper triangle: entries
@@ -513,41 +513,42 @@ def storage_chunks(n_taus: int, n_members: int) -> list:
     return [slice(t, min(t + step, n_taus)) for t in range(0, n_taus, step)]
 
 
-def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,
-                       member_name=_member, maps: np.ndarray | None = None) -> np.ndarray:
-    """End states (T, M, 9) of every member row of `offsets` after each of T sequences.
-
-    The sequences share one layout: segment k of each is the same pulse, or
-    a wait with the same Zeeman sign whose duration may differ (the storage
-    times of a decay curve).  `p` gives the members' parameters, one
-    LambdaParams or one per member (see :func:`_param_sets`).  The maps
-    (pulse, M, 9, 9) of the layout's pulses are `maps` if given (a table's,
+def sequence_endpoints(rho0: DensityMatrix3, p, seq: SequenceSpec, offsets: np.ndarray,
+                       member_name=_member, maps: np.ndarray | None = None,
+                       durations=None) -> np.ndarray:
+    """End states (T, M, 9) of every member row of `offsets` after `seq`, its
+    W waits lasting row t of `durations` (T, W) in run t, by default their
+    own durations (T = 1): a decay curve's storage times
+    (:func:`eitecho.sequences.echo_layout`).  `p` gives the members'
+    parameters, one LambdaParams or one per member (see :func:`_param_sets`).
+    The maps (pulse, M, 9, 9) of the pulses are `maps` if given (a table's,
     :class:`eitecho.readout.ZeemanTable`), else built once for the member
     stack (:func:`member_generators`) by one :func:`_expm` call over
-    (pulse x member); they apply to every (sequence, member) state.  A wait
-    acts on the states elementwise from its diagonal and decay feed
-    (:func:`wait_rates`, :func:`wait_states`), one :func:`storage_chunks`
-    chunk of sequences at a time.  The states are returned unchecked:
-    callers apply their remaining maps and then :func:`_check_physical`.
-    `member_name` maps a member row to its name in errors.
+    (pulse x member).  A wait acts on the states elementwise from its
+    diagonal and decay feed (:func:`wait_rates`, :func:`wait_states`), one
+    :func:`storage_chunks` chunk of runs at a time.  A non-finite generator,
+    or a wait duration not finite and > 0, is named in segment order.  The
+    states are returned unchecked: callers apply their remaining maps and
+    then :func:`_check_physical`.  `member_name` names a member row in errors.
     """
-    layout = seqs[0].segments
-    if any(len(s.segments) != len(layout) for s in seqs):
-        raise ValidationError("sequence_endpoints: sequences differ in length")
+    layout = seq.segments
+    durations = np.asarray([[s.duration for s in layout if isinstance(s, Wait)]]
+                           if durations is None else durations, dtype=float)
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     pulses = [k for k, seg in enumerate(layout) if isinstance(seg, PulseSpec)]
     generators = None if maps is not None else np.empty((len(pulses), len(offsets), 9, 9),
                                                          dtype=complex)
     waits = {}
     for k, seg in enumerate(layout):
-        column = [s.segments[k] for s in seqs]
-        if all(isinstance(s, Wait) and s.zeeman_sign == seg.zeeman_sign for s in column):
+        if isinstance(seg, Wait):
+            column = durations[:, len(waits)]
+            bad = column[~((column > 0.0) & (column < np.inf))]               # nan too
+            if bad.size:
+                raise ValidationError(f"sequence_endpoints: {_segment_name(k, seg)} lasts "
+                                      f"{bad[0]} s, not finite and > 0")
             waits[k] = (wait_rates(p, seg, offsets,
                                    lambda m: f"{_segment_name(k, seg)}, {member_name(m)}"),
-                        np.array([s.duration for s in column]))
-        elif not all(s == seg for s in column):
-            raise ValidationError(
-                f"sequence_endpoints: segment {k} differs in more than a wait's duration")
+                        column)
         elif generators is not None:
             generators[pulses.index(k)] = seg.duration * member_generators(
                 p, seg, offsets, lambda m: f"{_segment_name(k, seg)}, {member_name(m)}")
@@ -555,13 +556,13 @@ def sequence_endpoints(rho0: DensityMatrix3, p, seqs: list, offsets: np.ndarray,
         maps = _expm(generators, _map_namer([_segment_name(k, layout[k]) for k in pulses],
                                             member_name))
     v0 = np.asarray(rho0.matrix, dtype=complex).reshape(9)
-    ends = np.empty((len(seqs), len(offsets), 9), dtype=complex)
-    for rows in storage_chunks(len(seqs), len(offsets)):
+    ends = np.empty((len(durations), len(offsets), 9), dtype=complex)
+    for rows in storage_chunks(len(durations), len(offsets)):
         v = np.tile(v0, (rows.stop - rows.start, len(offsets), 1))
         for k in range(len(layout)):
             if k in waits:
-                wait, durations = waits[k]
-                v = wait_states(wait, durations[rows], v)
+                wait, column = waits[k]
+                v = wait_states(wait, column[rows], v)
             else:
                 v = (maps[pulses.index(k)] @ v[..., None])[..., 0]
         ends[rows] = v

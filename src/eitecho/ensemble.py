@@ -273,6 +273,6 @@ def ensemble_final_state(seq: SequenceSpec, base: LambdaParams,
     """Weighted average of every member's final state, without trajectories: one
     ensemble's :func:`group_states` of :func:`eitecho.dynamics.sequence_endpoints`."""
     stack = stack_ensembles(base, [spec], seq.segments)
-    states = sequence_endpoints(MIXED_GROUND, stack.params, [seq], stack.offsets,
+    states = sequence_endpoints(MIXED_GROUND, stack.params, seq, stack.offsets,
                                 stack.member_name)
     return DensityMatrix3(group_states(stack, states)[0, 0].reshape(3, 3))

@@ -9,9 +9,11 @@ coherence.  Beat amplitudes are extracted by projecting the trace onto the
 known beat frequency (single-bin Fourier sum); all amplitudes are relative
 detector units.
 
-A decay curve needs only that projection, which is linear in each member's
-state at readout start: with S the one-tick readout map, the single-bin sum
-is a pair of geometric sums of S, built once per curve, applied to the
+A decay curve is one echo and the table of its two waits at each storage
+time (:func:`eitecho.sequences.echo_layout`), built once per call, and its
+readout needs only that projection, which is linear in each member's state
+at readout start: with S the one-tick readout map, the single-bin sum is a
+pair of geometric sums of S, built once per curve, applied to the
 pre-readout states of every storage time at once.  Curves that differ only
 in their ensemble (the field sweep's fields, a compensation scan's trial
 vectors: a Zeeman splitting enters only as a member offset) are one pass
@@ -24,20 +26,19 @@ each of its curves takes every member's pulse and readout maps from them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (PulseSpec, SequenceSpec, Trajectory, _check_physical, _expm,
+from .dynamics import (PulseSpec, Trajectory, _check_physical, _expm,
                        _map_namer, geometric_sum, member_generators, sequence_endpoints,
                        storage_chunks, whole_steps)
 from .ensemble import (MIXED_GROUND, EnsembleSpec, MemberStack, _group_sums, group_states,
                        stack_ensembles)
 from .errors import ConfigurationError, FitFailureError, ValidationError
 from .lambda_system import LambdaParams
-from .sequences import SAMPLES_PER_PERIOD, EchoConfig, make_echo_sequence
+from .sequences import SAMPLES_PER_PERIOD, EchoConfig, echo_layout
 from .units import csv_text
 
 DETECTOR_SCALE = 1.0
@@ -345,13 +346,13 @@ class ZeemanTable:
         return pulses, (rows, values[:, p + 27:].reshape(-1, 9, 9))
 
 
-def zeeman_table(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams, spec: EnsembleSpec,
+def zeeman_table(cfg: EchoConfig, layout: tuple, params: LambdaParams, spec: EnsembleSpec,
                  mode: str, reach: float, cap: int) -> ZeemanTable | None:
-    """The :class:`ZeemanTable` of the echo of `cfg`, whose pulses and readout
-    it reads from the layouts of the storage times `taus`, over Zeeman offsets within
-    +/- `reach` (rad/s), for every member (delta_opt, delta_spin) that a
-    curve of `spec` under `params` stacks whatever its Zeeman branches, or
-    None where a table would take more than `cap` nodes.
+    """The :class:`ZeemanTable` of the echo and readout of `layout` (:func:`echo_layout`)
+    over Zeeman offsets within +/- `reach` (rad/s), for every member
+    (delta_opt, delta_spin) that a curve of `spec` under `params` stacks
+    whatever its Zeeman branches, or None where a table would take more
+    than `cap` nodes.
 
     A map's Zeeman offset turns it by at most `reach` times its duration, the
     readout's by `reach` times its window, and :func:`chebyshev_count`
@@ -364,9 +365,9 @@ def zeeman_table(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams, spec: 
     cannot be built leaves the table None: the curves' own maps then name
     the member that fails.
     """
-    seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()))
-    segments = seqs[0].segments + ((readout,) if mode == "beat" else ())
-    pulses = [s for s in seqs[0].segments if isinstance(s, PulseSpec)]
+    echo, readout, _ = layout
+    segments = echo.segments + ((readout,) if mode == "beat" else ())
+    pulses = [s for s in echo.segments if isinstance(s, PulseSpec)]
     tabulated = pulses + ([readout] if mode == "beat" else [])
     n = chebyshev_count(reach * max(s.duration for s in tabulated), cap)
     if n is None:
@@ -402,42 +403,22 @@ def zeeman_table(cfg: EchoConfig, taus: np.ndarray, params: LambdaParams, spec: 
                        coefficients=chebyshev_coefficients(table))
 
 
-# a compensation search reads its bracketing storage-time window in every step
-@functools.lru_cache(maxsize=32)
-def _echo_layouts(cfg: EchoConfig, taus: tuple) -> tuple:
-    """Echo sequences of the storage times `taus` up to the readout, and the
-    readout pulse, which proxy mode ignores.
-
-    Only `cfg` and the storage times enter the layouts, and they are frozen,
-    so every curve of a window, in either mode, shares one cached set, and
-    a window joined from others (the search's last call) their cached
-    sequences (:func:`_echo_layout`).
-    """
-    seqs = [_echo_layout(cfg, tau) for tau in taus]
-    return tuple(SequenceSpec(segments=s.segments[:-1]) for s in seqs), seqs[0].segments[-1]
-
-
-@functools.lru_cache(maxsize=256)
-def _echo_layout(cfg: EchoConfig, tau: float) -> SequenceSpec:
-    """The echo of `cfg` at storage time `tau`, readout included."""
-    return make_echo_sequence(replace(cfg, tau=tau))
-
-
-def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, params, specs: list, mode: str,
-                     labels=None, table: ZeemanTable | None = None) -> np.ndarray:
-    """Echo amplitudes (T, G) of G ensembles, spec g under params[g] (or `params`
-    for all), stacked and labelled by :func:`eitecho.ensemble.stack_ensembles`,
-    their maps from `table` where it covers the stack (:meth:`ZeemanTable.maps`)."""
+def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, layout: tuple, params, specs: list,
+                     mode: str, labels=None, table: ZeemanTable | None = None) -> np.ndarray:
+    """Echo amplitudes (T, G) at the storage times `taus` of `layout` (:func:`echo_layout`)
+    of G ensembles, spec g under params[g] (or `params` for all), stacked and labelled by
+    :func:`eitecho.ensemble.stack_ensembles`, their maps from `table` where it covers the
+    stack (:meth:`ZeemanTable.maps`)."""
     if mode not in ("beat", "proxy"):
         raise ValidationError(f"unknown readout mode {mode!r}")
-    seqs, readout = _echo_layouts(cfg, tuple(taus.tolist()))
+    echo, readout, waits = layout
     # the readout pulse is mapped, and so has to mirror, in beat mode only
-    segments = seqs[0].segments + ((readout,) if mode == "beat" else ())
+    segments = echo.segments + ((readout,) if mode == "beat" else ())
     stack = stack_ensembles(params, specs, segments, labels)
     pulses, readout_maps = (None, None) if table is None else (
         table.maps(stack, segments, cfg.splitting, mode) or (None, None))
-    states = sequence_endpoints(MIXED_GROUND, stack.params, seqs, stack.offsets,
-                                stack.member_name, pulses)
+    states = sequence_endpoints(MIXED_GROUND, stack.params, echo, stack.offsets,
+                                stack.member_name, pulses, waits)
     if mode == "beat":
         return _beat_amplitudes(readout, stack, states, cfg.splitting, taus, readout_maps)
     return np.abs(group_states(stack, states, taus)[..., 1])
@@ -449,7 +430,8 @@ def assemble_decay_curves(cfg: EchoConfig, taus, params, specs,
 
     `params` is one LambdaParams for every spec, or a sequence of one per
     spec (a temperature scan's optical dephasing rates).  The specs share
-    the echo layout, so all their members are one stack
+    one echo and its table of waits (:func:`eitecho.sequences.echo_layout`),
+    so all their members are one stack
     (:func:`eitecho.ensemble.stack_ensembles`) through one endpoint pass over
     every storage time (:func:`eitecho.dynamics.sequence_endpoints`), and each
     curve keeps the bits of a call of its own.  `labels`, one per spec, name
@@ -460,7 +442,7 @@ def assemble_decay_curves(cfg: EchoConfig, taus, params, specs,
         raise ValidationError("assemble_decay_curves needs at least 3 storage times")
     if not specs:
         return []
-    amplitudes = _echo_amplitudes(cfg, taus, params, specs, mode, labels)
+    amplitudes = _echo_amplitudes(cfg, taus, echo_layout(cfg, taus), params, specs, mode, labels)
     return [DecayCurve(taus=taus, amplitudes=column)
             for column in np.ascontiguousarray(amplitudes.T)]
 

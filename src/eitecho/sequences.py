@@ -106,7 +106,7 @@ class EchoConfig:
         exceed WAIT_RESOLUTION times its start time.  A wait's length is set
         by tau, a pulse's by its own duration key; each key names its first
         segment without room."""
-        wait1, wait2 = self.waits
+        wait1, wait2 = self.waits(self.tau)
         half = self.t_rephase / 2.0
         problems = {}
         for key, what, start, duration in (
@@ -123,11 +123,10 @@ class EchoConfig:
                                  f"for {what}, starting at {start:g} s")
         return list(problems.values())
 
-    @property
-    def waits(self) -> tuple[float, float]:
-        """The waits before and after the rephasing pulse centered at tau/2."""
-        return (self.tau / 2.0 - self.t_rephase / 2.0 - self.t_init,
-                self.tau / 2.0 - self.t_rephase / 2.0)
+    def waits(self, tau):
+        """The waits before and after the rephasing pulse centered at tau/2 of
+        the storage time `tau`, a float or an array of them."""
+        return tau / 2.0 - self.t_rephase / 2.0 - self.t_init, tau / 2.0 - self.t_rephase / 2.0
 
     @property
     def enhancement(self) -> float:
@@ -201,7 +200,7 @@ def make_echo_sequence(cfg: EchoConfig, include_rephase: bool = True,
     """
     segments: list = [make_init_pulse(cfg)]
     if include_rephase:
-        wait1, wait2 = cfg.waits
+        wait1, wait2 = cfg.waits(cfg.tau)
         half = replace(make_rephase_pulse(cfg), duration=cfg.t_rephase / 2.0)
         segments += [Wait(duration=wait1), half, replace(half, zeeman_sign=-1.0),
                      Wait(duration=wait2, zeeman_sign=-1.0)]
@@ -211,3 +210,15 @@ def make_echo_sequence(cfg: EchoConfig, include_rephase: bool = True,
         segments.append(replace(make_readout_pulse(cfg),
                                 zeeman_sign=-1.0 if include_rephase else 1.0))
     return SequenceSpec(segments=tuple(segments))
+
+
+def echo_layout(cfg: EchoConfig, taus) -> tuple[SequenceSpec, PulseSpec, np.ndarray]:
+    """A decay curve's echo of `cfg` up to the readout, its readout pulse and the
+    (T, 2) table of its waits, the only segments that depend on the storage time,
+    at the storage times `taus` in any order.  The room rule holds at each if it
+    holds at the shortest, where a wait has least room, and at the longest, where
+    a pulse, which starts later as tau grows, has least: EchoConfig checks both."""
+    taus = np.asarray(taus, dtype=float)
+    segments = make_echo_sequence(replace(cfg, tau=float(taus.min()))).segments
+    replace(cfg, tau=float(taus.max()))
+    return SequenceSpec(segments=segments[:-1]), segments[-1], np.column_stack(cfg.waits(taus))

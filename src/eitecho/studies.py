@@ -27,7 +27,7 @@ from .lambda_system import LambdaParams
 from .qstate import GroundQubitState, fidelity
 from .readout import (DecayCurve, FitResult, _echo_amplitudes, assemble_decay_curves, fit_decay,
                       lockstep, zeeman_table)
-from .sequences import EchoConfig, dark_target, make_echo_sequence
+from .sequences import EchoConfig, dark_target, echo_layout, make_echo_sequence
 from .units import csv_text
 
 TWO_PI = 2.0 * math.pi
@@ -385,8 +385,10 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     two storage-time windows are one call.  An axis keeps its start unless
     its best trial scores above the start.
 
-    Every curve's maps come from one :func:`eitecho.readout.zeeman_table`
-    built before the first round over the box's Zeeman offsets,
+    Before the first round it builds each window's echo and table of waits
+    (:func:`eitecho.sequences.echo_layout`), the joined call's the two tables
+    stacked, and one :func:`eitecho.readout.zeeman_table` of every curve's
+    maps from the bracket's echo over the box's Zeeman offsets,
     pi g |(|B_i + c_i| + search_range)_i|, so a round evaluates polynomials
     and builds no map; where the table would need more nodes than the search
     can evaluate curves, 1 + 3 (2 + golden_steps) + 2, each curve maps its
@@ -406,24 +408,26 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     raised = max(tol, 4.0 * math.ulp(np.abs(comp).max() + search_range))
     maxfun = 2 + golden_steps(search_range, raised)
     reach = math.pi * m.g_factor * float(np.linalg.norm(np.abs(m.net_field()) + search_range))
-    table = zeeman_table(cfg, bracket_taus, params, spec, mode, reach, 1 + 3 * maxfun + 2)
+    bracket = echo_layout(cfg, bracket_taus)
+    joined = bracket[:2] + (np.concatenate([bracket[2], echo_layout(cfg, taus)[2]]),)
+    table = zeeman_table(cfg, bracket, params, spec, mode, reach, 1 + 3 * maxfun + 2)
     evaluations = 0
 
-    def curves(comps, windows: list) -> list:
-        """Amplitudes of the curve of each of `comps` on each window, one call."""
+    def curves(comps, layout: tuple, windows: list) -> list:
+        """Amplitudes of the curve of each of `comps` on each window of `layout`, one call."""
         nonlocal evaluations
         evaluations += len(comps) * len(windows)
         specs = [replace(spec, zeeman_branches=branches_for_splitting(splitting_from_field(
             replace(m, compensation_vector=tuple(comp))))) for comp in comps]
         labels = [f"compensation ({', '.join(f'{c:g}' for c in comp)}) T" for comp in comps]
-        amplitudes = _echo_amplitudes(cfg, np.concatenate(windows), params, specs, mode,
-                                      labels, table)
+        amplitudes = _echo_amplitudes(cfg, np.concatenate(windows), layout, params, specs,
+                                      mode, labels, table)
         bounds = np.cumsum([0] + [len(w) for w in windows])
         return [[np.ascontiguousarray(amplitudes[lo:hi, g]) for lo, hi in zip(bounds, bounds[1:])]
                 for g in range(len(comps))]
 
     def modulation(comps) -> np.ndarray:
-        return np.array([-float(np.sum(amps)) for amps, in curves(comps, [bracket_taus])])
+        return np.array([-float(np.sum(amps)) for amps, in curves(comps, bracket, [bracket_taus])])
 
     def trials(axes, x) -> np.ndarray:     # row k: the start vector, axis axes[k] at x[k]
         rows = np.repeat(comp[None], len(axes), axis=0)
@@ -444,8 +448,8 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
                                   raised / 4.0, maxfun)
     keep = ~(f_best < start)
     best, f_best = np.where(keep, comp, best), np.where(keep, start, f_best)
-    bracket, fit_window = curves([best], [bracket_taus, taus])[0]
-    end = -float(np.sum(bracket))
+    bracket_window, fit_window = curves([best], joined, [bracket_taus, taus])[0]
+    end = -float(np.sum(bracket_window))
     warning = None
     if not end < start and float(np.linalg.norm(m.net_field())) > tol:
         warning = "search could not improve on the starting compensation"

@@ -4,7 +4,8 @@ Curves that differ only in their field share one member stack: the batched
 amplitudes are checked against one call per field, and a failing member is
 named within its own field.  The cached base generator is checked against a
 fresh Liouvillian, for read-only storage, for a miss on every parameter and
-drive field, and for how few Liouvillians a whole compensation search builds.
+drive field, and for how few Liouvillians a whole compensation search builds;
+the search builds one echo per storage-time window.
 """
 
 import dataclasses
@@ -16,12 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eitecho.dynamics as dynamics
-import eitecho.readout as readout
+import eitecho.sequences as sequences
 from eitecho.dynamics import PulseSpec, Wait, _base_generator, _segment_params, wait_states
 from eitecho.ensemble import EnsembleSpec, _group_sums
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
-from eitecho.readout import _echo_layouts, assemble_decay_curve, assemble_decay_curves
+from eitecho.readout import assemble_decay_curve, assemble_decay_curves
 from eitecho.sequences import EchoConfig, make_echo_sequence
 from eitecho.studies import (FieldModel, branches_for_splitting, compensation_search,
                              field_sweep, golden_steps)
@@ -199,24 +200,6 @@ class TestGeneratorCache:
 
 
 class TestLayoutCache:
-    # one cache entry serves both modes: beat mode appends the readout pulse to
-    # the cached layout, proxy mode uses the layout alone
-    @pytest.mark.parametrize("include_readout", [True, False])
-    @settings(max_examples=20, deadline=None)
-    @given(taus=st.lists(st.floats(10e-6, 200e-6), min_size=1, max_size=6),
-           cfg=st.sampled_from([CFG, EchoConfig(tau=30e-6, t_readout=1e-6, splitting=5e6,
-                                                init_phase_offset=0.3)]))
-    def test_cached_equals_fresh(self, include_readout, taus, cfg):
-        seqs, readout_pulse = _echo_layouts(cfg, tuple(taus))
-        assert len(seqs) == len(taus)
-        for tau, seq in zip(taus, seqs):
-            full = make_echo_sequence(replace(cfg, tau=tau), include_readout=include_readout)
-            if include_readout:
-                assert seq.segments + (readout_pulse,) == full.segments
-            else:
-                assert seq == full
-        assert _echo_layouts(cfg, tuple(taus))[0] is seqs
-
     def test_compensation_search_builds_one_layout_per_window(self, monkeypatch):
         calls = []
 
@@ -224,11 +207,10 @@ class TestLayoutCache:
             calls.append(cfg.tau)
             return make_echo_sequence(cfg, **kwargs)
 
-        monkeypatch.setattr(readout, "make_echo_sequence", counting)
-        _echo_layouts.cache_clear()
+        monkeypatch.setattr(sequences, "make_echo_sequence", counting)
         res = compensation_search(FieldModel(field_vector=(20e-6, -10e-6, 45e-6)), CFG,
                                   LambdaParams(gamma_spin_deph=1.0 / 500e-6), EnsembleSpec(),
                                   np.linspace(15e-6, 120e-6, 6), tol=1e-6, mode="beat")
         assert res.evaluations == 21 <= 1 + 3 * (2 + golden_steps(100e-6, 1e-6)) + 2
-        # two windows of six storage times: the bracketing one and the caller's
-        assert len(calls) <= 12
+        # one echo for each window, the bracketing one and the caller's
+        assert len(calls) <= 2

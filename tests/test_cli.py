@@ -16,7 +16,7 @@ from eitecho.cli import main
 from eitecho.config import parse_config
 from eitecho.errors import FitFailureError, ValidationError
 from eitecho.readout import _echo_amplitudes
-from eitecho.sequences import DEFAULT_SPLITTING_HZ, SAMPLES_PER_PERIOD
+from eitecho.sequences import DEFAULT_SPLITTING_HZ, SAMPLES_PER_PERIOD, echo_layout
 from eitecho.studies import golden_steps
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -103,7 +103,8 @@ class TestValidate:
         warned = "sequence.t_readout" in err and "sequence.splitting" in err
         cfg = parse_config(path.read_text())
         try:
-            _echo_amplitudes(cfg.sequence, np.array([cfg.sequence.tau]), cfg.physics,
+            taus = np.array([cfg.sequence.tau])
+            _echo_amplitudes(cfg.sequence, taus, echo_layout(cfg.sequence, taus), cfg.physics,
                              [cfg.ensemble], "beat")
             refused = False
         except ValidationError as exc:

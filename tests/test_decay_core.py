@@ -3,11 +3,14 @@
 The closed-form wait is checked against `expm` of the same generator, the
 geometric-sum readout against the beat synthesized from explicitly sampled
 detector ticks, and whole decay curves against one full sampled
-`propagate_members` trajectory per storage time.  A non-physical (storage time, member) state must be
-named in the error.
+`propagate_members` trajectory per storage time.  A curve's echo with its
+table of waits must have the bits of one call per storage time.  A
+non-physical (storage time, member) state must be named in the error, and
+so must a wait whose duration is not finite and > 0.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +27,11 @@ from eitecho.errors import ConfigurationError, ValidationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.readout import (_beat_amplitudes, _echo_amplitudes, assemble_decay_curve,
                              beat_amplitude, synthesize_beat)
-from eitecho.sequences import EchoConfig, make_echo_sequence, make_readout_pulse
+from eitecho.sequences import EchoConfig, echo_layout, make_echo_sequence, make_readout_pulse
 
 from conftest import _segment_map, random_density3
 from test_propagators import W, lambda_params, unit
+from test_sequences import layout_cases
 
 TWO_PI = 2.0 * np.pi
 PARAMS = LambdaParams(delta_opt=TWO_PI * 40e3, gamma_spin_deph=2e3, gamma_opt_deph=1e5,
@@ -162,13 +166,15 @@ class TestBeatFunctional:
     def test_short_window_is_refused(self):
         cfg = EchoConfig(tau=30e-6, splitting=1e6)
         with pytest.raises(ValidationError, match="below the minimum of 5"):
-            _echo_amplitudes(cfg, np.array([cfg.tau]), PARAMS, [EnsembleSpec()], "beat")
+            _echo_amplitudes(cfg, np.array([cfg.tau]), echo_layout(cfg, [cfg.tau]), PARAMS,
+                             [EnsembleSpec()], "beat")
 
     def test_too_few_samples_is_refused(self):
         # a 0.2 us readout at 10.2 MHz spans 16 ticks, but at 1.2 MHz only 1.9
         cfg = EchoConfig(tau=30e-6, t_readout=0.2e-6, splitting=1.2e6)
         with pytest.raises(ValidationError, match="too few samples"):
-            _echo_amplitudes(cfg, np.array([cfg.tau]), PARAMS, [EnsembleSpec()], "beat")
+            _echo_amplitudes(cfg, np.array([cfg.tau]), echo_layout(cfg, [cfg.tau]), PARAMS,
+                             [EnsembleSpec()], "beat")
 
 
 def per_tau_reference(cfg, taus, p, spec, mode) -> np.ndarray:
@@ -198,21 +204,42 @@ class TestWholeCurve:
         curve = assemble_decay_curve(cfg, taus, PARAMS, spec, mode=mode)
         expected = per_tau_reference(cfg, taus, PARAMS, spec, mode)
         assert np.max(np.abs(curve.amplitudes / expected - 1.0)) <= 1e-10
-        assert _echo_amplitudes(cfg, taus[2:3], PARAMS, [spec], mode)[0, 0] == \
-            pytest.approx(expected[2], rel=1e-10)
-
-    def test_segments_differing_beyond_a_wait_are_refused(self):
-        a = make_echo_sequence(EchoConfig(tau=20e-6))
-        b = make_echo_sequence(EchoConfig(tau=30e-6, t_readout=1e-6))
-        with pytest.raises(ValidationError, match="segment 5"):
-            sequence_endpoints(MIXED_GROUND, PARAMS, [a, b], [[0.0, 0.0, 0.0]])
+        assert _echo_amplitudes(cfg, taus[2:3], echo_layout(cfg, taus[2:3]), PARAMS, [spec],
+                                mode)[0, 0] == pytest.approx(expected[2], rel=1e-10)
 
     def test_one_sequence_matches_sampled_endpoint(self):
         seq = make_echo_sequence(EchoConfig(tau=20e-6))
         offsets, weights = member_stack(GRID)
-        end = sequence_endpoints(MIXED_GROUND, PARAMS, [seq], offsets)[0]
+        end = sequence_endpoints(MIXED_GROUND, PARAMS, seq, offsets)[0]
         ref = propagate_members(MIXED_GROUND, PARAMS, seq, offsets, weights).states[-1]
         assert np.max(np.abs((weights @ end).reshape(3, 3) - ref)) <= 1e-12
+
+
+class TestWaitTable:
+    @settings(max_examples=30, deadline=None)
+    @given(layout_cases(), lambda_params(),
+           st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=4),
+           st.sampled_from([1, 5, 2 ** 11]))
+    def test_table_has_the_bits_of_one_call_per_storage_time(self, case, p, offsets, batch):
+        cfg, taus = case
+        offsets = 0.1 * W * np.array(offsets)
+        echo, _, waits = echo_layout(cfg, taus)
+        # chunks of one storage time, of a few, and of all
+        with mock.patch.object(dynamics, "BATCH_STATES", batch * len(offsets)):
+            together = sequence_endpoints(MIXED_GROUND, p, echo, offsets, durations=waits)
+        for tau, states in zip(taus.tolist(), together):
+            seq = make_echo_sequence(replace(cfg, tau=tau), include_readout=False)
+            alone = sequence_endpoints(MIXED_GROUND, p, seq, offsets)
+            assert np.array_equal(alone.view(np.uint64), states[None].view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-6])
+    @pytest.mark.parametrize("column, name", [(0, r"segment 1 \(wait\)"),
+                                              (1, r"segment 4 \(wait\)")])
+    def test_a_duration_not_finite_and_positive_names_its_wait(self, bad, column, name):
+        echo, _, waits = echo_layout(EchoConfig(tau=20e-6), [20e-6, 30e-6, 40e-6])
+        waits[1, column] = bad
+        with pytest.raises(ValidationError, match=f"{name} lasts {bad} s, not finite and > 0"):
+            sequence_endpoints(MIXED_GROUND, PARAMS, echo, [[0.0, 0.0, 0.0]], durations=waits)
 
 
 class TestNonPhysicalNamesTauAndMember:

@@ -210,8 +210,10 @@ class TestCallCounts:
     def test_sequence_endpoints_makes_at_most_one_call(self, expm_calls, n_pulses):
         pulse = PulseSpec(duration=1e-6, rabi0=W, rabi1=0.5 * W, phase1=0.3)
         segs = (Wait(duration=2e-6),) + (pulse, Wait(duration=1e-6)) * n_pulses
-        seqs = [SequenceSpec(segments=segs[:-1] + (Wait(duration=t),)) for t in (1e-6, 3e-6)]
-        sequence_endpoints(MIXED_GROUND, PARAMS, seqs, [[0, 0, 0], [W, 0, 0]])
+        waits = [s.duration for s in segs if isinstance(s, Wait)]
+        durations = [waits[:-1] + [t] for t in (1e-6, 3e-6)]
+        sequence_endpoints(MIXED_GROUND, PARAMS, SequenceSpec(segments=segs),
+                           [[0, 0, 0], [W, 0, 0]], durations=durations)
         assert len(expm_calls) <= 1
 
 
@@ -228,7 +230,7 @@ class TestUnscalableInput:
         with np.errstate(invalid="ignore"), pytest.raises(
                 ConfigurationError,
                 match=r"segment 0 \(init_pi_half\), member 1: has a non-finite entry"):
-            sequence_endpoints(MIXED_GROUND, PARAMS, [self.SEQ], offsets)
+            sequence_endpoints(MIXED_GROUND, PARAMS, self.SEQ, offsets)
         assert time.monotonic() - start < 1.0
 
     def test_propagate_members_names_segment(self):

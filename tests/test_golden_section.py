@@ -28,7 +28,7 @@ from eitecho.ensemble import EnsembleSpec
 from eitecho.lambda_system import LambdaParams
 import eitecho.studies as studies
 from eitecho.readout import _echo_amplitudes, zeeman_table
-from eitecho.sequences import EchoConfig
+from eitecho.sequences import EchoConfig, echo_layout
 from eitecho.studies import (INVPHI, FieldModel, branches_for_splitting,
                              compensation_bracket_taus, compensation_search, golden_steps,
                              lockstep_brent, splitting_from_field)
@@ -169,7 +169,7 @@ def test_compensation_search_replays_each_axis(monkeypatch):
             comp[axis] = x
             branches = branches_for_splitting(splitting_from_field(
                 replace(model, compensation_vector=tuple(comp))))
-            amplitudes = _echo_amplitudes(cfg, window, params,
+            amplitudes = _echo_amplitudes(cfg, window, echo_layout(cfg, window), params,
                                           [replace(spec, zeeman_branches=branches)], "proxy",
                                           None, table)
             return -float(np.sum(np.ascontiguousarray(amplitudes[:, 0])))

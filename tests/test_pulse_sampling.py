@@ -91,7 +91,7 @@ class TestAgainstExpm:
         exact = np.einsum("m,tmij,j->ti", weights, _expm(times[:, None, None, None] * gen), v0)
         got = traj.states[1:-1].reshape(n, 9)
         assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
-        end = weights @ sequence_endpoints(rho0, p, [seq], offsets)[0]
+        end = weights @ sequence_endpoints(rho0, p, seq, offsets)[0]
         assert np.abs(traj.states[-1].reshape(9) - end).max() <= 1e-12 * np.abs(end).max()
 
 

@@ -19,7 +19,6 @@ from pathlib import Path
 import eitecho
 from eitecho.cli import main
 from eitecho.dynamics import _base_generator
-from eitecho.readout import _echo_layouts
 from eitecho.units import _tables
 
 FORMS_CONFIG = """\
@@ -75,7 +74,6 @@ def defined_functions() -> dict:
 def test_every_function_is_reached(tmp_path, capsys, monkeypatch):
     # start cold, so that what earlier tests cached is built again here
     monkeypatch.setattr(_base_generator, "store", {})
-    _echo_layouts.cache_clear()
     _tables.cache_clear()
     config = tmp_path / "forms.yaml"
     config.write_text(FORMS_CONFIG)

@@ -1,7 +1,12 @@
-"""Echo pulse builders: areas, phase conventions, layout, echo invariants."""
+"""Echo pulse builders: areas, phase conventions, layout, echo invariants, and a
+decay curve's layout: one echo and its table of waits."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eitecho.dynamics import PulseSpec, SequenceSpec, Wait, run_sequence
 from eitecho.errors import ConfigurationError
@@ -9,6 +14,7 @@ from eitecho.lambda_system import LambdaParams
 from eitecho.qstate import DensityMatrix3
 from eitecho.sequences import (
     EchoConfig,
+    echo_layout,
     make_echo_sequence,
     make_init_pulse,
     make_readout_pulse,
@@ -206,3 +212,76 @@ class TestEchoSequence:
             traj = run_sequence(DensityMatrix3(MIXED), p, seq)
             amps.append(abs(final_state(traj).matrix[0, 1]))
         assert np.ptp(amps) < 1e-4
+
+
+@st.composite
+def echo_configs(draw) -> EchoConfig:
+    """Pulses of 0.1-5 us, any phase, splitting and calibration, at a storage
+    time that holds them."""
+    durations = [draw(st.floats(0.1e-6, 5e-6)) for _ in range(3)]
+    return EchoConfig(tau=4.0 * sum(durations), t_init=durations[0], t_rephase=durations[1],
+                      t_readout=durations[2], splitting=draw(st.floats(1e6, 20e6)),
+                      init_phase_offset=draw(st.floats(-np.pi, np.pi)),
+                      calibration=draw(st.sampled_from(["bright", "bare"])))
+
+
+def spans(scale: float, size: int):
+    """Storage times of 2-100 times `scale`: from twice the summed pulses up,
+    each holds them."""
+    return st.lists(st.floats(2.0 * scale, 100.0 * scale), min_size=1, max_size=size)
+
+
+@st.composite
+def layout_cases(draw) -> tuple:
+    """An echo and storage times in any order, or shaped like a compensation
+    search's joined window: two increasing runs, the second starting lower."""
+    cfg = draw(echo_configs())
+    scale = cfg.t_init + cfg.t_rephase + cfg.t_readout
+    if draw(st.booleans()):
+        return cfg, np.array(draw(spans(scale, 12)))
+    first, second = sorted(draw(spans(scale, 6))), sorted(draw(spans(scale, 6)))
+    return cfg, np.array(first + second)
+
+
+class TestEchoLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(layout_cases())
+    @example((EchoConfig(tau=60e-6), np.concatenate([np.linspace(8.6e-6, 12.9e-6, 6),
+                                                     np.linspace(15e-6, 120e-6, 6)])))
+    def test_wait_table_has_the_bits_of_each_echo(self, case):
+        cfg, taus = case
+        echo, readout, waits = echo_layout(cfg, taus)
+        assert waits.shape == (len(taus), 2)
+        for tau, row in zip(taus.tolist(), waits):
+            full = make_echo_sequence(replace(cfg, tau=tau)).segments
+            assert readout == full[-1]
+            assert [s for s in echo.segments if isinstance(s, PulseSpec)] == \
+                [s for s in full if isinstance(s, PulseSpec)][:-1]
+            own = [s for s in full if isinstance(s, Wait)]
+            assert [s.zeeman_sign for s in echo.segments if isinstance(s, Wait)] == \
+                [s.zeeman_sign for s in own]
+            assert np.array_equal(row.view(np.uint64),
+                                  np.array([s.duration for s in own]).view(np.uint64))
+
+    @settings(max_examples=80, deadline=None)
+    @given(echo_configs(), st.lists(st.one_of(st.floats(0.5, 4.0), st.floats(1e11, 1e13)),
+                                    min_size=1, max_size=8))
+    @example(EchoConfig(tau=60e-6, t_readout=1e-6), [0.8, 1.0, 10.0])
+    def test_room_is_checked_at_the_shortest_and_longest_storage_time(self, cfg, factors):
+        # storage times around the summed pulses, where a wait has no room,
+        # and ~1e12 of them, where a pulse has none
+        taus = np.array(factors) * (cfg.t_init + cfg.t_rephase + cfg.t_readout)
+        expected = None
+        for tau in (taus.min(), taus.max()):
+            try:
+                replace(cfg, tau=float(tau))
+            except ConfigurationError as exc:
+                expected = expected or exc
+        if expected is None:
+            echo_layout(cfg, taus)
+            for tau in taus.tolist():          # the rule then holds between them too
+                replace(cfg, tau=tau)
+            return
+        with pytest.raises(ConfigurationError) as raised:
+            echo_layout(cfg, taus)
+        assert raised.value.problems == expected.problems

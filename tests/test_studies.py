@@ -198,13 +198,13 @@ class TestCompensationSearch:
             pending.append(np.asarray(model.compensation_vector).tobytes())
             return splitting_from_field(model)
 
-        def counting(cfg, taus, params, specs, *args):
+        def counting(cfg, taus, layout, params, specs, *args):
             assert len(pending) == len(specs)
             windows = taus.reshape(-1, 6)
             computed.extend((comp, w.tobytes()) for comp in pending for w in windows)
             pending.clear()
             batches.append((len(specs), len(windows)))
-            return _echo_amplitudes(cfg, taus, params, specs, *args)
+            return _echo_amplitudes(cfg, taus, layout, params, specs, *args)
 
         monkeypatch.setattr(studies, "splitting_from_field", recording)
         monkeypatch.setattr(studies, "_echo_amplitudes", counting)

@@ -96,7 +96,7 @@ class TestAgainstClosedForm:
         v0 = np.tile(np.asarray(rho0.matrix).reshape(9), (len(weights), 1))
         end = _wait_samples(wait_rates(p, wait, offsets), weights, v0, times[0],
                             np.empty((n, 9), dtype=complex))
-        ends = sequence_endpoints(rho0, p, [SequenceSpec(segments=(wait,))], offsets)[0]
+        ends = sequence_endpoints(rho0, p, SequenceSpec(segments=(wait,)), offsets)[0]
         assert np.abs(end - ends).max() <= 1e-14
 
     @settings(max_examples=40, deadline=None)
@@ -127,7 +127,7 @@ class TestAgainstClosedForm:
         traj = propagate_members(RHO0, PARAMS, seq, offsets, weights)
         start = traj.segment_starts[1][0]
         stop = traj.segment_starts[2][0]
-        before = sequence_endpoints(RHO0, PARAMS, [SequenceSpec(segments=seq.segments[:1])],
+        before = sequence_endpoints(RHO0, PARAMS, SequenceSpec(segments=seq.segments[:1]),
                                     offsets)[0]
         gen = member_generators(PARAMS, seq.segments[1], offsets)
         elapsed = traj.times[start + 1:stop + 1] - traj.times[start]
@@ -135,7 +135,7 @@ class TestAgainstClosedForm:
                           before)
         got = traj.states[start + 1:stop + 1].reshape(-1, 9)
         assert np.abs(got - exact).max() <= 1e-13
-        final = weights @ sequence_endpoints(RHO0, PARAMS, [seq], offsets)[0]
+        final = weights @ sequence_endpoints(RHO0, PARAMS, seq, offsets)[0]
         assert np.abs(traj.states[-1].reshape(9) - final).max() <= 1e-13
 
 
@@ -188,7 +188,7 @@ class TestNonFiniteWait:
     def test_endpoint_path_names_segment(self):
         start = time.monotonic()
         with np.errstate(over="ignore"), pytest.raises(ConfigurationError, match=self.MESSAGE):
-            sequence_endpoints(RHO0, PARAMS, [self.SEQ], self.OFFSETS)
+            sequence_endpoints(RHO0, PARAMS, self.SEQ, self.OFFSETS)
         assert time.monotonic() - start < 1.0
 
     def test_default_grid_names_segment(self):
@@ -206,4 +206,4 @@ class TestNonFiniteWait:
             with pytest.raises(ConfigurationError, match=message):
                 propagate_members(RHO0, PARAMS, seq, offsets, [0.5, 0.5], [1e-7, 1e-7])
             with pytest.raises(ConfigurationError, match=message):
-                sequence_endpoints(RHO0, PARAMS, [seq], offsets)
+                sequence_endpoints(RHO0, PARAMS, seq, offsets)

@@ -26,10 +26,10 @@ from eitecho.dynamics import (DECAY_FED, PulseSpec, Wait, _expm, member_generato
                               wait_rates, whole_steps)
 from eitecho.ensemble import EnsembleSpec, stack_ensembles
 from eitecho.lambda_system import LambdaParams
-from eitecho.readout import (_echo_amplitudes, _echo_layouts, _readout_maps, chebyshev_basis,
+from eitecho.readout import (_echo_amplitudes, _readout_maps, chebyshev_basis,
                              chebyshev_coefficients, chebyshev_count, chebyshev_nodes,
                              zeeman_table)
-from eitecho.sequences import EchoConfig
+from eitecho.sequences import EchoConfig, echo_layout
 from eitecho.studies import (FieldModel, branches_for_splitting, compensation_bracket_taus,
                              compensation_json, compensation_search)
 
@@ -38,6 +38,7 @@ from test_propagators import W, lambda_params, unit
 PARAMS = LambdaParams(gamma_opt_decay=1.0 / 164e-6, gamma_spin_deph=1.0 / 500e-6)
 CFG = EchoConfig(tau=60e-6)
 WINDOW = np.linspace(15e-6, 50e-6, 6)
+LAYOUT = echo_layout(CFG, WINDOW)
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -77,7 +78,7 @@ class TestTableAgainstExactMaps:
     @given(table_cases(), st.sampled_from(["beat", "proxy"]))
     def test_maps_and_rows_within_1e_13(self, case, mode):
         cfg, p, spec, reach, seed = case
-        table = zeeman_table(cfg, WINDOW, p, spec, mode, reach, 51)
+        table = zeeman_table(cfg, echo_layout(cfg, WINDOW), p, spec, mode, reach, 51)
         assert table is not None
         # members at random offsets in the box, on the grid of the table's bases
         segments = make_echo_sequence_segments(cfg, mode)
@@ -86,8 +87,8 @@ class TestTableAgainstExactMaps:
         z = reach * np.random.default_rng(seed).uniform(-1.0, 1.0, len(stack.offsets))
         stack = replace(stack, offsets=np.column_stack([stack.offsets[:, :2], z]))
         pulses, readout = table.maps(stack, segments, cfg.splitting, mode)
-        seqs, readout_pulse = _echo_layouts(cfg, tuple(WINDOW.tolist()))
-        echo = [s for s in seqs[0].segments if isinstance(s, PulseSpec)]
+        echo_seq, readout_pulse, _ = echo_layout(cfg, WINDOW)
+        echo = [s for s in echo_seq.segments if isinstance(s, PulseSpec)]
         exact = _expm(np.array([s.duration * member_generators(p, s, stack.offsets)
                                 for s in echo]))
         assert (one_norm(pulses - exact) <= 1e-13 * one_norm(exact)).all()
@@ -104,7 +105,7 @@ class TestTableAgainstExactMaps:
         assert (error <= 1e-13 * np.abs(rows).sum(axis=-1).max(axis=-1, keepdims=True)).all()
 
     def test_a_member_has_the_bits_it_gets_alone(self):
-        table = zeeman_table(CFG, WINDOW, PARAMS, EnsembleSpec(), "beat", 2e5, 51)
+        table = zeeman_table(CFG, LAYOUT, PARAMS, EnsembleSpec(), "beat", 2e5, 51)
         segments = make_echo_sequence_segments(CFG, "beat")
         stack = stack_ensembles(PARAMS, [EnsembleSpec(zeeman_branches=((-3e3, 0.5),
                                                                        (3e3, 0.5)))] * 4,
@@ -135,7 +136,7 @@ class TestCoverage:
         # the curve's members reach a Zeeman offset of 5e4 rad/s
         cfg, params = other.get("cfg", CFG), other.get("params", PARAMS)
         built = {"beat": "proxy", "proxy": "beat"}[mode] if "mode" in other else mode
-        table = zeeman_table(CFG, WINDOW, PARAMS, EnsembleSpec(), built,
+        table = zeeman_table(CFG, LAYOUT, PARAMS, EnsembleSpec(), built,
                              other.get("reach", 2e5), 51)
         segments = make_echo_sequence_segments(cfg, mode)
         stack = stack_ensembles(params, [self.SPEC], segments)
@@ -147,11 +148,13 @@ class TestCoverage:
             return
         assert maps is None
         # the curve then maps exactly
-        assert np.array_equal(_echo_amplitudes(cfg, WINDOW, params, [self.SPEC], mode, None, table),
-                              _echo_amplitudes(cfg, WINDOW, params, [self.SPEC], mode))
+        layout = echo_layout(cfg, WINDOW)
+        assert np.array_equal(
+            _echo_amplitudes(cfg, WINDOW, layout, params, [self.SPEC], mode, None, table),
+            _echo_amplitudes(cfg, WINDOW, layout, params, [self.SPEC], mode))
 
     def test_the_box_edge_is_covered(self):
-        table = zeeman_table(CFG, WINDOW, PARAMS, EnsembleSpec(), "beat", 5e4, 51)
+        table = zeeman_table(CFG, LAYOUT, PARAMS, EnsembleSpec(), "beat", 5e4, 51)
         segments = make_echo_sequence_segments(CFG, "beat")
         stack = stack_ensembles(PARAMS, [self.SPEC], segments)
         z = stack.offsets[:, 2]
@@ -165,8 +168,8 @@ class TestCoverage:
 
 def make_echo_sequence_segments(cfg, mode) -> tuple:
     """The segments a curve of `cfg` stacks its members for in `mode`."""
-    seqs, readout = _echo_layouts(cfg, tuple(WINDOW.tolist()))
-    return seqs[0].segments + ((readout,) if mode == "beat" else ())
+    echo, readout, _ = echo_layout(cfg, WINDOW)
+    return echo.segments + ((readout,) if mode == "beat" else ())
 
 
 class TestNodeRule:
@@ -219,21 +222,23 @@ class TestSharedCalls:
     @pytest.mark.parametrize("mode", ["beat", "proxy"])
     @pytest.mark.parametrize("tabled", [True, False])
     def test_merged_curves_have_the_bits_of_their_own_calls(self, mode, tabled):
-        table = zeeman_table(CFG, WINDOW, PARAMS, EnsembleSpec(), mode, 2e5, 51) \
+        table = zeeman_table(CFG, LAYOUT, PARAMS, EnsembleSpec(), mode, 2e5, 51) \
             if tabled else None
         specs = [EnsembleSpec(zeeman_branches=branches_for_splitting(s))
                  for s in (0.0, 4e3, 9e3, 17e3)]
         fit_window = np.linspace(15e-6, 120e-6, 6)
         # the start with the first round's three trials, on one window
-        merged = _echo_amplitudes(CFG, WINDOW, PARAMS, specs, mode, None, table)
+        merged = _echo_amplitudes(CFG, WINDOW, LAYOUT, PARAMS, specs, mode, None, table)
         for g, spec in enumerate(specs):
-            alone = _echo_amplitudes(CFG, WINDOW, PARAMS, [spec], mode, None, table)
+            alone = _echo_amplitudes(CFG, WINDOW, LAYOUT, PARAMS, [spec], mode, None, table)
             assert np.array_equal(merged[:, g], alone[:, 0])
-        # the found vector on both windows in one call
-        both = _echo_amplitudes(CFG, np.concatenate([WINDOW, fit_window]), PARAMS, specs[1:2],
-                                mode, None, table)
+        # the found vector on both windows in one call, their tables of waits stacked
+        joined = LAYOUT[:2] + (np.concatenate([LAYOUT[2], echo_layout(CFG, fit_window)[2]]),)
+        both = _echo_amplitudes(CFG, np.concatenate([WINDOW, fit_window]), joined, PARAMS,
+                                specs[1:2], mode, None, table)
         for window, part in ((WINDOW, both[:6]), (fit_window, both[6:])):
-            alone = _echo_amplitudes(CFG, window, PARAMS, specs[1:2], mode, None, table)
+            alone = _echo_amplitudes(CFG, window, echo_layout(CFG, window), PARAMS, specs[1:2],
+                                     mode, None, table)
             assert np.array_equal(part, alone)
 
 
@@ -297,5 +302,5 @@ class TestCompensationTable:
         assert all(abs(found + b) < 1e-6 for found, b in zip(res.compensation, model.field_vector))
         window = compensation_bracket_taus(model, CFG, 100e-6)
         assert np.array_equal(table.coefficients, zeeman_table(
-            CFG, window, PARAMS, EnsembleSpec(), "beat", reach,
+            CFG, echo_layout(CFG, window), PARAMS, EnsembleSpec(), "beat", reach,
             1 + 3 * (2 + studies.golden_steps(100e-6, 1e-6)) + 2).coefficients)
