@@ -277,9 +277,11 @@ def main(argv=None) -> int:
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=str(args.out))
 
+    # every run warns of grid revivals; a beat run fails on a short readout itself
+    warnings = grid_warnings(cfg) + (readout_warnings(cfg) if args.command == "validate" else [])
+    for warning in warnings:
+        print(warning, file=sys.stderr)
     if args.command == "validate":
-        for warning in grid_warnings(cfg) + readout_warnings(cfg):
-            print(warning, file=sys.stderr)
         print("config OK")
         return EXIT_OK
     outdir = Path(cfg.output_dir)

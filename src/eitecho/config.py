@@ -21,8 +21,8 @@ from .errors import ConfigurationError, ValidationError
 from .lambda_system import LambdaParams
 from .readout import FIT_MIN_POINTS, MIN_PERIODS, window_periods
 from .sequences import EchoConfig, make_readout_pulse
-from .studies import (FieldModel, ScalingModel, TemperatureModel, compensation_bracket_taus,
-                      scaling_echo)
+from .studies import (CURVES_PER_CALL, FieldModel, ScalingModel, TemperatureModel,
+                      compensation_bracket_taus, scaling_echo)
 from .units import parse_quantity, parse_ratio
 
 TWO_PI = 2.0 * math.pi
@@ -378,7 +378,7 @@ def stack_bytes(spec: EnsembleSpec, n_fields: int, n_temperatures: int) -> tuple
     branches = max(1, len(spec.zeeman_branches))
     passes = {"studies.field_sweep.fields": 2 * n_fields,
               "studies.temp_scan.temperatures": branches * n_temperatures,
-              "compensate's first round of 4 curves": 2 * 4,
+              f"compensate's table curves, {CURVES_PER_CALL} per call": 2 * CURVES_PER_CALL,
               "one echo": branches}
     pass_name = max(passes, key=passes.get)
     return spec.n_optical * spec.n_spin * passes[pass_name] * MEMBER_BYTES, pass_name

@@ -514,30 +514,27 @@ def storage_chunks(n_taus: int, n_members: int) -> list:
 
 
 def sequence_endpoints(rho0: DensityMatrix3, p, seq: SequenceSpec, offsets: np.ndarray,
-                       member_name=_member, maps: np.ndarray | None = None,
-                       durations=None) -> np.ndarray:
+                       member_name=_member, durations=None) -> np.ndarray:
     """End states (T, M, 9) of every member row of `offsets` after `seq`, its
     W waits lasting row t of `durations` (T, W) in run t, by default their
     own durations (T = 1): a decay curve's storage times
     (:func:`eitecho.sequences.echo_layout`).  `p` gives the members'
     parameters, one LambdaParams or one per member (see :func:`_param_sets`).
-    The maps (pulse, M, 9, 9) of the pulses are `maps` if given (a table's,
-    :class:`eitecho.readout.ZeemanTable`), else built once for the member
-    stack (:func:`member_generators`) by one :func:`_expm` call over
-    (pulse x member).  A wait acts on the states elementwise from its
-    diagonal and decay feed (:func:`wait_rates`, :func:`wait_states`), one
-    :func:`storage_chunks` chunk of runs at a time.  A non-finite generator,
-    or a wait duration not finite and > 0, is named in segment order.  The
-    states are returned unchecked: callers apply their remaining maps and
-    then :func:`_check_physical`.  `member_name` names a member row in errors.
+    The pulse maps are one :func:`_expm` call over (pulse x member) of the
+    members' generators (:func:`member_generators`).  A wait acts on the
+    states elementwise from its diagonal and decay feed (:func:`wait_rates`,
+    :func:`wait_states`), one :func:`storage_chunks` chunk of runs at a time.
+    A non-finite generator, or a wait duration not finite and > 0, is named
+    in segment order.  The states are returned unchecked: callers apply their
+    remaining maps and then :func:`_check_physical`.  `member_name` names a
+    member row in errors.
     """
     layout = seq.segments
     durations = np.asarray([[s.duration for s in layout if isinstance(s, Wait)]]
                            if durations is None else durations, dtype=float)
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 3)
     pulses = [k for k, seg in enumerate(layout) if isinstance(seg, PulseSpec)]
-    generators = None if maps is not None else np.empty((len(pulses), len(offsets), 9, 9),
-                                                         dtype=complex)
+    generators = np.empty((len(pulses), len(offsets), 9, 9), dtype=complex)
     waits = {}
     for k, seg in enumerate(layout):
         if isinstance(seg, Wait):
@@ -549,12 +546,11 @@ def sequence_endpoints(rho0: DensityMatrix3, p, seq: SequenceSpec, offsets: np.n
             waits[k] = (wait_rates(p, seg, offsets,
                                    lambda m: f"{_segment_name(k, seg)}, {member_name(m)}"),
                         column)
-        elif generators is not None:
+        else:
             generators[pulses.index(k)] = seg.duration * member_generators(
                 p, seg, offsets, lambda m: f"{_segment_name(k, seg)}, {member_name(m)}")
-    if generators is not None:
-        maps = _expm(generators, _map_namer([_segment_name(k, layout[k]) for k in pulses],
-                                            member_name))
+    maps = _expm(generators, _map_namer([_segment_name(k, layout[k]) for k in pulses],
+                                        member_name))
     v0 = np.asarray(rho0.matrix, dtype=complex).reshape(9)
     ends = np.empty((len(durations), len(offsets), 9), dtype=complex)
     for rows in storage_chunks(len(durations), len(offsets)):

@@ -25,8 +25,9 @@ from .ensemble import EnsembleSpec, ensemble_final_state
 from .errors import FitFailureError, ValidationError
 from .lambda_system import LambdaParams
 from .qstate import GroundQubitState, fidelity
-from .readout import (DecayCurve, FitResult, _echo_amplitudes, assemble_decay_curves, fit_decay,
-                      lockstep, zeeman_table)
+from .readout import (DecayCurve, FitResult, _echo_amplitudes, _echo_fields,
+                      assemble_decay_curves, chebyshev_basis, chebyshev_coefficients,
+                      chebyshev_count, chebyshev_nodes, fit_decay, lockstep)
 from .sequences import EchoConfig, dark_target, echo_layout, make_echo_sequence
 from .units import csv_text
 
@@ -36,6 +37,9 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_G_FACTOR_HZ_PER_T = 12e3 / 100e-6
 
 TEMPERATURE_EXPONENT = 7
+
+# Curves per call of the compensation search's table, as config.stack_bytes budgets them.
+CURVES_PER_CALL = 4
 
 
 @dataclass(frozen=True)
@@ -359,6 +363,52 @@ def compensation_bracket_taus(m: FieldModel, cfg: EchoConfig,
     return np.linspace(max(tau_floor, 0.5 * tau_hi), tau_hi, 6)
 
 
+@dataclass(frozen=True)
+class SplittingTable:
+    """Chebyshev coefficients (n, T), in the Zeeman splitting s over [-reach,
+    reach] (Hz), of a decay curve's echo fields at its T storage times, and
+    its readout's scale (:func:`eitecho.readout._echo_fields`)."""
+
+    reach: float
+    coefficients: np.ndarray
+    scale: float
+
+    def fields(self, splittings) -> np.ndarray:
+        """Fields (P, T) at the splittings (P,), each point's basis T_k(s / reach)
+        times the coefficients, one (1, n) @ (n, T) product: the bits it gets alone."""
+        basis = chebyshev_basis(np.divide(splittings, self.reach), len(self.coefficients))
+        return (basis[:, None, :] @ self.coefficients)[:, 0]
+
+
+def splitting_table(cfg: EchoConfig, taus: np.ndarray, layout: tuple, params: LambdaParams,
+                    spec: EnsembleSpec, mode: str, reach: float,
+                    cap: int) -> SplittingTable | None:
+    """The :class:`SplittingTable` of the curve of `spec` at the storage times
+    `taus` of `layout` (:func:`eitecho.sequences.echo_layout`) over splittings
+    within +/- `reach` (Hz), or None where it would take more than `cap` nodes.
+
+    A splitting s puts the Zeeman branches at +/- s / 2, so a curve's field is
+    an even, entire function of s, turned by at most pi `reach` times the
+    curve's duration to the end of its readout, max(taus) + t_readout: that
+    phase sets the node count n (:func:`eitecho.readout.chebyshev_count`).
+    The mirrored nodes pair up at equal |s|, so only the ceil(n/2) curves at
+    s >= 0 are computed, exactly, CURVES_PER_CALL to a call, and the
+    coefficients are one :func:`eitecho.readout.chebyshev_coefficients` product.
+    """
+    n = chebyshev_count(math.pi * reach * (float(np.max(taus)) + cfg.t_readout), cap)
+    if n is None:
+        return None
+    nodes = (reach * chebyshev_nodes(n)[:(n + 1) // 2]).tolist()
+    calls = [_echo_fields(cfg, taus, layout, params,
+                          [replace(spec, zeeman_branches=branches_for_splitting(s))
+                           for s in nodes[k:k + CURVES_PER_CALL]],
+                          mode, [f"splitting {s:g} Hz" for s in nodes[k:k + CURVES_PER_CALL]])
+             for k in range(0, len(nodes), CURVES_PER_CALL)]
+    half = np.concatenate([fields.T for fields, _ in calls])
+    return SplittingTable(reach=reach, scale=calls[0][1], coefficients=chebyshev_coefficients(
+        np.concatenate([half, half[:n // 2][::-1]])))
+
+
 def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
                         spec: EnsembleSpec, taus,
                         search_range: float = 100e-6, tol: float = 1e-6,
@@ -378,23 +428,19 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     with ``xatol`` tol / 4 and tol raised to the four float spacings where a
     bracket stops shrinking.  An axis ends at its own convergence or after
     2 + :func:`golden_steps` values, the count a golden section needs for the
-    same bracket.  Each round is one batched decay-curve call of the trial
-    points of the unfinished axes (a compensation vector enters only through
-    the Zeeman branches of the ensemble); the start vector, whose value no
-    first trial point needs, joins the first round, and the found vector's
-    two storage-time windows are one call.  An axis keeps its start unless
-    its best trial scores above the start.
+    same bracket.  An axis keeps its start unless its best trial scores above
+    the start.
 
-    Before the first round it builds each window's echo and table of waits
-    (:func:`eitecho.sequences.echo_layout`), the joined call's the two tables
-    stacked, and one :func:`eitecho.readout.zeeman_table` of every curve's
-    maps from the bracket's echo over the box's Zeeman offsets,
-    pi g |(|B_i + c_i| + search_range)_i|, so a round evaluates polynomials
-    and builds no map; where the table would need more nodes than the search
-    can evaluate curves, 1 + 3 (2 + golden_steps) + 2, each curve maps its
-    members exactly.
+    The objective depends on the splitting alone, so the search first builds
+    one :func:`splitting_table` of it over the box's splittings,
+    g |(|B_i + c_i| + search_range)_i|, and the start, every trial point and
+    the found vector's bracketing value are polynomial evaluations.  Where
+    the table would take more nodes than the search evaluates curves,
+    1 + 3 (2 + golden_steps) + 2, each value is an exact curve, a round's
+    trial points one call.  The found vector's curve on `taus`, which the
+    decay fit reads, is always exact.
 
-    ``evaluations`` counts the curves computed: the start, one per trial
+    ``evaluations`` counts the objective values: the start, one per trial
     point, and the found vector twice, on the bracketing storage times
     (``improved``, ``warning``) and on `taus` (the fitted T2, ``objective``).
     ``history`` lists (compensation, summed amplitude) of the start, of each
@@ -407,49 +453,41 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     comp = np.asarray(m.compensation_vector, dtype=float)
     raised = max(tol, 4.0 * math.ulp(np.abs(comp).max() + search_range))
     maxfun = 2 + golden_steps(search_range, raised)
-    reach = math.pi * m.g_factor * float(np.linalg.norm(np.abs(m.net_field()) + search_range))
+    reach = m.g_factor * float(np.linalg.norm(np.abs(m.net_field()) + search_range))
     bracket = echo_layout(cfg, bracket_taus)
-    joined = bracket[:2] + (np.concatenate([bracket[2], echo_layout(cfg, taus)[2]]),)
-    table = zeeman_table(cfg, bracket, params, spec, mode, reach, 1 + 3 * maxfun + 2)
+    table = splitting_table(cfg, bracket_taus, bracket, params, spec, mode, reach,
+                            1 + 3 * maxfun + 2)
     evaluations = 0
 
-    def curves(comps, layout: tuple, windows: list) -> list:
-        """Amplitudes of the curve of each of `comps` on each window of `layout`, one call."""
-        nonlocal evaluations
-        evaluations += len(comps) * len(windows)
+    def amplitudes(comps, window: np.ndarray, layout: tuple) -> np.ndarray:
+        """Echo amplitudes (G, T) of the exact curve of each of `comps`, one call."""
         specs = [replace(spec, zeeman_branches=branches_for_splitting(splitting_from_field(
             replace(m, compensation_vector=tuple(comp))))) for comp in comps]
         labels = [f"compensation ({', '.join(f'{c:g}' for c in comp)}) T" for comp in comps]
-        amplitudes = _echo_amplitudes(cfg, np.concatenate(windows), layout, params, specs,
-                                      mode, labels, table)
-        bounds = np.cumsum([0] + [len(w) for w in windows])
-        return [[np.ascontiguousarray(amplitudes[lo:hi, g]) for lo, hi in zip(bounds, bounds[1:])]
-                for g in range(len(comps))]
+        return _echo_amplitudes(cfg, window, layout, params, specs, mode, labels).T
 
     def modulation(comps) -> np.ndarray:
-        return np.array([-float(np.sum(amps)) for amps, in curves(comps, bracket, [bracket_taus])])
+        """Minus the summed amplitude of the bracketing curve of each of `comps`."""
+        nonlocal evaluations
+        evaluations += len(comps)
+        curves = amplitudes(comps, bracket_taus, bracket) if table is None else \
+            table.scale * np.abs(table.fields([splitting_from_field(
+                replace(m, compensation_vector=tuple(comp))) for comp in comps]))
+        return np.array([-float(np.sum(np.ascontiguousarray(curve))) for curve in curves])
 
     def trials(axes, x) -> np.ndarray:     # row k: the start vector, axis axes[k] at x[k]
         rows = np.repeat(comp[None], len(axes), axis=0)
         rows[np.arange(len(axes)), axes] = x
         return rows
 
-    start = None
-
-    def rounds(axes, x) -> np.ndarray:     # the first round evaluates the start too
-        nonlocal start
-        if start is not None:
-            return modulation(trials(axes, x))
-        values = modulation(np.vstack([comp, trials(axes, x)]))
-        start = values[0]
-        return values[1:]
-
-    best, f_best = lockstep_brent(rounds, comp - search_range, comp + search_range,
-                                  raised / 4.0, maxfun)
+    (start,) = modulation([comp])
+    best, f_best = lockstep_brent(lambda axes, x: modulation(trials(axes, x)),
+                                  comp - search_range, comp + search_range, raised / 4.0, maxfun)
     keep = ~(f_best < start)
     best, f_best = np.where(keep, comp, best), np.where(keep, start, f_best)
-    bracket_window, fit_window = curves([best], joined, [bracket_taus, taus])[0]
-    end = -float(np.sum(bracket_window))
+    (end,) = modulation([best])
+    evaluations += 1
+    (fit_window,) = amplitudes([best], taus, echo_layout(cfg, taus))
     warning = None
     if not end < start and float(np.linalg.norm(m.net_field())) > tol:
         warning = "search could not improve on the starting compensation"

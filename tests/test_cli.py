@@ -366,13 +366,46 @@ class TestScaling:
                                            "DensityMatrix3: trace 1.5 outside [0, 1]\n")
 
 
+class TestGridWarnings:
+    @pytest.mark.parametrize("command", ["simulate", "bloch-path", "qst", "field-sweep",
+                                         "temp-scan", "scaling", "compensate"])
+    def test_every_run_prints_them_before_it_runs(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        def run(cfg):
+            print("running", file=sys.stderr)
+            yield "out.txt", ""
+
+        monkeypatch.setitem(cli._COMMANDS, command, run)
+        cfg = write_config(tmp_path, CLOSED_CONFIG.replace(
+            "ensemble: {}", "ensemble: {optical_fwhm: 170kHz, n_optical: 21}"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        *warnings, last = capsys.readouterr().err.splitlines()
+        assert warnings and all(line.startswith("warning: ") for line in warnings)
+        assert "ensemble.n_optical that clears it is 57" in warnings[-1]
+        assert last == "running"
+
+
 class TestCompensate:
+    def test_a_run_prints_the_grid_warnings(self, tmp_path, capsys):
+        # the 5 x 3 mirror grid revives within the compensation's storage
+        # times: the run says so before its fit fails, and still exits 0
+        mirror = ("sequence: {tau: 60us}\nensemble: {optical_fwhm: 170kHz, spin_fwhm: 20kHz, "
+                  "n_optical: 5, n_spin: 3}\n")
+        assert main(["compensate", "--config", str(write_config(tmp_path, mirror)),
+                     "--out", str(tmp_path / "m")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "warning: studies.compensation.taus reaches 0.00012 s, where the 5-point " \
+            "optical grid revives" in "\n".join(err)
+        assert err[-1] == "warning: decay fit failed at the found compensation"
+        assert main(["compensate", "--out", str(tmp_path / "d")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_tolerance_below_the_float_spacing_ends(self, tmp_path):
         # one float spacing of a 50 uT field is 6.8e-21 T, so no bracket gets
         # as narrow as these tolerances: each axis stops at the cap of
         # 2 + golden_steps values, the steps that still shrink a bracket of
         # values up to |start| + search_range, or at its own convergence; the
-        # counts follow the last bits of the search's table of maps
+        # counts follow the last bits of the search's table of its objective
         for compensation, search_range, count in (
                 ("{search_range: 1uT, tolerance: 1e-22uT}", 1e-6, 173),
                 ("{tolerance: 1e-317uT}", 100e-6, 143)):

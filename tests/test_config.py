@@ -649,7 +649,7 @@ class TestStackBound:
         assert stack_bytes(grid, 20, 5) == (21 * 11 * 40 * MEMBER_BYTES,
                                             "studies.field_sweep.fields")
         assert stack_bytes(grid, 1, 5) == (21 * 11 * 8 * MEMBER_BYTES,
-                                           "compensate's first round of 4 curves")
+                                           "compensate's table curves, 4 per call")
         branched = replace(grid, zeeman_branches=((-1e3, 0.25), (0.0, 0.5), (1e3, 0.25)))
         assert stack_bytes(branched, 1, 5)[0] == 21 * 11 * 15 * MEMBER_BYTES
         assert 21 * 11 * 40 * MEMBER_BYTES < MAX_STACK_BYTES < 255 * 255 * 40 * MEMBER_BYTES

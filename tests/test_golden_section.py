@@ -9,8 +9,8 @@ functions, V-shapes, flat stretches and steps that tie values, each
 component of the lockstep search must visit bitwise the same points as
 `fminbound` and return the same (x, f).  The last test checks the
 compensation search itself, axis by axis, against `fminbound` on an
-objective that computes one decay curve per call, through the search's own
-table of maps.  `golden_steps` sets the
+objective that reads one point per call from the search's own Chebyshev
+table of its objective in the Zeeman splitting.  `golden_steps` sets the
 cap: the evaluations a golden section (Kiefer, Proc. AMS 4, 502 (1953))
 needs to shrink the bracket to the tolerance.
 """
@@ -27,11 +27,9 @@ from scipy.optimize import fminbound
 from eitecho.ensemble import EnsembleSpec
 from eitecho.lambda_system import LambdaParams
 import eitecho.studies as studies
-from eitecho.readout import _echo_amplitudes, zeeman_table
-from eitecho.sequences import EchoConfig, echo_layout
-from eitecho.studies import (INVPHI, FieldModel, branches_for_splitting,
-                             compensation_bracket_taus, compensation_search, golden_steps,
-                             lockstep_brent, splitting_from_field)
+from eitecho.sequences import EchoConfig
+from eitecho.studies import (INVPHI, FieldModel, compensation_search, golden_steps,
+                             lockstep_brent, splitting_from_field, splitting_table)
 
 
 def oracle(f, lo: float, hi: float, xatol: float, cap: int) -> tuple:
@@ -145,34 +143,33 @@ def test_step_count(search_range, tol, steps):
 
 def test_compensation_search_replays_each_axis(monkeypatch):
     # criterion 12's search: each axis's result is fminbound on that axis
-    # alone, with the other two held at the start vector and one decay curve
-    # computed per call, its maps from the search's own table
+    # alone, with the other two held at the start vector and one point read
+    # per call from the search's own table of its objective
     cfg, params, spec = EchoConfig(tau=30e-6), LambdaParams(gamma_spin_deph=1.0 / 500e-6), \
         EnsembleSpec()
     model = FieldModel(field_vector=(20e-6, -10e-6, 45e-6))
     tables = []
 
     def recording(*args):
-        tables.append(zeeman_table(*args))
+        tables.append(splitting_table(*args))
         return tables[-1]
 
-    monkeypatch.setattr(studies, "zeeman_table", recording)
+    monkeypatch.setattr(studies, "splitting_table", recording)
     res = compensation_search(model, cfg, params, spec, np.linspace(15e-6, 120e-6, 6),
                               tol=1e-6, mode="proxy")
     (table,) = tables
     assert table is not None
-    window = compensation_bracket_taus(model, cfg, 100e-6)
+
+    def amplitudes(splitting: float) -> np.ndarray:
+        return table.scale * np.abs(table.fields([splitting])[0])
+
     visits = 0
     for axis in range(3):
         def modulation(x: float) -> float:
             comp = [0.0, 0.0, 0.0]
             comp[axis] = x
-            branches = branches_for_splitting(splitting_from_field(
-                replace(model, compensation_vector=tuple(comp))))
-            amplitudes = _echo_amplitudes(cfg, window, echo_layout(cfg, window), params,
-                                          [replace(spec, zeeman_branches=branches)], "proxy",
-                                          None, table)
-            return -float(np.sum(np.ascontiguousarray(amplitudes[:, 0])))
+            splitting = splitting_from_field(replace(model, compensation_vector=tuple(comp)))
+            return -float(np.sum(amplitudes(splitting)))
 
         x, f, points = oracle(modulation, -100e-6, 100e-6, 1e-6 / 4,
                               2 + golden_steps(100e-6, 1e-6))
@@ -180,5 +177,8 @@ def test_compensation_search_replays_each_axis(monkeypatch):
         assert res.compensation[axis].hex() == x.hex()
         trial, amplitude = res.history[1 + axis]
         assert trial[axis].hex() == x.hex() and amplitude.hex() == (-f).hex()
+    # the found vector's bracketing value is read from the table too
+    found = splitting_from_field(replace(model, compensation_vector=res.compensation))
+    assert res.history[-1][1].hex() == float(np.sum(amplitudes(found))).hex()
     # the start, every axis's trial points and the found vector twice
     assert res.evaluations == 1 + visits + 2

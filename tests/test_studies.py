@@ -7,7 +7,6 @@ import eitecho.studies as studies
 from eitecho.ensemble import EnsembleSpec
 from eitecho.errors import ConfigurationError, ValidationError
 from eitecho.lambda_system import LambdaParams
-from eitecho.readout import _echo_amplitudes
 from eitecho.sequences import EchoConfig
 from eitecho.studies import (
     FieldModel,
@@ -26,23 +25,23 @@ PARAMS = LambdaParams(gamma_spin_deph=1.0 / 500e-6)
 SINGLE = EnsembleSpec()
 
 # The proxy-mode search of TestCompensationSearch, recorded with the lockstep
-# bounded Brent search and the search's Chebyshev table of maps: the
-# compensation found and every (compensation, summed amplitude) of its
-# history (the start, each axis's best trial and the found vector), as
-# float.hex literals.
-PINNED_COMPENSATION = ("-0x1.4f659353a0079p-16", "0x1.4fbd05f093e41p-17",
-                       "-0x1.792357857faf7p-15")
+# bounded Brent search on the Chebyshev table of its objective in the Zeeman
+# splitting: the compensation found and every (compensation, summed
+# amplitude) of its history (the start, each axis's best trial and the found
+# vector), as float.hex literals.
+PINNED_COMPENSATION = ("-0x1.4f659353a0125p-16", "0x1.4fbd05f093d77p-17",
+                       "-0x1.792357857f996p-15")
 PINNED_HISTORY = [
     (("0x0.0p+0", "0x0.0p+0",
-      "0x0.0p+0"), "0x1.73e4b889bf8abp+0"),
-    (("-0x1.4f659353a0079p-16", "0x0.0p+0",
-      "0x0.0p+0"), "0x1.74c9b7aa88ae9p+0"),
-    (("0x0.0p+0", "0x1.4fbd05f093e41p-17",
-      "0x0.0p+0"), "0x1.741df368c6aabp+0"),
+      "0x0.0p+0"), "0x1.73e4b889bf8b5p+0"),
+    (("-0x1.4f659353a0125p-16", "0x0.0p+0",
+      "0x0.0p+0"), "0x1.74c9b7aa88af2p+0"),
+    (("0x0.0p+0", "0x1.4fbd05f093d77p-17",
+      "0x0.0p+0"), "0x1.741df368c6ab5p+0"),
     (("0x0.0p+0", "0x0.0p+0",
-      "-0x1.792357857faf7p-15"), "0x1.786e1edc50f4cp+0"),
-    (("-0x1.4f659353a0079p-16", "0x1.4fbd05f093e41p-17",
-      "-0x1.792357857faf7p-15"), "0x1.798db1d2d8d3bp+0"),
+      "-0x1.792357857f996p-15"), "0x1.786e1edc50f54p+0"),
+    (("-0x1.4f659353a0125p-16", "0x1.4fbd05f093d77p-17",
+      "-0x1.792357857f996p-15"), "0x1.798db1d2d8d3dp+0"),
 ]
 
 
@@ -186,37 +185,33 @@ class TestCompensationSearch:
             assert abs(found + ambient) < 1e-6
 
     def test_repeated_curves_are_computed_once(self, monkeypatch):
-        # criterion 12's search: the start with the first round's trial points
-        # of all three axes, one call of the unfinished axes' trial points per
-        # later round (here all three converge after six rounds), then the
-        # found vector on both storage-time windows (six storage times each)
-        # in one call; no curve is computed twice, and no more than the cap of
-        # 2 + golden_steps values per axis
-        pending, computed, batches = [], [], []
+        # criterion 12's search: the table of its objective computes the curves
+        # at its ceil(n/2) nonnegative nodes, CURVES_PER_CALL to a call (here
+        # n = 16 nodes, 8 curves), and the start, every trial point and the
+        # found vector's bracketing value are read from it; only the found
+        # vector's curve on the fit window (six storage times) is computed
+        # exactly, in one call; no curve is computed twice, and the search
+        # evaluates no more than the cap of 2 + golden_steps values per axis
+        computed, batches = [], []
 
-        def recording(model):
-            pending.append(np.asarray(model.compensation_vector).tobytes())
-            return splitting_from_field(model)
+        def recording(real):
+            def call(cfg, taus, layout, params, specs, *args):
+                computed.extend((spec.zeeman_branches, taus.tobytes()) for spec in specs)
+                batches.append((real.__name__, len(specs), len(taus)))
+                return real(cfg, taus, layout, params, specs, *args)
+            return call
 
-        def counting(cfg, taus, layout, params, specs, *args):
-            assert len(pending) == len(specs)
-            windows = taus.reshape(-1, 6)
-            computed.extend((comp, w.tobytes()) for comp in pending for w in windows)
-            pending.clear()
-            batches.append((len(specs), len(windows)))
-            return _echo_amplitudes(cfg, taus, layout, params, specs, *args)
-
-        monkeypatch.setattr(studies, "splitting_from_field", recording)
-        monkeypatch.setattr(studies, "_echo_amplitudes", counting)
+        monkeypatch.setattr(studies, "_echo_fields", recording(studies._echo_fields))
+        monkeypatch.setattr(studies, "_echo_amplitudes", recording(studies._echo_amplitudes))
         cfg = EchoConfig(tau=30e-6)
         taus = np.linspace(15e-6, 120e-6, 6)
         ambient = (20e-6, -10e-6, 45e-6)
         res = compensation_search(FieldModel(field_vector=ambient), cfg, PARAMS, SINGLE,
                                   taus, tol=1e-6, mode="proxy")
         steps = studies.golden_steps(100e-6, 1e-6)
-        assert batches == [(4, 1)] + [(3, 1)] * 5 + [(1, 2)]
-        assert res.evaluations == len(computed) == 21 <= 1 + 3 * (2 + steps) + 2
-        assert len(set(computed)) == len(computed)
+        assert batches == [("_echo_fields", 4, 6)] * 2 + [("_echo_amplitudes", 1, 6)]
+        assert res.evaluations == 21 <= 1 + 3 * (2 + steps) + 2
+        assert len(set(computed)) == len(computed) == 9
         assert all(abs(found + true) < 1e-6 for found, true in zip(res.compensation, ambient))
         assert res.warning is None
 
@@ -254,6 +249,7 @@ class TestCompensationSearch:
             raise AssertionError("no curve may be computed")
 
         monkeypatch.setattr(studies, "_echo_amplitudes", no_curves)
+        monkeypatch.setattr(studies, "_echo_fields", no_curves)
         with pytest.raises(ValidationError, match="search_range and tol must be > 0"):
             compensation_search(FieldModel(field_vector=(0.0, 0.0, 50e-6)),
                                 EchoConfig(tau=30e-6), PARAMS, SINGLE,
