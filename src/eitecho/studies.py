@@ -367,15 +367,23 @@ def compensation_bracket_taus(m: FieldModel, cfg: EchoConfig,
 class SplittingTable:
     """Chebyshev coefficients (n, T), in the Zeeman splitting s over [-reach,
     reach] (Hz), of a decay curve's echo fields at its T storage times, and
-    its readout's scale (:func:`eitecho.readout._echo_fields`)."""
+    its readout's scale (:func:`eitecho.readout._echo_fields`).  ``curve`` is
+    that curve's (cfg, taus, params, spec, mode), the taus a tuple."""
 
+    curve: tuple
     reach: float
     coefficients: np.ndarray
     scale: float
 
-    def fields(self, splittings) -> np.ndarray:
-        """Fields (P, T) at the splittings (P,), each point's basis T_k(s / reach)
-        times the coefficients, one (1, n) @ (n, T) product: the bits it gets alone."""
+    def fields(self, splittings, curve: tuple) -> np.ndarray | None:
+        """Fields (P, T) at the splittings (P,) of `curve`, each point's basis
+        T_k(s / reach) times the coefficients, one (1, n) @ (n, T) product: the
+        bits it gets alone.  None where the table does not cover them: another
+        curve, or a splitting beyond `reach` by more than the rounding of the
+        box's edge, where the basis would clip to the edge's value."""
+        if curve != self.curve or \
+                (np.abs(splittings) > self.reach + 4.0 * math.ulp(self.reach)).any():
+            return None
         basis = chebyshev_basis(np.divide(splittings, self.reach), len(self.coefficients))
         return (basis[:, None, :] @ self.coefficients)[:, 0]
 
@@ -405,8 +413,9 @@ def splitting_table(cfg: EchoConfig, taus: np.ndarray, layout: tuple, params: La
                           mode, [f"splitting {s:g} Hz" for s in nodes[k:k + CURVES_PER_CALL]])
              for k in range(0, len(nodes), CURVES_PER_CALL)]
     half = np.concatenate([fields.T for fields, _ in calls])
-    return SplittingTable(reach=reach, scale=calls[0][1], coefficients=chebyshev_coefficients(
-        np.concatenate([half, half[:n // 2][::-1]])))
+    return SplittingTable(curve=(cfg, tuple(np.asarray(taus).tolist()), params, spec, mode),
+                          reach=reach, scale=calls[0][1], coefficients=chebyshev_coefficients(
+                              np.concatenate([half, half[:n // 2][::-1]])))
 
 
 def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
@@ -436,7 +445,8 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     g |(|B_i + c_i| + search_range)_i|, and the start, every trial point and
     the found vector's bracketing value are polynomial evaluations.  Where
     the table would take more nodes than the search evaluates curves,
-    1 + 3 (2 + golden_steps) + 2, each value is an exact curve, a round's
+    1 + 3 (2 + golden_steps) + 2, or does not cover a round's splittings
+    (:meth:`SplittingTable.fields`), each value is an exact curve, a round's
     trial points one call.  The found vector's curve on `taus`, which the
     decay fit reads, is always exact.
 
@@ -457,6 +467,7 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
     bracket = echo_layout(cfg, bracket_taus)
     table = splitting_table(cfg, bracket_taus, bracket, params, spec, mode, reach,
                             1 + 3 * maxfun + 2)
+    bracket_curve = (cfg, tuple(bracket_taus.tolist()), params, spec, mode)
     evaluations = 0
 
     def amplitudes(comps, window: np.ndarray, layout: tuple) -> np.ndarray:
@@ -470,9 +481,10 @@ def compensation_search(m: FieldModel, cfg: EchoConfig, params: LambdaParams,
         """Minus the summed amplitude of the bracketing curve of each of `comps`."""
         nonlocal evaluations
         evaluations += len(comps)
-        curves = amplitudes(comps, bracket_taus, bracket) if table is None else \
-            table.scale * np.abs(table.fields([splitting_from_field(
-                replace(m, compensation_vector=tuple(comp))) for comp in comps]))
+        fields = None if table is None else table.fields([splitting_from_field(
+            replace(m, compensation_vector=tuple(comp))) for comp in comps], bracket_curve)
+        curves = amplitudes(comps, bracket_taus, bracket) if fields is None else \
+            table.scale * np.abs(fields)
         return np.array([-float(np.sum(np.ascontiguousarray(curve))) for curve in curves])
 
     def trials(axes, x) -> np.ndarray:     # row k: the start vector, axis axes[k] at x[k]

@@ -161,7 +161,7 @@ def test_compensation_search_replays_each_axis(monkeypatch):
     assert table is not None
 
     def amplitudes(splitting: float) -> np.ndarray:
-        return table.scale * np.abs(table.fields([splitting])[0])
+        return table.scale * np.abs(table.fields([splitting], table.curve)[0])
 
     visits = 0
     for axis in range(3):

@@ -6,8 +6,9 @@ exact curves at the nonnegative Chebyshev nodes.  The table is checked
 against exact curves at random splittings, echoes, parameters and grids;
 the node count against its a-priori rule; a box too wide for the node cap
 against the exact curves, whose search output is pinned to the bytes the
-search wrote before tables existed; and curves that share a call against
-calls of their own.  Waits are applied from their diagonals, which must
+search wrote before tables existed; its coverage against other curves and
+splittings beyond its box, which the search then computes exactly; and
+curves that share a call against calls of their own.  Waits are applied from their diagonals, which must
 carry the bits of the full generators.
 """
 
@@ -27,7 +28,8 @@ from eitecho.lambda_system import LambdaParams
 from eitecho.readout import (_echo_amplitudes, _echo_fields, chebyshev_basis,
                              chebyshev_coefficients, chebyshev_count, chebyshev_nodes)
 from eitecho.sequences import EchoConfig, echo_layout
-from eitecho.studies import branches_for_splitting, splitting_table
+from eitecho.studies import (FieldModel, branches_for_splitting, compensation_bracket_taus,
+                             compensation_search, golden_steps, splitting_table)
 
 from test_propagators import W, lambda_params, unit
 
@@ -40,6 +42,11 @@ LAYOUT = echo_layout(CFG, WINDOW)
 def bits(a: np.ndarray) -> np.ndarray:
     """The bits of each real and imaginary part, signed zeros told apart."""
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def curve(cfg=CFG, taus=WINDOW, params=PARAMS, spec=EnsembleSpec(), mode="beat") -> tuple:
+    """The curve a :class:`eitecho.studies.SplittingTable` is asked for fields of."""
+    return cfg, tuple(np.asarray(taus).tolist()), params, spec, mode
 
 
 def at(spec: EnsembleSpec, splittings) -> list:
@@ -81,14 +88,15 @@ class TestSplittingTable:
         splittings = reach * np.random.default_rng(seed).uniform(0.0, 1.0, 4)
         exact, scale = _echo_fields(cfg, WINDOW, layout, p, at(spec, splittings), mode)
         assert table.scale == scale
-        assert scale * np.abs(table.fields(splittings) - exact.T).max() <= 1e-13
+        fields = table.fields(splittings, curve(cfg, WINDOW, p, spec, mode))
+        assert scale * np.abs(fields - exact.T).max() <= 1e-13
 
     def test_a_point_has_the_bits_it_gets_alone(self):
         table = splitting_table(CFG, WINDOW, LAYOUT, PARAMS, EnsembleSpec(), "beat", 2e4, 51)
         splittings = [0.0, 3e3, 1.7e4, 2e4]
-        together = table.fields(splittings)
+        together = table.fields(splittings, curve())
         for k, s in enumerate(splittings):
-            assert np.array_equal(bits(table.fields([s])[0]), bits(together[k]))
+            assert np.array_equal(bits(table.fields([s], curve())[0]), bits(together[k]))
 
     def test_node_curves_are_computed_once_each(self, monkeypatch):
         # the n mirrored nodes pair up at equal |s|: ceil(n/2) curves, at most
@@ -108,6 +116,40 @@ class TestSplittingTable:
         nodes = reach * chebyshev_nodes(n)[:11]
         assert [b for c in calls for b in c] == [s.zeeman_branches for s in at(EnsembleSpec(),
                                                                                 nodes)]
+
+
+class TestCoverage:
+    """A table hands out fields only for the curve and box it was built for."""
+
+    SPLITTINGS = [0.0, 5e3]
+
+    @pytest.mark.parametrize("mode", ["beat", "proxy"])
+    @pytest.mark.parametrize("other", [
+        {"cfg": replace(CFG, t_rephase=1.5e-6)}, {"cfg": replace(CFG, t_init=1.5e-6)},
+        {"cfg": replace(CFG, init_phase_offset=0.3)}, {"cfg": replace(CFG, splitting=4e6)},
+        {"cfg": replace(CFG, t_readout=1.5e-6)}, {"params": replace(PARAMS, gamma_spin_deph=1e3)},
+        {"mode": "other"}, {"reach": 4e3}, {"taus": WINDOW[:-1]},
+        {"spec": EnsembleSpec(spin_fwhm=2e4, n_spin=3)}])
+    def test_a_table_of_another_echo_or_a_narrower_box_maps_nothing(self, mode, other):
+        # the curve asks for splittings up to 5e3 Hz
+        built = {"beat": "proxy", "proxy": "beat"}[mode] if "mode" in other else mode
+        table = splitting_table(CFG, WINDOW, LAYOUT, PARAMS, EnsembleSpec(), built,
+                                other.get("reach", 2e4), 51)
+        assert table.curve == curve(mode=built)
+        if "reach" not in other:
+            assert table.fields(self.SPLITTINGS, curve(mode=built)) is not None
+        asked = curve(other.get("cfg", CFG), other.get("taus", WINDOW),
+                      other.get("params", PARAMS), other.get("spec", EnsembleSpec()), mode)
+        assert table.fields(self.SPLITTINGS, asked) is None
+
+    def test_the_box_edge_is_covered(self):
+        table = splitting_table(CFG, WINDOW, LAYOUT, PARAMS, EnsembleSpec(), "beat", 2e4, 51)
+        assert table.fields([-table.reach, 0.0, table.reach], curve()) is not None
+        # the rounding of the box's edge, and no further
+        edge = table.reach + 4.0 * math.ulp(table.reach)
+        assert table.fields([-edge, edge], curve()) is not None
+        assert table.fields([0.0, np.nextafter(edge, math.inf)], curve()) is None
+        assert table.fields([-table.reach * 1.001], curve()) is None
 
 
 class TestNodeRule:
@@ -205,3 +247,67 @@ class TestCompensationTable:
         assert main(["compensate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         assert tables == [None]
         assert (tmp_path / "o" / "compensation.json").read_text() == WIDE_BOX_JSON
+
+    def test_the_default_box_is_tabled_once(self, monkeypatch):
+        tables, exact = [], []
+
+        def recording(*args):
+            tables.append(splitting_table(*args))
+            return tables[-1]
+
+        def amplitudes(cfg, taus, *args):
+            exact.append(tuple(taus))
+            return _echo_amplitudes(cfg, taus, *args)
+
+        monkeypatch.setattr(studies, "splitting_table", recording)
+        monkeypatch.setattr(studies, "_echo_amplitudes", amplitudes)
+        model = FieldModel(field_vector=(20e-6, -10e-6, 45e-6))
+        taus = np.linspace(15e-6, 120e-6, 6)
+        res = compensation_search(model, CFG, PARAMS, EnsembleSpec(), taus, tol=1e-6,
+                                  mode="beat")
+        (table,) = tables
+        # every value on the bracketing storage times is read from the table:
+        # the one exact curve is the found vector's on the fit window
+        assert table is not None and exact == [tuple(taus)]
+        # the box's splittings: g |(|B_i + c_i| + search_range)_i|
+        assert table.reach == model.g_factor * float(np.linalg.norm(
+            np.abs(model.net_field()) + 100e-6))
+        assert all(abs(found + b) < 1e-6 for found, b in zip(res.compensation, model.field_vector))
+        window = compensation_bracket_taus(model, CFG, 100e-6)
+        assert table.curve == curve(taus=window)
+        assert np.array_equal(table.coefficients, splitting_table(
+            CFG, window, echo_layout(CFG, window), PARAMS, EnsembleSpec(), "beat", table.reach,
+            1 + 3 * (2 + golden_steps(100e-6, 1e-6)) + 2).coefficients)
+
+    def test_splittings_beyond_the_table_are_exact_curves(self, monkeypatch):
+        # a table of a quarter of the box: a round that reaches past it is computed exactly
+        tables, covered, refused, exact = [], [], [], []
+
+        def narrow(cfg, taus, layout, params, spec, mode, reach, cap):
+            tables.append(splitting_table(cfg, taus, layout, params, spec, mode, reach / 4, cap))
+            return tables[-1]
+
+        fields = studies.SplittingTable.fields
+
+        def recording(self, splittings, asked):
+            got = fields(self, splittings, asked)
+            (refused if got is None else covered).append(max(splittings))
+            return got
+
+        def amplitudes(cfg, taus, layout, params, specs, *args):
+            exact.append((tuple(taus), len(specs)))
+            return _echo_amplitudes(cfg, taus, layout, params, specs, *args)
+
+        monkeypatch.setattr(studies, "splitting_table", narrow)
+        monkeypatch.setattr(studies.SplittingTable, "fields", recording)
+        monkeypatch.setattr(studies, "_echo_amplitudes", amplitudes)
+        model = FieldModel(field_vector=(20e-6, -10e-6, 45e-6))
+        taus = np.linspace(15e-6, 120e-6, 6)
+        res = compensation_search(model, CFG, PARAMS, EnsembleSpec(), taus, tol=1e-6,
+                                  mode="proxy")
+        (table,) = tables
+        assert covered and refused
+        assert max(covered) <= table.reach < min(refused)
+        window = tuple(compensation_bracket_taus(model, CFG, 100e-6).tolist())
+        assert [t for t, _ in exact] == [window] * len(refused) + [tuple(taus)]
+        assert all(abs(found + b) < 1e-6 for found, b in zip(res.compensation, model.field_vector))
