@@ -17,7 +17,7 @@ The end states of a sequence whose waits take each row of a table of
 durations (a decay curve's storage times) are computed together: each
 segment's generator is built once, the maps of all pulses come from one
 expm call over (pulse x member), each map at the Pade degree of its own
-norm, and every segment acts on (row x member) states, a chunk at a time.
+norm, and each chunk of (row x member) states is propagated, then handed out.
 Sampled segments are sampled on a whole fraction of the segment's clock (the
 readout's detector clock, else the duration).  A Lindblad generator keeps
 states Hermitian, so a sampled state is set by its upper triangle: entries
@@ -86,10 +86,10 @@ MAX_SQUARINGS = 64
 # Samples a sampled trajectory may hold: 2^20 weight-summed states of 144 B,
 # ~150 MB, hundreds of times a default echo's.
 MAX_SAMPLES = 2 ** 20
-# (storage time x member) states that the endpoint path and the readout hold
-# at once, unless one storage time has more members: a chunk bounds the
-# states (144 B each), the pulse products and the readout's temporaries to
-# ~0.3 MB per array, however many storage times a batch of curves has.
+# (storage time x member) states of one chunk of an endpoint pass, unless one
+# storage time has more members: its reader reduces each chunk before the next
+# is formed, so the states (144 B each), the pulse products and the readout's
+# temporaries stay at ~0.3 MB per array, however many storage times a pass has.
 BATCH_STATES = 2 ** 11
 
 
@@ -514,20 +514,21 @@ def storage_chunks(n_taus: int, n_members: int) -> list:
 
 
 def sequence_endpoints(rho0: DensityMatrix3, p, seq: SequenceSpec, offsets: np.ndarray,
-                       member_name=_member, durations=None) -> np.ndarray:
-    """End states (T, M, 9) of every member row of `offsets` after `seq`, its
-    W waits lasting row t of `durations` (T, W) in run t, by default their
-    own durations (T = 1): a decay curve's storage times
-    (:func:`eitecho.sequences.echo_layout`).  `p` gives the members'
-    parameters, one LambdaParams or one per member (see :func:`_param_sets`).
-    The pulse maps are one :func:`_expm` call over (pulse x member) of the
-    members' generators (:func:`member_generators`).  A wait acts on the
-    states elementwise from its diagonal and decay feed (:func:`wait_rates`,
-    :func:`wait_states`), one :func:`storage_chunks` chunk of runs at a time.
-    A non-finite generator, or a wait duration not finite and > 0, is named
-    in segment order.  The states are returned unchecked: callers apply their
-    remaining maps and then :func:`_check_physical`.  `member_name` names a
-    member row in errors.
+                       member_name=_member, durations=None):
+    """End states of every member row of `offsets` after `seq`, its W waits
+    lasting row t of `durations` (T, W) in run t, by default their own
+    durations (T = 1): a decay curve's storage times
+    (:func:`eitecho.sequences.echo_layout`), yielded as (rows, states
+    (t, M, 9)) for each :func:`storage_chunks` chunk of runs as it is formed.
+    `p` gives the members' parameters, one LambdaParams or one per member
+    (see :func:`_param_sets`).  The pulse maps are one :func:`_expm` call over
+    (pulse x member) of the members' generators (:func:`member_generators`).
+    A wait acts on the states elementwise from its diagonal and decay feed
+    (:func:`wait_rates`, :func:`wait_states`).  The call itself builds and
+    checks the maps and durations, naming a non-finite generator, or a wait
+    duration not finite and > 0, in segment order.  The states are unchecked:
+    readers apply their remaining maps and then :func:`_check_physical`.
+    `member_name` names a member row in errors.
     """
     layout = seq.segments
     durations = np.asarray([[s.duration for s in layout if isinstance(s, Wait)]]
@@ -552,17 +553,18 @@ def sequence_endpoints(rho0: DensityMatrix3, p, seq: SequenceSpec, offsets: np.n
     maps = _expm(generators, _map_namer([_segment_name(k, layout[k]) for k in pulses],
                                         member_name))
     v0 = np.asarray(rho0.matrix, dtype=complex).reshape(9)
-    ends = np.empty((len(durations), len(offsets), 9), dtype=complex)
-    for rows in storage_chunks(len(durations), len(offsets)):
-        v = np.tile(v0, (rows.stop - rows.start, len(offsets), 1))
-        for k in range(len(layout)):
-            if k in waits:
-                wait, column = waits[k]
-                v = wait_states(wait, column[rows], v)
-            else:
-                v = (maps[pulses.index(k)] @ v[..., None])[..., 0]
-        ends[rows] = v
-    return ends
+
+    def chunks():
+        for rows in storage_chunks(len(durations), len(offsets)):
+            v = np.tile(v0, (rows.stop - rows.start, len(offsets), 1))
+            for k in range(len(layout)):
+                if k in waits:
+                    wait, column = waits[k]
+                    v = wait_states(wait, column[rows], v)
+                else:
+                    v = (maps[pulses.index(k)] @ v[..., None])[..., 0]
+            yield rows, v
+    return chunks()
 
 
 def _step_powers(step: np.ndarray, count: int) -> np.ndarray:

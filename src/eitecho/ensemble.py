@@ -238,18 +238,20 @@ def _group_sums(x: np.ndarray, weights: np.ndarray, starts) -> np.ndarray:
     return np.add.reduceat(x * weights[:, None], starts, axis=-2)
 
 
-def group_states(stack: MemberStack, states: np.ndarray, taus=None) -> np.ndarray:
-    """End states (T, G, 9) of the ensembles of `stack` from the member states
-    (T, M, 9) of :func:`eitecho.dynamics.sequence_endpoints`: each checked
-    (errors name the storage time of `taus`, if given), weight-summed per
-    ensemble and, if folded, S + phases * conj(S), a storage-time chunk at a time."""
-    sums = np.empty((len(states), len(stack.starts), 9), dtype=complex)
-    for chunk in storage_chunks(len(states), len(stack.offsets)):
-        _check_physical(states[chunk], stack.offsets, None if taus is None else taus[chunk],
+def group_states(stack: MemberStack, chunks, entries, taus=None) -> np.ndarray:
+    """Entries `entries` (T, G, E) of the flat end states of the ensembles of
+    `stack` from the (rows, member states) chunks of
+    :func:`eitecho.dynamics.sequence_endpoints`, each checked as it arrives
+    (errors name the storage time of `taus`, if given) and weight-summed per
+    ensemble; then, if folded, S + phases[entries] * conj(S)."""
+    sums = []
+    for rows, states in chunks:
+        _check_physical(states, stack.offsets, None if taus is None else taus[rows],
                         stack.member_name)
-        sums[chunk] = _group_sums(states[chunk], stack.weights, stack.starts)
+        sums.append(_group_sums(states[..., entries], stack.weights, stack.starts))
+    sums = np.concatenate(sums)
     if stack.folded.any():
-        sums[:, stack.folded] += stack.phases * sums[:, stack.folded].conj()
+        sums[:, stack.folded] += stack.phases[entries] * sums[:, stack.folded].conj()
     return sums
 
 
@@ -273,6 +275,6 @@ def ensemble_final_state(seq: SequenceSpec, base: LambdaParams,
     """Weighted average of every member's final state, without trajectories: one
     ensemble's :func:`group_states` of :func:`eitecho.dynamics.sequence_endpoints`."""
     stack = stack_ensembles(base, [spec], seq.segments)
-    states = sequence_endpoints(MIXED_GROUND, stack.params, seq, stack.offsets,
+    chunks = sequence_endpoints(MIXED_GROUND, stack.params, seq, stack.offsets,
                                 stack.member_name)
-    return DensityMatrix3(group_states(stack, states)[0, 0].reshape(3, 3))
+    return DensityMatrix3(group_states(stack, chunks, slice(None))[0, 0].reshape(3, 3))

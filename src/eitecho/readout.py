@@ -14,7 +14,7 @@ time (:func:`eitecho.sequences.echo_layout`), built once per call, and its
 readout needs only that projection, which is linear in each member's state
 at readout start: with S the one-tick readout map, the single-bin sum is a
 pair of geometric sums of S, built once per curve, applied to the
-pre-readout states of every storage time at once.  Curves that differ only
+pre-readout states chunk by chunk as they are formed.  Curves that differ only
 in their ensemble (the field sweep's fields, a compensation scan's trial
 vectors: a Zeeman splitting enters only as a member offset) are one pass
 over the members of all of them, stacked by :mod:`eitecho.ensemble`, each
@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (PulseSpec, Trajectory, _check_physical, _expm,
-                       _map_namer, geometric_sum, member_generators, sequence_endpoints,
-                       storage_chunks, whole_steps)
+from .dynamics import (PulseSpec, Trajectory, _check_physical, _expm, _map_namer,
+                       geometric_sum, member_generators, sequence_endpoints, whole_steps)
 from .ensemble import (MIXED_GROUND, EnsembleSpec, MemberStack, _group_sums, group_states,
                        stack_ensembles)
 from .errors import FitFailureError, ValidationError
@@ -53,6 +52,10 @@ MIN_PERIODS = 5.0
 FIT_RATE_GRID = np.logspace(-3.0, 3.0, 49)
 # The refinement stops once a step moves the rate by less than this, relatively.
 FIT_RELATIVE_STEP_TOL = 1e-10
+# (curve x grid rate x storage time) values of one grid stage call of the fit:
+# it evaluates a block of that many curves at a time, ~2 MB per temporary, so
+# a stack of many long curves costs no more than one block.
+FIT_GRID_VALUES = 2 ** 18
 # Fewest storage times the three-parameter decay fit accepts: two residual degrees of freedom.
 FIT_MIN_POINTS = 5
 # What a Chebyshev table may lose to truncation (:func:`chebyshev_count`): about
@@ -179,10 +182,10 @@ def window_periods(readout: PulseSpec, beat_frequency: float) -> float:
     return n_steps * readout.clock_dt * beat_frequency
 
 
-def _beat_amplitudes(readout: PulseSpec, stack: MemberStack, states: np.ndarray,
+def _beat_amplitudes(readout: PulseSpec, stack: MemberStack, chunks,
                      beat_frequency: float, taus: np.ndarray) -> tuple[np.ndarray, float]:
-    """Beat fields (T, G) of the ensembles of `stack` from their member states
-    before the readout (T, M, 9) (:func:`eitecho.ensemble.stack_ensembles`),
+    """Beat fields (T, G) of the ensembles of `stack` from the chunks (rows, member
+    states before the readout) of :func:`eitecho.dynamics.sequence_endpoints`,
     and the readout's scale: a beat amplitude is the scale times a field's
     modulus.
 
@@ -195,8 +198,8 @@ def _beat_amplitudes(readout: PulseSpec, stack: MemberStack, states: np.ndarray,
     A mirror member reads phases[5] * conj(c_k), so its sums are phases[5]
     times the conj of e5^T F_a v and of e5^T F_c v, F_c that of the conjugate
     twist: a folded ensemble's sums a and b gain those of its half.  The maps
-    and sums are built once; each state is checked after the full readout map,
-    and read, one :func:`eitecho.dynamics.storage_chunks` chunk at a time.
+    and sums are built once; each chunk is checked after the full readout
+    map, and read, as it arrives.
     """
     n_steps, steps = whole_steps(readout.duration, readout.clock_dt)
     _check_window_samples(n_steps + len(steps))
@@ -210,18 +213,17 @@ def _beat_amplitudes(readout: PulseSpec, stack: MemberStack, states: np.ndarray,
     twist = np.exp(2j * (2.0 * np.pi * beat_frequency) * readout.clock_dt)     # e^{2i w dt}
     steps_maps = [maps[0], twist * maps[0]] + ([np.conj(twist) * maps[0]] if fold else [])
     sums, powers = geometric_sum(np.stack(steps_maps), n_steps)
-    rows = (sums + powers)[:, :, 5, :]            # e5^T F_a, e5^T F_b (, e5^T F_c): (2-3, M, 9)
+    reads = (sums + powers)[:, :, 5, :]           # e5^T F_a, e5^T F_b (, e5^T F_c): (2-3, M, 9)
     full = maps[-1] @ powers[0] if len(steps) == 2 else powers[0]
     fields = np.empty((len(taus), len(stack.starts)), dtype=complex)
-    for chunk in storage_chunks(len(taus), len(stack.offsets)):
-        _check_physical(full @ states[chunk, ..., None], stack.offsets, taus[chunk],
-                        stack.member_name)
-        products = np.einsum("smi,tmi->tms", rows, states[chunk])
+    for rows, states in chunks:
+        _check_physical(full @ states[..., None], stack.offsets, taus[rows], stack.member_name)
+        products = np.einsum("smi,tmi->tms", reads, states)
         a, b, *c = _group_sums(products, stack.weights, stack.starts).transpose(2, 0, 1)
         if fold:
             b[:, folded] += stack.phases[5] * c[0][:, folded].conj()
             a[:, folded] += stack.phases[5] * a[:, folded].conj()
-        fields[chunk] = 0.5 * a + 0.5 * np.conj(b)
+        fields[rows] = 0.5 * a + 0.5 * np.conj(b)
     return fields, DETECTOR_SCALE * 2.0 / (n_steps + 1)
 
 
@@ -294,11 +296,11 @@ def _echo_fields(cfg: EchoConfig, taus: np.ndarray, layout: tuple, params, specs
     # the readout pulse is mapped, and so has to mirror, in beat mode only
     segments = echo.segments + ((readout,) if mode == "beat" else ())
     stack = stack_ensembles(params, specs, segments, labels)
-    states = sequence_endpoints(MIXED_GROUND, stack.params, echo, stack.offsets,
+    chunks = sequence_endpoints(MIXED_GROUND, stack.params, echo, stack.offsets,
                                 stack.member_name, waits)
     if mode == "beat":
-        return _beat_amplitudes(readout, stack, states, cfg.splitting, taus)
-    return group_states(stack, states, taus)[..., 1], 1.0
+        return _beat_amplitudes(readout, stack, chunks, cfg.splitting, taus)
+    return group_states(stack, chunks, [1], taus)[..., 0], 1.0
 
 
 def _echo_amplitudes(cfg: EchoConfig, taus: np.ndarray, layout: tuple, params, specs: list,
@@ -473,7 +475,7 @@ def fit_decay(curves):
     A and C enter linearly, so for each rate they follow in closed form and
     the fit minimizes the reduced cost R over one parameter (variable
     projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  R is
-    evaluated on the fixed rate grid FIT_RATE_GRID, for all curves at once;
+    evaluated on the fixed rate grid FIT_RATE_GRID, a block of curves at a time;
     a best grid rate at either end fails at once, the fit running away to a
     straight line or a step, with the reason, the best rate (1/s) and R at
     both ends as diagnostics.  Otherwise the zero of dR/dk beside the best
@@ -534,8 +536,15 @@ def _fit_stack(taus: np.ndarray, y: np.ndarray) -> list:
 def _grid_brackets(span: np.ndarray, s: np.ndarray, yc: np.ndarray) -> tuple:
     """The grid stage of :func:`_fit_stack`: a list with the failure of each
     curve that runs away or has no bracket, else None, and a dict of the
-    others' :func:`_refine_rate` searches by row."""
-    costs, slopes, _ = _rate_profile(FIT_RATE_GRID, s, yc)
+    others' :func:`_refine_rate` searches by row.  The grid is evaluated a
+    block of at most FIT_GRID_VALUES values at a time (but one curve at
+    least); :func:`_rate_profile` reduces each curve on its own, so a block
+    moves no bit."""
+    block = max(1, FIT_GRID_VALUES // (FIT_RATE_GRID.size * s.shape[-1]))
+    costs, slopes = np.empty((2, len(s), FIT_RATE_GRID.size))
+    for c in range(0, len(s), block):
+        costs[c:c + block], slopes[c:c + block], _ = _rate_profile(
+            FIT_RATE_GRID, s[c:c + block], yc[c:c + block])
     rows = np.arange(len(s))
     best = np.argmin(costs, axis=-1)
     # rates fast enough to leave e^{-x s} = 0 beyond the first point tie

@@ -550,7 +550,8 @@ def scaling_csv(points: list[ScalingPoint]) -> str:
 def compensation_json(result: CompensationResult) -> str:
     return json.dumps({
         "compensation_t": list(result.compensation),
-        "objective_t2_s": result.objective,
+        # strict JSON has no NaN: a failed fit's objective is null
+        "objective_t2_s": None if math.isnan(result.objective) else result.objective,
         "evaluations": result.evaluations,
         "improved": result.improved,
         "warning": result.warning,

@@ -96,6 +96,14 @@ def _segment_map(p: LambdaParams, h: float) -> np.ndarray:
     return _expm(h * liouvillian(p))
 
 
+def endpoint_states(chunks) -> np.ndarray:
+    """The end states (T, M, 9) of a :func:`eitecho.dynamics.sequence_endpoints`
+    pass, its (rows, states) chunks joined, which must cover the runs in order."""
+    rows, states = zip(*chunks)
+    assert [r.start for r in rows] == [0, *(r.stop for r in rows[:-1])]
+    return np.concatenate(states)
+
+
 def final_state(traj: Trajectory) -> DensityMatrix3:
     """The last state of a trajectory."""
     return DensityMatrix3(traj.states[-1])

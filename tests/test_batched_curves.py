@@ -5,10 +5,13 @@ amplitudes are checked against one call per field, and a failing member is
 named within its own field.  The cached base generator is checked against a
 fresh Liouvillian, for read-only storage, for a miss on every parameter and
 drive field, and for how few Liouvillians a whole compensation search builds;
-the search builds one echo per storage-time window.
+the search builds one echo per storage-time window.  A curve pass holds one
+storage-time chunk of member states at a time, and the decay fit's rate grid
+one block of curves, so neither peak grows with the storage times.
 """
 
 import dataclasses
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,12 +21,13 @@ from hypothesis import strategies as st
 
 import eitecho.dynamics as dynamics
 import eitecho.sequences as sequences
+from eitecho.config import DEFAULT_CONFIG_TEXT, parse_config
 from eitecho.dynamics import PulseSpec, Wait, _base_generator, _segment_params, wait_states
 from eitecho.ensemble import EnsembleSpec, _group_sums
 from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
-from eitecho.readout import assemble_decay_curve, assemble_decay_curves
-from eitecho.sequences import EchoConfig, make_echo_sequence
+from eitecho.readout import _echo_fields, assemble_decay_curve, assemble_decay_curves
+from eitecho.sequences import EchoConfig, echo_layout, make_echo_sequence
 from eitecho.studies import (FieldModel, branches_for_splitting, compensation_search,
                              field_sweep, golden_steps)
 
@@ -214,3 +218,43 @@ class TestLayoutCache:
         assert res.evaluations == 21 <= 1 + 3 * (2 + golden_steps(100e-6, 1e-6)) + 2
         # one echo for each window, the bracketing one and the caller's
         assert len(calls) <= 2
+
+
+def traced_peak(f, *args) -> int:
+    """The tracemalloc peak, in bytes, of the call f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCurvePassMemory:
+    DEFAULT = parse_config(DEFAULT_CONFIG_TEXT)
+
+    @pytest.mark.parametrize("mode", ["beat", "proxy"])
+    def test_storage_times_do_not_raise_the_peak(self, mode):
+        # the default sweep's 20 fields of the 5 x 3 grid: 160 members after
+        # the fold, whose states over 1024 storage times (23.6 MB) the pass
+        # never holds at once
+        cfg = self.DEFAULT
+        grid = EnsembleSpec(optical_fwhm=170e3, spin_fwhm=20e3, n_optical=5, n_spin=3)
+        specs = [replace(grid, zeeman_branches=branches_for_splitting(
+                     cfg.field_model.g_factor * abs(b))) for b in cfg.field_sweep.fields]
+        peaks = []
+        for n_taus in (30, 1024):
+            taus = np.linspace(10e-6, 150e-6, n_taus)
+            peaks.append(traced_peak(_echo_fields, cfg.sequence, taus,
+                                     echo_layout(cfg.sequence, taus), cfg.physics, specs, mode))
+        assert peaks[1] <= 1.2 * peaks[0], [f"{peak / 1e6:.1f} MB" for peak in peaks]
+
+    def test_field_sweep_of_long_curves_stays_small(self):
+        # 64 fields x 1024 storage times of the built-in config: the curves
+        # and their fits, whose rate grid over every curve at once would
+        # take ~100 MB
+        cfg = self.DEFAULT
+        peak = traced_peak(field_sweep, np.linspace(0.0, 100e-6, 64), cfg.sequence, cfg.physics,
+                           cfg.ensemble, np.linspace(10e-6, 150e-6, 1024), cfg.field_model,
+                           cfg.readout_mode)
+        assert peak < 16e6, f"{peak / 1e6:.1f} MB"

@@ -386,11 +386,13 @@ class TestGridWarnings:
 
 
 class TestCompensate:
+    MIRROR = ("sequence: {tau: 60us}\nensemble: {optical_fwhm: 170kHz, spin_fwhm: 20kHz, "
+              "n_optical: 5, n_spin: 3}\n")
+
     def test_a_run_prints_the_grid_warnings(self, tmp_path, capsys):
         # the 5 x 3 mirror grid revives within the compensation's storage
         # times: the run says so before its fit fails, and still exits 0
-        mirror = ("sequence: {tau: 60us}\nensemble: {optical_fwhm: 170kHz, spin_fwhm: 20kHz, "
-                  "n_optical: 5, n_spin: 3}\n")
+        mirror = self.MIRROR
         assert main(["compensate", "--config", str(write_config(tmp_path, mirror)),
                      "--out", str(tmp_path / "m")]) == 0
         err = capsys.readouterr().err.splitlines()
@@ -399,6 +401,22 @@ class TestCompensate:
         assert err[-1] == "warning: decay fit failed at the found compensation"
         assert main(["compensate", "--out", str(tmp_path / "d")]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("mode", ["beat", "proxy"])
+    def test_a_failed_fit_writes_strict_json(self, tmp_path, capsys, mode):
+        # the mirror grid's fit fails at the found compensation: its objective
+        # is null, which a parser that refuses NaN and Infinity reads
+        text = self.MIRROR + f"readout: {{mode: {mode}}}\n"
+        assert main(["compensate", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(tmp_path / "o")]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        result = json.loads((tmp_path / "o" / "compensation.json").read_text(),
+                            parse_constant=refuse)
+        assert result["objective_t2_s"] is None
+        assert result["warning"] == "decay fit failed at the found compensation"
 
     def test_tolerance_below_the_float_spacing_ends(self, tmp_path):
         # one float spacing of a 50 uT field is 6.8e-21 T, so no bracket gets

@@ -29,7 +29,7 @@ from eitecho.readout import (_beat_amplitudes, _echo_amplitudes, assemble_decay_
                              beat_amplitude, synthesize_beat)
 from eitecho.sequences import EchoConfig, echo_layout, make_echo_sequence, make_readout_pulse
 
-from conftest import _segment_map, random_density3
+from conftest import _segment_map, endpoint_states, random_density3
 from test_propagators import W, lambda_params, unit
 from test_sequences import layout_cases
 
@@ -159,8 +159,8 @@ class TestBeatFunctional:
         rng = np.random.default_rng(len(offsets))
         states = np.array([random_density3(rng).reshape(9) for _ in offsets])
         stack = stack_ensembles(PARAMS, [spec], (readout,))
-        fields, scale = _beat_amplitudes(readout, stack, states[None], splitting,
-                                         np.array([cfg.tau]))
+        fields, scale = _beat_amplitudes(readout, stack, [(slice(0, 1), states[None])],
+                                         splitting, np.array([cfg.tau]))
         expected = sampled_beat(readout, PARAMS, offsets, weights, states, splitting)
         assert scale * np.abs(fields[0]) == pytest.approx(expected, rel=1e-12)
 
@@ -211,7 +211,7 @@ class TestWholeCurve:
     def test_one_sequence_matches_sampled_endpoint(self):
         seq = make_echo_sequence(EchoConfig(tau=20e-6))
         offsets, weights = member_stack(GRID)
-        end = sequence_endpoints(MIXED_GROUND, PARAMS, seq, offsets)[0]
+        end = endpoint_states(sequence_endpoints(MIXED_GROUND, PARAMS, seq, offsets))[0]
         ref = propagate_members(MIXED_GROUND, PARAMS, seq, offsets, weights).states[-1]
         assert np.max(np.abs((weights @ end).reshape(3, 3) - ref)) <= 1e-12
 
@@ -227,10 +227,11 @@ class TestWaitTable:
         echo, _, waits = echo_layout(cfg, taus)
         # chunks of one storage time, of a few, and of all
         with mock.patch.object(dynamics, "BATCH_STATES", batch * len(offsets)):
-            together = sequence_endpoints(MIXED_GROUND, p, echo, offsets, durations=waits)
+            together = endpoint_states(
+                sequence_endpoints(MIXED_GROUND, p, echo, offsets, durations=waits))
         for tau, states in zip(taus.tolist(), together):
             seq = make_echo_sequence(replace(cfg, tau=tau), include_readout=False)
-            alone = sequence_endpoints(MIXED_GROUND, p, seq, offsets)
+            alone = endpoint_states(sequence_endpoints(MIXED_GROUND, p, seq, offsets))
             assert np.array_equal(alone.view(np.uint64), states[None].view(np.uint64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-6])

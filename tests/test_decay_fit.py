@@ -185,6 +185,17 @@ def test_a_stack_fits_each_curve_as_alone(curves, start_in_spans, n, seed):
         assert_same_fit(fit, alone(curve))
 
 
+@pytest.mark.parametrize("curves_per_block", [1, 2, 3])
+def test_a_stack_fits_each_curve_as_alone_in_grid_blocks(monkeypatch, curves_per_block):
+    # the grid stage takes the 4 curves that reach it a block at a time: one
+    # each, two blocks of two, and one of three beside one of one
+    taus = (1000.0 + np.linspace(0.0, 1.0, 9)) * SPAN
+    stack = [stack_curve(kind, taus, t2, k) for k, (kind, t2) in enumerate(EVERY_KIND)]
+    monkeypatch.setattr(readout, "FIT_GRID_VALUES", curves_per_block * FIT_RATE_GRID.size * 9)
+    for curve, fit in zip(stack, fit_decay(stack), strict=True):
+        assert_same_fit(fit, alone(curve))
+
+
 def test_every_failure_of_a_stack_keeps_its_reason():
     taus = (1000.0 + np.linspace(0.0, 1.0, 9)) * SPAN
     stack = [stack_curve(kind, taus, t2, k) for k, (kind, t2) in enumerate(EVERY_KIND)]

@@ -23,7 +23,7 @@ from eitecho.lambda_system import DETUNING_OPT, DETUNING_SPIN, LambdaParams
 from eitecho.readout import _echo_amplitudes, beat_amplitude, synthesize_beat
 from eitecho.sequences import EchoConfig, echo_layout, make_echo_sequence
 
-from conftest import _segment_map, liouvillian
+from conftest import _segment_map, endpoint_states, liouvillian
 from test_propagators import W, lambda_params, unit
 
 TWO_PI = 2.0 * np.pi
@@ -206,8 +206,8 @@ class TestDetectorClock:
         tick = 1.0 / (8.0 * cfg.splitting)
         assert traj.times[-1] == sum(s.duration for s in seq.segments)
         assert 0.0 < traj.times[-1] - traj.times[-2] < tick
-        end = sequence_endpoints(mixed_ground, self.PARAMS, seq,
-                                 [0.0, 0.0, TWO_PI * 8e3])[0, 0].reshape(3, 3)
+        end = endpoint_states(sequence_endpoints(mixed_ground, self.PARAMS, seq,
+                                                 [0.0, 0.0, TWO_PI * 8e3]))[0, 0].reshape(3, 3)
         assert np.max(np.abs(traj.states[-1] - end)) <= 1e-12
 
     def test_whole_number_of_ticks_has_no_end_sample(self):
@@ -274,7 +274,7 @@ class TestSubnormalDetuning:
         cfg = EchoConfig(tau=20e-6, t_init=1e-6, t_rephase=1e-6, t_readout=1e-6)
         seq = make_echo_sequence(cfg, include_readout=False)
         p = LambdaParams(delta_opt=0.3 * W, gamma_opt_decay=0.1 * W)
-        end, plain = sequence_endpoints(MIXED_GROUND, p, seq,
-                                        [[0.0, 0.0, 5e-324 * TWO_PI * 50e3],
-                                         [0.0, 0.0, 0.0]])[0]
+        end, plain = endpoint_states(sequence_endpoints(MIXED_GROUND, p, seq,
+                                                        [[0.0, 0.0, 5e-324 * TWO_PI * 50e3],
+                                                         [0.0, 0.0, 0.0]]))[0]
         assert np.max(np.abs(end - plain)) <= 1e-12

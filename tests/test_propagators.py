@@ -17,7 +17,8 @@ from eitecho.lambda_system import LambdaParams
 from eitecho.qstate import DensityMatrix3
 from eitecho.sequences import EchoConfig, make_echo_sequence
 
-from conftest import _segment_map, final_state, lindblad_rhs, liouvillian, random_density3
+from conftest import (_segment_map, endpoint_states, final_state, lindblad_rhs, liouvillian,
+                      random_density3)
 
 W = 2.0 * np.pi * 1e6          # frequency scale of the drawn parameters, rad/s
 TRACE_FUNCTIONAL = np.eye(3).reshape(9)
@@ -115,8 +116,9 @@ class TestEndpointDifferential:
     def test_matches_fine_step_rk4(self, p, segs, offset, seed):
         rho0 = random_density3(np.random.default_rng(seed))
         zeeman_offset = 0.2 * W * offset
-        end = sequence_endpoints(DensityMatrix3(rho0), p, SequenceSpec(segments=segs),
-                                 [0.0, 0.0, zeeman_offset])[0, 0].reshape(3, 3)
+        end = endpoint_states(sequence_endpoints(DensityMatrix3(rho0), p,
+                                                 SequenceSpec(segments=segs),
+                                                 [0.0, 0.0, zeeman_offset]))[0, 0].reshape(3, 3)
         rho = rho0
         for seg in segs:
             rho = rk4(rho, oracle_segment_params(p, seg, zeeman_offset), seg.duration)
@@ -134,7 +136,8 @@ class TestEndpointDifferential:
                          gamma_opt_decay=0.1 * W * decay, gamma_spin_deph=1e4 * spin)
         rho0 = DensityMatrix3(np.diag([0.5, 0.5, 0.0]).astype(complex))
         zeeman_offset = 2.0 * np.pi * 50e3 * offset
-        end = sequence_endpoints(rho0, p, seq, [0.0, 0.0, zeeman_offset])[0, 0].reshape(3, 3)
+        end = endpoint_states(
+            sequence_endpoints(rho0, p, seq, [0.0, 0.0, zeeman_offset]))[0, 0].reshape(3, 3)
         traj = propagate_members(rho0, p, seq, [[0.0, 0.0, zeeman_offset]], [1.0])
         assert np.max(np.abs(end - traj.states[-1])) <= 1e-10
 

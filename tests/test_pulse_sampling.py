@@ -29,7 +29,7 @@ from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.qstate import DensityMatrix3
 
-from conftest import random_density3
+from conftest import endpoint_states, random_density3
 from test_propagators import W, lambda_params, magnitude, phase, segments, unit
 
 B = SAMPLE_BLOCK
@@ -91,7 +91,7 @@ class TestAgainstExpm:
         exact = np.einsum("m,tmij,j->ti", weights, _expm(times[:, None, None, None] * gen), v0)
         got = traj.states[1:-1].reshape(n, 9)
         assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
-        end = weights @ sequence_endpoints(rho0, p, seq, offsets)[0]
+        end = weights @ endpoint_states(sequence_endpoints(rho0, p, seq, offsets))[0]
         assert np.abs(traj.states[-1].reshape(9) - end).max() <= 1e-12 * np.abs(end).max()
 
 

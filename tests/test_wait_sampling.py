@@ -23,7 +23,7 @@ from eitecho.errors import ConfigurationError
 from eitecho.lambda_system import LambdaParams
 from eitecho.qstate import DensityMatrix3
 
-from conftest import random_density3
+from conftest import endpoint_states, random_density3
 from test_propagators import W, lambda_params, unit
 
 PARAMS = LambdaParams(delta_opt=0.3 * W, gamma_opt_decay=0.1 * W, gamma_opt_deph=0.05 * W,
@@ -96,7 +96,8 @@ class TestAgainstClosedForm:
         v0 = np.tile(np.asarray(rho0.matrix).reshape(9), (len(weights), 1))
         end = _wait_samples(wait_rates(p, wait, offsets), weights, v0, times[0],
                             np.empty((n, 9), dtype=complex))
-        ends = sequence_endpoints(rho0, p, SequenceSpec(segments=(wait,)), offsets)[0]
+        ends = endpoint_states(
+            sequence_endpoints(rho0, p, SequenceSpec(segments=(wait,)), offsets))[0]
         assert np.abs(end - ends).max() <= 1e-14
 
     @settings(max_examples=40, deadline=None)
@@ -127,15 +128,15 @@ class TestAgainstClosedForm:
         traj = propagate_members(RHO0, PARAMS, seq, offsets, weights)
         start = traj.segment_starts[1][0]
         stop = traj.segment_starts[2][0]
-        before = sequence_endpoints(RHO0, PARAMS, SequenceSpec(segments=seq.segments[:1]),
-                                    offsets)[0]
+        before = endpoint_states(sequence_endpoints(
+            RHO0, PARAMS, SequenceSpec(segments=seq.segments[:1]), offsets))[0]
         gen = member_generators(PARAMS, seq.segments[1], offsets)
         elapsed = traj.times[start + 1:stop + 1] - traj.times[start]
         exact = np.einsum("m,tmij,mj->ti", weights, _expm(elapsed[:, None, None, None] * gen),
                           before)
         got = traj.states[start + 1:stop + 1].reshape(-1, 9)
         assert np.abs(got - exact).max() <= 1e-13
-        final = weights @ sequence_endpoints(RHO0, PARAMS, seq, offsets)[0]
+        final = weights @ endpoint_states(sequence_endpoints(RHO0, PARAMS, seq, offsets))[0]
         assert np.abs(traj.states[-1].reshape(9) - final).max() <= 1e-13
 
 
